@@ -219,9 +219,12 @@ class NaryStateSpace(BaseStateSpace):
 
         Callers must feed the space operations whose contexts are
         expressed relative to the same floor from then on (the net
-        runtime's serial-encoded contexts do exactly that); the stale
-        absolute contexts inside already-stored transitions are never
-        used for attachment again, only their operation bodies are.
+        runtime's serial-encoded contexts do exactly that).  Stored
+        transitions are rebuilt on their new source key — later
+        operations are transformed against them, and a transformation
+        pairs operations by context — and they get the interned key
+        itself, so ``operation.context is source.key`` keeps hitting
+        :meth:`_attach`'s identity fast path.
         """
         floor = frozenset(floor)
         pruned = self.prune_below(floor)
@@ -236,7 +239,11 @@ class NaryStateSpace(BaseStateSpace):
             new_key = remap[key]
             node.key = new_key
             node.children = [
-                Transition(new_key, remap[t.target], t.operation)
+                Transition(
+                    new_key,
+                    remap[t.target],
+                    t.operation.with_context(new_key),
+                )
                 for t in node.children
             ]
             nodes[new_key] = node

@@ -31,11 +31,12 @@ reused), and the rebuilt state-space must match the logged history.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.ids import OpId, ReplicaId
+from repro.common.ids import OpId, ReplicaId, StateKey
 from repro.document.elements import Element
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError
@@ -47,7 +48,7 @@ from repro.jupiter.state_space import StateNode, Transition
 from repro.obs import get_obs
 from repro.ot.operations import OpKind, Operation
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +88,10 @@ def operation_to_obj(
     return obj
 
 
-def operation_from_obj(obj: Dict[str, Any]) -> Operation:
+def operation_from_obj(
+    obj: Dict[str, Any], context: Optional[StateKey] = None
+) -> Operation:
+    """Decode an operation; ``context`` stands in for an elided one."""
     return Operation(
         kind=OpKind(obj["kind"]),
         opid=opid_from_obj(obj["opid"]),
@@ -97,7 +101,11 @@ def operation_from_obj(obj: Dict[str, Any]) -> Operation:
             else None
         ),
         position=obj["position"],
-        context=frozenset(opid_from_obj(o) for o in obj["context"]),
+        context=(
+            frozenset(opid_from_obj(o) for o in obj["context"])
+            if context is None
+            else context
+        ),
     )
 
 
@@ -175,89 +183,187 @@ def record_operation(record: Dict[str, Any], oracle=None) -> Operation:
         raise ProtocolError(
             "compact WAL record needs an order oracle to decode"
         )
-    return Operation(
-        kind=OpKind(obj["kind"]),
-        opid=opid_from_obj(obj["opid"]),
-        element=(
-            element_from_obj(obj["element"])
-            if obj["element"] is not None
-            else None
-        ),
-        position=obj["position"],
-        context=context_from_compact(record["ctx"], oracle),
-    )
+    return operation_from_obj(obj, context_from_compact(record["ctx"], oracle))
 
 
 # ----------------------------------------------------------------------
 # State-space codec
 # ----------------------------------------------------------------------
-def space_to_obj(space: NaryStateSpace) -> Dict[str, Any]:
-    """Serialise a state-space: nodes (with documents) and transitions."""
-    nodes = []
-    # iter_documents materialises lazy documents through a transient memo,
-    # so snapshotting does not permanently cache every node's document.
-    for key, document in space.iter_documents():
-        node = space.node(key)
-        nodes.append(
-            {
-                "key": _state_key_to_obj(key),
-                "document": [element_to_obj(e) for e in document],
-                "children": [
-                    {
-                        "operation": operation_to_obj(t.operation),
-                        "target": _state_key_to_obj(t.target),
-                    }
-                    for t in node.children
-                ],
-            }
+# In the n-ary ordered state-space a transition's context *is* its
+# source state (Definition 4.6) and a state's list is a function of its
+# key, so neither is stored.  Nodes are written parents-first under a
+# small integer id; only a node with no retained incoming transition
+# (the root, or a survivor of ``prune_below``) carries its key and
+# document.  Every other node is ``{"id", "from": [parent id, opid]}``:
+# its key is the parent's plus that opid, its document the parent's with
+# that transition's operation applied.  A transition is
+# ``[operation without context, target id]``.
+#
+# The encoder's bookkeeping — the *shadow* — maps each encoded node's
+# interned key to ``(id, child count, parent id)``.  A lone snapshot
+# throws it away; the write-ahead log keeps it, which is what lets a
+# delta compaction find and encode only the nodes that changed.
+Shadow = Dict[StateKey, Tuple[int, int, Optional[int]]]
+
+
+def _children_to_obj(node: StateNode, shadow: Shadow) -> List[List[Any]]:
+    return [
+        [
+            operation_to_obj(t.operation, with_context=False),
+            shadow[t.target][0],
+        ]
+        for t in node.children
+    ]
+
+
+def _encode_nodes(
+    space: NaryStateSpace,
+    shadow: Shadow,
+    sources: Iterable[StateNode],
+    fresh: Sequence[StateNode],
+    next_id: int,
+) -> Tuple[List[Dict[str, Any]], int]:
+    """Enter ``fresh`` nodes into ``shadow``; return their encodings and
+    the next unused id.
+
+    Each node is encoded relative to the first transition into it found
+    in ``sources`` (walked in order, sibling order within a node), so
+    ``sources`` must hold every retained node with a transition into a
+    fresh one; both sequences are in the space's table order.  A node
+    the shadow already knows keeps its id, the others take ``next_id``
+    onwards.  Costs the fresh nodes and the edges of ``sources`` —
+    nothing proportional to key size or document length, except for
+    nodes no source reaches.
+    """
+    wanted = {node.key for node in fresh}
+    origin: Dict[StateKey, Transition] = {}
+    for source in sources:
+        for edge in source.children:
+            if edge.target in wanted and edge.target not in origin:
+                origin[edge.target] = edge
+    for node in fresh:
+        known = shadow.get(node.key)
+        edge = origin.get(node.key)
+        if known is None:
+            node_id, next_id = next_id, next_id + 1
+        else:
+            node_id = known[0]
+        shadow[node.key] = (
+            node_id,
+            len(node.children),
+            None if edge is None else shadow[edge.source][0],
         )
-    return {
+    documents = dict(
+        space.iter_documents(
+            [node.key for node in fresh if node.key not in origin]
+        )
+    )
+    encoded = []
+    for node in fresh:
+        node_id, _degree, parent_id = shadow[node.key]
+        obj: Dict[str, Any] = {"id": node_id}
+        if parent_id is None:
+            obj["key"] = _state_key_to_obj(node.key)
+            obj["document"] = [
+                element_to_obj(e) for e in documents[node.key]
+            ]
+        else:
+            obj["from"] = [parent_id, opid_to_obj(origin[node.key].org_id)]
+        obj["children"] = _children_to_obj(node, shadow)
+        encoded.append(obj)
+    return encoded, next_id
+
+
+def _space_to_obj(space: NaryStateSpace) -> Tuple[Dict[str, Any], Shadow]:
+    """:func:`space_to_obj` plus the shadow the encoding was built on."""
+    shadow: Shadow = {}
+    nodes = list(space.nodes())
+    obj = {
         "version": FORMAT_VERSION,
-        "final": _state_key_to_obj(space.final_key),
+        "nodes": _encode_nodes(space, shadow, nodes, nodes, 0)[0],
+        "final": shadow[space.final_key][0],
         "ot_count": space.ot_count,
-        "nodes": nodes,
     }
+    return obj, shadow
+
+
+def space_to_obj(space: NaryStateSpace) -> Dict[str, Any]:
+    """Serialise a state-space in O(nodes + transitions + root document).
+
+    Ids are positions in the space's table order, so the same space —
+    or one restored from this object — serialises to identical bytes.
+    """
+    return _space_to_obj(space)[0]
 
 
 def space_from_obj(obj: Dict[str, Any], oracle) -> NaryStateSpace:
     """Rebuild a state-space from its serialised form.
 
     Reconstruction bypasses :meth:`NaryStateSpace.integrate` — the stored
-    structure already encodes every square and sibling order — and
-    repopulates the node table directly.
+    structure already encodes every square and sibling order.  Nodes
+    come back as the same lazy ``(parent, operation)`` nodes
+    :meth:`~repro.jupiter.state_space.BaseStateSpace._attach` builds
+    while integrating, and every transition is re-attached through it,
+    so a restore re-runs the O(1) length/fingerprint CP1 check per edge
+    instead of trusting stored documents.  Keys are interned and every
+    transition's context is its source's key object, so the rebuilt
+    space hits the same identity fast paths as one grown through
+    ``integrate()``.
     """
     if obj.get("version") != FORMAT_VERSION:
         raise ProtocolError(
             f"unsupported snapshot version {obj.get('version')!r}"
         )
     space = NaryStateSpace(oracle)
-    nodes = space._nodes  # populated wholesale during restore
-    nodes.clear()
-    # Snapshots carry plain sorted frozensets on the wire; restore
-    # re-interns every key so the rebuilt space hits the same identity
-    # fast paths as one grown through integrate().
+    table = space._nodes  # populated wholesale during restore
+    table.clear()
     intern = space._interner.intern
-    for node_obj in obj["nodes"]:
-        key = intern(_state_key_from_obj(node_obj["key"]))
-        document = ListDocument(
-            element_from_obj(e) for e in node_obj["document"]
-        )
-        nodes[key] = StateNode(key, document)
-    for node_obj in obj["nodes"]:
-        key = intern(_state_key_from_obj(node_obj["key"]))
-        node = nodes[key]
-        for child in node_obj["children"]:
-            target = intern(_state_key_from_obj(child["target"]))
-            if target not in nodes:
-                raise ProtocolError(
-                    "snapshot transition points at a missing state"
+    by_id: Dict[int, StateNode] = {}
+    edges: Dict[int, List[Tuple[Operation, int]]] = {}
+    try:
+        for node_obj in obj["nodes"]:
+            node_id = int(node_obj["id"])
+            if "from" in node_obj:
+                parent_id, opid_obj = node_obj["from"]
+                opid = opid_from_obj(opid_obj)
+                node = space._attach(
+                    by_id[parent_id],
+                    next(
+                        op for op, _ in edges[parent_id] if op.opid == opid
+                    ),
                 )
-            node.children.append(
-                Transition(key, target, operation_from_obj(child["operation"]))
-            )
-    space.final_key = intern(_state_key_from_obj(obj["final"]))
-    if space.final_key not in nodes:
-        raise ProtocolError("snapshot final state missing from node table")
+            else:
+                key = intern(_state_key_from_obj(node_obj["key"]))
+                node = table[key] = StateNode(
+                    key,
+                    ListDocument(
+                        element_from_obj(e) for e in node_obj["document"]
+                    ),
+                )
+            by_id[node_id] = node
+            edges[node_id] = [
+                (operation_from_obj(op_obj, node.key), int(target_id))
+                for op_obj, target_id in node_obj["children"]
+            ]
+        for node_id, node in by_id.items():
+            for operation, target_id in edges[node_id]:
+                target = by_id[target_id]
+                if (
+                    len(target.key) != len(node.key) + 1
+                    or operation.opid not in target.key
+                ):
+                    raise ProtocolError(
+                        "snapshot transition points at the wrong state"
+                    )
+                space._attach(node, operation, target)
+                node.children.append(
+                    Transition(node.key, target.key, operation)
+                )
+        space.final_key = by_id[int(obj["final"])].key
+    except (KeyError, StopIteration):
+        raise ProtocolError(
+            "snapshot names a state or transition it does not hold"
+        ) from None
     space.ot_count = int(obj.get("ot_count", 0))
     return space
 
@@ -352,12 +458,18 @@ def snapshot_server(server: CssServer) -> Dict[str, Any]:
     and the keys are already relative to it — so checkpoints stay
     O(active window).
     """
+    return _server_snapshot(server, space_to_obj(server.space))
+
+
+def _server_snapshot(
+    server: CssServer, space_obj: Dict[str, Any]
+) -> Dict[str, Any]:
     base = server.oracle.base
     snapshot = {
         "version": FORMAT_VERSION,
         "replica": server.replica_id,
         "clients": list(server.clients),
-        "space": space_to_obj(server.space),
+        "space": space_obj,
         "serials": [
             [opid_to_obj(opid), serial]
             for opid, serial in server.oracle.serial_items(after=base)
@@ -457,8 +569,17 @@ def _validate_wal_delta(delta: Any) -> Dict[str, Any]:
         if field not in delta:
             raise ProtocolError(f"WAL delta missing field {field!r}")
     for node_obj in delta["added"]:
-        if "key" not in node_obj or "children" not in node_obj:
-            raise ProtocolError("WAL delta added-node missing key/children")
+        if (
+            "id" not in node_obj
+            or "children" not in node_obj
+            or not ("from" in node_obj or "key" in node_obj)
+        ):
+            raise ProtocolError(
+                "WAL delta added-node missing id/children/from-or-key"
+            )
+    for patch in delta["touched"]:
+        if "id" not in patch or "children" not in patch:
+            raise ProtocolError("WAL delta touched-node missing id/children")
     return delta
 
 
@@ -530,10 +651,15 @@ class ServerWriteAheadLog:
         self.last_epoch = 0
         self._next_serial = 1
         self._since_snapshot = 0
-        # Diff base for the next delta: node-key -> child-transition count
-        # as of the previous compaction.  ``None`` (fresh or restored log)
-        # forces the next compaction to be a full checkpoint.
-        self._shadow: Optional[Dict[Any, int]] = None
+        #: state-space nodes serialised by compactions, by mode — equals
+        #: the nodes that changed for a delta, the whole window for a full
+        self.snapshot_nodes = {"full": 0, "delta": 0}
+        # Diff base for the next delta: the encoder's shadow (interned
+        # node key -> id, child count, parent id) as of the previous
+        # compaction.  ``None`` (fresh or restored log) forces the next
+        # compaction to be a full checkpoint.
+        self._shadow: Optional[Shadow] = None
+        self._next_id = 0
         self._shadow_upto = 0
         self._shadow_base = 0
         self._obs = get_obs()
@@ -605,19 +731,18 @@ class ServerWriteAheadLog:
         return cut
 
     def record_at(self, serial: int) -> Optional[Dict[str, Any]]:
-        """The retained record with ``serial``, or ``None`` if truncated."""
-        for record in self.records:
-            if int(record["serial"]) == serial:
-                return record
+        """The retained record with ``serial``, or ``None`` if truncated.
+
+        Records are contiguous, so this is an index, not a search.
+        """
+        if self.records:
+            index = serial - int(self.records[0]["serial"])
+            if 0 <= index < len(self.records):
+                return self.records[index]
         return None
 
     def should_compact(self) -> bool:
         return self._since_snapshot >= self.snapshot_every
-
-    @staticmethod
-    def _node_key(key_obj: Sequence[Any]) -> Any:
-        """Canonical hashable form of a serialised state key."""
-        return tuple((str(o[0]), int(o[1])) for o in key_obj)
 
     def compact(
         self, server: CssServer, retain_after: Optional[int] = None
@@ -632,12 +757,15 @@ class ServerWriteAheadLog:
 
         The first compaction (and every ``checkpoint_every``-th one, and
         any taken after active-window GC moved the rebase floor) emits a
-        **full checkpoint**; the rest emit a **delta** against the
-        previous compaction — nodes added and removed since, nodes whose
-        ordered child-transition list grew (transition lists are
-        insert-only, so a changed length is exactly a changed list), and
-        the serials assigned since.  ``last_compaction_mode`` tells the
-        disk layer which of the two it got.
+        **full checkpoint**, O(window + document).  The rest emit a
+        **delta** against the previous compaction — nodes added and
+        removed since, nodes whose ordered child-transition list grew
+        (transition lists are insert-only, so a changed length is exactly
+        a changed list), and the serials assigned since — found by one
+        pointer walk over the live node table against the shadow and
+        encoded in O(changed nodes), with ids continuing from the
+        checkpoint's.  ``last_compaction_mode`` tells the disk layer
+        which of the two it got.
         """
         obs = self._obs
         started = time.perf_counter() if obs.enabled else 0.0
@@ -652,65 +780,44 @@ class ServerWriteAheadLog:
         # Complete while the record suffix still covers everything since
         # the last compaction — stored so trimmed snapshots keep the
         # per-origin consumption counts recovery re-seeds sessions with.
-        counts = self.origin_counts()
-        delta_mode = (
+        counts = {
+            str(k): int(v) for k, v in sorted(self.origin_counts().items())
+        }
+        if (
             self.snapshot is not None
             and self._shadow is not None
             and base == self._shadow_base
             and len(self.deltas) < self.checkpoint_every
-        )
-        if delta_mode:
-            space_obj = space_to_obj(server.space)
-            shadow = self._shadow
-            current = {
-                self._node_key(n["key"]): n for n in space_obj["nodes"]
-            }
-            delta = {
-                "upto": covered,
-                "floor": floor,
-                "base": base,
-                "final": space_obj["final"],
-                "ot_count": space_obj["ot_count"],
-                "added": [
-                    current[k] for k in sorted(current) if k not in shadow
-                ],
-                "removed": [
-                    [list(pair) for pair in k]
-                    for k in sorted(shadow)
-                    if k not in current
-                ],
-                "touched": [
-                    {"key": n["key"], "children": n["children"]}
-                    for k, n in sorted(current.items())
-                    if k in shadow and len(n["children"]) != shadow[k]
-                ],
-                "serials": [
+        ):
+            mode = "delta"
+            delta = self._diff(server.space, self._shadow)
+            delta.update(
+                upto=covered,
+                floor=floor,
+                base=base,
+                serials=[
                     [opid_to_obj(opid), serial]
                     for opid, serial in server.oracle.serial_items(
                         after=self._shadow_upto
                     )
                 ],
-                "origin_counts": {
-                    str(k): int(v) for k, v in sorted(counts.items())
-                },
-                "clients": list(server.clients),
-            }
+                origin_counts=counts,
+                clients=list(server.clients),
+            )
             self.deltas.append(delta)
             self.last_delta = delta
-            self.last_compaction_mode = "delta"
+            serialised = len(delta["added"]) + len(delta["touched"])
         else:
-            self.snapshot = snapshot_server(server)
-            self.snapshot["origin_counts"] = {
-                str(k): int(v) for k, v in sorted(counts.items())
-            }
+            mode = "full"
+            space_obj, self._shadow = _space_to_obj(server.space)
+            self._next_id = len(self._shadow)
+            self.snapshot = _server_snapshot(server, space_obj)
+            self.snapshot["origin_counts"] = counts
             self.deltas = []
             self.last_delta = None
-            self.last_compaction_mode = "full"
-            space_obj = self.snapshot["space"]
-        self._shadow = {
-            self._node_key(n["key"]): len(n["children"])
-            for n in space_obj["nodes"]
-        }
+            serialised = len(self._shadow)
+        self.last_compaction_mode = mode
+        self.snapshot_nodes[mode] += serialised
         self._shadow_upto = covered
         self._shadow_base = base
         kept = [r for r in self.records if r["serial"] > floor]
@@ -722,35 +829,93 @@ class ServerWriteAheadLog:
         if obs.enabled:
             obs.wal_compactions.inc()
             obs.wal_records_truncated.inc(truncated)
+            obs.wal_snapshot_nodes.labels(mode).inc(serialised)
             obs.wal_compaction_duration.observe(time.perf_counter() - started)
             obs.trace(
                 "wal.compact",
                 serial=self.last_serial,
                 truncated=truncated,
                 retained=len(kept),
-                mode=self.last_compaction_mode,
+                mode=mode,
+                nodes=serialised,
             )
         return truncated
 
+    def _diff(self, space: NaryStateSpace, shadow: Shadow) -> Dict[str, Any]:
+        """The node part of a delta; brings ``shadow`` up to ``space``.
+
+        The shadow is keyed by the space's own interned keys, so the
+        walk over the node table is a hash probe that hits on identity
+        per unchanged node and nothing else.
+        """
+        added: List[StateNode] = []
+        touched: List[StateNode] = []
+        for node in space.nodes():
+            entry = shadow.get(node.key)
+            if entry is None:
+                added.append(node)
+            elif len(node.children) != entry[1]:
+                touched.append(node)
+        # Every transition into a new node leaves a grown or a new node,
+        # and new nodes sit after all old ones in the table.
+        sources: Iterable[StateNode] = touched + added
+        removed: List[int] = []
+        if len(shadow) + len(added) != space.node_count():
+            # Pruned without a rebase (``prune_below``): a survivor that
+            # was encoded relative to a pruned parent is re-encoded,
+            # under its old id, from whichever node still reaches it.
+            for key in [k for k in shadow if not space.has_state(k)]:
+                removed.append(shadow.pop(key)[0])
+            gone = set(removed)
+            orphaned = [
+                node
+                for node in space.nodes()
+                if node.key in shadow and shadow[node.key][2] in gone
+            ]
+            if orphaned:
+                stale = {node.key for node in orphaned}
+                touched = [n for n in touched if n.key not in stale]
+                added = orphaned + added
+                sources = space.nodes()
+        encoded, self._next_id = _encode_nodes(
+            space, shadow, sources, added, self._next_id
+        )
+        patches = []
+        for node in touched:
+            node_id, _degree, parent_id = shadow[node.key]
+            shadow[node.key] = (node_id, len(node.children), parent_id)
+            patches.append(
+                {"id": node_id, "children": _children_to_obj(node, shadow)}
+            )
+        return {
+            "final": shadow[space.final_key][0],
+            "ot_count": space.ot_count,
+            "added": encoded,
+            "removed": sorted(removed),
+            "touched": patches,
+        }
+
     def _merged_snapshot(self) -> Optional[Dict[str, Any]]:
-        """The full checkpoint with every delta folded in (obj level)."""
+        """The full checkpoint with every delta folded in (obj level).
+
+        Folding is by node id; ids only grow and an id never outlives
+        its node, so the fold's insertion order stays parents-first.
+        """
         if self.snapshot is None:
             return None
         if not self.deltas:
             return self.snapshot
-        space = self.snapshot["space"]
-        nodes = {self._node_key(n["key"]): n for n in space["nodes"]}
+        nodes = {n["id"]: n for n in self.snapshot["space"]["nodes"]}
         serials = [list(item) for item in self.snapshot["serials"]]
         for delta in self.deltas:
-            for key_obj in delta["removed"]:
-                nodes.pop(self._node_key(key_obj), None)
+            for node_id in delta["removed"]:
+                nodes.pop(node_id, None)
             for patch in delta["touched"]:
-                key = self._node_key(patch["key"])
-                node = dict(nodes[key])
-                node["children"] = patch["children"]
-                nodes[key] = node
+                nodes[patch["id"]] = {
+                    **nodes[patch["id"]], "children": patch["children"]
+                }
             for node_obj in delta["added"]:
-                nodes[self._node_key(node_obj["key"])] = node_obj
+                nodes[node_obj["id"]] = node_obj
             serials.extend(list(item) for item in delta["serials"])
         last = self.deltas[-1]
         merged = {
@@ -761,7 +926,7 @@ class ServerWriteAheadLog:
                 "version": FORMAT_VERSION,
                 "final": last["final"],
                 "ot_count": int(last.get("ot_count", 0)),
-                "nodes": [nodes[key] for key in sorted(nodes)],
+                "nodes": list(nodes.values()),
             },
             "serials": serials,
         }
@@ -837,12 +1002,9 @@ class ServerWriteAheadLog:
             )
         if delivered == total:
             return []
-        available = {int(r["serial"]): r for r in self.records}
-        missing = [
-            serial
-            for serial in range(delivered + 1, total + 1)
-            if serial not in available
-        ]
+        wanted = range(delivered + 1, total + 1)
+        records = [self.record_at(serial) for serial in wanted]
+        missing = [s for s, r in zip(wanted, records) if r is None]
         if missing:
             raise ProtocolError(
                 f"WAL compacted past a consumer: serials {missing} were "
@@ -851,12 +1013,12 @@ class ServerWriteAheadLog:
             )
         return [
             ServerOperation(
-                operation=record_operation(available[serial], server.oracle),
-                origin=available[serial]["origin"],
+                operation=record_operation(record, server.oracle),
+                origin=record["origin"],
                 serial=serial,
                 prefix=server.oracle.serialized_before(serial),
             )
-            for serial in range(delivered + 1, total + 1)
+            for serial, record in zip(wanted, records)
         ]
 
     def origin_counts(self) -> Dict[ReplicaId, int]:
@@ -953,10 +1115,15 @@ def save_wal(wal: ServerWriteAheadLog, path: str) -> None:
     """
     header = wal.to_obj()
     records = header.pop("records")
-    with open(path, "w", encoding="utf-8") as handle:
+    # Never truncate the live file: a kill mid-rewrite must leave the
+    # old log, whole, under ``path`` (a stray ``.tmp`` is never read).
+    scratch = path + ".tmp"
+    with open(scratch, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header, sort_keys=True) + "\n")
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
+        handle.flush()
+    os.replace(scratch, path)
 
 
 def load_wal(path: str) -> ServerWriteAheadLog:

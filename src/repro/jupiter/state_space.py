@@ -199,6 +199,16 @@ class BaseStateSpace:
         for node in self._nodes.values():
             yield from node.children
 
+    def nodes(self) -> Iterable[StateNode]:
+        """Every node, in insertion order (read-only view).
+
+        A node enters the table after the source of every transition
+        into it, and pruning or rebasing keeps the relative order of
+        the survivors — so this order is parents-first, which is what
+        lets persistence encode a node relative to an earlier one.
+        """
+        return self._nodes.values()
+
     @property
     def final_node(self) -> StateNode:
         return self._nodes[self.final_key]
@@ -348,15 +358,17 @@ class BaseStateSpace:
         """The list document at a given state (e.g. ``w13``)."""
         return self.node(key).document
 
-    def iter_documents(self) -> Iterator[Tuple[StateKey, ListDocument]]:
-        """Yield ``(key, document)`` for every state, without permanently
-        caching lazy nodes.
+    def iter_documents(
+        self, keys: Optional[Iterable[StateKey]] = None
+    ) -> Iterator[Tuple[StateKey, ListDocument]]:
+        """Yield ``(key, document)`` for every state — or only for
+        ``keys`` — without permanently caching lazy nodes.
 
-        Snapshots need every document; materialising them through
-        :attr:`StateNode.document` would pin them all in memory for the
-        life of the space.  This walk shares the per-chain work through a
-        transient memo instead, so a snapshot costs the same transient
-        O(states × length) it always did and the space stays lazy.
+        Materialising documents through :attr:`StateNode.document` would
+        pin them all in memory for the life of the space.  This walk
+        shares the per-chain work through a transient memo instead, so
+        reading many documents costs a transient O(states × length) and
+        the space stays lazy.
         """
         memo: Dict[int, ListDocument] = {}
 
@@ -378,5 +390,5 @@ class BaseStateSpace:
                 memo[id(entry)] = document
             return memo[id(node)]
 
-        for key, node in self._nodes.items():
-            yield key, doc_of(node)
+        for key in self._nodes if keys is None else keys:
+            yield key, doc_of(self.node(key))

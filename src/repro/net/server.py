@@ -1949,6 +1949,7 @@ class NetServer:
                     "states_pruned": shard.states_pruned,
                     "record_floor": shard.record_floor,
                     "space_nodes": shard.server.space.node_count(),
+                    "snapshot_nodes": dict(shard.wal.snapshot_nodes),
                 },
                 frames_received=self.frames_received,
                 resync_frames_sent=self.resync_frames_sent,

@@ -92,6 +92,12 @@ CANONICAL_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
         "Write-ahead log compactions performed",
     ),
     (
+        "wal_snapshot_nodes",
+        "repro_wal_snapshot_nodes_total",
+        "State-space nodes serialised by WAL compaction, by mode "
+        "(full checkpoint or delta)",
+    ),
+    (
         "wal_records_truncated",
         "repro_wal_records_truncated_total",
         "Write-ahead log records truncated by compaction",
@@ -328,6 +334,14 @@ DOC_LABELLED = frozenset(
 )
 
 
+#: Canonical instruments split by some other label (never by ``doc``).
+OTHER_LABELS = {"wal_snapshot_nodes": ("mode",)}
+
+
+def _labelnames(attr: str) -> Tuple[str, ...]:
+    return ("doc",) if attr in DOC_LABELLED else OTHER_LABELS.get(attr, ())
+
+
 class Obs:
     """The live observability handle: registry + canonical set + traces."""
 
@@ -337,18 +351,20 @@ class Obs:
         self.registry = MetricsRegistry()
         self.trace_ring = TraceRing(trace_capacity)
         for attr, name, help_text in CANONICAL_COUNTERS:
-            labelnames = ("doc",) if attr in DOC_LABELLED else ()
             setattr(
                 self,
                 attr,
-                self.registry.counter(name, help_text, labelnames=labelnames),
+                self.registry.counter(
+                    name, help_text, labelnames=_labelnames(attr)
+                ),
             )
         for attr, name, help_text in CANONICAL_GAUGES:
-            labelnames = ("doc",) if attr in DOC_LABELLED else ()
             setattr(
                 self,
                 attr,
-                self.registry.gauge(name, help_text, labelnames=labelnames),
+                self.registry.gauge(
+                    name, help_text, labelnames=_labelnames(attr)
+                ),
             )
         for attr, name, help_text, buckets in CANONICAL_HISTOGRAMS:
             setattr(

@@ -121,6 +121,18 @@ class TestRebaseBelow:
         assert executed.opid == op.opid
         assert space.document.as_string() == "Xabcde"
 
+    def test_rebase_moves_stored_contexts_to_the_new_source_key(self):
+        # A later operation is transformed against stored transitions,
+        # and transform() pairs operations by context: a context left in
+        # pre-rebase coordinates kills the first concurrent op after GC.
+        _, space, ops = self.build()
+        space.rebase_below(frozenset(o.opid for o in ops[:3]))
+        transitions = list(space.transitions())
+        assert transitions
+        for transition in transitions:
+            assert transition.operation.context is transition.source
+            assert transition.source is space.node(transition.source).key
+
     def test_rebase_floor_not_processed_rejected(self):
         _, space, _ = self.build()
         with pytest.raises(StateSpaceError):

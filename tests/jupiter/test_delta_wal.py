@@ -346,3 +346,60 @@ class TestDeltaDisk:
             handle.write(record_lines[0] + "\n")
         with pytest.raises(ProtocolError, match="mid-log"):
             load_wal(str(path))
+
+
+class TestCompactionCostsWhatChanged:
+    """A count guard, no timing: a delta compaction serialises the nodes
+    that changed since the previous one, whatever the window holds."""
+
+    def grow(self, window, snapshot_every=64):
+        """One writer, no GC: the window is every node ever created.
+
+        Returns, per delta compaction, the nodes it serialised (read off
+        ``repro_wal_snapshot_nodes_total{mode="delta"}``, the instrument
+        production scrapes) and the bytes of its on-disk line.
+        """
+        handle = obs.enable(reset=True)
+        server = CssServer("server", ["w1"])
+        writer = CssClient("w1")
+        wal = ServerWriteAheadLog(
+            "server", ["w1"], snapshot_every=snapshot_every
+        )
+        counter = handle.wal_snapshot_nodes.labels("delta")
+        deltas = []
+        for _ in range(window):
+            outgoing = writer.generate(OpSpec("ins", 0, "x")).outgoing
+            for _target, broadcast in server.receive("w1", outgoing):
+                writer.receive(broadcast)
+            wal.append(
+                server.oracle.last_serial,
+                "w1",
+                outgoing.operation,
+                ctx=compact_context(outgoing.operation, server.oracle),
+            )
+            if wal.should_compact():
+                before = counter.value
+                wal.compact(server)
+                if wal.last_compaction_mode == "delta":
+                    line = json.dumps({"delta": wal.last_delta}, sort_keys=True)
+                    deltas.append((counter.value - before, len(line)))
+        assert server.space.node_count() == window + 1
+        assert wal.snapshot_nodes["delta"] == counter.value
+        # One full checkpoint, the first compaction: 64 ops, 65 nodes.
+        assert wal.snapshot_nodes["full"] == 65 == (
+            handle.wal_snapshot_nodes.labels("full").value
+        )
+        return deltas
+
+    def test_delta_serialises_changed_nodes_at_every_window_size(self):
+        line_bytes = {}
+        for window in (128, 256, 512):
+            deltas = self.grow(window)
+            assert len(deltas) == window // 64 - 1
+            # 64 new nodes, plus the one old node that grew a child.
+            assert [count for count, _ in deltas] == [65] * len(deltas)
+            line_bytes[window] = deltas[-1][1]
+        # Ids, serials and keys are not in a line per unchanged node: the
+        # last line at 512 nodes is the size of the last one at 128, give
+        # or take a digit per number.
+        assert line_bytes[512] <= 1.05 * line_bytes[128]

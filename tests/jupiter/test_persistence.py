@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.common import OpId
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, StateSpaceError
 from repro.jupiter import make_cluster
 from repro.jupiter.cluster import Cluster
 from repro.jupiter.persistence import (
@@ -309,6 +309,18 @@ class TestWriteAheadLog:
         assert [p.serial for p in payloads] == [3, 4, 5, 6]
         assert tuple(payloads) == cluster.queued_payloads_to("c1")[2:]
 
+    def test_record_at_indexes_the_retained_suffix(self):
+        cluster, wal = driven_wal()
+        assert wal.record_at(0) is None
+        assert wal.record_at(wal.last_serial + 1) is None
+        wal.compact(cluster.server, retain_after=2)
+        assert wal.record_at(2) is None  # truncated
+        for serial in (3, 4, 5, 6):
+            assert wal.record_at(serial)["serial"] == serial
+        assert wal.record_at(7) is None
+        wal.compact(cluster.server)
+        assert wal.record_at(6) is None  # nothing retained at all
+
     def test_compacting_past_a_consumer_is_detected(self):
         cluster, wal = driven_wal()
         wal.compact(cluster.server, retain_after=4)
@@ -404,6 +416,54 @@ class TestInternedKeysSurviveRestore:
             assert transition.target is interner.intern(
                 frozenset(transition.target)
             )
+
+    def test_restored_space_is_lazy_and_contexts_are_source_keys(self):
+        """What the snapshot leaves out comes back the way ``_attach``
+        builds it: documents pending on ``(parent, operation)``, and
+        each transition's context the source's own key object."""
+        client = mid_run_cluster().clients["c1"]
+        obj = json.loads(json.dumps(space_to_obj(client.space)))
+        roots = [node for node in obj["nodes"] if "key" in node]
+        assert [node["key"] for node in roots] == [[]]
+        assert all(
+            "document" not in node and "key" not in node
+            for node in obj["nodes"]
+            if "from" in node
+        )
+        assert "context" not in json.dumps(obj)
+        space = space_from_obj(obj, client.oracle)
+        lazy = [key for key in space.states() if not space.node(key).materialised]
+        assert len(lazy) == len(obj["nodes"]) - 1
+        for transition in space.transitions():
+            assert transition.operation.context is transition.source
+        assert [t.operation for t in space.transitions()] == [
+            t.operation for t in client.space.transitions()
+        ]
+        assert {
+            key: doc.as_string() for key, doc in space.iter_documents()
+        } == {
+            key: doc.as_string() for key, doc in client.space.iter_documents()
+        }
+
+    def test_restore_rechecks_cp1_instead_of_trusting_the_snapshot(self):
+        client = mid_run_cluster().clients["c1"]
+        obj = json.loads(json.dumps(space_to_obj(client.space)))
+        edge = next(
+            child
+            for node in obj["nodes"]
+            for child in node["children"]
+            if child[0]["kind"] == "ins"
+        )
+        edge[0]["element"]["opid"] = ["ghost", 1]  # another element
+        with pytest.raises(StateSpaceError, match="CP1"):
+            space_from_obj(obj, client.oracle)
+
+    def test_dangling_ids_are_refused(self):
+        client = mid_run_cluster().clients["c1"]
+        obj = space_to_obj(client.space)
+        obj["final"] = 10_000
+        with pytest.raises(ProtocolError, match="does not hold"):
+            space_from_obj(obj, client.oracle)
 
     def test_restored_space_matches_and_keeps_integrating(self):
         cluster = mid_run_cluster()

@@ -76,6 +76,39 @@ class TestRoundTrip:
         assert loaded.last_serial == wal.last_serial + 1
 
 
+class TestAtomicRewrite:
+    """A full rewrite never truncates the live file in place."""
+
+    def test_rewrite_goes_through_a_scratch_file(self, tmp_path, monkeypatch):
+        cluster, wal, path = saved_wal(tmp_path)
+        before = path.read_text(encoding="utf-8")
+        wal.compact(cluster.server)
+
+        def killed(source, target):
+            raise KeyboardInterrupt("killed before the rename")
+
+        monkeypatch.setattr("repro.jupiter.persistence.os.replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            save_wal(wal, str(path))
+        # The kill left the new log beside the old one, which is whole.
+        assert path.read_text(encoding="utf-8") == before
+        assert (tmp_path / "server.wal.tmp").exists()
+
+    def test_leftover_scratch_file_is_ignored(self, tmp_path):
+        cluster, wal, path = saved_wal(tmp_path)
+        (tmp_path / "server.wal.tmp").write_text(
+            '{"version": 2, "half a head', encoding="utf-8"
+        )
+        loaded = load_wal(str(path))
+        assert loaded.last_serial == wal.last_serial
+        recovered = loaded.recover()
+        assert recovered.space.signature() == cluster.server.space.signature()
+        # ...and the next rewrite simply replaces the stale scratch file.
+        save_wal(loaded, str(path))
+        assert not (tmp_path / "server.wal.tmp").exists()
+        assert load_wal(str(path)).last_serial == wal.last_serial
+
+
 class TestTornTail:
     def test_truncated_final_record_is_dropped_with_a_warning(self, tmp_path):
         _cluster, wal, path = saved_wal(tmp_path)

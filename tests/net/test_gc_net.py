@@ -253,6 +253,51 @@ class TestActiveWindowGc:
         _run(scenario())
 
 
+class TestMultiWriterGc:
+    def test_two_concurrent_writers_survive_rebases(self):
+        """Every step both writers edit before either hears the other,
+        so the server transforms the second op against the first's
+        stored transition — across dozens of rebases."""
+
+        async def scenario():
+            server = await _started_server(
+                snapshot_every=16,
+                gc_interval=0.02,
+                gc_threshold=16,
+                gc_grace=0.25,
+            )
+            writers = [
+                NetClient(name, "127.0.0.1", server.port)
+                for name in ("w1", "w2")
+            ]
+            for writer in writers:
+                await writer.connect()
+            for step in range(150):
+                for writer in writers:
+                    await writer.generate(OpSpec("ins", 0, "ab"[step % 2]))
+                for writer in writers:
+                    assert await writer.wait_converged(
+                        2 * (step + 1), timeout=20
+                    )
+            results = (
+                [writer.signature() for writer in writers],
+                document_signature(server.server.document),
+                server.shards[DEFAULT_DOC].gc_runs,
+                server.server.oracle.last_serial,
+                server.server.space.ot_count,
+            )
+            for writer in writers:
+                await writer.close()
+            await server.stop()
+            return results
+
+        signatures, expected, gc_runs, last_serial, ots = _run(scenario())
+        assert signatures == [expected, expected]
+        assert last_serial == 300
+        assert gc_runs > 0
+        assert ots >= 150  # the writers really were concurrent
+
+
 class TestGcDurability:
     def test_restart_recovers_a_gcd_wal(self, tmp_path):
         async def scenario():
@@ -289,6 +334,38 @@ class TestGcDurability:
         base, recovered_base, same = _run(scenario())
         assert base > 0
         assert recovered_base >= base  # the rebase survived restart
+        assert same
+
+
+    def test_restart_ignores_a_leftover_scratch_file(self, tmp_path):
+        """A kill mid-rewrite leaves ``<doc>.wal.tmp`` beside the intact
+        log; the next owner recovers from the log and never reads it."""
+
+        async def scenario():
+            first = await _started_server(wal_dir=str(tmp_path))
+            writer = NetClient("w1", "127.0.0.1", first.port)
+            await writer.connect()
+            for index in range(6):
+                await writer.generate(OpSpec("ins", index, "k"))
+            assert await writer.wait_converged(6, timeout=20)
+            signature = writer.signature()
+            await writer.close()
+            await first.stop()
+            (wal_file,) = tmp_path.glob("*.wal")
+            scratch = wal_file.with_name(wal_file.name + ".tmp")
+            scratch.write_text('{"version": 2, "snapsh', encoding="utf-8")
+
+            second = await _started_server(wal_dir=str(tmp_path))
+            shard = second._open_shard(DEFAULT_DOC)
+            results = (
+                shard.wal.last_serial,
+                document_signature(shard.server.document) == signature,
+            )
+            await second.stop()
+            return results
+
+        last_serial, same = _run(scenario())
+        assert last_serial == 6
         assert same
 
 
@@ -342,5 +419,11 @@ class TestGcObservability:
             assert gc_stats["runs"] >= 1
             assert gc_stats["record_floor"] >= gc_stats["base"]
             assert gc_stats["space_nodes"] <= 16
+            # One instrument, two views: the admin block and the scrape.
+            for mode in ("full", "delta"):
+                assert gc_stats["snapshot_nodes"][mode] == snapshot_value(
+                    snapshot, "repro_wal_snapshot_nodes_total", [mode]
+                )
+            assert gc_stats["snapshot_nodes"]["full"] > 0
         finally:
             obs.disable()

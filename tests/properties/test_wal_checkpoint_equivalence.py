@@ -1,0 +1,304 @@
+"""Property suite: checkpoint + deltas restore to exactly the live server.
+
+Snapshot format v2 stores no transition context, no key and no document
+for a node some retained transition reaches — all three are implied by
+the node's parent — and a delta compaction encodes only the nodes that
+changed, under ids that continue from the checkpoint's.  Each seeded run
+drives three concurrent writers against a CSS server mirrored into a
+write-ahead log *and* its on-disk file (through the deployed
+``_DocShard`` disk layer), with compactions, ``prune_below`` and
+``rebase_to_serial`` interleaved, and — after every compaction and in
+the middle of record suffixes — requires the server recovered from the
+log, via ``to_obj``/``from_obj`` and via the file, to equal the live
+one in everything the encoding elides.
+"""
+
+import json
+import random
+
+import pytest
+
+from repro.errors import ProtocolError
+from repro.jupiter.css import CssClient, CssServer
+from repro.jupiter.persistence import (
+    ServerWriteAheadLog,
+    compact_context,
+    load_wal,
+    restore_server,
+    snapshot_server,
+)
+from repro.model.schedule import OpSpec
+from repro.net.server import _DocShard
+
+NAMES = ["c1", "c2", "c3"]
+
+
+class Driver:
+    """A seeded interleaving of edits, deliveries, compactions and GC."""
+
+    def __init__(self, seed, path):
+        self.rng = random.Random(seed)
+        self.server = CssServer("server", NAMES)
+        self.clients = {name: CssClient(name) for name in NAMES}
+        self.wal = ServerWriteAheadLog(
+            "server", NAMES, snapshot_every=10_000, checkpoint_every=5
+        )
+        self.shard = _DocShard("doc", self.server, self.wal, str(path))
+        self.shard.rewrite_disk()
+        self.uplink = {name: [] for name in NAMES}
+        self.downlink = {name: [] for name in NAMES}
+        self.modes = []
+
+    # -- traffic -------------------------------------------------------
+    def edit(self, name):
+        client = self.clients[name]
+        length = len(client.document)
+        if length and self.rng.random() < 0.3:
+            spec = OpSpec("del", self.rng.randrange(length))
+        else:
+            spec = OpSpec(
+                "ins", self.rng.randrange(length + 1), self.rng.choice("xyz")
+            )
+        self.uplink[name].append(client.generate(spec).outgoing)
+
+    def serialise(self, name):
+        outgoing = self.uplink[name].pop(0)
+        broadcasts = self.server.receive(name, outgoing)
+        ctx = compact_context(outgoing.operation, self.server.oracle)
+        serial = self.server.oracle.last_serial
+        self.shard.ctx_floors[serial] = ctx[0]
+        self.wal.append(serial, name, outgoing.operation, ctx=ctx)
+        self.shard.append_disk()
+        for target, broadcast in broadcasts:
+            self.downlink[target].append(broadcast)
+
+    def deliver(self, name):
+        self.clients[name].receive(self.downlink[name].pop(0))
+
+    def drain(self):
+        while any(self.uplink.values()) or any(self.downlink.values()):
+            for name in NAMES:
+                while self.uplink[name]:
+                    self.serialise(name)
+                while self.downlink[name]:
+                    self.deliver(name)
+
+    # -- persistence and GC --------------------------------------------
+    def compact(self):
+        last = self.wal.last_serial
+        self.wal.compact(
+            self.server, retain_after=self.rng.randint(max(0, last - 6), last)
+        )
+        self.shard.write_compaction()
+        self.shard.prune_ctx_floors()
+        self.modes.append(self.wal.last_compaction_mode)
+
+    def gc_floor(self):
+        """A quiescent floor every retained record still decodes above."""
+        base = self.server.oracle.base
+        floor = self.rng.randint(base, self.server.oracle.last_serial)
+        while True:
+            lowest = min(
+                (d for s, d in self.shard.ctx_floors.items() if s > floor),
+                default=floor,
+            )
+            if lowest >= floor:
+                return max(floor, base)
+            floor = lowest
+
+    def prune(self):
+        """Server-side ``prune_below`` without a rebase (the css-gc path)."""
+        self.drain()
+        base = self.server.oracle.base
+        floor = self.gc_floor()
+        if floor > base:
+            self.server.space.prune_below(
+                self.server.oracle.opids_between(base, floor)
+            )
+        self.compact()
+
+    def rebase(self):
+        """What ``NetServer._gc_shard`` does: rebase, then checkpoint."""
+        self.drain()
+        floor = self.gc_floor()
+        self.server.rebase_to_serial(floor)
+        for client in self.clients.values():
+            client.rebase_to_serial(floor)
+        self.compact()
+
+    def run(self, actions, check):
+        for _ in range(actions):
+            roll = self.rng.random()
+            name = self.rng.choice(NAMES)
+            if roll < 0.40:
+                self.edit(name)
+            elif roll < 0.62:
+                if self.uplink[name]:
+                    self.serialise(name)
+                    if self.modes and self.rng.random() < 0.2:
+                        check(self)  # recovery replays a record suffix
+            elif roll < 0.84:
+                if self.downlink[name]:
+                    self.deliver(name)
+            elif roll < 0.94:
+                self.compact()
+                check(self)
+            elif roll < 0.97:
+                self.prune()
+                check(self)
+            else:
+                self.rebase()
+                check(self)
+        self.drain()
+        self.compact()
+        check(self)
+
+
+def assert_same_server(restored, live):
+    assert restored.space.signature() == live.space.signature()
+    assert restored.space.final_key == live.space.final_key
+    assert restored.space.ot_count == live.space.ot_count
+    assert restored.oracle.base == live.oracle.base
+    assert restored.oracle.serial_items(
+        after=restored.oracle.base
+    ) == live.oracle.serial_items(after=live.oracle.base)
+    assert [
+        (key, document.as_string(), [e.opid for e in document])
+        for key, document in restored.space.iter_documents()
+    ] == [
+        (key, document.as_string(), [e.opid for e in document])
+        for key, document in live.space.iter_documents()
+    ]
+    # Full Operation equality: kind, opid, element, position *and* the
+    # context the encoding left out.
+    assert [t.operation for t in restored.space.transitions()] == [
+        t.operation for t in live.space.transitions()
+    ]
+    assert json.dumps(snapshot_server(restored), sort_keys=True) == (
+        json.dumps(snapshot_server(live), sort_keys=True)
+    )
+
+
+def check_restores(driver):
+    live = driver.server
+    via_obj = ServerWriteAheadLog.from_obj(
+        json.loads(json.dumps(driver.wal.to_obj()))
+    )
+    assert_same_server(via_obj.recover(), live)
+    on_disk = load_wal(driver.shard.wal_path)
+    assert on_disk.last_serial == driver.wal.last_serial
+    assert on_disk.deltas == json.loads(json.dumps(driver.wal.deltas))
+    assert_same_server(on_disk.recover(), live)
+    assert json.dumps(snapshot_server(live)) == json.dumps(
+        snapshot_server(live)
+    )
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_restore_equals_live_server(seed, tmp_path):
+    driver = Driver(seed, tmp_path / "doc.wal")
+    driver.run(120, check_restores)
+    assert "full" in driver.modes
+
+
+def test_the_suite_reaches_every_path(tmp_path):
+    """Across the seeds: checkpoints, deltas, deltas that remove nodes,
+    and survivors re-encoded with a key because their parent was pruned."""
+    modes, removed, orphans = set(), 0, 0
+
+    def check(driver):
+        nonlocal removed, orphans
+        delta = driver.wal.last_delta
+        if delta is not None:
+            removed += len(delta["removed"])
+            orphans += sum("key" in node for node in delta["added"])
+
+    for seed in range(10):
+        driver = Driver(seed, tmp_path / f"doc{seed}.wal")
+        driver.run(120, check)
+        modes.update(driver.modes)
+    assert modes == {"full", "delta"}
+    assert removed > 0
+    assert orphans > 0
+
+
+class TestDiskDamage:
+    """``load_wal``'s torn-tail and mid-log rules, on v2 delta lines."""
+
+    def build(self, tmp_path):
+        driver = Driver(7, tmp_path / "doc.wal")
+        for name in NAMES * 3:
+            driver.edit(name)
+        driver.drain()
+        driver.compact()  # the full checkpoint: rewrites the file
+        for name in NAMES * 2:
+            driver.edit(name)
+        driver.drain()
+        driver.compact()  # a delta line
+        assert driver.modes == ["full", "delta"]
+        for name in NAMES:
+            driver.edit(name)
+        driver.drain()  # three record lines after the delta
+        return driver, tmp_path / "doc.wal"
+
+    def test_torn_final_record_is_dropped(self, tmp_path):
+        driver, path = self.build(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(
+            "\n".join(lines[:-1] + [lines[-1][:25]]), encoding="utf-8"
+        )
+        with pytest.warns(RuntimeWarning, match="torn"):
+            loaded = load_wal(str(path))
+        assert loaded.last_serial == driver.wal.last_serial - 1
+        assert loaded.deltas == json.loads(json.dumps(driver.wal.deltas))
+        loaded.recover()
+
+    def test_torn_final_delta_is_lossless(self, tmp_path):
+        driver, path = self.build(tmp_path)
+        driver.compact()
+        assert driver.modes[-1] == "delta"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[-1].startswith('{"delta"')
+        path.write_text(
+            "\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]),
+            encoding="utf-8",
+        )
+        with pytest.warns(RuntimeWarning, match="torn"):
+            loaded = load_wal(str(path))
+        assert len(loaded.deltas) == len(driver.wal.deltas) - 1
+        assert_same_server(loaded.recover(), driver.server)
+
+    def test_damaged_delta_mid_log_refuses_to_load(self, tmp_path):
+        _driver, path = self.build(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(
+            i for i, line in enumerate(lines) if line.startswith('{"delta"')
+        )
+        lines[index] = lines[index][: len(lines[index]) // 2]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ProtocolError, match="mid-log"):
+            load_wal(str(path))
+
+    def test_delta_missing_a_node_field_is_not_a_delta(self, tmp_path):
+        _driver, path = self.build(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(
+            i for i, line in enumerate(lines) if line.startswith('{"delta"')
+        )
+        delta = json.loads(lines[index])
+        del delta["delta"]["added"][0]["id"]
+        lines[index] = json.dumps(delta, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ProtocolError, match="mid-log"):
+            load_wal(str(path))
+
+    def test_v1_snapshot_is_refused(self, tmp_path):
+        driver, _path = self.build(tmp_path)
+        obj = driver.wal.to_obj()
+        obj["version"] = 1
+        with pytest.raises(ProtocolError, match="unsupported WAL version"):
+            ServerWriteAheadLog.from_obj(obj)
+        snapshot = snapshot_server(driver.server)
+        snapshot["space"]["version"] = 1
+        with pytest.raises(ProtocolError, match="unsupported snapshot"):
+            restore_server(snapshot)
