@@ -3,7 +3,7 @@
 The active-window work makes the deployed path O(active window) instead
 of O(total history): acked-prefix GC rebases the server's state-space
 and trims both order oracles, the WAL compacts incrementally with delta
-snapshots, and v2 sessions ship serial-encoded compact contexts over a
+snapshots, and sessions ship serial-encoded compact contexts over a
 binary codec.  This bench measures the three claims end to end:
 
 1. **Flatness** — one real TCP client drives 10,000 operations through
@@ -11,10 +11,9 @@ binary codec.  This bench measures the three claims end to end:
    ending at op 10,000 must match the window ending at op 1,000.
    Without the GC path the state-space, oracle maps, and WAL grow with
    every serial and the late window pays for all of it.
-2. **Wire bytes per op** — the same seeded op stream encoded as v1 JSON
-   (absolute contexts), v2 JSON (compact contexts), and v2 binary;
-   reported as bytes/op.  The binary framing must stay at or below
-   0.6x the JSON bytes for the same envelopes.
+2. **Wire bytes per op** — the same seeded op stream framed under the
+   JSON and the binary codec; reported as bytes/op.  The binary framing
+   must stay at or below 0.6x the JSON bytes for the same envelopes.
 3. **WAL bytes per compaction** — with the GC floor pinned (an
    in-grace away session, or ``--no-gc``) a delta-snapshot compaction
    appends one diff line where a full checkpoint would rewrite the
@@ -45,7 +44,6 @@ from repro.net.codec import (
     compact_client_op_obj,
     encode_envelope,
     encode_frame_bytes,
-    message_to_obj,
 )
 from repro.net.server import NetServer
 
@@ -123,26 +121,21 @@ def _measure_flatness():
 
 
 def _measure_wire_bytes(operations=300):
-    """Bytes/op for the same stream under each wire dialect."""
+    """Bytes/op for the same stream under each frame codec."""
     names = ["c1"]
     server = CssServer("server", names)
     client = CssClient("c1")
     rng = random.Random(SEED)
-    sizes = {"v1_json": 0, "v2_json": 0, "v2_bin": 0}
+    sizes = {"json": 0, "bin": 0}
     for seq in range(1, operations + 1):
         result = client.generate(_spec(rng, len(client.document)))
         message = result.outgoing
-        legacy = encode_envelope(
-            "data", seq=seq, ack=seq - 1, epoch=0,
-            body=message_to_obj(message),
-        )
-        compact = encode_envelope(
+        frame = encode_envelope(
             "data", seq=seq, ack=seq - 1, epoch=0, pin=seq - 1,
             body=compact_client_op_obj(message, client.oracle),
         )
-        sizes["v1_json"] += len(encode_frame_bytes(legacy, CODEC_JSON))
-        sizes["v2_json"] += len(encode_frame_bytes(compact, CODEC_JSON))
-        sizes["v2_bin"] += len(encode_frame_bytes(compact, CODEC_BINARY))
+        sizes["json"] += len(encode_frame_bytes(frame, CODEC_JSON))
+        sizes["bin"] += len(encode_frame_bytes(frame, CODEC_BINARY))
         for _, broadcast in server.receive("c1", message):
             client.receive(broadcast)
         # Track the deployed path: both ends trim to the acked prefix.
@@ -154,8 +147,7 @@ def _measure_wire_bytes(operations=300):
     return {
         "operations": operations,
         "bytes_per_op": per_op,
-        "binary_ratio": per_op["v2_bin"] / per_op["v2_json"],
-        "compact_ratio": per_op["v2_json"] / per_op["v1_json"],
+        "binary_ratio": per_op["bin"] / per_op["json"],
     }
 
 
@@ -229,9 +221,8 @@ def test_history_scaling_artifact(benchmark, tmp_path):
     )
     per_op = wire["bytes_per_op"]
     print(
-        f"wire bytes/op:   v1 json {per_op['v1_json']:.0f}  "
-        f"v2 json {per_op['v2_json']:.0f}  "
-        f"v2 binary {per_op['v2_bin']:.0f}  "
+        f"wire bytes/op:   json {per_op['json']:.0f}  "
+        f"binary {per_op['bin']:.0f}  "
         f"(binary/json {wire['binary_ratio']:.2f})"
     )
     print(

@@ -65,7 +65,10 @@ async def _drive(with_stalled_peer: bool):
         )
         await write_frame(
             stalled_writer,
-            encode_envelope("hello", client="stall", delivered=0, epoch=0),
+            encode_envelope(
+                "hello", client="stall", delivered=0, epoch=0,
+                codecs=["json"],
+            ),
         )
         # Never read again: not the welcome, not a single broadcast.
     healthy = NetClient(

@@ -449,7 +449,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         initial_text=args.initial,
         snapshot_every=args.snapshot_every,
-        batch=not args.no_batch,
         gc=not args.no_gc,
         gc_grace=args.gc_grace,
         announce=args.announce,
@@ -495,7 +494,6 @@ def cmd_connect(args) -> int:
             max_connect_attempts=args.max_connect_attempts,
             duration=args.duration,
             codec=args.codec,
-            batch=not args.no_batch,
         )
     )
     if args.json:
@@ -1114,11 +1112,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--initial", default="", help="initial document")
     serve.add_argument("--snapshot-every", type=int, default=64)
     serve.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable outbound frame coalescing (one TCP write per frame)",
-    )
-    serve.add_argument(
         "--no-gc",
         action="store_true",
         help="disable acked-prefix garbage collection; server history "
@@ -1244,17 +1237,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     connect.add_argument(
         "--codec",
-        choices=("bin", "json", "v1"),
+        choices=("bin", "json"),
         default="bin",
-        help="wire dialect to offer: bin negotiates the binary codec "
-        "(JSON fallback), json keeps v2 envelopes over JSON, v1 sends "
-        "the legacy hello (no compact contexts or batching; refused "
-        "once the server has GC'd history the session would need)",
-    )
-    connect.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="do not request outbound frame coalescing from the server",
+        help="frame codec to offer: bin negotiates the binary codec "
+        "(JSON fallback), json keeps the same envelopes readable on "
+        "the wire for debugging",
     )
     connect.add_argument(
         "--ops", type=int, default=0, help="seeded edits to generate"
@@ -1350,9 +1337,9 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--snapshot-every", type=int, default=64)
     loadgen.add_argument(
         "--codec",
-        choices=("bin", "json", "v1"),
+        choices=("bin", "json"),
         default="bin",
-        help="wire dialect every worker offers (see `connect --codec`)",
+        help="frame codec every worker offers (see `connect --codec`)",
     )
     loadgen.add_argument("--initial", default="", help="initial document")
     loadgen.add_argument(

@@ -1103,6 +1103,32 @@ class ServerWriteAheadLog:
 # ----------------------------------------------------------------------
 # On-disk WAL: header + one JSON record per line, torn-tail tolerant
 # ----------------------------------------------------------------------
+def _wal_line(obj: Dict[str, Any]) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def _append_wal_line(path: str, obj: Dict[str, Any]) -> None:
+    # Flushed, not fsynced: the line survives a process kill (the
+    # failure model the fleet tier tests), not a power loss.
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(_wal_line(obj))
+        handle.flush()
+
+
+def append_wal_record(path: str, record: Dict[str, Any]) -> None:
+    """Append one WAL record as one line to a file :func:`save_wal` wrote."""
+    _append_wal_line(path, record)
+
+
+def append_wal_delta(path: str, delta: Dict[str, Any]) -> None:
+    """Append one delta snapshot as a ``{"delta": ...}`` line.
+
+    :func:`load_wal` folds it into the header's deltas and drops the
+    records at or below its floor.
+    """
+    _append_wal_line(path, {"delta": delta})
+
+
 def save_wal(wal: ServerWriteAheadLog, path: str) -> None:
     """Persist a WAL as JSON-lines: one header line, one line per record.
 
@@ -1110,8 +1136,8 @@ def save_wal(wal: ServerWriteAheadLog, path: str) -> None:
     crash mid-append leaves at most one truncated final line, which
     :func:`load_wal` detects and drops (the torn tail).  Delta snapshots
     accumulated in memory ride in the header here (this is the full
-    rewrite a *full* checkpoint triggers); between rewrites the disk
-    layer appends each new delta as its own ``{"delta": ...}`` line.
+    rewrite a *full* checkpoint triggers); between rewrites
+    :func:`append_wal_delta` adds each new delta as its own line.
     """
     header = wal.to_obj()
     records = header.pop("records")
@@ -1119,9 +1145,9 @@ def save_wal(wal: ServerWriteAheadLog, path: str) -> None:
     # old log, whole, under ``path`` (a stray ``.tmp`` is never read).
     scratch = path + ".tmp"
     with open(scratch, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
+        handle.write(_wal_line(header))
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(_wal_line(record))
         handle.flush()
     os.replace(scratch, path)
 

@@ -5,7 +5,8 @@ queues; this package is the first *deployed* code path.  It hosts a
 :class:`~repro.jupiter.css.CssServer` behind a real TCP listener and
 runs :class:`~repro.jupiter.css.CssClient`\\ s as independent OS
 processes, moving protocol messages as length-prefixed, version-enveloped
-JSON frames.  The stack is reused, not forked:
+frames (binary or JSON, negotiated per session).  The stack is reused,
+not forked:
 
 * :mod:`repro.jupiter.messages` dataclasses are the payload schema
   (serialised by :mod:`repro.net.codec`);
@@ -28,10 +29,6 @@ from repro.net.codec import (
     decode_envelope,
     document_signature,
     encode_envelope,
-    message_from_json,
-    message_from_obj,
-    message_to_json,
-    message_to_obj,
 )
 from repro.net.transport import (
     MAX_FRAME,
@@ -65,10 +62,6 @@ __all__ = [
     "decode_envelope",
     "document_signature",
     "encode_envelope",
-    "message_from_json",
-    "message_from_obj",
-    "message_to_json",
-    "message_to_obj",
     "MAX_FRAME",
     "OUTBOUND_QUEUE",
     "WRITE_TIMEOUT",

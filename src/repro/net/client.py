@@ -7,8 +7,10 @@ a :class:`~repro.jupiter.css.CssClient` plus a
 unacknowledged outgoing frame retransmittable, so a dropped connection
 loses nothing:
 
-* on (re)connect it sends ``hello {client, delivered}`` where
-  ``delivered`` is its receiver's cumulative ack (broadcasts consumed);
+* on (re)connect it sends ``hello {client, delivered, codecs, pin}``
+  where ``delivered`` is its receiver's cumulative ack (broadcasts
+  consumed), ``codecs`` the byte serialisations it offers and ``pin``
+  the GC floor its unacknowledged operations need held;
 * the server's ``welcome {ack, resync}`` tells it which of its pending
   frames the server already consumed (dropped from the buffer) and how
   many broadcasts will be re-shipped from the write-ahead log;
@@ -68,7 +70,6 @@ from repro.net.codec import (
     document_signature,
     encode_envelope,
     message_from_wire,
-    message_to_obj,
     roster_from_obj,
 )
 from repro.net.transport import HEARTBEAT_INTERVAL, read_frame, write_frame
@@ -104,7 +105,6 @@ class NetClient:
         heartbeat_interval: Optional[float] = HEARTBEAT_INTERVAL,
         doc: str = "",
         codecs: Optional[List[str]] = None,
-        batch: bool = True,
     ) -> None:
         self.client_id = client_id
         self.host = host
@@ -113,15 +113,13 @@ class NetClient:
         #: default (the pre-fleet behaviour).  A fleet router reads the
         #: field from the hello to pick the owning worker.
         self.doc = doc
-        #: codec preference list offered in the hello.  A non-empty
-        #: offer makes this a v2 session (compact contexts, GC pins,
-        #: floor rebasing) whichever codec the server picks; an empty
-        #: tuple reproduces a v1 client exactly.
+        #: codec preference list offered in the hello; the server picks
+        #: the first it supports.  A server refuses a hello with no offer.
         self.codecs: Tuple[str, ...] = (
             tuple(codecs) if codecs is not None else tuple(SUPPORTED_CODECS)
         )
-        #: ask the server to coalesce its broadcast bursts for us
-        self.batch = batch
+        if not self.codecs:
+            raise ValueError(f"{client_id}: the codec offer must not be empty")
         #: the codec the current connection negotiated
         self.codec = CODEC_JSON
         self.css = CssClient(client_id)
@@ -129,9 +127,8 @@ class NetClient:
         self.receiver = SessionReceiver((SERVER_ID, client_id))
         #: unacknowledged outgoing messages, seq -> ClientOperation.
         #: Stored as protocol messages, not encoded bodies: the wire
-        #: encoding depends on the *current* connection's dialect and on
-        #: the oracle's base at transmission time, so each (re)transmit
-        #: encodes afresh.
+        #: encoding depends on the oracle's base at transmission time,
+        #: so each (re)transmit encodes afresh.
         self.unacked: Dict[int, ClientOperation] = {}
         #: per-seq generation floor (``delivered`` when the op was
         #: generated): the lowest serial the op's context can reference.
@@ -256,13 +253,9 @@ class NetClient:
                     delivered=self.delivered,
                     epoch=self.epoch,
                     doc=self.doc,
+                    codecs=list(self.codecs),
+                    pin=self._pin(),
                 )
-                if self.codecs:
-                    # Offering codecs is what marks the session v2; a
-                    # bare hello reproduces the v1 wire exactly.
-                    hello["codecs"] = list(self.codecs)
-                    hello["features"] = {"batch": self.batch}
-                    hello["pin"] = self._pin()
                 await write_frame(writer, hello, doc=self.doc)
                 first = await read_frame(reader, doc=self.doc)
             except (ConnectionError, OSError):
@@ -334,7 +327,7 @@ class NetClient:
                 continue
             welcome = first
             break
-        # A batching server may coalesce the welcome with the first
+        # The server may coalesce the welcome with the first
         # resync frames into one multi envelope; unwrap it and hold the
         # trailing members until the session state is set up below.
         trailing: List[Dict[str, Any]] = []
@@ -383,7 +376,7 @@ class NetClient:
             self._obs.net_resync_frames.inc(resync)
         self._absorb_ack(int(welcome.get("ack", 0)))
         floor = welcome.get("floor")
-        if floor is not None and self.codecs:
+        if floor is not None:
             self._maybe_rebase(min(int(floor), self.delivered))
         # Retransmit the unacknowledged suffix in sequence order; the
         # server's session receiver suppresses anything it already has.
@@ -392,7 +385,7 @@ class NetClient:
         for seq in sorted(self.unacked):
             await write_frame(
                 writer,
-                self._data_envelope(seq, self._encode_op(self.unacked[seq])),
+                self._data_envelope(seq),
                 doc=self.doc,
                 codec=self.codec,
             )
@@ -480,19 +473,17 @@ class NetClient:
             return min(min(self._gen_floor.values()), self.delivered)
         return self.delivered
 
-    def _encode_op(self, message: ClientOperation) -> Dict[str, Any]:
-        """Encode one outgoing op in the current connection's dialect."""
-        if self.codecs:
-            return compact_client_op_obj(message, self.css.oracle)
-        return message_to_obj(message)
-
-    def _data_envelope(self, seq: int, body: Dict[str, Any]) -> Dict[str, Any]:
-        envelope = encode_envelope(
-            "data", seq=seq, ack=self.delivered, epoch=self.epoch, body=body
+    def _data_envelope(self, seq: int) -> Dict[str, Any]:
+        """The data frame for unacked op ``seq``, encoded against the
+        oracle's current base."""
+        return encode_envelope(
+            "data",
+            seq=seq,
+            ack=self.delivered,
+            epoch=self.epoch,
+            body=compact_client_op_obj(self.unacked[seq], self.css.oracle),
+            pin=self._pin(),
         )
-        if self.codecs:
-            envelope["pin"] = self._pin()
-        return envelope
 
     def _maybe_rebase(self, floor: int) -> None:
         """Trim the local mirror to the server's GC floor.
@@ -565,7 +556,7 @@ class NetClient:
         if kind == "ack":
             self._absorb_ack(int(frame.get("ack", 0)))
             floor = frame.get("floor")
-            if floor is not None and self.codecs:
+            if floor is not None:
                 self._maybe_rebase(min(int(floor), self.delivered))
             self._progress.set()
             return
@@ -621,7 +612,7 @@ class NetClient:
             if obs.enabled:
                 obs.net_parked_frames.set(len(self.parked))
         floor = frame.get("floor")
-        if floor is not None and self.codecs:
+        if floor is not None:
             self._maybe_rebase(min(int(floor), self.delivered))
         self._progress.set()
 
@@ -649,7 +640,7 @@ class NetClient:
         try:
             await write_frame(
                 self._writer,
-                self._data_envelope(seq, self._encode_op(result.outgoing)),
+                self._data_envelope(seq),
                 doc=self.doc,
                 codec=self.codec,
             )
@@ -658,11 +649,11 @@ class NetClient:
 
     async def ping(self) -> None:
         if self._writer is not None:
-            envelope = encode_envelope("ping", t=time.perf_counter())
-            if self.codecs:
-                # The heartbeat carries the pin so an idle client's GC
-                # floor keeps tracking its cursor.
-                envelope["pin"] = self._pin()
+            # The heartbeat carries the pin so an idle client's GC
+            # floor keeps tracking its cursor.
+            envelope = encode_envelope(
+                "ping", t=time.perf_counter(), pin=self._pin()
+            )
             await write_frame(
                 self._writer, envelope, doc=self.doc, codec=self.codec
             )

@@ -1,19 +1,16 @@
-"""Wire codec: versioned JSON envelopes for the protocol messages.
+"""Wire codec: versioned envelopes for the protocol messages.
 
-The persistence module already serialises operations for snapshots; this
-module lifts that into an explicit *wire* codec for all four
-:mod:`repro.jupiter.messages` payload types:
-
-* :class:`~repro.jupiter.messages.ClientOperation`
-* :class:`~repro.jupiter.messages.ServerOperation`
-* :class:`~repro.jupiter.messages.ResyncRequest`
-* :class:`~repro.jupiter.messages.ResyncResponse`
-
-Every serialised message is wrapped in an **envelope**::
+Two :mod:`repro.jupiter.messages` payload types cross a socket —
+:class:`~repro.jupiter.messages.ClientOperation` (client to server) and
+:class:`~repro.jupiter.messages.ServerOperation` (the broadcast) — each
+wrapped in a message **envelope**::
 
     {"v": 1, "kind": "server_op", "body": {...}}
 
-with two compatibility rules:
+whose body carries the operation with a *serial-encoded* context (see
+:func:`compact_client_op_obj`).  That is the only wire dialect; what a
+``hello`` negotiates is the byte serialisation of frames (``bin``, with
+``json`` as the debug fallback).  Two compatibility rules:
 
 * the envelope ``v`` must match :data:`WIRE_VERSION` exactly — a peer
   speaking a different wire version is rejected loudly rather than
@@ -32,21 +29,15 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError
-from repro.jupiter.messages import (
-    ClientOperation,
-    ResyncRequest,
-    ResyncResponse,
-    ServerOperation,
-)
+from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.persistence import (
     context_from_compact,
     operation_from_obj,
     operation_to_obj,
-    opid_from_obj,
     opid_to_obj,
 )
 
@@ -56,10 +47,10 @@ from repro.jupiter.persistence import (
 #: the byte serialisation differs, and it is negotiated per session.
 WIRE_VERSION = 1
 
-#: Frame byte serialisations a peer may offer in its ``hello``
-#: (``codecs`` field, preference order) and a server may pick in its
-#: ``welcome`` (``codec`` field).  JSON is the mandatory fallback: a v1
-#: peer that has never heard of negotiation simply keeps speaking it.
+#: Frame byte serialisations a peer offers in its ``hello`` (``codecs``
+#: field, preference order) and the server picks from in its ``welcome``
+#: (``codec`` field).  JSON is the mandatory fallback: the handshake
+#: itself is always JSON, so every peer speaks it.
 CODEC_JSON = "json"
 CODEC_BINARY = "bin"
 SUPPORTED_CODECS = (CODEC_BINARY, CODEC_JSON)
@@ -72,10 +63,7 @@ SUPPORTED_CODECS = (CODEC_BINARY, CODEC_JSON)
 BINARY_MAGIC = 0xB2
 
 #: Document served when a ``hello`` carries no ``doc`` field.  The field
-#: is an *addition* under the unknown-fields rule: an old client's hello
-#: lands on this document, and an old server ignores the field entirely
-#: (a fleet client must therefore only be pointed at fleet-aware
-#: workers, which the router guarantees).
+#: is optional: a doc-less hello lands on this document.
 DEFAULT_DOC = "default"
 
 
@@ -84,126 +72,12 @@ class WireError(ProtocolError):
 
 
 # ----------------------------------------------------------------------
-# Message codecs (satellite: explicit to/from JSON for all four types)
-# ----------------------------------------------------------------------
-def _client_op_to_obj(message: ClientOperation) -> Dict[str, Any]:
-    return {"operation": operation_to_obj(message.operation)}
-
-
-def _client_op_from_obj(body: Dict[str, Any]) -> ClientOperation:
-    return ClientOperation(operation=operation_from_obj(body["operation"]))
-
-
-def _server_op_to_obj(message: ServerOperation) -> Dict[str, Any]:
-    return {
-        "operation": operation_to_obj(message.operation),
-        "origin": message.origin,
-        "serial": message.serial,
-        "prefix": sorted(opid_to_obj(o) for o in message.prefix),
-    }
-
-
-def _server_op_from_obj(body: Dict[str, Any]) -> ServerOperation:
-    return ServerOperation(
-        operation=operation_from_obj(body["operation"]),
-        origin=str(body["origin"]),
-        serial=int(body["serial"]),
-        prefix=frozenset(opid_from_obj(o) for o in body["prefix"]),
-    )
-
-
-def _resync_request_to_obj(message: ResyncRequest) -> Dict[str, Any]:
-    return {"client": message.client, "delivered": message.delivered}
-
-
-def _resync_request_from_obj(body: Dict[str, Any]) -> ResyncRequest:
-    return ResyncRequest(
-        client=str(body["client"]), delivered=int(body["delivered"])
-    )
-
-
-def _resync_response_to_obj(message: ResyncResponse) -> Dict[str, Any]:
-    return {
-        "client": message.client,
-        "payloads": [message_to_obj(p) for p in message.payloads],
-    }
-
-
-def _resync_response_from_obj(body: Dict[str, Any]) -> ResyncResponse:
-    return ResyncResponse(
-        client=str(body["client"]),
-        payloads=tuple(message_from_obj(p) for p in body["payloads"]),
-    )
-
-
-_ENCODERS = {
-    ClientOperation: ("client_op", _client_op_to_obj),
-    ServerOperation: ("server_op", _server_op_to_obj),
-    ResyncRequest: ("resync_request", _resync_request_to_obj),
-    ResyncResponse: ("resync_response", _resync_response_to_obj),
-}
-
-_DECODERS = {
-    "client_op": _client_op_from_obj,
-    "server_op": _server_op_from_obj,
-    "resync_request": _resync_request_from_obj,
-    "resync_response": _resync_response_from_obj,
-}
-
-
-def message_to_obj(message: Any) -> Dict[str, Any]:
-    """Wrap one protocol message in a versioned envelope dictionary."""
-    entry = _ENCODERS.get(type(message))
-    if entry is None:
-        raise WireError(f"cannot encode payload of type {type(message).__name__}")
-    kind, encoder = entry
-    return {"v": WIRE_VERSION, "kind": kind, "body": encoder(message)}
-
-
-def message_from_obj(obj: Dict[str, Any]) -> Any:
-    """Decode an envelope dictionary back into a protocol message.
-
-    Unknown fields in the envelope and the body are ignored; a missing
-    or mismatched version, an unknown kind, or a malformed body raise
-    :class:`WireError`.
-    """
-    if not isinstance(obj, dict):
-        raise WireError(f"message envelope must be an object, got {type(obj).__name__}")
-    if obj.get("v") != WIRE_VERSION:
-        raise WireError(f"unsupported wire version {obj.get('v')!r}")
-    kind = obj.get("kind")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
-        raise WireError(f"unknown message kind {kind!r}")
-    body = obj.get("body")
-    if not isinstance(body, dict):
-        raise WireError(f"message body must be an object, got {type(body).__name__}")
-    try:
-        return decoder(body)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed {kind} body: {exc!r}") from exc
-
-
-def message_to_json(message: Any) -> str:
-    """Canonical JSON text of one protocol message (sorted keys)."""
-    return json.dumps(message_to_obj(message), sort_keys=True, separators=(",", ":"))
-
-
-def message_from_json(text: str) -> Any:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WireError(f"message is not valid JSON: {exc}") from exc
-    return message_from_obj(obj)
-
-
-# ----------------------------------------------------------------------
-# Serial-encoded message bodies (the v2 active-window wire form)
+# Serial-encoded message bodies (the active-window wire form)
 # ----------------------------------------------------------------------
 # An operation's context is the set of everything its generator had
 # processed: a dense serial prefix of the total order plus a handful of
 # "extras" (the generator's own operations still awaiting their echo).
-# Negotiated sessions ship it as ``ctx: [d, [extra opids]]`` — O(extras)
+# Sessions ship it as ``ctx: [d, [extra opids]]`` — O(extras)
 # instead of O(history) — and omit the redundant ``prefix`` set (the
 # serial number determines it).  The encoding is rebase-invariant: the
 # decoder resolves the dense prefix ``(its own GC base, d]`` against its
@@ -253,9 +127,8 @@ def compact_server_op_obj(
 
     ``ctx`` is the ``[d, [extra opid objs]]`` pair the server computed
     when it appended the record (:func:`~repro.jupiter.persistence.compact_context`).
-    The ``prefix`` set is omitted entirely: on a negotiated session the
-    recipient knows every serial below ``serial``, so the number *is*
-    the prefix.
+    The ``prefix`` set is omitted entirely: the recipient knows every
+    serial below ``serial``, so the number *is* the prefix.
     """
     return {
         "v": WIRE_VERSION,
@@ -272,23 +145,30 @@ def compact_server_op_obj(
 
 
 def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
-    """Decode a message envelope, resolving serial-encoded contexts.
+    """Decode a message envelope, resolving its serial-encoded context.
 
-    Absolute-context bodies (the v1 form) fall through to
-    :func:`message_from_obj`.  Compact bodies resolve their dense prefix
-    against ``oracle`` — the *decoder's* order oracle — so this must be
-    called at integration time, after every serial below the context
-    floor has been witnessed (frame release order guarantees exactly
-    that on both ends).
+    The dense prefix resolves against ``oracle`` — the *decoder's* order
+    oracle — so this must be called at integration time, after every
+    serial below the context floor has been witnessed (frame release
+    order guarantees exactly that on both ends).  The envelope comes
+    from outside the process: a wrong version, an unknown kind, a
+    non-object body or a malformed body raise :class:`WireError`;
+    unknown fields are ignored.
     """
     if not isinstance(obj, dict):
         raise WireError(
             f"message envelope must be an object, got {type(obj).__name__}"
         )
-    body = obj.get("body")
-    if not (isinstance(body, dict) and "ctx" in body):
-        return message_from_obj(obj)
+    if obj.get("v") != WIRE_VERSION:
+        raise WireError(f"unsupported wire version {obj.get('v')!r}")
     kind = obj.get("kind")
+    if kind not in ("client_op", "server_op"):
+        raise WireError(f"unknown message kind {kind!r}")
+    body = obj.get("body")
+    if not isinstance(body, dict):
+        raise WireError(
+            f"message body must be an object, got {type(body).__name__}"
+        )
     try:
         bare = dict(body["operation"])
         bare["context"] = []
@@ -297,18 +177,16 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
         )
         if kind == "client_op":
             return ClientOperation(operation=operation)
-        if kind == "server_op":
-            return ServerOperation(
-                operation=operation,
-                origin=str(body["origin"]),
-                serial=int(body["serial"]),
-                # The prefix set is implied by the serial on a compact
-                # session; the FIFO cross-check it feeds is vacuous here.
-                prefix=frozenset(),
-            )
+        return ServerOperation(
+            operation=operation,
+            origin=str(body["origin"]),
+            serial=int(body["serial"]),
+            # The prefix set is implied by the serial; the FIFO
+            # cross-check it feeds is vacuous here.
+            prefix=frozenset(),
+        )
     except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed compact {kind} body: {exc!r}") from exc
-    raise WireError(f"unknown compact message kind {kind!r}")
+        raise WireError(f"malformed {kind} body: {exc!r}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -453,14 +331,19 @@ def encode_frame_bytes(
     raise WireError(f"unknown wire codec {codec!r}")
 
 
-def negotiate_codec(offered: Any) -> str:
-    """Server-side codec pick: first supported entry of a hello's
-    ``codecs`` list, JSON when the field is missing/garbled (a v1 peer).
+def negotiate_codec(offered: Any) -> Optional[str]:
+    """Server-side codec pick from a hello's ``codecs`` offer.
+
+    The first supported entry wins; an offer naming only codecs this
+    server has never heard of lands on JSON, which every peer speaks.
+    ``None`` when there is no offer at all (field missing, empty, or not
+    a list) — the hello is not a session this server can serve.
     """
-    if isinstance(offered, (list, tuple)):
-        for name in offered:
-            if name in SUPPORTED_CODECS:
-                return str(name)
+    if not isinstance(offered, (list, tuple)) or not offered:
+        return None
+    for name in offered:
+        if name in SUPPORTED_CODECS:
+            return str(name)
     return CODEC_JSON
 
 

@@ -29,125 +29,46 @@ The coordinator:
 
 from __future__ import annotations
 
-import json
 import shutil
 import subprocess
-import sys
 import tempfile
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.fleet.placement import placement_skew
 from repro.net.loadgen import (
-    _child_env,
+    _collect_reports,
+    _connect_command,
+    _kill_mid_run,
+    _shut_down,
+    _spawn,
+    _spawn_announced,
     admin,
     percentile,
     split_ops,
 )
 from repro.obs import merge_snapshots, snapshot_total
 
-# ----------------------------------------------------------------------
-# Process spawning
-# ----------------------------------------------------------------------
 
-
-def _spawn_announced(
-    command: List[str], marker: str
-) -> Tuple[subprocess.Popen, Dict[str, Any]]:
-    """Spawn a subprocess and parse its one-line ``marker {json}`` banner."""
-    process = subprocess.Popen(
-        command,
-        env=_child_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    assert process.stdout is not None
-    while True:
-        line = process.stdout.readline()
-        if not line:
-            process.wait()
-            stderr = process.stderr.read() if process.stderr else ""
-            raise RuntimeError(f"{marker} process failed to start:\n{stderr}")
-        if line.startswith(marker + " "):
-            return process, json.loads(line[len(marker) + 1:])
-
-
-def _spawn_router(
-    host: str, lease_seconds: float, heartbeat_interval: float
-) -> Tuple[subprocess.Popen, int]:
-    process, announced = _spawn_announced(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "fleet",
-            "route",
-            "--host",
-            host,
-            "--port",
-            "0",
-            "--lease",
-            str(lease_seconds),
-            "--heartbeat",
-            str(heartbeat_interval),
-            "--announce",
-            "--quiet",
-        ],
-        "REPRO-FLEET-ROUTER",
-    )
-    return process, int(announced["port"])
-
-
-def _spawn_worker(
-    worker_id: str,
+def _await_router(
     host: str,
     router_port: int,
-    wal_dir: str,
-    seed: int,
-) -> Tuple[subprocess.Popen, int]:
-    process, announced = _spawn_announced(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "fleet",
-            "worker",
-            "--worker",
-            worker_id,
-            "--router",
-            f"{host}:{router_port}",
-            "--host",
-            host,
-            "--port",
-            "0",
-            "--wal-dir",
-            wal_dir,
-            "--heartbeat-seed",
-            str(seed),
-            "--announce",
-            "--quiet",
-        ],
-        "REPRO-FLEET-WORKER",
-    )
-    return process, int(announced["port"])
-
-
-def _await_live_workers(
-    host: str, router_port: int, expected: int, deadline: float = 15.0
+    counter: str,
+    at_least: int,
+    deadline: float = 15.0,
 ) -> Dict[str, Any]:
-    """Poll the router until ``expected`` leases are live."""
+    """Poll the router's stats until ``counter`` reaches ``at_least``."""
     end = time.monotonic() + deadline
     while True:
         try:
             stats = admin(host, router_port, "stats")
-            if int(stats.get("live_workers", 0)) >= expected:
+            if int(stats.get(counter, 0)) >= at_least:
                 return stats
         except (ConnectionError, OSError):
             pass
         if time.monotonic() >= end:
             raise RuntimeError(
-                f"router never saw {expected} live workers "
+                f"router's {counter} never reached {at_least} "
                 f"within {deadline:.1f}s"
             )
         time.sleep(0.1)
@@ -201,21 +122,37 @@ def run_fleet_loadgen(
         wal_dir = tempfile.mkdtemp(prefix="repro-fleet-")
     router_process: Optional[subprocess.Popen] = None
     worker_processes: List[Tuple[str, subprocess.Popen, int]] = []
-    client_processes: List[Tuple[str, str, subprocess.Popen]] = []
+    client_processes: List[Tuple[str, subprocess.Popen]] = []
     started = time.perf_counter()
     try:
-        router_process, router_port = _spawn_router(
-            host, lease_seconds, heartbeat_interval
+        router_process, router_port = _spawn_announced(
+            "REPRO-FLEET-ROUTER",
+            "fleet",
+            "route",
+            "--quiet",
+            host=host,
+            port=0,
+            lease=lease_seconds,
+            heartbeat=heartbeat_interval,
         )
         log(f"router pid {router_process.pid} on {host}:{router_port}")
         for index in range(workers):
             worker_id = f"w{index}"
-            process, port = _spawn_worker(
-                worker_id, host, router_port, wal_dir, seed * 100 + index
+            process, port = _spawn_announced(
+                "REPRO-FLEET-WORKER",
+                "fleet",
+                "worker",
+                "--quiet",
+                worker=worker_id,
+                router=f"{host}:{router_port}",
+                host=host,
+                port=0,
+                wal_dir=wal_dir,
+                heartbeat_seed=seed * 100 + index,
             )
             worker_processes.append((worker_id, process, port))
             log(f"worker {worker_id} pid {process.pid} on {host}:{port}")
-        _await_live_workers(host, router_port, workers)
+        _await_router(host, router_port, "live_workers", workers)
         placement_before = {
             doc: admin(host, router_port, "route", doc=doc)["worker"]
             for doc in doc_names
@@ -224,92 +161,43 @@ def run_fleet_loadgen(
         for doc in doc_names:
             for cindex in range(clients_per_doc):
                 name = f"{doc}-c{cindex}"
-                command = [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "connect",
-                    "--host",
+                command = _connect_command(
                     host,
-                    "--port",
-                    str(router_port),
-                    "--doc",
-                    doc,
-                    "--client",
+                    router_port,
                     name,
-                    "--ops",
-                    str(shares[cindex]),
-                    "--expect-total",
-                    str(ops_per_doc),
-                    "--seed",
-                    str(seed * 10000 + doc_names.index(doc) * 100 + cindex),
-                    "--insert-ratio",
-                    str(insert_ratio),
-                    "--op-interval",
-                    str(op_interval),
-                    "--timeout",
-                    str(timeout),
+                    shares[cindex],
+                    ops_per_doc,
+                    seed * 10000 + doc_names.index(doc) * 100 + cindex,
+                    insert_ratio,
+                    op_interval,
+                    timeout,
+                    doc=doc,
                     # A client orphaned by a worker SIGKILL ping-pongs
                     # router -> dead-worker until the lease expires; give
                     # it budget to ride that out instead of giving up.
-                    "--max-connect-attempts",
-                    "64",
-                    "--json",
-                ]
-                client_processes.append(
-                    (
-                        doc,
-                        name,
-                        subprocess.Popen(
-                            command,
-                            env=_child_env(),
-                            stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE,
-                            text=True,
-                        ),
-                    )
+                    max_connect_attempts=64,
                 )
+                client_processes.append((name, _spawn(command)))
         log(
             f"spawned {len(client_processes)} clients "
             f"({clients_per_doc} per document, {shares} ops each)"
         )
         killed_worker = ""
         if kill_worker:
-            delay = kill_after
-            if delay is None:
-                delay = max(2.0, shares[0] * op_interval * 0.5 + 1.0)
-            time.sleep(delay)
             killed_worker, victim, victim_port = worker_processes[0]
-            victim.kill()
-            victim.wait()
+            delay = _kill_mid_run(victim, kill_after, shares[0], op_interval)
             log(
                 f"SIGKILLed worker {killed_worker} pid {victim.pid} "
                 f"({host}:{victim_port}) after {delay:.1f}s"
             )
-        reports: List[Dict[str, Any]] = []
-        failures: List[str] = []
-        for doc, name, process in client_processes:
-            try:
-                stdout, stderr = process.communicate(timeout=timeout + 30.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                stdout, stderr = process.communicate()
-                failures.append(f"{name}: timed out")
-                continue
-            lines = [l for l in stdout.splitlines() if l.strip()]
-            if process.returncode != 0 or not lines:
-                failures.append(
-                    f"{name}: exit {process.returncode}\n{stderr.strip()}"
-                )
-                if lines:
-                    try:
-                        reports.append(json.loads(lines[-1]))
-                    except json.JSONDecodeError:
-                        pass
-                continue
-            reports.append(json.loads(lines[-1]))
+        reports, failures = _collect_reports(client_processes, timeout)
         wall = time.perf_counter() - started
-        router_stats = admin(host, router_port, "stats")
+        # Clients that finished before the kill leave nobody to notice
+        # it: wait for the lease to lapse, or the placement read below
+        # would still name the dead worker.
+        router_stats = _await_router(
+            host, router_port, "expirations", 1 if kill_worker else 0
+        )
         router_metrics = admin(host, router_port, "metrics")
         placement_after = {
             doc: admin(host, router_port, "route", doc=doc)["worker"]
@@ -332,10 +220,6 @@ def run_fleet_loadgen(
                 continue
             view = admin(host, port, "signature", doc=doc)
             if "error" in view:
-                # The new owner has not opened the shard yet (no client
-                # reached it after re-placement) — recover it on demand
-                # by asking again after a hello-less stats poll cannot
-                # help; record the miss instead.
                 failures.append(f"{doc}: {view['error']}")
                 continue
             server_signatures[doc] = view["signature"]
@@ -349,27 +233,13 @@ def run_fleet_loadgen(
             if metrics.get("snapshot", {}).get("metrics"):
                 worker_metric_snapshots.append(metrics["snapshot"])
     finally:
-        for _worker_id, process, port in worker_processes:
-            if process.poll() is not None:
-                continue
-            try:
-                admin(host, port, "shutdown")
-            except (ConnectionError, OSError):
-                pass
-            try:
-                process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
-        if router_process is not None and router_process.poll() is None:
-            try:
-                admin(host, router_port, "shutdown")
-            except (ConnectionError, OSError):
-                pass
-            try:
-                router_process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                router_process.kill()
-        for _doc, _name, process in client_processes:
+        listeners = [
+            (process, port) for _id, process, port in worker_processes
+        ]
+        if router_process is not None:
+            listeners.append((router_process, router_port))
+        _shut_down(host, listeners)
+        for _name, process in client_processes:
             if process.poll() is None:
                 process.kill()
         if owned_dir:

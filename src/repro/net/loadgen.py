@@ -54,14 +54,11 @@ from repro.sim.faults import NetChaosPlan
 _ALPHABET = string.ascii_lowercase
 
 # ``--codec`` values mapped to the codec offer in the client hello:
-# "bin" negotiates the binary framing (JSON fallback), "json" keeps v2
-# envelopes over JSON, "v1" sends the legacy hello with no offer at all
-# (no compact contexts, no batching — refused once the server has GC'd
-# history the session would need).
+# "bin" negotiates the binary framing (JSON fallback), "json" keeps the
+# same envelopes over JSON.
 _CODEC_OFFERS = {
     "bin": ("bin", "json"),
     "json": ("json",),
-    "v1": (),
 }
 
 
@@ -150,6 +147,57 @@ async def _connect_with_retry(
             await asyncio.sleep(pause)
 
 
+class _WorkerTally:
+    """What every worker loop keeps besides its client: connect-retry
+    and resync accounting, and the report built from them."""
+
+    def __init__(self, client: NetClient, connect_timeout: float) -> None:
+        self.client = client
+        self.connect_timeout = connect_timeout
+        self.connect_retries = 0
+        self.resync_on_reconnect = 0
+        self.started = time.perf_counter()
+
+    async def connect(self, reconnect: bool = False) -> None:
+        """(Re)connect with retry; a reconnect's resync burst is counted."""
+        before = self.client.resync_frames
+        self.connect_retries += await _connect_with_retry(
+            self.client, self.connect_timeout
+        )
+        if reconnect:
+            self.resync_on_reconnect += self.client.resync_frames - before
+
+    async def finish(
+        self, ops: int, expect_total: int, timeout: float, **extra: Any
+    ) -> Dict[str, Any]:
+        """Wait for convergence, build the report, close the client."""
+        client = self.client
+        converged = await client.wait_converged(expect_total, timeout=timeout)
+        report = {
+            "client": client.client_id,
+            "doc": client.doc,
+            "ops": ops,
+            "converged": converged,
+            "signature": client.signature(),
+            "document_length": len(client.css.document),
+            "delivered": client.delivered,
+            "connects": client.connects,
+            "reconnects": max(0, client.connects - 1),
+            "resync_frames": client.resync_frames,
+            "resync_on_reconnect": self.resync_on_reconnect,
+            "connect_retries": self.connect_retries,
+            "view": client.view,
+            "epoch": client.epoch,
+            "redirects": client.redirects,
+            "duration": time.perf_counter() - self.started,
+            "rtt_ms": [round(r * 1000.0, 4) for r in client.rtts],
+            **extra,
+            "metrics": get_obs().snapshot(),
+        }
+        await client.close()
+        return report
+
+
 async def run_worker(
     host: str,
     port: int,
@@ -169,7 +217,6 @@ async def run_worker(
     max_connect_attempts: int = 8,
     duration: Optional[float] = None,
     codec: str = "bin",
-    batch: bool = True,
 ) -> Dict[str, Any]:
     """Drive one client: ``ops`` seeded edits, then wait for convergence.
 
@@ -206,12 +253,10 @@ async def run_worker(
         max_reconnect_attempts=max_reconnect_attempts,
         doc=doc,
         codecs=offered,
-        batch=batch,
     )
-    started = time.perf_counter()
-    deadline = None if duration is None else started + duration
-    connect_retries = await _connect_with_retry(client, connect_timeout)
-    resync_on_reconnect = 0
+    tally = _WorkerTally(client, connect_timeout)
+    deadline = None if duration is None else tally.started + duration
+    await tally.connect()
     index = 0
     while True:
         if deadline is not None and time.perf_counter() >= deadline:
@@ -228,37 +273,10 @@ async def run_worker(
         if reconnect_after is not None and index + 1 == reconnect_after:
             await client.drop()
             await asyncio.sleep(offline_pause)
-            before = client.resync_frames
-            connect_retries += await _connect_with_retry(
-                client, connect_timeout
-            )
-            resync_on_reconnect += client.resync_frames - before
+            await tally.connect(reconnect=True)
         await asyncio.sleep(op_interval)
         index += 1
-    converged = await client.wait_converged(expect_total, timeout=timeout)
-    duration_wall = time.perf_counter() - started
-    report = {
-        "client": client_id,
-        "doc": doc,
-        "ops": index,
-        "converged": converged,
-        "signature": client.signature(),
-        "document_length": len(client.css.document),
-        "delivered": client.delivered,
-        "connects": client.connects,
-        "reconnects": client.connects - 1,
-        "resync_frames": client.resync_frames,
-        "resync_on_reconnect": resync_on_reconnect,
-        "connect_retries": connect_retries,
-        "view": client.view,
-        "epoch": client.epoch,
-        "redirects": client.redirects,
-        "duration": duration_wall,
-        "rtt_ms": [round(r * 1000.0, 4) for r in client.rtts],
-        "metrics": get_obs().snapshot(),
-    }
-    await client.close()
-    return report
+    return await tally.finish(index, expect_total, timeout)
 
 
 async def run_scenario_worker(
@@ -289,7 +307,7 @@ async def run_scenario_worker(
     (re)connect — resyncing missed broadcasts from the server's WAL and
     retransmitting the client's own unacknowledged frames.
 
-    Returns the same report shape as :func:`run_worker`, plus a
+    Returns the same report as :func:`run_worker`, plus a
     ``lane`` list of executed events (in scenario time) for the
     timeline renderer.
     """
@@ -298,24 +316,17 @@ async def run_scenario_worker(
     from repro.scenarios.compile import resolve_intent
 
     client = NetClient(client_id, host, port, reconnect_seed=reconnect_seed, doc=doc)
+    tally = _WorkerTally(client, connect_timeout)
     cursor = initial_length
     lane: List[Dict[str, Any]] = []
-    connect_retries = 0
-    resync_on_reconnect = 0
     generated = 0
-    started = time.perf_counter()
     t0 = started_at if started_at is not None else time.monotonic()
     for event in events:
         delay = (t0 + event.at * time_scale) - time.monotonic()
         if delay > 0:
             await asyncio.sleep(delay)
         if event.kind in ("join", "online"):
-            before = client.resync_frames
-            connect_retries += await _connect_with_retry(
-                client, connect_timeout
-            )
-            if event.kind == "online":
-                resync_on_reconnect += client.resync_frames - before
+            await tally.connect(reconnect=event.kind == "online")
         elif event.kind == "offline":
             await client.drop()
         elif event.kind == "op":
@@ -329,27 +340,7 @@ async def run_scenario_worker(
         lane.append(
             {"at": event.at, "kind": event.kind, "phase": event.phase}
         )
-    converged = await client.wait_converged(expect_total, timeout=timeout)
-    report = {
-        "client": client_id,
-        "doc": doc,
-        "ops": generated,
-        "converged": converged,
-        "signature": client.signature(),
-        "document_length": len(client.css.document),
-        "delivered": client.delivered,
-        "connects": client.connects,
-        "reconnects": max(0, client.connects - 1),
-        "resync_frames": client.resync_frames,
-        "resync_on_reconnect": resync_on_reconnect,
-        "connect_retries": connect_retries,
-        "duration": time.perf_counter() - started,
-        "rtt_ms": [round(r * 1000.0, 4) for r in client.rtts],
-        "lane": lane,
-        "metrics": get_obs().snapshot(),
-    }
-    await client.close()
-    return report
+    return await tally.finish(generated, expect_total, timeout, lane=lane)
 
 
 # ----------------------------------------------------------------------
@@ -388,51 +379,150 @@ def _free_ports(count: int, host: str) -> List[int]:
             sock.close()
 
 
-def _spawn_server(
-    host: str,
-    port: int,
-    snapshot_every: int,
-    initial_text: str,
-    replica_of: Optional[str] = None,
-    failover_delay: Optional[float] = None,
-) -> "tuple[subprocess.Popen, int]":
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        "serve",
-        "--host",
-        host,
-        "--port",
-        str(port),
-        "--snapshot-every",
-        str(snapshot_every),
-        "--announce",
-        "--quiet",
-    ]
-    if initial_text:
-        command += ["--initial", initial_text]
-    if replica_of:
-        command += ["--replica-of", replica_of]
-    if failover_delay is not None:
-        command += ["--failover-delay", str(failover_delay)]
-    process = subprocess.Popen(
-        command,
+def _flags(**values: Any) -> List[str]:
+    """``name=value`` pairs as ``--name value`` argv.
+
+    Underscores become dashes, values are stringified, and a ``None``
+    value drops its flag — the spelling every ``repro`` verb parses.
+    """
+    argv: List[str] = []
+    for name, value in values.items():
+        if value is not None:
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+def _spawn(command: Sequence[str]) -> subprocess.Popen:
+    """Start ``python -m repro <command>`` with both pipes captured."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *command],
         env=_child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     )
+
+
+def _spawn_announced(
+    marker: str, *command: str, **flags: Any
+) -> Tuple[subprocess.Popen, int]:
+    """Spawn a listener verb with ``--announce``; returns it and its port.
+
+    ``command`` is the verb plus any bare switches, ``flags`` its valued
+    options.  The port is read from the one-line ``marker {json}`` banner
+    the verb prints once it is listening (how an ephemeral ``--port 0``
+    is found).
+    """
+    process = _spawn([*command, "--announce", *_flags(**flags)])
     assert process.stdout is not None
     while True:
         line = process.stdout.readline()
         if not line:
             process.wait()
             stderr = process.stderr.read() if process.stderr else ""
-            raise RuntimeError(f"server failed to start:\n{stderr}")
-        if line.startswith("REPRO-SERVE "):
-            announced = json.loads(line[len("REPRO-SERVE "):])
-            return process, int(announced["port"])
+            raise RuntimeError(f"{marker} process failed to start:\n{stderr}")
+        if line.startswith(marker + " "):
+            return process, int(json.loads(line[len(marker) + 1:])["port"])
+
+
+def _connect_command(
+    host: str,
+    port: int,
+    client: str,
+    ops: int,
+    expect_total: int,
+    seed: int,
+    insert_ratio: float,
+    op_interval: float,
+    timeout: float,
+    **extra: Any,
+) -> List[str]:
+    """The ``repro connect`` argv every harness starts its workers with;
+    ``extra`` carries what only one of them needs (``doc``, ``roster``...)."""
+    return ["connect", "--json"] + _flags(
+        host=host,
+        port=port,
+        client=client,
+        ops=ops,
+        expect_total=expect_total,
+        seed=seed,
+        insert_ratio=insert_ratio,
+        op_interval=op_interval,
+        timeout=timeout,
+        **extra,
+    )
+
+
+def _kill_mid_run(
+    victim: subprocess.Popen,
+    kill_after: Optional[float],
+    busiest_share: int,
+    op_interval: float,
+) -> float:
+    """SIGKILL ``victim`` ``kill_after`` seconds from now; returns the delay.
+
+    The default lands roughly mid-run: interpreter startup plus half the
+    edit stream of the busiest worker.
+    """
+    delay = kill_after
+    if delay is None:
+        delay = max(2.0, busiest_share * op_interval * 0.5 + 1.0)
+    time.sleep(delay)
+    victim.kill()
+    victim.wait()
+    return delay
+
+
+def _collect_reports(
+    workers: Sequence[Tuple[str, subprocess.Popen]], timeout: float
+) -> Tuple[List[Dict[str, Any]], List[str]]:
+    """Wait for every worker; returns ``(reports, failures)``.
+
+    A worker's report is the last line of its stdout.  A non-converged
+    worker still prints one; it is kept for the post-mortem, and the
+    failure entry is what keeps it out of the convergence verdict (which
+    requires a clean exit from every worker).
+    """
+    reports: List[Dict[str, Any]] = []
+    failures: List[str] = []
+    for name, worker in workers:
+        try:
+            stdout, stderr = worker.communicate(timeout=timeout + 30.0)
+        except subprocess.TimeoutExpired:
+            worker.kill()
+            worker.communicate()
+            failures.append(f"{name}: timed out")
+            continue
+        lines = [l for l in stdout.splitlines() if l.strip()]
+        if worker.returncode != 0 or not lines:
+            failures.append(
+                f"{name}: exit {worker.returncode}\n{stderr.strip()}"
+            )
+            if lines:
+                try:
+                    reports.append(json.loads(lines[-1]))
+                except json.JSONDecodeError:
+                    pass
+            continue
+        reports.append(json.loads(lines[-1]))
+    return reports, failures
+
+
+def _shut_down(
+    host: str, listeners: Sequence[Tuple[subprocess.Popen, int]]
+) -> None:
+    """Admin-shutdown every live listener; kill one that will not exit."""
+    for process, port in listeners:
+        if process.poll() is not None:
+            continue
+        try:
+            admin(host, port, "shutdown")
+        except (ConnectionError, OSError):
+            pass
+        try:
+            process.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            process.kill()
 
 
 def split_ops(total: int, clients: int) -> List[int]:
@@ -485,44 +575,6 @@ def _find_primary(
         if time.monotonic() >= end:
             raise RuntimeError("no live primary replica found")
         time.sleep(0.2)
-
-
-def _spawn_chaosproxy(
-    host: str, target_port: int, plan: NetChaosPlan
-) -> "tuple[subprocess.Popen, int]":
-    """Spawn ``repro chaosproxy`` in front of the server; returns its port."""
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        "chaosproxy",
-        "--target",
-        f"{host}:{target_port}",
-        "--host",
-        host,
-        "--port",
-        "0",
-        "--plan-json",
-        json.dumps(plan.to_obj()),
-        "--announce",
-    ]
-    process = subprocess.Popen(
-        command,
-        env=_child_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    assert process.stdout is not None
-    while True:
-        line = process.stdout.readline()
-        if not line:
-            process.wait()
-            stderr = process.stderr.read() if process.stderr else ""
-            raise RuntimeError(f"chaos proxy failed to start:\n{stderr}")
-        if line.startswith("REPRO-CHAOSPROXY "):
-            announced = json.loads(line[len("REPRO-CHAOSPROXY "):])
-            return process, int(announced["port"])
 
 
 def run_loadgen(
@@ -595,130 +647,78 @@ def run_loadgen(
         if not quiet:
             print(f"[loadgen] {text}", flush=True)
 
-    server_processes: List[Tuple[subprocess.Popen, int]] = []
+    # One server, or a 2f+1 roster on reserved ports sharing one ordered
+    # roster string.
+    ports = [port]
     roster_text = ""
     if replicas > 1:
         ports = _free_ports(replicas, host)
         roster_text = ",".join(f"{host}:{p}" for p in ports)
-        for index, replica_port in enumerate(ports):
-            process, bound = _spawn_server(
-                host,
-                replica_port,
-                snapshot_every,
-                initial_text,
-                replica_of=roster_text,
-                failover_delay=failover_delay,
-            )
-            server_processes.append((process, bound))
-            log(f"replica s{index} pid {process.pid} on {host}:{bound}")
-        bound_port = server_processes[0][1]
-    else:
-        server_process, bound_port = _spawn_server(
-            host, port, snapshot_every, initial_text
+    server_processes: List[Tuple[subprocess.Popen, int]] = []
+    for index, replica_port in enumerate(ports):
+        process, bound = _spawn_announced(
+            "REPRO-SERVE",
+            "serve",
+            "--quiet",
+            host=host,
+            port=replica_port,
+            snapshot_every=snapshot_every,
+            initial=initial_text or None,
+            replica_of=roster_text or None,
+            failover_delay=failover_delay if roster_text else None,
         )
-        server_processes.append((server_process, bound_port))
-        log(f"server pid {server_process.pid} on {host}:{bound_port}")
+        server_processes.append((process, bound))
+        log(f"server s{index} pid {process.pid} on {host}:{bound}")
+    bound_port = server_processes[0][1]
     proxy_process: Optional[subprocess.Popen] = None
     worker_port = bound_port
     if chaos is not None:
-        proxy_process, worker_port = _spawn_chaosproxy(
-            host, bound_port, chaos
+        proxy_process, worker_port = _spawn_announced(
+            "REPRO-CHAOSPROXY",
+            "chaosproxy",
+            target=f"{host}:{bound_port}",
+            host=host,
+            port=0,
+            plan_json=json.dumps(chaos.to_obj()),
         )
         log(
             f"chaos proxy pid {proxy_process.pid} on {host}:{worker_port} "
             f"-> {host}:{bound_port} (seed {chaos.seed})"
         )
     shares = split_ops(ops, clients)
-    workers: List[subprocess.Popen] = []
+    workers: List[Tuple[str, subprocess.Popen]] = []
     started = time.perf_counter()
     try:
         for index in range(clients):
             name = f"c{index + 1}"
-            command = [
-                sys.executable,
-                "-m",
-                "repro",
-                "connect",
-                "--host",
+            command = _connect_command(
                 host,
-                "--port",
-                str(worker_port),
-                "--client",
+                worker_port,
                 name,
-                "--ops",
-                str(shares[index]),
-                "--expect-total",
-                str(ops),
-                "--seed",
-                str(seed * 1000 + index),
-                "--insert-ratio",
-                str(insert_ratio),
-                "--op-interval",
-                str(op_interval),
-                "--timeout",
-                str(timeout),
-                "--codec",
-                codec,
-                "--json",
-            ]
-            if roster_text:
-                command += ["--roster", roster_text]
-            if index < reconnect_clients:
-                command += [
-                    "--reconnect-after",
-                    str(max(1, shares[index] // 2)),
-                ]
-            workers.append(
-                subprocess.Popen(
-                    command,
-                    env=_child_env(),
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                )
+                shares[index],
+                ops,
+                seed * 1000 + index,
+                insert_ratio,
+                op_interval,
+                timeout,
+                codec=codec,
+                roster=roster_text or None,
+                reconnect_after=(
+                    max(1, shares[index] // 2)
+                    if index < reconnect_clients
+                    else None
+                ),
             )
+            workers.append((name, _spawn(command)))
         log(f"spawned {clients} worker processes ({shares} ops each)")
         if kill_primary:
-            # Roughly mid-run: interpreter startup plus half the edit
-            # stream of the busiest worker.
-            delay = kill_after
-            if delay is None:
-                delay = max(2.0, shares[0] * op_interval * 0.5 + 1.0)
-            time.sleep(delay)
             victim, victim_port = server_processes[0]
-            victim.kill()
-            victim.wait()
+            delay = _kill_mid_run(victim, kill_after, shares[0], op_interval)
             log(
                 f"killed view-0 primary pid {victim.pid} "
                 f"({host}:{victim_port}) after {delay:.1f}s"
             )
-        reports: List[Dict[str, Any]] = []
-        failures: List[str] = []
-        for index, worker in enumerate(workers):
-            name = f"c{index + 1}"
-            try:
-                stdout, stderr = worker.communicate(timeout=timeout + 30.0)
-            except subprocess.TimeoutExpired:
-                worker.kill()
-                stdout, stderr = worker.communicate()
-                failures.append(f"{name}: timed out")
-                continue
-            lines = [l for l in stdout.splitlines() if l.strip()]
-            if worker.returncode != 0 or not lines:
-                failures.append(
-                    f"{name}: exit {worker.returncode}\n{stderr.strip()}"
-                )
-                # A non-converged worker still prints its report line;
-                # keep it for the post-mortem (it does not count toward
-                # the convergence check below, which requires a clean
-                # exit from every worker).
-                if lines:
-                    try:
-                        reports.append(json.loads(lines[-1]))
-                    except json.JSONDecodeError:
-                        pass
-                continue
-            reports.append(json.loads(lines[-1]))
+        reports, failures = _collect_reports(workers, timeout)
         wall = time.perf_counter() - started
         primary_port, server_stats = _find_primary(
             server_processes, host, deadline=primary_deadline
@@ -728,18 +728,8 @@ def run_loadgen(
     finally:
         if proxy_process is not None and proxy_process.poll() is None:
             proxy_process.kill()
-        for process, replica_port in server_processes:
-            if process.poll() is not None:
-                continue
-            try:
-                admin(host, replica_port, "shutdown")
-            except (ConnectionError, OSError):
-                pass
-            try:
-                process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
-        for worker in workers:
+        _shut_down(host, server_processes)
+        for _name, worker in workers:
             if worker.poll() is None:
                 worker.kill()
 

@@ -10,9 +10,11 @@ but drives them from asyncio connections instead of simulated events.
 Connection lifecycle (the server side of the reconnect state machine in
 ``docs/ARCHITECTURE.md``):
 
-1. A client's first frame is ``hello {client, delivered}``, where
-   ``delivered`` is its consumption cursor (how many broadcasts it has
-   consumed, i.e. its receiver's cumulative ack).
+1. A client's first frame is ``hello {client, delivered, codecs, pin}``,
+   where ``delivered`` is its consumption cursor (how many broadcasts it
+   has consumed, i.e. its receiver's cumulative ack), ``codecs`` the
+   frame serialisations it offers (a hello without one is answered with
+   a typed ``error`` and a hang-up) and ``pin`` its GC floor.
 2. The server registers the client (late joiners are welcome: they
    simply resync from serial 0), answers ``welcome {ack, serial,
    resync}`` — ``ack`` being the server's cumulative ack of the
@@ -69,6 +71,8 @@ from repro.jupiter.css import CssServer
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
+    append_wal_delta,
+    append_wal_record,
     compact_context,
     load_wal,
     record_operation,
@@ -89,7 +93,6 @@ from repro.net.codec import (
     document_signature,
     encode_envelope,
     message_from_wire,
-    message_to_obj,
     negotiate_codec,
     roster_to_obj,
 )
@@ -139,13 +142,11 @@ class _ClientChannel:
         self.delivered = 0
         self.connects = 0
         self.evictions = 0
-        #: ``True`` once a hello negotiated the v2 wire options (codec /
-        #: batching / pin reporting); a v1 session leaves it ``False``
-        self.v2 = False
         #: the client's GC pin: the lowest context floor any of its
         #: still-unacknowledged operations may carry.  Reported in every
-        #: v2 frame; the shard never rebases past the minimum pin, so an
-        #: in-flight or retransmitted operation can always be attached.
+        #: hello, data frame and ping; the shard never rebases past the
+        #: minimum pin, so an in-flight or retransmitted operation can
+        #: always be attached.
         self.pin = 0
         #: monotonic timestamp the channel lost its socket (``None``
         #: while connected); drives the GC grace window for laggards.
@@ -204,7 +205,7 @@ class _DocShard:
 
         Records cover ``record_floor + 1 .. last_serial``; a client
         whose cursor fell below it cannot be resynced from the log and
-        needs a whole-state transfer (v2) or is turned away (v1).
+        needs a whole-state transfer.
         """
         if self.wal.records:
             return int(self.wal.records[0]["serial"]) - 1
@@ -241,12 +242,7 @@ class _DocShard:
             and self.wal.last_delta is not None
             and os.path.exists(self.wal_path)
         ):
-            with open(self.wal_path, "a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps({"delta": self.wal.last_delta}, sort_keys=True)
-                    + "\n"
-                )
-                handle.flush()
+            append_wal_delta(self.wal_path, self.wal.last_delta)
         else:
             self.rewrite_disk()
 
@@ -255,12 +251,8 @@ class _DocShard:
         broadcast or acknowledgement leaves the process, so an
         acknowledged operation survives a SIGKILL (``load_wal`` drops a
         torn final line, never an acked one)."""
-        if self.wal_path is None:
-            return
-        record = self.wal.records[-1]
-        with open(self.wal_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
+        if self.wal_path is not None:
+            append_wal_record(self.wal_path, self.wal.records[-1])
 
 
 def _doc_filename(doc: str) -> str:
@@ -308,7 +300,6 @@ class NetServer:
         retry_after: float = 1.0,
         doc_id: str = DEFAULT_DOC,
         wal_dir: Optional[str] = None,
-        batch: bool = True,
         gc: bool = True,
         gc_interval: float = 0.25,
         gc_grace: float = 15.0,
@@ -320,9 +311,6 @@ class NetServer:
         self.initial_text = initial_text
         self.snapshot_every = snapshot_every
         # -- steady-state knobs -----------------------------------------
-        #: coalesce bursts of outbound frames into ``multi`` envelopes
-        #: (per peer, only if that peer's hello asked for batching)
-        self.batch = batch
         #: enable the active-window GC sweep (acked-prefix pruning)
         self.gc_enabled = gc
         #: seconds between GC sweeps
@@ -474,6 +462,12 @@ class NetServer:
     def channels(self, value: Dict[ReplicaId, _ClientChannel]) -> None:
         self.shards[self.doc_id].channels = value
 
+    def _wal_path(self, doc: str) -> Optional[str]:
+        """Where ``doc``'s WAL file lives (``None`` without a ``wal_dir``)."""
+        if self.wal_dir is None:
+            return None
+        return os.path.join(self.wal_dir, _doc_filename(doc))
+
     def _open_shard(self, doc: str) -> _DocShard:
         """Return the shard for ``doc``, opening (and recovering) it lazily.
 
@@ -486,10 +480,9 @@ class NetServer:
         shard = self.shards.get(doc)
         if shard is not None:
             return shard
-        wal_path = None
-        if self.wal_dir is not None:
+        wal_path = self._wal_path(doc)
+        if wal_path is not None:
             os.makedirs(self.wal_dir, exist_ok=True)
-            wal_path = os.path.join(self.wal_dir, _doc_filename(doc))
         if wal_path is not None and os.path.exists(wal_path):
             wal = load_wal(wal_path)
             counts = wal.origin_counts()
@@ -619,8 +612,7 @@ class NetServer:
         ``delivered`` (which only advances on piggybacked data-frame
         acks and goes stale the moment a client stops editing) must
         NOT be min'd in, or an idle roster wedges the rebase floor at
-        its last burst.  A v1 session pins at 0 — it cannot report
-        pins, so it blocks the rebase entirely.
+        its last burst.
 
         Disconnected channels hold their floor only for ``gc_grace``
         seconds; past it they stop counting, and a returning client is
@@ -634,10 +626,7 @@ class NetServer:
         replicated = self.replicated and shard.doc == self.doc_id
         floors: List[int] = []
         for channel in shard.channels.values():
-            if pins:
-                value = channel.pin if channel.v2 else 0
-            else:
-                value = channel.delivered
+            value = channel.pin if pins else channel.delivered
             if replicated or channel.writer is not None:
                 floors.append(value)
                 continue
@@ -742,30 +731,24 @@ class NetServer:
         broadcast: ServerOperation,
         ctx: Optional[List[Any]] = None,
     ) -> Dict[str, Any]:
-        """One data frame for a broadcast, in the channel's wire dialect.
+        """One data frame for a broadcast.
 
-        A v2 session gets the compact body (context serial-encoded,
-        prefix implied by the serial); v1 gets the absolute form.  Both
-        carry the shard's GC ``floor`` so a v2 client can trim its own
-        mirror of the state space (a v1 client ignores the field — it
-        only ever exists while the floor is 0).
+        The body is compact (context serial-encoded, prefix implied by
+        the serial); ``ctx`` is the encoding computed at serialise time,
+        recomputed for a resync.  The frame carries the shard's GC
+        ``floor`` so the client can trim its own mirror of the state
+        space.
         """
         shard = channel.shard
-        if channel.v2:
-            if ctx is None:
-                ctx = compact_context(
-                    broadcast.operation, shard.server.oracle
-                )
-            body = compact_server_op_obj(broadcast, ctx)
-        else:
-            body = message_to_obj(broadcast)
+        if ctx is None:
+            ctx = compact_context(broadcast.operation, shard.server.oracle)
         return encode_envelope(
             "data",
             seq=broadcast.serial,
             ack=self._gated_ack(channel),
             epoch=self.epoch,
             floor=shard.server.base,
-            body=body,
+            body=compact_server_op_obj(broadcast, ctx),
         )
 
     def _gated_ack(self, channel: _ClientChannel) -> int:
@@ -919,14 +902,19 @@ class NetServer:
         self._obs.net_shed.inc()
         self._obs.trace("net.shed", client=name, reason=reason)
         self._log(f"shedding {name}: {reason}")
+        await self._turn_away(
+            writer,
+            encode_envelope(
+                "retry_after", seconds=self.retry_after, reason=reason
+            ),
+        )
+
+    async def _turn_away(
+        self, writer: asyncio.StreamWriter, envelope: Dict[str, Any]
+    ) -> None:
+        """Answer a connection this server will not serve, and hang up."""
         try:
-            await write_frame(
-                writer,
-                encode_envelope(
-                    "retry_after", seconds=self.retry_after, reason=reason
-                ),
-                timeout=self.write_timeout,
-            )
+            await write_frame(writer, envelope, timeout=self.write_timeout)
         except (WireError, ConnectionError):
             pass
         writer.close()
@@ -1032,53 +1020,32 @@ class NetServer:
                 f"outbound backlog above {self.max_queued_frames} frames",
             )
             return
-        # -- wire-dialect negotiation ----------------------------------
-        # A hello offering ``codecs`` speaks the v2 dialect (compact
-        # contexts, GC pins, floor rebasing) whatever codec wins; a bare
-        # hello is a v1 session, which only works while the shard has
-        # never rebased — its absolute contexts and the relative ones
-        # coincide exactly at base 0.
-        offered = hello.get("codecs")
-        v2 = bool(offered)
-        codec = negotiate_codec(offered)
+        # The session speaks the one wire dialect (compact contexts, GC
+        # pins, floor rebasing, multi batching); the hello negotiates
+        # only the byte codec, and one without an offer is not a session.
+        codec = negotiate_codec(hello.get("codecs"))
+        if codec is None:
+            self._log(f"{name}: rejecting hello — no codec offer")
+            await self._turn_away(
+                writer,
+                encode_envelope(
+                    "error",
+                    reason="hello must offer a codecs list",
+                    epoch=self.epoch,
+                ),
+            )
+            return
         delivered = int(hello.get("delivered", 0))
         delivered = max(0, min(delivered, shard.wal.last_serial))
-        if not v2 and (
-            shard.server.base > 0 or delivered < shard.record_floor
-        ):
-            self._log(
-                f"{name}: rejecting v1 hello — the document has been "
-                f"GC-rebased to {shard.server.base} (records from "
-                f"{shard.record_floor}); only v2 sessions can resolve "
-                "relative contexts or adopt a state transfer"
-            )
-            try:
-                await write_frame(
-                    writer,
-                    encode_envelope(
-                        "error",
-                        reason="document GC passed this session; "
-                        "reconnect with a v2 client",
-                        epoch=self.epoch,
-                    ),
-                    timeout=self.write_timeout,
-                )
-            except (WireError, ConnectionError):
-                pass
-            writer.close()
-            return
         channel = self.ensure_client(name, shard)
-        channel.v2 = v2
         channel.pin = max(channel.pin, int(hello.get("pin", 0)))
         channel.disconnected_at = None
         channel.delivered = max(channel.delivered, delivered)
         channel.connects += 1
         sender = self._attach(channel, writer)
         sender.codec = codec
-        features = hello.get("features") or {}
-        sender.batch = bool(self.batch and v2 and features.get("batch"))
         state: Optional[Dict[str, Any]] = None
-        if v2 and (
+        if (
             delivered < shard.record_floor
             or int(hello.get("pin", delivered)) < shard.server.base
         ):
@@ -1118,7 +1085,6 @@ class NetServer:
             epoch=self.epoch,
             roster=roster_to_obj(self.roster) if self.replicated else [],
             codec=codec,
-            features={"batch": sender.batch},
             floor=shard.server.base,
         )
         if state is not None:
@@ -1222,7 +1188,7 @@ class NetServer:
     ) -> None:
         kind = frame["type"]
         if kind == "multi":
-            # A batched peer coalesced a burst; the members are ordinary
+            # The peer coalesced a burst; the members are ordinary
             # frames and are handled in order.
             for member in frame.get("frames", ()):
                 await self._handle_frame(channel, member)
@@ -1297,7 +1263,7 @@ class NetServer:
         serial = shard.server.oracle.last_serial
         # Serial-encode the context once: it goes into the WAL record
         # (kept O(active window) instead of O(context)) and into every
-        # v2 broadcast body.
+        # broadcast body.
         ctx = compact_context(payload.operation, shard.server.oracle)
         shard.ctx_floors[serial] = int(ctx[0])
         shard.wal.append(
@@ -1347,23 +1313,18 @@ class NetServer:
         primary = primary_for(self.view, self.replica_ids)
         index = self.replica_ids.index(primary)
         host, port = self.roster[index]
-        try:
-            await write_frame(
-                writer,
-                encode_envelope(
-                    "redirect",
-                    view=self.view,
-                    epoch=self.epoch,
-                    primary=index,
-                    host=host,
-                    port=port,
-                    roster=roster_to_obj(self.roster),
-                ),
-                timeout=self.write_timeout,
-            )
-        except (WireError, ConnectionError):
-            pass
-        writer.close()
+        await self._turn_away(
+            writer,
+            encode_envelope(
+                "redirect",
+                view=self.view,
+                epoch=self.epoch,
+                primary=index,
+                host=host,
+                port=port,
+                roster=roster_to_obj(self.roster),
+            ),
+        )
         self._obs.trace(
             "net.redirect", client=client, view=self.view, primary=index
         )
@@ -1887,6 +1848,18 @@ class NetServer:
         # An admin frame may name a document; without one it addresses
         # the default — which keeps every pre-fleet consumer working.
         doc = str(frame.get("doc") or self.doc_id)
+        shard = self.shards.get(doc)
+        error = f"document {doc!r} is not hosted here"
+        if shard is None and command in ("signature", "stats"):
+            # A document placed here whose clients have not said hello
+            # yet (a fleet re-placement) is recovered from its WAL file;
+            # a query never creates a document.
+            wal_path = self._wal_path(doc)
+            if wal_path is not None and os.path.exists(wal_path):
+                try:
+                    shard = self._open_shard(doc)
+                except ProtocolError as exc:
+                    error = f"cannot open document {doc!r}: {exc}"
         replication = {
             "replicated": self.replicated,
             "replica": self.replica_id,
@@ -1902,11 +1875,10 @@ class NetServer:
             "uptime_seconds": round(time.monotonic() - self.started_at, 6),
             "docs_hosted": len(self.shards),
         }
-        shard = self.shards.get(doc)
         if command in ("signature", "stats") and shard is None:
             reply = encode_envelope(
                 "admin_reply",
-                error=f"document {doc!r} is not hosted here",
+                error=error,
                 docs=sorted(self.shards),
                 **identity,
             )
@@ -1938,7 +1910,6 @@ class NetServer:
                         "delivered": c.delivered,
                         "connects": c.connects,
                         "connected": c.writer is not None,
-                        "v2": c.v2,
                         "pin": c.pin,
                     }
                     for name, c in sorted(shard.channels.items())
@@ -2013,49 +1984,8 @@ class NetServer:
 # ----------------------------------------------------------------------
 # Process entry point (the ``repro serve`` verb)
 # ----------------------------------------------------------------------
-async def _serve(
-    host: str,
-    port: int,
-    initial_text: str,
-    snapshot_every: int,
-    announce: bool,
-    quiet: bool,
-    roster: Optional[Sequence[Tuple[str, int]]],
-    replica_index: int,
-    failover_delay: float,
-    max_connections: int,
-    max_queued_frames: int,
-    outbound_queue: int,
-    write_timeout: Optional[float],
-    idle_timeout: Optional[float],
-    retry_after: float,
-    doc_id: str,
-    wal_dir: Optional[str],
-    batch: bool,
-    gc: bool,
-    gc_grace: float,
-) -> int:
-    server = NetServer(
-        host=host,
-        port=port,
-        initial_text=initial_text,
-        snapshot_every=snapshot_every,
-        quiet=quiet,
-        roster=roster,
-        replica_index=replica_index,
-        failover_delay=failover_delay,
-        max_connections=max_connections,
-        max_queued_frames=max_queued_frames,
-        outbound_queue=outbound_queue,
-        write_timeout=write_timeout,
-        idle_timeout=idle_timeout,
-        retry_after=retry_after,
-        doc_id=doc_id,
-        wal_dir=wal_dir,
-        batch=batch,
-        gc=gc,
-        gc_grace=gc_grace,
-    )
+async def _serve(announce: bool, **options: Any) -> int:
+    server = NetServer(**options)
     await server.start()
     if announce:
         # One machine-parseable line; the load generator reads this to
@@ -2077,52 +2007,16 @@ async def _serve(
 
 
 def run_server(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    initial_text: str = "",
-    snapshot_every: int = 64,
-    announce: bool = False,
-    quiet: bool = False,
-    roster: Optional[Sequence[Tuple[str, int]]] = None,
-    replica_index: int = 0,
-    failover_delay: float = 0.5,
-    max_connections: int = 64,
-    max_queued_frames: int = 8192,
-    outbound_queue: int = OUTBOUND_QUEUE,
-    write_timeout: Optional[float] = WRITE_TIMEOUT,
-    idle_timeout: Optional[float] = 60.0,
-    retry_after: float = 1.0,
-    doc_id: str = DEFAULT_DOC,
-    wal_dir: Optional[str] = None,
-    batch: bool = True,
-    gc: bool = True,
-    gc_grace: float = 15.0,
+    announce: bool = False, quiet: bool = False, **options: Any
 ) -> int:
-    """Blocking entry point for ``repro serve``."""
+    """Blocking entry point for ``repro serve``.
+
+    ``options`` are :class:`NetServer`'s constructor arguments, passed
+    through by name (``quiet`` is spelled out because a served process
+    logs by default, an embedded server does not); ``announce`` prints
+    the ``REPRO-SERVE`` banner once the listener is bound.
+    """
     try:
-        return asyncio.run(
-            _serve(
-                host,
-                port,
-                initial_text,
-                snapshot_every,
-                announce,
-                quiet,
-                roster,
-                replica_index,
-                failover_delay,
-                max_connections,
-                max_queued_frames,
-                outbound_queue,
-                write_timeout,
-                idle_timeout,
-                retry_after,
-                doc_id,
-                wal_dir,
-                batch,
-                gc,
-                gc_grace,
-            )
-        )
+        return asyncio.run(_serve(announce, quiet=quiet, **options))
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         return 0

@@ -1,9 +1,10 @@
-"""Framed transport: length-prefixed JSON frames on asyncio streams.
+"""Framed transport: length-prefixed envelope frames on asyncio streams.
 
 A frame on the wire is a 4-byte big-endian length followed by that many
-bytes of UTF-8 JSON (one envelope, see :func:`repro.net.codec.decode_envelope`).
-Length-prefixing restores message boundaries on top of TCP's byte
-stream; the JSON envelope carries the version and type.
+bytes of one serialised envelope — binary or UTF-8 JSON, sniffed per
+frame (see :func:`repro.net.codec.decode_envelope`).  Length-prefixing
+restores message boundaries on top of TCP's byte stream; the envelope
+carries the version and type.
 
 TCP already gives each *connection* reliable FIFO bytes, so within one
 connection the session layer's reorder buffer stays empty.  What TCP
@@ -69,7 +70,7 @@ WRITE_TIMEOUT = 10.0
 #: an eviction within one burst.
 OUTBOUND_QUEUE = 256
 
-#: Most envelopes coalesced into one ``multi`` frame by a batching
+#: Most envelopes coalesced into one ``multi`` frame by a
 #: :class:`FrameSender`.  Bounds per-frame latency and keeps a batch of
 #: worst-case resync payloads far under :data:`MAX_FRAME`.
 BATCH_MAX = 64
@@ -217,13 +218,12 @@ class FrameSender:
     log and is re-shipped on reconnect, so an evicted peer's unsent
     suffix is dropped on the floor by design.
 
-    ``codec`` and ``batch`` are the session's negotiated wire options,
-    set by the owner after the handshake (both default to the v1
-    behaviour: JSON, one envelope per frame).  With ``batch`` on, the
-    writer task drains *everything* queued at each wakeup and coalesces
-    it into one ``multi`` frame (up to :data:`BATCH_MAX` envelopes), so
-    a serialisation burst costs one syscall and one length prefix per
-    tick instead of one per operation.
+    ``codec`` is the session's negotiated byte serialisation, set by the
+    owner after the handshake (JSON until then).  The writer task drains
+    *everything* queued at each wakeup and coalesces it into one
+    ``multi`` frame (up to :data:`BATCH_MAX` envelopes), so a
+    serialisation burst costs one syscall and one length prefix per tick
+    instead of one per operation; a lone envelope travels as itself.
     """
 
     def __init__(
@@ -246,8 +246,6 @@ class FrameSender:
         self.doc = doc
         #: negotiated wire codec for outbound frames (owner-set, mutable)
         self.codec = CODEC_JSON
-        #: negotiated batching: coalesce queued envelopes into ``multi``
-        self.batch = False
         self.failure: Optional[str] = None
         self.closed = False
         self.frames_sent = 0
@@ -309,7 +307,7 @@ class FrameSender:
                     self._wakeup.clear()
                     await self._wakeup.wait()
                 envelope = self._queue.popleft()
-                if self.batch and self._queue:
+                if self._queue:
                     batched = [envelope]
                     while self._queue and len(batched) < BATCH_MAX:
                         batched.append(self._queue.popleft())

@@ -1,5 +1,6 @@
 """Tests for the wire codec: envelopes, message round-trips, signatures."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,22 +8,20 @@ import pytest
 from repro.common import OpId
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError
-from repro.jupiter.messages import (
-    ClientOperation,
-    ResyncRequest,
-    ResyncResponse,
-    ServerOperation,
-)
+from repro.jupiter.messages import ClientOperation, ServerOperation
+from repro.jupiter.ordering import ClientOrderOracle
+from repro.jupiter.persistence import compact_context
 from repro.net.codec import (
+    CODEC_BINARY,
     WIRE_VERSION,
     WireError,
+    compact_client_op_obj,
+    compact_server_op_obj,
     decode_envelope,
     document_signature,
     encode_envelope,
-    message_from_json,
-    message_from_obj,
-    message_to_json,
-    message_to_obj,
+    encode_frame_bytes,
+    message_from_wire,
 )
 from repro.ot import delete, insert
 
@@ -36,123 +35,178 @@ def _delete_op():
     return delete(OpId("c1", 2), base.element, 0, context={base.opid})
 
 
-def _server_op(serial=1):
+def _oracle(*serialised):
+    """An order oracle that has witnessed ``serialised`` as serials 1..n."""
+    oracle = ClientOrderOracle("c1")
+    for serial, opid in enumerate(serialised, start=1):
+        oracle.record(opid, serial)
+    return oracle
+
+
+def _client_ins():
+    """An insert whose context mixes a serialised op and a pending own op."""
+    message = ClientOperation(
+        operation=_insert_op(seq=2, context={OpId("c2", 3), OpId("c1", 1)})
+    )
+    return message, _oracle(OpId("c2", 3))
+
+
+def _client_del():
+    return ClientOperation(operation=_delete_op()), _oracle(OpId("c9", 1))
+
+
+def _server_op(serial=2):
     op = _insert_op("c2", serial, "y", 0, context={OpId("c1", 1)})
-    return ServerOperation(
+    message = ServerOperation(
         operation=op,
         origin="c2",
         serial=serial,
         prefix=frozenset({OpId("c1", 1)}),
     )
+    return message, _oracle(OpId("c1", 1))
+
+
+def _encode(message, oracle):
+    if isinstance(message, ClientOperation):
+        return compact_client_op_obj(message, oracle)
+    return compact_server_op_obj(
+        message, compact_context(message.operation, oracle)
+    )
+
+
+def _implied_prefix(message):
+    """What a decoder rebuilds: the prefix set is implied by the serial."""
+    if isinstance(message, ServerOperation):
+        return dataclasses.replace(message, prefix=frozenset())
+    return message
 
 
 class TestMessageRoundTrips:
-    """Satellite: explicit to/from JSON for all four message types."""
+    """Compact bodies decode back to the message they encoded."""
 
     def test_client_operation_insert(self):
-        message = ClientOperation(operation=_insert_op(context={OpId("c2", 3)}))
-        assert message_from_obj(message_to_obj(message)) == message
+        message, oracle = _client_ins()
+        obj = compact_client_op_obj(message, oracle)
+        # the serialised member rides as the dense prefix, the pending
+        # own op as an extra
+        assert obj["body"]["ctx"] == [1, [["c1", 1]]]
+        assert message_from_wire(obj, oracle) == message
 
     def test_client_operation_delete(self):
-        message = ClientOperation(operation=_delete_op())
-        assert message_from_obj(message_to_obj(message)) == message
+        message, oracle = _client_del()
+        assert message_from_wire(_encode(message, oracle), oracle) == message
 
     def test_server_operation(self):
-        message = _server_op()
-        assert message_from_obj(message_to_obj(message)) == message
+        message, oracle = _server_op()
+        obj = _encode(message, oracle)
+        assert "prefix" not in obj["body"]
+        assert message_from_wire(obj, oracle) == _implied_prefix(message)
 
     def test_server_operation_empty_prefix(self):
         message = ServerOperation(
             operation=_insert_op(), origin="c1", serial=1, prefix=frozenset()
         )
-        assert message_from_obj(message_to_obj(message)) == message
-
-    def test_resync_request(self):
-        message = ResyncRequest(client="c1", delivered=17)
-        assert message_from_obj(message_to_obj(message)) == message
-
-    def test_resync_response_carries_nested_payloads(self):
-        message = ResyncResponse(
-            client="c1", payloads=(_server_op(1), _server_op(2))
-        )
-        assert message_from_obj(message_to_obj(message)) == message
-
-    def test_resync_response_empty(self):
-        message = ResyncResponse(client="c1", payloads=())
-        assert message_from_obj(message_to_obj(message)) == message
+        oracle = _oracle()
+        assert message_from_wire(_encode(message, oracle), oracle) == message
 
     @pytest.mark.parametrize(
-        "message",
-        [
-            ClientOperation(operation=_insert_op()),
-            ClientOperation(operation=_delete_op()),
-            _server_op(),
-            ResyncRequest(client="c2", delivered=0),
-            ResyncResponse(client="c2", payloads=(_server_op(),)),
-        ],
-        ids=["client_ins", "client_del", "server_op", "resync_req", "resync_resp"],
+        "build",
+        [_client_ins, _client_del, _server_op],
+        ids=["client_ins", "client_del", "server_op"],
     )
-    def test_json_text_round_trip(self, message):
-        text = message_to_json(message)
-        json.loads(text)  # valid JSON
-        assert message_from_json(text) == message
+    def test_json_text_round_trip(self, build):
+        message, oracle = build()
+        text = json.dumps(_encode(message, oracle))
+        decoded = message_from_wire(json.loads(text), oracle)
+        assert decoded == _implied_prefix(message)
 
     def test_json_text_is_canonical(self):
-        message = _server_op()
-        assert message_to_json(message) == message_to_json(message)
+        pending = [OpId("c1", seq) for seq in (1, 2, 3)]
+        texts = set()
+        for context in (pending, pending[::-1]):
+            message = ClientOperation(
+                operation=_insert_op(seq=4, context=context)
+            )
+            texts.add(
+                json.dumps(
+                    compact_client_op_obj(message, _oracle()), sort_keys=True
+                )
+            )
+        assert len(texts) == 1
 
 
 class TestMessageEnvelope:
+    """The envelope rules, checked before a body is ever interpreted."""
+
+    def _obj(self):
+        message, oracle = _client_ins()
+        return compact_client_op_obj(message, oracle), message, oracle
+
     def test_carries_wire_version_and_kind(self):
-        obj = message_to_obj(ResyncRequest(client="c1", delivered=0))
+        obj, _, _ = self._obj()
         assert obj["v"] == WIRE_VERSION
-        assert obj["kind"] == "resync_request"
+        assert obj["kind"] == "client_op"
+        assert _encode(*_server_op())["kind"] == "server_op"
 
     def test_unknown_envelope_fields_are_ignored(self):
-        obj = message_to_obj(ResyncRequest(client="c1", delivered=3))
+        obj, message, oracle = self._obj()
         obj["future_extension"] = {"nested": True}
-        assert message_from_obj(obj) == ResyncRequest(client="c1", delivered=3)
+        assert message_from_wire(obj, oracle) == message
 
     def test_unknown_body_fields_are_ignored(self):
-        obj = message_to_obj(ResyncRequest(client="c1", delivered=3))
+        obj, message, oracle = self._obj()
         obj["body"]["priority"] = "high"
-        assert message_from_obj(obj) == ResyncRequest(client="c1", delivered=3)
+        assert message_from_wire(obj, oracle) == message
 
     def test_version_mismatch_rejected(self):
-        obj = message_to_obj(ResyncRequest(client="c1", delivered=0))
-        obj["v"] = WIRE_VERSION + 1
+        obj, _, oracle = self._obj()
+        obj["v"] = 99
         with pytest.raises(WireError):
-            message_from_obj(obj)
+            message_from_wire(obj, oracle)
 
     def test_missing_version_rejected(self):
-        obj = message_to_obj(ResyncRequest(client="c1", delivered=0))
+        obj, _, oracle = self._obj()
         del obj["v"]
         with pytest.raises(WireError):
-            message_from_obj(obj)
+            message_from_wire(obj, oracle)
 
     def test_unknown_kind_rejected(self):
-        obj = message_to_obj(ResyncRequest(client="c1", delivered=0))
+        obj, _, oracle = self._obj()
         obj["kind"] = "telepathy"
         with pytest.raises(WireError):
-            message_from_obj(obj)
+            message_from_wire(obj, oracle)
+
+    @pytest.mark.parametrize("body", [None, ["not", "a", "body"], "text"])
+    def test_non_object_body_rejected(self, body):
+        obj, _, oracle = self._obj()
+        obj["body"] = body
+        with pytest.raises(WireError):
+            message_from_wire(obj, oracle)
 
     def test_malformed_body_rejected(self):
-        obj = message_to_obj(ResyncRequest(client="c1", delivered=0))
-        del obj["body"]["client"]
-        with pytest.raises(WireError):
-            message_from_obj(obj)
+        for build, field in (
+            (_client_ins, "ctx"),
+            (_client_ins, "operation"),
+            (_server_op, "serial"),
+        ):
+            message, oracle = build()
+            obj = _encode(message, oracle)
+            del obj["body"][field]
+            with pytest.raises(WireError):
+                message_from_wire(obj, oracle)
 
     def test_non_dict_rejected(self):
         with pytest.raises(WireError):
-            message_from_obj(["not", "an", "envelope"])
+            message_from_wire(["not", "an", "envelope"], _oracle())
 
     def test_invalid_json_text_rejected(self):
         with pytest.raises(WireError):
-            message_from_json("{nope")
+            decode_envelope(b"{nope")
 
     def test_unencodable_payload_rejected(self):
+        frame = encode_envelope("data", seq=1, body=object())
         with pytest.raises(WireError):
-            message_to_obj(object())
+            encode_frame_bytes(frame, CODEC_BINARY)
 
     def test_wire_error_is_a_protocol_error(self):
         assert issubclass(WireError, ProtocolError)

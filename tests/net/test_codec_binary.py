@@ -1,7 +1,7 @@
 """Tests for the binary wire codec, negotiation, and frame batching.
 
 The binary codec is a drop-in alternative *serialisation* of the same
-v1 envelope objects — not a wire-version bump.  Every test here asserts
+envelope objects — not a wire-version bump.  Every test here asserts
 the round trip through ``encode_frame_bytes``/``decode_envelope``
 reproduces the envelope dict exactly, so the two codecs are
 interchangeable frame by frame.
@@ -15,6 +15,7 @@ import pytest
 
 from repro.common import OpId
 from repro.jupiter.messages import ClientOperation, ServerOperation
+from repro.jupiter.ordering import ClientOrderOracle
 from repro.net.codec import (
     BINARY_MAGIC,
     CODEC_BINARY,
@@ -22,10 +23,11 @@ from repro.net.codec import (
     SUPPORTED_CODECS,
     WIRE_VERSION,
     WireError,
+    compact_client_op_obj,
+    compact_server_op_obj,
     decode_envelope,
     encode_envelope,
     encode_frame_bytes,
-    message_to_obj,
     negotiate_codec,
 )
 from repro.net.transport import BATCH_MAX, FrameSender
@@ -38,13 +40,14 @@ def _round_trip(envelope, codec=CODEC_BINARY):
 
 def _server_op_message(serial=1):
     op = insert(OpId("c2", serial), "y", 0, context={OpId("c1", 1)})
-    return message_to_obj(
+    return compact_server_op_obj(
         ServerOperation(
             operation=op,
             origin="c2",
             serial=serial,
             prefix=frozenset({OpId("c1", 1)}),
-        )
+        ),
+        [0, [["c1", 1]]],
     )
 
 
@@ -52,7 +55,7 @@ def _server_op_message(serial=1):
 _ENVELOPES = {
     "hello": encode_envelope(
         "hello", client="c1", doc="default", delivered=0,
-        codecs=["bin", "json"], features={"batch": True},
+        codecs=["bin", "json"], pin=0,
     ),
     "welcome": encode_envelope(
         "welcome", client="c1", doc="default", codec="bin",
@@ -61,10 +64,11 @@ _ENVELOPES = {
     "data": encode_envelope("data", seq=4, ack=2, message=_server_op_message()),
     "client_op": encode_envelope(
         "data", seq=1, ack=0,
-        message=message_to_obj(
+        message=compact_client_op_obj(
             ClientOperation(
                 operation=insert(OpId("c1", 1), "x", 0, context=set())
-            )
+            ),
+            ClientOrderOracle("c1"),
         ),
     ),
     "ack": encode_envelope("ack", ack=17),
@@ -186,9 +190,9 @@ class TestNegotiation:
         assert negotiate_codec(["bin", "json"]) == CODEC_BINARY
         assert negotiate_codec(["json", "bin"]) == CODEC_JSON
 
-    def test_v1_client_offers_nothing(self):
-        assert negotiate_codec(None) == CODEC_JSON
-        assert negotiate_codec([]) == CODEC_JSON
+    def test_no_offer_is_no_session(self):
+        for offered in (None, [], (), 7, "bin", {"bin": 1}):
+            assert negotiate_codec(offered) is None
 
     def test_unknown_offers_fall_back_to_json(self):
         assert negotiate_codec(["zstd", "cbor"]) == CODEC_JSON
@@ -232,21 +236,24 @@ def _frames_from(data: bytes):
 
 
 class TestSenderBatching:
-    def _drain(self, *, batch, codec=CODEC_JSON, count=5):
+    def _drain(self, *, codec=CODEC_JSON, count=5, burst=True):
         async def scenario():
             writer = _FakeWriter()
             sender = FrameSender(writer, label="t", doc="d")
-            sender.batch = batch
             sender.codec = codec
             for index in range(count):
                 assert sender.try_send(encode_envelope("ack", ack=index))
+                if not burst:
+                    # let the writer task flush before the next enqueue
+                    while sender.depth:
+                        await asyncio.sleep(0)
             await sender.aclose()
             return sender, writer.data
 
         return asyncio.run(scenario())
 
     def test_burst_coalesces_into_one_multi_frame(self):
-        sender, data = self._drain(batch=True)
+        sender, data = self._drain()
         frames = _frames_from(data)
         assert len(frames) == 1
         assert frames[0]["type"] == "multi"
@@ -254,30 +261,32 @@ class TestSenderBatching:
         assert sender.frames_coalesced == 5
 
     def test_unbatched_sender_writes_one_frame_each(self):
-        sender, data = self._drain(batch=False)
+        # Coalescing is what the writer does when it is behind; a sender
+        # that keeps up has nothing to batch and wraps nothing.
+        sender, data = self._drain(burst=False)
         frames = _frames_from(data)
         assert [f["ack"] for f in frames] == [0, 1, 2, 3, 4]
         assert all(f["type"] == "ack" for f in frames)
         assert sender.frames_coalesced == 0
 
     def test_single_envelope_never_wrapped(self):
-        sender, data = self._drain(batch=True, count=1)
+        sender, data = self._drain(count=1)
         frames = _frames_from(data)
         assert len(frames) == 1 and frames[0]["type"] == "ack"
         assert sender.frames_coalesced == 0
 
     def test_batch_respects_cap(self):
-        sender, data = self._drain(batch=True, count=BATCH_MAX + 3)
+        sender, data = self._drain(count=BATCH_MAX + 3)
         frames = _frames_from(data)
         assert frames[0]["type"] == "multi"
         assert len(frames[0]["frames"]) == BATCH_MAX
 
     def test_batched_binary_frames_decode(self):
-        sender, data = self._drain(batch=True, codec=CODEC_BINARY)
+        sender, data = self._drain(codec=CODEC_BINARY)
         assert data[4] == BINARY_MAGIC
         frames = _frames_from(data)
         assert [f["ack"] for f in frames[0]["frames"]] == [0, 1, 2, 3, 4]
 
     def test_multi_envelope_carries_wire_version(self):
-        _, data = self._drain(batch=True)
+        _, data = self._drain()
         assert _frames_from(data)[0]["v"] == WIRE_VERSION

@@ -398,6 +398,47 @@ class TestShardRecovery:
 
         _run(scenario())
 
+    def test_admin_query_recovers_a_logged_document_before_any_hello(
+        self, tmp_path
+    ):
+        """A re-placed document's new owner must answer ``signature``
+        from the WAL file alone — its clients may all have finished
+        before the move — and a query must never create a document."""
+
+        async def scenario():
+            first = NetServer(
+                "127.0.0.1", 0, quiet=True, wal_dir=str(tmp_path)
+            )
+            await first.start()
+            client = NetClient("w1", "127.0.0.1", first.port, doc="doc-a")
+            await client.connect()
+            for position in range(4):
+                await client.generate(OpSpec("ins", position, "z"))
+            assert await client.wait_converged(4, timeout=10)
+            before = await _admin(first.port, "signature", doc="doc-a")
+            await client.close()
+            await first.stop()
+
+            second = NetServer(
+                "127.0.0.1", 0, quiet=True, wal_dir=str(tmp_path)
+            )
+            await second.start()
+            after = await _admin(second.port, "signature", doc="doc-a")
+            stats = await _admin(second.port, "stats", doc="doc-a")
+            unknown = await _admin(second.port, "signature", doc="doc-zz")
+            hosted = sorted(second.shards)
+            files = sorted(path.name for path in tmp_path.iterdir())
+            await second.stop()
+            return before, after, stats, unknown, hosted, files
+
+        before, after, stats, unknown, hosted, files = _run(scenario())
+        assert after["signature"] == before["signature"]
+        assert after["serial"] == before["serial"] == 4
+        assert stats["serial"] == 4
+        assert "not hosted here" in unknown["error"]
+        assert hosted == ["default", "doc-a"]
+        assert files == ["default.wal", "doc-a.wal"]
+
     def test_replicated_server_rejects_wal_dir(self, tmp_path):
         with pytest.raises(ProtocolError):
             NetServer(

@@ -9,8 +9,8 @@ localhost sockets and assert the three user-visible consequences:
 1. the server's live structures shrink while documents stay correct,
 2. sessions inside the grace window resync losslessly from the WAL,
    sessions beyond it come back via a state transfer, and
-3. legacy (v1) sessions are refused once history they would need to
-   read in absolute coordinates has been garbage collected.
+3. every session speaks the one compact dialect whatever byte codec it
+   negotiated; a hello with no codec offer is refused with a typed error.
 """
 
 import asyncio
@@ -18,7 +18,6 @@ import asyncio
 import pytest
 
 from repro import obs
-from repro.errors import ProtocolError
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
 from repro.net.codec import DEFAULT_DOC, document_signature, encode_envelope
@@ -54,38 +53,52 @@ _FAST_GC = dict(
 
 
 class TestMixedCodecRoster:
-    def test_v2_binary_and_v1_json_clients_converge(self):
+    def test_bin_and_json_clients_converge_across_a_gc_rebase(self):
         async def scenario():
-            server = await _started_server()
-            modern = NetClient("c1", "127.0.0.1", server.port)
-            legacy = NetClient("c2", "127.0.0.1", server.port, codecs=[])
-            await modern.connect()
-            await legacy.connect()
-            for index in range(4):
-                await modern.generate(OpSpec("ins", index, "a"))
-                await legacy.generate(OpSpec("ins", 0, "b"))
-            assert await modern.wait_converged(8, timeout=10)
-            assert await legacy.wait_converged(8, timeout=10)
+            server = await _started_server(**_FAST_GC)
+            binary = NetClient(
+                "c1", "127.0.0.1", server.port, heartbeat_interval=0.05
+            )
+            text = NetClient(
+                "c2", "127.0.0.1", server.port,
+                codecs=["json"], heartbeat_interval=0.05,
+            )
+            await binary.connect()
+            await text.connect()
+            total = 0
+            for _round in range(3):
+                for index in range(6):
+                    await binary.generate(OpSpec("ins", index, "a"))
+                    await text.generate(OpSpec("ins", 0, "b"))
+                total += 12
+                assert await binary.wait_converged(total, timeout=10)
+                assert await text.wait_converged(total, timeout=10)
+                # both heartbeats report the new pins; the sweep rebases
+                assert await _eventually(
+                    lambda: server.server.base >= total - 6
+                )
             results = (
-                modern.codec,
-                legacy.codec,
-                server.channels["c1"].v2,
-                server.channels["c2"].v2,
-                modern.signature()
-                == legacy.signature()
+                binary.codec,
+                text.codec,
+                server.server.base,
+                binary.css.oracle.base,
+                text.css.oracle.base,
+                binary.signature()
+                == text.signature()
                 == document_signature(server.server.document),
             )
-            await modern.close()
-            await legacy.close()
+            await binary.close()
+            await text.close()
             await server.stop()
             return results
 
-        modern_codec, legacy_codec, modern_v2, legacy_v2, same = _run(
+        bin_codec, json_codec, base, bin_base, json_base, same = _run(
             scenario()
         )
-        assert modern_codec == "bin"
-        assert legacy_codec == "json"  # v1 never leaves JSON framing
-        assert modern_v2 and not legacy_v2
+        assert (bin_codec, json_codec) == ("bin", "json")
+        assert base >= 30
+        # both mirrors followed the floor, whatever bytes carried it
+        assert bin_base > 0 and json_base > 0
         assert same
 
     def test_json_only_offer_negotiates_json_but_stays_v2(self):
@@ -97,14 +110,56 @@ class TestMixedCodecRoster:
             await client.connect()
             await client.generate(OpSpec("ins", 0, "x"))
             assert await client.wait_converged(1, timeout=10)
-            results = (client.codec, server.channels["c1"].v2)
+            # the codec is only bytes: the JSON session reports GC pins
+            # like any other
+            await client.ping()
+            pinned = await _eventually(
+                lambda: server.channels["c1"].pin == 1
+            )
+            results = (client.codec, pinned)
             await client.close()
             await server.stop()
             return results
 
-        codec, v2 = _run(scenario())
+        codec, pinned = _run(scenario())
         assert codec == "json"
-        assert v2
+        assert pinned
+
+    @pytest.mark.parametrize(
+        "offer", [{}, {"codecs": []}, {"codecs": 7}],
+        ids=["bare", "empty", "not-a-list"],
+    )
+    def test_hello_without_a_codec_offer_is_refused(self, offer):
+        async def scenario():
+            server = await _started_server()
+            bystander = NetClient("c1", "127.0.0.1", server.port)
+            await bystander.connect()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            await write_frame(
+                writer, encode_envelope("hello", client="raw", **offer)
+            )
+            reply = await read_frame(reader)
+            closed = await read_frame(reader)
+            writer.close()
+            # the server and the other session carry on
+            await bystander.generate(OpSpec("ins", 0, "x"))
+            assert await bystander.wait_converged(1, timeout=10)
+            registered = "raw" in server.channels
+            await bystander.close()
+            await server.stop()
+            return reply, closed, registered
+
+        reply, closed, registered = _run(scenario())
+        assert reply["type"] == "error"
+        assert "codecs" in reply["reason"]
+        assert closed is None  # hung up, and never a welcome
+        assert not registered
+
+    def test_client_refuses_to_offer_nothing(self):
+        with pytest.raises(ValueError):
+            NetClient("c1", "127.0.0.1", 1, codecs=[])
 
 
 class TestActiveWindowGc:
@@ -230,27 +285,6 @@ class TestActiveWindowGc:
         same, delivered = _run(scenario())
         assert same
         assert delivered == 24
-
-    def test_v1_client_is_refused_once_history_is_gone(self):
-        async def scenario():
-            server = await _started_server(**_FAST_GC)
-            modern = NetClient("c1", "127.0.0.1", server.port)
-            await modern.connect()
-            for index in range(20):
-                await modern.generate(OpSpec("ins", index, "a"))
-            assert await modern.wait_converged(20, timeout=20)
-            assert await _eventually(lambda: server.server.base > 0)
-
-            legacy = NetClient(
-                "v9", "127.0.0.1", server.port,
-                codecs=[], max_connect_attempts=1,
-            )
-            with pytest.raises(ProtocolError):
-                await legacy.connect()
-            await modern.close()
-            await server.stop()
-
-        _run(scenario())
 
 
 class TestMultiWriterGc:

@@ -13,7 +13,11 @@ import pytest
 from repro.jupiter.css import CssClient
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
-from repro.net.codec import document_signature, encode_envelope, message_to_obj
+from repro.net.codec import (
+    compact_client_op_obj,
+    document_signature,
+    encode_envelope,
+)
 from repro.net.server import NetServer
 from repro.net.transport import read_frame, write_frame
 
@@ -145,10 +149,15 @@ class TestServerSessionDiscipline:
         async def scenario():
             server = await _started_server()
             scratch = CssClient("c1")
-            payload = message_to_obj(scratch.generate(OpSpec("ins", 0, "a")).outgoing)
+            payload = compact_client_op_obj(
+                scratch.generate(OpSpec("ins", 0, "a")).outgoing, scratch.oracle
+            )
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             await write_frame(
-                writer, encode_envelope("hello", client="c1", delivered=0)
+                writer,
+                encode_envelope(
+                    "hello", client="c1", delivered=0, codecs=["json"]
+                ),
             )
             welcome = await read_frame(reader)
             assert welcome["type"] == "welcome"
@@ -158,8 +167,10 @@ class TestServerSessionDiscipline:
             acks = []
             while len(acks) < 2:
                 received = await read_frame(reader)
-                if received["type"] == "ack":
-                    acks.append(received["ack"])
+                # a burst may arrive coalesced into one multi frame
+                for member in received.get("frames", [received]):
+                    if member["type"] == "ack":
+                        acks.append(member["ack"])
             suppressed = server.duplicates_suppressed
             writer.close()
             await server.stop()

@@ -150,6 +150,10 @@ class TestFrameSender:
             )
             for _ in range(8):
                 sender.try_send(encode_envelope("data", body=_BIG_BODY))
+                # Let the writer take each frame on its own: a burst
+                # this large would coalesce past the frame-size cap.
+                while sender.depth and sender.failure is None:
+                    await asyncio.sleep(0)
 
             async def _failed():
                 while sender.failure is None:
@@ -175,7 +179,7 @@ class TestFrameSender:
                     frame = await read_frame(reader)
                     if frame is None:
                         return
-                    received.append(frame["type"])
+                    received.extend(m["type"] for m in _members(frame))
 
             listener = await asyncio.start_server(handle, "127.0.0.1", 0)
             port = listener.sockets[0].getsockname()[1]
@@ -197,13 +201,25 @@ class TestFrameSender:
         assert _run(scenario()) == ["ping", "ping", "ping", "evicted"]
 
 
+def _members(frame):
+    """The envelopes one frame carries: a ``multi``'s members, or itself."""
+    return frame["frames"] if frame["type"] == "multi" else [frame]
+
+
 async def _handshake(port, client="raw", delivered=0):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     await write_frame(
         writer,
-        encode_envelope("hello", client=client, delivered=delivered, epoch=0),
+        encode_envelope(
+            "hello",
+            client=client,
+            delivered=delivered,
+            epoch=0,
+            codecs=["json"],
+        ),
     )
-    welcome = await read_frame(reader)
+    # the welcome may arrive coalesced with the first resync frames
+    welcome = _members(await read_frame(reader))[0]
     assert welcome["type"] == "welcome"
     return reader, writer
 
@@ -261,7 +277,10 @@ class TestAdmissionControl:
             )
             await write_frame(
                 writer2,
-                encode_envelope("hello", client="c2", delivered=0, epoch=0),
+                encode_envelope(
+                    "hello", client="c2", delivered=0, epoch=0,
+                    codecs=["json"],
+                ),
             )
             answer = await asyncio.wait_for(read_frame(reader2), timeout=10)
             shed = server.shed_connections
@@ -360,7 +379,8 @@ class TestSlowConsumerEviction:
             await write_frame(
                 slow_writer,
                 encode_envelope(
-                    "hello", client="slow", delivered=0, epoch=0
+                    "hello", client="slow", delivered=0, epoch=0,
+                    codecs=["json"],
                 ),
             )
             # Do not read the welcome either; TCP buffers it invisibly,
@@ -430,7 +450,7 @@ class TestSlowConsumerEviction:
                 frame = await asyncio.wait_for(read_frame(reader), timeout=10)
                 if frame is None:
                     break
-                types.append(frame["type"])
+                types.extend(m["type"] for m in _members(frame))
             writer.close()
             await healthy.close()
             await server.stop()
