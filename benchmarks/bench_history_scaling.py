@@ -15,7 +15,7 @@ binary codec.  This bench measures the three claims end to end:
    JSON and the binary codec; reported as bytes/op.  The binary framing
    must stay at or below 0.6x the JSON bytes for the same envelopes.
 3. **WAL bytes per compaction** — with the GC floor pinned (an
-   in-grace away session, or ``--no-gc``) a delta-snapshot compaction
+   in-grace away session) a delta-snapshot compaction
    appends one diff line where a full checkpoint would rewrite the
    whole retained file; both costs are sized at the same history
    depths.
@@ -155,12 +155,12 @@ def _measure_wal_bytes(wal_path, operations=600):
     """Bytes written per compaction: delta line vs full rewrite.
 
     This is the scenario incremental compaction exists for: the GC
-    floor is pinned (an in-grace away session, or ``--no-gc``), so the
-    snapshot keeps covering more history on every compaction.  A delta
-    compaction appends one ``{"delta": ...}`` line — O(changes since
-    the last one) — where a full checkpoint rewrites the whole file,
-    O(everything retained), exactly as ``DocumentShard``'s
-    ``write_compaction`` does on disk.  At every delta point the
+    floor is pinned (an in-grace away session), so the snapshot keeps
+    covering more history on every compaction.  A delta compaction
+    appends one ``{"delta": ...}`` line — O(changes since the last
+    one) — where a full checkpoint rewrites the whole file,
+    O(everything retained), exactly as ``ShardCore.write_compaction``
+    does on disk.  At every delta point the
     counterfactual full rewrite is also sized (``save_wal`` of the same
     state) so the two costs are compared at identical history depths.
     """

@@ -449,7 +449,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         initial_text=args.initial,
         snapshot_every=args.snapshot_every,
-        gc=not args.no_gc,
         gc_grace=args.gc_grace,
         announce=args.announce,
         quiet=args.quiet,
@@ -1111,12 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--initial", default="", help="initial document")
     serve.add_argument("--snapshot-every", type=int, default=64)
-    serve.add_argument(
-        "--no-gc",
-        action="store_true",
-        help="disable acked-prefix garbage collection; server history "
-        "and state-space memory grow without bound",
-    )
     serve.add_argument(
         "--gc-grace",
         type=float,

@@ -65,27 +65,17 @@ import urllib.parse
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.ids import SERVER_ID, ReplicaId
-from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssServer
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
-    append_wal_delta,
-    append_wal_record,
     compact_context,
     load_wal,
     record_operation,
-    save_wal,
-    snapshot_server,
 )
-from repro.jupiter.replication import (
-    committed_origin_ack,
-    elect,
-    primary_for,
-    quorum_size,
-)
-from repro.jupiter.session import SessionReceiver, SessionSender
+from repro.jupiter.replication import elect, primary_for, quorum_size
+from repro.jupiter.shard import Session, ShardCore
 from repro.net.codec import (
     DEFAULT_DOC,
     WireError,
@@ -121,138 +111,20 @@ class _Reinstall(Exception):
     """The backup lags behind the compaction floor: full-log install."""
 
 
-class _ClientChannel:
-    """Per-client transport state: sessions, parked payloads, live writer."""
+class _ClientChannel(Session):
+    """A :class:`Session` plus the live connection that serves it."""
 
-    def __init__(self, client: ReplicaId, shard: "_DocShard") -> None:
-        self.client = client
-        #: the document shard this channel belongs to — one client name
-        #: may hold independent channels on several shards
-        self.shard = shard
-        self.sender = SessionSender((SERVER_ID, client))
-        self.receiver = SessionReceiver((client, SERVER_ID))
-        #: out-of-order payloads parked until the session releases them
-        self.parked: Dict[int, Any] = {}
-        self.writer: Optional[asyncio.StreamWriter] = None
-        #: bounded outbound queue + writer task wrapping ``writer``; all
-        #: frames to this peer flow through it so one stalled socket
-        #: never blocks the serialise/commit/broadcast loops
-        self.outbound: Optional[FrameSender] = None
-        #: the client's consumption cursor (its last reported cumulative ack)
-        self.delivered = 0
-        self.connects = 0
-        self.evictions = 0
-        #: the client's GC pin: the lowest context floor any of its
-        #: still-unacknowledged operations may carry.  Reported in every
-        #: hello, data frame and ping; the shard never rebases past the
-        #: minimum pin, so an in-flight or retransmitted operation can
-        #: always be attached.
-        self.pin = 0
-        #: monotonic timestamp the channel lost its socket (``None``
-        #: while connected); drives the GC grace window for laggards.
-        #: A channel rebuilt from a recovered WAL starts the clock at
-        #: construction — its client may be long gone.
-        self.disconnected_at: Optional[float] = time.monotonic()
+    writer: Optional[asyncio.StreamWriter] = None
+    #: bounded outbound queue + writer task wrapping ``writer``; all
+    #: frames to this peer flow through it so one stalled socket
+    #: never blocks the serialise/commit/broadcast loops
+    outbound: Optional[FrameSender] = None
 
 
-class _DocShard:
-    """One hosted document: its CSS server, WAL, channels, and disk file.
+class _DocShard(ShardCore):
+    """The core as this shell hosts it: its sessions carry their sockets."""
 
-    Each shard carries an independent serialization order (its own
-    serial counter, WAL, and per-client session pairs); nothing but the
-    listener and the admission/overload accounting is shared between
-    shards, which is exactly what makes multi-document hosting a safe
-    generalisation — the per-document protocol is byte-identical to a
-    single-document :class:`NetServer`.
-    """
-
-    def __init__(
-        self,
-        doc: str,
-        server: CssServer,
-        wal: ServerWriteAheadLog,
-        wal_path: Optional[str] = None,
-    ) -> None:
-        self.doc = doc
-        self.server = server
-        self.wal = wal
-        self.channels: Dict[ReplicaId, _ClientChannel] = {}
-        #: monotonic timestamp the shard was opened (uptime accounting)
-        self.opened_at = time.monotonic()
-        #: on-disk WAL file (``None`` = in-memory only, the pre-fleet
-        #: behaviour; replicated servers get durability from the quorum)
-        self.wal_path = wal_path
-        self.frames_received = 0
-        self.resync_frames_sent = 0
-        self.duplicates_suppressed = 0
-        #: serial -> context floor ``d`` of the record at that serial,
-        #: for every *retained* WAL record.  The GC fixpoint lowers a
-        #: candidate floor until every retained record past it decodes
-        #: against the new base (``d >= floor``); entries leave the map
-        #: when compaction truncates their records.
-        self.ctx_floors: Dict[int, int] = {
-            int(record["serial"]): (
-                int(record["ctx"][0]) if "ctx" in record else 0
-            )
-            for record in wal.records
-        }
-        self.gc_runs = 0
-        self.states_pruned = 0
-
-    @property
-    def record_floor(self) -> int:
-        """Serial the retained records resync from.
-
-        Records cover ``record_floor + 1 .. last_serial``; a client
-        whose cursor fell below it cannot be resynced from the log and
-        needs a whole-state transfer.
-        """
-        if self.wal.records:
-            return int(self.wal.records[0]["serial"]) - 1
-        return self.wal.last_serial
-
-    def prune_ctx_floors(self) -> None:
-        """Drop floor entries whose records a compaction truncated."""
-        if self.wal.records:
-            low = int(self.wal.records[0]["serial"])
-            stale = [serial for serial in self.ctx_floors if serial < low]
-        else:
-            stale = list(self.ctx_floors)
-        for serial in stale:
-            del self.ctx_floors[serial]
-
-    def rewrite_disk(self) -> None:
-        """Write the full WAL (header + records) — open and compaction."""
-        if self.wal_path is not None:
-            save_wal(self.wal, self.wal_path)
-
-    def write_compaction(self) -> None:
-        """Persist the compaction that just ran, as cheaply as it allows.
-
-        A delta compaction appends one ``{"delta": ...}`` line — the
-        incremental path that keeps steady-state disk writes
-        O(changes-since-last-checkpoint).  A full checkpoint (or an
-        in-memory-only shard) rewrites the file wholesale; ``load_wal``
-        replays header + deltas + records either way.
-        """
-        if self.wal_path is None:
-            return
-        if (
-            self.wal.last_compaction_mode == "delta"
-            and self.wal.last_delta is not None
-            and os.path.exists(self.wal_path)
-        ):
-            append_wal_delta(self.wal_path, self.wal.last_delta)
-        else:
-            self.rewrite_disk()
-
-    def append_disk(self) -> None:
-        """Append the newest record as one line; flushed before any
-        broadcast or acknowledgement leaves the process, so an
-        acknowledged operation survives a SIGKILL (``load_wal`` drops a
-        torn final line, never an acked one)."""
-        if self.wal_path is not None:
-            append_wal_record(self.wal_path, self.wal.records[-1])
+    session_type = _ClientChannel
 
 
 def _doc_filename(doc: str) -> str:
@@ -263,11 +135,12 @@ def _doc_filename(doc: str) -> str:
 class NetServer:
     """Serve CSS documents over TCP — one or many behind one listener.
 
-    The client roster is dynamic: the first ``hello`` from an unknown
-    name registers it (appending to both the protocol server's broadcast
-    list and the WAL's roster).  WAL compaction uses the minimum
-    consumption cursor over the roster as its retain floor, so a
-    disconnected or lagging client can always resync from records.
+    This class is the asyncio shell: listener, admission, codec
+    negotiation, per-peer queues and eviction, the replication transport
+    and the admin plane.  What a document *decides* — registration,
+    serialise, floors, GC, resync, recovery — is
+    :class:`~repro.jupiter.shard.ShardCore`; frames become core calls
+    here and their results become sends.
 
     **Multi-document hosting (the fleet tier's worker role).**  Every
     hosted document is a :class:`_DocShard` with its own ``CssServer``,
@@ -300,7 +173,6 @@ class NetServer:
         retry_after: float = 1.0,
         doc_id: str = DEFAULT_DOC,
         wal_dir: Optional[str] = None,
-        gc: bool = True,
         gc_interval: float = 0.25,
         gc_grace: float = 15.0,
         gc_threshold: int = 64,
@@ -311,9 +183,7 @@ class NetServer:
         self.initial_text = initial_text
         self.snapshot_every = snapshot_every
         # -- steady-state knobs -----------------------------------------
-        #: enable the active-window GC sweep (acked-prefix pruning)
-        self.gc_enabled = gc
-        #: seconds between GC sweeps
+        #: seconds between active-window GC sweeps (acked-prefix pruning)
         self.gc_interval = gc_interval
         #: how long a disconnected client's pin keeps holding the GC
         #: floor; past it the client is dropped from the floor and must
@@ -358,9 +228,6 @@ class NetServer:
         self.started_at = time.monotonic()
         self.shards: Dict[str, _DocShard] = {}
         self._open_shard(self.doc_id)
-        self.resync_frames_sent = 0
-        self.frames_received = 0
-        self.duplicates_suppressed = 0
         # -- replication state (inert in the standalone deployment) ----
         self.roster: Optional[List[Tuple[str, int]]] = (
             [(str(h), int(p)) for h, p in roster] if roster else None
@@ -391,8 +258,12 @@ class NetServer:
         #: per-replica durable high-water marks (primary bookkeeping);
         #: a dead backup's last ack stays — its disk outlives the process
         self._repl_acked: Dict[ReplicaId, int] = {}
-        #: serial -> (origin client, broadcast frames) parked until commit
-        self._pending: Dict[int, Tuple[ReplicaId, List[Tuple[ReplicaId, Dict[str, Any]]]]] = {}
+        #: serial -> (origin channel, per-channel broadcast frames) parked
+        #: until commit
+        self._pending: Dict[
+            int,
+            Tuple[_ClientChannel, List[Tuple[_ClientChannel, Dict[str, Any]]]],
+        ] = {}
         self._backup_tasks: Dict[int, asyncio.Task] = {}
         self._repl_wakeup: Dict[int, asyncio.Event] = {}
         self._primary_feed: Optional[asyncio.StreamWriter] = None
@@ -433,34 +304,29 @@ class NetServer:
     # ------------------------------------------------------------------
     # Document shards
     # ------------------------------------------------------------------
-    # The pre-fleet single-document attributes remain as views onto the
-    # default shard: every replication path (which is restricted to the
-    # default document) and every existing embedder keeps working
-    # unchanged.  The setters exist because the view change reassigns
-    # ``self.wal`` / ``self.server`` / ``self.channels`` wholesale.
+    # Read-only views onto the default shard, the one document a
+    # replicated group serves and a single-document embedder reads.
     @property
     def server(self) -> CssServer:
         return self.shards[self.doc_id].server
-
-    @server.setter
-    def server(self, value: CssServer) -> None:
-        self.shards[self.doc_id].server = value
 
     @property
     def wal(self) -> ServerWriteAheadLog:
         return self.shards[self.doc_id].wal
 
-    @wal.setter
-    def wal(self, value: ServerWriteAheadLog) -> None:
-        self.shards[self.doc_id].wal = value
-
     @property
     def channels(self) -> Dict[ReplicaId, _ClientChannel]:
-        return self.shards[self.doc_id].channels
+        return self.shards[self.doc_id].sessions
 
-    @channels.setter
-    def channels(self, value: Dict[ReplicaId, _ClientChannel]) -> None:
-        self.shards[self.doc_id].channels = value
+    @property
+    def _commit(self) -> Optional[int]:
+        """The core's ``commit``: the quorum floor; ``None`` standalone."""
+        return self.committed if self.replicated else None
+
+    @property
+    def duplicates_suppressed(self) -> int:
+        """Server-wide: the shards' own traffic counters, summed."""
+        return sum(s.duplicates_suppressed for s in self.shards.values())
 
     def _wal_path(self, doc: str) -> Optional[str]:
         """Where ``doc``'s WAL file lives (``None`` without a ``wal_dir``)."""
@@ -469,59 +335,33 @@ class NetServer:
         return os.path.join(self.wal_dir, _doc_filename(doc))
 
     def _open_shard(self, doc: str) -> _DocShard:
-        """Return the shard for ``doc``, opening (and recovering) it lazily.
-
-        With a ``wal_dir``, an existing ``<doc>.wal`` is replayed through
-        a real :class:`CssServer` and every logged origin gets a rebuilt
-        channel — the sender positioned at ``last_serial + 1`` and the
-        receiver fast-forwarded past the origin's logged operations, the
-        same restart recovery a single-document server performs.
-        """
+        """Return the shard for ``doc``, opening it lazily — from its
+        ``<wal_dir>/<doc>.wal`` when there is one (:class:`ShardCore`
+        replays it and rebuilds a channel for every logged origin)."""
         shard = self.shards.get(doc)
         if shard is not None:
             return shard
         wal_path = self._wal_path(doc)
-        if wal_path is not None:
-            os.makedirs(self.wal_dir, exist_ok=True)
-        if wal_path is not None and os.path.exists(wal_path):
+        fresh = wal_path is None or not os.path.exists(wal_path)
+        if fresh:
+            # A new document is the recovery of an empty log.
+            wal = ServerWriteAheadLog(
+                SERVER_ID,
+                [],
+                snapshot_every=self.snapshot_every,
+                initial_text=self.initial_text,
+            )
+        else:
             wal = load_wal(wal_path)
-            counts = wal.origin_counts()
-            for origin in counts:
-                # Belt and braces: any origin present in the log gets a
-                # channel even if its registration record predates the
-                # client-list snapshot.
-                if origin != SERVER_ID and origin not in wal.clients:
-                    wal.clients.append(origin)
-            shard = _DocShard(doc, wal.recover(), wal, wal_path)
-            for name in list(wal.clients):
-                channel = _ClientChannel(name, shard)
-                channel.sender.restore(
-                    {"next_seq": wal.last_serial + 1, "acked": 0}
-                )
-                channel.receiver.fast_forward(counts.get(name, 0))
-                shard.channels[name] = channel
+        shard = _DocShard(doc, wal, wal_path, time.monotonic())
+        if not fresh:
             self._log(
                 f"document {doc!r}: recovered through serial "
                 f"{wal.last_serial} from {wal_path} "
-                f"({len(shard.channels)} known clients)"
+                f"({len(shard.sessions)} known clients)"
             )
-        else:
-            initial = (
-                ListDocument.from_string(self.initial_text)
-                if self.initial_text
-                else None
-            )
-            shard = _DocShard(
-                doc,
-                CssServer(SERVER_ID, [], initial),
-                ServerWriteAheadLog(
-                    SERVER_ID,
-                    [],
-                    snapshot_every=self.snapshot_every,
-                    initial_text=self.initial_text,
-                ),
-                wal_path,
-            )
+        elif wal_path is not None:
+            os.makedirs(self.wal_dir, exist_ok=True)
             shard.rewrite_disk()
         self.shards[doc] = shard
         return shard
@@ -544,8 +384,7 @@ class NetServer:
         self._log(f"listening on {self.host}:{self.port}{role}")
         if self.replicated and self.is_primary:
             self._start_replication()
-        if self.gc_enabled:
-            self._gc_task = asyncio.ensure_future(self._gc_loop())
+        self._gc_task = asyncio.ensure_future(self._gc_loop())
 
     async def wait_closed(self) -> None:
         await self._closed.wait()
@@ -562,143 +401,30 @@ class NetServer:
         if self._asyncio_server is not None:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
-        for shard in self.shards.values():
-            for channel in shard.channels.values():
-                if channel.outbound is not None:
-                    channel.outbound.abort()
-                    channel.outbound = None
-                if channel.writer is not None:
-                    channel.writer.close()
-                    channel.writer = None
+        for channel in self._all_channels():
+            self._hang_up(channel)
 
     def _log(self, text: str) -> None:
         self._logger.info("%s", text)
 
     # ------------------------------------------------------------------
-    # Roster
+    # Garbage collection and the envelopes that carry a shard's state
     # ------------------------------------------------------------------
-    def ensure_client(
-        self, name: ReplicaId, shard: Optional[_DocShard] = None
-    ) -> _ClientChannel:
-        if shard is None:
-            shard = self.shards[self.doc_id]
-        channel = shard.channels.get(name)
-        if channel is None:
-            channel = _ClientChannel(name, shard)
-            # A late joiner never receives live frames for serials that
-            # predate its registration — those arrive via the WAL resync,
-            # which stamps seq = serial.  Position the channel sender
-            # where the log ends so the next live broadcast continues
-            # the same numbering (seq == serial on every s->c channel).
-            channel.sender.restore(
-                {"next_seq": shard.wal.last_serial + 1, "acked": 0}
-            )
-            shard.channels[name] = channel
-            shard.server.clients.append(name)
-            shard.wal.clients.append(name)
-        return channel
-
-    def _channel_floor(self, shard: _DocShard, *, pins: bool) -> int:
-        """Minimum per-channel floor across the roster, grace applied.
-
-        With ``pins=False`` the per-channel value is its consumption
-        cursor (the WAL retain floor: records above it can resync the
-        client).  With ``pins=True`` it is the channel's reported GC
-        pin — the client's own claim that nothing it will ever send
-        again references a context below it.  The pin already folds in
-        the client's delivered cursor *and* the generation floors of
-        its unacked ops, and it rides every data frame, ping, and
-        hello, so it is complete on its own; the server-side
-        ``delivered`` (which only advances on piggybacked data-frame
-        acks and goes stale the moment a client stops editing) must
-        NOT be min'd in, or an idle roster wedges the rebase floor at
-        its last burst.
-
-        Disconnected channels hold their floor only for ``gc_grace``
-        seconds; past it they stop counting, and a returning client is
-        resynced by whole-state transfer instead of records.  A
-        replicated group applies no grace (state transfer would ship an
-        uncommitted suffix past the commit gate) and additionally clamps
-        to the quorum commit floor: an uncommitted record must never be
-        truncated — it is exactly what the next view change re-proposes.
-        """
-        now = time.monotonic()
-        replicated = self.replicated and shard.doc == self.doc_id
-        floors: List[int] = []
-        for channel in shard.channels.values():
-            value = channel.pin if pins else channel.delivered
-            if replicated or channel.writer is not None:
-                floors.append(value)
-                continue
-            at = channel.disconnected_at
-            if at is None or now - at <= self.gc_grace:
-                floors.append(value)
-            # else: beyond grace — dropped from the floor; the client
-            # gets a whole-state transfer when it comes back
-        floor = min(floors) if floors else shard.wal.last_serial
-        if replicated:
-            floor = min(floor, self.committed)
-        return floor
-
-    def _retain_floor(self, shard: _DocShard) -> int:
-        """Lowest consumption cursor across the roster (WAL retain floor)."""
-        return self._channel_floor(shard, pins=False)
-
-    def _gc_floor(self, shard: _DocShard) -> int:
-        """The serial the shard may safely rebase to.
-
-        Starts from the pin floor, then runs the decodability fixpoint:
-        every *retained* record (serial above the floor) must carry a
-        context floor ``d`` at or above the new base, or a resyncing
-        client could not resolve its compact context.  Any violating
-        record drags the floor down to its ``d``; the loop re-checks the
-        records the lower floor now retains, and terminates because the
-        floor strictly decreases toward the current base.
-        """
-        floor = self._channel_floor(shard, pins=True)
-        base = shard.server.base
-        if floor <= base:
-            return base
-        while True:
-            low = min(
-                (
-                    d
-                    for serial, d in shard.ctx_floors.items()
-                    if serial > floor
-                ),
-                default=floor,
-            )
-            if low >= floor:
-                return floor
-            floor = low
-            if floor <= base:
-                return base
-
     def _gc_shard(self, shard: _DocShard) -> None:
-        """One GC pass: rebase + checkpoint if the floor moved enough."""
+        """One GC pass over ``shard``, logged and gauged."""
         obs = self._obs
-        floor = self._gc_floor(shard)
-        base = shard.server.base
-        if floor - base >= self.gc_threshold:
-            pruned = shard.server.rebase_to_serial(floor)
-            # A rebase invalidates the delta chain (the snapshot's key
-            # floor moved), so this compaction writes a full checkpoint.
-            shard.wal.compact(shard.server, retain_after=floor)
-            shard.write_compaction()
-            shard.prune_ctx_floors()
-            shard.gc_runs += 1
-            shard.states_pruned += pruned
+        rebased = shard.collect(
+            time.monotonic(), self.gc_grace, self.gc_threshold, self._commit
+        )
+        if rebased is not None:
+            base, floor, pruned = rebased
+            nodes = shard.server.space.node_count()
             obs.trace(
-                "net.gc",
-                doc=shard.doc,
-                floor=floor,
-                pruned=pruned,
-                nodes=shard.server.space.node_count(),
+                "net.gc", doc=shard.doc, floor=floor, pruned=pruned, nodes=nodes
             )
             self._log(
                 f"document {shard.doc!r}: GC rebased {base} -> {floor} "
-                f"({pruned} states pruned, "
-                f"{shard.server.space.node_count()} live nodes)"
+                f"({pruned} states pruned, {nodes} live nodes)"
             )
         if obs.enabled:
             obs.doc_space_nodes.labels(shard.doc).set(
@@ -745,56 +471,35 @@ class NetServer:
         return encode_envelope(
             "data",
             seq=broadcast.serial,
-            ack=self._gated_ack(channel),
+            ack=shard.ack_for(channel, self._commit),
             epoch=self.epoch,
             floor=shard.server.base,
             body=compact_server_op_obj(broadcast, ctx),
         )
 
-    def _gated_ack(self, channel: _ClientChannel) -> int:
-        """The c->s acknowledgement the client may act on.
-
-        Standalone: the receiver's cumulative ack (the WAL record is
-        already durable).  Replicated: clamped to the quorum commit
-        floor, so a client never drops a retransmittable frame whose
-        operation could still be lost in a view change.
-        """
-        ack = channel.receiver.cumulative_ack
-        if self.replicated:
-            ack = min(
-                ack,
-                committed_origin_ack(
-                    channel.shard.wal, self.committed, channel.client
-                ),
-            )
-        return ack
+    def _ack_envelope(self, channel: _ClientChannel) -> Dict[str, Any]:
+        """The (commit-gated) acknowledgement of ``channel``'s c->s frames."""
+        shard = channel.shard
+        return encode_envelope(
+            "ack",
+            ack=shard.ack_for(channel, self._commit),
+            epoch=self.epoch,
+            floor=shard.server.base,
+        )
 
     def _update_connection_gauges(self) -> None:
         obs = self._obs
         if obs.enabled:
-            parked = 0
-            unacked = 0
             for doc, shard in self.shards.items():
-                obs.net_connected_clients.labels(doc).set(
-                    sum(
-                        1
-                        for c in shard.channels.values()
-                        if c.writer is not None
-                    )
-                )
+                obs.net_connected_clients.labels(doc).set(shard.connected)
                 obs.net_outbound_queue.labels(doc).set(
-                    sum(
-                        c.outbound.depth
-                        for c in shard.channels.values()
-                        if c.outbound is not None
-                    )
+                    self._queued_frames(shard)
                 )
-                parked += sum(len(c.parked) for c in shard.channels.values())
-                unacked += sum(
-                    c.sender.outstanding for c in shard.channels.values()
-                )
-            obs.net_parked_frames.set(parked)
-            obs.net_unacked_frames.set(unacked)
+            channels = self._all_channels()
+            obs.net_parked_frames.set(sum(len(c.parked) for c in channels))
+            obs.net_unacked_frames.set(
+                sum(c.sender.outstanding for c in channels)
+            )
 
     # ------------------------------------------------------------------
     # Overload armor: per-peer outbound queues, eviction, admission
@@ -803,20 +508,17 @@ class NetServer:
         return [
             c
             for shard in self.shards.values()
-            for c in shard.channels.values()
+            for c in shard.sessions.values()
         ]
 
     def _live_connections(self) -> int:
         """Live sessions across every shard (the admission bound)."""
-        return sum(1 for c in self._all_channels() if c.writer is not None)
+        return sum(shard.connected for shard in self.shards.values())
 
-    def _queued_frames(self) -> int:
-        """Total outbound backlog across every per-peer queue, all shards."""
-        return sum(
-            c.outbound.depth
-            for c in self._all_channels()
-            if c.outbound is not None
-        )
+    def _queued_frames(self, shard: Optional[_DocShard] = None) -> int:
+        """Outbound backlog of ``shard``'s per-peer queues, or of every shard's."""
+        channels = self._all_channels() if shard is None else shard.sessions.values()
+        return sum(c.outbound.depth for c in channels if c.outbound is not None)
 
     def _attach(
         self, channel: _ClientChannel, writer: asyncio.StreamWriter
@@ -851,9 +553,18 @@ class NetServer:
         channel.outbound = sender
         return sender
 
+    def _hang_up(self, channel: _ClientChannel) -> None:
+        """Drop the backlog and sever ``channel``'s connection, if any."""
+        if channel.outbound is not None:
+            channel.outbound.abort()
+            channel.outbound = None
+        if channel.writer is not None:
+            channel.writer.close()
+            channel.writer = None
+            channel.disconnected_at = time.monotonic()
+
     def _record_eviction(self, channel: _ClientChannel, reason: str) -> None:
         self.evictions += 1
-        channel.evictions += 1
         self._obs.net_evictions.inc()
         self._obs.trace("net.evict", client=channel.client, reason=reason)
         self._log(f"evicting {channel.client}: {reason}")
@@ -930,12 +641,9 @@ class NetServer:
             # that connects and never completes a hello (the classic
             # slow-loris admission attack) must not park a socket
             # forever.
-            if self.idle_timeout is None:
-                frame = await read_frame(reader)
-            else:
-                frame = await asyncio.wait_for(
-                    read_frame(reader), timeout=self.idle_timeout
-                )
+            frame = await asyncio.wait_for(
+                read_frame(reader), timeout=self.idle_timeout
+            )
         except asyncio.TimeoutError:
             self._log(
                 "dropping half-open connection: no first frame within "
@@ -1004,7 +712,7 @@ class NetServer:
         # Admission control: shed excess load *before* registering the
         # client.  A reconnect superseding the same client's live socket
         # is never shed — it replaces a connection, it does not add one.
-        existing = shard.channels.get(name)
+        existing = shard.sessions.get(name)
         supersedes = existing is not None and existing.writer is not None
         if not supersedes and self._live_connections() >= self.max_connections:
             await self._shed(
@@ -1035,49 +743,21 @@ class NetServer:
                 ),
             )
             return
-        delivered = int(hello.get("delivered", 0))
-        delivered = max(0, min(delivered, shard.wal.last_serial))
-        channel = self.ensure_client(name, shard)
-        channel.pin = max(channel.pin, int(hello.get("pin", 0)))
-        channel.disconnected_at = None
-        channel.delivered = max(channel.delivered, delivered)
-        channel.connects += 1
+        now = time.monotonic()
+        channel = shard.register(name, now)
         sender = self._attach(channel, writer)
         sender.codec = codec
-        state: Optional[Dict[str, Any]] = None
-        if (
-            delivered < shard.record_floor
-            or int(hello.get("pin", delivered)) < shard.server.base
-        ):
-            # The records this cursor needs were truncated, or the
-            # client's unacknowledged ops pin below the rebase floor
-            # (either way: it outlived its GC grace): resync by
-            # whole-state transfer.  The client adopts the snapshot,
-            # drops its unacknowledged ops (never serialised — their
-            # seqs are reused), and continues from the log head.
-            state = {
-                "snapshot": snapshot_server(shard.server),
-                "op_seq": shard.wal.origin_counts().get(name, 0),
-                "delivered": shard.wal.last_serial,
-            }
-            delivered = shard.wal.last_serial
-            channel.delivered = delivered
-            channel.pin = delivered
-            missed = []
+        pin = int(hello["pin"]) if "pin" in hello else None
+        cursor, state, missed = shard.resync(
+            channel, int(hello.get("delivered", 0)), pin, now, self._commit
+        )
+        if state is not None:
             self._obs.net_state_transfers.labels(doc).inc()
-        else:
-            missed = shard.wal.broadcasts_for(shard.server, delivered)
-            if self.replicated:
-                # Never re-ship an uncommitted broadcast: a client must
-                # not consume an operation a view change could still
-                # lose.  The suffix arrives via the commit flush once
-                # quorum-certified.
-                missed = [b for b in missed if b.serial <= self.committed]
         welcome = encode_envelope(
             "welcome",
             server=SERVER_ID,
             doc=doc,
-            ack=self._gated_ack(channel),
+            ack=shard.ack_for(channel, self._commit),
             serial=shard.wal.last_serial,
             resync=len(missed),
             initial=self.initial_text,
@@ -1095,7 +775,7 @@ class NetServer:
             client=name,
             doc=doc,
             connect=channel.connects,
-            cursor=delivered,
+            cursor=cursor,
             resync=len(missed),
             codec=codec,
             transfer=state is not None,
@@ -1108,8 +788,6 @@ class NetServer:
         if missed:
             self._obs.net_resync_frames.inc(len(missed))
         for broadcast in missed:
-            self.resync_frames_sent += 1
-            shard.resync_frames_sent += 1
             delivered_ok = await sender.send_wait(
                 self._broadcast_envelope(channel, broadcast)
             )
@@ -1117,18 +795,14 @@ class NetServer:
                 break  # the peer died (or stalled out) mid-resync
         self._log(
             f"{name} connected (connect #{channel.connects}, "
-            f"cursor {delivered}, resynced {len(missed)})"
+            f"cursor {cursor}, resynced {len(missed)})"
         )
         try:
             while True:
                 try:
-                    if self.idle_timeout is None:
-                        frame = await read_frame(reader, doc=doc)
-                    else:
-                        frame = await asyncio.wait_for(
-                            read_frame(reader, doc=doc),
-                            timeout=self.idle_timeout,
-                        )
+                    frame = await asyncio.wait_for(
+                        read_frame(reader, doc=doc), timeout=self.idle_timeout
+                    )
                 except asyncio.TimeoutError:
                     # No frame (the heartbeat included) for a whole idle
                     # window: the peer is gone or wedged mid-frame (the
@@ -1194,49 +868,20 @@ class NetServer:
                 await self._handle_frame(channel, member)
             return
         if "pin" in frame:
-            # The GC pin only ever ratchets up: a frame reordered behind
-            # a newer one must not drag the floor back down.
-            channel.pin = max(channel.pin, int(frame["pin"]))
+            channel.report_pin(int(frame["pin"]))
         if kind == "ping":
             self._send_to(channel, encode_envelope("pong", t=frame.get("t")))
             return
         if kind != "data":
             self._log(f"{channel.client}: ignoring frame type {kind!r}")
             return
-        self.frames_received += 1
-        channel.shard.frames_received += 1
-        ack = min(int(frame.get("ack", 0)), channel.sender.next_seq - 1)
-        channel.sender.ack(ack)
-        channel.delivered = max(channel.delivered, ack)
-        seq = int(frame["seq"])
-        # Park the *encoded* body, not a decoded message: a compact
-        # context resolves against the oracle's base at decode time, and
-        # GC may advance the base between arrival and release.  Decoding
-        # happens in _serialise, immediately before integration.
-        body = frame["body"]
-        released = channel.receiver.receive(seq)
-        if released == 0:
-            if seq >= channel.receiver.expected:
-                channel.parked[seq] = body  # gap: park until it fills
-            else:
-                self.duplicates_suppressed += 1
-                channel.shard.duplicates_suppressed += 1
-        else:
-            channel.parked[seq] = body
-            first = channel.receiver.expected - released
-            for released_seq in range(first, channel.receiver.expected):
-                await self._serialise(channel, channel.parked.pop(released_seq))
+        for body in channel.shard.accept(
+            channel, int(frame["seq"]), int(frame.get("ack", 0)), frame["body"]
+        ):
+            await self._serialise(channel, body)
         self._update_connection_gauges()
         # Always re-acknowledge: a duplicate means an earlier ack was lost.
-        self._send_to(
-            channel,
-            encode_envelope(
-                "ack",
-                ack=self._gated_ack(channel),
-                epoch=self.epoch,
-                floor=channel.shard.server.base,
-            ),
-        )
+        self._send_to(channel, self._ack_envelope(channel))
 
     async def _serialise(
         self, origin: _ClientChannel, body: Dict[str, Any]
@@ -1247,11 +892,6 @@ class NetServer:
         and the backups woken; :meth:`_advance_commit` releases them (and
         the origin's acknowledgement) once a quorum has the record.
         """
-        # Everything up to (and including) the per-channel sequence
-        # allocation is synchronous: two connection tasks can never
-        # interleave here, which is what keeps the s->c sequence number
-        # equal to the serial on every channel — per shard, since each
-        # shard carries its own independent serial counter.
         shard = origin.shard
         payload = message_from_wire(body, shard.server.oracle)
         if not isinstance(payload, ClientOperation):
@@ -1259,41 +899,16 @@ class NetServer:
                 f"{origin.client}: client data frames must carry "
                 f"ClientOperation, got {type(payload).__name__}"
             )
-        outgoing = shard.server.receive(origin.client, payload)
-        serial = shard.server.oracle.last_serial
-        # Serial-encode the context once: it goes into the WAL record
-        # (kept O(active window) instead of O(context)) and into every
-        # broadcast body.
-        ctx = compact_context(payload.operation, shard.server.oracle)
-        shard.ctx_floors[serial] = int(ctx[0])
-        shard.wal.append(
-            serial, origin.client, payload.operation, epoch=self.epoch,
-            ctx=ctx,
+        now = time.monotonic()
+        serial, ctx, outgoing = shard.serialise(
+            origin, payload, self.epoch, now, self.gc_grace, self._commit
         )
-        # Disk before any broadcast or acknowledgement: a SIGKILLed
-        # fleet worker can never have acked an operation its WAL file
-        # does not hold.
-        shard.append_disk()
-        if shard.wal.should_compact():
-            shard.wal.compact(
-                shard.server, retain_after=self._retain_floor(shard)
-            )
-            shard.write_compaction()
-            shard.prune_ctx_floors()
-        frames = []
-        for recipient, broadcast in outgoing:
-            channel = shard.channels[recipient]
-            seq = channel.sender.send()
-            if seq != serial:
-                raise ProtocolError(
-                    f"s->c seq {seq} for {recipient} diverged from serial "
-                    f"{serial}; the channel numbering invariant is broken"
-                )
-            frames.append(
-                (recipient, self._broadcast_envelope(channel, broadcast, ctx))
-            )
+        frames = [
+            (channel, self._broadcast_envelope(channel, broadcast, ctx))
+            for channel, broadcast in outgoing
+        ]
         if self.replicated:
-            self._pending[serial] = (origin.client, frames)
+            self._pending[serial] = (origin, frames)
             for event in self._repl_wakeup.values():
                 event.set()
             await self._advance_commit()  # a quorum of one commits now
@@ -1301,8 +916,8 @@ class NetServer:
         # Synchronous fan-out through the per-peer bounded queues: a
         # stalled recipient overflows *its* queue and is evicted; it can
         # never head-of-line-block this loop or any healthy peer.
-        for recipient, envelope in frames:
-            self._send_to(shard.channels[recipient], envelope)
+        for channel, envelope in frames:
+            self._send_to(channel, envelope)
 
     # ------------------------------------------------------------------
     # Replication: primary write path
@@ -1449,13 +1064,7 @@ class NetServer:
         # primary; nothing un-acknowledged is lost — their frames are
         # still buffered for retransmission.
         for channel in self.channels.values():
-            if channel.outbound is not None:
-                channel.outbound.abort()
-                channel.outbound = None
-            if channel.writer is not None:
-                channel.writer.close()
-                channel.writer = None
-                channel.disconnected_at = time.monotonic()
+            self._hang_up(channel)
 
     async def _advance_commit(self) -> None:
         """Recompute the quorum floor and flush newly committed serials."""
@@ -1509,32 +1118,16 @@ class NetServer:
                 serial=serial,
                 prefix=self.server.oracle.serialized_before(serial),
             )
-            origin = record["origin"]
+            origin = self.channels.get(record["origin"])
+            ctx = record.get("ctx")
             frames = [
-                (
-                    name,
-                    self._broadcast_envelope(
-                        channel, broadcast, record.get("ctx")
-                    ),
-                )
-                for name, channel in self.channels.items()
+                (channel, self._broadcast_envelope(channel, broadcast, ctx))
+                for channel in self.channels.values()
             ]
-        for recipient, envelope in frames:
-            channel = self.channels.get(recipient)
-            if channel is None:
-                continue
+        for channel, envelope in frames:
             self._send_to(channel, envelope)
-        channel = self.channels.get(origin)
-        if channel is not None:
-            self._send_to(
-                channel,
-                encode_envelope(
-                    "ack",
-                    ack=self._gated_ack(channel),
-                    epoch=self.epoch,
-                    floor=self.server.base,
-                ),
-            )
+        if origin is not None:
+            self._send_to(origin, self._ack_envelope(origin))
 
     # ------------------------------------------------------------------
     # Replication: backup feed and view changes
@@ -1605,7 +1198,9 @@ class NetServer:
         self.epoch = int(frame.get("epoch", view))
         self.promised = max(self.promised, view)
         log = ServerWriteAheadLog.from_obj(frame["log"])
-        self.wal = log
+        # A backup keeps only the log current; its CSS server and
+        # sessions are rebuilt from it on promotion.
+        self.shards[self.doc_id].wal = log
         self.committed = max(self.committed, int(frame.get("committed", 0)))
         self._obs.repl_appends.inc(len(log.records))
         if new_view:
@@ -1645,34 +1240,23 @@ class NetServer:
     ) -> None:
         """Answer a view-change candidate: promise + offer, or deny."""
         view = int(frame.get("view", 0))
-        try:
-            if not self.replicated or view <= max(self.view, self.promised):
-                self._obs.repl_stale_rejected.inc()
-                await write_frame(
-                    writer,
-                    encode_envelope(
-                        "repl_deny", view=max(self.view, self.promised)
-                    ),
-                    timeout=self.write_timeout,
-                )
-            else:
-                self.promised = view
-                await write_frame(
-                    writer,
-                    encode_envelope(
-                        "repl_offer",
-                        view=view,
-                        replica=self.replica_id,
-                        last_epoch=self.wal.last_epoch,
-                        last_serial=self.wal.last_serial,
-                        committed=self.committed,
-                        log=self.wal.to_obj(),
-                    ),
-                    timeout=self.write_timeout,
-                )
-        except (WireError, ConnectionError):
-            pass
-        writer.close()
+        if not self.replicated or view <= max(self.view, self.promised):
+            self._obs.repl_stale_rejected.inc()
+            reply = encode_envelope(
+                "repl_deny", view=max(self.view, self.promised)
+            )
+        else:
+            self.promised = view
+            reply = encode_envelope(
+                "repl_offer",
+                view=view,
+                replica=self.replica_id,
+                last_epoch=self.wal.last_epoch,
+                last_serial=self.wal.last_serial,
+                committed=self.committed,
+                log=self.wal.to_obj(),
+            )
+        await self._turn_away(writer, reply)
 
     def _schedule_failover(self) -> None:
         if self._failover_task is None or self._failover_task.done():
@@ -1797,43 +1381,12 @@ class NetServer:
         return reply
 
     def _become_primary(self, adopted: ServerWriteAheadLog) -> None:
-        """Install the adopted log and rebuild the serving state.
-
-        The CSS server replays from the log (snapshot + suffix, the same
-        recovery path a standalone restart uses); each client channel is
-        rebuilt exactly as the simulator's failover does — the c->s
-        receiver fast-forwarded to how many operations that origin has in
-        the log, the s->c sender positioned at ``last_serial + 1`` so the
-        seq==serial invariant survives the view change.
-        """
+        """Install the adopted log and rebuild the serving state from it
+        (a new :class:`ShardCore`, the path a standalone restart takes —
+        so the seq==serial invariant survives the view change)."""
         for channel in self.channels.values():
-            if channel.outbound is not None:
-                channel.outbound.abort()
-                channel.outbound = None
-        self.wal = adopted
-        counts = self.wal.origin_counts()
-        for origin in counts:
-            # Belt and braces: any origin present in the log must get a
-            # rebuilt channel even if its registration never made it
-            # into the adopted log's client list.
-            if origin != SERVER_ID and origin not in self.wal.clients:
-                self.wal.clients.append(origin)
-        self.server = self.wal.recover()
-        shard = self.shards[self.doc_id]
-        shard.ctx_floors = {
-            int(record["serial"]): (
-                int(record["ctx"][0]) if "ctx" in record else 0
-            )
-            for record in self.wal.records
-        }
-        self.channels = {}
-        for name in list(self.wal.clients):
-            channel = _ClientChannel(name, self.shards[self.doc_id])
-            channel.sender.restore(
-                {"next_seq": self.wal.last_serial + 1, "acked": 0}
-            )
-            channel.receiver.fast_forward(counts.get(name, 0))
-            self.channels[name] = channel
+            self._hang_up(channel)
+        self.shards[self.doc_id] = _DocShard(self.doc_id, adopted, now=time.monotonic())
         self._pending = {}
         self._primary_feed = None
         self._update_connection_gauges()
@@ -1912,7 +1465,7 @@ class NetServer:
                         "connected": c.writer is not None,
                         "pin": c.pin,
                     }
-                    for name, c in sorted(shard.channels.items())
+                    for name, c in sorted(shard.sessions.items())
                 },
                 gc={
                     "base": shard.server.base,
@@ -1922,8 +1475,12 @@ class NetServer:
                     "space_nodes": shard.server.space.node_count(),
                     "snapshot_nodes": dict(shard.wal.snapshot_nodes),
                 },
-                frames_received=self.frames_received,
-                resync_frames_sent=self.resync_frames_sent,
+                frames_received=sum(
+                    s.frames_received for s in self.shards.values()
+                ),
+                resync_frames_sent=sum(
+                    s.resync_frames_sent for s in self.shards.values()
+                ),
                 duplicates_suppressed=self.duplicates_suppressed,
                 overload={
                     "connections": self._live_connections(),
@@ -1942,12 +1499,8 @@ class NetServer:
                 docs={
                     name: {
                         "serial": s.wal.last_serial,
-                        "clients": len(s.channels),
-                        "connected": sum(
-                            1
-                            for c in s.channels.values()
-                            if c.writer is not None
-                        ),
+                        "clients": len(s.sessions),
+                        "connected": s.connected,
                         "frames_received": s.frames_received,
                         "resync_frames_sent": s.resync_frames_sent,
                         "duplicates_suppressed": s.duplicates_suppressed,
@@ -1969,16 +1522,14 @@ class NetServer:
             )
         elif command == "shutdown":
             reply = encode_envelope("admin_reply", stopping=True)
-            await write_frame(writer, reply, timeout=self.write_timeout)
-            writer.close()
+            await self._turn_away(writer, reply)
             await self.stop()
             return
         else:
             reply = encode_envelope(
                 "admin_reply", error=f"unknown admin command {command!r}"
             )
-        await write_frame(writer, reply, timeout=self.write_timeout)
-        writer.close()
+        await self._turn_away(writer, reply)
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import struct
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.net.codec import (
     CODEC_JSON,
@@ -71,8 +71,8 @@ WRITE_TIMEOUT = 10.0
 OUTBOUND_QUEUE = 256
 
 #: Most envelopes coalesced into one ``multi`` frame by a
-#: :class:`FrameSender`.  Bounds per-frame latency and keeps a batch of
-#: worst-case resync payloads far under :data:`MAX_FRAME`.
+#: :class:`FrameSender`; bounds per-frame latency.  A batch that still
+#: encodes past :data:`MAX_FRAME` is split, see :meth:`FrameSender._write`.
 BATCH_MAX = 64
 
 
@@ -306,30 +306,10 @@ class FrameSender:
                         return
                     self._wakeup.clear()
                     await self._wakeup.wait()
-                envelope = self._queue.popleft()
-                if self._queue:
-                    batched = [envelope]
-                    while self._queue and len(batched) < BATCH_MAX:
-                        batched.append(self._queue.popleft())
-                    envelope = {
-                        "v": WIRE_VERSION,
-                        "type": "multi",
-                        "frames": batched,
-                    }
-                    self.frames_coalesced += len(batched)
-                    obs = get_obs()
-                    if obs.enabled:
-                        obs.net_frames_coalesced.labels(self.doc).inc(
-                            len(batched)
-                        )
-                await write_frame(
-                    self.writer,
-                    envelope,
-                    timeout=self.write_timeout,
-                    doc=self.doc,
-                    codec=self.codec,
-                )
-                self.frames_sent += 1
+                batched = [self._queue.popleft()]
+                while self._queue and len(batched) < BATCH_MAX:
+                    batched.append(self._queue.popleft())
+                await self._write(batched)
                 if len(self._queue) < self.capacity:
                     self._space.set()
         except asyncio.CancelledError:
@@ -345,6 +325,40 @@ class FrameSender:
             self.closed = True
             self._space.set()  # wake any send_wait so it observes closure
             self.writer.close()
+
+    async def _write(self, batched: List[Dict[str, Any]]) -> None:
+        """Send ``batched`` in order: one frame, or as few as fit.
+
+        A ``multi`` is capped by envelope count when it is gathered, but
+        only encoding it tells its size in bytes: one that overruns
+        :data:`MAX_FRAME` (a whole-state ``welcome`` next to a resync
+        burst) is halved and each half sent the same way.  A *single*
+        envelope over the cap still raises :class:`FrameTooLarge`.
+        """
+        envelope = batched[0]
+        if len(batched) > 1:
+            envelope = {"v": WIRE_VERSION, "type": "multi", "frames": batched}
+        try:
+            await write_frame(
+                self.writer,
+                envelope,
+                timeout=self.write_timeout,
+                doc=self.doc,
+                codec=self.codec,
+            )
+        except FrameTooLarge:
+            if len(batched) == 1:
+                raise
+            half = len(batched) // 2
+            await self._write(batched[:half])
+            await self._write(batched[half:])
+            return
+        self.frames_sent += 1
+        if len(batched) > 1:
+            self.frames_coalesced += len(batched)
+            obs = get_obs()
+            if obs.enabled:
+                obs.net_frames_coalesced.labels(self.doc).inc(len(batched))
 
     def close_soon(self) -> None:
         """Flush the backlog from the writer task, then close.

@@ -667,8 +667,6 @@ class _FaultyRun:
         install acks; anything only the dead primary held is gone — and
         was never acknowledged, because acks are gated on the floor.
         """
-        from repro.jupiter.session import SessionReceiver, SessionSender
-
         self.pending_lifecycle -= 1
         self.progress_time = now
         group = self.group
@@ -678,62 +676,17 @@ class _FaultyRun:
         # The logical serialisation authority keeps its identity across
         # views; the roster member currently serving it is group.primary.
         committed_log.replica_id = SERVER_ID
-        recovered = committed_log.recover()
-        # The simulator can do what a deployment cannot: compare the
-        # log-rebuilt server against the live committed state.
-        if recovered.space.signature() != self.cluster.server.space.signature():
-            raise SimulationError(
-                "failover rebuilt a different state-space than the served "
-                "committed prefix; the adopted log lost or reordered "
-                "quorum-certified history"
-            )
-        serials = [s for _opid, s in recovered.oracle.serial_items()]
-        if serials != list(range(1, self.commits_done + 1)):
-            raise SimulationError(
-                "failover-recovered serials are not the dense sequence "
-                f"1..{self.commits_done}: {serials}"
-            )
-        self.cluster.replace_server(recovered)
-
+        # Receivers resume from the *adopted* log — it counts the
+        # uncommitted suffix, whose payloads are still queued — while
+        # the server and the s->c numbering resume from the committed
+        # prefix (never from the dead process's memory).
         counts = group.primary_log.origin_counts()
+        self._resume_server(committed_log, counts, "failover", now)
         committed_counts = committed_log.origin_counts()
         for client in self.clients:
-            # Client-to-server half: the old primary's receivers died
-            # with it, but the adopted log knows how many frames each
-            # origin had consumed (one proposed record each) — including
-            # the uncommitted suffix, whose payloads are still queued.
-            receiver = SessionReceiver((client, SERVER_ID))
-            receiver.fast_forward(counts.get(client, 0))
-            self.receivers[(client, SERVER_ID)] = receiver
             self.proposed_from[client] = counts.get(client, 0)
             self.popped_from[client] = committed_counts.get(client, 0)
-            # Broadcast resync: the committed log must reproduce the
-            # volatile send buffer exactly.
-            delivered = len(self.released[client])
-            payloads = committed_log.broadcasts_for(recovered, delivered)
-            queued = self.cluster.queued_payloads_to(client)
-            if tuple(payloads) != queued:
-                raise SimulationError(
-                    f"failover resync for {client} rebuilt {len(payloads)} "
-                    f"broadcasts but the send buffer holds {len(queued)}; "
-                    "the adopted log diverges from what was shipped"
-                )
-            self.stats.server_resynced_ops += len(payloads)
-            # Server-to-client half: seq equals serial, so the new
-            # primary resumes numbering after the last commit and
-            # retransmits everything past the client's cursor under the
-            # new epoch (bumped at crash time).
-            sender = SessionSender((SERVER_ID, client))
-            sender.restore(
-                {"next_seq": self.commits_done + 1, "acked": delivered}
-            )
-            self.senders[(SERVER_ID, client)] = sender
-            for seq in sender.unacked():
-                self.stats.retransmissions += 1
-                self._obs.session_retransmits.inc()
-                self._transmit((SERVER_ID, client), seq, now, attempt=1)
 
-        self.crashed.discard(SERVER_ID)
         payload = group.start_view_payload()
         for rid in group.alive_replicas():
             if rid == group.primary:
@@ -900,9 +853,6 @@ class _FaultyRun:
         self.stats.server_crashes += 1
 
     def _on_server_restore(self, spec, now: float) -> None:
-        from repro.jupiter.messages import ResyncRequest
-        from repro.jupiter.session import SessionReceiver, SessionSender
-
         self.pending_lifecycle -= 1
         self.progress_time = now
         if self.group is not None:
@@ -920,72 +870,75 @@ class _FaultyRun:
                     self._commit_pending(now)
                 self._finish_failover(now)
             return
-        crashed_server = self.cluster.server
-        recovered = self.wal.recover()
-        # The simulator can do what a deployment cannot: compare against
-        # the crashed process's in-memory state.  The rebuilt state-space
-        # must be structurally identical.
-        if recovered.space.signature() != crashed_server.space.signature():
+        recovered = self._resume_server(
+            self.wal, self.wal.origin_counts(), "WAL recovery", now
+        )
+        self.stats.server_restores += 1
+        # The recovered state is durable: compact so a later crash replays
+        # from this snapshot instead of the whole history.
+        self.wal.compact(recovered, retain_after=self._retain_floor())
+
+    def _resume_server(self, log, consumed, what: str, now: float):
+        """Rebuild the logical server and its session endpoints from ``log``.
+
+        The one recovery path of a restart and a view change: replay
+        ``log``, swap the rebuilt server in, and resume every client
+        session from log-derived cursors (:func:`resume_sessions`, the
+        rule the deployed shard recovers by) — ``consumed`` being the
+        per-origin frame counts the c->s receivers resume from.  The
+        simulator can do what a deployment cannot: compare the rebuilt
+        state against the live one, and the rebuilt broadcasts against
+        the volatile send buffers.
+        """
+        from repro.jupiter.shard import Session, resume_sessions
+
+        recovered = log.recover()
+        if recovered.space.signature() != self.cluster.server.space.signature():
             raise SimulationError(
-                "WAL recovery rebuilt a different state-space than the "
-                "crashed server held; the log lost or reordered history"
+                f"{what} rebuilt a different state-space than the served "
+                "one; the log lost or reordered history"
             )
         serials = [serial for _opid, serial in recovered.oracle.serial_items()]
-        if serials != list(range(1, self.wal.last_serial + 1)):
+        if serials != list(range(1, log.last_serial + 1)):
             raise SimulationError(
-                "recovered server's serials are not the dense sequence "
-                f"1..{self.wal.last_serial}: {serials}"
+                f"{what}: recovered serials are not the dense sequence "
+                f"1..{log.last_serial}: {serials}"
             )
         self.cluster.replace_server(recovered)
         self.crashed.discard(SERVER_ID)
-        self.stats.server_restores += 1
-
-        counts = self.wal.origin_counts()
-        total = self.wal.last_serial
         for client in self.clients:
-            # Client-to-server half: the receiver state was volatile, but
-            # the log knows how many frames each origin had consumed (one
-            # serialised operation each).  A fresh receiver fast-forwards
-            # to that cursor; parked out-of-order frames died with the
-            # process and the clients' senders retransmit them.
-            receiver = SessionReceiver((client, SERVER_ID))
-            receiver.fast_forward(counts.get(client, 0))
-            self.receivers[(client, SERVER_ID)] = receiver
             # Control plane: the client reports its live consumption
             # cursor and the server answers from the replayed log.  The
             # rebuilt broadcasts must reproduce the volatile send buffer
             # exactly — same payloads, same serial order — so delivery
             # resumes from the original (identity-carrying) messages.
-            request = ResyncRequest(
-                client=client, delivered=len(self.released[client])
-            )
-            payloads = self.wal.broadcasts_for(recovered, request.delivered)
+            session = Session(client)
+            session.delivered = len(self.released[client])
+            payloads = log.broadcasts_for(recovered, session.delivered)
             queued = self.cluster.queued_payloads_to(client)
             if tuple(payloads) != queued:
                 raise SimulationError(
-                    f"WAL resync for {client} rebuilt {len(payloads)} "
+                    f"{what}: resync for {client} rebuilt {len(payloads)} "
                     f"broadcasts but the send buffer holds {len(queued)}; "
                     "the log diverges from what the server had shipped"
                 )
             self.stats.server_resynced_ops += len(payloads)
-            # Server-to-client half: frame seq equals serial on this
-            # channel, so the sender resumes numbering at total + 1 with
-            # everything past the client's cursor unacknowledged — and
-            # retransmits it under the new epoch.
-            sender = SessionSender((SERVER_ID, client))
-            sender.restore({"next_seq": total + 1, "acked": request.delivered})
-            self.senders[(SERVER_ID, client)] = sender
-            for seq in sender.unacked():
+            # Parked out-of-order frames died with the process and the
+            # clients' senders retransmit them; frame seq equals serial
+            # on every s->c channel, so everything past the client's
+            # cursor is retransmitted under the new epoch (bumped at
+            # crash time).
+            resume_sessions([session], consumed, log.last_serial + 1)
+            self.receivers[(client, SERVER_ID)] = session.receiver
+            self.senders[(SERVER_ID, client)] = session.sender
+            for seq in session.sender.unacked():
                 self.stats.retransmissions += 1
                 self._obs.session_retransmits.inc()
                 self._transmit((SERVER_ID, client), seq, now, attempt=1)
-
-        # The recovered state is durable: compact so a later crash replays
-        # from this snapshot instead of the whole history.
-        self.wal.compact(recovered, retain_after=self._retain_floor())
+        return recovered
 
     def _retain_floor(self) -> int:
-        """Low-water mark for WAL compaction.
+        """Low-water mark for WAL compaction: the core's cursor floor.
 
         :meth:`ServerWriteAheadLog.broadcasts_for` rebuilds re-shipments
         from *records*, so compaction must keep every record some client
@@ -993,10 +946,12 @@ class _FaultyRun:
         The cursors only grow, so records at or below the floor can never
         be requested by a future recovery.
         """
+        from repro.jupiter.shard import cursor_floor
+
         log = self.group.primary_log if self.group is not None else self.wal
-        return min(
-            [log.last_serial]
-            + [len(self.released[client]) for client in self.clients]
+        return cursor_floor(
+            (len(self.released[client]) for client in self.clients),
+            log.last_serial,
         )
 
     # ------------------------------------------------------------------

@@ -1,0 +1,283 @@
+"""The shard core's decisions, under a fake clock and no event loop.
+
+Every rule here used to need a socket and a sleep to observe (the
+end-to-end cover stays in ``tests/net/test_gc_net.py``): which sessions
+hold the GC floors and for how long, what a commit floor clamps, how far
+the decodability fixpoint falls, when a reconnect is served from records
+and when by state transfer, and that a shard rebuilt from its saved log
+is the live one.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.common.ids import SERVER_ID
+from repro.errors import ProtocolError
+from repro.jupiter.css import CssClient
+from repro.jupiter.persistence import ServerWriteAheadLog, load_wal
+from repro.jupiter.shard import ShardCore
+from repro.model.schedule import OpSpec
+
+GRACE = 15.0
+
+
+class Rig:
+    """A core, two editors, and the hand that carries frames between them."""
+
+    def __init__(self, wal_path=None, snapshot_every=1000):
+        wal = ServerWriteAheadLog(SERVER_ID, [], snapshot_every=snapshot_every)
+        self.core = ShardCore("doc", wal, wal_path)
+        self.core.rewrite_disk()
+        self.clients = {name: CssClient(name) for name in ("a", "b")}
+        self.inbox = {name: [] for name in self.clients}
+        self.seq = {name: 0 for name in self.clients}
+        self.now = 100.0
+        for name in self.clients:
+            self.core.resync(self.core.register(name, self.now), 0, 0, self.now)
+
+    def session(self, name):
+        return self.core.sessions[name]
+
+    def edit(self, name, value="x"):
+        """``name`` types one character and the core serialises it."""
+        outgoing = self.clients[name].generate(OpSpec("ins", 0, value)).outgoing
+        self.seq[name] += 1
+        session = self.session(name)
+        for body in self.core.accept(session, self.seq[name], 0, outgoing):
+            _serial, _ctx, fanout = self.core.serialise(
+                session, body, 0, self.now, GRACE
+            )
+            for recipient, broadcast in fanout:
+                self.inbox[recipient.client].append(broadcast)
+
+    def deliver(self, name):
+        """``name`` consumes everything broadcast to it so far."""
+        for broadcast in self.inbox[name]:
+            self.clients[name].receive(broadcast)
+        self.inbox[name].clear()
+
+    def collect(self, threshold):
+        """One GC pass; the editors follow the floor as the wire's
+        ``floor`` field would make them."""
+        rebased = self.core.collect(self.now, GRACE, threshold)
+        if rebased is not None:
+            for client in self.clients.values():
+                client.rebase_to_serial(rebased[1])
+        return rebased
+
+    def typed(self, count):
+        """``a`` types ``count`` characters; both editors see them all."""
+        for _ in range(count):
+            self.edit("a")
+        self.deliver("a")
+        self.deliver("b")
+
+
+class TestFloors:
+    def test_pin_floor_ignores_a_stale_delivered_cursor(self):
+        rig = Rig()
+        rig.typed(6)
+        for name in ("a", "b"):
+            # the cursor froze at the last piggybacked ack; the pin rides
+            # every frame and kept moving
+            rig.session(name).delivered = 1
+            rig.session(name).report_pin(5)
+        assert rig.core.floor(rig.now, GRACE, pins=True) == 5
+        assert rig.core.floor(rig.now, GRACE, pins=False) == 1
+
+    def test_the_pin_only_ratchets_up(self):
+        rig = Rig()
+        rig.session("a").report_pin(4)
+        rig.session("a").report_pin(2)  # a frame reordered behind a newer one
+        assert rig.session("a").pin == 4
+
+    def test_a_disconnected_session_holds_the_floor_until_grace(self):
+        rig = Rig()
+        rig.typed(6)
+        rig.session("a").report_pin(6)
+        rig.session("b").report_pin(2)
+        rig.session("b").disconnected_at = rig.now
+        for pins in (True, False):
+            rig.session("a").delivered = 6
+            rig.session("b").delivered = 2
+            assert rig.core.floor(rig.now + GRACE, GRACE, pins=pins) == 2
+            assert rig.core.floor(rig.now + GRACE + 0.001, GRACE, pins=pins) == 6
+
+    def test_nobody_counted_means_the_log_head(self):
+        rig = Rig()
+        rig.typed(3)
+        for name in ("a", "b"):
+            rig.session(name).disconnected_at = rig.now
+        assert rig.core.floor(rig.now + GRACE + 1, GRACE, pins=True) == 3
+
+    def test_commit_clamps_both_floors_and_disables_grace(self):
+        rig = Rig()
+        rig.typed(6)
+        for name in ("a", "b"):
+            rig.session(name).delivered = 6
+            rig.session(name).report_pin(6)
+        long_after = rig.now + 100 * GRACE
+        for pins in (True, False):
+            assert rig.core.floor(rig.now, GRACE, commit=4, pins=pins) == 4
+        # an uncommitted suffix must never ride a state transfer, so a
+        # replicated group never drops a laggard from the floor
+        rig.session("b").disconnected_at = rig.now
+        rig.session("b").pin = rig.session("b").delivered = 1
+        for pins in (True, False):
+            assert rig.core.floor(long_after, GRACE, pins=pins) == 6
+            assert rig.core.floor(long_after, GRACE, commit=4, pins=pins) == 1
+
+    def test_commit_clamps_the_acknowledgement(self):
+        rig = Rig()
+        rig.edit("a")
+        rig.edit("b")
+        rig.edit("a")
+        session = rig.session("a")
+        assert rig.core.ack_for(session) == 2
+        assert rig.core.ack_for(session, commit=3) == 2
+        assert rig.core.ack_for(session, commit=2) == 1  # serial 3 is a's
+        assert rig.core.ack_for(session, commit=0) == 0
+
+
+class TestFixpointAndCollect:
+    def lagging_writer(self):
+        """``b`` types against serials 1..2 while ``a`` reaches 4."""
+        rig = Rig()
+        rig.edit("a")
+        rig.edit("a")
+        rig.deliver("b")
+        rig.edit("a")
+        rig.edit("a")
+        rig.edit("b", "y")  # serial 5, context floor d = 2
+        return rig
+
+    def test_the_fixpoint_drops_to_a_retained_records_d(self):
+        rig = self.lagging_writer()
+        assert rig.core.ctx_floors[5] == 2
+        assert rig.core.decodable_floor(4) == 2  # serial 5 must still decode
+        assert rig.core.decodable_floor(5) == 5  # ...unless it is not retained
+        assert rig.core.decodable_floor(2) == 2
+        assert rig.core.decodable_floor(0) == 0
+
+    def test_collect_rebases_to_the_decodable_floor_past_the_threshold(self):
+        rig = self.lagging_writer()
+        rig.deliver("a")
+        rig.deliver("b")
+        for name in ("a", "b"):
+            rig.session(name).report_pin(4)
+        assert rig.collect(threshold=3) is None
+        assert rig.core.server.base == 0
+        base, floor, _pruned = rig.collect(threshold=2)
+        assert (base, floor) == (0, 2)
+        assert rig.core.server.base == 2
+        assert rig.core.gc_runs == 1
+        assert rig.core.record_floor == 2  # the WAL compacted behind it
+        assert sorted(rig.core.ctx_floors) == [3, 4, 5]
+
+
+class TestResync:
+    def compacted(self):
+        rig = Rig()
+        rig.typed(6)
+        rig.core.compact(retain_after=3)
+        assert rig.core.record_floor == 3
+        return rig
+
+    def test_records_at_the_record_floor(self):
+        rig = self.compacted()
+        cursor, state, missed = rig.core.resync(rig.session("b"), 3, 3, rig.now)
+        assert (cursor, state) == (3, None)
+        assert [b.serial for b in missed] == [4, 5, 6]
+
+    def test_state_transfer_one_below_it(self):
+        rig = self.compacted()
+        session = rig.session("b")
+        cursor, state, missed = rig.core.resync(session, 2, 2, rig.now)
+        assert cursor == 6 and missed == []
+        assert state["delivered"] == 6 and state["op_seq"] == 0
+        assert session.delivered == session.pin == 6
+
+    def test_state_transfer_when_the_pin_fell_below_the_base(self):
+        rig = self.compacted()
+        for name in ("a", "b"):
+            rig.session(name).report_pin(5)
+        rig.collect(threshold=1)
+        assert rig.core.server.base == 5
+        # the cursor is servable from records; the unacked ops are not
+        _cursor, state, _missed = rig.core.resync(rig.session("a"), 6, 4, rig.now)
+        assert state is not None and state["op_seq"] == 6
+        _cursor, state, missed = rig.core.resync(rig.session("b"), 5, 5, rig.now)
+        assert state is None and [b.serial for b in missed] == [6]
+
+    def test_an_uncommitted_suffix_is_not_reshipped(self):
+        rig = self.compacted()
+        _cursor, state, missed = rig.core.resync(
+            rig.session("b"), 3, 3, rig.now, commit=5
+        )
+        assert state is None and [b.serial for b in missed] == [4, 5]
+
+    def test_resync_connects_the_session(self):
+        rig = Rig()
+        session = rig.session("a")
+        session.disconnected_at = rig.now
+        rig.core.resync(session, 0, None, rig.now + 1)
+        assert session.disconnected_at is None
+        assert session.connects == 2
+
+
+class TestWritePathAndRecovery:
+    def test_a_gap_parks_and_a_duplicate_is_counted(self):
+        rig = Rig()
+        session = rig.session("a")
+        assert rig.core.accept(session, 2, 0, "second") == []
+        assert rig.core.accept(session, 1, 0, "first") == ["first", "second"]
+        assert rig.core.accept(session, 1, 0, "first") == []
+        assert rig.core.duplicates_suppressed == 1
+        assert session.parked == {}
+
+    def test_serialise_refuses_a_channel_whose_seq_left_the_serial(self):
+        rig = Rig()
+        rig.edit("a")
+        rig.session("b").sender.send()  # a frame the log never saw
+        with pytest.raises(ProtocolError, match="diverged from serial"):
+            rig.edit("a")
+
+    def test_a_shard_rebuilt_from_its_saved_log_is_the_live_one(self, tmp_path):
+        path = str(tmp_path / "doc.wal")
+        rig = Rig(path, snapshot_every=4)
+        for round_ in range(5):
+            rig.edit("a")
+            rig.edit("b", "y")
+            rig.edit("a")
+            rig.deliver("a")
+            rig.deliver("b")
+            if round_ == 2:
+                for name in ("a", "b"):
+                    rig.session(name).report_pin(7)
+                assert rig.collect(threshold=4)
+        live = rig.core
+        assert live.wal.compactions >= 3
+        rebuilt = ShardCore("doc", load_wal(path), path, now=rig.now)
+        assert rebuilt.server.space.signature() == live.server.space.signature()
+        assert rebuilt.server.base == live.server.base > 0
+        assert rebuilt.ctx_floors == live.ctx_floors
+        assert sorted(rebuilt.sessions) == ["a", "b"]
+        for name, session in rebuilt.sessions.items():
+            assert session.sender.next_seq == live.sessions[name].sender.next_seq
+            assert session.receiver.expected == (
+                live.sessions[name].receiver.expected
+            )
+            assert session.disconnected_at == rig.now  # the grace clock runs
+
+
+def test_the_core_imports_no_event_loop_no_socket_and_no_net_package():
+    probe = (
+        "import sys, repro.jupiter.shard; "
+        "bad = {'asyncio', 'socket', 'repro.net'} & set(sys.modules); "
+        "assert not bad, bad"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env)

@@ -200,6 +200,54 @@ class TestFrameSender:
 
         assert _run(scenario()) == ["ping", "ping", "ping", "evicted"]
 
+    def test_a_multi_past_the_frame_cap_is_split_not_fatal(self, monkeypatch):
+        """Coalescing is bounded by encoded bytes, not only by count: a
+        queued burst whose ``multi`` would overrun MAX_FRAME goes out as
+        several frames, in order, and the healthy peer is not failed for
+        the sender's own batching.  One envelope over the cap still is."""
+        monkeypatch.setattr("repro.net.transport.MAX_FRAME", 2048)
+
+        async def scenario():
+            received = []
+
+            async def handle(reader, writer):
+                while True:
+                    frame = await read_frame(reader)
+                    if frame is None:
+                        return
+                    received.extend(m["seq"] for m in _members(frame))
+
+            listener = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            _reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            sender = FrameSender(writer, capacity=32)
+            for seq in range(12):  # ~8 KB queued before the writer wakes
+                assert sender.try_send(
+                    encode_envelope("data", seq=seq, body="x" * 600)
+                )
+
+            async def _drained():
+                while len(received) < 12 and sender.failure is None:
+                    await asyncio.sleep(0.01)
+
+            await asyncio.wait_for(_drained(), timeout=10)
+            burst = (list(received), sender.failure, sender.frames_sent)
+            sender.try_send(encode_envelope("data", seq=99, body="x" * 4096))
+
+            async def _failed():
+                while sender.failure is None:
+                    await asyncio.sleep(0.01)
+
+            await asyncio.wait_for(_failed(), timeout=10)
+            listener.close()
+            return burst, sender.failure
+
+        (order, failure, frames), oversized = _run(scenario())
+        assert order == list(range(12))
+        assert failure is None
+        assert 1 < frames < 12  # split, yet still coalesced
+        assert "exceeds the 2048 cap" in oversized
+
 
 def _members(frame):
     """The envelopes one frame carries: a ``multi``'s members, or itself."""

@@ -5,12 +5,13 @@ for a node some retained transition reaches — all three are implied by
 the node's parent — and a delta compaction encodes only the nodes that
 changed, under ids that continue from the checkpoint's.  Each seeded run
 drives three concurrent writers against a CSS server mirrored into a
-write-ahead log *and* its on-disk file (through the deployed
-``_DocShard`` disk layer), with compactions, ``prune_below`` and
-``rebase_to_serial`` interleaved, and — after every compaction and in
-the middle of record suffixes — requires the server recovered from the
-log, via ``to_obj``/``from_obj`` and via the file, to equal the live
-one in everything the encoding elides.
+write-ahead log *and* its on-disk file — through the deployed
+:class:`~repro.jupiter.shard.ShardCore`: its ``serialise``, its
+compaction, its decodability fixpoint and its ``collect`` — with
+compactions, ``prune_below`` and rebases interleaved, and — after every
+compaction and in the middle of record suffixes — requires the server
+recovered from the log, via ``to_obj``/``from_obj`` and via the file,
+to equal the live one in everything the encoding elides.
 """
 
 import json
@@ -19,16 +20,15 @@ import random
 import pytest
 
 from repro.errors import ProtocolError
-from repro.jupiter.css import CssClient, CssServer
+from repro.jupiter.css import CssClient
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
-    compact_context,
     load_wal,
     restore_server,
     snapshot_server,
 )
+from repro.jupiter.shard import ShardCore
 from repro.model.schedule import OpSpec
-from repro.net.server import _DocShard
 
 NAMES = ["c1", "c2", "c3"]
 
@@ -38,13 +38,15 @@ class Driver:
 
     def __init__(self, seed, path):
         self.rng = random.Random(seed)
-        self.server = CssServer("server", NAMES)
         self.clients = {name: CssClient(name) for name in NAMES}
         self.wal = ServerWriteAheadLog(
             "server", NAMES, snapshot_every=10_000, checkpoint_every=5
         )
-        self.shard = _DocShard("doc", self.server, self.wal, str(path))
+        self.shard = ShardCore("doc", self.wal, str(path))
         self.shard.rewrite_disk()
+        self.server = self.shard.server
+        for session in self.shard.sessions.values():
+            session.disconnected_at = None  # the whole roster is connected
         self.uplink = {name: [] for name in NAMES}
         self.downlink = {name: [] for name in NAMES}
         self.modes = []
@@ -63,14 +65,11 @@ class Driver:
 
     def serialise(self, name):
         outgoing = self.uplink[name].pop(0)
-        broadcasts = self.server.receive(name, outgoing)
-        ctx = compact_context(outgoing.operation, self.server.oracle)
-        serial = self.server.oracle.last_serial
-        self.shard.ctx_floors[serial] = ctx[0]
-        self.wal.append(serial, name, outgoing.operation, ctx=ctx)
-        self.shard.append_disk()
-        for target, broadcast in broadcasts:
-            self.downlink[target].append(broadcast)
+        _serial, _ctx, fanout = self.shard.serialise(
+            self.shard.sessions[name], outgoing, 0, 0.0, 0.0
+        )
+        for session, broadcast in fanout:
+            self.downlink[session.client].append(broadcast)
 
     def deliver(self, name):
         self.clients[name].receive(self.downlink[name].pop(0))
@@ -86,31 +85,20 @@ class Driver:
     # -- persistence and GC --------------------------------------------
     def compact(self):
         last = self.wal.last_serial
-        self.wal.compact(
-            self.server, retain_after=self.rng.randint(max(0, last - 6), last)
-        )
-        self.shard.write_compaction()
-        self.shard.prune_ctx_floors()
+        self.shard.compact(self.rng.randint(max(0, last - 6), last))
         self.modes.append(self.wal.last_compaction_mode)
 
-    def gc_floor(self):
-        """A quiescent floor every retained record still decodes above."""
-        base = self.server.oracle.base
-        floor = self.rng.randint(base, self.server.oracle.last_serial)
-        while True:
-            lowest = min(
-                (d for s, d in self.shard.ctx_floors.items() if s > floor),
-                default=floor,
-            )
-            if lowest >= floor:
-                return max(floor, base)
-            floor = lowest
+    def candidate(self):
+        """Any floor a quiescent roster could report."""
+        return self.rng.randint(
+            self.server.oracle.base, self.server.oracle.last_serial
+        )
 
     def prune(self):
         """Server-side ``prune_below`` without a rebase (the css-gc path)."""
         self.drain()
         base = self.server.oracle.base
-        floor = self.gc_floor()
+        floor = self.shard.decodable_floor(self.candidate())
         if floor > base:
             self.server.space.prune_below(
                 self.server.oracle.opids_between(base, floor)
@@ -118,13 +106,17 @@ class Driver:
         self.compact()
 
     def rebase(self):
-        """What ``NetServer._gc_shard`` does: rebase, then checkpoint."""
+        """The deployed GC pass: every session pins a floor, ``collect``
+        lowers it to a decodable one, rebases and checkpoints."""
         self.drain()
-        floor = self.gc_floor()
-        self.server.rebase_to_serial(floor)
+        pin = self.candidate()
+        for session in self.shard.sessions.values():
+            session.pin = pin
+        _base, floor, _pruned = self.shard.collect(0.0, 0.0, threshold=0)
+        assert floor == self.server.oracle.base <= pin
         for client in self.clients.values():
             client.rebase_to_serial(floor)
-        self.compact()
+        self.modes.append(self.wal.last_compaction_mode)
 
     def run(self, actions, check):
         for _ in range(actions):
