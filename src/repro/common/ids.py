@@ -10,7 +10,7 @@ of the element the operation inserted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable
+from typing import AbstractSet, Iterable
 
 #: Replicas are named by plain strings, e.g. ``"c1"``, ``"c2"`` or ``"s"``.
 ReplicaId = str
@@ -112,8 +112,9 @@ class SerialNumber:
 
 
 # A replica state in the paper is the set of original operations processed
-# (Definition 4.5); an empty frozenset is the initial state σ0.
-StateKey = FrozenSet[OpId]
+# (Definition 4.5): any hashable set of ids — a frozenset (the empty one is
+# the initial state σ0) or a state-space's ``repro.jupiter.keys.StateKey``.
+StateKey = AbstractSet[OpId]
 
 EMPTY_STATE: StateKey = frozenset()
 

@@ -17,36 +17,21 @@
   client/server system with FIFO channels, recording executions.
 """
 
-from repro.jupiter.broken import BrokenClient, BrokenServer
-from repro.jupiter.classic import ClassicClient, ClassicServer
-from repro.jupiter.cluster import Cluster, make_cluster
-from repro.jupiter.cscw import CscwClient, CscwServer
-from repro.jupiter.css import CssClient, CssServer
-from repro.jupiter.dcss import DcssPeer, LamportOrderOracle, PeerAck, PeerOperation
-from repro.jupiter.nary import NaryStateSpace
-from repro.jupiter.ordering import ClientOrderOracle, ServerOrderOracle
-from repro.jupiter.peer_cluster import PeerCluster
-from repro.jupiter.two_dim import Dimension, TwoDimStateSpace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BrokenClient",
-    "BrokenServer",
-    "ClassicClient",
-    "ClassicServer",
-    "Cluster",
-    "make_cluster",
-    "CscwClient",
-    "CscwServer",
-    "CssClient",
-    "CssServer",
-    "DcssPeer",
-    "LamportOrderOracle",
-    "PeerAck",
-    "PeerOperation",
-    "PeerCluster",
-    "NaryStateSpace",
-    "ClientOrderOracle",
-    "ServerOrderOracle",
-    "Dimension",
-    "TwoDimStateSpace",
-]
+#: submodule -> the public names it defines, imported on first use
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "broken": "BrokenClient BrokenServer",
+        "classic": "ClassicClient ClassicServer",
+        "cluster": "Cluster make_cluster",
+        "cscw": "CscwClient CscwServer",
+        "css": "CssClient CssServer",
+        "dcss": "DcssPeer LamportOrderOracle PeerAck PeerOperation",
+        "peer_cluster": "PeerCluster",
+        "nary": "NaryStateSpace",
+        "ordering": "ClientOrderOracle ServerOrderOracle",
+        "two_dim": "Dimension TwoDimStateSpace",
+    },
+)

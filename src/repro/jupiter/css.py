@@ -30,7 +30,47 @@ from repro.model.schedule import OpSpec
 from repro.obs import get_obs
 
 
-class CssClient(BaseClient):
+class _CssReplica:
+    """What a CSS client and the server share: one space, its document,
+    its garbage collection."""
+
+    @property
+    def document(self) -> ListDocument:
+        return self.space.document
+
+    def rebase_to_serial(self, floor_serial: int) -> int:
+        """Active-window GC: prune *and rebase* below a serial floor.
+
+        Safe when every operation this replica may still receive, hold
+        pending or (the server) retain past the floor has a context
+        containing serials 1..floor — the net runtime's pin-clamped
+        fixpoint computes exactly such floors, and the server advertises
+        no other.  Returns the number of pruned states.
+        """
+        if floor_serial <= self.oracle.base:
+            return 0
+        pruned = self.space.rebase_below(self.oracle.dense(floor_serial))
+        self.pruned_states += pruned
+        return pruned
+
+    def _collect_garbage(self, peers: List[ReplicaId]) -> None:
+        """Prune states below the meet of every peer's known progress.
+
+        Only meaningful once every peer has been heard from — until then
+        an unheard one could still send an operation with the empty
+        context, so nothing can be discarded.
+        """
+        if any(peer not in self._known for peer in peers):
+            return
+        floor = None
+        for peer in peers:
+            state = self._known[peer]
+            floor = state if floor is None else floor & state
+        if floor:
+            self.pruned_states += self.space.prune_below(floor)
+
+
+class CssClient(_CssReplica, BaseClient):
     """A CSS client: one n-ary ordered state-space, uniform processing.
 
     With ``gc=True`` the client prunes state-space states that can no
@@ -67,10 +107,6 @@ class CssClient(BaseClient):
         self._peers = [p for p in (peers or []) if p != replica_id]
         self._known: dict = {}  # origin -> its last known state
         self.pruned_states = 0
-
-    @property
-    def document(self) -> ListDocument:
-        return self.space.document
 
     @property
     def pending_count(self) -> int:
@@ -145,45 +181,11 @@ class CssClient(BaseClient):
         executed = self.space.integrate(payload.operation)
         if self._gc:
             self._known[payload.origin] = payload.operation.resulting_state
-            self._collect_garbage()
+            self._collect_garbage(self._peers)
         return ReceiveResult(executed=executed, returned=self.read())
 
-    def rebase_to_serial(self, floor_serial: int) -> int:
-        """Active-window GC: prune *and rebase* below a serial floor.
 
-        ``floor_serial`` must satisfy the net runtime's safe-floor rule
-        (every operation this client may still receive or hold pending
-        has a context containing all of serials 1..floor); the server
-        only advertises floors with that property.  Returns the number
-        of pruned states.
-        """
-        base = self.oracle.base
-        if floor_serial <= base:
-            return 0
-        floor = self.oracle.opids_between(base, floor_serial)
-        pruned = self.space.rebase_below(floor)
-        self.oracle.trim_below(floor_serial)
-        self.pruned_states += pruned
-        return pruned
-
-    def _collect_garbage(self) -> None:
-        """Prune states below the meet of everyone's known progress.
-
-        Only meaningful once every other client has been heard from —
-        until then an unheard client could still send an operation with
-        the empty context, so nothing can be discarded.
-        """
-        if any(peer not in self._known for peer in self._peers):
-            return
-        floor = None
-        for peer in self._peers:
-            state = self._known[peer]
-            floor = state if floor is None else floor & state
-        if floor:
-            self.pruned_states += self.space.prune_below(floor)
-
-
-class CssServer(BaseServer):
+class CssServer(_CssReplica, BaseServer):
     """The CSS server: serialise, integrate, redirect originals.
 
     With ``gc=True`` the server prunes its state-space below the meet of
@@ -210,10 +212,6 @@ class CssServer(BaseServer):
         self.pruned_states = 0
         self._obs = get_obs()
 
-    @property
-    def document(self) -> ListDocument:
-        return self.space.document
-
     def receive(
         self, sender: ReplicaId, payload: Any
     ) -> List[Tuple[ReplicaId, Any]]:
@@ -222,12 +220,15 @@ class CssServer(BaseServer):
         obs = self._obs
         started = time.perf_counter() if obs.enabled else 0.0
         operation = payload.operation
+        # Match before a serial is spent: a context naming no state of
+        # ours must leave the total order untouched.
+        self.space.node(operation.context)
         serial = self.oracle.assign(operation.opid)
         prefix = self.oracle.serialized_before(serial)
         self.space.integrate(operation)
         if self._gc:
             self._known[sender] = operation.resulting_state
-            self._collect_garbage()
+            self._collect_garbage(self.clients)
         broadcast = ServerOperation(
             operation=operation, origin=sender, serial=serial, prefix=prefix
         )
@@ -240,31 +241,3 @@ class CssServer(BaseServer):
     def base(self) -> int:
         """Serial floor of the active window (0 = untrimmed)."""
         return self.oracle.base
-
-    def rebase_to_serial(self, floor_serial: int) -> int:
-        """Active-window GC: prune *and rebase* below a serial floor.
-
-        Safe when every operation still in flight towards this server
-        (and every retained serialised operation past the floor) has a
-        context containing serials 1..floor — the net runtime's
-        pin-clamped fixpoint computes exactly such a floor.  Returns the
-        number of pruned states.
-        """
-        base = self.oracle.base
-        if floor_serial <= base:
-            return 0
-        floor = self.oracle.opids_between(base, floor_serial)
-        pruned = self.space.rebase_below(floor)
-        self.oracle.trim_below(floor_serial)
-        self.pruned_states += pruned
-        return pruned
-
-    def _collect_garbage(self) -> None:
-        if any(client not in self._known for client in self.clients):
-            return
-        floor = None
-        for client in self.clients:
-            state = self._known[client]
-            floor = state if floor is None else floor & state
-        if floor:
-            self.pruned_states += self.space.prune_below(floor)

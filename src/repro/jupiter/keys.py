@@ -1,89 +1,338 @@
-"""Hash-consed state keys for the state-space hot path.
+"""State keys as the pair the wire already speaks: ``(d, extras)``.
 
-A state key is the :class:`frozenset` of original operation ids processed
-(Definition 4.5).  Algorithm 1 closes one CP1 square per leftmost-path
-step, and every square used to build the corner key with a fresh
-``frozenset`` union — an O(|key|) allocation plus an O(|key|) hash for
-every square, which made integration superlinear in the total number of
-operations processed.
+A state is the set of original operation ids processed (Definition 4.5).
+The n-ary state-space is ordered by the server's total order, and by
+Lemma 6.4 every state a CSS replica holds is *a dense serial prefix plus
+the few operations in flight*.  :class:`StateKey` stores exactly that:
+an absolute serial ``d`` (the state contains every serial of the active
+window up to ``d``) and ``extras``, the ids the total order cannot name
+yet (a client's own pending operations) or that sit past a gap.  A key
+costs its concurrency, not its window.
 
-:class:`KeyInterner` removes both costs without changing the key *type*:
+The set is the specification and stays it: a key *is* a
+:class:`collections.abc.Set` over its window members — it equals, hashes
+like, iterates as and combines with the ``frozenset`` of them, so a
+literal frozenset finds a key's node in a dictionary and
+:class:`~repro.jupiter.reference.ReferenceStateSpace` (plain frozensets)
+remains the refinement check.  Hash and equality are functions of the
+*set*, not of the pair's form, which makes late serial assignment free:
+a client's pending operation is an extra in the keys created while it
+was pending, its echo only appends to the serial log, and ``(4, {p})``
+and ``(5, {})`` are then one key — a stale form is settled in place
+when next read, never re-keyed.
 
-* ``intern`` hash-conses keys — one canonical ``frozenset`` instance per
-  distinct key content.  CPython caches a frozenset's hash inside the
-  object after the first computation, so repeated hashing of a canonical
-  key is O(1), and dictionary probes against a table keyed by canonical
-  instances short-circuit on identity before ever comparing elements.
-* ``extend`` memoises the single-op union ``key | {opid}`` — the only
-  union shape the square construction needs.  Each distinct
-  ``(key, opid)`` pair pays the O(|key|) union exactly once; every later
-  square that reaches the same corner gets the canonical key back in
-  O(1).
-
-Interning is purely an in-memory representation: snapshots and the WAL
-keep the plain sorted-frozenset wire form
-(:mod:`repro.jupiter.persistence`), and restore re-interns keys as it
-rebuilds the node table.
+:class:`SerialLog` is the half the order oracles own: serial <-> id over
+the active window and, per serial, the running XOR of frozenset's own
+per-element hash shuffle, so a key's hash costs O(|extras|).  Spaces with
+no serial log (2D, dCSS, hand-built) run with ``d = 0``: plain frozensets
+behind the same face.  Only this module knows the pair's layout.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+import sys
+from collections.abc import Set
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from repro.common.ids import OpId, StateKey
+from repro.common.ids import OpId
+from repro.errors import OrderingError
+
+_MAX = sys.maxsize
+_MASK = 2 * _MAX + 1
+_NOTHING: FrozenSet[OpId] = frozenset()
 
 
-class KeyInterner:
-    """Hash-consing table for state keys plus a memoised single-op union.
+def _shuffle(opid: OpId) -> int:
+    """frozenset's per-element hash contribution (``Set._hash`` has the
+    same constants); XOR-combined, so a set's hash can be kept running."""
+    hx = hash(opid)
+    return ((hx ^ (hx << 16) ^ 89869747) * 3644798167) & _MASK
 
-    One interner belongs to one state-space: keys from different replicas
-    are still compared structurally (they are ordinary frozensets), so
-    cross-replica signature comparisons are unaffected.
-    """
 
-    __slots__ = ("_canon", "_extend")
+def _finish(mixed: int, size: int) -> int:
+    """frozenset's hash of ``size`` elements whose shuffles XOR to ``mixed``."""
+    h = (mixed ^ ((size + 1) * 1927868237)) & _MASK
+    h ^= (h >> 11) ^ (h >> 25)
+    h = (h * 69069 + 907133923) & _MASK
+    if h > _MAX:
+        h -= _MASK + 1
+    return 590923713 if h == -1 else h
 
-    def __init__(self) -> None:
-        self._canon: Dict[StateKey, StateKey] = {}
-        self._extend: Dict[Tuple[StateKey, OpId], StateKey] = {}
 
-    def intern(self, key: Iterable[OpId]) -> StateKey:
-        """The canonical instance for ``key``'s content."""
-        if type(key) is not frozenset:
-            key = frozenset(key)
-        canonical = self._canon.get(key)
-        if canonical is None:
-            # First sighting: this instance becomes the canonical one
-            # (its hash is now cached inside the frozenset object).
-            self._canon[key] = canonical = key
-        return canonical
+class StateKey(Set):
+    """The state ``{base + 1 .. d} | extras`` of one :class:`SerialLog`
+    (``log=None``: just ``extras``)."""
 
-    def extend(self, key: StateKey, opid: OpId) -> StateKey:
-        """The canonical instance of ``key | {opid}``, memoised."""
-        pair = (key, opid)
-        extended = self._extend.get(pair)
-        if extended is None:
-            extended = self.intern(key | {opid})
-            self._extend[pair] = extended
-        return extended
+    __slots__ = ("_d", "_extras", "_log", "_xh", "_hash", "_hbase")
 
-    def forget(self, keys: Iterable[StateKey]) -> None:
-        """Drop interned keys (after a GC prune) so the tables stay
-        proportional to the *live* state-space, not its whole history."""
-        doomed = set(keys)
-        if not doomed:
+    def __init__(
+        self, d: int, extras: FrozenSet[OpId], log: Optional["SerialLog"], xh: int
+    ) -> None:
+        self._d, self._extras, self._log = d, extras, log
+        #: XOR of the extras' shuffles (unused without a log)
+        self._xh = xh
+        #: the frozenset-compatible hash, valid while the log's base is
+        #: ``_hbase`` (the window members change when the base moves)
+        self._hash, self._hbase = 0, -1
+
+    _from_iterable = frozenset  # what the Set mixins build results with
+
+    # -- the pair ------------------------------------------------------
+    def _settle(self) -> None:
+        """Advance ``d`` over extras the log has named since (in place:
+        the set, its hash and its identity are unchanged)."""
+        log, extras = self._log, self._extras
+        by_serial, index = log._by_serial, self._d - log._base
+        if not 0 <= index < len(by_serial) or by_serial[index] not in extras:
             return
-        for key in doomed:
-            self._canon.pop(key, None)
-        self._extend = {
-            pair: result
-            for pair, result in self._extend.items()
-            if pair[0] not in doomed and result not in doomed
-        }
+        left = set(extras)
+        while index < len(by_serial) and by_serial[index] in left:
+            left.discard(by_serial[index])
+            self._xh ^= _shuffle(by_serial[index])
+            index += 1
+        self._d, self._extras = log._base + index, frozenset(left)
+
+    def pair(self) -> Tuple[int, FrozenSet[OpId]]:
+        """``(d, extras)`` — the wire form, with ``d`` maximal."""
+        if self._extras and self._log is not None:
+            self._settle()
+        return self._d, self._extras
+
+    def stored_ids(self) -> int:
+        """How many ids this key holds in memory (not its size)."""
+        return len(self._extras)
+
+    def extend(self, opid: OpId) -> "StateKey":
+        """The key of ``self | {opid}`` for an ``opid`` not in ``self``:
+        O(|extras|), and O(1) when ``opid`` is the next serial."""
+        log = self._log
+        if log is None:
+            return StateKey(0, self._extras | {opid}, None, 0)
+        d, extras = self.pair()
+        if log._serial_by_opid.get(opid) != d + 1:
+            return StateKey(d, extras | {opid}, log, self._xh ^ _shuffle(opid))
+        key = StateKey(d + 1, extras, log, self._xh)
+        key.pair()
+        return key
+
+    # -- the Set face --------------------------------------------------
+    def __contains__(self, opid: object) -> bool:
+        if opid in self._extras:
+            return True
+        log = self._log
+        if log is None:
+            return False
+        serial = log._serial_by_opid.get(opid)
+        return serial is not None and serial <= self._d
 
     def __len__(self) -> int:
-        return len(self._canon)
+        log = self._log
+        dense = 0 if log is None else max(self._d - log._base, 0)
+        return dense + len(self._extras)
+
+    def __iter__(self) -> Iterator[OpId]:
+        d, extras = self.pair()
+        if self._log is not None:
+            yield from self._log._by_serial[: max(d - self._log._base, 0)]
+        yield from extras
+
+    def __hash__(self) -> int:
+        log = self._log
+        if log is None:
+            return hash(self._extras)
+        if self._hbase != log._base:
+            dense = max(self.pair()[0] - log._base, 0)
+            self._hash = _finish(
+                log._mixed[dense] ^ log._mixed[0] ^ self._xh,
+                dense + len(self._extras),
+            )
+            self._hbase = log._base
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
+        if type(other) is StateKey:
+            if self._log is other._log:
+                return self.pair() == other.pair()
+            ordered = self._ordered_with(other)
+            if ordered is not None:
+                low, high = ordered
+                return len(low) == len(high) and high._within(low)
+        elif not isinstance(other, Set):
+            return NotImplemented
+        return len(self) == len(other) and all(m in self for m in other)
+
+    def _ordered_with(
+        self, other: "StateKey"
+    ) -> Optional[Tuple["StateKey", "StateKey"]]:
+        """``(lower d, higher d)`` when both keys read one total order
+        (compare the pairs then, not the sets), else ``None``."""
+        if self._log is None or other._log is None:
+            return None
+        mine, theirs = self.pair()[0], other.pair()[0]
+        low, high = (self, other) if mine <= theirs else (other, self)
+        return (low, high) if _one_order(low, high._log) else None
+
+    def _within(self, other: "StateKey") -> bool:
+        """``self <= other`` for two settled keys of one total order, in
+        O(gap between the two ``d`` + |extras|)."""
+        start = other._d - self._log._base
+        gap = self._log._by_serial[start : max(self._d - self._log._base, start)]
+        return (
+            len(gap) <= len(other._extras)
+            and all(opid in other._extras for opid in gap)
+            and all(opid in other for opid in self._extras)
+        )
+
+    def __le__(self, other: object) -> bool:
+        if type(other) is StateKey and self._ordered_with(other) is not None:
+            return self._within(other)
+        return Set.__le__(self, other)
+
+    def __or__(self, other: Iterable[OpId]) -> "StateKey":
+        key = self
+        for opid in other:
+            if opid not in key:
+                key = key.extend(opid)
+        return key
+
+    __ror__ = __or__
+
+    def __repr__(self) -> str:
+        return f"StateKey({self._d}, {set(self._extras) or '{}'})"
+
+
+class SerialLog:
+    """Serial <-> id over the active window: what an order oracle owns.
+
+    Serials ``base + 1 .. last_serial`` are dense; ``base`` is the trim
+    floor (:meth:`trim_below`), at and below which nothing can be named.
+    ``start`` seats a log past a prefix it never saw (a server restored
+    from a checkpoint cut after active-window GC).
+    """
+
+    def __init__(self, start: int = 0) -> None:
+        self._base = int(start)
+        # index i holds serial base + i + 1
+        self._by_serial: List[OpId] = []
+        self._serial_by_opid: Dict[OpId, int] = {}
+        # index i holds the XOR of the shuffles of every serial appended
+        # up to base + i, so two entries XOR to a serial range's
+        self._mixed: List[int] = [0]
 
     @property
-    def extend_cache_size(self) -> int:
-        return len(self._extend)
+    def base(self) -> int:
+        """Serial floor of the active window (0 = nothing trimmed)."""
+        return self._base
+
+    @property
+    def last_serial(self) -> int:
+        """The highest serial in the log (``base`` before the first)."""
+        return self._base + len(self._by_serial)
+
+    def _append(self, opid: OpId) -> int:
+        self._by_serial.append(opid)
+        self._serial_by_opid[opid] = serial = self.last_serial
+        self._mixed.append(self._mixed[-1] ^ _shuffle(opid))
+        return serial
+
+    def serial_of(self, opid: OpId) -> Optional[int]:
+        return self._serial_by_opid.get(opid)
+
+    def serial_items(self, after: int = 0) -> List[Tuple[OpId, int]]:
+        """Every (opid, serial) pair with serial > ``after``, by serial.
+
+        The public seam snapshots read instead of the internal mapping.
+        The log is append-only in serial order, so the canonical
+        (byte-identical JSON) order is a slice, not a sort.
+        """
+        low = max(int(after), self._base)
+        window = self._by_serial[low - self._base :]
+        return list(zip(window, range(low + 1, low + 1 + len(window))))
+
+    def _check_window(self, low: int, high: int) -> None:
+        if not self._base <= low <= high <= self.last_serial:
+            raise OrderingError(
+                f"serials ({low}, {high}] outside the retained window "
+                f"({self._base}..{self.last_serial})"
+            )
+
+    def opid_of(self, serial: int) -> OpId:
+        """The operation serialised at ``serial`` (must be retained)."""
+        self._check_window(serial - 1, serial)
+        return self._by_serial[serial - 1 - self._base]
+
+    def opids_between(self, low: int, high: int) -> FrozenSet[OpId]:
+        """Ids of the operations serialised in ``(low, high]``."""
+        if high <= low:
+            return _NOTHING
+        self._check_window(low, high)
+        return frozenset(self._by_serial[low - self._base : high - self._base])
+
+    def trim_below(self, serial: int) -> None:
+        """Move the window floor up to ``serial`` (acked-prefix GC).
+
+        The trimmed prefix leaves both mappings outright, so memory —
+        and cyclic-GC pause times — track the active window, not total
+        history.  Keys are untouched: ``d`` is absolute, a key's window
+        members are simply fewer afterwards.  Nothing may ask below the
+        floor: every retained WAL record's context floor is at or above
+        it (the GC fixpoint) and so is every surviving state's ``d``.
+        """
+        drop = serial - self._base
+        if drop <= 0:
+            return
+        if self._by_serial:  # an empty log simply starts there
+            self._check_window(self._base, serial)
+        for opid in self._by_serial[:drop]:
+            del self._serial_by_opid[opid]
+        del self._by_serial[:drop]
+        del self._mixed[: len(self._mixed) - 1 - len(self._by_serial)]
+        self._base = serial
+
+    # -- the keys this log can name -----------------------------------
+    def key_from_pair(self, d: int, extras: Iterable[OpId]) -> StateKey:
+        """The state the wire pair ``[d, extras]`` names here."""
+        self._check_window(d, d)
+        known, kept, xh = self._serial_by_opid, [], 0
+        for opid in frozenset(extras):
+            if known.get(opid, sys.maxsize) > d:
+                kept.append(opid)
+                xh ^= _shuffle(opid)
+        key = StateKey(d, frozenset(kept), self, xh)
+        key.pair()
+        return key
+
+    def dense(self, d: int) -> StateKey:
+        """The state ``{base + 1 .. d}``: O(1), nothing materialised."""
+        return self.key_from_pair(d, ())
+
+
+def _one_order(key: StateKey, log: SerialLog) -> bool:
+    """Whether ``key``'s dense prefix is the same set under ``log``: the
+    same window floor and the same running hash at ``d``."""
+    mine, offset = key._log, key._d - log._base
+    return (
+        mine._base == log._base
+        and 0 <= offset < len(log._mixed)
+        and mine._mixed[offset] ^ mine._mixed[0]
+        == log._mixed[offset] ^ log._mixed[0]
+    )
+
+
+def key_of(log: Optional[SerialLog], members: Iterable[OpId]) -> StateKey:
+    """The key of any set of window members under ``log`` (``None``: a
+    space with no serial log) — O(members), or O(|extras|) for a key of
+    ``log`` or of another replica's log of the same total order, whose
+    pair reads the same against this one."""
+    if type(members) is StateKey:
+        if members._log is log:
+            return members
+        if log is not None and members._log is not None:
+            d, extras = members.pair()
+            if _one_order(members, log):
+                return log.key_from_pair(d, extras)
+    if log is None:
+        return StateKey(0, frozenset(members), None, 0)
+    return log.key_from_pair(log._base, members)

@@ -13,21 +13,22 @@ operations.  Integrating an operation ``o`` whose context matches state
 3. returns ``o{L}`` for the replica to execute — the document of the new
    final state already reflects it.
 
-Each CP1 square is O(1) amortised: the corner node created by
+Each CP1 square is O(concurrency): the corner node created by
 :meth:`_insert_ordered` is carried into the next square instead of being
-re-derived from a fresh key union, and all key bookkeeping goes through
-the space's :class:`~repro.jupiter.keys.KeyInterner`.
+looked up again, and its key is the previous corner's extended by one id
+(:meth:`~repro.jupiter.keys.StateKey.extend`) — never a union over the
+window.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Protocol, Set
+from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.common.ids import OpId, StateKey, format_opid_set
 from repro.document.list_document import ListDocument
 from repro.errors import StateSpaceError
-from repro.jupiter.keys import KeyInterner
+from repro.jupiter.keys import SerialLog, key_of
 from repro.jupiter.state_space import BaseStateSpace, StateNode, Transition
 from repro.obs import get_obs
 from repro.ot.operations import Operation
@@ -51,6 +52,9 @@ class NaryStateSpace(BaseStateSpace):
         *,
         strict_cp1: bool = False,
     ) -> None:
+        # An oracle that owns a serial log names this space's keys by
+        # serial; any other total order (dCSS's Lamport one) runs d = 0.
+        self._log = oracle if isinstance(oracle, SerialLog) else None
         super().__init__(initial_document, strict_cp1=strict_cp1)
         self._oracle = oracle
         self._obs = get_obs()
@@ -87,18 +91,24 @@ class NaryStateSpace(BaseStateSpace):
         """Transitions along leftmost children from ``key`` to the final
         state.  By Lemma 6.4 these are exactly the processed operations not
         in ``key``, in total order."""
-        path: List[Transition] = []
-        cursor = self.node(key)
-        while cursor.key != self.final_key:
+        return [step for step, _node in self._leftmost(self.node(key))]
+
+    def _leftmost(
+        self, start: StateNode
+    ) -> List[Tuple[Transition, StateNode]]:
+        """The leftmost path from ``start``, each step with its target."""
+        path: List[Tuple[Transition, StateNode]] = []
+        cursor, final = start, self.final_node
+        while cursor is not final:
             if not cursor.children:
                 raise StateSpaceError(
-                    f"leftmost path from {format_opid_set(key)} got stuck "
-                    f"at {format_opid_set(cursor.key)} before reaching the "
-                    "final state"
+                    f"leftmost path from {format_opid_set(start.key)} got "
+                    f"stuck at {format_opid_set(cursor.key)} before "
+                    "reaching the final state"
                 )
             step = cursor.children[0]
-            path.append(step)
             cursor = self.node(step.target)
+            path.append((step, cursor))
         return path
 
     # ------------------------------------------------------------------
@@ -109,29 +119,32 @@ class NaryStateSpace(BaseStateSpace):
         obs = self._obs
         started = time.perf_counter() if obs.enabled else 0.0
         source = self.node(operation.context)  # the matching state
-        path = self.leftmost_path(source.key)
+        if operation.context is not source.key:
+            # Re-seat the incoming operation on the matched node's own
+            # key (a decoded pair, another replica's key or a literal
+            # set names the same state): every later check is identity.
+            operation = operation.with_context(source.key)
+        path = self._leftmost(source)
 
         corner = self._insert_ordered(source, operation)
 
         current = operation
-        for step in path:
+        for step, onward in path:
             # The two transformed forms attach at states whose keys this
-            # loop already holds interned — hand them over so no set union
-            # is recomputed per square.
+            # loop already holds — hand them over so no key is rebuilt
+            # per square.
             transformed, step_shifted = transform_pair(
                 current, step.operation, contexts=(step.target, corner.key)
             )
             self.ot_count += 1
             # Close the CP1 square: the shifted path operation continues
             # from the corner we just created — its target *is* the next
-            # corner, so no key union needs recomputing...
+            # corner...
             next_corner = self._insert_ordered(corner, step_shifted)
             # ...and the transformed operation re-attaches at the path's
             # next state, into the same corner node, ordered among that
             # state's existing transitions.
-            self._insert_ordered(
-                self.node(step.target), transformed, target=next_corner
-            )
+            self._insert_ordered(onward, transformed, target=next_corner)
             corner = next_corner
             current = transformed
 
@@ -179,13 +192,20 @@ class NaryStateSpace(BaseStateSpace):
         later context lookup for a pruned state raises
         :class:`~repro.errors.UnknownStateError`.
         """
-        floor = frozenset(floor)
+        floor = key_of(self._log, floor)
         if not floor <= self.final_key:
             raise StateSpaceError(
                 "prune floor mentions operations this replica has not "
                 "processed"
             )
-        doomed = [key for key in self._nodes if not floor <= key]
+        # Prune by d: a state holds the floor iff its dense prefix
+        # reaches the floor's and it holds the floor's few extras.
+        d, extras = floor.pair()
+        doomed = [
+            key
+            for key in self._nodes
+            if key.pair()[0] < d or (extras and not extras <= key)
+        ]
         if doomed:
             doomed_set = set(doomed)
             # Materialise the documents of surviving nodes whose pending
@@ -199,7 +219,6 @@ class NaryStateSpace(BaseStateSpace):
                     node._materialise()
             for key in doomed:
                 del self._nodes[key]
-            self._interner.forget(doomed)
         obs = self._obs
         if obs.enabled:
             obs.space_pruned.inc(len(doomed))
@@ -207,49 +226,34 @@ class NaryStateSpace(BaseStateSpace):
         return len(doomed)
 
     def rebase_below(self, floor: StateKey) -> int:
-        """Prune below ``floor`` *and* subtract it from every key.
+        """Prune below ``floor`` *and* move the window floor up to it.
 
-        :meth:`prune_below` bounds the node **count**, but every
-        surviving key still contains the whole garbage-collected prefix,
-        so per-operation key unions stay O(history).  Rebasing rewrites
-        each survivor's key to ``key - floor`` — the relabelling is a
-        bijection on the surviving nodes (all of them contain ``floor``),
-        so the graph structure, sibling order, and documents are
-        untouched and every key is O(active window) afterwards.
-
-        Callers must feed the space operations whose contexts are
-        expressed relative to the same floor from then on (the net
-        runtime's serial-encoded contexts do exactly that).  Stored
-        transitions are rebuilt on their new source key — later
-        operations are transformed against them, and a transformation
-        pairs operations by context — and they get the interned key
-        itself, so ``operation.context is source.key`` keeps hitting
-        :meth:`_attach`'s identity fast path.
+        :meth:`prune_below` bounds the node **count**; rebasing also
+        trims the serial log, so the prefix every survivor contains
+        stops being nameable, countable or stored anywhere.  ``floor``
+        must be a dense serial prefix of the window.  Survivors' keys
+        are untouched — ``d`` is absolute (which is also why the wire
+        form is rebase-invariant), their window members are simply fewer
+        afterwards — so every stored transition keeps its source, target
+        and context objects; only the node table is re-hashed (a key
+        hashes like the frozenset of its window members).  Contexts fed
+        to the space from then on must be relative to the same floor
+        (the net runtime's serial-encoded ones are).
         """
-        floor = frozenset(floor)
+        floor = key_of(self._log, floor)
         pruned = self.prune_below(floor)
         if not floor:
             return pruned
-        fresh = KeyInterner()
-        remap = {
-            key: fresh.intern(key - floor) for key in self._nodes
-        }
-        nodes: Dict[StateKey, StateNode] = {}
-        for key, node in self._nodes.items():
-            new_key = remap[key]
-            node.key = new_key
-            node.children = [
-                Transition(
-                    new_key,
-                    remap[t.target],
-                    t.operation.with_context(new_key),
-                )
-                for t in node.children
-            ]
-            nodes[new_key] = node
-        self._nodes = nodes
-        self._interner = fresh
-        self.final_key = remap[self.final_key]
+        d, extras = floor.pair()
+        if self._log is None or extras:
+            raise StateSpaceError(
+                "rebase floor is not a dense prefix of a serial log"
+            )
+        # prune_below settled every survivor's pair (a client's keys may
+        # hold an echoed operation as an extra) while the log still named
+        # the serials about to leave it.
+        self._log.trim_below(d)
+        self._nodes = {node.key: node for node in self._nodes.values()}
         return pruned
 
     def _ancestors(

@@ -17,161 +17,31 @@ the server's total order ``⇒`` on the original operations.  How a replica
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
 from repro.common.ids import OpId
 from repro.errors import OrderingError
+from repro.jupiter.keys import SerialLog, StateKey
 
 
-class ServerOrderOracle:
+class ServerOrderOracle(SerialLog):
     """Total order at the server: serials it assigned itself.
 
     ``start`` seats the oracle at a non-zero position: a server restored
     from a checkpoint taken after active-window GC only knows the serials
     past the checkpoint's rebase base, so its oracle begins there instead
-    of at serial 1.  ``base`` is the *trim floor* (see :meth:`trim_below`):
-    the serial at and below which the prefix has been garbage-collected —
-    :meth:`serialized_before` answers relative to it.
+    of at serial 1.
     """
-
-    def __init__(self, start: int = 0) -> None:
-        self._serial_by_opid: Dict[OpId, int] = {}
-        # index i holds serial offset + i + 1
-        self._by_serial: List[OpId] = []
-        self._offset = int(start)
-        self._base = int(start)
-        self._next_serial = self._offset + 1
-        # Incrementally grown prefix: (serial, ids serialised before it
-        # and after the trim floor).
-        self._prefix_cache: Tuple[int, frozenset] = (
-            self._next_serial,
-            frozenset(),
-        )
-
-    @property
-    def last_serial(self) -> int:
-        """The highest serial assigned so far (0 before the first)."""
-        return self._next_serial - 1
-
-    @property
-    def base(self) -> int:
-        """Serial floor of the active window (0 = nothing trimmed)."""
-        return self._base
-
-    def serial_items(self, after: int = 0) -> List[Tuple[OpId, int]]:
-        """Every (opid, serial) pair with serial > ``after``, by serial.
-
-        The public seam snapshots read instead of the internal mapping.
-        ``self._by_serial`` is append-only in assignment order, so the
-        canonical (byte-identical JSON) serial order is a slice, not a
-        sort — snapshots of a GC-trimmed server pass
-        ``after=oracle.base`` and the cost is O(active window), where a
-        full-mapping sort would grow with total history on every
-        compaction.
-        """
-        low = max(int(after), self._offset)
-        return [
-            (opid, low + 1 + index)
-            for index, opid in enumerate(self._by_serial[low - self._offset:])
-        ]
-
-    def opid_of(self, serial: int) -> OpId:
-        """The operation serialised at ``serial`` (must be retained)."""
-        index = serial - 1 - self._offset
-        if not 0 <= index < len(self._by_serial):
-            raise OrderingError(
-                f"serial {serial} outside the retained window "
-                f"({self._offset + 1}..{self.last_serial})"
-            )
-        return self._by_serial[index]
-
-    def opids_between(self, low: int, high: int) -> frozenset:
-        """Ids of the operations serialised in ``(low, high]``."""
-        if high <= low:
-            return frozenset()
-        if low < self._offset or high > self.last_serial:
-            raise OrderingError(
-                f"serial range ({low}, {high}] outside the retained "
-                f"window ({self._offset}..{self.last_serial})"
-            )
-        return frozenset(
-            self._by_serial[low - self._offset : high - self._offset]
-        )
-
-    def trim_below(self, serial: int) -> None:
-        """Move the prefix floor up to ``serial`` (acked-prefix GC).
-
-        After trimming, :meth:`serialized_before` answers only with the
-        operations *inside* the active window — exactly the prefix a
-        replica whose state-space was rebased at the same floor can
-        still name — and the serial→opid log drops the trimmed prefix
-        outright.  Nothing may ask below the floor afterwards: v1
-        sessions (the only readers of absolute history) are refused
-        once ``base > 0``, every retained WAL record's context floor is
-        at or above the base (the GC fixpoint), and the rebased
-        state-space names only window operations.  Keeping the log
-        would leave memory — and cyclic-GC pause times — growing with
-        total history instead of the active window.
-        """
-        if serial <= self._base:
-            return
-        if serial > self.last_serial:
-            raise OrderingError(
-                f"cannot trim below unassigned serial {serial}"
-            )
-        self._base = serial
-        self._prefix_cache = (serial + 1, frozenset())
-        drop = serial - self._offset
-        if drop > 0:
-            for opid in self._by_serial[:drop]:
-                del self._serial_by_opid[opid]
-            del self._by_serial[:drop]
-            self._offset = serial
 
     def assign(self, opid: OpId) -> int:
         """Serialise ``opid``: give it the next serial number."""
         if opid in self._serial_by_opid:
             raise OrderingError(f"operation {opid} serialised twice")
-        serial = self._next_serial
-        self._serial_by_opid[opid] = serial
-        self._by_serial.append(opid)
-        self._next_serial += 1
-        return serial
+        return self._append(opid)
 
-    def serial_of(self, opid: OpId) -> int:
-        return self._serial_by_opid[opid]
-
-    def known(self, opid: OpId) -> bool:
-        return opid in self._serial_by_opid
-
-    def serialized_before(self, serial: int) -> frozenset:
-        """Ids of the operations in ``(base, serial)`` (message prefix).
-
-        The common caller asks for the prefix of the serial it just
-        assigned, so the answer is grown incrementally from the last one
-        (one element added per assignment) instead of rescanning every
-        assignment ever made.  With an untrimmed oracle (``base`` 0,
-        the simulated runtime) this is the full prefix; after
-        :meth:`trim_below` it is the active-window suffix of it.
-        """
-        if serial <= self._base + 1:
-            return frozenset()
-        cached_serial, cached = self._prefix_cache
-        if serial == cached_serial:
-            return cached
-        if cached_serial < serial <= self._next_serial:
-            # Fully determined and append-only, so safe to cache.
-            grown = cached.union(
-                self._by_serial[
-                    cached_serial - 1 - self._offset : serial - 1 - self._offset
-                ]
-            )
-            self._prefix_cache = (serial, grown)
-            return grown
-        low = max(self._base, self._offset)
-        return frozenset(
-            self._by_serial[low - self._offset : serial - 1 - self._offset]
-        )
+    def serialized_before(self, serial: int) -> StateKey:
+        """The operations in ``(base, serial)`` (a message's prefix): the
+        dense key ``{base + 1 .. serial - 1}``, an O(1) view over this
+        log that answers ``in``, ``==`` and iteration like the set."""
+        return self.dense(min(max(serial - 1, self._base), self.last_serial))
 
     def before(self, first: OpId, second: OpId) -> bool:
         """``first ⇒ second`` in the server total order."""
@@ -183,7 +53,7 @@ class ServerOrderOracle:
             ) from None
 
 
-class ClientOrderOracle:
+class ClientOrderOracle(SerialLog):
     """Total order as known at a client.
 
     ``record(opid, serial)`` is called for every server broadcast
@@ -191,76 +61,32 @@ class ClientOrderOracle:
     resolves pending-vs-serialised comparisons with the FIFO argument
     above; two pending operations are never siblings (they are causally
     ordered at their common generator), so asking about them is an error.
+
+    Broadcasts release in serial order, so the log is dense; the first
+    serial a fresh mirror learns seats it there (a state-transferred
+    session starts past the server's floor).
     """
 
     def __init__(self, replica: str) -> None:
+        super().__init__()
         self._replica = replica
-        self._serial_by_opid: Dict[OpId, int] = {}
-        self._opid_by_serial: Dict[int, OpId] = {}
-        self._base = 0
-
-    @property
-    def base(self) -> int:
-        """Serial floor of the active window (0 = nothing trimmed)."""
-        return self._base
-
-    def serial_items(self) -> List[Tuple[OpId, int]]:
-        """Every (opid, serial) pair learned so far, sorted by serial.
-
-        See :meth:`ServerOrderOracle.serial_items` — the canonical order
-        snapshots serialise.
-        """
-        return sorted(self._serial_by_opid.items(), key=lambda item: item[1])
 
     def record(self, opid: OpId, serial: int) -> None:
         existing = self._serial_by_opid.get(opid)
-        if existing is not None and existing != serial:
+        if existing is None:
+            if not self._by_serial:
+                self.trim_below(serial - 1)
+            if serial != self.last_serial + 1:
+                raise OrderingError(
+                    f"{self._replica} learned serial {serial} for {opid} "
+                    f"out of order (expected {self.last_serial + 1})"
+                )
+            self._append(opid)
+        elif existing != serial:
             raise OrderingError(
                 f"{self._replica} saw two serials for {opid}: "
                 f"{existing} and {serial}"
             )
-        self._serial_by_opid[opid] = serial
-        self._opid_by_serial[serial] = opid
-
-    def opid_of(self, serial: int) -> OpId:
-        """The operation this client learned was serialised at ``serial``."""
-        try:
-            return self._opid_by_serial[serial]
-        except KeyError:
-            raise OrderingError(
-                f"{self._replica} has not learned serial {serial}"
-            ) from None
-
-    def opids_between(self, low: int, high: int) -> frozenset:
-        """Ids of the operations serialised in ``(low, high]``.
-
-        Unlike the server's dense log, a client may only ask about
-        serials it has actually learned; a gap raises
-        :class:`~repro.errors.OrderingError`.
-        """
-        return frozenset(
-            self.opid_of(serial) for serial in range(low + 1, high + 1)
-        )
-
-    def trim_below(self, serial: int) -> None:
-        """Record that serials ``<= serial`` left the active window.
-
-        Serials a client learned are dense (broadcasts release in
-        order), so the trimmed prefix is dropped from both mappings —
-        the mirror's memory tracks the active window, not total
-        history.  Entries that were never learned (a state-transferred
-        session starts past the floor) are simply absent.
-        """
-        if serial <= self._base:
-            return
-        for trimmed in range(self._base + 1, serial + 1):
-            opid = self._opid_by_serial.pop(trimmed, None)
-            if opid is not None:
-                self._serial_by_opid.pop(opid, None)
-        self._base = serial
-
-    def serial_of(self, opid: OpId) -> Optional[int]:
-        return self._serial_by_opid.get(opid)
 
     def before(self, first: OpId, second: OpId) -> bool:
         first_serial = self._serial_by_opid.get(first)

@@ -41,6 +41,7 @@ from repro.document.elements import Element
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssClient, CssServer
+from repro.jupiter.keys import key_of
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.nary import NaryStateSpace
 from repro.jupiter.ordering import ServerOrderOracle
@@ -49,6 +50,13 @@ from repro.obs import get_obs
 from repro.ot.operations import OpKind, Operation
 
 FORMAT_VERSION = 2
+
+
+def _require_version(obj: Dict[str, Any], what: str) -> None:
+    if obj.get("version") != FORMAT_VERSION:
+        raise ProtocolError(
+            f"unsupported {what} version {obj.get('version')!r}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +68,11 @@ def opid_to_obj(opid: OpId) -> List[Any]:
 
 def opid_from_obj(obj: List[Any]) -> OpId:
     return OpId(str(obj[0]), int(obj[1]))
+
+
+def opids_to_obj(opids: Iterable[OpId]) -> List[List[Any]]:
+    """A set of ids in its canonical (sorted) encoding."""
+    return sorted(opid_to_obj(o) for o in opids)
 
 
 def element_to_obj(element: Element) -> Dict[str, Any]:
@@ -84,7 +97,7 @@ def operation_to_obj(
         "position": operation.position,
     }
     if with_context:
-        obj["context"] = sorted(opid_to_obj(o) for o in operation.context)
+        obj["context"] = opids_to_obj(operation.context)
     return obj
 
 
@@ -109,14 +122,6 @@ def operation_from_obj(
     )
 
 
-def _state_key_to_obj(key) -> List[List[Any]]:
-    return sorted(opid_to_obj(o) for o in key)
-
-
-def _state_key_from_obj(obj) -> frozenset:
-    return frozenset(opid_from_obj(o) for o in obj)
-
-
 # ----------------------------------------------------------------------
 # Serial-encoded operation contexts (the active-window wire/WAL form)
 # ----------------------------------------------------------------------
@@ -135,37 +140,23 @@ def compact_context(operation: Operation, oracle) -> List[Any]:
     operations before the operation that references them).  ``d`` is the
     maximal dense serial prefix the context covers — at least the
     generator's own split, so every invariant proved for the generator's
-    ``d`` holds for this one too.
+    ``d`` holds for this one too.  A context that is a key of ``oracle``
+    (every decoded or integrated one is) is read, not walked.
     """
-    base = oracle.base
-    serials = sorted(oracle.serial_of(o) for o in operation.context)
-    d = base
-    extra_serials: List[int] = []
-    for serial in serials:
-        if serial == d + 1 and not extra_serials:
-            d = serial
-        else:
-            extra_serials.append(serial)
-    return [
-        d,
-        sorted(opid_to_obj(oracle.opid_of(s)) for s in extra_serials),
-    ]
+    d, extras = key_of(oracle, operation.context).pair()
+    return [d, opids_to_obj(extras)]
 
 
-def context_from_compact(ctx_obj: List[Any], oracle) -> frozenset:
-    """Decode a serial-encoded context relative to ``oracle``'s base."""
+def context_from_compact(ctx_obj: List[Any], oracle) -> StateKey:
+    """Decode a serial-encoded context as a key of ``oracle``'s log."""
     d = int(ctx_obj[0])
-    base = oracle.base
-    if d < base:
+    if not oracle.base <= d <= oracle.last_serial:
         raise ProtocolError(
-            f"compact context floor {d} is below the decoder's GC base "
-            f"{base}; the record should have been unreachable"
+            f"compact context floor {d} is outside the decoder's window "
+            f"({oracle.base}..{oracle.last_serial}): below its GC base the "
+            "record should have been unreachable, above it unreleased"
         )
-    ids = oracle.opids_between(base, d) if d > base else frozenset()
-    extras = ctx_obj[1]
-    if extras:
-        ids = ids.union(opid_from_obj(o) for o in extras)
-    return ids
+    return oracle.key_from_pair(d, [opid_from_obj(o) for o in ctx_obj[1]])
 
 
 def record_operation(record: Dict[str, Any], oracle=None) -> Operation:
@@ -200,7 +191,7 @@ def record_operation(record: Dict[str, Any], oracle=None) -> Operation:
 # ``[operation without context, target id]``.
 #
 # The encoder's bookkeeping — the *shadow* — maps each encoded node's
-# interned key to ``(id, child count, parent id)``.  A lone snapshot
+# key to ``(id, child count, parent id)``.  A lone snapshot
 # throws it away; the write-ahead log keeps it, which is what lets a
 # delta compaction find and encode only the nodes that changed.
 Shadow = Dict[StateKey, Tuple[int, int, Optional[int]]]
@@ -263,7 +254,7 @@ def _encode_nodes(
         node_id, _degree, parent_id = shadow[node.key]
         obj: Dict[str, Any] = {"id": node_id}
         if parent_id is None:
-            obj["key"] = _state_key_to_obj(node.key)
+            obj["key"] = opids_to_obj(node.key)
             obj["document"] = [
                 element_to_obj(e) for e in documents[node.key]
             ]
@@ -305,19 +296,15 @@ def space_from_obj(obj: Dict[str, Any], oracle) -> NaryStateSpace:
     :meth:`~repro.jupiter.state_space.BaseStateSpace._attach` builds
     while integrating, and every transition is re-attached through it,
     so a restore re-runs the O(1) length/fingerprint CP1 check per edge
-    instead of trusting stored documents.  Keys are interned and every
-    transition's context is its source's key object, so the rebuilt
-    space hits the same identity fast paths as one grown through
-    ``integrate()``.
+    instead of trusting stored documents.  A stored key becomes a key of
+    ``oracle``'s serial log and every transition's context is its
+    source's key object, so the rebuilt space hits the same identity
+    fast paths as one grown through ``integrate()``.
     """
-    if obj.get("version") != FORMAT_VERSION:
-        raise ProtocolError(
-            f"unsupported snapshot version {obj.get('version')!r}"
-        )
+    _require_version(obj, "snapshot")
     space = NaryStateSpace(oracle)
     table = space._nodes  # populated wholesale during restore
     table.clear()
-    intern = space._interner.intern
     by_id: Dict[int, StateNode] = {}
     edges: Dict[int, List[Tuple[Operation, int]]] = {}
     try:
@@ -333,7 +320,7 @@ def space_from_obj(obj: Dict[str, Any], oracle) -> NaryStateSpace:
                     ),
                 )
             else:
-                key = intern(_state_key_from_obj(node_obj["key"]))
+                key = key_of(space._log, map(opid_from_obj, node_obj["key"]))
                 node = table[key] = StateNode(
                     key,
                     ListDocument(
@@ -393,10 +380,7 @@ def snapshot_client(client: CssClient) -> Dict[str, Any]:
 
 
 def restore_client(obj: Dict[str, Any]) -> CssClient:
-    if obj.get("version") != FORMAT_VERSION:
-        raise ProtocolError(
-            f"unsupported snapshot version {obj.get('version')!r}"
-        )
+    _require_version(obj, "snapshot")
     client = CssClient(str(obj["replica"]))
     for opid_obj, serial in obj["serials"]:
         client.oracle.record(opid_from_obj(opid_obj), int(serial))
@@ -441,10 +425,7 @@ def restore_checkpoint(obj: Dict[str, Any]) -> CssClient:
     ``obj["behaviors_len"]``) stays with the caller — the event loop
     re-seeds its session endpoints and behaviour log from it.
     """
-    if obj.get("version") != FORMAT_VERSION:
-        raise ProtocolError(
-            f"unsupported checkpoint version {obj.get('version')!r}"
-        )
+    _require_version(obj, "checkpoint")
     return restore_client(obj["client"])
 
 
@@ -481,10 +462,7 @@ def _server_snapshot(
 
 
 def restore_server(obj: Dict[str, Any]) -> CssServer:
-    if obj.get("version") != FORMAT_VERSION:
-        raise ProtocolError(
-            f"unsupported snapshot version {obj.get('version')!r}"
-        )
+    _require_version(obj, "snapshot")
     server = CssServer(str(obj["replica"]), [str(c) for c in obj["clients"]])
     base = int(obj.get("base", 0))
     if base:
@@ -654,8 +632,8 @@ class ServerWriteAheadLog:
         #: state-space nodes serialised by compactions, by mode — equals
         #: the nodes that changed for a delta, the whole window for a full
         self.snapshot_nodes = {"full": 0, "delta": 0}
-        # Diff base for the next delta: the encoder's shadow (interned
-        # node key -> id, child count, parent id) as of the previous
+        # Diff base for the next delta: the encoder's shadow (the node's
+        # key -> id, child count, parent id) as of the previous
         # compaction.  ``None`` (fresh or restored log) forces the next
         # compaction to be a full checkpoint.
         self._shadow: Optional[Shadow] = None
@@ -844,7 +822,7 @@ class ServerWriteAheadLog:
     def _diff(self, space: NaryStateSpace, shadow: Shadow) -> Dict[str, Any]:
         """The node part of a delta; brings ``shadow`` up to ``space``.
 
-        The shadow is keyed by the space's own interned keys, so the
+        The shadow is keyed by the space's own key objects, so the
         walk over the node table is a hash probe that hits on identity
         per unchanged node and nothing else.
         """
@@ -1078,10 +1056,7 @@ class ServerWriteAheadLog:
 
     @classmethod
     def from_obj(cls, obj: Dict[str, Any]) -> "ServerWriteAheadLog":
-        if obj.get("version") != FORMAT_VERSION:
-            raise ProtocolError(
-                f"unsupported WAL version {obj.get('version')!r}"
-            )
+        _require_version(obj, "WAL")
         wal = cls(
             str(obj["replica"]),
             [str(c) for c in obj["clients"]],

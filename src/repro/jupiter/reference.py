@@ -2,7 +2,7 @@
 
 This module preserves the *seed* implementation of the compact n-ary
 ordered state-space, exactly as it behaved before the hot-path overhaul
-(interned keys, lazy copy-on-write documents, corner reuse): plain
+(compact keys, lazy copy-on-write documents, corner reuse): plain
 ``frozenset`` unions per square, an eager document copy at every node,
 and the full structural CP1 comparison at every square corner.
 

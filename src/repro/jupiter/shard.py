@@ -21,7 +21,7 @@ import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.ids import SERVER_ID, ReplicaId
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, StateSpaceError
 from repro.jupiter.css import CssServer
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.persistence import (
@@ -218,7 +218,16 @@ class ShardCore:
         interleave here, which is what keeps the s->c sequence number
         equal to the serial on every channel of the shard.
         """
-        outgoing = self.server.receive(session.client, payload)
+        try:
+            outgoing = self.server.receive(session.client, payload)
+        except StateSpaceError as exc:
+            # A context that matches no state here is the peer's protocol
+            # violation, not this shard's crash; nothing was serialised.
+            operation = payload.operation
+            raise ProtocolError(
+                f"{session.client}: {operation} on ctx {operation.context!r} "
+                f"cannot be integrated: {exc}"
+            ) from exc
         serial = self.server.oracle.last_serial
         # Serial-encode the context once: it goes into the WAL record
         # (kept O(active window) instead of O(context)) and into every

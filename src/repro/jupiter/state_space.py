@@ -2,18 +2,19 @@
 
 Both the 2D state-spaces of the CSCW protocol and the n-ary ordered
 state-space of the CSS protocol are DAGs whose nodes are replica states —
-identified by the :class:`frozenset` of original operation ids processed
-(Definition 4.5) — and whose transitions are labelled with (original or
-transformed) operations.  Every node also carries the list document at
-that state, so the paper's per-state lists (``w13 = "ax"`` etc.) can be
-read straight off the structure.
+identified by the set of original operation ids processed (Definition
+4.5), held as a :class:`~repro.jupiter.keys.StateKey` — and whose
+transitions are labelled with (original or transformed) operations.
+Every node also carries the list document at that state, so the paper's
+per-state lists (``w13 = "ax"`` etc.) can be read straight off the
+structure.
 
 Two hot-path representations keep growth near-linear in operations
 processed (see ``docs/ARCHITECTURE.md`` § "The hot path"):
 
-* state keys are hash-consed through a per-space
-  :class:`~repro.jupiter.keys.KeyInterner`, so the square construction
-  never recomputes a union or re-hashes a key it has seen before;
+* a state key is a dense serial prefix plus the few ids in flight
+  (:mod:`repro.jupiter.keys`), so the square construction extends,
+  hashes and compares keys in O(concurrency), not O(window);
 * node documents are **lazy**: attaching a node records ``(parent, op)``
   in O(1) and the document materialises — once, cached — only when
   somebody reads it.  The always-on CP1 cross-check at square corners
@@ -31,7 +32,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.common.ids import OpId, StateKey, format_opid_set
 from repro.document.list_document import ListDocument
 from repro.errors import PositionError, StateSpaceError, UnknownStateError
-from repro.jupiter.keys import KeyInterner
+from repro.jupiter.keys import SerialLog, key_of
 from repro.ot.operations import Operation
 
 
@@ -77,8 +78,10 @@ class StateNode:
     (``_parent``/``_op`` set): the document of the parent node with one
     operation applied.  Pending nodes cost O(1) to create; reading
     :attr:`document` materialises the chain up to the nearest
-    materialised ancestor and caches the result here.  ``length`` and
-    ``content_fp`` are always maintained eagerly in O(1).
+    materialised ancestor and caches the result here — and a node read
+    straight off its materialised parent takes the document over: the
+    parent becomes pending on *it*, through the inverse operation.
+    ``length`` and ``content_fp`` are always maintained eagerly in O(1).
     """
 
     __slots__ = ("key", "children", "length", "content_fp", "_doc", "_parent", "_op")
@@ -130,6 +133,14 @@ class StateNode:
         document = cursor._doc.copy()
         for node in reversed(chain):
             node._op.apply(document)  # type: ignore[union-attr]
+        if cursor is self._parent:
+            # Hand-over: the parent's document is this one with one
+            # operation undone, so the parent keeps that instead of its
+            # own copy.  A replica reads its final state after every
+            # operation; without this every state it was ever in holds a
+            # whole document and memory is window x document length.
+            undo = self._op.inverse()  # type: ignore[union-attr]
+            cursor._doc, cursor._parent, cursor._op = None, self, undo
         self._doc = document
         # Release the chain so pruned ancestors can actually be freed.
         self._parent = None
@@ -152,16 +163,18 @@ Signature = Dict[
 class BaseStateSpace:
     """Node bookkeeping shared by the 2D and n-ary state-spaces."""
 
+    #: the serial log this space's keys are read against (none: d = 0)
+    _log: Optional[SerialLog] = None
+
     def __init__(
         self,
         initial_document: Optional[ListDocument] = None,
         *,
         strict_cp1: bool = False,
     ) -> None:
-        self._interner = KeyInterner()
         self._strict_cp1 = bool(strict_cp1)
         document = (initial_document or ListDocument()).copy()
-        root = StateNode(self._interner.intern(frozenset()), document)
+        root = StateNode(key_of(self._log, ()), document)
         self._nodes: Dict[StateKey, StateNode] = {root.key: root}
         self.final_key: StateKey = root.key
         #: number of pairwise OTs performed while building this space.
@@ -240,13 +253,18 @@ class BaseStateSpace:
 
         ``target`` optionally names the corner node the caller already
         holds (Algorithm 1 holds it: the square's first edge created it),
-        sparing the key union/lookup for the closing edge entirely.
+        sparing the key extension/lookup for the closing edge entirely.
+        A corner still pending on the edge that created it is re-pointed
+        to this closing edge when only this one starts at a materialised
+        document: reading the new final state then applies one operation
+        (``o{L}`` on the old final document, §6.2 step 3), not the chain
+        back to the last state anybody read.
         """
         if operation.context is not source.key:
-            # Interned contexts hit the identity fast path above; anything
-            # else pays a comparison — full in strict mode, length-only on
-            # the hot path (transformed contexts are equal by construction
-            # of the CP1 square).
+            # A context that is the source's own key object hits the
+            # identity fast path above; anything else pays a comparison —
+            # full in strict mode, length-only on the hot path (transformed
+            # contexts are equal by construction of the CP1 square).
             if self._strict_cp1:
                 if operation.context != source.key:
                     raise StateSpaceError(
@@ -260,7 +278,7 @@ class BaseStateSpace:
                     f"{format_opid_set(source.key)} with a different context"
                 )
         if target is None:
-            target_key = self._interner.extend(source.key, operation.opid)
+            target_key = source.key.extend(operation.opid)
             existing = self._nodes.get(target_key)
         else:
             target_key = target.key
@@ -301,6 +319,12 @@ class BaseStateSpace:
                         f"{recomputed.as_string()!r} != "
                         f"{existing.document.as_string()!r}"
                     )
+            elif (
+                existing._doc is None
+                and source._doc is not None
+                and existing._parent._doc is None  # type: ignore[union-attr]
+            ):
+                existing._parent, existing._op = source, operation
             return existing
         if self._strict_cp1:
             document = source.document.copy()

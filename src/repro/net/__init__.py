@@ -23,67 +23,27 @@ against one server process and checks the paper's convergence property
 signatures.
 """
 
-from repro.net.codec import (
-    WIRE_VERSION,
-    WireError,
-    decode_envelope,
-    document_signature,
-    encode_envelope,
-)
-from repro.net.transport import (
-    MAX_FRAME,
-    OUTBOUND_QUEUE,
-    WRITE_TIMEOUT,
-    FrameSender,
-    FrameTooLarge,
-    drain_payload,
-    read_frame,
-    write_frame,
-)
-from repro.net.chaosproxy import ChaosProxy, run_chaosproxy
-from repro.net.client import NetClient, ReconnectExhausted
-from repro.net.server import NetServer
-from repro.net.loadgen import run_loadgen, run_worker
-from repro.net.fleet import (
-    FleetRouter,
-    FleetWorker,
-    WorkerRegistry,
-    place,
-    placement_map,
-    placement_skew,
-    run_fleet_loadgen,
-    run_fleet_worker,
-    run_router,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WIRE_VERSION",
-    "WireError",
-    "decode_envelope",
-    "document_signature",
-    "encode_envelope",
-    "MAX_FRAME",
-    "OUTBOUND_QUEUE",
-    "WRITE_TIMEOUT",
-    "FrameSender",
-    "FrameTooLarge",
-    "drain_payload",
-    "read_frame",
-    "write_frame",
-    "ChaosProxy",
-    "run_chaosproxy",
-    "NetClient",
-    "ReconnectExhausted",
-    "NetServer",
-    "run_loadgen",
-    "run_worker",
-    "FleetRouter",
-    "FleetWorker",
-    "WorkerRegistry",
-    "place",
-    "placement_map",
-    "placement_skew",
-    "run_fleet_loadgen",
-    "run_fleet_worker",
-    "run_router",
-]
+#: submodule -> the public names it defines, imported on first use
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "codec": (
+            "WIRE_VERSION WireError decode_envelope document_signature "
+            "encode_envelope"
+        ),
+        "transport": (
+            "MAX_FRAME OUTBOUND_QUEUE WRITE_TIMEOUT FrameSender "
+            "FrameTooLarge drain_payload read_frame write_frame"
+        ),
+        "chaosproxy": "ChaosProxy run_chaosproxy",
+        "client": "NetClient ReconnectExhausted",
+        "server": "NetServer",
+        "loadgen": "run_loadgen run_worker",
+        "fleet": (
+            "FleetRouter FleetWorker WorkerRegistry place placement_map "
+            "placement_skew run_fleet_loadgen run_fleet_worker run_router"
+        ),
+    },
+)

@@ -126,9 +126,10 @@ class NetClient:
         self.sender = SessionSender((client_id, SERVER_ID))
         self.receiver = SessionReceiver((SERVER_ID, client_id))
         #: unacknowledged outgoing messages, seq -> ClientOperation.
-        #: Stored as protocol messages, not encoded bodies: the wire
-        #: encoding depends on the oracle's base at transmission time,
-        #: so each (re)transmit encodes afresh.
+        #: Each keeps the state key it was generated on — an absolute
+        #: ``d`` plus the then-pending extras — so a (re)transmit reads
+        #: its context off the pair, exactly, however far floors have
+        #: trimmed the mirror since.
         self.unacked: Dict[int, ClientOperation] = {}
         #: per-seq generation floor (``delivered`` when the op was
         #: generated): the lowest serial the op's context can reference.
@@ -221,6 +222,17 @@ class NetClient:
             target=f"{target[0]}:{target[1]}",
         )
 
+    async def _failed(self, why: str, attempt: int, pause: float = 0.0) -> int:
+        """Count one failed dial or handshake: back off (the seeded
+        backoff, at least ``pause``), or give up by policy."""
+        attempt += 1
+        if attempt >= self.max_connect_attempts:
+            raise ReconnectExhausted(
+                f"{self.client_id}: {why} across {attempt} attempts"
+            )
+        await asyncio.sleep(max(pause, self.backoff.timeout(attempt)))
+        return attempt
+
     async def connect(self) -> None:
         """Dial, handshake, resync, and start the reader task.
 
@@ -237,14 +249,8 @@ class NetClient:
             try:
                 reader, writer = await asyncio.open_connection(host, port)
             except OSError:
-                attempt += 1
-                if attempt >= self.max_connect_attempts:
-                    raise ReconnectExhausted(
-                        f"{self.client_id}: no server reachable after "
-                        f"{attempt} dial attempts"
-                    )
                 self._advance_target()
-                await asyncio.sleep(self.backoff.timeout(attempt))
+                attempt = await self._failed("no server reachable", attempt)
                 continue
             try:
                 hello = encode_envelope(
@@ -260,14 +266,8 @@ class NetClient:
                 first = await read_frame(reader, doc=self.doc)
             except (ConnectionError, OSError):
                 writer.close()
-                attempt += 1
-                if attempt >= self.max_connect_attempts:
-                    raise ReconnectExhausted(
-                        f"{self.client_id}: handshake kept failing after "
-                        f"{attempt} attempts"
-                    )
                 self._advance_target()
-                await asyncio.sleep(self.backoff.timeout(attempt))
+                attempt = await self._failed("handshake kept failing", attempt)
                 continue
             if first is None or first.get("type") == "evicted":
                 # The link died before a welcome arrived — the hello (or
@@ -276,14 +276,8 @@ class NetClient:
                 # notice beat the close.  Either way: a failed attempt,
                 # not a protocol violation.
                 writer.close()
-                attempt += 1
-                if attempt >= self.max_connect_attempts:
-                    raise ReconnectExhausted(
-                        f"{self.client_id}: handshake kept dying after "
-                        f"{attempt} attempts"
-                    )
                 self._advance_target()
-                await asyncio.sleep(self.backoff.timeout(attempt))
+                attempt = await self._failed("handshake kept dying", attempt)
                 continue
             if first.get("type") == "retry_after":
                 # Admission control shed us: honor the server's pacing
@@ -297,15 +291,10 @@ class NetClient:
                     seconds=first.get("seconds"),
                     reason=first.get("reason"),
                 )
-                attempt += 1
-                if attempt >= self.max_connect_attempts:
-                    raise ReconnectExhausted(
-                        f"{self.client_id}: shed by admission control "
-                        f"across {attempt} attempts"
-                    )
-                pause = max(0.0, float(first.get("seconds", 0.0)))
-                await asyncio.sleep(
-                    max(pause, self.backoff.timeout(attempt))
+                attempt = await self._failed(
+                    "shed by admission control",
+                    attempt,
+                    pause=float(first.get("seconds", 0.0)),
                 )
                 continue
             if first is not None and first.get("type") == "redirect":
@@ -316,14 +305,8 @@ class NetClient:
                     # Redirect loop: the roster disagrees about the
                     # primary (mid view-change).  Treat as a failed
                     # attempt and back off before trying again.
-                    attempt += 1
-                    if attempt >= self.max_connect_attempts:
-                        raise ReconnectExhausted(
-                            f"{self.client_id}: redirect loop persisted "
-                            f"across {attempt} attempts"
-                        )
+                    attempt = await self._failed("redirect loop", attempt)
                     redirect_budget = max(4, 2 * len(self.roster or ()))
-                    await asyncio.sleep(self.backoff.timeout(attempt))
                 continue
             welcome = first
             break
@@ -474,8 +457,7 @@ class NetClient:
         return self.delivered
 
     def _data_envelope(self, seq: int) -> Dict[str, Any]:
-        """The data frame for unacked op ``seq``, encoded against the
-        oracle's current base."""
+        """The data frame for unacked op ``seq``."""
         return encode_envelope(
             "data",
             seq=seq,
@@ -488,11 +470,11 @@ class NetClient:
     def _maybe_rebase(self, floor: int) -> None:
         """Trim the local mirror to the server's GC floor.
 
-        The server never advertises a floor above this client's pin, so
-        every unacknowledged op's context stays expressible (members at
-        or below the floor are implied by it) and every future broadcast
-        decodes.  Clamping to ``delivered`` keeps a floor that raced
-        ahead of an in-flight resync from trimming serials not yet seen.
+        The server never advertises a floor above this client's pin, and
+        a pin never passes its op's ``d``, so every unacknowledged op's
+        state survives the rebase and every future broadcast decodes.
+        Clamping to ``delivered`` keeps a floor that raced ahead of an
+        in-flight resync from trimming serials not yet seen.
         """
         if floor > self.css.oracle.base:
             self.css.rebase_to_serial(floor)

@@ -34,11 +34,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError
 from repro.jupiter.messages import ClientOperation, ServerOperation
+from repro.jupiter.keys import key_of
 from repro.jupiter.persistence import (
     context_from_compact,
     operation_from_obj,
     operation_to_obj,
-    opid_to_obj,
+    opids_to_obj,
 )
 
 #: Version of the frame envelope; bumped on any incompatible change.
@@ -89,33 +90,20 @@ def compact_client_op_obj(message: ClientOperation, oracle) -> Dict[str, Any]:
     ``oracle`` is the generator's
     :class:`~repro.jupiter.ordering.ClientOrderOracle`; context members
     it cannot name a serial for are the client's own still-pending
-    operations and ride as extras.  Members at or below the client's GC
-    base are omitted — ``d`` is at least the base, so any decoder's
-    dense prefix covers them.
+    operations and ride as extras.  The context is the key of the state
+    the operation was generated on, so this reads its pair: ``d`` is
+    absolute, and the same bytes come out however far the base has
+    moved since (the advertised floor never passes the operation's pin,
+    and the pin never passes ``d``).
     """
     operation = message.operation
-    serials: List[int] = []
-    extras = []
-    for member in operation.context:
-        serial = oracle.serial_of(member)
-        if serial is None:
-            extras.append(member)
-        elif serial > oracle.base:
-            serials.append(serial)
-    d = oracle.base
-    gapped: List[int] = []
-    for serial in sorted(serials):
-        if serial == d + 1 and not gapped:
-            d = serial
-        else:
-            gapped.append(serial)
-    extras.extend(oracle.opid_of(serial) for serial in gapped)
+    d, extras = key_of(oracle, operation.context).pair()
     return {
         "v": WIRE_VERSION,
         "kind": "client_op",
         "body": {
             "operation": operation_to_obj(operation, with_context=False),
-            "ctx": [d, sorted(opid_to_obj(o) for o in extras)],
+            "ctx": [d, opids_to_obj(extras)],
         },
     }
 
@@ -170,10 +158,8 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
             f"message body must be an object, got {type(body).__name__}"
         )
     try:
-        bare = dict(body["operation"])
-        bare["context"] = []
-        operation = operation_from_obj(bare).with_context(
-            context_from_compact(body["ctx"], oracle)
+        operation = operation_from_obj(
+            body["operation"], context_from_compact(body["ctx"], oracle)
         )
         if kind == "client_op":
             return ClientOperation(operation=operation)

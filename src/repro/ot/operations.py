@@ -14,14 +14,24 @@ replica's state; each transformation step ``OT(o, ox)`` extends it with
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Any, FrozenSet, Optional
+from collections.abc import Hashable, Set
+from dataclasses import dataclass, field
+from typing import Any, FrozenSet, Iterable, Optional
 
 from repro.common.ids import OpId, StateKey, format_opid_set
 from repro.common.priority import Priority, priority_of
 from repro.document.elements import Element
 from repro.document.list_document import ListDocument
 from repro.errors import TransformError
+
+
+def _as_context(context: Iterable[OpId]) -> StateKey:
+    """A hashable set of ids is a context as it stands (a frozenset, or
+    the state key of the space the operation lives in — kept, so context
+    checks stay identity checks); anything else is frozen."""
+    if isinstance(context, Set) and isinstance(context, Hashable):
+        return context  # type: ignore[return-value]
+    return frozenset(context)
 
 
 class OpKind(enum.Enum):
@@ -115,51 +125,51 @@ class Operation:
     # ------------------------------------------------------------------
     def with_context(self, context: FrozenSet[OpId]) -> "Operation":
         """A copy of this operation defined on ``context``."""
-        return replace(self, context=frozenset(context))
+        return Operation(
+            self.kind, self.opid, self.element, self.position,
+            _as_context(context),
+        )
+
+    def _derived(
+        self,
+        kind: OpKind,
+        position: Optional[int],
+        other_id: OpId,
+        context: Optional[StateKey],
+    ) -> "Operation":
+        """This operation transformed against ``other_id``.  ``context``
+        short-circuits the union when the caller already holds
+        ``self.context | {other_id}`` (Algorithm 1 does: it is the state
+        key of the square corner the derived operation attaches at)."""
+        if context is None:
+            context = self.context | {other_id}
+        return Operation(kind, self.opid, self.element, position, context)
 
     def extended_by(
         self, other_id: OpId, context: Optional[StateKey] = None
     ) -> "Operation":
-        """A copy whose context additionally contains ``other_id``.
-
-        ``context`` short-circuits the union when the caller already holds
-        ``self.context | {other_id}`` (Algorithm 1 does: it is the state
-        key of the square corner the derived operation attaches at).
-        """
-        return Operation(
-            kind=self.kind,
-            opid=self.opid,
-            element=self.element,
-            position=self.position,
-            context=self.context | {other_id} if context is None else context,
-        )
+        """A copy whose context additionally contains ``other_id``."""
+        return self._derived(self.kind, self.position, other_id, context)
 
     def moved_to(
-        self,
-        position: int,
-        other_id: OpId,
-        context: Optional[StateKey] = None,
+        self, position: int, other_id: OpId, context: Optional[StateKey] = None
     ) -> "Operation":
         """A copy at ``position`` whose context gained ``other_id``."""
-        return Operation(
-            kind=self.kind,
-            opid=self.opid,
-            element=self.element,
-            position=position,
-            context=self.context | {other_id} if context is None else context,
-        )
+        return self._derived(self.kind, position, other_id, context)
 
     def collapsed(
         self, other_id: OpId, context: Optional[StateKey] = None
     ) -> "Operation":
         """The NOP form of this operation (used when DEL targets vanish)."""
-        return Operation(
-            kind=OpKind.NOP,
-            opid=self.opid,
-            element=self.element,
-            position=None,
-            context=self.context | {other_id} if context is None else context,
-        )
+        return self._derived(OpKind.NOP, None, other_id, context)
+
+    def inverse(self) -> "Operation":
+        """The operation that undoes this one on the document it produced
+        (``Ins(a, p)`` <-> ``Del(a, p)``; a no-op undoes itself)."""
+        if self.is_nop:
+            return self
+        undo = OpKind.DEL if self.is_insert else OpKind.INS
+        return Operation(undo, self.opid, self.element, self.position, self.context)
 
     # ------------------------------------------------------------------
     # Execution
@@ -200,7 +210,7 @@ def insert(
         opid=opid,
         element=Element(value, opid),
         position=position,
-        context=frozenset(context),
+        context=_as_context(context),
     )
 
 
@@ -221,7 +231,7 @@ def delete(
         opid=opid,
         element=element,
         position=position,
-        context=frozenset(context),
+        context=_as_context(context),
     )
 
 
@@ -232,5 +242,5 @@ def nop(opid: OpId, context: FrozenSet[OpId] = frozenset()) -> Operation:
         opid=opid,
         element=None,
         position=None,
-        context=frozenset(context),
+        context=_as_context(context),
     )

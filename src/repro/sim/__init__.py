@@ -19,50 +19,24 @@ replayable:
   (:mod:`repro.jupiter.session`) re-earns the FIFO exactly-once model.
 """
 
-from repro.sim.faults import (
-    ChannelFaults,
-    CrashSpec,
-    FaultPlan,
-    FaultStats,
-    NetChaosPlan,
-    ServerCrashSpec,
-)
-from repro.sim.network import (
-    FifoChannelTimer,
-    FixedLatency,
-    LatencyModel,
-    OfflinePeriods,
-    UniformLatency,
-)
-from repro.sim.fuzz import ChaosReport, FuzzReport, chaos_sweep, fuzz
-from repro.sim.p2p import P2PSimulationResult, P2PSimulationRunner
-from repro.sim.runner import SimulationResult, SimulationRunner, replay
-from repro.sim.trace import SpecReport, check_all_specs
-from repro.sim.workload import WorkloadConfig, WorkloadGenerator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChannelFaults",
-    "ChaosReport",
-    "CrashSpec",
-    "FaultPlan",
-    "FaultStats",
-    "NetChaosPlan",
-    "ServerCrashSpec",
-    "FifoChannelTimer",
-    "FixedLatency",
-    "LatencyModel",
-    "OfflinePeriods",
-    "UniformLatency",
-    "FuzzReport",
-    "chaos_sweep",
-    "fuzz",
-    "P2PSimulationResult",
-    "P2PSimulationRunner",
-    "SimulationResult",
-    "SimulationRunner",
-    "replay",
-    "SpecReport",
-    "check_all_specs",
-    "WorkloadConfig",
-    "WorkloadGenerator",
-]
+#: submodule -> the public names it defines, imported on first use
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "faults": (
+            "ChannelFaults CrashSpec FaultPlan FaultStats NetChaosPlan "
+            "ServerCrashSpec"
+        ),
+        "fuzz": "ChaosReport FuzzReport chaos_sweep fuzz",
+        "network": (
+            "FifoChannelTimer FixedLatency LatencyModel OfflinePeriods "
+            "UniformLatency"
+        ),
+        "p2p": "P2PSimulationResult P2PSimulationRunner",
+        "runner": "SimulationResult SimulationRunner replay",
+        "trace": "SpecReport check_all_specs",
+        "workload": "WorkloadConfig WorkloadGenerator",
+    },
+)

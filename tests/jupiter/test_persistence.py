@@ -8,6 +8,7 @@ from repro.common import OpId
 from repro.errors import ProtocolError, StateSpaceError
 from repro.jupiter import make_cluster
 from repro.jupiter.cluster import Cluster
+from repro.jupiter.keys import key_of
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
     checkpoint_client,
@@ -399,23 +400,28 @@ class TestRestoreSeams:
 
 
 class TestInternedKeysSurviveRestore:
-    """Snapshots stay on the plain frozenset wire form, but a restored
-    space must re-intern every key so it hits the same identity fast
-    paths as a space grown through integrate()."""
+    """Snapshots stay on the plain sorted-set wire form, but a restored
+    space must key every node on its own serial log so it hits the same
+    identity fast paths as a space grown through integrate()."""
 
     def test_restored_space_keys_are_interned(self):
         client = mid_run_cluster().clients["c1"]
         restored = restore_client(snapshot_client(client))
         space = restored.space
-        interner = space._interner
         for key in space.states():
-            assert interner.intern(frozenset(key)) is key
-        assert interner.intern(frozenset(space.final_key)) is space.final_key
+            assert key_of(restored.oracle, frozenset(key)) == key
+            assert key_of(restored.oracle, key) is key
+            assert space.node(frozenset(key)).key is key
+        assert space.node(frozenset(space.final_key)).key is space.final_key
         # Transition targets are the same instances as the node keys.
         for transition in space.transitions():
-            assert transition.target is interner.intern(
+            assert transition.target is space.node(
                 frozenset(transition.target)
-            )
+            ).key
+        # ...and they cost the restored replica what they cost the live one.
+        assert sorted(len(k.pair()[1]) for k in space.states()) == sorted(
+            len(k.pair()[1]) for k in client.space.states()
+        )
 
     def test_restored_space_is_lazy_and_contexts_are_source_keys(self):
         """What the snapshot leaves out comes back the way ``_attach``
@@ -470,7 +476,7 @@ class TestInternedKeysSurviveRestore:
         client = cluster.clients["c1"]
         restored = restore_client(snapshot_client(client))
         assert restored.space.signature() == client.space.signature()
-        # The restored replica grows through the interned fast path.
+        # The restored replica grows through the identity fast path.
         result = restored.generate(OpSpec("ins", 0, "z"))
         assert result.operation.opid.replica == "c1"
         assert restored.space.final_key == (

@@ -245,6 +245,21 @@ class TestWritePathAndRecovery:
         with pytest.raises(ProtocolError, match="diverged from serial"):
             rig.edit("a")
 
+    def test_an_unmatched_context_is_the_peers_violation(self):
+        """A context naming no state here is typed, and spends nothing:
+        no serial, no log record, no broadcast."""
+        rig = Rig()
+        rig.typed(3)
+        stray = CssClient("b")  # never saw serials 1..3
+        stray.generate(OpSpec("ins", 0, "p"))
+        forged = stray.generate(OpSpec("ins", 0, "q")).outgoing  # ctx {b:1}
+        with pytest.raises(ProtocolError, match="b: .*cannot be integrated"):
+            rig.core.serialise(rig.session("b"), forged, 0, rig.now, GRACE)
+        assert rig.core.server.oracle.last_serial == 3
+        assert rig.core.wal.last_serial == 3
+        rig.typed(1)  # the shard carries on
+        assert rig.core.server.oracle.last_serial == 4
+
     def test_a_shard_rebuilt_from_its_saved_log_is_the_live_one(self, tmp_path):
         path = str(tmp_path / "doc.wal")
         rig = Rig(path, snapshot_every=4)
@@ -277,6 +292,22 @@ def test_the_core_imports_no_event_loop_no_socket_and_no_net_package():
     probe = (
         "import sys, repro.jupiter.shard; "
         "bad = {'asyncio', 'socket', 'repro.net'} & set(sys.modules); "
+        "assert not bad, bad"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env)
+
+
+def test_a_client_imports_what_it_uses():
+    """``import repro.net.client`` is what every spawned ``repro
+    connect`` and every ledger worker pays before ``main()``: the package
+    ``__init__``s resolve their exports lazily, so it must not drag in
+    the fleet, the load generators or the protocol zoo."""
+    probe = (
+        "import sys, repro.net.client; "
+        "bad = {'repro.net.fleet', 'repro.net.loadgen', "
+        "'repro.net.chaosproxy', 'repro.sim.fuzz', 'repro.jupiter.broken', "
+        "'repro.analysis.equivalence'} & set(sys.modules); "
         "assert not bad, bad"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}

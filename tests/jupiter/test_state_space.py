@@ -133,3 +133,39 @@ class TestDocumentAt:
         assert space.document_at(frozenset({op_a.opid})).as_string() == "a"
         both = frozenset({op_a.opid, op_b.opid})
         assert space.document_at(both).as_string() == "ba"
+
+
+class TestReadingTheFinalStateAppliesOneOperation:
+    def test_mean_chain_length_per_read_in_a_four_writer_session(
+        self, monkeypatch
+    ):
+        """Algorithm 1 says the replica executes one operation per
+        integration (``o{L}`` on the old final document).  A pending
+        corner is materialised along the edge whose source already has a
+        document, so a read re-applies that one operation, not the chain
+        back to the last state anybody read (about 120 before)."""
+        from repro.jupiter.state_space import StateNode
+        from repro.sim import SimulationRunner, UniformLatency, WorkloadConfig
+
+        chains = []
+        materialise = StateNode._materialise
+
+        def counting(node):
+            length, cursor = 0, node
+            while cursor._doc is None:
+                length, cursor = length + 1, cursor._parent
+            chains.append(length)
+            materialise(node)
+
+        monkeypatch.setattr(StateNode, "_materialise", counting)
+        config = WorkloadConfig(
+            clients=4, operations=200, rate_per_client=8.0,
+            insert_ratio=0.55, seed=7,
+        )
+        result = SimulationRunner(
+            "css", config, UniformLatency(0.01, 0.4, seed=7),
+            observe_after_receive=False,
+        ).run()
+        assert result.converged
+        assert len(chains) >= 4 * 200  # every replica read after every op
+        assert sum(chains) / len(chains) <= 2

@@ -287,6 +287,118 @@ class TestActiveWindowGc:
         assert delivered == 24
 
 
+def test_offline_edit_survives_a_gc_sweep_while_away():
+    """An op generated offline re-encodes exactly after the welcome's
+    floor rebases the client past the states its context was built on:
+    it carries ``(d, extras)`` from generation, and ``d`` is absolute."""
+
+    async def scenario():
+        server = await _started_server(
+            gc_interval=0.05, gc_threshold=4, snapshot_every=4
+        )
+        client = NetClient("c1", "127.0.0.1", server.port)
+        await client.connect()
+        for index in range(20):
+            await client.generate(OpSpec("ins", index, "a"))
+            assert await client.wait_converged(index + 1, timeout=10)
+        await client.drop()
+        # one sweep while away (well inside the 15 s default grace)
+        assert await _eventually(lambda: server.server.base >= 16)
+        await client.generate(OpSpec("ins", 0, "z"))
+        await client.connect()
+        converged = await client.wait_converged(21, timeout=10)
+        results = (
+            converged,
+            client.state_transfers,
+            client.css.oracle.base,
+            server.server.oracle.last_serial,
+            client.signature() == document_signature(server.server.document),
+        )
+        await client.close()
+        await server.stop()
+        return results
+
+    converged, transfers, client_base, last_serial, same = _run(scenario())
+    assert converged
+    assert transfers == 0
+    assert client_base >= 16  # the welcome's floor did rebase the client
+    assert last_serial == 21
+    assert same
+
+
+class TestUnmatchedContextIsAViolation:
+    """A peer whose context matches no state loses its session, typed:
+    nothing is serialised and everybody else keeps converging."""
+
+    @pytest.mark.parametrize(
+        "ctx", [[0, []], [12, [["ghost", 1]]]], ids=["below-base", "unknown-extra"]
+    )
+    def test_forged_context_is_logged_and_serialises_nothing(self, ctx):
+        async def scenario():
+            server = await _started_server(
+                gc_interval=0.02, gc_threshold=4, snapshot_every=4
+            )
+            logged = []
+            server._log = logged.append
+            honest = NetClient(
+                "c1", "127.0.0.1", server.port, heartbeat_interval=0.05
+            )
+            await honest.connect()
+            for index in range(12):
+                await honest.generate(OpSpec("ins", index, "a"))
+            assert await honest.wait_converged(12, timeout=10)
+            assert await _eventually(lambda: server.server.base >= 8)
+
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            await write_frame(
+                writer,
+                encode_envelope(
+                    "hello", client="rogue", delivered=12, codecs=["json"]
+                ),
+            )
+            assert (await read_frame(reader))["type"] == "welcome"
+            forged = {
+                "v": 1,
+                "kind": "client_op",
+                "body": {
+                    "operation": {
+                        "kind": "ins",
+                        "opid": ["rogue", 1],
+                        "element": {"value": "x", "opid": ["rogue", 1]},
+                        "position": 0,
+                    },
+                    "ctx": ctx,
+                },
+            }
+            await write_frame(
+                writer, encode_envelope("data", seq=1, ack=12, body=forged)
+            )
+            hung_up = await read_frame(reader)
+            writer.close()
+
+            await honest.generate(OpSpec("ins", 0, "b"))
+            carried_on = await honest.wait_converged(13, timeout=10)
+            results = (
+                hung_up,
+                carried_on,
+                server.server.oracle.last_serial,
+                [line for line in logged if "violated the protocol" in line],
+                honest.signature()
+                == document_signature(server.server.document),
+            )
+            await honest.close()
+            await server.stop()
+            return results
+
+        hung_up, carried_on, last_serial, violations, same = _run(scenario())
+        assert hung_up is None  # the session was closed, not answered
+        assert carried_on and same
+        assert last_serial == 13  # the forged op never got a serial
+        assert len(violations) == 1 and "rogue" in violations[0]
+
+
 class TestMultiWriterGc:
     def test_two_concurrent_writers_survive_rebases(self):
         """Every step both writers edit before either hears the other,
