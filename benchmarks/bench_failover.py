@@ -27,7 +27,12 @@ Two kinds of numbers land in ``BENCH_failover.json``:
 
 ``PERF_FLOOR_ENFORCE=1`` compares the throughput against the
 ``failover`` entry of ``benchmarks/perf_floor.json`` at the same 2x
-safety margin the scaling floor uses.
+safety margin the scaling floor uses — and the simulated fields against
+the checked-in ``benchmarks/artifacts/BENCH_failover.json``, exactly.
+The simulator drives the deployed replication rules
+(:class:`repro.jupiter.replication.Replica`), so that comparison is a
+refinement check: identical rules, identical numbers.  A PR that changes
+one on purpose regenerates the artifact and says why.
 """
 
 import json
@@ -41,6 +46,17 @@ from repro.sim.fuzz import chaos_sweep
 from benchmarks.conftest import print_banner, write_json
 
 FLOOR_PATH = os.path.join(os.path.dirname(__file__), "perf_floor.json")
+REFERENCE_PATH = os.path.join(
+    os.path.dirname(__file__), "artifacts", "BENCH_failover.json"
+)
+#: functions of the seed and the replication rules alone
+DETERMINISTIC = (
+    "view_changes",
+    "failover_sim_seconds_p50",
+    "failover_sim_seconds_p90",
+    "failover_sim_seconds_p99",
+    "failover_sim_seconds_max",
+)
 
 PLANS = 24
 REPLICAS = 3
@@ -84,6 +100,8 @@ def _measure():
 
 def test_failover_artifact(benchmark):
     result = benchmark.pedantic(_measure, rounds=1, iterations=1)
+    with open(REFERENCE_PATH) as handle:  # before write_json may replace it
+        reference = json.load(handle)
     print_banner(
         "Failover latency: primary kills against a 3-replica quorum"
     )
@@ -121,4 +139,13 @@ def test_failover_artifact(benchmark):
         assert result["sweep_ops_per_sec"] >= minimum, (
             f"failover sweep regressed: {result['sweep_ops_per_sec']:.1f} "
             f"ops/sec < {minimum:.1f} (floor {floor['floor_ops_per_sec']:.1f})"
+        )
+        drifted = {
+            name: (reference[name], result[name])
+            for name in DETERMINISTIC
+            if reference[name] != result[name]
+        }
+        assert not drifted, (
+            f"simulated failover changed against {REFERENCE_PATH}: {drifted} "
+            "— a replication or simulator rule moved"
         )

@@ -32,6 +32,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "peer_cluster": "PeerCluster",
         "nary": "NaryStateSpace",
         "ordering": "ClientOrderOracle ServerOrderOracle",
+        "replication": "Replica",
         "two_dim": "Dimension TwoDimStateSpace",
     },
 )

@@ -36,22 +36,30 @@ buffer: nothing needs to be kept in memory per disconnected client.
 
 **Replicated deployment.**  Started with a ``roster`` (ordered
 ``(host, port)`` pairs, one per replica) the same class becomes one
-replica of a 2f+1 quorum group (:mod:`repro.jupiter.replication`):
+replica of a 2f+1 quorum group.  Every replication *decision* — who
+leads, which frames are stale, where the commit floor is, which log a
+view change adopts — is :class:`repro.jupiter.replication.Replica`'s,
+the pure core the simulator runs too; this module keeps the asyncio:
 
-* the **primary** of the current view serialises as above, but parks
-  every broadcast frame and client acknowledgement until a quorum of
-  ``f + 1`` replicas (itself included) has durably appended the record —
-  an acknowledged operation therefore survives the loss of any ``f``
-  replicas, the primary included;
-* **backups** maintain a mirrored WAL fed over ``repl_append`` frames
-  and answer client ``hello``\\ s with a ``redirect`` to the primary;
-* when a backup loses its replication feed it waits a deterministic
-  stagger (``failover_delay x views-until-my-turn``), gathers
-  ``repl_offer`` promises from a quorum, adopts the log with the maximal
-  ``(last_epoch, last_serial)``, re-stamps the uncommitted suffix under
-  the new epoch, rebuilds the CSS server by WAL replay, and installs the
-  adopted log on every reachable replica — the VSR view change, with the
-  epoch in every frame rejecting whatever a deposed primary still ships.
+* the **primary** parks every broadcast frame and client acknowledgement
+  under its serial and runs one shipping task per backup (dial, full-log
+  ``repl_install``, then ``repl_append`` one ack at a time, backoff) —
+  only while the core says it leads; each ack goes to the core, and the
+  serials it answers are on ``f + 1`` disks and are flushed;
+* a **backup** hands each ``repl_install`` / ``repl_append`` / ``repl_seek``
+  to the core and writes back the reply it returns (a frame the core
+  refuses as malformed closes the connection, typed, nothing changed),
+  and answers client ``hello``\\ s with a ``redirect``;
+* a backup that loses its feed sleeps a deterministic stagger
+  (``failover_delay x views-until-my-turn``), stands for the next view
+  it leads, carries ``repl_seek`` / ``repl_offer`` between the cores and,
+  if its core adopted a log, rebuilds the CSS server from it by WAL
+  replay and starts shipping;
+* whatever makes the core stop leading (a higher view installed or
+  promised here, a ``repl_deny`` from a backup) runs one cleanup: stop
+  shipping, drop the parked frames, hang up the clients (the write path
+  refuses a frame still buffered on a hung-up session), arm the failover
+  watch.
 """
 
 from __future__ import annotations
@@ -72,9 +80,8 @@ from repro.jupiter.persistence import (
     ServerWriteAheadLog,
     compact_context,
     load_wal,
-    record_operation,
 )
-from repro.jupiter.replication import elect, primary_for, quorum_size
+from repro.jupiter.replication import Replica, primary_for
 from repro.jupiter.shard import Session, ShardCore
 from repro.net.codec import (
     DEFAULT_DOC,
@@ -103,12 +110,12 @@ from repro.obs import get_obs
 LOGGER = logging.getLogger("repro.net.server")
 
 
-class _Deposed(Exception):
-    """A replica quoted a higher view: this primary must stand down."""
-
-
-class _Reinstall(Exception):
-    """The backup lags behind the compaction floor: full-log install."""
+#: replication frame -> the core call that is its meaning, and its arguments
+_REPL_CALLS = {
+    "repl_seek": ("seek", ("view",)),
+    "repl_install": ("install", ("view", "epoch", "committed", "log")),
+    "repl_append": ("append", ("epoch", "committed", "record")),
+}
 
 
 class _ClientChannel(Session):
@@ -232,32 +239,18 @@ class NetServer:
         self.roster: Optional[List[Tuple[str, int]]] = (
             [(str(h), int(p)) for h, p in roster] if roster else None
         )
-        if self.roster is not None and not (
-            0 <= replica_index < len(self.roster)
-        ):
+        ids = [f"{SERVER_ID}{i}" for i in range(len(roster or ()))]
+        ids = ids or [SERVER_ID]
+        if not 0 <= replica_index < len(ids):
             raise ProtocolError(
-                f"replica index {replica_index} outside roster of "
-                f"{len(self.roster)}"
+                f"replica index {replica_index} outside roster of {len(ids)}"
             )
         self.replica_index = replica_index
-        self.replica_ids: List[ReplicaId] = (
-            [f"{SERVER_ID}{i}" for i in range(len(self.roster))]
-            if self.roster
-            else []
-        )
         self.failover_delay = failover_delay
-        self.view = 0
-        #: epochs equal view numbers; stamped into every replicated frame
-        self.epoch = 0
-        #: highest view this replica promised to (repl_seek): frames from
-        #: lower epochs are rejected even before the new view installs
-        self.promised = 0
-        #: quorum commit floor — the highest serial on f+1 disks
-        self.committed = 0
-        self.view_changes = 0
-        #: per-replica durable high-water marks (primary bookkeeping);
-        #: a dead backup's last ack stays — its disk outlives the process
-        self._repl_acked: Dict[ReplicaId, int] = {}
+        #: every replication decision — view, epoch, promise, commit
+        #: floor, log adoption — is this core's; a standalone server is
+        #: a roster of one whose write path never consults it
+        self._replica = Replica(ids, ids[replica_index], self.wal)
         #: serial -> (origin channel, per-channel broadcast frames) parked
         #: until commit
         self._pending: Dict[
@@ -265,16 +258,17 @@ class NetServer:
             Tuple[_ClientChannel, List[Tuple[_ClientChannel, Dict[str, Any]]]],
         ] = {}
         self._backup_tasks: Dict[int, asyncio.Task] = {}
-        self._repl_wakeup: Dict[int, asyncio.Event] = {}
+        #: set when the log grew; every shipping task re-reads the log
+        #: head after clearing it, so one event serves them all
+        self._repl_wakeup = asyncio.Event()
         self._primary_feed: Optional[asyncio.StreamWriter] = None
         self._failover_task: Optional[asyncio.Task] = None
-        self._failover_started: Optional[float] = None
-        self._failover_target = 0
-        self._commit_lock = asyncio.Lock()
+        #: when the feed loss that led to this replica's election was seen
+        self._failover_started = 0.0
         self._asyncio_server: Optional[asyncio.base_events.Server] = None
         self._closed = asyncio.Event()
         if self.replicated:
-            self._obs.repl_commit_quorum.set(self.quorum)
+            self._obs.repl_commit_quorum.set(self._replica.quorum)
 
     # ------------------------------------------------------------------
     # Replication roster
@@ -283,23 +277,30 @@ class NetServer:
     def replicated(self) -> bool:
         return self.roster is not None
 
+    # Reads of the replica core (a standalone server is view 0's primary).
     @property
     def replica_id(self) -> ReplicaId:
-        if not self.replicated:
-            return SERVER_ID
-        return self.replica_ids[self.replica_index]
-
-    @property
-    def quorum(self) -> int:
-        return quorum_size(len(self.roster)) if self.replicated else 1
+        return self._replica.me
 
     @property
     def is_primary(self) -> bool:
-        """Standalone servers are trivially primary."""
-        return (
-            not self.replicated
-            or primary_for(self.view, self.replica_ids) == self.replica_id
-        )
+        return self._replica.is_primary
+
+    @property
+    def view(self) -> int:
+        return self._replica.view
+
+    @property
+    def epoch(self) -> int:
+        return self._replica.epoch
+
+    @property
+    def committed(self) -> int:
+        return self._replica.committed
+
+    @property
+    def view_changes(self) -> int:
+        return self._replica.view_changes
 
     # ------------------------------------------------------------------
     # Document shards
@@ -321,7 +322,7 @@ class NetServer:
     @property
     def _commit(self) -> Optional[int]:
         """The core's ``commit``: the quorum floor; ``None`` standalone."""
-        return self.committed if self.replicated else None
+        return self._replica.committed if self.replicated else None
 
     @property
     def duplicates_suppressed(self) -> int:
@@ -444,7 +445,7 @@ class NetServer:
         try:
             while not self._closed.is_set():
                 await asyncio.sleep(self.gc_interval)
-                if self.replicated and not self.is_primary:
+                if not self.is_primary:
                     continue
                 for shard in list(self.shards.values()):
                     self._gc_shard(shard)
@@ -472,7 +473,7 @@ class NetServer:
             "data",
             seq=broadcast.serial,
             ack=shard.ack_for(channel, self._commit),
-            epoch=self.epoch,
+            epoch=self._replica.epoch,
             floor=shard.server.base,
             body=compact_server_op_obj(broadcast, ctx),
         )
@@ -483,7 +484,7 @@ class NetServer:
         return encode_envelope(
             "ack",
             ack=shard.ack_for(channel, self._commit),
-            epoch=self.epoch,
+            epoch=self._replica.epoch,
             floor=shard.server.base,
         )
 
@@ -661,11 +662,8 @@ class NetServer:
         if frame["type"] == "admin":
             await self._handle_admin(frame, writer)
             return
-        if frame["type"] in ("repl_install", "repl_append"):
-            await self._handle_repl_feed(frame, reader, writer)
-            return
-        if frame["type"] == "repl_seek":
-            await self._handle_seek(frame, writer)
+        if frame["type"] in _REPL_CALLS:
+            await self._handle_repl(frame, reader, writer)
             return
         if frame["type"] != "hello":
             self._log(f"first frame must be hello/admin, got {frame['type']!r}")
@@ -889,10 +887,19 @@ class NetServer:
         """The write path: decode, serialise, log (write-ahead), broadcast.
 
         Replicated: the broadcast frames are *parked* under their serial
-        and the backups woken; :meth:`_advance_commit` releases them (and
-        the origin's acknowledgement) once a quorum has the record.
+        and the backups woken; :meth:`_flush_committed` releases them (and the
+        origin's acknowledgement) once the core says a quorum has the
+        record.
         """
         shard = origin.shard
+        replicated = self.replicated
+        if replicated and not self._replica.is_primary:
+            # Deposed with this frame already in the session's read buffer
+            # (closing a writer does not empty its reader).  The served
+            # state is stale and the log may be the one an install just
+            # handed over: write nothing.  The client still holds the op
+            # and retransmits it to whoever leads.
+            raise ConnectionError("this replica no longer leads")
         payload = message_from_wire(body, shard.server.oracle)
         if not isinstance(payload, ClientOperation):
             raise ProtocolError(
@@ -901,17 +908,22 @@ class NetServer:
             )
         now = time.monotonic()
         serial, ctx, outgoing = shard.serialise(
-            origin, payload, self.epoch, now, self.gc_grace, self._commit
+            origin,
+            payload,
+            self._replica.epoch,
+            now,
+            self.gc_grace,
+            self._commit,
         )
         frames = [
             (channel, self._broadcast_envelope(channel, broadcast, ctx))
             for channel, broadcast in outgoing
         ]
-        if self.replicated:
+        if replicated:
             self._pending[serial] = (origin, frames)
-            for event in self._repl_wakeup.values():
-                event.set()
-            await self._advance_commit()  # a quorum of one commits now
+            self._repl_wakeup.set()
+            # A quorum of one commits now; else the backups' acks will.
+            self._flush_committed(self._replica.appended())
             return
         # Synchronous fan-out through the per-peer bounded queues: a
         # stalled recipient overflows *its* queue and is evicted; it can
@@ -925,15 +937,23 @@ class NetServer:
     async def _send_redirect(
         self, writer: asyncio.StreamWriter, client: str
     ) -> None:
-        primary = primary_for(self.view, self.replica_ids)
-        index = self.replica_ids.index(primary)
+        core = self._replica
+        index = core.ids.index(primary_for(core.view, core.ids))
+        if index == self.replica_index:
+            # The highest view I know is my own, yet I will not serve:
+            # deposed by a promise to a view nobody has started, or the
+            # client has seen a newer epoch.  There is no primary to name.
+            # Hang up — the client walks the roster as it does past a
+            # dead primary, until an install tells me who leads.
+            writer.close()
+            return
         host, port = self.roster[index]
         await self._turn_away(
             writer,
             encode_envelope(
                 "redirect",
-                view=self.view,
-                epoch=self.epoch,
+                view=core.view,
+                epoch=core.epoch,
                 primary=index,
                 host=host,
                 port=port,
@@ -941,21 +961,17 @@ class NetServer:
             ),
         )
         self._obs.trace(
-            "net.redirect", client=client, view=self.view, primary=index
+            "net.redirect", client=client, view=core.view, primary=index
         )
 
     def _start_replication(self) -> None:
         """Spawn one shipping task per backup (primary only)."""
         for index in range(len(self.roster)):
-            if index == self.replica_index:
-                continue
             task = self._backup_tasks.get(index)
-            if task is not None and not task.done():
-                continue
-            self._repl_wakeup[index] = asyncio.Event()
-            self._backup_tasks[index] = asyncio.ensure_future(
-                self._replicate_to(index)
-            )
+            if index != self.replica_index and (task is None or task.done()):
+                self._backup_tasks[index] = asyncio.ensure_future(
+                    self._replicate_to(index)
+                )
 
     def _stop_replication(self) -> None:
         for task in self._backup_tasks.values():
@@ -963,63 +979,47 @@ class NetServer:
         self._backup_tasks.clear()
 
     async def _replicate_to(self, index: int) -> None:
-        """Ship the log to one backup, forever: install, then appends.
+        """Ship the log to one backup while this replica leads.
 
         Every (re)connect starts with a full-log ``repl_install`` — this
         doubles as the VSR start-view after an election and as state
         transfer for a backup that lagged behind the compaction floor —
         and then streams ``repl_append`` frames one ack at a time.
         """
-        rid = self.replica_ids[index]
+        core = self._replica
+        rid = core.ids[index]
         host, port = self.roster[index]
-        wakeup = self._repl_wakeup[index]
         attempt = 0
-        while not self._closed.is_set():
-            view_at_start = self.view
+        while not self._closed.is_set() and core.is_primary:
             writer = None
             try:
                 reader, writer = await asyncio.open_connection(host, port)
-                await write_frame(
-                    writer,
-                    encode_envelope(
-                        "repl_install",
-                        view=self.view,
-                        epoch=self.epoch,
-                        committed=self.committed,
-                        sender=self.replica_id,
-                        log=self.wal.to_obj(),
-                    ),
-                    timeout=self.write_timeout,
+                frame = encode_envelope(
+                    "repl_install", sender=core.me, **core.start_view()
                 )
-                shipped = await self._await_repl_ack(reader, rid)
-                attempt = 0
-                while self.view == view_at_start:
-                    while shipped < self.wal.last_serial:
-                        record = self.wal.record_at(shipped + 1)
-                        if record is None:
-                            raise _Reinstall()  # compacted past the backup
-                        await write_frame(
-                            writer,
-                            encode_envelope(
-                                "repl_append",
-                                epoch=self.epoch,
-                                committed=self.committed,
-                                record=record,
-                            ),
-                            timeout=self.write_timeout,
-                        )
-                        shipped = await self._await_repl_ack(reader, rid)
-                    wakeup.clear()
-                    if shipped >= self.wal.last_serial:
-                        await wakeup.wait()
-            except _Reinstall:
-                continue
-            except _Deposed as exc:
-                self._depose(int(exc.args[0]))
-                return
+                while core.is_primary:
+                    await write_frame(
+                        writer, frame, timeout=self.write_timeout
+                    )
+                    shipped = await self._await_repl_ack(reader, rid)
+                    if shipped is None:
+                        return  # denied: deposed
+                    attempt = 0
+                    while shipped >= self.wal.last_serial:
+                        self._repl_wakeup.clear()
+                        await self._repl_wakeup.wait()
+                    record = self.wal.record_at(shipped + 1)
+                    if record is None:
+                        break  # compacted past the backup: re-install
+                    frame = encode_envelope(
+                        "repl_append",
+                        epoch=core.epoch,
+                        committed=core.committed,
+                        record=record,
+                    )
             except asyncio.CancelledError:
                 return
-            except (OSError, ConnectionError, WireError, EOFError) as exc:
+            except (OSError, ConnectionError, ProtocolError, EOFError) as exc:
                 attempt += 1
                 if attempt == 1:
                     self._log(f"replica {rid} unreachable: {exc}")
@@ -1030,151 +1030,126 @@ class NetServer:
 
     async def _await_repl_ack(
         self, reader: asyncio.StreamReader, rid: ReplicaId
-    ) -> int:
+    ) -> Optional[int]:
+        """The backup's answer: its acked serial, fed to the core — or
+        ``None`` after a ``repl_deny``, which deposes this primary."""
         frame = await read_frame(reader)
         if frame is None:
             raise ConnectionError(f"replica {rid} closed the repl stream")
         if frame["type"] == "repl_deny":
-            raise _Deposed(int(frame.get("view", self.view + 1)))
+            self._replica.stand_down(frame.get("view"))
+            self._depose()
+            return None
         if frame["type"] != "repl_ack":
             raise WireError(
                 f"replica {rid}: expected repl_ack, got {frame['type']!r}"
             )
-        serial = int(frame.get("serial", 0))
-        if int(frame.get("epoch", self.epoch)) == self.epoch:
-            if serial > self._repl_acked.get(rid, 0):
-                self._repl_acked[rid] = serial
-            await self._advance_commit()
+        serial = frame.get("serial")
+        self._flush_committed(
+            self._replica.record_ack(rid, serial, frame.get("epoch"))
+        )
         return serial
 
-    def _depose(self, new_view: int) -> None:
-        """A quorum moved on without us: stand down to backup."""
-        if new_view <= self.view:
-            new_view = self.view + 1
-        self._log(
-            f"deposed: view {new_view} exists, stepping down from view "
-            f"{self.view}"
-        )
-        self.view = new_view
-        self.epoch = max(self.epoch, new_view)
-        self.promised = max(self.promised, new_view)
+    def _depose(self) -> None:
+        """The core stopped leading (a higher view was installed here,
+        promised here, or quoted by a backup): become a plain backup."""
+        self._log(f"deposed: standing down to a backup of view {self.view}")
         self._stop_replication()
         self._pending.clear()
-        # Hanging up makes every client walk the roster to the new
-        # primary; nothing un-acknowledged is lost — their frames are
-        # still buffered for retransmission.
+        # Hanging up makes every client walk the roster to the new primary;
+        # their un-acknowledged frames are still buffered for retransmission.
         for channel in self.channels.values():
             self._hang_up(channel)
+        self._arm_failover()  # the view that deposed me may never start
 
-    async def _advance_commit(self) -> None:
-        """Recompute the quorum floor and flush newly committed serials."""
-        if not self.replicated or not self.is_primary:
-            return
-        async with self._commit_lock:
-            acked = {rid: 0 for rid in self.replica_ids}
-            acked.update(self._repl_acked)
-            acked[self.replica_id] = self.wal.last_serial
-            floor = sorted(acked.values(), reverse=True)[self.quorum - 1]
-            while self.committed < floor:
-                serial = self.committed + 1
-                self.committed = serial
-                await self._flush_committed(serial)
-            self._obs.repl_commit_floor.set(self.committed)
-            if (
-                self._failover_started is not None
-                and self.committed >= self._failover_target
-            ):
-                latency = time.monotonic() - self._failover_started
-                self._failover_started = None
-                self._obs.failover_latency.observe(latency)
-                self._obs.trace(
-                    "repl.failover_complete",
-                    view=self.view,
-                    serial=self.committed,
-                    latency=round(latency, 6),
-                )
-                self._log(
-                    f"failover complete: view {self.view} committed through "
-                    f"serial {self.committed} in {latency:.3f}s"
-                )
-
-    async def _flush_committed(self, serial: int) -> None:
-        """Release the parked broadcasts and origin ack for one serial."""
-        origin, frames = self._pending.pop(serial, (None, None))
-        if frames is None:
-            # No parked frames: a record adopted through a view change.
-            # Rebuild its broadcast from the log and ship it to every
-            # connected client; duplicate suppression absorbs overlap
-            # with the welcome resync.
-            record = self.wal.record_at(serial)
-            if record is None:
-                raise ProtocolError(
-                    f"commit floor reached serial {serial} but the record "
-                    "was compacted; the commit-floor clamp is broken"
-                )
-            broadcast = ServerOperation(
-                operation=record_operation(record, self.server.oracle),
-                origin=record["origin"],
-                serial=serial,
-                prefix=self.server.oracle.serialized_before(serial),
+    def _flush_committed(self, newly: range) -> None:
+        """Flush newly committed serials, in order: each one's parked
+        broadcasts and its origin's acknowledgement."""
+        adopted: Dict[int, ServerOperation] = {}
+        for serial in newly:
+            origin, frames = self._pending.pop(serial, (None, None))
+            if frames is None:
+                # No parked frames: a record adopted through a view
+                # change.  Rebuild its broadcast from the log for every
+                # connected client; duplicate suppression absorbs overlap
+                # with the welcome resync.
+                if not adopted:
+                    missed = self.wal.broadcasts_for(self.server, serial - 1)
+                    adopted = {b.serial: b for b in missed}
+                broadcast = adopted[serial]
+                origin = self.channels.get(broadcast.origin)
+                frames = [
+                    (channel, self._broadcast_envelope(channel, broadcast))
+                    for channel in self.channels.values()
+                ]
+            for channel, envelope in frames:
+                self._send_to(channel, envelope)
+            if origin is not None:
+                self._send_to(origin, self._ack_envelope(origin))
+        if self._replica.adoption_certified():
+            latency = time.monotonic() - self._failover_started
+            self._obs.failover_latency.observe(latency)
+            self._obs.trace(
+                "repl.failover_complete",
+                view=self.view,
+                serial=self.committed,
+                latency=round(latency, 6),
             )
-            origin = self.channels.get(record["origin"])
-            ctx = record.get("ctx")
-            frames = [
-                (channel, self._broadcast_envelope(channel, broadcast, ctx))
-                for channel in self.channels.values()
-            ]
-        for channel, envelope in frames:
-            self._send_to(channel, envelope)
-        if origin is not None:
-            self._send_to(origin, self._ack_envelope(origin))
+            self._log(
+                f"failover complete: view {self.view} committed through "
+                f"serial {self.committed} in {latency:.3f}s"
+            )
 
     # ------------------------------------------------------------------
     # Replication: backup feed and view changes
     # ------------------------------------------------------------------
-    async def _handle_repl_feed(
+    async def _handle_repl(
         self,
         first: Dict[str, Any],
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Serve one primary's install/append stream (the backup role)."""
-        if not self.replicated:
-            self._log("rejecting repl frame: this server is standalone")
-            writer.close()
-            return
+        """Answer a peer replica: one ``repl_seek`` (promise + offer, or
+        deny), or a primary's install/append stream (the backup role).
+
+        The core validates each frame before it changes anything; a
+        malformed one closes the connection *without* ``repl_deny`` — a
+        deny says "a higher view exists" and deposes the sender, while a
+        dropped feed only makes a primary re-install on its next dial.
+        """
+        core = self._replica
         frame: Optional[Dict[str, Any]] = first
         try:
-            while frame is not None:
-                kind = frame.get("type")
-                if kind == "repl_install":
-                    accepted = self._install_log(frame)
-                elif kind == "repl_append":
-                    accepted = self._append_record(frame)
-                else:
-                    break
-                if not accepted:
-                    await write_frame(
-                        writer,
-                        encode_envelope(
-                            "repl_deny", view=max(self.view, self.promised)
-                        ),
-                        timeout=self.write_timeout,
-                    )
-                    break
-                self._primary_feed = writer
+            if not self.replicated:
+                raise ProtocolError("this server is standalone")
+            while frame is not None and frame.get("type") in _REPL_CALLS:
+                call, fields = _REPL_CALLS[frame["type"]]
+                reply = getattr(core, call)(*map(frame.get, fields))
+                if reply.deposed:
+                    self._depose()
+                if reply.kind == "repl_ack":
+                    # A backup keeps only the log current; its CSS server
+                    # and sessions are rebuilt from it on promotion.
+                    self.shards[self.doc_id].wal = core.log
+                    self._primary_feed = writer
+                    if call == "install":
+                        self._log(
+                            f"installed view {core.view}: log through "
+                            f"serial {core.log.last_serial}, committed "
+                            f"{core.committed}"
+                        )
                 await write_frame(
                     writer,
-                    encode_envelope(
-                        "repl_ack",
-                        serial=self.wal.last_serial,
-                        epoch=self.epoch,
-                    ),
+                    encode_envelope(reply.kind, **reply.fields),
                     timeout=self.write_timeout,
                 )
+                if reply.kind != "repl_ack":
+                    break
                 frame = await read_frame(reader)
         except (WireError, ConnectionError, asyncio.IncompleteReadError):
             pass
+        except ProtocolError as exc:
+            self._log(f"a peer violated the replication protocol: {exc}")
         except asyncio.CancelledError:
             pass
         finally:
@@ -1186,79 +1161,9 @@ class NetServer:
                         f"replication feed from the view-{self.view} primary "
                         "lost; arming failover"
                     )
-                    self._schedule_failover()
+                    self._arm_failover()
 
-    def _install_log(self, frame: Dict[str, Any]) -> bool:
-        view = int(frame.get("view", 0))
-        if view < max(self.view, self.promised):
-            self._obs.repl_stale_rejected.inc()
-            return False
-        new_view = view != self.view
-        self.view = view
-        self.epoch = int(frame.get("epoch", view))
-        self.promised = max(self.promised, view)
-        log = ServerWriteAheadLog.from_obj(frame["log"])
-        # A backup keeps only the log current; its CSS server and
-        # sessions are rebuilt from it on promotion.
-        self.shards[self.doc_id].wal = log
-        self.committed = max(self.committed, int(frame.get("committed", 0)))
-        self._obs.repl_appends.inc(len(log.records))
-        if new_view:
-            self._log(
-                f"installed view {view}: log through serial "
-                f"{log.last_serial}, committed {self.committed}"
-            )
-        return True
-
-    def _append_record(self, frame: Dict[str, Any]) -> bool:
-        epoch = int(frame.get("epoch", -1))
-        if epoch != self.epoch or self.promised > self.epoch:
-            self._obs.repl_stale_rejected.inc()
-            return False
-        record = frame["record"]
-        serial = int(record["serial"])
-        if serial > self.wal.last_serial:
-            origin = str(record["origin"])
-            if origin not in self.wal.clients:
-                # Client registrations are not shipped separately; a
-                # backup learns each origin from its first replicated
-                # record so that after a promotion `_become_primary`
-                # rebuilds a channel (receiver fast-forwarded past the
-                # origin's logged operations) for every such client.
-                self.wal.clients.append(origin)
-            # Stored verbatim: a compact-context record can only be
-            # decoded against an oracle that witnessed the serials below
-            # it, which a backup does not run — it stores the certified
-            # bytes and decodes on promotion, when recovery rebuilds one.
-            self.wal.append_record(dict(record))
-            self._obs.repl_appends.inc()
-        self.committed = max(self.committed, int(frame.get("committed", 0)))
-        return True
-
-    async def _handle_seek(
-        self, frame: Dict[str, Any], writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer a view-change candidate: promise + offer, or deny."""
-        view = int(frame.get("view", 0))
-        if not self.replicated or view <= max(self.view, self.promised):
-            self._obs.repl_stale_rejected.inc()
-            reply = encode_envelope(
-                "repl_deny", view=max(self.view, self.promised)
-            )
-        else:
-            self.promised = view
-            reply = encode_envelope(
-                "repl_offer",
-                view=view,
-                replica=self.replica_id,
-                last_epoch=self.wal.last_epoch,
-                last_serial=self.wal.last_serial,
-                committed=self.committed,
-                log=self.wal.to_obj(),
-            )
-        await self._turn_away(writer, reply)
-
-    def _schedule_failover(self) -> None:
+    def _arm_failover(self) -> None:
         if self._failover_task is None or self._failover_task.done():
             self._failover_task = asyncio.ensure_future(self._failover_watch())
 
@@ -1267,26 +1172,27 @@ class NetServer:
         tries first; each further-away successor waits one more
         ``failover_delay`` so concurrent candidacies cannot collide
         unless an earlier candidate is dead too."""
+        core = self._replica
         detected = time.monotonic()
-        while not self._closed.is_set() and not self.is_primary:
-            view_seen = self.view
-            target = self.view + 1
-            while primary_for(target, self.replica_ids) != self.replica_id:
-                target += 1
-            await asyncio.sleep(self.failover_delay * (target - view_seen))
-            if self.view != view_seen or self._primary_feed is not None:
+        while not (self._closed.is_set() or core.is_primary):
+            if self._primary_feed is not None:
                 return  # a new primary announced itself in time
-            if await self._run_election(target, detected):
+            view_seen = core.view
+            await asyncio.sleep(
+                self.failover_delay * (core.next_led - view_seen)
+            )
+            if core.view != view_seen or self._primary_feed is not None:
+                continue
+            if await self._run_election(detected):
                 return
             await asyncio.sleep(self.failover_delay)
 
-    async def _run_election(self, target: int, detected: float) -> bool:
-        """Gather a quorum of offers for view ``target`` and take over."""
-        offers: Dict[ReplicaId, Tuple[int, int]] = {
-            self.replica_id: (self.wal.last_epoch, self.wal.last_serial)
-        }
-        logs: Dict[ReplicaId, ServerWriteAheadLog] = {}
-        committed = self.committed
+    async def _run_election(self, detected: float) -> bool:
+        """Stand for the next view this replica leads: gather offers,
+        let the core adopt, rebuild the serving state, start shipping."""
+        core = self._replica
+        target = core.candidacy()
+        offers = []
         for index, (host, port) in enumerate(self.roster):
             if index == self.replica_index:
                 continue
@@ -1299,61 +1205,37 @@ class NetServer:
                     f"{reply.get('view')} already exists"
                 )
                 return False
-            rid = str(reply["replica"])
-            offers[rid] = (
-                int(reply["last_epoch"]),
-                int(reply["last_serial"]),
-            )
-            logs[rid] = ServerWriteAheadLog.from_obj(reply["log"])
-            committed = max(committed, int(reply.get("committed", 0)))
-        if len(offers) < self.quorum:
+            offers.append(reply)
+        try:
+            change = core.adopt(target, offers)
+        except ProtocolError as exc:
+            self._log(f"election for view {target} failed: {exc}")
+            return False
+        if change is None:
             self._log(
-                f"election for view {target} failed: {len(offers)} of "
-                f"{self.quorum} required offers"
+                f"election for view {target} abandoned with "
+                f"{len(offers) + 1} of {core.quorum} required offers"
             )
             return False
-        winner = elect(offers)
-        adopted = self.wal if winner == self.replica_id else logs[winner]
-        adopted_last = adopted.last_serial
-        if adopted_last < committed:
-            raise ProtocolError(
-                "quorum intersection violated: the adopted log ends at "
-                f"serial {adopted_last} but {committed} is committed"
-            )
-        self.view = target
-        self.epoch = target
-        self.promised = target
-        self.committed = committed
-        # Re-stamp the uncommitted suffix under the new epoch: these are
-        # the re-proposed records a deposed primary can no longer touch.
-        reproposed = 0
-        for record in adopted.records:
-            if int(record["serial"]) > committed:
-                record["epoch"] = target
-                reproposed += 1
-        if reproposed:
-            adopted.last_epoch = target
-        self._become_primary(adopted)
-        self.view_changes += 1
-        self._obs.view_changes.inc()
-        self._obs.trace(
-            "repl.view_change",
-            view=target,
-            primary=self.replica_id,
-            adopted_from=winner,
-            adopted_last=adopted_last,
-            reproposed=reproposed,
+        # Rebuild the serving state from the adopted log — the path a
+        # standalone restart takes, so seq == serial survives the view change.
+        for channel in self.channels.values():
+            self._hang_up(channel)
+        self.shards[self.doc_id] = _DocShard(
+            self.doc_id, core.log, now=time.monotonic()
         )
+        self._pending = {}
+        self._primary_feed = None
+        self._update_connection_gauges()
         self._log(
             f"view {target}: this replica is now the primary (adopted "
-            f"{winner}'s log through serial {adopted_last}, "
-            f"re-proposed {reproposed}, committed {committed})"
+            f"{change.adopted_from}'s log through serial "
+            f"{change.adopted_last}, re-proposed {len(change.reproposed)}, "
+            f"committed {core.committed})"
         )
         self._failover_started = detected
-        self._failover_target = adopted_last
-        self._repl_acked = {}
         self._start_replication()
-        await self._advance_commit()  # a quorum of one commits immediately
+        self._flush_committed(core.appended())  # a quorum of one commits now
         return True
 
     async def _seek_offer(
@@ -1379,17 +1261,6 @@ class NetServer:
         if reply is None or reply.get("type") not in ("repl_offer", "repl_deny"):
             return None
         return reply
-
-    def _become_primary(self, adopted: ServerWriteAheadLog) -> None:
-        """Install the adopted log and rebuild the serving state from it
-        (a new :class:`ShardCore`, the path a standalone restart takes —
-        so the seq==serial invariant survives the view change)."""
-        for channel in self.channels.values():
-            self._hang_up(channel)
-        self.shards[self.doc_id] = _DocShard(self.doc_id, adopted, now=time.monotonic())
-        self._pending = {}
-        self._primary_feed = None
-        self._update_connection_gauges()
 
     # ------------------------------------------------------------------
     # Admin plane (used by the load generator and operators)
@@ -1439,11 +1310,7 @@ class NetServer:
             # A backup's CssServer is stale by design (only its WAL is
             # fed); rebuild one from the log so signatures are comparable
             # across roles.
-            server = (
-                shard.server
-                if not self.replicated or self.is_primary
-                else shard.wal.recover()
-            )
+            server = shard.server if self.is_primary else shard.wal.recover()
             reply = encode_envelope(
                 "admin_reply",
                 doc=doc,

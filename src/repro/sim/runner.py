@@ -310,7 +310,6 @@ class _FaultyRun:
             }
             self.commits_done = 0
             self._failover_from: Optional[float] = None
-            self._failover_target = 0
             self._outage_replica: Dict[float, ReplicaId] = {}
         elif self.plan.wal_enabled:
             from repro.jupiter.persistence import ServerWriteAheadLog
@@ -670,8 +669,7 @@ class _FaultyRun:
         self.pending_lifecycle -= 1
         self.progress_time = now
         group = self.group
-        change = group.view_change()
-        self._failover_target = change.adopted_last
+        group.view_change()
         committed_log = group.committed_log()
         # The logical serialisation authority keeps its identity across
         # views; the roster member currently serving it is group.primary.
@@ -714,7 +712,7 @@ class _FaultyRun:
         """Observe failover latency once the new view is fully certified."""
         if self._failover_from is None or SERVER_ID in self.crashed:
             return
-        if self.group.committed >= self._failover_target:
+        if self.group.failover_certified():
             latency = now - self._failover_from
             self.stats.failover_latencies.append(latency)
             self._obs.failover_latency.observe(latency)

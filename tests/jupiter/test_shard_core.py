@@ -298,6 +298,20 @@ def test_the_core_imports_no_event_loop_no_socket_and_no_net_package():
     subprocess.run([sys.executable, "-c", probe], check=True, env=env)
 
 
+def test_the_replica_core_is_as_pure_and_is_exported():
+    """The replication rules run under the simulator and under asyncio
+    alike: their module may know neither."""
+    probe = (
+        "import sys, repro.jupiter.replication; "
+        "bad = {'asyncio', 'socket', 'repro.net'} & set(sys.modules); "
+        "assert not bad, bad; "
+        "from repro.jupiter import Replica; "
+        "assert Replica is repro.jupiter.replication.Replica"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env)
+
+
 def test_a_client_imports_what_it_uses():
     """``import repro.net.client`` is what every spawned ``repro
     connect`` and every ledger worker pays before ``main()``: the package

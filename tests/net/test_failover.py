@@ -9,13 +9,19 @@ sockets.
 
 import asyncio
 import socket
+import struct
 
 import pytest
 
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient, ReconnectExhausted
-from repro.net.codec import document_signature
+from repro.net.codec import (
+    document_signature,
+    encode_envelope,
+    encode_frame_bytes,
+)
 from repro.net.server import NetServer
+from repro.net.transport import read_frame, write_frame
 
 
 def _run(coroutine):
@@ -302,3 +308,314 @@ class TestStaleEpochFilter:
         client = NetClient("c1", "127.0.0.1", 1)
         client._handle_frame({"type": "ack", "epoch": 3, "ack": 0})
         assert client.epoch == 3
+
+
+async def _until(condition, timeout=10):
+    async def poll():
+        while not condition():
+            await asyncio.sleep(0.01)
+
+    await asyncio.wait_for(poll(), timeout=timeout)
+
+
+class TestDeposedByInstall:
+    def test_a_spuriously_deposed_primary_stops_serving(self):
+        """A backup's failure detector misfires while the primary lives.
+
+        The old primary learns of view 1 from the successor's seek and
+        install, not from a ``repl_deny``.  It used to turn "backup" yet
+        keep its shipping tasks and its client session, serialise the
+        client's next op onto the installed log and install *that* on
+        the view-1 primary — which took an install for its own view."""
+
+        async def scenario():
+            servers, roster = await _started_roster(failover_delay=5.0)
+            s0, s1, s2 = servers
+            c1 = NetClient("c1", *roster[0], roster=roster)
+            await c1.connect()
+            for index in range(3):
+                await c1.generate(OpSpec("ins", index, "a"))
+            assert await c1.wait_converged(3, timeout=15)
+
+            # s1 alone loses its feed and does not wait its turn out.
+            s1.failover_delay = 0.05
+            s1._primary_feed.close()
+            await _until(lambda: s1.is_primary and s0.view == s2.view == 1)
+            old_primary = {
+                "is_primary": s0.is_primary,
+                "shipping": sum(not t.done() for t in s0._backup_tasks.values()),
+                "sessions": sum(c.writer is not None for c in s0.channels.values()),
+            }
+            await c1.generate(OpSpec("ins", 3, "b"))
+            converged = await c1.wait_converged(4, timeout=15)
+            await _until(lambda: all(s.wal.last_serial == 4 for s in servers))
+            state = {
+                "old_primary": old_primary,
+                "converged": converged,
+                "redirects": c1.redirects,
+                "served": s1.server.oracle.last_serial,
+                "logged": s1.wal.last_serial,
+                "committed": s1.committed,
+                "signatures": {
+                    c1.signature(),
+                    document_signature(s1.server.document),
+                    *(document_signature(s.wal.recover().document) for s in servers),
+                },
+            }
+            await _stop_all(servers, [c1])
+            return state
+
+        state = _run(scenario())
+        assert state["old_primary"] == {
+            "is_primary": False,
+            "shipping": 0,
+            "sessions": 0,
+        }
+        assert state["converged"]
+        assert state["redirects"] >= 1
+        assert state["served"] == state["logged"] == state["committed"] == 4
+        assert len(state["signatures"]) == 1
+
+    def test_a_frame_buffered_behind_the_hang_up_is_not_served(self):
+        """Hanging up closes the writer; the read buffer outlives it.
+
+        A client op that reached the old primary's ``StreamReader`` just
+        before a ``repl_install`` deposed it used to be read back after
+        the hang-up and serialised — by the stale served state, onto the
+        log the install had just handed over, under the new epoch — so
+        the real primary's ship of that serial looked like a duplicate
+        and one quorum copy diverged."""
+
+        async def scenario():
+            servers, roster = await _started_roster(failover_delay=5.0)
+            s0, s1, _s2 = servers
+            readers = {}
+            serve, depose = s0._handle_session, s0._depose
+
+            async def remember_the_reader(hello, reader, writer):
+                readers[hello["client"]] = reader
+                await serve(hello, reader, writer)
+
+            s0._handle_session = remember_the_reader
+            c1 = NetClient("c1", *roster[0], roster=roster)
+            await c1.connect()
+            for index in range(3):
+                await c1.generate(OpSpec("ins", index, "a"))
+            assert await c1.wait_converged(3, timeout=15)
+            await _until(lambda: s1.wal.last_serial == 3)
+
+            # The client's 4th op, framed as it would put it on the wire ...
+            writer, c1._writer = c1._writer, None
+            await c1.generate(OpSpec("ins", 3, "b"))
+            c1._writer = writer
+            body = encode_frame_bytes(c1._data_envelope(4), c1.codec)
+
+            def depose_with_a_frame_in_the_buffer():
+                readers["c1"].feed_data(struct.pack(">I", len(body)) + body)
+                depose()
+
+            # ... lands as view 1's install (s1 leads it) deposes s0.
+            s0._depose = depose_with_a_frame_in_the_buffer
+            reader, writer = await asyncio.open_connection(*roster[0])
+            installed = s1.wal.to_obj()
+            await write_frame(
+                writer,
+                encode_envelope(
+                    "repl_install", view=1, epoch=1, committed=3, log=installed
+                ),
+            )
+            answer = await asyncio.wait_for(read_frame(reader), timeout=5)
+            await asyncio.sleep(0.1)
+            state = {
+                "answer": (answer["type"], answer["serial"], answer["epoch"]),
+                "is_primary": s0.is_primary,
+                "sessions": sum(c.writer is not None for c in s0.channels.values()),
+                "log": s0.wal.to_obj() == installed,
+                "logged": s0.wal.last_serial,
+                "served": s0.server.oracle.last_serial,
+                "committed": s0.committed,
+            }
+            writer.close()
+            await _stop_all(servers, [c1])
+            return state
+
+        assert _run(scenario()) == {
+            "answer": ("repl_ack", 3, 1),
+            "is_primary": False,
+            "sessions": 0,
+            "log": True,
+            "logged": 3,
+            "served": 3,
+            "committed": 3,
+        }
+
+
+class TestDeposedByDeny:
+    def test_a_denied_primary_stands_down_and_the_roster_heals(self):
+        """A backup that promised a higher view denies the primary's next
+        ship; the primary stands down on the ``repl_deny`` (the route the
+        old code did handle), and although the promised candidate never
+        shows up the next election still finds a quorum."""
+
+        async def scenario():
+            servers, roster = await _started_roster(failover_delay=0.1)
+            s0, _s1, s2 = servers
+            c1 = NetClient("c1", *roster[0], roster=roster)
+            await c1.connect()
+            assert s2._replica.seek(1).accepted  # a candidate that then died
+            await c1.generate(OpSpec("ins", 0, "a"))
+            await _until(lambda: not s0.is_primary)
+            stood_down = (s0.view, sum(not t.done() for t in s0._backup_tasks.values()))
+            converged = await c1.wait_converged(1, timeout=20)
+            primary = _current_primary(servers)
+            state = {
+                "stood_down": stood_down,
+                "converged": converged,
+                "view": primary.view,
+                "same": c1.signature() == document_signature(primary.server.document),
+            }
+            await _stop_all(servers, [c1])
+            return state
+
+        state = _run(scenario())
+        assert state["stood_down"] == (1, 0)
+        assert state["converged"] and state["same"]
+        assert state["view"] > 1
+
+
+class TestDeposedByPromise:
+    def test_no_redirect_to_itself_and_a_failover_of_its_own(self):
+        """A primary that offered its log to a candidate stops leading,
+        but view 0 — its own — is still the highest it knows: a
+        ``redirect`` would name itself.  It hangs up instead, and because
+        the candidate may die before it installs anything, it arms the
+        failover watch like any backup that lost its feed."""
+
+        async def scenario():
+            servers, roster = await _started_roster(failover_delay=0.2)
+            s0 = servers[0]
+            reader, writer = await asyncio.open_connection(*roster[0])
+            await write_frame(writer, encode_envelope("repl_seek", view=1))
+            offer = await asyncio.wait_for(read_frame(reader), timeout=5)
+            writer.close()  # ... and the candidate is never heard of again
+            deposed = (offer["type"], s0.is_primary, s0.view)
+            armed = s0._failover_task is not None and not s0._failover_task.done()
+
+            reader, writer = await asyncio.open_connection(*roster[0])
+            await write_frame(
+                writer, encode_envelope("hello", client="c9", codecs=["json"])
+            )
+            answer = await asyncio.wait_for(read_frame(reader), timeout=5)
+            writer.close()
+
+            c1 = NetClient("c1", *roster[0], roster=roster)
+            await c1.connect()
+            await c1.generate(OpSpec("ins", 0, "a"))
+            converged = await c1.wait_converged(1, timeout=20)
+            state = {
+                "deposed": deposed,
+                "armed": armed,
+                "answer": answer,
+                "converged": converged,
+                "view": _current_primary(servers).view,
+            }
+            await _stop_all(servers, [c1])
+            return state
+
+        state = _run(scenario())
+        assert state["deposed"] == ("repl_offer", False, 0)
+        assert state["armed"]
+        assert state["answer"] is None  # hung up on, not sent back here
+        assert state["converged"] and state["view"] > 1
+
+
+def _raw_record(serial):
+    return {
+        "serial": serial,
+        "origin": "c1",
+        "epoch": 0,
+        "operation": {"opid": ["c1", serial]},
+    }
+
+
+MALFORMED_REPL_FRAMES = {
+    "install-undecodable-log": dict(
+        kind="repl_install", view=99, epoch=99, committed=0, log={"version": 0}
+    ),
+    "install-truncated-log": dict(
+        kind="repl_install", view=99, epoch=99, committed=0,
+        log={"version": 2, "replica": "s", "clients": []},
+    ),
+    "install-non-integer-view": dict(
+        kind="repl_install", view="99", epoch="99", committed=0, log=None
+    ),
+    "append-without-a-record": dict(kind="repl_append", epoch=0, committed=0),
+    "append-non-integer-serial": dict(
+        kind="repl_append", epoch=0, committed=0,
+        record={**_raw_record(2), "serial": "two"},
+    ),
+    "append-serial-gap": dict(
+        kind="repl_append", epoch=0, committed=0, record=_raw_record(7)
+    ),
+    "seek-non-integer-view": dict(kind="repl_seek", view=None),
+}
+
+
+class TestMalformedReplicationFrames:
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_REPL_FRAMES))
+    def test_a_malformed_frame_is_refused_typed_and_changes_nothing(self, shape):
+        """Replication frames are validated before anything changes.
+
+        ``_install_log`` used to claim the frame's view *before* decoding
+        its log (one bad ``view: 99`` install deposed a healthy primary),
+        and the other shapes escaped as asyncio's "Unhandled exception in
+        client_connected_cb".  The refusal is a closed connection, not a
+        ``repl_deny``: a deny would depose whoever sent the frame."""
+        fields = dict(MALFORMED_REPL_FRAMES[shape])
+
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: unhandled.append(context)
+            )
+            servers, roster = await _started_roster(failover_delay=0.3)
+            s0, s1, _s2 = servers
+            c1 = NetClient("c1", *roster[0], roster=roster)
+            await c1.connect()
+            await c1.generate(OpSpec("ins", 0, "a"))
+            assert await c1.wait_converged(1, timeout=15)
+            await _until(lambda: s1.wal.last_serial == 1)
+
+            def backup_state():
+                return (
+                    s1.view, s1.epoch, s1.committed, s1.is_primary,
+                    s1.wal.last_serial, s1._primary_feed,
+                )
+
+            before = backup_state()
+            reader, writer = await asyncio.open_connection(*roster[1])
+            await write_frame(
+                writer, encode_envelope(fields.pop("kind"), **fields)
+            )
+            answer = await asyncio.wait_for(read_frame(reader), timeout=5)
+            writer.close()
+            after = backup_state()
+
+            await c1.generate(OpSpec("ins", 1, "b"))
+            still_commits = await c1.wait_converged(2, timeout=6)
+            state = {
+                "answer": answer,
+                "unchanged": after == before,
+                "primary": _current_primary(servers).replica_id,
+                "still_commits": still_commits,
+                "unhandled": unhandled,
+            }
+            await _stop_all(servers, [c1])
+            return state
+
+        state = _run(scenario())
+        assert state["answer"] is None  # hung up on, not denied
+        assert state["unchanged"]
+        assert state["primary"] == "s0"
+        assert state["still_commits"]
+        assert state["unhandled"] == []
