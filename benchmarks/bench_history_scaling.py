@@ -73,7 +73,7 @@ def _spec(rng, document_length):
 async def _drive_wire(total_ops):
     """One client, ``total_ops`` edits, cumulative time at each chunk."""
     server = NetServer(
-        "127.0.0.1", 0, quiet=True, initial_text="x" * 200
+        "127.0.0.1", 0, initial_text="x" * 200
     )
     await server.start()
     client = NetClient("c1", "127.0.0.1", server.port)

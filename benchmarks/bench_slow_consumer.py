@@ -52,7 +52,6 @@ async def _drive(with_stalled_peer: bool):
     server = NetServer(
         "127.0.0.1",
         0,
-        quiet=True,
         outbound_queue=OUTBOUND_QUEUE,
         write_timeout=WRITE_TIMEOUT,
         idle_timeout=None,

@@ -10,10 +10,10 @@ across network models and offline windows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.common.stats import percentile
 from repro.sim.runner import SimulationResult
 
 
@@ -33,15 +33,6 @@ class LatencyStats:
             f"n={self.count} mean={self.mean:.3f}s p50={self.p50:.3f}s "
             f"p95={self.p95:.3f}s p99={self.p99:.3f}s max={self.maximum:.3f}s"
         )
-
-
-def percentile(sample: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of a non-empty sample."""
-    if not sample:
-        raise ValueError("empty sample")
-    ordered = sorted(sample)
-    rank = max(0, math.ceil(fraction * len(ordered)) - 1)
-    return ordered[rank]
 
 
 def summarise(sample: Sequence[float]) -> LatencyStats:

@@ -28,11 +28,11 @@ acknowledged operations.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import time
-from typing import Optional, Set
+from typing import Any, Optional, Set
 
+from repro.net.transport import run_listener
 from repro.sim.faults import NetChaosPlan
 
 #: Forwarding slice: small enough that latency/bandwidth shaping applies
@@ -67,6 +67,7 @@ class ChaosProxy:
         self._reset_done = False
         self._reset_task: Optional[asyncio.Task] = None
         self._live: Set[asyncio.StreamWriter] = set()
+        self._closed = asyncio.Event()
         # -- stats -----------------------------------------------------
         self.connections = 0
         self.bytes_c2s = 0
@@ -87,7 +88,11 @@ class ChaosProxy:
         if self.plan.reset_after is not None:
             self._reset_task = asyncio.ensure_future(self._reset_watch())
 
+    async def wait_closed(self) -> None:
+        await self._closed.wait()
+
     async def stop(self) -> None:
+        self._closed.set()
         if self._reset_task is not None:
             self._reset_task.cancel()
             self._reset_task = None
@@ -232,45 +237,19 @@ class ChaosProxy:
 # ----------------------------------------------------------------------
 # Process entry point (the ``repro chaosproxy`` verb)
 # ----------------------------------------------------------------------
-async def _proxy_main(
-    proxy: ChaosProxy, announce: bool
-) -> int:
-    await proxy.start()
-    if announce:
-        # One machine-parseable line; loadgen reads this to discover the
-        # ephemeral port (the same contract as REPRO-SERVE).
-        print(
-            "REPRO-CHAOSPROXY "
-            + json.dumps(
-                {
-                    "host": proxy.host,
-                    "port": proxy.port,
-                    "target": f"{proxy.target_host}:{proxy.target_port}",
-                    "plan": proxy.plan.to_obj(),
-                }
-            ),
-            flush=True,
-        )
-    try:
-        while True:
-            await asyncio.sleep(3600)
-    except asyncio.CancelledError:  # pragma: no cover - teardown only
-        return 0
-
-
 def run_chaosproxy(
-    target_host: str,
-    target_port: int,
-    plan: Optional[NetChaosPlan] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    announce: bool = False,
+    target_host: str, target_port: int, announce: bool = False, **options: Any
 ) -> int:
-    """Blocking entry point for ``repro chaosproxy``."""
-    proxy = ChaosProxy(
-        target_host, target_port, plan=plan, host=host, port=port
+    """Blocking entry point for ``repro chaosproxy``; ``options`` are
+    :class:`ChaosProxy`'s (``plan``, ``host``, ``port``)."""
+    return run_listener(
+        lambda: ChaosProxy(target_host, target_port, **options),
+        announce,
+        "REPRO-CHAOSPROXY",
+        lambda proxy: {
+            "host": proxy.host,
+            "port": proxy.port,
+            "target": f"{proxy.target_host}:{proxy.target_port}",
+            "plan": proxy.plan.to_obj(),
+        },
     )
-    try:
-        return asyncio.run(_proxy_main(proxy, announce))
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 0

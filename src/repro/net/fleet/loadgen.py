@@ -29,23 +29,18 @@ The coordinator:
 
 from __future__ import annotations
 
-import shutil
-import subprocess
-import tempfile
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.net.fleet.placement import placement_skew
 from repro.net.loadgen import (
     _collect_reports,
-    _connect_command,
+    _Deployment,
     _kill_mid_run,
-    _shut_down,
-    _spawn,
-    _spawn_announced,
     admin,
     percentile,
     split_ops,
+    verdict,
 )
 from repro.obs import merge_snapshots, snapshot_total
 
@@ -111,21 +106,13 @@ def run_fleet_loadgen(
     if kill_worker and workers < 2:
         raise ValueError("kill_worker needs at least two workers")
 
-    def log(text: str) -> None:
-        if not quiet:
-            print(f"[fleet] {text}", flush=True)
-
     doc_names = [f"doc-{index}" for index in range(docs)]
     shares = split_ops(ops_per_doc, clients_per_doc)
-    owned_dir = wal_dir is None
-    if owned_dir:
-        wal_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-    router_process: Optional[subprocess.Popen] = None
-    worker_processes: List[Tuple[str, subprocess.Popen, int]] = []
-    client_processes: List[Tuple[str, subprocess.Popen]] = []
-    started = time.perf_counter()
-    try:
-        router_process, router_port = _spawn_announced(
+    with _Deployment(host, "fleet", quiet) as owned:
+        log = owned.log
+        wal_dir = wal_dir or owned.temp_dir("repro-fleet-")
+        started = time.perf_counter()
+        router_process, router_port = owned.listener(
             "REPRO-FLEET-ROUTER",
             "fleet",
             "route",
@@ -136,9 +123,10 @@ def run_fleet_loadgen(
             heartbeat=heartbeat_interval,
         )
         log(f"router pid {router_process.pid} on {host}:{router_port}")
+        worker_listeners = {}
         for index in range(workers):
             worker_id = f"w{index}"
-            process, port = _spawn_announced(
+            worker_listeners[worker_id] = process, port = owned.listener(
                 "REPRO-FLEET-WORKER",
                 "fleet",
                 "worker",
@@ -150,7 +138,6 @@ def run_fleet_loadgen(
                 wal_dir=wal_dir,
                 heartbeat_seed=seed * 100 + index,
             )
-            worker_processes.append((worker_id, process, port))
             log(f"worker {worker_id} pid {process.pid} on {host}:{port}")
         _await_router(host, router_port, "live_workers", workers)
         placement_before = {
@@ -158,39 +145,38 @@ def run_fleet_loadgen(
             for doc in doc_names
         }
         log(f"initial placement: {placement_before}")
-        for doc in doc_names:
+        for dindex, doc in enumerate(doc_names):
             for cindex in range(clients_per_doc):
-                name = f"{doc}-c{cindex}"
-                command = _connect_command(
-                    host,
-                    router_port,
-                    name,
-                    shares[cindex],
-                    ops_per_doc,
-                    seed * 10000 + doc_names.index(doc) * 100 + cindex,
-                    insert_ratio,
-                    op_interval,
-                    timeout,
+                owned.worker(
+                    f"{doc}-c{cindex}",
+                    host=host,
+                    port=router_port,
+                    ops=shares[cindex],
+                    expect_total=ops_per_doc,
+                    seed=seed * 10000 + dindex * 100 + cindex,
+                    insert_ratio=insert_ratio,
+                    op_interval=op_interval,
+                    timeout=timeout,
                     doc=doc,
                     # A client orphaned by a worker SIGKILL ping-pongs
                     # router -> dead-worker until the lease expires; give
                     # it budget to ride that out instead of giving up.
                     max_connect_attempts=64,
                 )
-                client_processes.append((name, _spawn(command)))
         log(
-            f"spawned {len(client_processes)} clients "
+            f"spawned {len(owned.workers)} clients "
             f"({clients_per_doc} per document, {shares} ops each)"
         )
         killed_worker = ""
         if kill_worker:
-            killed_worker, victim, victim_port = worker_processes[0]
+            killed_worker = "w0"
+            victim, victim_port = worker_listeners[killed_worker]
             delay = _kill_mid_run(victim, kill_after, shares[0], op_interval)
             log(
                 f"SIGKILLed worker {killed_worker} pid {victim.pid} "
                 f"({host}:{victim_port}) after {delay:.1f}s"
             )
-        reports, failures = _collect_reports(client_processes, timeout)
+        reports, failures = _collect_reports(owned.workers, timeout)
         wall = time.perf_counter() - started
         # Clients that finished before the kill leave nobody to notice
         # it: wait for the lease to lapse, or the placement read below
@@ -205,11 +191,11 @@ def run_fleet_loadgen(
         }
         worker_addr = {
             worker_id: port
-            for worker_id, process, port in worker_processes
+            for worker_id, (process, port) in worker_listeners.items()
             if process.poll() is None
         }
         # Per-document server-side signature from each doc's owner.
-        server_signatures: Dict[str, str] = {}
+        server_signatures: Dict[str, Dict[str, str]] = {}
         worker_metric_snapshots: List[Dict[str, Any]] = []
         per_doc_stats: Dict[str, Dict[str, Any]] = {}
         for doc in doc_names:
@@ -222,7 +208,7 @@ def run_fleet_loadgen(
             if "error" in view:
                 failures.append(f"{doc}: {view['error']}")
                 continue
-            server_signatures[doc] = view["signature"]
+            server_signatures[doc] = {f"worker:{owner}": view["signature"]}
             per_doc_stats[doc] = {
                 "owner": owner,
                 "serial": view["serial"],
@@ -232,55 +218,36 @@ def run_fleet_loadgen(
             metrics = admin(host, port, "metrics")
             if metrics.get("snapshot", {}).get("metrics"):
                 worker_metric_snapshots.append(metrics["snapshot"])
-    finally:
-        listeners = [
-            (process, port) for _id, process, port in worker_processes
-        ]
-        if router_process is not None:
-            listeners.append((router_process, router_port))
-        _shut_down(host, listeners)
-        for _name, process in client_processes:
-            if process.poll() is None:
-                process.kill()
-        if owned_dir:
-            shutil.rmtree(wal_dir, ignore_errors=True)
 
     # ------------------------------------------------------------------
-    # Verdict
+    # Verdict: per document, then fleet-wide
     # ------------------------------------------------------------------
-    by_doc: Dict[str, List[Dict[str, Any]]] = {doc: [] for doc in doc_names}
-    for report in reports:
-        by_doc.setdefault(report.get("doc", ""), []).append(report)
     doc_results: Dict[str, Dict[str, Any]] = {}
-    all_identical = True
-    all_converged = not failures
     for doc in doc_names:
-        doc_reports = by_doc.get(doc, [])
-        signatures = {r["client"]: r["signature"] for r in doc_reports}
-        if doc in server_signatures:
-            signatures[f"worker:{placement_after[doc]}"] = server_signatures[
-                doc
-            ]
-        identical = len(set(signatures.values())) == 1 and bool(signatures)
-        converged = len(doc_reports) == clients_per_doc and all(
-            r["converged"] for r in doc_reports
+        detail = verdict(
+            [r for r in reports if r.get("doc", "") == doc],
+            clients_per_doc,
+            server_signatures.get(doc, {}),
         )
-        all_identical = all_identical and identical
-        all_converged = all_converged and converged
+        del detail["client_metrics"]  # merged fleet-wide below
         doc_results[doc] = {
-            "converged": converged,
-            "signatures_identical": identical,
-            "signatures": signatures,
+            **detail,
             "ops": ops_per_doc,
             "ops_per_sec": ops_per_doc / wall if wall > 0 else 0.0,
             **per_doc_stats.get(doc, {}),
         }
-    total_ops = ops_per_doc * docs
-    client_metrics = merge_snapshots(
-        [r["metrics"] for r in reports if r.get("metrics", {}).get("metrics")]
+    all_converged = not failures and all(
+        detail["converged"] for detail in doc_results.values()
     )
+    all_identical = all(
+        detail["signatures_identical"] for detail in doc_results.values()
+    )
+    # Percentiles do not compose, so the fleet-wide round trips (and
+    # the client metrics beside them) are read off every report at once.
+    fleet = verdict(reports, docs * clients_per_doc, {})
+    total_ops = ops_per_doc * docs
     fleet_metrics = merge_snapshots(
-        [client_metrics] + worker_metric_snapshots
+        [fleet["client_metrics"]] + worker_metric_snapshots
         + (
             [router_metrics["snapshot"]]
             if router_metrics.get("snapshot", {}).get("metrics")
@@ -288,7 +255,6 @@ def run_fleet_loadgen(
         )
     )
     redirect_counts = [r["redirects"] for r in reports]
-    rtts = [sample for r in reports for sample in r.get("rtt_ms", [])]
     live_workers = sorted(worker_addr)
     skew = placement_skew(placement_after, live_workers)
     expirations = int(router_stats.get("expirations", 0))
@@ -340,8 +306,8 @@ def run_fleet_loadgen(
         "redirects_p99": percentile(
             [float(count) for count in redirect_counts], 0.99
         ),
-        "rtt_ms_p50": percentile(rtts, 0.50),
-        "rtt_ms_p99": percentile(rtts, 0.99),
+        "rtt_ms_p50": fleet["rtt_ms_p50"],
+        "rtt_ms_p99": fleet["rtt_ms_p99"],
         "router_stats": {
             "registrations": router_stats.get("registrations", 0),
             "expirations": expirations,

@@ -30,7 +30,6 @@ re-placement, no assignment table to repair.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import time
 from typing import Any, Dict, Optional
@@ -38,7 +37,14 @@ from typing import Any, Dict, Optional
 from repro.net.codec import DEFAULT_DOC, WireError, encode_envelope
 from repro.net.fleet.placement import place, placement_map, placement_skew
 from repro.net.fleet.registry import WorkerRegistry
-from repro.net.transport import WRITE_TIMEOUT, read_frame, write_frame
+from repro.net.transport import (
+    WRITE_TIMEOUT,
+    admin_reply,
+    read_first_frame,
+    read_frame,
+    run_listener,
+    write_frame,
+)
 from repro.obs import get_obs
 
 LOGGER = logging.getLogger("repro.net.fleet.router")
@@ -159,12 +165,9 @@ class FleetRouter:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            frame = await read_frame(reader)
-        except WireError as exc:
-            self._log(f"rejecting connection: {exc}")
-            writer.close()
-            return
+        # Only the first frame is on the clock; a registered worker's
+        # heartbeat stream is policed by its lease, not by this deadline.
+        frame = await read_first_frame(reader, self.write_timeout, self._log)
         if frame is None:
             writer.close()
             return
@@ -338,76 +341,23 @@ class FleetRouter:
                     host=host,
                     port=port,
                 )
-        elif command == "metrics":
-            obs = self._obs
-            reply = encode_envelope(
-                "admin_reply",
-                enabled=obs.enabled,
-                exposition=obs.render(),
-                snapshot=obs.snapshot(),
-            )
-        elif command == "shutdown":
-            reply = encode_envelope("admin_reply", stopping=True)
-            await write_frame(writer, reply, timeout=self.write_timeout)
-            writer.close()
-            await self.stop()
-            return
         else:
-            reply = encode_envelope(
-                "admin_reply", error=f"unknown admin command {command!r}"
-            )
+            reply = admin_reply(command, self._obs)
         await write_frame(writer, reply, timeout=self.write_timeout)
         writer.close()
+        if command == "shutdown":
+            await self.stop()
 
 
 # ----------------------------------------------------------------------
 # Process entry point (the ``repro fleet route`` verb)
 # ----------------------------------------------------------------------
-async def _route(
-    host: str,
-    port: int,
-    lease_seconds: float,
-    heartbeat_interval: float,
-    retry_after: float,
-    announce: bool,
-) -> int:
-    router = FleetRouter(
-        host=host,
-        port=port,
-        lease_seconds=lease_seconds,
-        heartbeat_interval=heartbeat_interval,
-        retry_after=retry_after,
+def run_router(announce: bool = False, **options: Any) -> int:
+    """Blocking entry point for ``repro fleet route``; ``options`` are
+    :class:`FleetRouter`'s constructor arguments."""
+    return run_listener(
+        lambda: FleetRouter(**options),
+        announce,
+        "REPRO-FLEET-ROUTER",
+        lambda router: {"host": router.host, "port": router.port},
     )
-    await router.start()
-    if announce:
-        print(
-            "REPRO-FLEET-ROUTER "
-            + json.dumps({"host": router.host, "port": router.port}),
-            flush=True,
-        )
-    await router.wait_closed()
-    return 0
-
-
-def run_router(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    lease_seconds: float = DEFAULT_LEASE,
-    heartbeat_interval: float = DEFAULT_HEARTBEAT,
-    retry_after: float = 0.5,
-    announce: bool = False,
-) -> int:
-    """Blocking entry point for ``repro fleet route``."""
-    try:
-        return asyncio.run(
-            _route(
-                host,
-                port,
-                lease_seconds,
-                heartbeat_interval,
-                retry_after,
-                announce,
-            )
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 0

@@ -19,14 +19,13 @@ client hello triggers recovery from the shared per-document log.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import random
-from typing import Optional
+from typing import Any, Optional
 
-from repro.net.codec import DEFAULT_DOC, WireError, encode_envelope
+from repro.net.codec import WireError, encode_envelope
 from repro.net.server import NetServer
-from repro.net.transport import read_frame, write_frame
+from repro.net.transport import read_frame, run_listener, write_frame
 from repro.obs import get_obs
 
 LOGGER = logging.getLogger("repro.net.fleet.worker")
@@ -40,28 +39,16 @@ class FleetWorker:
         worker_id: str,
         router_host: str,
         router_port: int,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        wal_dir: Optional[str] = None,
-        initial_text: str = "",
-        snapshot_every: int = 64,
         heartbeat_seed: int = 0,
-        max_connections: int = 256,
-        idle_timeout: Optional[float] = 60.0,
+        **server_options: Any,
     ) -> None:
         self.worker_id = str(worker_id)
         self.router_host = router_host
         self.router_port = int(router_port)
-        self.server = NetServer(
-            host=host,
-            port=port,
-            initial_text=initial_text,
-            snapshot_every=snapshot_every,
-            max_connections=max_connections,
-            idle_timeout=idle_timeout,
-            doc_id=DEFAULT_DOC,
-            wal_dir=wal_dir,
-        )
+        # One listener hosts many documents' sessions, hence a higher
+        # admission bound than a standalone server's default.
+        server_options.setdefault("max_connections", 256)
+        self.server = NetServer(**server_options)
         #: seeded jitter: each heartbeat sleeps interval * (0.8 .. 1.0),
         #: deterministic per worker, de-correlated across the fleet
         self._rng = random.Random(heartbeat_seed)
@@ -190,73 +177,22 @@ class FleetWorker:
 # ----------------------------------------------------------------------
 # Process entry point (the ``repro fleet worker`` verb)
 # ----------------------------------------------------------------------
-async def _worker(
-    worker_id: str,
-    router_host: str,
-    router_port: int,
-    host: str,
-    port: int,
-    wal_dir: Optional[str],
-    initial_text: str,
-    snapshot_every: int,
-    heartbeat_seed: int,
-    announce: bool,
-) -> int:
-    worker = FleetWorker(
-        worker_id,
-        router_host,
-        router_port,
-        host=host,
-        port=port,
-        wal_dir=wal_dir,
-        initial_text=initial_text,
-        snapshot_every=snapshot_every,
-        heartbeat_seed=heartbeat_seed,
-    )
-    await worker.start()
-    if announce:
-        print(
-            "REPRO-FLEET-WORKER "
-            + json.dumps(
-                {
-                    "worker": worker.worker_id,
-                    "host": worker.host,
-                    "port": worker.port,
-                }
-            ),
-            flush=True,
-        )
-    await worker.wait_closed()
-    return 0
-
-
 def run_fleet_worker(
     worker_id: str,
     router_host: str,
     router_port: int,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    wal_dir: Optional[str] = None,
-    initial_text: str = "",
-    snapshot_every: int = 64,
-    heartbeat_seed: int = 0,
     announce: bool = False,
+    **options: Any,
 ) -> int:
-    """Blocking entry point for ``repro fleet worker``."""
-    try:
-        return asyncio.run(
-            _worker(
-                worker_id,
-                router_host,
-                router_port,
-                host,
-                port,
-                wal_dir,
-                initial_text,
-                snapshot_every,
-                heartbeat_seed,
-                announce,
-            )
-        )
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 0
+    """Blocking entry point for ``repro fleet worker``; ``options`` are
+    :class:`FleetWorker`'s (``heartbeat_seed`` plus NetServer's)."""
+    return run_listener(
+        lambda: FleetWorker(worker_id, router_host, router_port, **options),
+        announce,
+        "REPRO-FLEET-WORKER",
+        lambda worker: {
+            "worker": worker.worker_id,
+            "host": worker.host,
+            "port": worker.port,
+        },
+    )

@@ -17,6 +17,11 @@ interpreter.  The coordinator:
    compares: the run passes iff **every replica's final document
    signature is byte-identical**.
 
+Every subprocess is started inside one owning context
+(:class:`_Deployment`) and step 4's comparison is :func:`verdict`; the
+fleet coordinator (:mod:`repro.net.fleet.loadgen`) runs inside the same
+context and the same verdict, per document.
+
 Every worker's operation stream is a pure function of ``seed`` and its
 index; the interleaving is real wall-clock scheduling, which is exactly
 the point — convergence must hold under schedules nobody picked.
@@ -37,13 +42,18 @@ import asyncio
 import json
 import os
 import random
+import shutil
 import socket
 import string
 import subprocess
 import sys
+import tempfile
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+# Re-exported as ``percentile``: the one nearest-rank rule, with the
+# reports' reading of an empty sample (0.0, where the rule itself raises).
+from repro.common.stats import percentile_or_zero as percentile
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
 from repro.net.codec import encode_envelope, parse_roster
@@ -60,15 +70,6 @@ _CODEC_OFFERS = {
     "bin": ("bin", "json"),
     "json": ("json",),
 }
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of ``samples`` by nearest-rank."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 # ----------------------------------------------------------------------
@@ -425,34 +426,6 @@ def _spawn_announced(
             return process, int(json.loads(line[len(marker) + 1:])["port"])
 
 
-def _connect_command(
-    host: str,
-    port: int,
-    client: str,
-    ops: int,
-    expect_total: int,
-    seed: int,
-    insert_ratio: float,
-    op_interval: float,
-    timeout: float,
-    **extra: Any,
-) -> List[str]:
-    """The ``repro connect`` argv every harness starts its workers with;
-    ``extra`` carries what only one of them needs (``doc``, ``roster``...)."""
-    return ["connect", "--json"] + _flags(
-        host=host,
-        port=port,
-        client=client,
-        ops=ops,
-        expect_total=expect_total,
-        seed=seed,
-        insert_ratio=insert_ratio,
-        op_interval=op_interval,
-        timeout=timeout,
-        **extra,
-    )
-
-
 def _kill_mid_run(
     victim: subprocess.Popen,
     kill_after: Optional[float],
@@ -508,21 +481,112 @@ def _collect_reports(
     return reports, failures
 
 
-def _shut_down(
-    host: str, listeners: Sequence[Tuple[subprocess.Popen, int]]
-) -> None:
-    """Admin-shutdown every live listener; kill one that will not exit."""
-    for process, port in listeners:
-        if process.poll() is not None:
-            continue
-        try:
-            admin(host, port, "shutdown")
-        except (ConnectionError, OSError):
-            pass
-        try:
-            process.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            process.kill()
+class _Deployment:
+    """Every subprocess (and temp dir) one coordinator run started.
+
+    Entered before the first spawn, so whatever fails afterwards — a
+    replica that will not start, a worker that times out — everything
+    already running is stopped on the way out: listeners are asked to
+    ``shutdown`` over their admin plane and killed if they will not
+    exit, every other process is killed, an owned temp dir is removed.
+    """
+
+    def __init__(self, host: str, tag: str, quiet: bool) -> None:
+        self.host = host
+        self._tag = tag
+        self._quiet = quiet
+        #: ``(process, port)`` of every listener with an admin plane
+        self.listeners: List[Tuple[subprocess.Popen, int]] = []
+        #: ``(name, process)`` of every ``repro connect`` worker
+        self.workers: List[Tuple[str, subprocess.Popen]] = []
+        self._proxies: List[subprocess.Popen] = []
+        self._temp_dir: Optional[str] = None
+
+    def log(self, text: str) -> None:
+        if not self._quiet:
+            print(f"[{self._tag}] {text}", flush=True)
+
+    def listener(
+        self,
+        marker: str,
+        *command: str,
+        admin_plane: bool = True,
+        **flags: Any,
+    ) -> Tuple[subprocess.Popen, int]:
+        """Spawn an announcing listener verb (see :func:`_spawn_announced`);
+        a chaos proxy has no ``admin_plane`` of its own to shut it down."""
+        process, port = _spawn_announced(marker, *command, **flags)
+        if admin_plane:
+            self.listeners.append((process, port))
+        else:
+            self._proxies.append(process)
+        return process, port
+
+    def worker(self, name: str, **flags: Any) -> None:
+        """Spawn the ``repro connect`` worker of client ``name``."""
+        command = ["connect", "--json", *_flags(client=name, **flags)]
+        self.workers.append((name, _spawn(command)))
+
+    def temp_dir(self, prefix: str) -> str:
+        self._temp_dir = tempfile.mkdtemp(prefix=prefix)
+        return self._temp_dir
+
+    def __enter__(self) -> "_Deployment":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        for process, port in self.listeners:
+            if process.poll() is not None:
+                continue
+            try:
+                admin(self.host, port, "shutdown")
+            except (ConnectionError, OSError):
+                pass
+            try:
+                process.wait(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                process.kill()
+        for process in self._proxies + [w for _name, w in self.workers]:
+            if process.poll() is None:
+                process.kill()
+        if self._temp_dir is not None:
+            shutil.rmtree(self._temp_dir, ignore_errors=True)
+
+
+def verdict(
+    reports: Sequence[Dict[str, Any]],
+    expected: int,
+    server_signatures: Mapping[str, str],
+) -> Dict[str, Any]:
+    """Theorem 6.7 across process boundaries, for one document.
+
+    ``reports`` are the worker reports of the document's clients,
+    ``server_signatures`` the server-side replicas' by name.  The
+    document converged iff all ``expected`` clients report convergence;
+    its replicas agree iff every signature, clients' and servers', is
+    byte-identical.  Beside the verdict ride what every harness reports
+    with it: round-trip percentiles (no samples reads 0.0) and the
+    exact merge of the clients' metric snapshots (fixed bucket
+    boundaries make the histograms sum element-wise).
+    """
+    signatures = {r["client"]: r["signature"] for r in reports}
+    signatures.update(server_signatures)
+    rtts = [sample for r in reports for sample in r.get("rtt_ms", ())]
+    return {
+        "converged": len(reports) == expected
+        and all(r["converged"] for r in reports),
+        "signatures_identical": len(set(signatures.values())) == 1,
+        "signatures": signatures,
+        "rtt_ms_p50": percentile(rtts, 0.50),
+        "rtt_ms_p99": percentile(rtts, 0.99),
+        "client_metrics": merge_snapshots(
+            [
+                r["metrics"]
+                for r in reports
+                if r.get("metrics", {}).get("metrics")
+            ]
+        ),
+    }
 
 
 def split_ops(total: int, clients: int) -> List[int]:
@@ -643,10 +707,6 @@ def run_loadgen(
         reconnect_clients = 1 if clients > 1 else 0
     reconnect_clients = min(reconnect_clients, clients)
 
-    def log(text: str) -> None:
-        if not quiet:
-            print(f"[loadgen] {text}", flush=True)
-
     # One server, or a 2f+1 roster on reserved ports sharing one ordered
     # roster string.
     ports = [port]
@@ -654,53 +714,50 @@ def run_loadgen(
     if replicas > 1:
         ports = _free_ports(replicas, host)
         roster_text = ",".join(f"{host}:{p}" for p in ports)
-    server_processes: List[Tuple[subprocess.Popen, int]] = []
-    for index, replica_port in enumerate(ports):
-        process, bound = _spawn_announced(
-            "REPRO-SERVE",
-            "serve",
-            "--quiet",
-            host=host,
-            port=replica_port,
-            snapshot_every=snapshot_every,
-            initial=initial_text or None,
-            replica_of=roster_text or None,
-            failover_delay=failover_delay if roster_text else None,
-        )
-        server_processes.append((process, bound))
-        log(f"server s{index} pid {process.pid} on {host}:{bound}")
-    bound_port = server_processes[0][1]
-    proxy_process: Optional[subprocess.Popen] = None
-    worker_port = bound_port
-    if chaos is not None:
-        proxy_process, worker_port = _spawn_announced(
-            "REPRO-CHAOSPROXY",
-            "chaosproxy",
-            target=f"{host}:{bound_port}",
-            host=host,
-            port=0,
-            plan_json=json.dumps(chaos.to_obj()),
-        )
-        log(
-            f"chaos proxy pid {proxy_process.pid} on {host}:{worker_port} "
-            f"-> {host}:{bound_port} (seed {chaos.seed})"
-        )
     shares = split_ops(ops, clients)
-    workers: List[Tuple[str, subprocess.Popen]] = []
-    started = time.perf_counter()
-    try:
+    with _Deployment(host, "loadgen", quiet) as owned:
+        log = owned.log
+        for index, replica_port in enumerate(ports):
+            process, bound = owned.listener(
+                "REPRO-SERVE",
+                "serve",
+                "--quiet",
+                host=host,
+                port=replica_port,
+                snapshot_every=snapshot_every,
+                initial=initial_text or None,
+                replica_of=roster_text or None,
+                failover_delay=failover_delay if roster_text else None,
+            )
+            log(f"server s{index} pid {process.pid} on {host}:{bound}")
+        bound_port = worker_port = owned.listeners[0][1]
+        if chaos is not None:
+            proxy_process, worker_port = owned.listener(
+                "REPRO-CHAOSPROXY",
+                "chaosproxy",
+                admin_plane=False,
+                target=f"{host}:{bound_port}",
+                host=host,
+                port=0,
+                plan_json=json.dumps(chaos.to_obj()),
+            )
+            log(
+                f"chaos proxy pid {proxy_process.pid} on "
+                f"{host}:{worker_port} -> {host}:{bound_port} "
+                f"(seed {chaos.seed})"
+            )
+        started = time.perf_counter()
         for index in range(clients):
-            name = f"c{index + 1}"
-            command = _connect_command(
-                host,
-                worker_port,
-                name,
-                shares[index],
-                ops,
-                seed * 1000 + index,
-                insert_ratio,
-                op_interval,
-                timeout,
+            owned.worker(
+                f"c{index + 1}",
+                host=host,
+                port=worker_port,
+                ops=shares[index],
+                expect_total=ops,
+                seed=seed * 1000 + index,
+                insert_ratio=insert_ratio,
+                op_interval=op_interval,
+                timeout=timeout,
                 codec=codec,
                 roster=roster_text or None,
                 reconnect_after=(
@@ -709,49 +766,32 @@ def run_loadgen(
                     else None
                 ),
             )
-            workers.append((name, _spawn(command)))
         log(f"spawned {clients} worker processes ({shares} ops each)")
         if kill_primary:
-            victim, victim_port = server_processes[0]
+            victim, victim_port = owned.listeners[0]
             delay = _kill_mid_run(victim, kill_after, shares[0], op_interval)
             log(
                 f"killed view-0 primary pid {victim.pid} "
                 f"({host}:{victim_port}) after {delay:.1f}s"
             )
-        reports, failures = _collect_reports(workers, timeout)
+        reports, failures = _collect_reports(owned.workers, timeout)
         wall = time.perf_counter() - started
         primary_port, server_stats = _find_primary(
-            server_processes, host, deadline=primary_deadline
+            owned.listeners, host, deadline=primary_deadline
         )
         server_view = admin(host, primary_port, "signature")
         server_metrics = admin(host, primary_port, "metrics")
-    finally:
-        if proxy_process is not None and proxy_process.poll() is None:
-            proxy_process.kill()
-        _shut_down(host, server_processes)
-        for _name, worker in workers:
-            if worker.poll() is None:
-                worker.kill()
 
     replication = server_stats.get("replication") or {}
     view_changes = int(replication.get("view_changes", 0))
-    signatures = {r["client"]: r["signature"] for r in reports}
-    signatures[replication.get("replica", "s")] = server_view["signature"]
-    identical = len(set(signatures.values())) == 1
-    # Exact cross-process merge: every worker snapshots its registry and
-    # the fixed bucket boundaries make the histograms sum element-wise.
-    client_metrics = merge_snapshots(
-        [r["metrics"] for r in reports if r.get("metrics", {}).get("metrics")]
-    )
-    rtt_observed = snapshot_value(client_metrics, "repro_net_rtt_seconds")
+    primary = replication.get("replica", "s")
+    result = verdict(reports, clients, {primary: server_view["signature"]})
+    converged = result["converged"] and not failures
     reconnects = sum(r["reconnects"] for r in reports)
     resynced = sum(r["resync_on_reconnect"] for r in reports)
-    rtts = [sample for r in reports for sample in r["rtt_ms"]]
     ok = (
-        not failures
-        and len(reports) == clients
-        and all(r["converged"] for r in reports)
-        and identical
+        converged
+        and result["signatures_identical"]
         and reconnects >= reconnect_clients
         # A kill-primary run pauses commits during the outage, so the
         # deliberately-dropped worker may genuinely have nothing to
@@ -761,6 +801,7 @@ def run_loadgen(
         and (not kill_primary or view_changes >= 1)
     )
     return {
+        **result,
         "ok": ok,
         "clients": clients,
         "ops": ops,
@@ -770,11 +811,9 @@ def run_loadgen(
         "chaos": chaos.to_obj() if chaos is not None else None,
         "killed_primary": kill_primary,
         "view_changes": view_changes,
-        "primary": replication.get("replica", "s"),
+        "primary": primary,
         "view": int(replication.get("view", 0)),
-        "converged": all(r["converged"] for r in reports) and not failures,
-        "signatures_identical": identical,
-        "signatures": signatures,
+        "converged": converged,
         "document_length": len(server_view.get("document") or ""),
         "serial": server_view["serial"],
         "reconnects": reconnects,
@@ -782,8 +821,6 @@ def run_loadgen(
         "failures": failures,
         "wall_seconds": wall,
         "ops_per_sec": ops / wall if wall > 0 else 0.0,
-        "rtt_ms_p50": percentile(rtts, 0.50),
-        "rtt_ms_p99": percentile(rtts, 0.99),
         "server_stats": {
             "frames_received": server_stats["frames_received"],
             "resync_frames_sent": server_stats["resync_frames_sent"],
@@ -791,8 +828,9 @@ def run_loadgen(
             "overload": server_stats.get("overload", {}),
             "wal": server_stats["wal"],
         },
-        "client_metrics": client_metrics,
-        "client_rtt_observations": rtt_observed,
+        "client_rtt_observations": snapshot_value(
+            result["client_metrics"], "repro_net_rtt_seconds"
+        ),
         "server_metrics_enabled": bool(server_metrics.get("enabled")),
         "server_exposition": server_metrics.get("exposition", ""),
         "workers": reports,

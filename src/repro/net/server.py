@@ -65,7 +65,6 @@ the pure core the simulator runs too; this module keeps the asyncio:
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import os
 import time
@@ -99,8 +98,11 @@ from repro.net.transport import (
     WRITE_TIMEOUT,
     FrameSender,
     FrameTooLarge,
+    admin_reply,
     drain_payload,
+    read_first_frame,
     read_frame,
+    run_listener,
     write_frame,
 )
 from repro.obs import get_obs
@@ -168,7 +170,6 @@ class NetServer:
         port: int = 0,
         initial_text: str = "",
         snapshot_every: int = 64,
-        quiet: bool = True,
         roster: Optional[Sequence[Tuple[str, int]]] = None,
         replica_index: int = 0,
         failover_delay: float = 0.5,
@@ -186,7 +187,6 @@ class NetServer:
     ) -> None:
         self.host = host
         self.port = port
-        self.quiet = quiet
         self.initial_text = initial_text
         self.snapshot_every = snapshot_every
         # -- steady-state knobs -----------------------------------------
@@ -637,25 +637,8 @@ class NetServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            # The idle deadline covers the *first* frame too: a peer
-            # that connects and never completes a hello (the classic
-            # slow-loris admission attack) must not park a socket
-            # forever.
-            frame = await asyncio.wait_for(
-                read_frame(reader), timeout=self.idle_timeout
-            )
-        except asyncio.TimeoutError:
-            self._log(
-                "dropping half-open connection: no first frame within "
-                f"the {self.idle_timeout:.3f}s idle deadline"
-            )
-            writer.close()
-            return
-        except WireError as exc:
-            self._log(f"rejecting connection: {exc}")
-            writer.close()
-            return
+        # The idle deadline covers the *first* frame too.
+        frame = await read_first_frame(reader, self.idle_timeout, self._log)
         if frame is None:
             writer.close()
             return
@@ -1379,62 +1362,31 @@ class NetServer:
                 },
                 **identity,
             )
-        elif command == "metrics":
-            obs = self._obs
-            reply = encode_envelope(
-                "admin_reply",
-                enabled=obs.enabled,
-                exposition=obs.render(),
-                snapshot=obs.snapshot(),
-            )
-        elif command == "shutdown":
-            reply = encode_envelope("admin_reply", stopping=True)
-            await self._turn_away(writer, reply)
-            await self.stop()
-            return
         else:
-            reply = encode_envelope(
-                "admin_reply", error=f"unknown admin command {command!r}"
-            )
+            reply = admin_reply(command, self._obs)
         await self._turn_away(writer, reply)
+        if command == "shutdown":
+            await self.stop()
 
 
 # ----------------------------------------------------------------------
 # Process entry point (the ``repro serve`` verb)
 # ----------------------------------------------------------------------
-async def _serve(announce: bool, **options: Any) -> int:
-    server = NetServer(**options)
-    await server.start()
-    if announce:
-        # One machine-parseable line; the load generator reads this to
-        # discover the ephemeral port.
-        print(
-            "REPRO-SERVE "
-            + json.dumps(
-                {
-                    "host": server.host,
-                    "port": server.port,
-                    "replica": server.replica_id,
-                    "docs": sorted(server.shards),
-                }
-            ),
-            flush=True,
-        )
-    await server.wait_closed()
-    return 0
-
-
-def run_server(
-    announce: bool = False, quiet: bool = False, **options: Any
-) -> int:
+def run_server(announce: bool = False, **options: Any) -> int:
     """Blocking entry point for ``repro serve``.
 
     ``options`` are :class:`NetServer`'s constructor arguments, passed
-    through by name (``quiet`` is spelled out because a served process
-    logs by default, an embedded server does not); ``announce`` prints
-    the ``REPRO-SERVE`` banner once the listener is bound.
+    through by name; ``announce`` prints the ``REPRO-SERVE`` banner once
+    the listener is bound.
     """
-    try:
-        return asyncio.run(_serve(announce, quiet=quiet, **options))
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 0
+    return run_listener(
+        lambda: NetServer(**options),
+        announce,
+        "REPRO-SERVE",
+        lambda server: {
+            "host": server.host,
+            "port": server.port,
+            "replica": server.replica_id,
+            "docs": sorted(server.shards),
+        },
+    )

@@ -37,6 +37,7 @@ this module manufacture isolation instead:
 from __future__ import annotations
 
 import asyncio
+import json
 import struct
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
@@ -46,6 +47,7 @@ from repro.net.codec import (
     WIRE_VERSION,
     WireError,
     decode_envelope,
+    encode_envelope,
     encode_frame_bytes,
 )
 from repro.obs import get_obs
@@ -122,6 +124,31 @@ async def read_frame(
     return decode_envelope(body)
 
 
+async def read_first_frame(
+    reader: asyncio.StreamReader,
+    timeout: Optional[float],
+    log: Callable[[str], None],
+) -> Optional[Dict[str, Any]]:
+    """A new connection's first frame, under a deadline.
+
+    A peer that connects and never completes a frame (the classic
+    slow-loris admission attack) must not park a socket forever, so
+    every listener reads its first frame through here.  ``None`` means
+    hang up: clean EOF, or a stall or a malformed frame, which is
+    logged.
+    """
+    try:
+        return await asyncio.wait_for(read_frame(reader), timeout=timeout)
+    except asyncio.TimeoutError:
+        log(
+            "dropping half-open connection: no first frame within "
+            f"the {timeout:.3f}s idle deadline"
+        )
+    except WireError as exc:
+        log(f"rejecting connection: {exc}")
+    return None
+
+
 async def drain_payload(reader: asyncio.StreamReader, length: int) -> None:
     """Read and discard ``length`` bytes (an oversized frame's body).
 
@@ -196,6 +223,57 @@ async def write_frame(
             f"write stalled past the {timeout:.3f}s deadline "
             f"({envelope.get('type', '?')} frame)"
         )
+
+
+def admin_reply(command: Any, obs: Any) -> Dict[str, Any]:
+    """The reply to an admin command every listener answers alike.
+
+    ``metrics`` scrapes the process's registry, ``shutdown`` is
+    acknowledged (the caller stops once the reply is out), anything
+    else is the unknown-command error.
+    """
+    if command == "metrics":
+        return encode_envelope(
+            "admin_reply",
+            enabled=obs.enabled,
+            exposition=obs.render(),
+            snapshot=obs.snapshot(),
+        )
+    if command == "shutdown":
+        return encode_envelope("admin_reply", stopping=True)
+    return encode_envelope(
+        "admin_reply", error=f"unknown admin command {command!r}"
+    )
+
+
+def run_listener(
+    build: Callable[[], Any],
+    announce: bool,
+    marker: str,
+    banner: Callable[[Any], Dict[str, Any]],
+) -> int:
+    """Blocking entry point of every listener verb (``serve``, ``fleet
+    route``, ``fleet worker``, ``chaosproxy``).
+
+    ``build`` runs inside the event loop (listeners create asyncio
+    primitives when constructed).  With ``announce`` one
+    machine-parseable ``marker {json}`` line is printed once the
+    listener is bound — how a coordinator that asked for ``--port 0``
+    learns the port.
+    """
+
+    async def main() -> int:
+        listener = build()
+        await listener.start()
+        if announce:
+            print(marker + " " + json.dumps(banner(listener)), flush=True)
+        await listener.wait_closed()
+        return 0
+
+    try:
+        return asyncio.run(main())
+    except KeyboardInterrupt:  # pragma: no cover - interactive only
+        return 0
 
 
 class FrameSender:

@@ -17,22 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
-
-def percentile(samples: List[float], q: float) -> float:
-    """The ``q``-quantile (0..1) by nearest-rank (loadgen's convention)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
+from repro.common.stats import percentile_or_zero
 
 
 def latency_summary(samples_ms: List[float]) -> Dict[str, float]:
     """p50/p90/p99 of a millisecond sample list, rounded for JSON."""
     return {
-        "p50": round(percentile(samples_ms, 0.50), 3),
-        "p90": round(percentile(samples_ms, 0.90), 3),
-        "p99": round(percentile(samples_ms, 0.99), 3),
+        "p50": round(percentile_or_zero(samples_ms, 0.50), 3),
+        "p90": round(percentile_or_zero(samples_ms, 0.90), 3),
+        "p99": round(percentile_or_zero(samples_ms, 0.99), 3),
         "samples": len(samples_ms),
     }
 

@@ -32,7 +32,7 @@ from typing import Any, Dict, List
 from repro.common.ids import SERVER_ID
 from repro.net.chaosproxy import ChaosProxy
 from repro.net.codec import document_signature
-from repro.net.loadgen import run_scenario_worker
+from repro.net.loadgen import run_scenario_worker, verdict
 from repro.net.server import NetServer
 from repro.obs import get_obs
 from repro.scenarios.compile import compile_scenario
@@ -58,9 +58,7 @@ def run_wire_scenario(
     total = program.total_ops
 
     async def _main() -> Dict[str, Any]:
-        server = NetServer(
-            host, 0, initial_text=scenario.initial_text, quiet=True
-        )
+        server = NetServer(host, 0, initial_text=scenario.initial_text)
         await server.start()
         proxy = None
         port = server.port
@@ -107,11 +105,8 @@ def run_wire_scenario(
 
     result = asyncio.run(_main())
     reports: List[Dict[str, Any]] = result["reports"]
-    signatures = {r["client"]: r["signature"] for r in reports}
-    signatures[SERVER_ID] = result["server_signature"]
-    converged = (
-        all(r["converged"] for r in reports)
-        and len(set(signatures.values())) == 1
+    outcome = verdict(
+        reports, len(program.clients), {SERVER_ID: result["server_signature"]}
     )
     rtt_ms = [sample for r in reports for sample in r["rtt_ms"]]
     lanes = {
@@ -133,8 +128,8 @@ def run_wire_scenario(
         scenario=scenario.name,
         seed=seed,
         mode="wire",
-        converged=converged,
-        signatures=signatures,
+        converged=outcome["converged"] and outcome["signatures_identical"],
+        signatures=outcome["signatures"],
         total_ops=sum(r["ops"] for r in reports),
         duration=program.duration,
         wall_seconds=result["wall"],

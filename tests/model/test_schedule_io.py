@@ -93,3 +93,40 @@ class TestCliRecordReplay:
         assert main(["replay", str(out), "--protocol", "cscw"]) == 0
         printed = capsys.readouterr().out
         assert "matches recorded document: True" in printed
+
+    def test_replay_takes_every_protocol_simulate_takes(
+        self, tmp_path, capsys
+    ):
+        # vector's server sends no echo, so it replays what a vector run
+        # recorded; `replay --protocol vector` used to be a usage error.
+        from repro.cli import main
+        from repro.sim import FixedLatency, SimulationRunner, WorkloadConfig
+
+        config = WorkloadConfig(clients=3, operations=10, seed=5)
+        result = SimulationRunner("vector", config, FixedLatency(0.002)).run()
+        out = tmp_path / "vector.json"
+        save_schedule(
+            result.schedule,
+            str(out),
+            metadata={
+                "clients": config.client_names(),
+                "document": result.documents()["s"],
+            },
+        )
+        assert main(["replay", str(out), "--protocol", "vector"]) == 0
+        assert "matches recorded document: True" in capsys.readouterr().out
+
+    def test_a_schedule_that_does_not_fit_the_protocol_is_exit_2(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        out = tmp_path / "css.json"
+        recorded = main(
+            ["record", "--out", str(out), "--operations", "10",
+             "--latency", "lan"]
+        )
+        assert recorded == 0
+        # CSS echoes; vector has no message for those deliveries.
+        assert main(["replay", str(out), "--protocol", "vector"]) == 2
+        assert "does not fit vector" in capsys.readouterr().out

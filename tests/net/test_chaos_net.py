@@ -101,7 +101,7 @@ async def _generate_interleaved(clients, rng_seed):
 async def _chaos_case_single(seed):
     plan = NetChaosPlan.sample(seed, duration_hint=DURATION_HINT)
     server = NetServer(
-        "127.0.0.1", 0, quiet=True, idle_timeout=IDLE_TIMEOUT
+        "127.0.0.1", 0, idle_timeout=IDLE_TIMEOUT
     )
     await server.start()
     proxy = ChaosProxy("127.0.0.1", server.port, plan=plan)
@@ -145,7 +145,6 @@ async def _chaos_case_replicated(seed):
         NetServer(
             "127.0.0.1",
             port,
-            quiet=True,
             roster=roster,
             replica_index=index,
             failover_delay=5.0,  # nobody dies here; don't race elections
@@ -230,7 +229,7 @@ class TestEvictedClientResyncs:
 
         async def scenario():
             server = NetServer(
-                "127.0.0.1", 0, quiet=True, idle_timeout=0.5
+                "127.0.0.1", 0, idle_timeout=0.5
             )
             await server.start()
             victim = NetClient(

@@ -50,7 +50,6 @@ async def _started_roster(count=3, failover_delay=0.3, **kwargs):
         NetServer(
             "127.0.0.1",
             port,
-            quiet=True,
             roster=roster,
             replica_index=index,
             failover_delay=failover_delay,
@@ -272,7 +271,7 @@ class TestReconnectBudget:
 
     def test_wait_converged_respects_max_reconnect_attempts(self):
         async def scenario():
-            server = NetServer("127.0.0.1", 0, quiet=True)
+            server = NetServer("127.0.0.1", 0)
             await server.start()
             c1 = NetClient(
                 "c1", "127.0.0.1", server.port, max_reconnect_attempts=0

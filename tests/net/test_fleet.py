@@ -224,6 +224,46 @@ class TestFleetRouting:
         assert reply["type"] == "retry_after"
         assert reply["seconds"] > 0
 
+    def test_a_connection_that_never_speaks_is_dropped(self):
+        # The slow-loris guard NetServer has on its first frame: the
+        # router reads its own under the write deadline it already had.
+        async def scenario():
+            router = FleetRouter("127.0.0.1", 0, write_timeout=0.2)
+            await router.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", router.port
+                )
+                try:
+                    return await asyncio.wait_for(reader.read(), timeout=1.0)
+                finally:
+                    writer.close()
+            finally:
+                await router.stop()
+
+        assert _run(scenario()) == b""  # EOF: the router hung up
+
+    def test_admin_metrics_shutdown_and_unknown_are_the_servers(self):
+        async def scenario():
+            router = FleetRouter("127.0.0.1", 0)
+            server = NetServer("127.0.0.1", 0)
+            await router.start()
+            await server.start()
+            replies = []
+            for command in ("metrics", "frobnicate", "shutdown"):
+                replies.append(
+                    (
+                        await _admin(router.port, command),
+                        await _admin(server.port, command),
+                    )
+                )
+            await asyncio.wait_for(router.wait_closed(), timeout=5.0)
+            await asyncio.wait_for(server.wait_closed(), timeout=5.0)
+            return replies
+
+        for from_router, from_server in _run(scenario()):
+            assert from_router == from_server
+
     def test_worker_stats_expose_identity_fields(self, tmp_path):
         async def scenario():
             router, fleet = await _start_fleet(tmp_path, workers=("wa",))
@@ -366,7 +406,7 @@ class TestShardRecovery:
     def test_restarted_server_recovers_every_document(self, tmp_path):
         async def scenario():
             first = NetServer(
-                "127.0.0.1", 0, quiet=True, wal_dir=str(tmp_path)
+                "127.0.0.1", 0, wal_dir=str(tmp_path)
             )
             await first.start()
             signatures = {}
@@ -383,7 +423,7 @@ class TestShardRecovery:
             await first.stop()
 
             second = NetServer(
-                "127.0.0.1", 0, quiet=True, wal_dir=str(tmp_path)
+                "127.0.0.1", 0, wal_dir=str(tmp_path)
             )
             await second.start()
             for doc in ("doc-a", "doc-b"):
@@ -407,7 +447,7 @@ class TestShardRecovery:
 
         async def scenario():
             first = NetServer(
-                "127.0.0.1", 0, quiet=True, wal_dir=str(tmp_path)
+                "127.0.0.1", 0, wal_dir=str(tmp_path)
             )
             await first.start()
             client = NetClient("w1", "127.0.0.1", first.port, doc="doc-a")
@@ -420,7 +460,7 @@ class TestShardRecovery:
             await first.stop()
 
             second = NetServer(
-                "127.0.0.1", 0, quiet=True, wal_dir=str(tmp_path)
+                "127.0.0.1", 0, wal_dir=str(tmp_path)
             )
             await second.start()
             after = await _admin(second.port, "signature", doc="doc-a")
@@ -444,7 +484,6 @@ class TestShardRecovery:
             NetServer(
                 "127.0.0.1",
                 0,
-                quiet=True,
                 wal_dir=str(tmp_path),
                 roster=[("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3)],
             )
@@ -457,7 +496,7 @@ class TestDocLabelledSeries:
     def test_frame_counters_carry_the_doc_label(self, tmp_path):
         async def scenario():
             server = NetServer(
-                "127.0.0.1", 0, quiet=True, wal_dir=str(tmp_path)
+                "127.0.0.1", 0, wal_dir=str(tmp_path)
             )
             await server.start()
             client = NetClient(

@@ -31,7 +31,7 @@ def _run(coroutine):
 
 
 async def _started_server(**kwargs) -> NetServer:
-    server = NetServer("127.0.0.1", 0, quiet=True, **kwargs)
+    server = NetServer("127.0.0.1", 0, **kwargs)
     await server.start()
     return server
 

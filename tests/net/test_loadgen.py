@@ -32,8 +32,13 @@ class TestHelpers:
     def test_percentile_nearest_rank(self):
         samples = [float(v) for v in range(1, 101)]
         assert percentile(samples, 0.0) == 1.0
-        assert percentile(samples, 0.5) == 51.0
+        assert percentile(samples, 0.5) == 50.0
         assert percentile(samples, 1.0) == 100.0
+        # Small samples are where a second rule would show: the ledger's
+        # (repro.analysis.latency) and the reports' are one function.
+        assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        assert percentile([float(v) for v in range(1, 9)], 0.5) == 4.0
+        assert percentile([float(v) for v in range(1, 7)], 0.9) == 6.0
 
     def test_percentile_of_nothing_is_zero(self):
         assert percentile([], 0.99) == 0.0
@@ -57,7 +62,7 @@ class TestConnectRetry:
             async def late_server():
                 # The worker races a server that is still starting.
                 await asyncio.sleep(0.3)
-                server = NetServer("127.0.0.1", port, quiet=True)
+                server = NetServer("127.0.0.1", port)
                 await server.start()
                 return server
 
@@ -105,6 +110,38 @@ class TestValidation:
             run_loadgen(clients=1, ops=4, kill_primary=True)
 
 
+class TestOwnedProcesses:
+    def test_a_failed_start_leaves_no_listener_running(self, monkeypatch):
+        # The second replica fails to start: the first, already
+        # announced and listening, must not outlive the coordinator.
+        from repro.net import loadgen
+
+        spawned = []
+        real_spawn = loadgen._spawn
+        real_announced = loadgen._spawn_announced
+
+        def recording_spawn(command):
+            process = real_spawn(command)
+            spawned.append(process)
+            return process
+
+        def second_start_fails(marker, *command, **flags):
+            if spawned:
+                raise RuntimeError(f"{marker} process failed to start")
+            return real_announced(marker, *command, **flags)
+
+        monkeypatch.setattr(loadgen, "_spawn", recording_spawn)
+        monkeypatch.setattr(loadgen, "_spawn_announced", second_start_fails)
+        try:
+            with pytest.raises(RuntimeError):
+                run_loadgen(clients=1, ops=4, replicas=3, quiet=True)
+            assert len(spawned) == 1
+            assert spawned[0].poll() is not None
+        finally:
+            for process in spawned:
+                process.kill()
+
+
 class TestMultiProcessSmoke:
     def test_two_process_run_converges_with_a_reconnect(self):
         report = run_loadgen(
@@ -130,7 +167,7 @@ class TestMultiProcessSmoke:
 class TestDurationStop:
     def _run(self, **worker_kwargs):
         async def scenario():
-            server = NetServer("127.0.0.1", 0, quiet=True)
+            server = NetServer("127.0.0.1", 0)
             await server.start()
             try:
                 return await run_worker(

@@ -30,7 +30,7 @@ async def _admin(port: int, command: str):
 
 
 async def _loaded_server_scrape():
-    server = NetServer("127.0.0.1", 0, quiet=True)
+    server = NetServer("127.0.0.1", 0)
     await server.start()
     c1 = NetClient("c1", "127.0.0.1", server.port)
     c2 = NetClient("c2", "127.0.0.1", server.port)
@@ -79,7 +79,7 @@ class TestMetricsAdmin:
 
     def test_unknown_admin_command_still_errors(self):
         async def scenario():
-            server = NetServer("127.0.0.1", 0, quiet=True)
+            server = NetServer("127.0.0.1", 0)
             await server.start()
             reply = await _admin(server.port, "nonsense")
             await server.stop()

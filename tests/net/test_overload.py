@@ -276,7 +276,7 @@ class TestOversizedFrameMidSession:
     def test_rejected_with_typed_error_and_session_survives(self, caplog):
         async def scenario():
             handle = obs.enable(reset=True)
-            server = NetServer("127.0.0.1", 0, quiet=True)
+            server = NetServer("127.0.0.1", 0)
             await server.start()
             reader, writer = await _handshake(server.port)
             # An over-cap frame, streamed raw: header promising more
@@ -314,7 +314,7 @@ class TestAdmissionControl:
     def test_excess_connection_is_shed_with_retry_after(self):
         async def scenario():
             server = NetServer(
-                "127.0.0.1", 0, quiet=True, max_connections=1,
+                "127.0.0.1", 0, max_connections=1,
                 retry_after=3.5,
             )
             await server.start()
@@ -346,7 +346,7 @@ class TestAdmissionControl:
     def test_reconnect_of_the_same_client_supersedes_not_shed(self):
         async def scenario():
             server = NetServer(
-                "127.0.0.1", 0, quiet=True, max_connections=1
+                "127.0.0.1", 0, max_connections=1
             )
             await server.start()
             _r1, w1 = await _handshake(server.port, client="c1")
@@ -367,7 +367,7 @@ class TestAdmissionControl:
     def test_client_honors_retry_after_and_eventually_connects(self):
         async def scenario():
             server = NetServer(
-                "127.0.0.1", 0, quiet=True, max_connections=1,
+                "127.0.0.1", 0, max_connections=1,
                 retry_after=0.1,
             )
             await server.start()
@@ -393,7 +393,7 @@ class TestAdmissionControl:
     def test_exhausted_retry_budget_raises_cleanly(self):
         async def scenario():
             server = NetServer(
-                "127.0.0.1", 0, quiet=True, max_connections=1,
+                "127.0.0.1", 0, max_connections=1,
                 retry_after=0.05,
             )
             await server.start()
@@ -415,7 +415,7 @@ class TestSlowConsumerEviction:
     def test_queue_overflow_evicts_and_resync_is_lossless(self):
         async def scenario():
             server = NetServer(
-                "127.0.0.1", 0, quiet=True, outbound_queue=4,
+                "127.0.0.1", 0, outbound_queue=4,
                 write_timeout=None, idle_timeout=None,
             )
             await server.start()
@@ -474,7 +474,7 @@ class TestSlowConsumerEviction:
 
         async def scenario():
             server = NetServer(
-                "127.0.0.1", 0, quiet=True, outbound_queue=2,
+                "127.0.0.1", 0, outbound_queue=2,
                 write_timeout=None, idle_timeout=None,
             )
             await server.start()

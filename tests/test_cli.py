@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+import os
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import PROTOCOLS, build_parser, main
 
 
 class TestParser:
@@ -32,6 +36,127 @@ class TestParser:
 
     def test_unknown_option_returns_usage_error(self, capsys):
         assert main(["simulate", "--protocol", "nope"]) == 2
+
+
+    def test_a_handlers_usage_error_is_returned_too(self, capsys):
+        # _load_scenario raises SystemExit(2) from inside the handler.
+        assert main(["scenario", "run"]) == 2
+        assert "--name" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# The flag surface, pinned at the commit before the flag groups were
+# folded into shared helpers
+# ----------------------------------------------------------------------
+def cli_surface(parser, path=()):
+    """Every parser action but help/version, one row each (no help text)."""
+    rows = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                rows += cli_surface(sub, path + (name,))
+        elif not isinstance(
+            action, (argparse._HelpAction, argparse._VersionAction)
+        ):
+            choices = action.choices
+            rows.append(
+                {
+                    "verb": " ".join(path),
+                    "options": list(action.option_strings),
+                    "dest": action.dest,
+                    "default": action.default,
+                    "type": getattr(action.type, "__name__", None),
+                    "choices": None if choices is None else list(choices),
+                    "nargs": action.nargs,
+                    "required": action.required,
+                    "const": action.const,
+                    "metavar": action.metavar,
+                    "action": type(action).__name__,
+                }
+            )
+    return rows
+
+
+#: What changed on purpose since the golden was dumped: `replay` takes
+#: the protocols `simulate` takes, --addr/--target are parsed by the one
+#: host:port parser, and a flag's dest is its callee's parameter name.
+PERMITTED = {
+    ("replay", "--protocol"): {"choices": list(PROTOCOLS)},
+    ("metrics", "--addr"): {"type": "_parse_addr"},
+    ("chaosproxy", "--target"): {"type": "_parse_addr"},
+    ("simulate", "--initial"): {"dest": "initial_text"},
+    ("serve", "--initial"): {"dest": "initial_text"},
+    ("loadgen", "--initial"): {"dest": "initial_text"},
+    ("fleet worker", "--initial"): {"dest": "initial_text"},
+    ("connect", "--client"): {"dest": "client_id"},
+    ("fleet worker", "--worker"): {"dest": "worker_id"},
+    ("fleet route", "--lease"): {"dest": "lease_seconds"},
+    ("fleet loadgen", "--lease"): {"dest": "lease_seconds"},
+    ("fleet route", "--heartbeat"): {"dest": "heartbeat_interval"},
+    ("fleet loadgen", "--heartbeat"): {"dest": "heartbeat_interval"},
+}
+
+
+def _by_flag(rows):
+    return {
+        (row["verb"], (row["options"] or [row["dest"]])[0]): row
+        for row in rows
+    }
+
+
+def test_the_surface_is_what_it_was():
+    golden_path = os.path.join(os.path.dirname(__file__), "cli_surface.json")
+    with open(golden_path, encoding="utf-8") as handle:
+        golden = _by_flag(json.load(handle))
+    assert len(golden) == 193
+    assert len({verb for verb, _flag in golden}) == 22
+    for flag, changed in PERMITTED.items():
+        golden[flag] = {**golden[flag], **changed}
+    assert _by_flag(cli_surface(build_parser())) == golden
+
+
+def test_protocols_are_the_cluster_registry():
+    # PROTOCOLS is a literal so that building the parser imports no
+    # protocol module; this is what keeps it honest.
+    from repro.jupiter import cluster
+
+    registry = set(cluster._PROTOCOLS) | set(cluster._crdt_protocols())
+    assert set(PROTOCOLS) == registry | {"css-gc"}
+    assert len(PROTOCOLS) == len(set(PROTOCOLS))
+
+
+def test_announce_banners_keep_their_keys():
+    # Coordinators (and operators' scripts) parse these lines.
+    from repro.net.loadgen import _spawn
+
+    nowhere = "127.0.0.1:1"  # dialled lazily, never reached here
+    banners = {
+        "REPRO-SERVE": (["serve"], {"host", "port", "replica", "docs"}),
+        "REPRO-FLEET-ROUTER": (["fleet", "route"], {"host", "port"}),
+        "REPRO-FLEET-WORKER": (
+            ["fleet", "worker", "--worker", "w0", "--router", nowhere],
+            {"worker", "host", "port"},
+        ),
+        "REPRO-CHAOSPROXY": (
+            ["chaosproxy", "--target", nowhere],
+            {"host", "port", "target", "plan"},
+        ),
+    }
+    processes = {
+        marker: _spawn([*command, "--port", "0", "--announce"])
+        for marker, (command, _keys) in banners.items()
+    }
+    try:
+        lines = {m: p.stdout.readline() for m, p in processes.items()}
+    finally:
+        for process in processes.values():
+            process.kill()
+            process.communicate()
+    for marker, (_command, keys) in banners.items():
+        assert lines[marker].startswith(marker + " "), lines[marker]
+        banner = json.loads(lines[marker][len(marker) + 1:])
+        assert set(banner) == keys, marker
+        assert banner["port"] > 0
 
 
 class TestFiguresCommand:
