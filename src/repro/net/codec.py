@@ -5,12 +5,14 @@ Two :mod:`repro.jupiter.messages` payload types cross a socket —
 :class:`~repro.jupiter.messages.ServerOperation` (the broadcast) — each
 wrapped in a message **envelope**::
 
-    {"v": 1, "kind": "server_op", "body": {...}}
+    {"v": 2, "kind": "server_op", "body": {...}}
 
 whose body carries the operation with a *serial-encoded* context (see
 :func:`compact_client_op_obj`).  That is the only wire dialect; what a
-``hello`` negotiates is the byte serialisation of frames (``bin``, with
-``json`` as the debug fallback).  Two compatibility rules:
+``hello`` negotiates is the byte serialisation of frames: ``bin`` (tagged
+values, and positional layouts for the hot ``data``/``ack``/``multi``
+shapes) or ``json``, the handshake and debug codec; an envelope decodes
+to an equal dictionary under either.  Two compatibility rules:
 
 * the envelope ``v`` must match :data:`WIRE_VERSION` exactly — a peer
   speaking a different wire version is rejected loudly rather than
@@ -32,7 +34,7 @@ import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.document.list_document import ListDocument
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, TransformError
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.keys import key_of
 from repro.jupiter.persistence import (
@@ -43,10 +45,10 @@ from repro.jupiter.persistence import (
 )
 
 #: Version of the frame envelope; bumped on any incompatible change.
-#: The binary codec is *not* a version bump: the envelope model (a dict
-#: with ``v``/``type`` and tolerated unknown fields) is unchanged — only
-#: the byte serialisation differs, and it is negotiated per session.
-WIRE_VERSION = 1
+#: 2: ``bin`` spells the hot frames positionally, ``v`` implied by the
+#: layout tag — bytes a version-1 reader cannot take.  The handshake is
+#: JSON, so a peer of the other version is refused at its ``hello``.
+WIRE_VERSION = 2
 
 #: Frame byte serialisations a peer offers in its ``hello`` (``codecs``
 #: field, preference order) and the server picks from in its ``welcome``
@@ -108,6 +110,14 @@ def compact_client_op_obj(message: ClientOperation, oracle) -> Dict[str, Any]:
     }
 
 
+class ServerOpBody(dict):
+    """A ``server_op`` message envelope, built once per operation and put
+    in every recipient's frame: the ``bin`` codec spells it for the first
+    and splices ``packed`` into the rest.  Read-only once framed."""
+
+    packed: Optional[bytes] = None
+
+
 def compact_server_op_obj(
     message: ServerOperation, ctx: Sequence[Any]
 ) -> Dict[str, Any]:
@@ -118,10 +128,10 @@ def compact_server_op_obj(
     The ``prefix`` set is omitted entirely: the recipient knows every
     serial below ``serial``, so the number *is* the prefix.
     """
-    return {
-        "v": WIRE_VERSION,
-        "kind": "server_op",
-        "body": {
+    return ServerOpBody(
+        v=WIRE_VERSION,
+        kind="server_op",
+        body={
             "operation": operation_to_obj(
                 message.operation, with_context=False
             ),
@@ -129,7 +139,7 @@ def compact_server_op_obj(
             "origin": message.origin,
             "serial": int(message.serial),
         },
-    }
+    )
 
 
 def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
@@ -171,7 +181,7 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
             # cross-check it feeds is vacuous here.
             prefix=frozenset(),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, TransformError) as exc:  # position=-5
         raise WireError(f"malformed {kind} body: {exc!r}") from exc
 
 
@@ -270,7 +280,7 @@ def parse_roster(text: str) -> List[Tuple[str, int]]:
 #   roster}`` pointing at the worker that owns ``doc`` — so the
 #   client's existing redirect/roster-walk machinery needs nothing new.
 def encode_envelope(frame_type: str, **fields: Any) -> Dict[str, Any]:
-    """Build one wire frame: ``{"v": 1, "type": ..., **fields}``."""
+    """Build one wire frame: ``{"v": 2, "type": ..., **fields}``."""
     if "v" in fields or "type" in fields:
         raise WireError("'v' and 'type' are reserved envelope keys")
     envelope: Dict[str, Any] = {"v": WIRE_VERSION, "type": frame_type}
@@ -284,16 +294,22 @@ def decode_envelope(raw: bytes) -> Dict[str, Any]:
     A body starting with :data:`BINARY_MAGIC` is a binary-codec frame;
     anything else is UTF-8 JSON.  Returns the decoded dictionary;
     callers dispatch on ``frame["type"]`` and read only the fields they
-    know (unknown fields are tolerated by both codecs — the binary
-    serialisation is self-describing, so a decoder carries unfamiliar
-    keys through just like ``json.loads`` does).
+    know (unknown fields are tolerated by both codecs — a frame carrying
+    one is written generically, self-describing, so a decoder carries
+    unfamiliar keys through just like ``json.loads`` does).
     """
     if raw[:1] == _BINARY_MAGIC_BYTE:
-        obj = _decode_binary_value(raw, 1)
+        try:
+            read = _unpack_hot if raw[1] > _TAG_REF else _read_binary_value
+            obj, end = read(raw, 1)
+        except (IndexError, struct.error):
+            raise WireError("binary frame truncated") from None
+        if end != len(raw):
+            raise WireError(f"binary frame has {len(raw) - end} trailing bytes")
     else:
         try:
             obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise WireError(f"frame is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise WireError(f"frame must be a JSON object, got {type(obj).__name__}")
@@ -310,7 +326,8 @@ def encode_frame_bytes(
     """Serialise one envelope dictionary under ``codec``."""
     if codec == CODEC_BINARY:
         out = bytearray(_BINARY_MAGIC_BYTE)
-        _encode_binary_value(out, envelope)
+        if not _pack_hot(out, envelope):
+            _encode_binary_value(out, envelope)
         return bytes(out)
     if codec == CODEC_JSON:
         return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
@@ -336,14 +353,21 @@ def negotiate_codec(offered: Any) -> Optional[str]:
 # ----------------------------------------------------------------------
 # Binary frame serialisation (negotiated codec "bin")
 # ----------------------------------------------------------------------
-# A self-describing tagged encoding of the same envelope dictionaries the
-# JSON codec carries — nothing schema-specific, so the unknown-fields
-# compatibility rule holds byte-for-byte.  The win over JSON comes from
-# three things: varint integers (serials, seqs, positions), length-
-# prefixed strings (no quoting), and a static intern table that turns
-# every well-known key and type name into a 2-byte reference.  The table
-# is part of the codec definition: entries are APPEND-ONLY (an index,
-# once shipped, means that string forever).
+# After the magic byte, a frame's second byte says how the rest is
+# spelled.  A *value tag* (0x00-0x08) opens the generic encoding: a
+# self-describing tagged serialisation of the same envelope dictionaries
+# the JSON codec carries — nothing schema-specific, so the unknown-fields
+# rule holds byte-for-byte — with varint integers, length-prefixed
+# strings and a static intern table that turns every well-known key and
+# type name into a 2-byte reference (APPEND-ONLY: an index, once shipped,
+# means that string forever).  Every cold frame travels that way.  A
+# *layout tag* (>= 0x10) opens a hot shape spelled positionally — fields
+# in a fixed order, no keys, no per-value tags, no ``v`` (the tag implies
+# it); ``docs/ARCHITECTURE.md`` has the byte table.  *Exact-shape rule*:
+# an envelope is written positionally only when its key sets are exactly
+# the known ones and every counter is a non-negative ``int``; anything
+# else (an unknown field, a foreign body, a multi with a cold member) is
+# written generically, so every envelope decodes to an equal dictionary.
 _BINARY_MAGIC_BYTE = bytes([BINARY_MAGIC])
 
 _TAG_NONE = 0x00
@@ -355,6 +379,18 @@ _TAG_STR = 0x05
 _TAG_LIST = 0x06
 _TAG_DICT = 0x07
 _TAG_REF = 0x08
+
+#: layout tag -> (frame type, its counters in wire order, message kind),
+#: and for the writer (frame type, carries a ``floor``) -> layout tag
+_LAYOUTS = {
+    0x10: ("data", ("seq", "ack", "epoch", "pin"), "client_op"),
+    0x11: ("data", ("seq", "ack", "epoch", "floor"), "server_op"),
+    0x12: ("ack", ("ack", "epoch", "floor"), None),
+}
+_LAYOUT_MULTI = 0x13
+_LAYOUT_TAGS = {(t, "floor" in names): tag for tag, (t, names, _) in _LAYOUTS.items()}
+_OP_KINDS = ("ins", "del")
+_MAX_DEPTH = 32  #: containers nest this deep at most (real frames: < 10)
 
 _INTERNED = (
     # envelope / session
@@ -379,14 +415,12 @@ _INTERN_INDEX = {text: index for index, text in enumerate(_INTERNED)}
 
 
 def _write_varint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
+    if value >> 70:  # ten bytes: what the reader takes, the writer emits
+        raise WireError(f"integer {value} does not fit a binary varint")
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def _encode_binary_value(out: bytearray, value: Any) -> None:
@@ -409,10 +443,8 @@ def _encode_binary_value(out: bytearray, value: Any) -> None:
             out.append(_TAG_REF)
             _write_varint(out, index)
         else:
-            encoded = value.encode("utf-8")
             out.append(_TAG_STR)
-            _write_varint(out, len(encoded))
-            out.extend(encoded)
+            _pack_str(out, value)
     elif isinstance(value, (list, tuple)):
         out.append(_TAG_LIST)
         _write_varint(out, len(value))
@@ -434,34 +466,129 @@ def _encode_binary_value(out: bytearray, value: Any) -> None:
         )
 
 
-def _decode_binary_value(raw: bytes, offset: int) -> Any:
-    value, end = _read_binary_value(raw, offset)
-    if end != len(raw):
-        raise WireError(
-            f"binary frame has {len(raw) - end} trailing bytes"
-        )
-    return value
+def _pack_counters(out: bytearray, values: Sequence[Any]) -> None:
+    for value in values:
+        if type(value) is not int or value < 0 or value >> 70:
+            raise ValueError  # no counter; past 70 bits the generic writer's
+        while value > 0x7F:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
 
 
-def _read_varint(raw: bytes, offset: int) -> Tuple[int, int]:
-    result = 0
-    shift = 0
+def _pack_str(out: bytearray, text: Any) -> None:
+    if not isinstance(text, str):
+        raise ValueError
+    encoded = text.encode("utf-8")
+    _write_varint(out, len(encoded))
+    out += encoded
+
+
+def _pack_opid(out: bytearray, opid: Any) -> None:
+    if type(opid) is not list or len(opid) != 2:
+        raise ValueError
+    _pack_str(out, opid[0])
+    _pack_counters(out, opid[1:])
+
+
+def _pack_message(out: bytearray, message: Any, kind: str) -> None:
+    """Append a message envelope: operation, context, (broadcast) origin."""
+    server = kind == "server_op"
+    if server and type(message) is ServerOpBody and message.packed is not None:
+        out += message.packed  # an earlier recipient's frame spelled it
+        return
+    start = len(out)
+    body = message["body"]
+    operation = body["operation"]
+    element = operation["element"]
+    d, extras = ctx = body["ctx"]
+    shape = message["v"], message["kind"], type(ctx), type(extras)
+    sizes = len(message), len(body), len(operation)
+    if (
+        shape != (WIRE_VERSION, kind, list, list)
+        or sizes != (3, 4 if server else 2, 4)
+        or element is not None and len(element) != 2
+    ):
+        raise ValueError
+    out.append(_OP_KINDS.index(operation["kind"]) | (element is None) << 1)
+    _pack_opid(out, operation["opid"])
+    _pack_counters(out, (operation["position"],))
+    if element is not None:
+        _encode_binary_value(out, element["value"])
+        _pack_opid(out, element["opid"])
+    _pack_counters(out, (d, len(extras)))
+    for opid in extras:
+        _pack_opid(out, opid)
+    if server:
+        _pack_str(out, body["origin"])
+        _pack_counters(out, (body["serial"],))
+        if type(message) is ServerOpBody:
+            message.packed = bytes(out[start:])
+
+
+def _pack_hot(out: bytearray, envelope: Any, nested: bool = False) -> bool:
+    """Append ``envelope`` positionally — or, when it is not exactly a hot
+    shape (a ``ValueError`` below, or what reading the wrong structure
+    raises; length plus the keys read pin a key set), nothing: ``False``."""
+    mark = len(out)
+    try:
+        kind = envelope["type"]
+        if envelope["v"] != WIRE_VERSION:
+            raise ValueError
+        if kind == "multi":
+            frames = envelope["frames"]
+            if nested or len(envelope) != 3 or type(frames) is not list:
+                raise ValueError
+            out.append(_LAYOUT_MULTI)
+            _write_varint(out, len(frames))
+            if not all(_pack_hot(out, member, True) for member in frames):
+                raise ValueError
+        else:
+            tag = _LAYOUT_TAGS[kind, "floor" in envelope]
+            _, counters, message_kind = _LAYOUTS[tag]
+            if len(envelope) != 2 + len(counters) + (message_kind is not None):
+                raise ValueError
+            out.append(tag)
+            _pack_counters(out, [envelope[name] for name in counters])
+            if message_kind is not None:
+                _pack_message(out, envelope["body"], message_kind)
+    except (KeyError, TypeError, ValueError):
+        del out[mark:]
+        return False
+    return True
+
+
+_Read = Tuple[Any, int]  #: every reader: the value, the offset just past it
+
+
+def _read_varint(raw: bytes, offset: int) -> _Read:
+    result = shift = 0
     while True:
-        if offset >= len(raw):
-            raise WireError("binary frame truncated inside a varint")
         byte = raw[offset]
         offset += 1
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
+        if byte < 0x80:
             return result, offset
         shift += 7
         if shift > 63:
-            raise WireError("binary varint exceeds 64 bits")
+            raise WireError("binary varint exceeds ten bytes")
 
 
-def _read_binary_value(raw: bytes, offset: int) -> Tuple[Any, int]:
-    if offset >= len(raw):
-        raise WireError("binary frame truncated at a value tag")
+def _unpack_str(raw: bytes, offset: int) -> _Read:
+    length = raw[offset]
+    offset += 1
+    if length > 0x7F:
+        length, offset = _read_varint(raw, offset - 1)
+    end = offset + length
+    if end > len(raw):
+        raise WireError("binary frame truncated inside a string")
+    try:
+        return raw[offset:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise WireError(f"binary string is not UTF-8: {exc}") from exc
+
+
+def _read_binary_value(raw: bytes, offset: int, depth: int = 0) -> _Read:
     tag = raw[offset]
     offset += 1
     if tag == _TAG_NONE:
@@ -474,43 +601,85 @@ def _read_binary_value(raw: bytes, offset: int) -> Tuple[Any, int]:
         zigzag, offset = _read_varint(raw, offset)
         return (zigzag >> 1) if not zigzag & 1 else -((zigzag + 1) >> 1), offset
     if tag == _TAG_FLOAT:
-        if offset + 8 > len(raw):
-            raise WireError("binary frame truncated inside a float")
         return struct.unpack_from(">d", raw, offset)[0], offset + 8
     if tag == _TAG_STR:
-        length, offset = _read_varint(raw, offset)
-        if offset + length > len(raw):
-            raise WireError("binary frame truncated inside a string")
-        try:
-            text = raw[offset : offset + length].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError(f"binary string is not UTF-8: {exc}") from exc
-        return text, offset + length
+        return _unpack_str(raw, offset)
     if tag == _TAG_REF:
         index, offset = _read_varint(raw, offset)
         if index >= len(_INTERNED):
             raise WireError(f"binary intern reference {index} out of range")
         return _INTERNED[index], offset
+    if tag not in (_TAG_LIST, _TAG_DICT):
+        raise WireError(f"unknown binary value tag 0x{tag:02x}")
+    if depth >= _MAX_DEPTH:
+        raise WireError(f"binary frame nests deeper than {_MAX_DEPTH}")
+    count, offset = _read_varint(raw, offset)
     if tag == _TAG_LIST:
-        count, offset = _read_varint(raw, offset)
         items = []
         for _ in range(count):
-            item, offset = _read_binary_value(raw, offset)
+            item, offset = _read_binary_value(raw, offset, depth + 1)
             items.append(item)
         return items, offset
-    if tag == _TAG_DICT:
+    result: Dict[str, Any] = {}
+    for _ in range(count):
+        key, offset = _read_binary_value(raw, offset, depth + 1)
+        if not isinstance(key, str):
+            raise WireError(f"binary dictionary key is not a string: {key!r}")
+        result[key], offset = _read_binary_value(raw, offset, depth + 1)
+    return result, offset
+
+
+def _unpack_opid(raw: bytes, offset: int) -> _Read:
+    replica, offset = _unpack_str(raw, offset)
+    seq, offset = _read_varint(raw, offset)
+    return [replica, seq], offset
+
+
+def _unpack_message(raw: bytes, offset: int, kind: str) -> _Read:
+    """Read what :func:`_pack_message` wrote, as the message envelope."""
+    op_kind = raw[offset]
+    if op_kind > 3:
+        raise WireError(f"unknown operation kind byte 0x{op_kind:02x}")
+    operation = {"kind": _OP_KINDS[op_kind & 1], "element": None}
+    operation["opid"], offset = _unpack_opid(raw, offset + 1)
+    operation["position"], offset = _read_varint(raw, offset)
+    if not op_kind & 2:
+        value, offset = _read_binary_value(raw, offset, 1)
+        opid, offset = _unpack_opid(raw, offset)
+        operation["element"] = {"value": value, "opid": opid}
+    d, offset = _read_varint(raw, offset)
+    count, offset = _read_varint(raw, offset)
+    extras = []
+    for _ in range(count):
+        opid, offset = _unpack_opid(raw, offset)
+        extras.append(opid)
+    body = {"operation": operation, "ctx": [d, extras]}
+    if kind == "server_op":
+        body["origin"], offset = _unpack_str(raw, offset)
+        body["serial"], offset = _read_varint(raw, offset)
+    return {"v": WIRE_VERSION, "kind": kind, "body": body}, offset
+
+
+def _unpack_hot(raw: bytes, offset: int, nested: bool = False) -> _Read:
+    """Read one positional frame (its layout tag is at ``offset``)."""
+    tag = raw[offset]
+    offset += 1
+    if tag == _LAYOUT_MULTI and not nested:
         count, offset = _read_varint(raw, offset)
-        result: Dict[str, Any] = {}
+        frames = []
         for _ in range(count):
-            key, offset = _read_binary_value(raw, offset)
-            if not isinstance(key, str):
-                raise WireError(
-                    f"binary dictionary key is not a string: {key!r}"
-                )
-            item, offset = _read_binary_value(raw, offset)
-            result[key] = item
-        return result, offset
-    raise WireError(f"unknown binary value tag 0x{tag:02x}")
+            member, offset = _unpack_hot(raw, offset, True)
+            frames.append(member)
+        return {"v": WIRE_VERSION, "type": "multi", "frames": frames}, offset
+    if tag not in _LAYOUTS:
+        raise WireError(f"unknown binary layout tag 0x{tag:02x}")
+    frame_type, counters, message_kind = _LAYOUTS[tag]
+    envelope: Dict[str, Any] = {"v": WIRE_VERSION, "type": frame_type}
+    for name in counters:
+        envelope[name], offset = _read_varint(raw, offset)
+    if message_kind is not None:
+        envelope["body"], offset = _unpack_message(raw, offset, message_kind)
+    return envelope, offset
 
 
 # ----------------------------------------------------------------------

@@ -120,6 +120,16 @@ _REPL_CALLS = {
 }
 
 
+def _counter(frame: Dict[str, Any], key: str, default: Any = None) -> int:
+    """A counter a peer's frame carries, or the peer's protocol violation."""
+    value = frame.get(key, default)
+    if type(value) is not int or value < 0:
+        raise ProtocolError(
+            f"frame field {key!r} must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
 class _ClientChannel(Session):
     """A :class:`Session` plus the live connection that serves it."""
 
@@ -456,26 +466,27 @@ class NetServer:
         self,
         channel: _ClientChannel,
         broadcast: ServerOperation,
-        ctx: Optional[List[Any]] = None,
+        body: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """One data frame for a broadcast.
 
         The body is compact (context serial-encoded, prefix implied by
-        the serial); ``ctx`` is the encoding computed at serialise time,
-        recomputed for a resync.  The frame carries the shard's GC
-        ``floor`` so the client can trim its own mirror of the state
-        space.
+        the serial); ``body`` is the one built at serialise time and
+        shared by every recipient's frame, rebuilt from the log for a
+        resync.  The frame carries the shard's GC ``floor`` so the
+        client can trim its own mirror of the state space.
         """
         shard = channel.shard
-        if ctx is None:
+        if body is None:
             ctx = compact_context(broadcast.operation, shard.server.oracle)
+            body = compact_server_op_obj(broadcast, ctx)
         return encode_envelope(
             "data",
             seq=broadcast.serial,
             ack=shard.ack_for(channel, self._commit),
             epoch=self._replica.epoch,
             floor=shard.server.base,
-            body=compact_server_op_obj(broadcast, ctx),
+            body=body,
         )
 
     def _ack_envelope(self, channel: _ClientChannel) -> Dict[str, Any]:
@@ -778,21 +789,26 @@ class NetServer:
             f"{name} connected (connect #{channel.connects}, "
             f"cursor {cursor}, resynced {len(missed)})"
         )
+        # One idle timer per connection, not a task and a timer per frame: it
+        # re-arms against when the loop last went to wait; overdue, it cancels.
+        loop, session = asyncio.get_running_loop(), asyncio.current_task()
+        idle, waiting_since, expired = self.idle_timeout, loop.time(), False
+
+        def idle_check() -> None:
+            nonlocal idle_timer, expired
+            remaining = waiting_since + idle - loop.time()
+            if remaining > 0:
+                idle_timer = loop.call_later(remaining, idle_check)
+            else:
+                expired = True
+                session.cancel()
+
+        idle_timer = None if idle is None else loop.call_later(idle, idle_check)
         try:
             while True:
+                waiting_since = loop.time()
                 try:
-                    frame = await asyncio.wait_for(
-                        read_frame(reader, doc=doc), timeout=self.idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    # No frame (the heartbeat included) for a whole idle
-                    # window: the peer is gone or wedged mid-frame (the
-                    # slow-loris shape) — evict it.
-                    self._evict(
-                        channel,
-                        f"idle past the {self.idle_timeout:.3f}s deadline",
-                    )
-                    break
+                    frame = await read_frame(reader, doc=doc)
                 except FrameTooLarge as exc:
                     # Reject the op, keep the session: drain the body so
                     # framing stays aligned, answer a typed error.
@@ -824,8 +840,13 @@ class NetServer:
             # the server and every other client keep running.
             self._log(f"{name} violated the protocol: {exc}")
         except asyncio.CancelledError:
-            pass  # event-loop teardown while the connection was idle
+            # Event-loop teardown while idle — or the idle timer: no frame (the
+            # heartbeat included) for a whole window, a gone or slow-loris peer.
+            if expired:
+                self._evict(channel, f"idle past the {idle:.3f}s deadline")
         finally:
+            if idle_timer is not None:
+                idle_timer.cancel()
             if channel.writer is writer:
                 channel.writer = None
                 channel.disconnected_at = time.monotonic()
@@ -841,24 +862,30 @@ class NetServer:
     async def _handle_frame(
         self, channel: _ClientChannel, frame: Dict[str, Any]
     ) -> None:
+        if not isinstance(frame, dict) or not isinstance(frame.get("type"), str):
+            raise ProtocolError(f"not a frame: {frame!r}")
         kind = frame["type"]
         if kind == "multi":
             # The peer coalesced a burst; the members are ordinary
             # frames and are handled in order.
-            for member in frame.get("frames", ()):
+            members = frame.get("frames")
+            if not isinstance(members, list):
+                raise ProtocolError("a multi carries a list of frames")
+            for member in members:
                 await self._handle_frame(channel, member)
             return
         if "pin" in frame:
-            channel.report_pin(int(frame["pin"]))
+            channel.report_pin(_counter(frame, "pin"))
         if kind == "ping":
             self._send_to(channel, encode_envelope("pong", t=frame.get("t")))
             return
         if kind != "data":
             self._log(f"{channel.client}: ignoring frame type {kind!r}")
             return
-        for body in channel.shard.accept(
-            channel, int(frame["seq"]), int(frame.get("ack", 0)), frame["body"]
-        ):
+        seq, ack = _counter(frame, "seq"), _counter(frame, "ack", 0)
+        if not isinstance(frame.get("body"), dict):
+            raise ProtocolError("a data frame's body must be an object")
+        for body in channel.shard.accept(channel, seq, ack, frame["body"]):
             await self._serialise(channel, body)
         self._update_connection_gauges()
         # Always re-acknowledge: a duplicate means an earlier ack was lost.
@@ -898,8 +925,10 @@ class NetServer:
             self.gc_grace,
             self._commit,
         )
+        # CSS redirects one operation, one context, to everyone: one body.
+        body = compact_server_op_obj(outgoing[0][1], ctx) if outgoing else None
         frames = [
-            (channel, self._broadcast_envelope(channel, broadcast, ctx))
+            (channel, self._broadcast_envelope(channel, broadcast, body))
             for channel, broadcast in outgoing
         ]
         if replicated:

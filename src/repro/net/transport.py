@@ -192,8 +192,10 @@ async def write_frame(
     a wedged (zero-window) peer surfaces as an error instead of an
     eternal await.  ``None`` waits forever (the pre-deadline behaviour,
     still appropriate for client-side writes where the event loop has
-    nothing better to do).  ``doc`` labels the frame counter with the
-    document this stream serves (``""`` = no document context).
+    nothing better to do).  The deadline costs a task and a timer, so it
+    is armed only while the transport holds bytes the kernel did not take
+    (with none, ``drain()`` cannot block).  ``doc`` labels the frame
+    counter with the document this stream serves (``""`` = none).
     ``codec`` picks the byte serialisation — the session's negotiated
     codec; the receiver sniffs it per frame, so mixing is safe.
     """
@@ -208,7 +210,7 @@ async def write_frame(
         obs.net_frames_out.labels(doc).inc()
         obs.net_bytes_out.inc(_HEADER.size + len(body))
     writer.write(_HEADER.pack(len(body)) + body)
-    if timeout is None:
+    if timeout is None or not writer.transport.get_write_buffer_size():
         await writer.drain()
         return
     try:

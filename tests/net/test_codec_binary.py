@@ -13,6 +13,7 @@ import struct
 
 import pytest
 
+from repro import obs
 from repro.common import OpId
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.ordering import ClientOrderOracle
@@ -119,6 +120,23 @@ class TestBinaryRoundTrip:
         )
         assert _round_trip(envelope) == envelope
 
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            {"v": WIRE_VERSION, "type": "ack", "ack": 2**70},
+            {"v": WIRE_VERSION, "type": "ack", "ack": -(2**70)},
+            {"v": WIRE_VERSION, "type": "ack", "ack": 2**70, "epoch": 0, "floor": 0},
+        ],
+        ids=["generic", "generic-negative", "positional"],
+    )
+    def test_the_writer_refuses_an_int_its_reader_would(self, envelope):
+        """The reader stops a varint at ten bytes; the writer used to
+        emit an eleventh and leave the refusal to the other end."""
+        with pytest.raises(WireError):
+            encode_frame_bytes(envelope, CODEC_BINARY)
+        envelope["ack"] = 2**69 - 1 if envelope["ack"] > 0 else -(2**69)
+        assert _round_trip(envelope) == envelope
+
     def test_binary_is_self_identifying(self):
         raw = encode_frame_bytes(_ENVELOPES["data"], CODEC_BINARY)
         assert raw[0] == BINARY_MAGIC
@@ -185,6 +203,98 @@ class TestBinaryDecodeErrors:
                                CODEC_BINARY)
 
 
+def _hot_frames():
+    """The four shapes the binary codec writes positionally."""
+    client = encode_envelope(
+        "data", seq=3, ack=2, epoch=1, body=_ENVELOPES["client_op"]["message"],
+        pin=2,
+    )
+    server = encode_envelope(
+        "data", seq=4, ack=2, epoch=1, floor=1, body=_server_op_message()
+    )
+    ack = encode_envelope("ack", ack=3, epoch=1, floor=1)
+    return {
+        "client-data": client,
+        "server-data": server,
+        "ack": ack,
+        "multi": encode_envelope("multi", frames=[server, ack]),
+    }
+
+
+class TestPositionalLayouts:
+    """One ``bin`` codec: the hot shapes are spelled positionally inside
+    it, and everything about the dictionary model still holds."""
+
+    @pytest.mark.parametrize("name", sorted(_hot_frames()))
+    def test_a_hot_frame_is_positional_and_round_trips(self, name):
+        envelope = _hot_frames()[name]
+        raw = encode_frame_bytes(envelope, CODEC_BINARY)
+        assert raw[0] == BINARY_MAGIC and raw[1] >= 0x10
+        assert decode_envelope(raw) == envelope
+        assert 3 * len(raw) <= len(encode_frame_bytes(envelope, CODEC_JSON))
+
+    @pytest.mark.parametrize("name", sorted(_hot_frames()))
+    def test_an_unknown_field_sends_it_down_the_generic_path(self, name):
+        envelope = _hot_frames()[name]
+        envelope["future_field"] = [1, "two"]
+        raw = encode_frame_bytes(envelope, CODEC_BINARY)
+        assert raw[1] < 0x10
+        assert decode_envelope(raw) == envelope
+
+    def test_a_counter_that_is_not_a_natural_number_is_generic(self):
+        for bad in (-1, True, 1.0, "1", None):
+            envelope = _hot_frames()["ack"]
+            envelope["floor"] = bad
+            raw = encode_frame_bytes(envelope, CODEC_BINARY)
+            assert raw[1] < 0x10
+            decoded = decode_envelope(raw)
+            assert decoded == envelope
+            assert type(decoded["floor"]) is type(bad)
+
+    def test_unknown_layout_tag_rejected(self):
+        with pytest.raises(WireError, match="layout tag"):
+            decode_envelope(bytes([BINARY_MAGIC, 0x14, 0, 0, 0]))
+
+    @pytest.mark.parametrize("name", sorted(_hot_frames()))
+    def test_trailing_bytes_rejected(self, name):
+        raw = encode_frame_bytes(_hot_frames()[name], CODEC_BINARY)
+        with pytest.raises(WireError, match="trailing"):
+            decode_envelope(raw + b"\x00")
+
+    def test_bad_kind_byte_and_bad_utf8_rejected(self):
+        raw = bytearray(
+            encode_frame_bytes(_hot_frames()["client-data"], CODEC_BINARY)
+        )
+        kind_at = 2 + 4  # magic, tag, four one-byte counters
+        assert raw[kind_at] == 0 and raw[kind_at + 1 : kind_at + 4] == b"\x02c1"
+        with pytest.raises(WireError, match="kind byte"):
+            decode_envelope(bytes(raw[:kind_at]) + b"\x04" + bytes(raw[kind_at + 1 :]))
+        raw[kind_at + 2] = 0xFF
+        with pytest.raises(WireError, match="UTF-8"):
+            decode_envelope(bytes(raw))
+
+    def test_an_old_version_hello_is_refused(self):
+        hello = dict(_ENVELOPES["hello"], v=WIRE_VERSION - 1)
+        for codec in SUPPORTED_CODECS:
+            with pytest.raises(WireError, match="wire version"):
+                decode_envelope(encode_frame_bytes(hello, codec))
+
+    def test_a_shared_body_is_spelled_once(self):
+        body = _server_op_message()
+        first = encode_envelope("data", seq=4, ack=0, epoch=0, floor=0, body=body)
+        assert body.packed is None
+        raw = encode_frame_bytes(first, CODEC_BINARY)
+        assert body.packed is not None and raw.endswith(body.packed)
+        second = encode_envelope("data", seq=4, ack=3, epoch=0, floor=2, body=body)
+        spliced = encode_frame_bytes(second, CODEC_BINARY)
+        assert spliced.endswith(body.packed)
+        assert decode_envelope(spliced) == second
+        # The JSON codec and the generic path read it as the dict it is.
+        assert decode_envelope(encode_frame_bytes(second, CODEC_JSON)) == second
+        second["hint"] = 1
+        assert decode_envelope(encode_frame_bytes(second, CODEC_BINARY)) == second
+
+
 class TestNegotiation:
     def test_prefers_clients_first_supported(self):
         assert negotiate_codec(["bin", "json"]) == CODEC_BINARY
@@ -205,11 +315,19 @@ class TestNegotiation:
         assert CODEC_JSON in SUPPORTED_CODECS
 
 
+class _FakeTransport:
+    """A transport that took every byte: nothing is ever buffered."""
+
+    def get_write_buffer_size(self):
+        return 0
+
+
 class _FakeWriter:
     """Collects written bytes; enough of StreamWriter for FrameSender."""
 
     def __init__(self):
         self.chunks = []
+        self.transport = _FakeTransport()
 
     def write(self, data):
         self.chunks.append(data)
@@ -290,3 +408,42 @@ class TestSenderBatching:
     def test_multi_envelope_carries_wire_version(self):
         _, data = self._drain()
         assert _frames_from(data)[0]["v"] == WIRE_VERSION
+
+    def test_a_buffer_that_never_drains_still_meets_the_write_deadline(self):
+        """With nothing buffered a write skips the deadline's task and
+        timer; a transport that *does* hold bytes must still be bounded."""
+
+        class _Wedged:
+            aborted = False
+
+            def get_write_buffer_size(self):
+                return 4096
+
+            def abort(self):
+                self.aborted = True
+
+        class _WedgedWriter(_FakeWriter):
+            async def drain(self):
+                await asyncio.Event().wait()
+
+        async def scenario():
+            handle = obs.enable(reset=True)
+            try:
+                writer = _WedgedWriter()
+                writer.transport = _Wedged()
+                failures = []
+                sender = FrameSender(
+                    writer, write_timeout=0.05, on_failure=failures.append
+                )
+                assert sender.try_send(encode_envelope("ack", ack=1))
+                await asyncio.wait_for(sender._task, timeout=5)
+                stalls = handle.net_write_stalls.value
+            finally:
+                obs.disable()
+            return sender, writer, failures, stalls
+
+        sender, writer, failures, stalls = asyncio.run(scenario())
+        assert stalls == 1
+        assert writer.transport.aborted and sender.closed
+        assert len(failures) == 1 and failures[0] == sender.failure
+        assert "write stalled" in sender.failure and "(ack frame)" in sender.failure

@@ -20,7 +20,12 @@ import pytest
 from repro import obs
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
-from repro.net.codec import DEFAULT_DOC, document_signature, encode_envelope
+from repro.net.codec import (
+    DEFAULT_DOC,
+    WIRE_VERSION,
+    document_signature,
+    encode_envelope,
+)
 from repro.net.server import NetServer
 from repro.net.transport import read_frame, write_frame
 from repro.obs import snapshot_value
@@ -360,7 +365,7 @@ class TestUnmatchedContextIsAViolation:
             )
             assert (await read_frame(reader))["type"] == "welcome"
             forged = {
-                "v": 1,
+                "v": WIRE_VERSION,
                 "kind": "client_op",
                 "body": {
                     "operation": {

@@ -257,3 +257,51 @@ class TestClientEchoRtt:
         samples = _run(scenario())
         assert len(samples) == 3
         assert all(s > 0 for s in samples)
+
+
+class TestOneBodyPerOperation:
+    def test_a_broadcast_is_built_and_spelled_once_for_all_recipients(
+        self, monkeypatch
+    ):
+        """CSS sends every client the same operation with the same
+        context: the server builds one ``server_op`` body per operation
+        and the binary codec spells its bytes once, whoever many
+        recipients there are."""
+        from repro.net import codec, server as server_module
+
+        built, packs = [], []
+        real_build, real_pack = codec.compact_server_op_obj, codec._pack_message
+        monkeypatch.setattr(
+            server_module,
+            "compact_server_op_obj",
+            lambda *args: built.append(1) or real_build(*args),
+        )
+
+        def pack(out, message, kind):
+            if kind == "server_op":
+                packs.append("spliced" if message.packed else "spelled")
+            real_pack(out, message, kind)
+
+        monkeypatch.setattr(codec, "_pack_message", pack)
+
+        async def scenario():
+            server = await _started_server()
+            writer = NetClient("w1", "127.0.0.1", server.port)
+            readers = [
+                NetClient(f"r{i}", "127.0.0.1", server.port) for i in range(3)
+            ]
+            for client in [writer] + readers:
+                await client.connect()
+            for index in range(5):
+                await writer.generate(OpSpec("ins", index, "a"))
+            for client in [writer] + readers:
+                assert await client.wait_converged(5, timeout=10)
+            same = {c.signature() for c in [writer] + readers}
+            for client in [writer] + readers:
+                await client.close()
+            await server.stop()
+            return same
+
+        assert len(_run(scenario())) == 1
+        assert len(built) == 5
+        assert packs.count("spelled") == 5 and packs.count("spliced") == 15
