@@ -167,9 +167,7 @@ def _measure_wal_bytes(wal_path, operations=600):
     names = ["c1"]
     server = CssServer("server", names)
     client = CssClient("c1")
-    wal = ServerWriteAheadLog(
-        "server", names, snapshot_every=10_000, checkpoint_every=16
-    )
+    wal = ServerWriteAheadLog("server", names, snapshot_every=10_000)
     rng = random.Random(SEED)
     deltas = []
     full_rewrites = []

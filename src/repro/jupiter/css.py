@@ -21,7 +21,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.common.ids import OpId, ReplicaId, SeqGenerator
 from repro.document.list_document import ListDocument
-from repro.errors import ProtocolError
+from repro.errors import PositionError, ProtocolError
 from repro.jupiter.base import BaseClient, BaseServer, GenerateResult, ReceiveResult
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.nary import NaryStateSpace
@@ -221,8 +221,15 @@ class CssServer(_CssReplica, BaseServer):
         started = time.perf_counter() if obs.enabled else 0.0
         operation = payload.operation
         # Match before a serial is spent: a context naming no state of
-        # ours must leave the total order untouched.
-        self.space.node(operation.context)
+        # ours, or a position past the end of its document (a delete
+        # needs an element at it, a NOP has no position), must leave the
+        # total order untouched.
+        length = self.space.node(operation.context).length
+        if (operation.position or 0) + operation.is_delete > length:
+            raise PositionError(
+                f"{operation.pretty()} out of range for the document of "
+                f"length {length} at its context"
+            )
         serial = self.oracle.assign(operation.opid)
         prefix = self.oracle.serialized_before(serial)
         self.space.integrate(operation)

@@ -20,8 +20,8 @@ The second half of the module is the **server durability subsystem**
 (:class:`ServerWriteAheadLog`): the serialisation authority appends every
 operation it serialises — with its assigned serial and origin — to a
 write-ahead log *before* broadcasting it, periodically compacts the log
-into a full snapshot, and recovers after a crash by restoring the latest
-snapshot and replaying the log suffix through a real
+into a checkpoint plus a chain of deltas, and recovers after a crash by
+restoring the latest snapshot and replaying the log suffix through a real
 :class:`~repro.jupiter.css.CssServer`.  Recovery re-checks the paper's
 ordering invariants as it goes: every replayed operation must receive
 exactly the serial the log recorded (dense 1..n, no serial skipped or
@@ -567,8 +567,8 @@ class ServerWriteAheadLog:
     The server appends each operation it serialises — original form,
     origin client, assigned serial — *before* broadcasting it, so a crash
     can never lose serialised history: everything the server has told the
-    world is on the log.  Periodically the log is *compacted*: a full
-    :func:`snapshot_server` replaces the record prefix it covers, except
+    world is on the log.  Periodically the log is *compacted*: a
+    snapshot of the server replaces the record prefix it covers, except
     that records a lagging consumer still needs are retained (the
     ``retain_after`` low-water mark — the classic "keep the suffix beyond
     the minimum acknowledged cursor" rule), because the broadcast
@@ -582,13 +582,21 @@ class ServerWriteAheadLog:
     paper leans on resumes precisely where the log left off, with no
     serial skipped or reused.
 
-    Compaction is **incremental**: after the first full checkpoint,
-    subsequent compactions emit *delta snapshots* — the state-space nodes
-    added, removed, or re-ordered since the previous compaction, plus the
-    serials assigned since — and every ``checkpoint_every`` deltas (or
-    whenever active-window GC moved the rebase floor) a fresh full
-    checkpoint restarts the chain.  Recovery merges checkpoint + deltas
-    back into one snapshot and replays the record suffix as before.
+    Compaction is **incremental** and one rule picks its mode: a *full
+    checkpoint* with no diff base (the first compaction, the first after
+    a restore) or after active-window GC moved the rebase floor; a
+    *delta* — nodes added, removed or re-ordered and serials assigned
+    since the previous compaction — every other time.  The chain needs
+    no length limit: an integration whose leftmost path has k steps
+    creates k + 1 nodes and adds 2k + 1 transitions, each ending at a
+    node it created and only k + 1 starting at an older one, and no node
+    leaves the space without a rebase, which restarts the chain.  So a
+    chain's ``added`` + ``touched`` entries are at most 2x the nodes
+    created since its checkpoint, all still in the window, and the
+    recovery fold stays O(window).  (A ``prune_below`` without a rebase,
+    which the deployed server never runs, re-encodes orphans on top.)
+    Neither appends nor compactions re-read the log: the per-origin
+    counts are kept as records arrive and truncation cuts a prefix.
 
     The whole structure is JSON-able (:meth:`to_obj` / :meth:`from_obj`);
     in a deployment each :meth:`append` would be an fsync'd disk write.
@@ -600,16 +608,12 @@ class ServerWriteAheadLog:
         clients: Sequence[ReplicaId],
         snapshot_every: int = 8,
         initial_text: str = "",
-        checkpoint_every: int = 16,
     ) -> None:
         if snapshot_every < 1:
             raise ProtocolError("snapshot_every must be >= 1")
-        if checkpoint_every < 1:
-            raise ProtocolError("checkpoint_every must be >= 1")
         self.replica_id = replica_id
         self.clients = list(clients)
         self.snapshot_every = snapshot_every
-        self.checkpoint_every = checkpoint_every
         self.initial_text = initial_text
         #: latest full checkpoint (``None`` until the first compaction)
         self.snapshot: Optional[Dict[str, Any]] = None
@@ -627,6 +631,11 @@ class ServerWriteAheadLog:
         self.last_delta: Optional[Dict[str, Any]] = None
         #: epoch of the highest record witnessed (0 before any append)
         self.last_epoch = 0
+        #: epoch of the highest truncated record, which ``last_epoch``
+        #: falls back to with no record left; every compaction stores it
+        self._truncated_epoch = 0
+        #: what :meth:`origin_counts` answers, kept by :meth:`append_record`
+        self._counts: Dict[ReplicaId, int] = {}
         self._next_serial = 1
         self._since_snapshot = 0
         #: state-space nodes serialised by compactions, by mode — equals
@@ -676,6 +685,11 @@ class ServerWriteAheadLog:
         """
         serial = int(record["serial"])
         epoch = int(record.get("epoch", 0))
+        try:
+            origin, seq = record["operation"]["opid"]
+            origin, seq = str(origin), int(seq)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"WAL record has no opid: {exc!r}") from exc
         if serial != self._next_serial:
             raise ProtocolError(
                 f"WAL append out of order: got serial {serial}, "
@@ -687,6 +701,8 @@ class ServerWriteAheadLog:
             )
         self.records.append(record)
         self.last_epoch = epoch
+        if seq > self._counts.get(origin, 0):
+            self._counts[origin] = seq
         self._next_serial += 1
         self.appends += 1
         self._since_snapshot += 1
@@ -700,13 +716,29 @@ class ServerWriteAheadLog:
         new primary re-proposes equivalent records under its epoch), and
         the log resumes appending at ``serial``.
         """
-        cut = [r for r in self.records if int(r["serial"]) >= serial]
-        self.records = [r for r in self.records if int(r["serial"]) < serial]
+        keep = self._records_below(serial)
+        cut = self.records[keep:]
+        del self.records[keep:]
         self._next_serial = min(self._next_serial, int(serial))
-        self.last_epoch = (
-            int(self.records[-1]["epoch"]) if self.records else 0
-        )
+        self.last_epoch = self._tail_epoch()
+        if cut:
+            self._counts = self._walk_origin_counts()
         return cut
+
+    def _tail_epoch(self) -> int:
+        """The epoch of the last serial: its record's, else the one the
+        compaction that truncated it stored."""
+        if self.records:
+            return int(self.records[-1].get("epoch", 0))
+        return self._truncated_epoch
+
+    def _records_below(self, serial: int) -> int:
+        """How many retained records have a serial below ``serial`` —
+        a prefix, since records are contiguous."""
+        if not self.records:
+            return 0
+        first = int(self.records[0]["serial"])
+        return max(0, min(len(self.records), int(serial) - first))
 
     def record_at(self, serial: int) -> Optional[Dict[str, Any]]:
         """The retained record with ``serial``, or ``None`` if truncated.
@@ -733,17 +765,18 @@ class ServerWriteAheadLog:
         may still need their broadcast re-shipped.  Returns the number of
         records truncated.
 
-        The first compaction (and every ``checkpoint_every``-th one, and
-        any taken after active-window GC moved the rebase floor) emits a
-        **full checkpoint**, O(window + document).  The rest emit a
+        With no diff base or a moved rebase floor it emits a **full
+        checkpoint**, O(window + document).  Otherwise it emits a
         **delta** against the previous compaction — nodes added and
         removed since, nodes whose ordered child-transition list grew
         (transition lists are insert-only, so a changed length is exactly
         a changed list), and the serials assigned since — found by one
-        pointer walk over the live node table against the shadow and
-        encoded in O(changed nodes), with ids continuing from the
-        checkpoint's.  ``last_compaction_mode`` tells the disk layer
-        which of the two it got.
+        pointer walk over the live node table against the shadow (the
+        one O(window) term) and encoded in O(changed nodes), with ids
+        continuing from the checkpoint's.  Either stores the per-origin
+        counts (a GC-trimmed snapshot keeps what recovery re-seeds
+        sessions with) and the epoch of the highest truncated record.
+        ``last_compaction_mode`` tells the disk layer which mode ran.
         """
         obs = self._obs
         started = time.perf_counter() if obs.enabled else 0.0
@@ -755,18 +788,13 @@ class ServerWriteAheadLog:
         floor = self.last_serial
         if retain_after is not None:
             floor = min(floor, int(retain_after))
-        # Complete while the record suffix still covers everything since
-        # the last compaction — stored so trimmed snapshots keep the
-        # per-origin consumption counts recovery re-seeds sessions with.
-        counts = {
-            str(k): int(v) for k, v in sorted(self.origin_counts().items())
-        }
-        if (
-            self.snapshot is not None
-            and self._shadow is not None
-            and base == self._shadow_base
-            and len(self.deltas) < self.checkpoint_every
-        ):
+        truncated = self._records_below(floor + 1)
+        if truncated:
+            self._truncated_epoch = int(
+                self.records[truncated - 1].get("epoch", 0)
+            )
+        counts = dict(sorted(self._counts.items()))
+        if self._shadow is not None and base == self._shadow_base:
             mode = "delta"
             delta = self._diff(server.space, self._shadow)
             delta.update(
@@ -781,6 +809,7 @@ class ServerWriteAheadLog:
                 ],
                 origin_counts=counts,
                 clients=list(server.clients),
+                epoch=self._truncated_epoch,
             )
             self.deltas.append(delta)
             self.last_delta = delta
@@ -791,6 +820,7 @@ class ServerWriteAheadLog:
             self._next_id = len(self._shadow)
             self.snapshot = _server_snapshot(server, space_obj)
             self.snapshot["origin_counts"] = counts
+            self.snapshot["epoch"] = self._truncated_epoch
             self.deltas = []
             self.last_delta = None
             serialised = len(self._shadow)
@@ -798,9 +828,7 @@ class ServerWriteAheadLog:
         self.snapshot_nodes[mode] += serialised
         self._shadow_upto = covered
         self._shadow_base = base
-        kept = [r for r in self.records if r["serial"] > floor]
-        truncated = len(self.records) - len(kept)
-        self.records = kept
+        del self.records[:truncated]
         self.records_truncated += truncated
         self.compactions += 1
         self._since_snapshot = 0
@@ -813,7 +841,7 @@ class ServerWriteAheadLog:
                 "wal.compact",
                 serial=self.last_serial,
                 truncated=truncated,
-                retained=len(kept),
+                retained=len(self.records),
                 mode=mode,
                 nodes=serialised,
             )
@@ -1007,12 +1035,21 @@ class ServerWriteAheadLog:
         ``origin_counts()[c]`` frames consumed from its channel, so the
         recovered receiver resumes expecting frame ``count + 1``.
 
-        Computed as a *max-of-sequence-numbers* merge: each origin's
-        sequence numbers are dense from 1, so its count equals the
-        highest sequence witnessed anywhere — stored counts from earlier
-        compactions (which may cover serials a GC-trimmed snapshot no
-        longer lists), snapshot and delta serial logs, and the record
-        suffix.  Overlap between sources is harmless under max.
+        Each origin's sequence numbers are dense from 1, so its count is
+        the highest sequence it has logged: :meth:`append_record` keeps
+        that running maximum in O(1) per record, and only a restore or a
+        cut suffix recomputes it (:meth:`_walk_origin_counts`).
+        """
+        return dict(self._counts)
+
+    def _walk_origin_counts(self) -> Dict[ReplicaId, int]:
+        """:meth:`origin_counts` from what the log stores.
+
+        A *max-of-sequence-numbers* merge over the stored counts of
+        earlier compactions (which may cover serials a GC-trimmed
+        snapshot no longer lists), the snapshot and delta serial logs,
+        and the record suffix.  Overlap between sources is harmless
+        under max.
         """
         counts: Dict[ReplicaId, int] = {}
 
@@ -1046,7 +1083,6 @@ class ServerWriteAheadLog:
             "replica": self.replica_id,
             "clients": list(self.clients),
             "snapshot_every": self.snapshot_every,
-            "checkpoint_every": self.checkpoint_every,
             "initial_text": self.initial_text,
             "snapshot": self.snapshot,
             "deltas": [dict(d) for d in self.deltas],
@@ -1056,20 +1092,24 @@ class ServerWriteAheadLog:
 
     @classmethod
     def from_obj(cls, obj: Dict[str, Any]) -> "ServerWriteAheadLog":
+        """Restore a log.  Headers from before the delta chain lost its
+        length limit still load: the limit they carry is ignored, and
+        with no record left their epoch reads 0."""
         _require_version(obj, "WAL")
         wal = cls(
             str(obj["replica"]),
             [str(c) for c in obj["clients"]],
             snapshot_every=int(obj["snapshot_every"]),
             initial_text=str(obj.get("initial_text", "")),
-            checkpoint_every=int(obj.get("checkpoint_every", 16)),
         )
         wal.snapshot = obj["snapshot"]
         wal.deltas = [dict(d) for d in obj.get("deltas", [])]
         wal.records = [dict(r) for r in obj["records"]]
         wal._next_serial = int(obj["next_serial"])
-        if wal.records:
-            wal.last_epoch = int(wal.records[-1].get("epoch", 0))
+        latest = wal.deltas[-1] if wal.deltas else wal.snapshot or {}
+        wal._truncated_epoch = int(latest.get("epoch", 0))
+        wal.last_epoch = wal._tail_epoch()
+        wal._counts = wal._walk_origin_counts()
         # The diff shadow is not serialised: a restored log takes a full
         # checkpoint at its next compaction and resumes deltas from there.
         return wal
@@ -1138,7 +1178,11 @@ def load_wal(path: str) -> ServerWriteAheadLog:
     drop: recovery logs a warning, bumps the ``wal_torn_tail_dropped``
     counter, and resumes from the previous line.  Corruption anywhere
     *before* the final line is not a torn tail — it means lost
-    acknowledged history — and raises :class:`ProtocolError`.
+    acknowledged history — and raises :class:`ProtocolError`.  So does
+    a well-formed line out of sequence, wherever it sits (a torn write
+    never yields one): a record whose serial does not follow the
+    previous record line's, a delta that repeats serials the log
+    already covers.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line for line in handle.read().split("\n") if line.strip()]
@@ -1152,27 +1196,50 @@ def load_wal(path: str) -> ServerWriteAheadLog:
     deltas: List[Dict[str, Any]] = [
         dict(d) for d in (header.get("deltas") or [])
     ]
+    covered = _post_snapshot_serial(header) - 1
+    previous: Optional[int] = None
     torn: Optional[str] = None
     for index, line in enumerate(lines[1:], start=1):
-        final = index == len(lines) - 1
         try:
             obj = json.loads(line)
+            delta = None
             if isinstance(obj, dict) and "delta" in obj:
                 delta = _validate_wal_delta(obj["delta"])
-                deltas.append(delta)
-                floor = int(delta["floor"])
-                records = [
-                    r for r in records if int(r["serial"]) > floor
-                ]
+                upto, floor = int(delta["upto"]), int(delta["floor"])
+                first = min(
+                    (int(s) for _opid, s in delta["serials"]), default=upto + 1
+                )
             else:
-                records.append(_validate_wal_record(obj))
-        except (ValueError, ProtocolError) as error:
-            if not final:
+                record = _validate_wal_record(obj)
+                serial = int(record["serial"])
+        except (ValueError, TypeError, LookupError, ProtocolError) as error:
+            if index < len(lines) - 1:
                 raise ProtocolError(
                     f"WAL record {index} in {path} is corrupt mid-log "
                     f"(not a torn tail): {error}"
                 )
             torn = str(error)
+            break
+        if delta is not None:
+            # A delta's serials are the ones assigned since the previous
+            # compaction, so they start past what the log covers; with
+            # none, ``upto`` itself must not move back.
+            if first <= covered:
+                raise ProtocolError(
+                    f"WAL delta {index} in {path} is out of sequence: it "
+                    f"repeats serials up to {covered} the log already covers"
+                )
+            covered = upto
+            deltas.append(delta)
+            records = [r for r in records if int(r["serial"]) > floor]
+        else:
+            if previous is not None and serial != previous + 1:
+                raise ProtocolError(
+                    f"WAL record {index} in {path} is out of sequence: "
+                    f"serial {serial} after {previous}"
+                )
+            previous = serial
+            records.append(record)
     if torn is not None:
         warnings.warn(
             f"dropping torn final WAL record in {path}: {torn}",

@@ -150,7 +150,7 @@ def _int(value: Any, what: str) -> int:
 def _decode_log(obj: Any) -> ServerWriteAheadLog:
     try:
         return ServerWriteAheadLog.from_obj(obj)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise ProtocolError(f"undecodable replicated log: {exc!r}") from exc
 
 

@@ -18,10 +18,11 @@ suffix past the commit gate).
 from __future__ import annotations
 
 import os
+from itertools import takewhile
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.ids import SERVER_ID, ReplicaId
-from repro.errors import ProtocolError, StateSpaceError
+from repro.errors import PositionError, ProtocolError, StateSpaceError
 from repro.jupiter.css import CssServer
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.persistence import (
@@ -220,9 +221,10 @@ class ShardCore:
         """
         try:
             outgoing = self.server.receive(session.client, payload)
-        except StateSpaceError as exc:
-            # A context that matches no state here is the peer's protocol
-            # violation, not this shard's crash; nothing was serialised.
+        except (StateSpaceError, PositionError) as exc:
+            # A context that matches no state here, or a position past
+            # the end of its document, is the peer's protocol violation,
+            # not this shard's crash; nothing was serialised.
             operation = payload.operation
             raise ProtocolError(
                 f"{session.client}: {operation} on ctx {operation.context!r} "
@@ -407,9 +409,10 @@ class ShardCore:
         self.prune_ctx_floors()
 
     def prune_ctx_floors(self) -> None:
-        """Drop floor entries whose records a compaction truncated."""
+        """Drop floor entries whose records a compaction truncated: the
+        map is in serial order, so they are a prefix of it."""
         low = self.record_floor + 1
-        for serial in [s for s in self.ctx_floors if s < low]:
+        for serial in list(takewhile(lambda s: s < low, self.ctx_floors)):
             del self.ctx_floors[serial]
 
     def rewrite_disk(self) -> None:

@@ -17,10 +17,14 @@ import pytest
 from repro import obs
 from repro.common import OpId
 from repro.errors import ProtocolError
+from repro.jupiter import persistence
 from repro.jupiter.css import CssClient, CssServer
+from repro.jupiter.messages import ClientOperation
 from repro.jupiter.ordering import ServerOrderOracle
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
+    append_wal_delta,
+    append_wal_record,
     compact_context,
     context_from_compact,
     load_wal,
@@ -42,16 +46,12 @@ def _observability_left_disabled():
 class Rig:
     """Two CSS clients + server, server traffic mirrored into a WAL."""
 
-    def __init__(self, snapshot_every=100, checkpoint_every=16,
-                 compact_ctx=False):
+    def __init__(self, snapshot_every=100, compact_ctx=False):
         self.names = ["c1", "c2"]
         self.server = CssServer("server", self.names)
         self.clients = {name: CssClient(name) for name in self.names}
         self.wal = ServerWriteAheadLog(
-            "server",
-            self.names,
-            snapshot_every=snapshot_every,
-            checkpoint_every=checkpoint_every,
+            "server", self.names, snapshot_every=snapshot_every
         )
         self.compact_ctx = compact_ctx
         self.steps = 0
@@ -197,14 +197,40 @@ class TestDeltaCompaction:
         recovered = rig.assert_recovers()
         assert recovered.space.signature() == rig.server.space.signature()
 
-    def test_checkpoint_every_bounds_the_chain(self):
-        rig = Rig(checkpoint_every=2)
+    def test_the_first_compaction_is_full(self):
+        rig = Rig()
+        rig.step(2)
+        rig.wal.compact(rig.server)
+        assert rig.wal.last_compaction_mode == "full"
+        assert rig.wal.deltas == []
+        rig.assert_recovers()
+
+    def test_forty_compactions_without_a_rebase_are_deltas(self):
+        rig = Rig(compact_ctx=True)
+        rig.step(2)
+        rig.wal.compact(rig.server)
         modes = []
-        for _ in range(5):
+        for _ in range(40):
             rig.step(2)
             rig.wal.compact(rig.server)
             modes.append(rig.wal.last_compaction_mode)
-        assert modes == ["full", "delta", "delta", "full", "delta"]
+        assert modes == ["delta"] * 40
+        assert len(rig.wal.deltas) == 40
+        rig.assert_recovers()
+
+    def test_a_restored_log_checkpoints_full_then_deltas(self):
+        rig = Rig()
+        rig.step(2)
+        rig.wal.compact(rig.server)
+        rig.step(2)
+        rig.wal.compact(rig.server)
+        rig.wal = ServerWriteAheadLog.from_obj(rig.wal.to_obj())
+        modes = []
+        for _ in range(3):
+            rig.step(2)
+            rig.wal.compact(rig.server)
+            modes.append(rig.wal.last_compaction_mode)
+        assert modes == ["full", "delta", "delta"]
         rig.assert_recovers()
 
     def test_rebase_forces_a_full_checkpoint(self):
@@ -222,6 +248,10 @@ class TestDeltaCompaction:
         assert rig.wal.snapshot["base"] == 6
         recovered = rig.assert_recovers()
         assert recovered.oracle.base == 6
+        rig.step(2)
+        rig.wal.compact(rig.server)
+        assert rig.wal.last_compaction_mode == "delta"
+        rig.assert_recovers()
 
     def test_concurrent_extras_survive_recovery(self):
         # Replay (not just restore) compact-context records with extras:
@@ -263,6 +293,85 @@ class TestDeltaCompaction:
         assert rig.wal.last_compaction_mode == "delta"
         counts = rig.wal.origin_counts()
         assert counts == {"c1": 5, "c2": 5}
+
+    def test_running_counts_equal_the_walk_after_restore_and_cut(self):
+        rig = Rig(compact_ctx=True)
+        for retained in (0, 2, 0):
+            rig.step(5)
+            rig.step_concurrent()
+            rig.wal.compact(
+                rig.server, retain_after=rig.wal.last_serial - retained
+            )
+        rig.step(3)
+        live = rig.wal.origin_counts()
+        restored = ServerWriteAheadLog.from_obj(rig.wal.to_obj())
+        assert restored.origin_counts() == live == {"c1": 17, "c2": 10}
+        cut = restored.truncate_from(restored.last_serial - 1)
+        assert [r["origin"] for r in cut] == ["c2", "c1"]
+        assert restored.origin_counts() == {"c1": 16, "c2": 9}
+
+
+class TestEpochSurvivesCompaction:
+    """A log whose records a compaction truncated still knows the epoch
+    of its last serial — restored in memory, from disk, and after a cut."""
+
+    def compacted(self):
+        wal = ServerWriteAheadLog("s", ["c1"], snapshot_every=1)
+        self.server = CssServer("s", ["c1"])
+        self.write(wal, (1, 2, 3), epoch=3)
+        wal.compact(self.server)
+        assert wal.records == [] and wal.last_epoch == 3
+        return wal
+
+    def write(self, wal, seqs, epoch):
+        for seq in seqs:
+            context = self.server.space.final_key
+            operation = insert(OpId("c1", seq), "x", 0, context)
+            self.server.receive("c1", ClientOperation(operation))
+            wal.append(seq, "c1", operation, epoch=epoch)
+
+    def refuses_a_stale_append(self, wal):
+        operation = insert(OpId("c1", 4), "y", 0, context=set())
+        with pytest.raises(ProtocolError, match="stale epoch 1 < 3"):
+            wal.append(4, "c1", operation, epoch=1)
+
+    def test_in_memory_round_trip(self):
+        restored = ServerWriteAheadLog.from_obj(self.compacted().to_obj())
+        assert restored.last_epoch == 3
+        self.refuses_a_stale_append(restored)
+
+    def test_on_disk_round_trip(self, tmp_path):
+        path = str(tmp_path / "s.wal")
+        wal = self.compacted()
+        save_wal(wal, path)
+        loaded = load_wal(path)
+        assert loaded.last_epoch == 3
+        self.refuses_a_stale_append(loaded)
+        # ...and through a delta line that truncated every later record
+        self.write(wal, (4, 5), epoch=4)
+        for record in wal.records:
+            append_wal_record(path, record)
+        wal.compact(self.server)
+        assert wal.last_compaction_mode == "delta" and wal.records == []
+        append_wal_delta(path, wal.last_delta)
+        assert load_wal(path).last_epoch == 4
+
+    def test_a_cut_to_nothing_falls_back_to_the_compaction(self):
+        wal = self.compacted()
+        operation = insert(OpId("c1", 4), "y", 0, context=set())
+        wal.append(4, "c1", operation, epoch=5)
+        assert [r["serial"] for r in wal.truncate_from(4)] == [4]
+        assert wal.last_epoch == 3
+
+    def test_a_header_from_before_the_epoch_field_still_loads(self):
+        obj = self.compacted().to_obj()
+        del obj["snapshot"]["epoch"]
+        obj["checkpoint_every"] = 16
+        restored = ServerWriteAheadLog.from_obj(obj)
+        assert restored.last_epoch == 0  # such a header never recorded it
+        assert restored.last_serial == 3
+        assert restored.origin_counts() == {"c1": 3}
+        assert restored.recover().document.as_string() == "xxx"
 
 
 class TestDeltaDisk:
@@ -352,6 +461,18 @@ class TestCompactionCostsWhatChanged:
     """A count guard, no timing: a delta compaction serialises the nodes
     that changed since the previous one, whatever the window holds."""
 
+    @staticmethod
+    def edit(server, writer, wal):
+        outgoing = writer.generate(OpSpec("ins", 0, "x")).outgoing
+        for _target, broadcast in server.receive("w1", outgoing):
+            writer.receive(broadcast)
+        wal.append(
+            server.oracle.last_serial,
+            "w1",
+            outgoing.operation,
+            ctx=compact_context(outgoing.operation, server.oracle),
+        )
+
     def grow(self, window, snapshot_every=64):
         """One writer, no GC: the window is every node ever created.
 
@@ -368,15 +489,7 @@ class TestCompactionCostsWhatChanged:
         counter = handle.wal_snapshot_nodes.labels("delta")
         deltas = []
         for _ in range(window):
-            outgoing = writer.generate(OpSpec("ins", 0, "x")).outgoing
-            for _target, broadcast in server.receive("w1", outgoing):
-                writer.receive(broadcast)
-            wal.append(
-                server.oracle.last_serial,
-                "w1",
-                outgoing.operation,
-                ctx=compact_context(outgoing.operation, server.oracle),
-            )
+            self.edit(server, writer, wal)
             if wal.should_compact():
                 before = counter.value
                 wal.compact(server)
@@ -403,3 +516,22 @@ class TestCompactionCostsWhatChanged:
         # last line at 512 nodes is the size of the last one at 128, give
         # or take a digit per number.
         assert line_bytes[512] <= 1.05 * line_bytes[128]
+
+    def test_a_delta_reads_no_serial_of_the_window_back(self, monkeypatch):
+        """The per-origin counts are kept by the appends: a delta at a
+        2,000-node window decodes no stored opid."""
+        server, writer = CssServer("server", ["w1"]), CssClient("w1")
+        wal = ServerWriteAheadLog("server", ["w1"], snapshot_every=64)
+        for _ in range(2048):
+            self.edit(server, writer, wal)
+            if wal.should_compact():
+                wal.compact(server)
+        for _ in range(64):
+            self.edit(server, writer, wal)
+        decoded = []
+        monkeypatch.setattr(persistence, "opid_from_obj", decoded.append)
+        wal.compact(server)
+        assert wal.last_compaction_mode == "delta"
+        assert server.space.node_count() > 2000
+        assert decoded == []
+        assert wal.origin_counts() == {"w1": 2112}

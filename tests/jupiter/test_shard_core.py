@@ -14,12 +14,14 @@ import sys
 
 import pytest
 
-from repro.common.ids import SERVER_ID
-from repro.errors import ProtocolError
+from repro.common.ids import SERVER_ID, OpId
+from repro.errors import PositionError, ProtocolError
 from repro.jupiter.css import CssClient
+from repro.jupiter.messages import ClientOperation
 from repro.jupiter.persistence import ServerWriteAheadLog, load_wal
 from repro.jupiter.shard import ShardCore
 from repro.model.schedule import OpSpec
+from repro.ot import delete, insert
 
 GRACE = 15.0
 
@@ -254,6 +256,29 @@ class TestWritePathAndRecovery:
         stray.generate(OpSpec("ins", 0, "p"))
         forged = stray.generate(OpSpec("ins", 0, "q")).outgoing  # ctx {b:1}
         with pytest.raises(ProtocolError, match="b: .*cannot be integrated"):
+            rig.core.serialise(rig.session("b"), forged, 0, rig.now, GRACE)
+        assert rig.core.server.oracle.last_serial == 3
+        assert rig.core.wal.last_serial == 3
+        rig.typed(1)  # the shard carries on
+        assert rig.core.server.oracle.last_serial == 4
+
+    @pytest.mark.parametrize("kind, position", [("ins", 4), ("del", 3)])
+    def test_a_position_past_the_end_spends_no_serial(self, kind, position):
+        """The matched state holds three elements: an insert at 4 or a
+        delete at 3 is refused before the order oracle assigns."""
+        rig = Rig()
+        rig.typed(3)
+        server = rig.core.server
+        context = server.space.final_key
+        if kind == "ins":
+            operation = insert(OpId("b", 1), "z", position, context)
+        else:
+            element = next(iter(server.document))
+            operation = delete(OpId("b", 1), element, position, context)
+        forged = ClientOperation(operation)
+        with pytest.raises(PositionError):
+            rig.core.server.receive("b", forged)
+        with pytest.raises(ProtocolError, match="b: .*out of range"):
             rig.core.serialise(rig.session("b"), forged, 0, rig.now, GRACE)
         assert rig.core.server.oracle.last_serial == 3
         assert rig.core.wal.last_serial == 3

@@ -5,7 +5,10 @@ Each shape below decodes far enough to reach the session's frame handler
 it as an untyped exception — ``TypeError``, ``ValueError``, ``KeyError``,
 ``RecursionError``, ``TransformError`` — that killed the connection task
 through asyncio's unhandled-exception handler instead of the session's
-``violated the protocol`` / ``dropped`` log lines.
+``violated the protocol`` / ``dropped`` log lines.  A position past the
+end of its context's document used to escape as ``PositionError`` after
+the order oracle had spent a serial on it, so the shard's next honest
+operation failed its WAL append.
 """
 
 import asyncio
@@ -69,6 +72,14 @@ MALFORMED_CLIENT_FRAMES = {
             )
         ),
         "rogue dropped: malformed client_op body",
+    ),
+    "operation-past-the-end": (
+        encode_frame_bytes(
+            encode_envelope(
+                "data", seq=1, ack=0, epoch=0, pin=0, body=_client_op(100)
+            )
+        ),
+        "rogue violated the protocol: rogue: ",
     ),
 }
 

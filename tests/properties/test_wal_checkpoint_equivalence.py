@@ -39,9 +39,7 @@ class Driver:
     def __init__(self, seed, path):
         self.rng = random.Random(seed)
         self.clients = {name: CssClient(name) for name in NAMES}
-        self.wal = ServerWriteAheadLog(
-            "server", NAMES, snapshot_every=10_000, checkpoint_every=5
-        )
+        self.wal = ServerWriteAheadLog("server", NAMES, snapshot_every=10_000)
         self.shard = ShardCore("doc", self.wal, str(path))
         self.shard.rewrite_disk()
         self.server = self.shard.server
@@ -50,6 +48,8 @@ class Driver:
         self.uplink = {name: [] for name in NAMES}
         self.downlink = {name: [] for name in NAMES}
         self.modes = []
+        #: the replication epoch the shard serialises under (monotone)
+        self.epoch = 0
 
     # -- traffic -------------------------------------------------------
     def edit(self, name):
@@ -66,7 +66,7 @@ class Driver:
     def serialise(self, name):
         outgoing = self.uplink[name].pop(0)
         _serial, _ctx, fanout = self.shard.serialise(
-            self.shard.sessions[name], outgoing, 0, 0.0, 0.0
+            self.shard.sessions[name], outgoing, self.epoch, 0.0, 0.0
         )
         for session, broadcast in fanout:
             self.downlink[session.client].append(broadcast)
@@ -191,6 +191,46 @@ def test_restore_equals_live_server(seed, tmp_path):
     driver = Driver(seed, tmp_path / "doc.wal")
     driver.run(120, check_restores)
     assert "full" in driver.modes
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_chain_encodes_at_most_twice_the_nodes_it_grew(seed, tmp_path):
+    """The chain needs no length limit: without a ``prune_below`` (which
+    the deployed server never runs) nothing leaves the space between
+    checkpoints, every transition Algorithm 1 adds ends at a node the
+    same integration created, and it adds one transition from an older
+    node per node it creates — so the nodes a chain encodes stay within
+    2x the nodes created since its checkpoint, and the merged snapshot
+    is the live server at every link."""
+    rig = Driver(seed, tmp_path / "doc.wal")
+    rng, space = rig.rng, rig.server.space
+    chains = []
+    for _ in range(240):
+        roll, name = rng.random(), rng.choice(NAMES)
+        if roll < 0.45:
+            rig.edit(name)
+        elif roll < 0.70:
+            if rig.uplink[name]:
+                rig.serialise(name)
+        elif roll < 0.90:
+            if rig.downlink[name]:
+                rig.deliver(name)
+        else:
+            if roll < 0.98:
+                rig.compact()
+            else:
+                rig.rebase()
+            if rig.wal.last_compaction_mode == "full":
+                chains.append([space.node_count(), 0, 0])
+            else:
+                delta = rig.wal.last_delta
+                chain = chains[-1]
+                chain[1] += len(delta["added"]) + len(delta["touched"])
+                chain[2] += 1
+                assert chain[1] <= 2 * (space.node_count() - chain[0])
+            merged = restore_server(rig.wal._merged_snapshot())
+            assert merged.space.signature() == space.signature()
+    assert max(links for _nodes, _encoded, links in chains) >= 3
 
 
 def test_the_suite_reaches_every_path(tmp_path):
