@@ -25,6 +25,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "broken": "BrokenClient BrokenServer",
         "classic": "ClassicClient ClassicServer",
+        "client_core": "ClientCore",
         "cluster": "Cluster make_cluster",
         "cscw": "CscwClient CscwServer",
         "css": "CssClient CssServer",

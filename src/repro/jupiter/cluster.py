@@ -89,7 +89,12 @@ class Cluster:
         self.recorder.record_send(client_id, message)
         self._to_server[client_id].append(message)
 
-    def server_receive(self, client_id: ReplicaId) -> Message:
+    def server_receive(
+        self, client_id: ReplicaId, receive: Optional[Any] = None
+    ) -> Message:
+        """Deliver ``client_id``'s next message through ``receive``, the
+        server's write path: its own ``receive`` unless given (a durable
+        simulated server logs through a shard core's ``serialise``)."""
         queue = self._to_server[self._require_client(client_id)]
         if not queue:
             raise ScheduleError(
@@ -97,7 +102,7 @@ class Cluster:
             )
         message = queue.popleft()
         self.recorder.record_receive(SERVER_ID, message)
-        outgoing = self.server.receive(client_id, message.payload)
+        outgoing = (receive or self.server.receive)(client_id, message.payload)
         self._log(SERVER_ID, "apply", None, self.server.document.as_string())
         for recipient, payload in outgoing:
             reply = Message(SERVER_ID, recipient, payload)

@@ -43,6 +43,7 @@ from repro.common.ids import ReplicaId
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssServer
 from repro.jupiter.persistence import ServerWriteAheadLog
+from repro.jupiter.session import counter
 from repro.obs import get_obs
 
 
@@ -139,14 +140,6 @@ class Reply(NamedTuple):
         return self.kind != "repl_deny"
 
 
-def _int(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(
-            f"replication field {what!r} is not an integer: {value!r}"
-        )
-    return value
-
-
 def _decode_log(obj: Any) -> ServerWriteAheadLog:
     try:
         return ServerWriteAheadLog.from_obj(obj)
@@ -232,7 +225,7 @@ class Replica:
     def record_ack(self, rid: ReplicaId, serial: Any, epoch: Any) -> range:
         """A backup's ``repl_ack``; returns the newly committed serials,
         for the caller to acknowledge and broadcast in order."""
-        serial, epoch = _int(serial, "serial"), _int(epoch, "epoch")
+        serial, epoch = counter(serial, "serial"), counter(epoch, "epoch")
         if rid not in self.acked:
             raise ProtocolError(f"ack from unknown replica {rid!r}")
         if epoch != self.epoch or not self.is_primary:
@@ -276,7 +269,7 @@ class Replica:
     def stand_down(self, view: Any) -> None:
         """A ``repl_deny`` quoted ``view``: it exists or is promised, so
         stop leading (or seeking) anything below it."""
-        view = max(_int(view, "view"), self.view + 1)
+        view = max(counter(view, "view"), self.view + 1)
         self.view = view
         self.promised = max(self.promised, view)
 
@@ -289,8 +282,9 @@ class Replica:
     ) -> Reply:
         """``repl_install``: adopt the view's log wholesale (start-view,
         and state transfer for a backup that lagged or rejoined)."""
-        view, committed = _int(view, "view"), _int(committed, "committed")
-        if _int(epoch, "epoch") != view:
+        view = counter(view, "view")
+        committed = counter(committed, "committed")
+        if counter(epoch, "epoch") != view:
             raise ProtocolError(f"install of view {view} under epoch {epoch}")
         if view < self.promised or primary_for(view, self.ids) == self.me:
             return self._deny()  # stale, or a view only I can start
@@ -311,13 +305,14 @@ class Replica:
         """``repl_append``: one shipped record, stored verbatim — a
         compact-context record only decodes against an oracle that
         witnessed the serials below it, which a backup does not run."""
-        epoch, committed = _int(epoch, "epoch"), _int(committed, "committed")
+        epoch = counter(epoch, "epoch")
+        committed = counter(committed, "committed")
         if not (
             isinstance(record, dict) and {"origin", "operation"} <= set(record)
         ):
             raise ProtocolError(f"malformed replicated record {record!r}")
-        serial = _int(record.get("serial"), "serial")
-        _int(record.get("epoch", 0), "record epoch")
+        serial = counter(record.get("serial"), "serial")
+        counter(record.get("epoch", 0), "record epoch")
         if epoch != self.epoch or self.promised > epoch or self.is_primary:
             return self._deny()
         if serial > self.log.last_serial:
@@ -335,7 +330,7 @@ class Replica:
 
     def seek(self, view: Any) -> Reply:
         """``repl_seek``: promise ``view`` and offer my log, or deny."""
-        view = _int(view, "view")
+        view = counter(view, "view")
         if view <= self.promised:
             return self._deny()
         was_primary = self.is_primary
@@ -389,11 +384,11 @@ class Replica:
                     f"offer for view {target} from {rid!r} is not one"
                 )
             logs[rid] = (
-                _int(offer.get("last_epoch"), "last_epoch"),
-                _int(offer.get("last_serial"), "last_serial"),
+                counter(offer.get("last_epoch"), "last_epoch"),
+                counter(offer.get("last_serial"), "last_serial"),
             )
             committed = max(
-                committed, _int(offer.get("committed"), "committed")
+                committed, counter(offer.get("committed"), "committed")
             )
             by_replica[rid] = offer
         if (

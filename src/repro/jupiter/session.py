@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.ids import ReplicaId
 from repro.errors import ProtocolError
@@ -36,6 +36,18 @@ from repro.obs import get_obs
 
 #: A directed channel, e.g. ``("c1", "s")``.
 Channel = Tuple[ReplicaId, ReplicaId]
+
+
+def counter(value: Any, what: str) -> int:
+    """A counter a peer's frame carries — a sequence number, an ack, a
+    cursor, an epoch, a view — or the peer's protocol violation: it must
+    be a non-negative ``int``, and a ``bool`` is not one."""
+    if type(value) is not int or value < 0:
+        raise ProtocolError(
+            f"frame field {what!r} must be a non-negative integer, "
+            f"got {value!r}"
+        )
+    return value
 
 
 class SessionSender:
@@ -161,6 +173,24 @@ class SessionReceiver:
                 "frames; it is a recovery primitive for fresh receivers"
             )
         self.expected = consumed + 1
+
+
+def release(
+    receiver: SessionReceiver, parked: Dict[int, Any], seq: int, body: Any
+) -> Optional[List[Any]]:
+    """Take frame ``seq`` carrying ``body``; return the bodies now
+    releasable, in sequence order — ``None`` for a duplicate.  A frame
+    past a gap parks in ``parked``, as it arrived, until the gap fills.
+    """
+    released = receiver.receive(seq)
+    if released:
+        return [body] + [
+            parked.pop(s) for s in range(seq + 1, receiver.expected)
+        ]
+    if seq < receiver.expected:
+        return None
+    parked[seq] = body
+    return []
 
 
 @dataclass

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from itertools import takewhile
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.ids import SERVER_ID, ReplicaId
 from repro.errors import PositionError, ProtocolError, StateSpaceError
@@ -34,7 +34,7 @@ from repro.jupiter.persistence import (
     snapshot_server,
 )
 from repro.jupiter.replication import committed_origin_ack
-from repro.jupiter.session import SessionReceiver, SessionSender
+from repro.jupiter.session import SessionReceiver, SessionSender, release
 
 #: the quorum commit floor of a replicated group; ``None`` standalone
 Commit = Optional[int]
@@ -72,28 +72,6 @@ class Session:
         self.pin = max(self.pin, pin)
 
 
-def resume_sessions(
-    sessions: Iterable[Session], consumed: Dict[ReplicaId, int], next_seq: int
-) -> None:
-    """Position fresh sessions from a log: each c->s receiver is
-    fast-forwarded past its origin's logged operations (``consumed``:
-    ``origin_counts()``), each s->c sender resumes at ``next_seq`` — one
-    past the log's last serial, so seq == serial survives recovery —
-    with everything past the ``delivered`` cursor unacknowledged."""
-    for session in sessions:
-        session.sender.restore({"next_seq": next_seq, "acked": session.delivered})
-        session.receiver.fast_forward(consumed.get(session.client, 0))
-
-
-def cursor_floor(
-    cursors: Iterable[int], last_serial: int, commit: Commit = None
-) -> int:
-    """The lowest of ``cursors`` (the log head when nobody counts),
-    clamped to the commit floor when there is one."""
-    floor = min(cursors, default=last_serial)
-    return floor if commit is None else min(floor, commit)
-
-
 class ShardCore:
     """One hosted document: its CSS server, WAL, sessions, and disk file.
 
@@ -107,7 +85,7 @@ class ShardCore:
     A shard is always built from its log — restart, fleet re-placement
     and promotion alike, a new document being an empty log's recovery:
     the CSS server replays snapshot + suffix and every logged client
-    gets a session positioned by :func:`resume_sessions`.
+    gets a session positioned on it (:meth:`_open`).
     """
 
     #: what registration and recovery build; the asyncio shell's has a
@@ -132,9 +110,9 @@ class ShardCore:
                 wal.clients.append(origin)
         self.server: CssServer = wal.recover()
         self.sessions: Dict[ReplicaId, Session] = {
-            name: self.session_type(name, self, now) for name in wal.clients
+            name: self._open(name, now, counts.get(name, 0))
+            for name in wal.clients
         }
-        resume_sessions(self.sessions.values(), counts, wal.last_serial + 1)
         #: when the shard was opened (uptime accounting)
         self.opened_at = now
         #: on-disk WAL file (``None`` = in-memory only; a replicated
@@ -162,17 +140,24 @@ class ShardCore:
         """How many sessions have a live connection."""
         return sum(s.disconnected_at is None for s in self.sessions.values())
 
+    def _open(self, name: ReplicaId, now: float, logged: int = 0) -> Session:
+        """A fresh session positioned on the log: its c->s receiver past
+        the ``logged`` operations of its origin, its s->c sender one past
+        the last serial, so seq == serial survives recovery."""
+        session = self.session_type(name, self, now)
+        session.sender.next_seq = self.wal.last_serial + 1
+        session.receiver.fast_forward(logged)
+        return session
+
     def register(self, name: ReplicaId, now: float) -> Session:
         """The session for ``name``, registering a first-time client."""
         session = self.sessions.get(name)
         if session is None:
-            session = self.session_type(name, self, now)
             # A late joiner never receives live frames for serials that
             # predate its registration — those arrive via the WAL resync,
-            # which stamps seq = serial.  Position the sender where the
-            # log ends so the next live broadcast continues the same
-            # numbering (seq == serial on every s->c channel).
-            resume_sessions([session], {}, self.wal.last_serial + 1)
+            # which stamps seq = serial — so it, too, starts where the
+            # log ends (seq == serial on every s->c channel).
+            session = self._open(name, now)
             self.sessions[name] = session
             self.server.clients.append(name)
             self.wal.clients.append(name)
@@ -192,16 +177,11 @@ class ShardCore:
         ack = min(ack, session.sender.next_seq - 1)
         session.sender.ack(ack)
         session.delivered = max(session.delivered, ack)
-        released = session.receiver.receive(seq)
-        expected = session.receiver.expected
-        if released == 0:
-            if seq >= expected:
-                session.parked[seq] = body  # gap: park until it fills
-            else:
-                self.duplicates_suppressed += 1
+        bodies = release(session.receiver, session.parked, seq, body)
+        if bodies is None:
+            self.duplicates_suppressed += 1
             return []
-        session.parked[seq] = body
-        return [session.parked.pop(s) for s in range(expected - released, expected)]
+        return bodies
 
     def serialise(
         self,
@@ -266,7 +246,8 @@ class ShardCore:
         """A session (re)connects: ratchet its cursors and decide how it
         catches up.  Returns ``(cursor, state, missed)`` — where its
         cursor stands after the reply, a whole-state transfer for the
-        welcome (or ``None``), the broadcasts to re-ship from records."""
+        welcome (or ``None``), the broadcasts to re-ship from records —
+        all that stays unacknowledged on the s->c channel."""
         last = self.wal.last_serial
         delivered = max(0, min(delivered, last))
         session.report_pin(pin or 0)
@@ -284,12 +265,14 @@ class ShardCore:
             # drops its unacknowledged ops (never serialised — their
             # seqs are reused), and continues from the log head.
             session.delivered = session.pin = last
+            session.sender.ack(last)
             state = {
                 "snapshot": snapshot_server(self.server),
                 "op_seq": self.wal.origin_counts().get(session.client, 0),
                 "delivered": last,
             }
             return last, state, []
+        session.sender.ack(session.delivered)
         missed = self.wal.broadcasts_for(self.server, delivered)
         if commit is not None:
             # Never re-ship an uncommitted broadcast: a client must not
@@ -346,7 +329,8 @@ class ShardCore:
             or session.disconnected_at is None
             or now - session.disconnected_at <= grace
         ]
-        return cursor_floor(counted, self.wal.last_serial, commit)
+        floor = min(counted, default=self.wal.last_serial)
+        return floor if commit is None else min(floor, commit)
 
     def decodable_floor(self, floor: int) -> int:
         """Lower a candidate rebase floor until the log decodes above it.

@@ -74,13 +74,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.common.ids import SERVER_ID, ReplicaId
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssServer
-from repro.jupiter.messages import ClientOperation, ServerOperation
+from repro.jupiter.messages import ServerOperation
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
     compact_context,
     load_wal,
 )
 from repro.jupiter.replication import Replica, primary_for
+from repro.jupiter.session import counter
 from repro.jupiter.shard import Session, ShardCore
 from repro.net.codec import (
     DEFAULT_DOC,
@@ -118,16 +119,6 @@ _REPL_CALLS = {
     "repl_install": ("install", ("view", "epoch", "committed", "log")),
     "repl_append": ("append", ("epoch", "committed", "record")),
 }
-
-
-def _counter(frame: Dict[str, Any], key: str, default: Any = None) -> int:
-    """A counter a peer's frame carries, or the peer's protocol violation."""
-    value = frame.get(key, default)
-    if type(value) is not int or value < 0:
-        raise ProtocolError(
-            f"frame field {key!r} must be a non-negative integer, got {value!r}"
-        )
-    return value
 
 
 class _ClientChannel(Session):
@@ -875,14 +866,15 @@ class NetServer:
                 await self._handle_frame(channel, member)
             return
         if "pin" in frame:
-            channel.report_pin(_counter(frame, "pin"))
+            channel.report_pin(counter(frame["pin"], "pin"))
         if kind == "ping":
             self._send_to(channel, encode_envelope("pong", t=frame.get("t")))
             return
         if kind != "data":
             self._log(f"{channel.client}: ignoring frame type {kind!r}")
             return
-        seq, ack = _counter(frame, "seq"), _counter(frame, "ack", 0)
+        seq = counter(frame.get("seq"), "seq")
+        ack = counter(frame.get("ack", 0), "ack")
         if not isinstance(frame.get("body"), dict):
             raise ProtocolError("a data frame's body must be an object")
         for body in channel.shard.accept(channel, seq, ack, frame["body"]):
@@ -910,12 +902,8 @@ class NetServer:
             # handed over: write nothing.  The client still holds the op
             # and retransmits it to whoever leads.
             raise ConnectionError("this replica no longer leads")
+        # A body of the wrong kind is refused by the CSS server itself.
         payload = message_from_wire(body, shard.server.oracle)
-        if not isinstance(payload, ClientOperation):
-            raise ProtocolError(
-                f"{origin.client}: client data frames must carry "
-                f"ClientOperation, got {type(payload).__name__}"
-            )
         now = time.monotonic()
         serial, ctx, outgoing = shard.serialise(
             origin,

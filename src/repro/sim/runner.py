@@ -21,15 +21,13 @@ Two network regimes share the loop's skeleton:
   retransmission rebuilds exactly-once FIFO delivery for the protocol
   machines, and crashed CSS clients recover from
   :mod:`repro.jupiter.persistence` checkpoints plus a serial-indexed
-  resync.  The *server* itself may crash too: it appends every operation
-  it serialises to a write-ahead log before broadcasting
-  (:class:`~repro.jupiter.persistence.ServerWriteAheadLog`), and on
-  restore it replays snapshot + log suffix, re-enters under a new epoch
-  (its in-flight frames and acks died with the old incarnation), rebuilds
-  its session endpoints from the log, and answers each client's
-  :class:`~repro.jupiter.messages.ResyncRequest` from the replayed
-  records — resuming serial assignment exactly where the log left off.
-  The recorded :class:`Schedule` contains each protocol-level step
+  resync.  A durable *server* — write-ahead logged, or quorum-replicated
+  — is the deployed :class:`~repro.jupiter.shard.ShardCore`: it
+  serialises, logs and compacts through the core's own write path, and
+  survives a crash or a failover the way a deployment restarts, rebuilt
+  from its log and resynced at every client's cursor under a new epoch
+  (its in-flight frames and acks died with the old incarnation).  The
+  recorded :class:`Schedule` contains each protocol-level step
   exactly once, so it replays on a fault-free cluster — which is how the
   chaos harness checks Theorem 7.1 under faults.
 """
@@ -300,14 +298,11 @@ class _FaultyRun:
             #: TCP in a deployment, so the lossy-channel adversary applies
             #: to the client-server edges only, not the replica backbone.
             self.repl_timer = FifoChannelTimer()
-            #: per-origin proposal/commit cursors; their difference is the
-            #: peek index of the origin's next queued-but-uncommitted op.
-            self.proposed_from: Dict[ReplicaId, int] = {
-                name: 0 for name in self.clients
-            }
-            self.popped_from: Dict[ReplicaId, int] = {
-                name: 0 for name in self.clients
-            }
+            #: per-origin proposal/commit cursors, set by every restart;
+            #: their difference is the peek index of the origin's next
+            #: queued-but-uncommitted op.
+            self.proposed_from: Dict[ReplicaId, int] = {}
+            self.popped_from: Dict[ReplicaId, int] = {}
             self.commits_done = 0
             self._failover_from: Optional[float] = None
             self._outage_replica: Dict[float, ReplicaId] = {}
@@ -330,6 +325,12 @@ class _FaultyRun:
         self.ack_timer = FifoChannelTimer()
         self.pending_gens = 0
         self.pending_lifecycle = 0
+        #: a durable server's shard core, built from its log at startup
+        #: as at every restart; its sessions are the server's channel ends
+        self.shard = None
+        if self.wal is not None or self.group is not None:
+            log = self.wal or self.group.committed_log()
+            self._restart(log, "startup", 0.0)
 
     def _validate(self) -> None:
         if self.plan.crashes and self.runner.protocol != "css":
@@ -415,15 +416,12 @@ class _FaultyRun:
                 self.cluster.read(replica)
                 self.steps.append(Read(replica))
 
-        if self.wal is not None:
-            self.stats.wal_appends = self.wal.appends
-            self.stats.wal_compactions = self.wal.compactions
-            self.stats.wal_records_truncated = self.wal.records_truncated
-        if self.group is not None:
-            log = self.group.primary_log
+        log = self.group.primary_log if self.group is not None else self.wal
+        if log is not None:
             self.stats.wal_appends = log.appends
             self.stats.wal_compactions = log.compactions
             self.stats.wal_records_truncated = log.records_truncated
+        if self.group is not None:
             self.stats.view_changes = self.group.view_changes
             self.stats.repl_stale_rejected = self.group.stale_rejected
             if self.commits_done != self.group.committed:
@@ -529,34 +527,34 @@ class _FaultyRun:
         before = {
             name: self.cluster.pending_to_client(name) for name in self.clients
         }
-        message = self.cluster.server_receive(client)
+        write = self._serialise if self.wal is not None else None
+        self.cluster.server_receive(client, write)
         self.steps.append(ServerReceive(client))
-        if self.wal is not None:
-            # Write-ahead: the serialised operation hits the log before any
-            # broadcast frame hits the wire (the _transmit calls below), so
-            # a crash can never lose an operation the world has seen.
-            self.wal.append(
-                self.cluster.server.oracle.last_serial,
-                client,
-                message.payload.operation,
-            )
-            if self.wal.should_compact():
-                self.wal.compact(
-                    self.cluster.server, retain_after=self._retain_floor()
-                )
-        elif self.group is not None:
+        if self.group is not None and self.group.primary_log.should_compact():
             # Replicated mode: the record was logged at proposal time and
             # this delivery *is* the commit.  Compaction clamps to the
             # commit floor inside the group.
-            if self.group.primary_log.should_compact():
-                self.group.compact(
-                    self.cluster.server, retain_after=self._retain_floor()
-                )
+            self.group.compact(
+                self.cluster.server,
+                retain_after=self.shard.floor(now, 0.0, pins=False),
+            )
         for name in self.clients:
             newly_queued = self.cluster.pending_to_client(name) - before[name]
-            for _ in range(newly_queued):
-                seq = self.senders[(SERVER_ID, name)].send()
+            sender = self.senders[(SERVER_ID, name)]
+            if write is None:  # else the shard numbered them seq = serial
+                for _ in range(newly_queued):
+                    sender.send()
+            for seq in range(sender.next_seq - newly_queued, sender.next_seq):
                 self._transmit((SERVER_ID, name), seq, now, attempt=1)
+
+    def _serialise(self, origin: ReplicaId, payload: Any) -> List[Tuple]:
+        """A WAL server's write path, as deployed: logged (and compacted
+        at the acked cursors) before any frame hits the wire.  Its
+        sessions stay connected, so no clock or grace applies."""
+        _serial, _ctx, fanout = self.shard.serialise(
+            self.shard.sessions[origin], payload, 0, 0.0, 0.0
+        )
+        return [(session.client, b) for session, b in fanout]
 
     def _deliver_to_client(self, client: ReplicaId, now: float) -> None:
         self.progress_time = now
@@ -670,21 +668,7 @@ class _FaultyRun:
         self.progress_time = now
         group = self.group
         group.view_change()
-        committed_log = group.committed_log()
-        # The logical serialisation authority keeps its identity across
-        # views; the roster member currently serving it is group.primary.
-        committed_log.replica_id = SERVER_ID
-        # Receivers resume from the *adopted* log — it counts the
-        # uncommitted suffix, whose payloads are still queued — while
-        # the server and the s->c numbering resume from the committed
-        # prefix (never from the dead process's memory).
-        counts = group.primary_log.origin_counts()
-        self._resume_server(committed_log, counts, "failover", now)
-        committed_counts = committed_log.origin_counts()
-        for client in self.clients:
-            self.proposed_from[client] = counts.get(client, 0)
-            self.popped_from[client] = committed_counts.get(client, 0)
-
+        self._restart(group.committed_log(), "failover", now)
         payload = group.start_view_payload()
         for rid in group.alive_replicas():
             if rid == group.primary:
@@ -738,6 +722,11 @@ class _FaultyRun:
             self.stats.frames_lost_to_crash += 1
             return
         self.senders[(sender, recipient)].ack(cumulative)
+        if sender == SERVER_ID and self.shard is not None:
+            # A client's cumulative ack is its consumption cursor: the
+            # floor the shard compacts at.
+            session = self.shard.sessions[recipient]
+            session.delivered = max(session.delivered, cumulative)
 
     def _on_rto(
         self,
@@ -868,89 +857,73 @@ class _FaultyRun:
                     self._commit_pending(now)
                 self._finish_failover(now)
             return
-        recovered = self._resume_server(
-            self.wal, self.wal.origin_counts(), "WAL recovery", now
-        )
+        self._restart(self.wal, "WAL recovery", now)
         self.stats.server_restores += 1
         # The recovered state is durable: compact so a later crash replays
         # from this snapshot instead of the whole history.
-        self.wal.compact(recovered, retain_after=self._retain_floor())
+        self.shard.compact(self.shard.floor(now, 0.0, pins=False))
 
-    def _resume_server(self, log, consumed, what: str, now: float):
-        """Rebuild the logical server and its session endpoints from ``log``.
-
-        The one recovery path of a restart and a view change: replay
-        ``log``, swap the rebuilt server in, and resume every client
-        session from log-derived cursors (:func:`resume_sessions`, the
-        rule the deployed shard recovers by) — ``consumed`` being the
-        per-origin frame counts the c->s receivers resume from.  The
+    def _restart(self, log, what: str, now: float) -> None:
+        """(Re)start the logical server from ``log`` as a deployment does:
+        ``ShardCore(doc, log)``, then each client's hello at its live
+        cursor (:meth:`ShardCore.resync`), which leaves exactly the
+        re-shipped suffix unacknowledged.  The sessions become the server
+        ends of the lossy channels.  Replicated, the c->s receivers
+        resume from the *adopted* log, whose uncommitted suffix is still
+        queued, while the server and the s->c numbering resume from the
+        committed prefix (never from the dead process's memory).  The
         simulator can do what a deployment cannot: compare the rebuilt
-        state against the live one, and the rebuilt broadcasts against
-        the volatile send buffers.
+        state against the live one, and the re-shipped broadcasts
+        against the volatile send buffers.
         """
-        from repro.jupiter.shard import Session, resume_sessions
+        from repro.jupiter.shard import ShardCore
 
-        recovered = log.recover()
+        # The logical serialisation authority keeps its identity across
+        # views; the roster member serving it is group.primary.
+        log.replica_id = SERVER_ID
+        shard = ShardCore("sim", log, now=now)
+        recovered = shard.server
         if recovered.space.signature() != self.cluster.server.space.signature():
             raise SimulationError(
                 f"{what} rebuilt a different state-space than the served "
                 "one; the log lost or reordered history"
             )
-        serials = [serial for _opid, serial in recovered.oracle.serial_items()]
-        if serials != list(range(1, log.last_serial + 1)):
-            raise SimulationError(
-                f"{what}: recovered serials are not the dense sequence "
-                f"1..{log.last_serial}: {serials}"
-            )
         self.cluster.replace_server(recovered)
         self.crashed.discard(SERVER_ID)
+        self.shard = shard
         for client in self.clients:
-            # Control plane: the client reports its live consumption
-            # cursor and the server answers from the replayed log.  The
-            # rebuilt broadcasts must reproduce the volatile send buffer
-            # exactly — same payloads, same serial order — so delivery
-            # resumes from the original (identity-carrying) messages.
-            session = Session(client)
-            session.delivered = len(self.released[client])
-            payloads = log.broadcasts_for(recovered, session.delivered)
+            session = shard.sessions[client]
+            _cursor, _state, missed = shard.resync(
+                session, len(self.released[client]), None, now
+            )
+            # The rebuilt broadcasts must reproduce the volatile send
+            # buffer exactly — same payloads, same serial order — so
+            # delivery resumes from the original (identity-carrying)
+            # messages.
             queued = self.cluster.queued_payloads_to(client)
-            if tuple(payloads) != queued:
+            if tuple(missed) != queued:
                 raise SimulationError(
-                    f"{what}: resync for {client} rebuilt {len(payloads)} "
+                    f"{what}: resync for {client} rebuilt {len(missed)} "
                     f"broadcasts but the send buffer holds {len(queued)}; "
                     "the log diverges from what the server had shipped"
                 )
-            self.stats.server_resynced_ops += len(payloads)
+            self.stats.server_resynced_ops += len(missed)
+            if self.group is not None:
+                adopted = self.group.primary_log.origin_counts()
+                self.popped_from[client] = session.receiver.cumulative_ack
+                self.proposed_from[client] = adopted.get(client, 0)
+                session.receiver.fast_forward(self.proposed_from[client])
+            self.receivers[(client, SERVER_ID)] = session.receiver
+            self.senders[(SERVER_ID, client)] = session.sender
             # Parked out-of-order frames died with the process and the
             # clients' senders retransmit them; frame seq equals serial
             # on every s->c channel, so everything past the client's
             # cursor is retransmitted under the new epoch (bumped at
             # crash time).
-            resume_sessions([session], consumed, log.last_serial + 1)
-            self.receivers[(client, SERVER_ID)] = session.receiver
-            self.senders[(SERVER_ID, client)] = session.sender
             for seq in session.sender.unacked():
                 self.stats.retransmissions += 1
                 self._obs.session_retransmits.inc()
                 self._transmit((SERVER_ID, client), seq, now, attempt=1)
-        return recovered
-
-    def _retain_floor(self) -> int:
-        """Low-water mark for WAL compaction: the core's cursor floor.
-
-        :meth:`ServerWriteAheadLog.broadcasts_for` rebuilds re-shipments
-        from *records*, so compaction must keep every record some client
-        may still need: anything past the minimum consumption cursor.
-        The cursors only grow, so records at or below the floor can never
-        be requested by a future recovery.
-        """
-        from repro.jupiter.shard import cursor_floor
-
-        log = self.group.primary_log if self.group is not None else self.wal
-        return cursor_floor(
-            (len(self.released[client]) for client in self.clients),
-            log.last_serial,
-        )
 
     # ------------------------------------------------------------------
     # Transport

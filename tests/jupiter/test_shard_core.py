@@ -221,6 +221,21 @@ class TestResync:
         )
         assert state is None and [b.serial for b in missed] == [4, 5]
 
+    def test_resync_acknowledges_the_channel_up_to_the_cursor(self, tmp_path):
+        """A rebuilt shard's senders hold the whole log unacknowledged
+        until each client's hello says how much of it it consumed."""
+        path = str(tmp_path / "doc.wal")
+        rig = Rig(path)
+        for name in "ababa":
+            rig.edit(name, name)
+        rebuilt = ShardCore("doc", load_wal(path), path, now=rig.now)
+        b, a = rebuilt.sessions["b"], rebuilt.sessions["a"]
+        assert list(b.sender.unacked()) == [1, 2, 3, 4, 5]
+        _cursor, state, missed = rebuilt.resync(b, 5, 5, rig.now)
+        assert (state, missed, b.sender.outstanding) == (None, [], 0)
+        _cursor, _state, missed = rebuilt.resync(a, 3, 3, rig.now)
+        assert [m.serial for m in missed] == list(a.sender.unacked()) == [4, 5]
+
     def test_resync_connects_the_session(self):
         rig = Rig()
         session = rig.session("a")

@@ -11,7 +11,10 @@ compaction, its decodability fixpoint and its ``collect`` — with
 compactions, ``prune_below`` and rebases interleaved, and — after every
 compaction and in the middle of record suffixes — requires the server
 recovered from the log, via ``to_obj``/``from_obj`` and via the file,
-to equal the live one in everything the encoding elides.
+to equal the live one in everything the encoding elides.  The writers are
+deployed client cores (:class:`~repro.jupiter.client_core.ClientCore`)
+on encoded frames, so a GC pass collects at the pins they report
+themselves with their ops in flight, and every such op must decode.
 """
 
 import json
@@ -20,7 +23,7 @@ import random
 import pytest
 
 from repro.errors import ProtocolError
-from repro.jupiter.css import CssClient
+from repro.jupiter.client_core import ClientCore
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
     load_wal,
@@ -29,6 +32,11 @@ from repro.jupiter.persistence import (
 )
 from repro.jupiter.shard import ShardCore
 from repro.model.schedule import OpSpec
+from repro.net.codec import (
+    compact_client_op_obj,
+    compact_server_op_obj,
+    message_from_wire,
+)
 
 NAMES = ["c1", "c2", "c3"]
 
@@ -38,13 +46,16 @@ class Driver:
 
     def __init__(self, seed, path):
         self.rng = random.Random(seed)
-        self.clients = {name: CssClient(name) for name in NAMES}
+        self.clients = {
+            name: ClientCore(name, message_from_wire) for name in NAMES
+        }
         self.wal = ServerWriteAheadLog("server", NAMES, snapshot_every=10_000)
         self.shard = ShardCore("doc", self.wal, str(path))
         self.shard.rewrite_disk()
         self.server = self.shard.server
         for session in self.shard.sessions.values():
             session.disconnected_at = None  # the whole roster is connected
+        #: data frames in flight, each ``(seq, ack, pin or floor, body)``
         self.uplink = {name: [] for name in NAMES}
         self.downlink = {name: [] for name in NAMES}
         self.modes = []
@@ -53,26 +64,36 @@ class Driver:
 
     # -- traffic -------------------------------------------------------
     def edit(self, name):
-        client = self.clients[name]
-        length = len(client.document)
+        core = self.clients[name]
+        length = len(core.css.document)
         if length and self.rng.random() < 0.3:
             spec = OpSpec("del", self.rng.randrange(length))
         else:
             spec = OpSpec(
                 "ins", self.rng.randrange(length + 1), self.rng.choice("xyz")
             )
-        self.uplink[name].append(client.generate(spec).outgoing)
+        seq, _result = core.generate(spec)
+        body = compact_client_op_obj(core.unacked[seq], core.css.oracle)
+        self.uplink[name].append((seq, core.delivered, core.pin, body))
 
     def serialise(self, name):
-        outgoing = self.uplink[name].pop(0)
-        _serial, _ctx, fanout = self.shard.serialise(
-            self.shard.sessions[name], outgoing, self.epoch, 0.0, 0.0
-        )
-        for session, broadcast in fanout:
-            self.downlink[session.client].append(broadcast)
+        seq, ack, pin, body = self.uplink[name].pop(0)
+        origin = self.shard.sessions[name]
+        origin.report_pin(pin)
+        for released in self.shard.accept(origin, seq, ack, body):
+            payload = message_from_wire(released, self.server.oracle)
+            serial, ctx, fanout = self.shard.serialise(
+                origin, payload, self.epoch, 0.0, 0.0
+            )
+            out = compact_server_op_obj(fanout[0][1], ctx)
+            floor = self.server.base
+            for session, _broadcast in fanout:
+                ack = self.shard.ack_for(session)
+                self.downlink[session.client].append((serial, ack, floor, out))
 
     def deliver(self, name):
-        self.clients[name].receive(self.downlink[name].pop(0))
+        serial, ack, floor, body = self.downlink[name].pop(0)
+        self.clients[name].data(serial, ack, self.epoch, floor, body)
 
     def drain(self):
         while any(self.uplink.values()) or any(self.downlink.values()):
@@ -106,16 +127,24 @@ class Driver:
         self.compact()
 
     def rebase(self):
-        """The deployed GC pass: every session pins a floor, ``collect``
-        lowers it to a decodable one, rebases and checkpoints."""
-        self.drain()
-        pin = self.candidate()
-        for session in self.shard.sessions.values():
-            session.pin = pin
+        """The deployed GC pass with ops still in flight: every core
+        reports its own pin, ``collect`` lowers the least to a decodable
+        floor, rebases and checkpoints, and an ack carries the floor back.
+
+        Broadcasts are delivered first: :meth:`compact` truncates at any
+        serial, not at the cursors, so the fixpoint cannot see the
+        records of broadcasts still in flight."""
+        for name in NAMES:
+            while self.downlink[name]:
+                self.deliver(name)
+        pins = {name: core.pin for name, core in self.clients.items()}
+        for name, pin in pins.items():
+            self.shard.sessions[name].report_pin(pin)
         _base, floor, _pruned = self.shard.collect(0.0, 0.0, threshold=0)
-        assert floor == self.server.oracle.base <= pin
-        for client in self.clients.values():
-            client.rebase_to_serial(floor)
+        assert floor == self.server.oracle.base <= min(pins.values())
+        for name, core in self.clients.items():
+            ack = self.shard.ack_for(self.shard.sessions[name])
+            core.ack(ack, self.epoch, floor)
         self.modes.append(self.wal.last_compaction_mode)
 
     def run(self, actions, check):
