@@ -46,6 +46,16 @@ class OpId:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # The same object, or a different cached hash, settles most.
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and (
+            self.seq == other.seq and self.replica == other.replica
+        )
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.replica}:{self.seq}"
 

@@ -21,13 +21,16 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.common.ids import OpId, ReplicaId, SeqGenerator
 from repro.document.list_document import ListDocument
-from repro.errors import PositionError, ProtocolError
+from repro.errors import DocumentError, PositionError, ProtocolError
 from repro.jupiter.base import BaseClient, BaseServer, GenerateResult, ReceiveResult
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.nary import NaryStateSpace
 from repro.jupiter.ordering import ClientOrderOracle, ServerOrderOracle
+from repro.jupiter.state_space import StateNode
 from repro.model.schedule import OpSpec
 from repro.obs import get_obs
+from repro.ot.operations import Operation
+from repro.ot.transform import transform
 
 
 class _CssReplica:
@@ -211,6 +214,10 @@ class CssServer(_CssReplica, BaseServer):
         self._known: dict = {}
         self.pruned_states = 0
         self._obs = get_obs()
+        #: (final key, document) for the checks, advanced by each ``o{L}``:
+        #: reading the space's own would hand its lazy documents over to
+        #: the final state, so a checkpoint replays the window to its root
+        self._final: Tuple[Any, Any] = (None, None)
 
     def receive(
         self, sender: ReplicaId, payload: Any
@@ -221,18 +228,23 @@ class CssServer(_CssReplica, BaseServer):
         started = time.perf_counter() if obs.enabled else 0.0
         operation = payload.operation
         # Match before a serial is spent: a context naming no state of
-        # ours, or a position past the end of its document (a delete
-        # needs an element at it, a NOP has no position), must leave the
-        # total order untouched.
-        length = self.space.node(operation.context).length
-        if (operation.position or 0) + operation.is_delete > length:
+        # ours, a position past the end of its document (a delete needs
+        # an element at it, a NOP has no position) or an element that
+        # contradicts the document must leave the total order untouched.
+        source = self.space.node(operation.context)
+        if (operation.position or 0) + operation.is_delete > source.length:
             raise PositionError(
                 f"{operation.pretty()} out of range for the document of "
-                f"length {length} at its context"
+                f"length {source.length} at its context"
             )
+        key, final = self._final
+        if key is not self.space.final_key:  # a new, restored or swapped space
+            final = self.space.document.copy()
+        self._check_element(operation, source, final)
         serial = self.oracle.assign(operation.opid)
         prefix = self.oracle.serialized_before(serial)
-        self.space.integrate(operation)
+        self.space.integrate(operation).apply(final)
+        self._final = (self.space.final_key, final)
         if self._gc:
             self._known[sender] = operation.resulting_state
             self._collect_garbage(self.clients)
@@ -243,6 +255,37 @@ class CssServer(_CssReplica, BaseServer):
             obs.ops_serialised.inc()
             obs.serialise_duration.observe(time.perf_counter() - started)
         return [(client, broadcast) for client in self.clients]
+
+    def _check_element(
+        self, operation: Operation, source: StateNode, final: ListDocument
+    ) -> None:
+        """Refuse an operation every replica would fail to apply: an
+        insert must bring a new element named by its own id, a delete
+        must name the element it removes where it executes — its form
+        ``o{L}`` after the transforms ``integrate`` will do, against the
+        ``final`` document (the context's may be a long chain away).  A
+        delete that collapses to a NOP needs no element."""
+        element = operation.element
+        if operation.is_insert:
+            assert element is not None
+            if element.opid != operation.opid or element.opid in final:
+                raise DocumentError(
+                    f"{operation.pretty()} must insert a new element named "
+                    f"{operation.opid}, not {element.pretty()}"
+                )
+        elif operation.is_delete:
+            assert element is not None
+            executed = operation
+            for step in self.space.leftmost_path(source.key):
+                executed = transform(executed, step.operation, step.target)
+            if executed.is_nop:
+                return
+            found = final.element_at(executed.position)
+            if found.opid != element.opid:
+                raise DocumentError(
+                    f"{operation.pretty()} executes as {executed} but the "
+                    f"document holds {found.pretty()} there"
+                )
 
     @property
     def base(self) -> int:

@@ -49,16 +49,6 @@ def _shuffle(opid: OpId) -> int:
     return ((hx ^ (hx << 16) ^ 89869747) * 3644798167) & _MASK
 
 
-def _finish(mixed: int, size: int) -> int:
-    """frozenset's hash of ``size`` elements whose shuffles XOR to ``mixed``."""
-    h = (mixed ^ ((size + 1) * 1927868237)) & _MASK
-    h ^= (h >> 11) ^ (h >> 25)
-    h = (h * 69069 + 907133923) & _MASK
-    if h > _MAX:
-        h -= _MASK + 1
-    return 590923713 if h == -1 else h
-
-
 class StateKey(Set):
     """The state ``{base + 1 .. d} | extras`` of one :class:`SerialLog`
     (``log=None``: just ``extras``)."""
@@ -104,16 +94,41 @@ class StateKey(Set):
 
     def extend(self, opid: OpId) -> "StateKey":
         """The key of ``self | {opid}`` for an ``opid`` not in ``self``:
-        O(|extras|), and O(1) when ``opid`` is the next serial."""
+        O(|extras|), and O(1) when ``opid`` is the next serial.  The key
+        is born settled and hashed, so a node table stores it as is."""
         log = self._log
         if log is None:
             return StateKey(0, self._extras | {opid}, None, 0)
-        d, extras = self.pair()
-        if log._serial_by_opid.get(opid) != d + 1:
-            return StateKey(d, extras | {opid}, log, self._xh ^ _shuffle(opid))
-        key = StateKey(d + 1, extras, log, self._xh)
-        key.pair()
+        if self._extras:
+            self._settle()
+        d, extras = self._d, self._extras
+        if log._serial_by_opid.get(opid) == d + 1:
+            key = StateKey(d + 1, extras, log, self._xh)
+            if extras:
+                key._settle()
+        else:
+            key = StateKey(d, extras | {opid}, log, self._xh ^ _shuffle(opid))
+        key._rehash(log)
         return key
+
+    def _rehash(self, log: "SerialLog") -> int:
+        """Cache the hash of this settled key under ``log``'s current
+        base: frozenset's hash of its members, whose shuffles XOR to the
+        dense prefix's running value and ``_xh`` — O(1)."""
+        dense = self._d - log._base
+        if dense < 0:
+            dense = 0
+        h = (
+            log._mixed[dense] ^ log._mixed[0] ^ self._xh
+            ^ ((dense + len(self._extras) + 1) * 1927868237)
+        ) & _MASK
+        h ^= (h >> 11) ^ (h >> 25)
+        h = (h * 69069 + 907133923) & _MASK
+        if h > _MAX:
+            h -= _MASK + 1
+        self._hash = 590923713 if h == -1 else h
+        self._hbase = log._base
+        return self._hash
 
     # -- the Set face --------------------------------------------------
     def __contains__(self, opid: object) -> bool:
@@ -141,12 +156,8 @@ class StateKey(Set):
         if log is None:
             return hash(self._extras)
         if self._hbase != log._base:
-            dense = max(self.pair()[0] - log._base, 0)
-            self._hash = _finish(
-                log._mixed[dense] ^ log._mixed[0] ^ self._xh,
-                dense + len(self._extras),
-            )
-            self._hbase = log._base
+            self.pair()
+            return self._rehash(log)
         return self._hash
 
     def __eq__(self, other: object) -> bool:

@@ -13,11 +13,11 @@ operations.  Integrating an operation ``o`` whose context matches state
 3. returns ``o{L}`` for the replica to execute — the document of the new
    final state already reflects it.
 
-Each CP1 square is O(concurrency): the corner node created by
-:meth:`_insert_ordered` is carried into the next square instead of being
-looked up again, and its key is the previous corner's extended by one id
-(:meth:`~repro.jupiter.keys.StateKey.extend`) — never a union over the
-window.
+Each CP1 square is O(concurrency), one transform pair and two edges:
+the corner node the previous square created (a new state: no siblings
+to order) is carried into the next one, and its key is the previous
+corner's extended by one id (:meth:`~repro.jupiter.keys.StateKey.extend`)
+— never a union over the window.
 """
 
 from __future__ import annotations
@@ -62,27 +62,22 @@ class NaryStateSpace(BaseStateSpace):
     # ------------------------------------------------------------------
     # Ordered transition insertion
     # ------------------------------------------------------------------
-    def _insert_ordered(
-        self,
-        source: StateNode,
-        operation: Operation,
-        target: Optional[StateNode] = None,
-    ) -> StateNode:
-        """Add a transition from ``source`` at its total-order position
-        and return the target node."""
-        target = self._attach(source, operation, target)
-        transition = Transition(source.key, target.key, operation)
-        for index, sibling in enumerate(source.children):
-            if sibling.org_id == operation.opid:
+    def _place(self, source: StateNode, transition: Transition) -> None:
+        """Put ``transition`` among ``source``'s children in total order;
+        the same scan refuses a second one for an original operation."""
+        opid = transition.operation.opid
+        children, before = source.children, self._oracle.before
+        for index, sibling in enumerate(children):
+            other = sibling.operation.opid
+            if other == opid:
                 raise StateSpaceError(
-                    f"duplicate transition for {operation.opid} at "
+                    f"duplicate transition for {opid} at "
                     f"{format_opid_set(source.key)}"
                 )
-            if not self._oracle.before(sibling.org_id, operation.opid):
-                source.children.insert(index, transition)
-                return target
-        source.children.append(transition)
-        return target
+            if not before(other, opid):
+                children.insert(index, transition)
+                return
+        children.append(transition)
 
     # ------------------------------------------------------------------
     # The leftmost path (Lemma 6.4)
@@ -124,29 +119,36 @@ class NaryStateSpace(BaseStateSpace):
             # key (a decoded pair, another replica's key or a literal
             # set names the same state): every later check is identity.
             operation = operation.with_context(source.key)
+        if operation.opid in self.final_key:  # so every corner is a new state
+            raise StateSpaceError(f"{operation.opid} is already integrated")
         path = self._leftmost(source)
 
-        corner = self._insert_ordered(source, operation)
+        corner = self._attach(source, operation)
+        self._place(source, Transition(source.key, corner.key, operation))
 
         current = operation
         for step, onward in path:
             # The two transformed forms attach at states whose keys this
             # loop already holds — hand them over so no key is rebuilt
             # per square.
-            transformed, step_shifted = transform_pair(
-                current, step.operation, contexts=(step.target, corner.key)
+            transformed, shifted = transform_pair(
+                current, step.operation, contexts=(onward.key, corner.key)
             )
             self.ot_count += 1
-            # Close the CP1 square: the shifted path operation continues
-            # from the corner we just created — its target *is* the next
-            # corner...
-            next_corner = self._insert_ordered(corner, step_shifted)
-            # ...and the transformed operation re-attaches at the path's
-            # next state, into the same corner node, ordered among that
-            # state's existing transitions.
-            self._insert_ordered(onward, transformed, target=next_corner)
-            corner = next_corner
-            current = transformed
+            # Close the CP1 square: the shifted path operation leaves the
+            # corner created one step ago, which has no sibling to order
+            # against, and its target *is* the next corner...
+            next_corner = self._attach(corner, shifted)
+            corner.children.append(
+                Transition(corner.key, next_corner.key, shifted)
+            )
+            # ...which the transformed operation reaches from the path's
+            # next state, ordered among that state's transitions.
+            self._attach(onward, transformed, next_corner)
+            self._place(
+                onward, Transition(onward.key, next_corner.key, transformed)
+            )
+            corner, current = next_corner, transformed
 
         self.final_key = corner.key
         if obs.enabled:

@@ -22,7 +22,12 @@ from itertools import takewhile
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.ids import SERVER_ID, ReplicaId
-from repro.errors import PositionError, ProtocolError, StateSpaceError
+from repro.errors import (
+    DocumentError,
+    ProtocolError,
+    StateSpaceError,
+    TransformError,
+)
 from repro.jupiter.css import CssServer
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.persistence import (
@@ -201,10 +206,11 @@ class ShardCore:
         """
         try:
             outgoing = self.server.receive(session.client, payload)
-        except (StateSpaceError, PositionError) as exc:
-            # A context that matches no state here, or a position past
-            # the end of its document, is the peer's protocol violation,
-            # not this shard's crash; nothing was serialised.
+        except (StateSpaceError, DocumentError, TransformError) as exc:
+            # A context that matches no state here, a position past the
+            # end of its document or an element that contradicts it is
+            # the peer's protocol violation, not this shard's crash;
+            # nothing was serialised.
             operation = payload.operation
             raise ProtocolError(
                 f"{session.client}: {operation} on ctx {operation.context!r} "

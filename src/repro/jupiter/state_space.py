@@ -33,16 +33,25 @@ from repro.common.ids import OpId, StateKey, format_opid_set
 from repro.document.list_document import ListDocument
 from repro.errors import PositionError, StateSpaceError, UnknownStateError
 from repro.jupiter.keys import SerialLog, key_of
-from repro.ot.operations import Operation
+from repro.ot.operations import OpKind, Operation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     """A labelled edge ``source --operation--> target``."""
 
     source: StateKey
     target: StateKey
     operation: Operation
+
+    def __init__(
+        self, source: StateKey, target: StateKey, operation: Operation
+    ) -> None:
+        # Straight into the slots: Algorithm 1 builds two edges per CP1
+        # square, and the frozen default pays object.__setattr__ thrice.
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_operation(self, operation)
 
     @property
     def org_id(self) -> OpId:
@@ -54,6 +63,12 @@ class Transition:
             f"{format_opid_set(self.source)} --{self.operation}--> "
             f"{format_opid_set(self.target)}"
         )
+
+
+_set_source, _set_target, _set_operation = (
+    Transition.__dict__[name].__set__
+    for name in ("source", "target", "operation")
+)
 
 
 def _content_fingerprint(document: ListDocument) -> int:
@@ -89,29 +104,21 @@ class StateNode:
     def __init__(
         self,
         key: StateKey,
-        document: Optional[ListDocument] = None,
-        *,
+        document: Optional[ListDocument],
         parent: Optional["StateNode"] = None,
         operation: Optional[Operation] = None,
-        length: Optional[int] = None,
-        content_fp: Optional[int] = None,
+        length: int = 0,
+        content_fp: int = 0,
     ) -> None:
-        self.key = key
-        self.children: List[Transition] = []
-        self._doc = document
-        self._parent = parent
-        self._op = operation
-        if document is not None:
+        """A materialised node, or (``document=None``) the node pending
+        on ``parent`` and ``operation``, length and fingerprint given."""
+        self.key, self.children, self._doc = key, [], document
+        self._parent, self._op = parent, operation
+        if document is None:
+            self.length, self.content_fp = length, content_fp
+        else:
             self.length = len(document)
             self.content_fp = _content_fingerprint(document)
-        else:
-            if parent is None or operation is None:
-                raise StateSpaceError(
-                    "a pending node needs both a parent and an operation"
-                )
-            assert length is not None and content_fp is not None
-            self.length = length
-            self.content_fp = content_fp
 
     @property
     def document(self) -> ListDocument:
@@ -283,25 +290,25 @@ class BaseStateSpace:
         else:
             target_key = target.key
             existing = target
-        if operation.is_nop:
-            length, content_fp = source.length, source.content_fp
+        kind, position, length = operation.kind, operation.position, source.length
+        if kind is OpKind.NOP:
+            content_fp = source.content_fp
         else:
-            position = operation.position
             assert operation.element is not None and position is not None
-            if operation.is_insert:
-                if not 0 <= position <= source.length:
+            if kind is OpKind.INS:
+                if not 0 <= position <= length:
                     raise PositionError(
                         f"insert position {position} out of range for "
-                        f"document of length {source.length}"
+                        f"document of length {length}"
                     )
-                length = source.length + 1
+                length += 1
             else:
-                if not 0 <= position < source.length:
+                if not 0 <= position < length:
                     raise PositionError(
                         f"position {position} out of range for document "
-                        f"of length {source.length}"
+                        f"of length {length}"
                     )
-                length = source.length - 1
+                length -= 1
             content_fp = source.content_fp ^ hash(operation.element.opid)
         if existing is not None:
             if existing.length != length or existing.content_fp != content_fp:
@@ -332,11 +339,7 @@ class BaseStateSpace:
             node = StateNode(target_key, document)
         else:
             node = StateNode(
-                target_key,
-                parent=source,
-                operation=operation,
-                length=length,
-                content_fp=content_fp,
+                target_key, None, source, operation, length, content_fp
             )
         self._nodes[target_key] = node
         return node

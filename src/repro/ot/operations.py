@@ -45,7 +45,7 @@ class OpKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """An insert, delete, or no-op on a list document.
 
@@ -140,10 +140,28 @@ class Operation:
         """This operation transformed against ``other_id``.  ``context``
         short-circuits the union when the caller already holds
         ``self.context | {other_id}`` (Algorithm 1 does: it is the state
-        key of the square corner the derived operation attaches at)."""
+        key of the square corner the derived operation attaches at).
+
+        Only two of ``__post_init__``'s checks can fail on a transformed
+        form; they run here, and the fields go straight into the slots
+        (Algorithm 1 builds two of these per CP1 square)."""
         if context is None:
             context = self.context | {other_id}
-        return Operation(kind, self.opid, self.element, position, context)
+        if position is not None and position < 0:
+            raise TransformError(
+                f"{kind} requires a non-negative position, got {position}"
+            )
+        if self.opid in context:
+            raise TransformError(
+                f"operation {self.opid} cannot appear in its own context"
+            )
+        operation = _new(Operation)
+        _set_kind(operation, kind)
+        _set_opid(operation, self.opid)
+        _set_element(operation, self.element)
+        _set_position(operation, position)
+        _set_context(operation, context)
+        return operation
 
     def extended_by(
         self, other_id: OpId, context: Optional[StateKey] = None
@@ -189,6 +207,13 @@ class Operation:
             document.insert(self.element, self.position)
         else:
             document.delete(self.position, expected=self.element)
+
+
+_new = object.__new__
+_set_kind, _set_opid, _set_element, _set_position, _set_context = (
+    Operation.__dict__[name].__set__
+    for name in ("kind", "opid", "element", "position", "context")
+)
 
 
 # ----------------------------------------------------------------------

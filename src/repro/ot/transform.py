@@ -20,7 +20,9 @@ from typing import Optional, Tuple
 
 from repro.common.ids import StateKey
 from repro.errors import ContextMismatchError, TransformError
-from repro.ot.operations import Operation
+from repro.ot.operations import OpKind, Operation
+
+_INS, _DEL, _NOP = OpKind.INS, OpKind.DEL, OpKind.NOP
 
 
 def transform(
@@ -36,27 +38,50 @@ def transform(
     ``C(o1) ∪ {org(o2)}`` when the caller already holds it — Algorithm 1
     does (it is a state key of the CP1 square being closed), and passing
     it spares one O(|context|) set union per transform.
+
+    The result's position, from ``p1`` of ``o1`` and ``p2`` of ``o2`` (a
+    NOP on either side changes only the context):
+
+    =========  =======  =======  ============================================
+    o1 / o2    p1 < p2  p1 > p2  p1 == p2
+    Ins / Ins  p1       p1 + 1   p1 + 1 unless o1's replica outranks (Fig. 7)
+    Ins / Del  p1       p1 - 1   p1
+    Del / Ins  p1       p1 + 1   p1 + 1
+    Del / Del  p1       p1 - 1   NOP if one element, else ``TransformError``
+    =========  =======  =======  ============================================
     """
     if o1.context is not o2.context and o1.context != o2.context:
         raise ContextMismatchError(
             f"cannot transform {o1.pretty()} against {o2.pretty()}: "
             "contexts differ"
         )
-    if o1.opid == o2.opid:
+    other = o2.opid
+    if o1.opid == other:
         raise TransformError(
             f"cannot transform an operation against itself: {o1}"
         )
-
-    if o1.is_nop or o2.is_nop:
-        return o1.extended_by(o2.opid, context)
-
-    if o1.is_insert and o2.is_insert:
-        return _transform_ins_ins(o1, o2, context)
-    if o1.is_insert and o2.is_delete:
-        return _transform_ins_del(o1, o2, context)
-    if o1.is_delete and o2.is_insert:
-        return _transform_del_ins(o1, o2, context)
-    return _transform_del_del(o1, o2, context)
+    kind, position = o1.kind, o1.position
+    other_kind, other_position = o2.kind, o2.position
+    if kind is _NOP or other_kind is _NOP or position < other_position:
+        pass
+    elif position > other_position:
+        position += 1 if other_kind is _INS else -1
+    elif other_kind is _INS:
+        if kind is _DEL or not o1.priority > o2.priority:
+            position += 1
+    elif kind is _DEL:
+        # Same position on the same context means the same element: the
+        # other deletion already removed it, so this one degenerates to a
+        # no-op.
+        assert o1.element is not None and o2.element is not None
+        if o1.element.opid != o2.element.opid:
+            raise TransformError(
+                f"concurrent deletions at position {position} target "
+                f"different elements ({o1.element.pretty()} vs "
+                f"{o2.element.pretty()}) despite equal contexts"
+            )
+        kind, position = _NOP, None
+    return o1._derived(kind, position, other, context)
 
 
 def transform_pair(
@@ -73,58 +98,3 @@ def transform_pair(
     if contexts is None:
         return transform(o1, o2), transform(o2, o1)
     return transform(o1, o2, contexts[0]), transform(o2, o1, contexts[1])
-
-
-# ----------------------------------------------------------------------
-# The four kind-directed cases
-# ----------------------------------------------------------------------
-def _transform_ins_ins(
-    o1: Operation, o2: Operation, context: Optional[StateKey]
-) -> Operation:
-    assert o1.position is not None and o2.position is not None
-    if o1.position < o2.position:
-        return o1.extended_by(o2.opid, context)
-    if o1.position > o2.position:
-        return o1.moved_to(o1.position + 1, o2.opid, context)
-    # Same position: the higher-priority replica's element stays left.
-    if o1.priority > o2.priority:
-        return o1.extended_by(o2.opid, context)
-    return o1.moved_to(o1.position + 1, o2.opid, context)
-
-
-def _transform_ins_del(
-    o1: Operation, o2: Operation, context: Optional[StateKey]
-) -> Operation:
-    assert o1.position is not None and o2.position is not None
-    if o1.position <= o2.position:
-        return o1.extended_by(o2.opid, context)
-    return o1.moved_to(o1.position - 1, o2.opid, context)
-
-
-def _transform_del_ins(
-    o1: Operation, o2: Operation, context: Optional[StateKey]
-) -> Operation:
-    assert o1.position is not None and o2.position is not None
-    if o1.position < o2.position:
-        return o1.extended_by(o2.opid, context)
-    return o1.moved_to(o1.position + 1, o2.opid, context)
-
-
-def _transform_del_del(
-    o1: Operation, o2: Operation, context: Optional[StateKey]
-) -> Operation:
-    assert o1.position is not None and o2.position is not None
-    if o1.position < o2.position:
-        return o1.extended_by(o2.opid, context)
-    if o1.position > o2.position:
-        return o1.moved_to(o1.position - 1, o2.opid, context)
-    # Same position on the same context means the same element: the other
-    # deletion already removed it, so this one degenerates to a no-op.
-    assert o1.element is not None and o2.element is not None
-    if o1.element.opid != o2.element.opid:
-        raise TransformError(
-            f"concurrent deletions at position {o1.position} target "
-            f"different elements ({o1.element.pretty()} vs "
-            f"{o2.element.pretty()}) despite equal contexts"
-        )
-    return o1.collapsed(o2.opid, context)

@@ -45,20 +45,28 @@ class TestBasics:
         with pytest.raises(UnknownStateError):
             space.integrate(stray)
 
-    def test_concurrent_integration_builds_square(self):
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_concurrent_integration_builds_square(self, k):
+        """Algorithm 1's cost model: an operation concurrent with k
+        others walks a leftmost path of k steps, so integrating it does
+        k transforms and creates k + 1 nodes and 2k + 1 transitions."""
         space, oracle = build_space()
-        o1, o2 = op("c1", 1, "a", 0), op("c2", 1, "b", 0)
-        oracle.assign(o1.opid)
-        oracle.assign(o2.opid)
-        space.integrate(o1)
-        executed = space.integrate(o2)
-        # o2 concurrent with o1 at the same position; c2 outranks c1, so
-        # the transformed o2 keeps position 0 and b lands left of a.
+        values = "abcdefghi"[: k + 1]
+        ops = [op(f"c{i + 1}", 1, value, 0) for i, value in enumerate(values)]
+        for each in ops:
+            oracle.assign(each.opid)
+        for each in ops[:-1]:
+            space.integrate(each)
+        nodes, transitions = space.node_count(), space.transition_count()
+        ots = space.ot_count
+        executed = space.integrate(ops[-1])
+        # Every op is at position 0 and each replica outranks the one
+        # before, so the last op keeps position 0 and lands leftmost.
         assert executed.position == 0
-        assert space.document.as_string() == "ba"
-        assert space.node_count() == 4  # {}, {1}, {2}, {1,2}
-        assert space.transition_count() == 4
-        assert space.ot_count == 1
+        assert space.document.as_string() == values[::-1]
+        assert space.node_count() - nodes == k + 1
+        assert space.transition_count() - transitions == 2 * k + 1
+        assert space.ot_count - ots == k
 
 
 class TestSiblingOrder:

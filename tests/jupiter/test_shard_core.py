@@ -20,8 +20,9 @@ from repro.jupiter.css import CssClient
 from repro.jupiter.messages import ClientOperation
 from repro.jupiter.persistence import ServerWriteAheadLog, load_wal
 from repro.jupiter.shard import ShardCore
+from repro.document import ListDocument
 from repro.model.schedule import OpSpec
-from repro.ot import delete, insert
+from repro.ot import Operation, OpKind, delete, insert
 
 GRACE = 15.0
 
@@ -29,11 +30,17 @@ GRACE = 15.0
 class Rig:
     """A core, two editors, and the hand that carries frames between them."""
 
-    def __init__(self, wal_path=None, snapshot_every=1000):
-        wal = ServerWriteAheadLog(SERVER_ID, [], snapshot_every=snapshot_every)
+    def __init__(self, wal_path=None, snapshot_every=1000, initial_text=""):
+        wal = ServerWriteAheadLog(
+            SERVER_ID, [], snapshot_every=snapshot_every,
+            initial_text=initial_text,
+        )
         self.core = ShardCore("doc", wal, wal_path)
         self.core.rewrite_disk()
-        self.clients = {name: CssClient(name) for name in ("a", "b")}
+        self.clients = {
+            name: CssClient(name, ListDocument.from_string(initial_text))
+            for name in ("a", "b")
+        }
         self.inbox = {name: [] for name in self.clients}
         self.seq = {name: 0 for name in self.clients}
         self.now = 100.0
@@ -43,9 +50,11 @@ class Rig:
     def session(self, name):
         return self.core.sessions[name]
 
-    def edit(self, name, value="x"):
-        """``name`` types one character and the core serialises it."""
-        outgoing = self.clients[name].generate(OpSpec("ins", 0, value)).outgoing
+    def edit(self, name, value="x", spec=None):
+        """``name`` types one character (or makes the edit ``spec``) and
+        the core serialises it."""
+        spec = spec or OpSpec("ins", 0, value)
+        outgoing = self.clients[name].generate(spec).outgoing
         self.seq[name] += 1
         session = self.session(name)
         for body in self.core.accept(session, self.seq[name], 0, outgoing):
@@ -299,6 +308,72 @@ class TestWritePathAndRecovery:
         assert rig.core.wal.last_serial == 3
         rig.typed(1)  # the shard carries on
         assert rig.core.server.oracle.last_serial == 4
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "insert-names-another-element",
+            "insert-reuses-an-element-id",
+            "delete-names-a-ghost",
+            "stale-delete-names-another-element",
+            "stale-delete-collides-with-a-concurrent-one",
+        ],
+    )
+    def test_an_element_that_lies_spends_no_serial(self, shape):
+        """Over "abc", ``a`` typed three characters at the front: the
+        document is a:3 a:2 a:1 init:1 init:2 init:3.  Each forged
+        operation would make every replica fail to apply it; it is
+        refused typed before the order oracle assigns, the document
+        still reads, and the shard carries on."""
+        rig = Rig(initial_text="abc")
+        rig.typed(3)
+        server = rig.core.server
+        element = {e.opid: e for e in server.document}
+        a1, a2, b1 = OpId("a", 1), OpId("a", 2), OpId("b", 1)
+        final, at = server.space.final_key, server.oracle.dense
+        if shape == "insert-names-another-element":
+            forged = Operation(OpKind.INS, b1, element[a1], 0, final)
+        elif shape == "insert-reuses-an-element-id":
+            forged = insert(OpId("init", 1), "z", 0, final)
+        elif shape == "delete-names-a-ghost":
+            ghost = insert(OpId("ghost", 9), "q", 0).element
+            forged = delete(b1, ghost, 1, final)
+        elif shape == "stale-delete-names-another-element":
+            # Where b stands (a:1 only) position 0 holds a:1, not a:2.
+            forged = delete(b1, element[a2], 0, at(1))
+        else:
+            # a deletes a:3 at position 0; b, at a's previous state,
+            # deletes a:2 "at position 0": the transform meets two
+            # deletions of different elements at one position.
+            rig.edit("a", spec=OpSpec("del", 0))
+            forged = delete(b1, element[a2], 0, at(3))
+        last, text = server.oracle.last_serial, server.document.as_string()
+        with pytest.raises(ProtocolError, match="b: .*cannot be integrated"):
+            rig.core.serialise(
+                rig.session("b"), ClientOperation(forged), 0, rig.now, GRACE
+            )
+        assert server.oracle.last_serial == rig.core.wal.last_serial == last
+        assert server.document.as_string() == text
+        rig.typed(1)  # the next honest operation is accepted
+        assert server.oracle.last_serial == last + 1
+        assert server.document.as_string() == "x" + text
+
+    def test_a_stale_delete_that_names_its_element_is_accepted(self):
+        """The check transforms the delete the way ``integrate`` will:
+        b, at a's first state, deletes a:1 at position 0, which by now
+        sits at position 2."""
+        rig = Rig()
+        rig.typed(3)
+        server = rig.core.server
+        first = next(e for e in server.document if e.opid == OpId("a", 1))
+        honest = delete(OpId("b", 1), first, 0, server.oracle.dense(1))
+        rig.core.serialise(
+            rig.session("b"), ClientOperation(honest), 0, rig.now, GRACE
+        )
+        assert server.oracle.last_serial == 4
+        assert [e.opid for e in server.document] == [
+            OpId("a", 3), OpId("a", 2)
+        ]
 
     def test_a_shard_rebuilt_from_its_saved_log_is_the_live_one(self, tmp_path):
         path = str(tmp_path / "doc.wal")

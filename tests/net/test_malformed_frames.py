@@ -8,7 +8,10 @@ through asyncio's unhandled-exception handler instead of the session's
 ``violated the protocol`` / ``dropped`` log lines.  A position past the
 end of its context's document used to escape as ``PositionError`` after
 the order oracle had spent a serial on it, so the shard's next honest
-operation failed its WAL append.
+operation failed its WAL append.  An insert reusing an existing
+element's id, or a delete naming an element that is not at its
+position, used to be serialised and broadcast: the next honest client
+died applying it.
 """
 
 import asyncio
@@ -31,20 +34,27 @@ from repro.net.server import NetServer
 from repro.net.transport import read_frame, write_frame
 
 
-def _client_op(position):
+def _client_op(position, kind="ins", element=("x", ["rogue", 1])):
+    value, element_id = element
     return {
         "v": WIRE_VERSION,
         "kind": "client_op",
         "body": {
             "operation": {
-                "kind": "ins",
+                "kind": kind,
                 "opid": ["rogue", 1],
-                "element": {"value": "x", "opid": ["rogue", 1]},
+                "element": {"value": value, "opid": element_id},
                 "position": position,
             },
             "ctx": [0, []],
         },
     }
+
+
+def _data(body):
+    return encode_frame_bytes(
+        encode_envelope("data", seq=1, ack=0, epoch=0, pin=0, body=body)
+    )
 
 
 #: shape -> (frame bytes, what the server's log line must say)
@@ -66,19 +76,20 @@ MALFORMED_CLIENT_FRAMES = {
         "rogue dropped: binary frame nests deeper",
     ),
     "operation-with-negative-position": (
-        encode_frame_bytes(
-            encode_envelope(
-                "data", seq=1, ack=0, epoch=0, pin=0, body=_client_op(-5)
-            )
-        ),
+        _data(_client_op(-5)),
         "rogue dropped: malformed client_op body",
     ),
     "operation-past-the-end": (
-        encode_frame_bytes(
-            encode_envelope(
-                "data", seq=1, ack=0, epoch=0, pin=0, body=_client_op(100)
-            )
-        ),
+        _data(_client_op(100)),
+        "rogue violated the protocol: rogue: ",
+    ),
+    # The server's document is "abc", elements init:1..3.
+    "insert-reusing-an-element-id": (
+        _data(_client_op(0, element=("x", ["init", 1]))),
+        "rogue violated the protocol: rogue: ",
+    ),
+    "delete-naming-another-element": (
+        _data(_client_op(1, "del", element=("q", ["ghost", 9]))),
         "rogue violated the protocol: rogue: ",
     ),
 }

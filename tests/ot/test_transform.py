@@ -1,6 +1,8 @@
 """Tests for pairwise OT, including the paper's Figure 1 example."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import OpId
 from repro.document import ListDocument
@@ -172,6 +174,82 @@ class TestNop:
         idle = nop(OpId("c1", 1))
         ins = insert(OpId("c2", 1), "x", 0)
         assert transform(idle, ins).context == frozenset({ins.opid})
+
+
+#: ``o1{o2}``'s position, by the two kinds and how ``p1`` compares with
+#: ``p2``: a shift of the position, "tie" (Figure 7: it stays when o1's
+#: replica outranks o2's, else moves right), "collapse" (the same element
+#: was deleted: NOP) or "error" (different elements at one position).
+#: Written out here, not derived from the code under test.
+TABLE = {
+    ("ins", "ins"): {"<": 0, ">": +1, "=": "tie"},
+    ("ins", "del"): {"<": 0, ">": -1, "=": 0},
+    ("del", "ins"): {"<": 0, ">": +1, "=": +1},
+    ("del", "del"): {"<": 0, ">": -1, "=": "collapse"},
+}
+LENGTH = 6
+
+
+@st.composite
+def pairs(draw):
+    """Two operations on one document of ``LENGTH`` elements.  Replicas
+    are ``c<n>`` (priority n); the del/del tie may name two elements."""
+    base = doc("abcdef")
+    kinds = [draw(st.sampled_from(["ins", "del", "nop"])) for _ in "12"]
+    ranks = [draw(st.integers(min_value=1, max_value=4)) for _ in "12"]
+    positions = [
+        draw(st.integers(0, LENGTH if kind == "ins" else LENGTH - 1))
+        for kind in kinds
+    ]
+    tie = kinds == ["del", "del"] and draw(st.booleans())
+    if tie:
+        positions[1] = positions[0]
+    ops = []
+    for index, kind in enumerate(kinds):
+        opid, position = OpId(f"c{ranks[index]}", index + 1), positions[index]
+        if kind == "ins":
+            ops.append(insert(opid, "xy"[index], position))
+        elif kind == "nop":
+            ops.append(nop(opid))
+        else:
+            lie = tie and index == 1 and draw(st.booleans())
+            target = base.element_at((position + lie) % LENGTH)
+            ops.append(delete(opid, target, position))
+    return ops[0], ops[1], ranks
+
+
+class TestAgainstTheTable:
+    @settings(max_examples=400, deadline=None)
+    @given(pair=pairs(), pass_context=st.booleans())
+    def test_transform_is_the_table(self, pair, pass_context):
+        o1, o2, (rank1, rank2) = pair
+        context = frozenset({o2.opid}) if pass_context else None
+        names = (o1.kind.value, o2.kind.value)
+        if "nop" in names:
+            expected = o1.position
+        else:
+            p1, p2 = o1.position, o2.position
+            rule = TABLE[names]["<" if p1 < p2 else ">" if p1 > p2 else "="]
+            if rule == "tie":
+                expected = p1 if rank1 > rank2 else p1 + 1
+            elif rule == "collapse":
+                if o1.element != o2.element:
+                    with pytest.raises(TransformError):
+                        transform(o1, o2, context)
+                    return
+                expected = "nop"
+            else:
+                expected = p1 + rule
+        result = transform(o1, o2, context)
+        if expected == "nop":
+            assert result.kind is OpKind.NOP and result.position is None
+        else:
+            assert result.kind is o1.kind and result.position == expected
+        assert result.opid == o1.opid and result.element == o1.element
+        if pass_context:
+            assert result.context is context
+        else:
+            assert result.context == frozenset({o2.opid})
 
 
 class TestGuards:
