@@ -89,12 +89,7 @@ class Cluster:
         self.recorder.record_send(client_id, message)
         self._to_server[client_id].append(message)
 
-    def server_receive(
-        self, client_id: ReplicaId, receive: Optional[Any] = None
-    ) -> Message:
-        """Deliver ``client_id``'s next message through ``receive``, the
-        server's write path: its own ``receive`` unless given (a durable
-        simulated server logs through a shard core's ``serialise``)."""
+    def server_receive(self, client_id: ReplicaId) -> Message:
         queue = self._to_server[self._require_client(client_id)]
         if not queue:
             raise ScheduleError(
@@ -102,7 +97,7 @@ class Cluster:
             )
         message = queue.popleft()
         self.recorder.record_receive(SERVER_ID, message)
-        outgoing = (receive or self.server.receive)(client_id, message.payload)
+        outgoing = self.server.receive(client_id, message.payload)
         self._log(SERVER_ID, "apply", None, self.server.document.as_string())
         for recipient, payload in outgoing:
             reply = Message(SERVER_ID, recipient, payload)
@@ -202,34 +197,14 @@ class Cluster:
         if behaviors_keep is not None:
             del self.behaviors[client_id][behaviors_keep:]
 
-    def replace_server(self, server: BaseServer) -> None:
-        """Swap in a server recovered from its write-ahead log.
-
-        Unlike :meth:`replace_client` nothing is truncated: the WAL is
-        written before every broadcast, so each behaviour entry the old
-        server logged corresponds to a serialised operation the recovered
-        server has replayed — the log and the behaviour record agree.
-        """
-        if server.replica_id != self.server.replica_id:
-            raise ScheduleError(
-                f"recovered server {server.replica_id} cannot replace "
-                f"{self.server.replica_id}"
-            )
-        if sorted(server.clients) != sorted(self.server.clients):
-            raise ScheduleError(
-                "recovered server's client roster differs from the "
-                "running cluster's"
-            )
-        self.server = server
-
     def queued_payload_from(self, client_id: ReplicaId, index: int) -> Any:
         """Peek (without delivering) one queued client-to-server payload.
 
-        The replicated runner proposes an operation to the backup quorum
-        *before* the server processes it: the payload stays queued until
-        the record commits, at which point :meth:`server_receive` pops it
-        — so the peek index is the client's proposed-but-uncommitted
-        count.
+        The fault-injected simulator's durable server is a shard core
+        beside this cluster's server: the shard serialises a payload as
+        soon as its frame is released, and this server receives it only
+        once the serial commits — so the peek index is the number of the
+        client's ops the shard holds uncommitted.
         """
         queue = self._to_server[self._require_client(client_id)]
         if index >= len(queue):

@@ -160,21 +160,17 @@ def context_from_compact(ctx_obj: List[Any], oracle) -> StateKey:
 
 
 def record_operation(record: Dict[str, Any], oracle=None) -> Operation:
-    """Decode a WAL record's operation, resolving a compact context.
+    """Decode a WAL record's operation, resolving its context.
 
-    Records written by the net runtime store their context
-    serial-encoded (``record["ctx"]``) and need an oracle that has
-    witnessed the serials below the record's; plain records carry the
-    absolute context inline and decode without one.
+    A record stores its context serial-encoded (``record["ctx"]``), so
+    it decodes only against an oracle that has witnessed the serials
+    below the record's.
     """
-    obj = record["operation"]
-    if "ctx" not in record:
-        return operation_from_obj(obj)
     if oracle is None:
-        raise ProtocolError(
-            "compact WAL record needs an order oracle to decode"
-        )
-    return operation_from_obj(obj, context_from_compact(record["ctx"], oracle))
+        raise ProtocolError("a WAL record needs an order oracle to decode")
+    return operation_from_obj(
+        record["operation"], context_from_compact(record["ctx"], oracle)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +484,8 @@ def wal_record_to_obj(
     origin: ReplicaId,
     operation: Operation,
     epoch: int = 0,
-    ctx: Optional[List[Any]] = None,
+    *,
+    ctx: List[Any],
 ) -> Dict[str, Any]:
     """One WAL entry: a serialised operation in server-serial order.
 
@@ -497,44 +494,38 @@ def wal_record_to_obj(
     uncommitted suffix under a higher epoch, so ``(epoch, serial)`` pairs
     totally order log prefixes across primaries.
 
-    ``ctx`` is the serial-encoded context (see :func:`compact_context`);
-    when given, the record omits the O(history) absolute context and
-    stores the O(extras) encoding instead — decode it back with
-    :func:`record_operation`.
+    ``ctx`` is the serial-encoded context (see :func:`compact_context`):
+    the record stores that O(extras) encoding, never the O(history)
+    absolute context — decode it back with :func:`record_operation`.
     """
-    record = {
+    return {
         "serial": int(serial),
         "origin": origin,
         "epoch": int(epoch),
-        "operation": operation_to_obj(operation, with_context=ctx is None),
+        "operation": operation_to_obj(operation, with_context=False),
+        "ctx": [int(ctx[0]), list(ctx[1])],
     }
-    if ctx is not None:
-        record["ctx"] = [int(ctx[0]), list(ctx[1])]
-    return record
 
 
 def _validate_wal_record(record: Any) -> Dict[str, Any]:
     """Raise :class:`ProtocolError` unless ``record`` is a decodable entry."""
     if not isinstance(record, dict):
         raise ProtocolError(f"WAL record is not an object: {record!r}")
-    for field in ("serial", "origin", "operation"):
+    for field in ("serial", "origin", "operation", "ctx"):
         if field not in record:
             raise ProtocolError(f"WAL record missing field {field!r}")
-    ctx = record.get("ctx")
-    if ctx is not None:
-        if (
-            not isinstance(ctx, list)
-            or len(ctx) != 2
-            or not isinstance(ctx[0], int)
-            or not isinstance(ctx[1], list)
-        ):
-            raise ProtocolError(
-                f"WAL record has malformed compact context {ctx!r}"
-            )
-        # Validate everything but the (serial-encoded) context.
-        operation_from_obj({**record["operation"], "context": ctx[1]})
-    else:
-        operation_from_obj(record["operation"])  # raises on garbage payloads
+    ctx = record["ctx"]
+    if (
+        not isinstance(ctx, list)
+        or len(ctx) != 2
+        or not isinstance(ctx[0], int)
+        or not isinstance(ctx[1], list)
+    ):
+        raise ProtocolError(
+            f"WAL record has malformed compact context {ctx!r}"
+        )
+    # Validate everything but the (serial-encoded) context.
+    operation_from_obj({**record["operation"], "context": ctx[1]})
     return record
 
 
@@ -663,14 +654,11 @@ class ServerWriteAheadLog:
         origin: ReplicaId,
         operation: Operation,
         epoch: int = 0,
-        ctx: Optional[List[Any]] = None,
+        *,
+        ctx: List[Any],
     ) -> None:
-        """Log one serialised operation (call *before* broadcasting it).
-
-        ``ctx`` stores the context serial-encoded (the net runtime's
-        O(active-window) form, see :func:`compact_context`) instead of
-        the absolute opid set.
-        """
+        """Log one serialised operation (call *before* broadcasting it),
+        its context serial-encoded (see :func:`compact_context`)."""
         self.append_record(
             wal_record_to_obj(serial, origin, operation, epoch, ctx=ctx)
         )

@@ -27,11 +27,12 @@ with no I/O, no clock and no ``repro.net``.  Its calls are the frames'
 meaning (``repl_install``, ``repl_append``, ``repl_ack``, ``repl_seek`` /
 ``repl_offer``, ``repl_deny``) and each *validates before it mutates*: a
 malformed frame raises :class:`ProtocolError` and leaves the replica as
-it was, a stale one is answered ``repl_deny``.  Two drivers run it:
-:class:`repro.net.server.NetServer` over asyncio sockets, and
-:class:`ReplicatedWal` — N replicas in one process — for the simulator,
-the failover suites and ``bench_failover``, so every failover plan the
-simulator samples executes the deployed rules.
+it was, a stale one is answered ``repl_deny``.  Two runtimes make the
+same calls: :class:`repro.net.server.NetServer` over asyncio sockets, and
+the fault-injected simulator (:mod:`repro.sim.runner`), which holds one
+bare core per roster member and carries their frames over a simulated
+backbone — so the failover suites and ``bench_failover`` execute the
+deployed rules.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.ids import ReplicaId
 from repro.errors import ProtocolError
-from repro.jupiter.css import CssServer
 from repro.jupiter.persistence import ServerWriteAheadLog
 from repro.jupiter.session import counter
 from repro.obs import get_obs
@@ -120,10 +120,6 @@ class ViewChange:
     adopted_last: int
     #: adopted-but-uncommitted records, re-stamped with the new epoch
     reproposed: List[Dict[str, Any]] = field(default_factory=list)
-    #: records only the dead primary held — proposals the crash lost
-    #: (never acknowledged to anyone: acks are gated on the commit floor);
-    #: only the god's-eye :class:`ReplicatedWal` can know them
-    lost: List[Dict[str, Any]] = field(default_factory=list)
 
 
 class Reply(NamedTuple):
@@ -445,232 +441,3 @@ class Replica:
             target, target, self.me, winner, adopted_last, reproposed
         )
 
-
-class ReplicatedWal:
-    """A quorum-replicated write-ahead log: N replicas in one process.
-
-    The primary's log *is* a plain WAL — serial assignment, recovery and
-    broadcast rebuild go through it unchanged.  This class owns only what
-    a process boundary would: which replicas are ``alive`` (a dead one
-    receives nothing; its disk — its core — keeps everything) and the
-    god's-eye reads the simulator asks for.  The caller owns transport
-    and its latencies: it ships what :meth:`propose` and
-    :meth:`start_view_payload` return and feeds the acks back through
-    :meth:`acknowledge`.
-    """
-
-    def __init__(
-        self,
-        roster: Sequence[ReplicaId],
-        clients: Sequence[ReplicaId],
-        snapshot_every: int = 8,
-        initial_text: str = "",
-    ) -> None:
-        if not roster:
-            raise ProtocolError("replica roster must not be empty")
-        self.roster = list(roster)
-        self.cores: Dict[ReplicaId, Replica] = {
-            rid: Replica(
-                roster,
-                rid,
-                ServerWriteAheadLog(
-                    rid, clients, snapshot_every, initial_text
-                ),
-            )
-            for rid in self.roster
-        }
-        self.alive: Dict[ReplicaId, bool] = {rid: True for rid in self.roster}
-        get_obs().repl_commit_quorum.set(self.quorum)
-
-    # -- reads of the cores (no replication state is stored here) ---------
-    @property
-    def quorum(self) -> int:
-        return quorum_size(len(self.roster))
-
-    @property
-    def view(self) -> int:
-        """The highest view any replica has started or installed."""
-        return max(core.epoch for core in self.cores.values())
-
-    @property
-    def epoch(self) -> int:
-        return self.view
-
-    @property
-    def committed(self) -> int:
-        """The group's floor: the highest any replica knows committed."""
-        return max(core.committed for core in self.cores.values())
-
-    @property
-    def primary(self) -> ReplicaId:
-        return primary_for(self.view, self.roster)
-
-    @property
-    def _leader(self) -> Replica:
-        return self.cores[self.primary]
-
-    @property
-    def acked(self) -> Dict[ReplicaId, int]:
-        return self._leader.acked
-
-    @property
-    def logs(self) -> Dict[ReplicaId, ServerWriteAheadLog]:
-        return {rid: core.log for rid, core in self.cores.items()}
-
-    @property
-    def primary_log(self) -> ServerWriteAheadLog:
-        return self._leader.log
-
-    @property
-    def view_changes(self) -> int:
-        return sum(core.view_changes for core in self.cores.values())
-
-    @property
-    def stale_rejected(self) -> int:
-        return sum(core.stale_rejected for core in self.cores.values())
-
-    def alive_replicas(self) -> List[ReplicaId]:
-        return [rid for rid in self.roster if self.alive[rid]]
-
-    # -- primary write path ---------------------------------------------
-    def propose(self, origin: ReplicaId, operation) -> Dict[str, Any]:
-        """Assign the next serial and append to the primary's log (its
-        own durable append counts toward the quorum at once); returns the
-        record for the caller to ship to each alive backup."""
-        leader = self._leader
-        log = leader.log
-        log.append(log.last_serial + 1, origin, operation, epoch=leader.epoch)
-        leader.appended()
-        return log.records[-1]
-
-    def backup_append(
-        self, replica: ReplicaId, record: Dict[str, Any], epoch: int
-    ) -> bool:
-        """Durably append one shipped record on a backup.  ``False`` — no
-        ack is due — when it was shipped under a stale epoch (a deposed
-        primary's leftover) or the backup is down."""
-        if not self.alive[replica]:
-            return False
-        core = self.cores[replica]
-        return core.append(epoch, self.committed, record).accepted
-
-    def acknowledge(self, replica: ReplicaId, serial: int, epoch: int) -> int:
-        """Record a backup's durable-append ack; return how many serials
-        it newly pushed under the commit floor — the caller acknowledges
-        and broadcasts exactly those operations, in serial order."""
-        return len(self._leader.record_ack(replica, serial, epoch))
-
-    def failover_certified(self) -> bool:
-        """``True`` once per view change: when the new primary has
-        quorum-committed the whole adopted log."""
-        return self._leader.adoption_certified()
-
-    # -- liveness and view changes ---------------------------------------
-    def crash(self, replica: ReplicaId) -> bool:
-        """Mark a replica dead; ``True`` when it was the primary (the
-        caller must then run :meth:`view_change`)."""
-        if replica not in self.alive:
-            raise ProtocolError(f"unknown replica {replica!r}")
-        self.alive[replica] = False
-        return replica == self.primary
-
-    def view_change(self) -> ViewChange:
-        """Elect the next view after a primary failure.
-
-        The successor — the round-robin next replica that is alive —
-        stands for its next view, every other survivor answers its seek,
-        and it adopts the best log among them.  Commit knowledge is a
-        frame field on the wire; here the group's floor reaches the
-        survivors first, so the caller never rebuilds the server from
-        less than the dead primary had released.  The caller ships
-        :meth:`start_view_payload` to each alive backup and feeds the
-        acks through :meth:`install_view` / :meth:`acknowledge`.
-        """
-        survivors = self.alive_replicas()
-        if len(survivors) < self.quorum:
-            raise ProtocolError(
-                f"view change impossible: {len(survivors)} replicas alive, "
-                f"quorum is {self.quorum}"
-            )
-        deposed, floor = self._leader, self.committed
-        following = next_view(self.view, self.roster, survivors)
-        successor = self.cores[primary_for(following, self.roster)]
-        for rid in survivors:
-            self.cores[rid].learn_commit(floor)
-        target = successor.candidacy()
-        replies = [
-            self.cores[rid].seek(target)
-            for rid in survivors
-            if rid != successor.me
-        ]
-        change = successor.adopt(
-            target, [reply.fields for reply in replies if reply.accepted]
-        )
-        if change is None:
-            raise ProtocolError(f"view {target} found no quorum of offers")
-        change.lost = [
-            record
-            for record in deposed.log.records
-            if int(record["serial"]) > change.adopted_last
-        ]
-        return change
-
-    def start_view_payload(self) -> Dict[str, Any]:
-        """The VSR start-view message: the primary's full log state."""
-        return self._leader.start_view()
-
-    def install_view(
-        self, replica: ReplicaId, payload: Dict[str, Any], epoch: int
-    ) -> Optional[int]:
-        """A backup adopts the new view's log; returns its ack serial, or
-        ``None`` — no ack is due — when the install was stale (a newer
-        view superseded it in flight) or the replica is down."""
-        if not self.alive[replica]:
-            return None
-        reply = self.cores[replica].install(
-            epoch, epoch, payload["committed"], payload["log"]
-        )
-        return reply.fields["serial"] if reply.accepted else None
-
-    def restore(self, replica: ReplicaId) -> None:
-        """A dead replica rejoins as a backup via state transfer: it
-        installs the current primary's log (its own stale tail is
-        discarded wholesale) and the caller feeds the ack through
-        :meth:`acknowledge`.  The view's own primary restarts on its disk."""
-        if self.alive[replica]:
-            raise ProtocolError(f"replica {replica!r} is already alive")
-        self.alive[replica] = True
-        if replica != self.primary:
-            self.install_view(replica, self.start_view_payload(), self.epoch)
-        get_obs().trace(
-            "repl.rejoin",
-            replica=replica,
-            at_serial=self.cores[replica].log.last_serial,
-        )
-
-    # -- committed-prefix views ------------------------------------------
-    def committed_ack(self, origin: ReplicaId) -> int:
-        """How many of ``origin``'s operations are quorum-committed — the
-        only acknowledgement the primary may send to a client."""
-        return committed_origin_ack(self.primary_log, self.committed, origin)
-
-    def committed_log(self) -> ServerWriteAheadLog:
-        """A clone of the primary's log truncated to the commit floor:
-        the log a failover recovery may replay — everything in it is
-        quorum-certified, so the rebuilt server matches what every client
-        could have observed."""
-        log = ServerWriteAheadLog.from_obj(self.primary_log.to_obj())
-        log.truncate_from(self.committed + 1)
-        return log
-
-    def compact(
-        self, server: CssServer, retain_after: Optional[int] = None
-    ) -> int:
-        """Compact the primary's log, clamped to the commit floor: an
-        uncommitted record is exactly what the next view change
-        re-proposes, so ``retain_after`` (the client-cursor low-water
-        mark) is tightened to ``min(retain_after, committed)``."""
-        floor = self.committed
-        if retain_after is not None:
-            floor = min(floor, int(retain_after))
-        return self.primary_log.compact(server, retain_after=floor)

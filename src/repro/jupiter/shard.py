@@ -132,9 +132,7 @@ class ShardCore:
         #: against the new base (``d >= floor``); entries leave the map
         #: when compaction truncates their records.
         self.ctx_floors: Dict[int, int] = {
-            int(record["serial"]): (
-                int(record["ctx"][0]) if "ctx" in record else 0
-            )
+            int(record["serial"]): int(record["ctx"][0])
             for record in wal.records
         }
         self.gc_runs = 0

@@ -662,31 +662,30 @@ class NetServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        name = str(hello.get("client", ""))
-        if not name or name == SERVER_ID:
-            self._log(f"invalid client name {name!r}")
-            writer.close()
-            return
         # A doc-less hello (every pre-fleet client) lands on the default
         # document; fleet clients name their document explicitly.
-        doc = str(hello.get("doc") or self.doc_id)
-        if self.replicated and (
-            not self.is_primary or int(hello.get("epoch", 0)) > self.epoch
-        ):
+        name, doc = hello.get("client"), hello.get("doc") or self.doc_id
+        try:  # before any shard is opened or session registered
+            named = isinstance(name, str) and isinstance(doc, str)
+            if not named or name in ("", SERVER_ID):
+                raise ProtocolError(f"invalid client {name!r} or doc {doc!r}")
+            delivered = counter(hello.get("delivered", 0), "delivered")
+            pin = counter(hello["pin"], "pin") if "pin" in hello else None
+            epoch = counter(hello.get("epoch", 0), "epoch")
+        except ProtocolError as exc:
+            self._log(f"{name} violated the protocol: {exc}")
+            writer.close()
+            return
+        if self.replicated and (not self.is_primary or epoch > self.epoch):
             # A backup (or a primary the client knows to be deposed)
             # points the client at the primary of its view and hangs up.
             await self._send_redirect(writer, name)
             return
-        if self.replicated and doc != self.doc_id:
-            # The quorum replicates exactly one document; other docs
-            # belong to the fleet tier's standalone workers.
-            self._log(
-                f"{name}: rejecting hello for {doc!r} — a replicated "
-                f"group serves only {self.doc_id!r}"
-            )
-            writer.close()
-            return
         try:
+            if self.replicated and doc != self.doc_id:
+                # The quorum replicates exactly one document; other docs
+                # belong to the fleet tier's standalone workers.
+                raise ProtocolError(f"only {self.doc_id!r} is replicated")
             shard = self._open_shard(doc)
         except ProtocolError as exc:
             self._log(f"{name}: cannot open document {doc!r}: {exc}")
@@ -730,9 +729,8 @@ class NetServer:
         channel = shard.register(name, now)
         sender = self._attach(channel, writer)
         sender.codec = codec
-        pin = int(hello["pin"]) if "pin" in hello else None
         cursor, state, missed = shard.resync(
-            channel, int(hello.get("delivered", 0)), pin, now, self._commit
+            channel, delivered, pin, now, self._commit
         )
         if state is not None:
             self._obs.net_state_transfers.labels(doc).inc()

@@ -22,14 +22,18 @@ Two network regimes share the loop's skeleton:
   machines, and crashed CSS clients recover from
   :mod:`repro.jupiter.persistence` checkpoints plus a serial-indexed
   resync.  A durable *server* — write-ahead logged, or quorum-replicated
-  — is the deployed :class:`~repro.jupiter.shard.ShardCore`: it
-  serialises, logs and compacts through the core's own write path, and
-  survives a crash or a failover the way a deployment restarts, rebuilt
-  from its log and resynced at every client's cursor under a new epoch
-  (its in-flight frames and acks died with the old incarnation).  The
-  recorded :class:`Schedule` contains each protocol-level step
-  exactly once, so it replays on a fault-free cluster — which is how the
-  chaos harness checks Theorem 7.1 under faults.
+  over bare :class:`~repro.jupiter.replication.Replica` cores — is the
+  deployed :class:`~repro.jupiter.shard.ShardCore`, driven with the
+  calls :class:`~repro.net.server.NetServer` makes: it serialises, logs,
+  acknowledges and resyncs under the commit floor, and survives a crash
+  or a failover the way a deployment restarts, rebuilt from its log
+  under a new epoch (its in-flight frames and acks died with the old
+  incarnation).  Beside it the cluster's server — the paper's, which
+  never crashes — receives each op once it commits and records the
+  step; its broadcast must equal the one the shard built.  The recorded
+  :class:`Schedule` contains each protocol-level step exactly once, so
+  it replays on a fault-free cluster — which is how the chaos harness
+  checks Theorem 7.1 under faults.
 """
 
 from __future__ import annotations
@@ -279,42 +283,36 @@ class _FaultyRun:
         }
         self.crashed: set = set()
         self.checkpoints: Dict[ReplicaId, dict] = {}
-        self.wal = None
-        self.group = None
+        #: a durable server's replica cores by roster id (``None`` unless
+        #: quorum-replicated); a dead one keeps its disk — its core
+        self.cores: Optional[Dict[ReplicaId, Any]] = None
+        log = None
         if self.plan.replicas:
-            from repro.jupiter.replication import ReplicatedWal
+            from repro.jupiter.replication import Replica
 
-            # Quorum-replicated durability: the logical server SERVER_ID
-            # is *served by* whichever roster member is the current view's
-            # primary.  Schedule/behaviour bookkeeping keeps SERVER_ID —
-            # the replica group is the durability substrate underneath.
-            self.group = ReplicatedWal(
-                [f"{SERVER_ID}{i}" for i in range(self.plan.replicas)],
-                self.clients,
-                snapshot_every=self.plan.snapshot_every,
-                initial_text=runner.initial_text,
-            )
+            # The logical server SERVER_ID is served by whichever roster
+            # member leads the current view; every log is built under
+            # SERVER_ID, as NetServer builds its shard's.
+            self.roster = [
+                f"{SERVER_ID}{i}" for i in range(self.plan.replicas)
+            ]
+            self.cores = {
+                rid: Replica(self.roster, rid, self._empty_log())
+                for rid in self.roster
+            }
+            self.alive = dict.fromkeys(self.roster, True)
+            #: the core of the current view's primary; view 0's leads first
+            self.leader = self.cores[self.roster[0]]
+            self._obs.repl_commit_quorum.set(self.leader.quorum)
             #: replication traffic is FIFO per replica pair: replicas talk
             #: TCP in a deployment, so the lossy-channel adversary applies
             #: to the client-server edges only, not the replica backbone.
             self.repl_timer = FifoChannelTimer()
-            #: per-origin proposal/commit cursors, set by every restart;
-            #: their difference is the peek index of the origin's next
-            #: queued-but-uncommitted op.
-            self.proposed_from: Dict[ReplicaId, int] = {}
-            self.popped_from: Dict[ReplicaId, int] = {}
-            self.commits_done = 0
             self._failover_from: Optional[float] = None
             self._outage_replica: Dict[float, ReplicaId] = {}
+            log = self.leader.log
         elif self.plan.wal_enabled:
-            from repro.jupiter.persistence import ServerWriteAheadLog
-
-            self.wal = ServerWriteAheadLog(
-                SERVER_ID,
-                self.clients,
-                snapshot_every=self.plan.snapshot_every,
-                initial_text=runner.initial_text,
-            )
+            log = self._empty_log()
         self.applies_since: Dict[ReplicaId, int] = {}
         self.deferred_gens: Dict[ReplicaId, int] = {
             name: 0 for name in self.clients
@@ -328,8 +326,20 @@ class _FaultyRun:
         #: a durable server's shard core, built from its log at startup
         #: as at every restart; its sessions are the server's channel ends
         self.shard = None
-        if self.wal is not None or self.group is not None:
-            log = self.wal or self.group.committed_log()
+        #: serial -> (origin, broadcast per client) for every op the shard
+        #: serialised that the cluster's server has not received yet
+        self.parked: Dict[int, Tuple[ReplicaId, Dict[ReplicaId, Any]]] = {}
+        #: serials the cluster's server has received (= committed ones)
+        self.commits_done = 0
+        #: what restarted the shard, until its space is checked
+        self._unchecked: Optional[str] = None
+        if log is not None:
+            from repro.obs import NOOP
+
+            # The cluster's server is the paper's: it never crashes and
+            # records the schedule.  The deployed shard beside it is what
+            # the process's instruments count, once per op.
+            self.cluster.server._obs = self.cluster.server.space._obs = NOOP
             self._restart(log, "startup", 0.0)
 
     def _validate(self) -> None:
@@ -392,11 +402,11 @@ class _FaultyRun:
             elif kind == "srestore":
                 self._on_server_restore(event[1], now)
             elif kind == "repl":
-                self._on_repl(event[1], event[2], event[3], now)
+                self._on_repl(*event[1:], now)
             elif kind == "rack":
                 self._on_repl_ack(event[1], event[2], event[3], now)
             elif kind == "svw":
-                self._on_start_view(event[1], event[2], event[3], now)
+                self._on_start_view(event[1], event[2], now)
             elif kind == "sview":
                 self._on_view_change(now)
             else:  # pragma: no cover - defensive
@@ -416,20 +426,22 @@ class _FaultyRun:
                 self.cluster.read(replica)
                 self.steps.append(Read(replica))
 
-        log = self.group.primary_log if self.group is not None else self.wal
-        if log is not None:
+        if self.shard is not None:
+            log = self.shard.wal
             self.stats.wal_appends = log.appends
             self.stats.wal_compactions = log.compactions
             self.stats.wal_records_truncated = log.records_truncated
-        if self.group is not None:
-            self.stats.view_changes = self.group.view_changes
-            self.stats.repl_stale_rejected = self.group.stale_rejected
-            if self.commits_done != self.group.committed:
+            if self.parked:
                 raise SimulationError(
-                    f"run ended with {self.group.committed} committed "
-                    f"serials but only {self.commits_done} delivered to "
-                    "the server"
+                    f"run ended with serials {sorted(self.parked)} "
+                    "serialised but never delivered to the server"
                 )
+        if self.cores is not None:
+            cores = self.cores.values()
+            self.stats.view_changes = sum(c.view_changes for c in cores)
+            self.stats.repl_stale_rejected = sum(
+                c.stale_rejected for c in cores
+            )
 
         return SimulationResult(
             cluster=self.cluster,
@@ -509,52 +521,125 @@ class _FaultyRun:
         for _ in range(released):
             if recipient != SERVER_ID:
                 self._deliver_to_client(recipient, now)
-            elif self.group is not None:
-                self._propose_from(sender, now)
+            elif self.shard is None:
+                sent = self._deliver_to_server(sender, now)
+                for name, payloads in sent.items():
+                    outbound = self.senders[(SERVER_ID, name)]
+                    for _payload in payloads:
+                        self._transmit(
+                            (SERVER_ID, name), outbound.send(), now, attempt=1
+                        )
             else:
-                self._deliver_to_server(sender, now)
+                self._serialise(sender, now)
         # Always (re-)acknowledge cumulatively — a duplicate frame means a
-        # previous ack was probably lost.  With a replica group the
-        # server's ack is gated on the quorum commit floor: an op is only
-        # acknowledged once it can no longer be lost to a primary crash.
+        # previous ack was probably lost.  A replicated shard gates it on
+        # the quorum commit floor.
         ack_value = receiver.cumulative_ack
-        if self.group is not None and recipient == SERVER_ID:
-            ack_value = self.group.committed_ack(sender)
+        if self.shard is not None and recipient == SERVER_ID:
+            session = self.shard.sessions[sender]
+            ack_value = self.shard.ack_for(session, self.commit)
         self._send_ack((sender, recipient), ack_value, now)
 
-    def _deliver_to_server(self, client: ReplicaId, now: float) -> None:
+    def _deliver_to_server(
+        self, client: ReplicaId, now: float
+    ) -> Dict[ReplicaId, Tuple[Any, ...]]:
+        """The cluster's server receives ``client``'s next queued op;
+        returns what it queued for each client."""
         self.progress_time = now
         before = {
             name: self.cluster.pending_to_client(name) for name in self.clients
         }
-        write = self._serialise if self.wal is not None else None
-        self.cluster.server_receive(client, write)
+        self.cluster.server_receive(client)
         self.steps.append(ServerReceive(client))
-        if self.group is not None and self.group.primary_log.should_compact():
-            # Replicated mode: the record was logged at proposal time and
-            # this delivery *is* the commit.  Compaction clamps to the
-            # commit floor inside the group.
-            self.group.compact(
-                self.cluster.server,
-                retain_after=self.shard.floor(now, 0.0, pins=False),
-            )
+        sent = {}
         for name in self.clients:
-            newly_queued = self.cluster.pending_to_client(name) - before[name]
-            sender = self.senders[(SERVER_ID, name)]
-            if write is None:  # else the shard numbered them seq = serial
-                for _ in range(newly_queued):
-                    sender.send()
-            for seq in range(sender.next_seq - newly_queued, sender.next_seq):
-                self._transmit((SERVER_ID, name), seq, now, attempt=1)
+            newly = self.cluster.pending_to_client(name) - before[name]
+            queued = self.cluster.queued_payloads_to(name)
+            sent[name] = queued[len(queued) - newly:]
+        return sent
 
-    def _serialise(self, origin: ReplicaId, payload: Any) -> List[Tuple]:
-        """A WAL server's write path, as deployed: logged (and compacted
-        at the acked cursors) before any frame hits the wire.  Its
-        sessions stay connected, so no clock or grace applies."""
-        _serial, _ctx, fanout = self.shard.serialise(
-            self.shard.sessions[origin], payload, 0, 0.0, 0.0
+    # ------------------------------------------------------------------
+    # A durable server, driven as NetServer drives it
+    # ------------------------------------------------------------------
+    @property
+    def commit(self) -> Optional[int]:
+        """The shard calls' ``commit``: the quorum floor, ``None`` for a
+        WAL server (which commits each op as it logs it)."""
+        return None if self.cores is None else self.leader.committed
+
+    def _empty_log(self):
+        from repro.jupiter.persistence import ServerWriteAheadLog
+
+        return ServerWriteAheadLog(
+            SERVER_ID,
+            self.clients,
+            snapshot_every=self.plan.snapshot_every,
+            initial_text=self.runner.initial_text,
         )
-        return [(session.client, b) for session, b in fanout]
+
+    def _serialise(self, origin: ReplicaId, now: float) -> None:
+        """The write path: the shard serialises and logs the origin's next
+        op (its payload peeked behind the ones still parked), the
+        broadcast parks under its serial, and a replicated primary ships
+        the record to every alive backup.  The sessions stay connected,
+        so no clock or grace applies."""
+        shard = self.shard
+        waiting = sum(1 for who, _ in self.parked.values() if who == origin)
+        payload = self.cluster.queued_payload_from(origin, waiting)
+        epoch = 0 if self.cores is None else self.leader.epoch
+        serial, _ctx, fanout = shard.serialise(
+            shard.sessions[origin], payload, epoch, 0.0, 0.0, self.commit
+        )
+        self.parked[serial] = (origin, {s.client: b for s, b in fanout})
+        if self.cores is not None:
+            leader = self.leader
+            record = shard.wal.records[-1]
+            for rid in self.roster:
+                if rid == leader.me or not self.alive[rid]:
+                    continue
+                arrival = self.repl_timer.delivery_time(
+                    self.latency, leader.me, rid, now
+                )
+                self._push(
+                    arrival, ("repl", rid, record, epoch, leader.committed)
+                )
+            leader.appended()  # a quorum of one commits at once
+        self._flush_committed(now)
+
+    def _flush_committed(self, now: float) -> None:
+        """Hand every newly committed serial to the cluster's server, in
+        order.  Its broadcast must be the one the shard built; the frames
+        go out numbered seq = serial, and a replicated shard sends the
+        origin its commit-gated acknowledgement."""
+        commit = self.commit
+        committed = self.shard.wal.last_serial if commit is None else commit
+        while self.commits_done < committed:
+            serial = self.commits_done = self.commits_done + 1
+            origin, built = self.parked.pop(serial)
+            sent = self._deliver_to_server(origin, now)
+            if sent != {name: (b,) for name, b in built.items()}:
+                raise SimulationError(
+                    f"serial {serial}: the server broadcast differs from "
+                    "the one the shard built"
+                )
+            for name in self.clients:
+                self._transmit((SERVER_ID, name), serial, now, attempt=1)
+            if commit is not None:
+                session = self.shard.sessions[origin]
+                ack = self.shard.ack_for(session, commit)
+                self._send_ack((origin, SERVER_ID), ack, now)
+        if self._unchecked is not None and not self.parked:
+            self._check_spaces()
+
+    def _check_spaces(self) -> None:
+        """With nothing uncommitted the shard's space is the server's."""
+        served = self.cluster.server.space.signature()
+        if self.shard.server.space.signature() != served:
+            raise SimulationError(
+                f"{self._unchecked} rebuilt a different state-space than "
+                "the served one; the log lost or reordered history"
+            )
+        self._unchecked = None
 
     def _deliver_to_client(self, client: ReplicaId, now: float) -> None:
         self.progress_time = now
@@ -571,41 +656,38 @@ class _FaultyRun:
                 self._checkpoint(client)
 
     # ------------------------------------------------------------------
-    # Replicated durability: propose -> quorum certify -> commit/deliver
+    # Replication: the backups' feed and view changes, on bare cores
     # ------------------------------------------------------------------
-    def _propose_from(self, origin: ReplicaId, now: float) -> None:
-        """Assign a serial and ship the record to the backup quorum.
+    def _on_repl(
+        self,
+        replica: ReplicaId,
+        record,
+        epoch: int,
+        committed: int,
+        now: float,
+    ) -> None:
+        """``repl_append`` reaches a backup; it acks a durable append."""
+        if not self.alive[replica]:
+            return
+        reply = self.cores[replica].append(epoch, committed, record)
+        self._repl_ack(replica, reply, now)
 
-        The payload stays *queued* on the cluster's client-to-server
-        channel — :meth:`_commit_pending` pops it only once the record is
-        quorum-certified, so the recorded schedule (and the server's
-        state, behaviours and broadcasts) never contains an operation a
-        primary crash could still lose.
-        """
-        group = self.group
-        index = self.proposed_from[origin] - self.popped_from[origin]
-        payload = self.cluster.queued_payload_from(origin, index)
-        record = group.propose(origin, payload.operation)
-        self.proposed_from[origin] += 1
-        primary = group.primary
-        for rid in group.alive_replicas():
-            if rid == primary:
-                continue
-            arrival = self.repl_timer.delivery_time(
-                self.latency, primary, rid, now
-            )
-            self._push(arrival, ("repl", rid, record, group.epoch))
+    def _on_start_view(self, replica: ReplicaId, start, now: float) -> None:
+        """``repl_install`` reaches a backup: it adopts the view's log."""
+        if not self.alive[replica]:
+            return
+        self._repl_ack(replica, self.cores[replica].install(**start), now)
 
-    def _on_repl(self, replica: ReplicaId, record, epoch: int, now: float) -> None:
-        """One shipped record arrives at a backup; ack on durable append."""
-        group = self.group
-        if not group.backup_append(replica, record, epoch):
-            return  # stale epoch or dead backup: no ack
+    def _repl_ack(self, replica: ReplicaId, reply, now: float) -> None:
+        if not reply.accepted:
+            return  # a stale epoch: no ack is due
         arrival = self.repl_timer.delivery_time(
-            self.latency, replica, group.primary, now
+            self.latency, replica, self.leader.me, now
         )
-        serial = group.logs[replica].last_serial
-        self._push(arrival, ("rack", replica, serial, epoch))
+        self._push(
+            arrival,
+            ("rack", replica, reply.fields["serial"], reply.fields["epoch"]),
+        )
 
     def _on_repl_ack(
         self, replica: ReplicaId, serial: int, epoch: int, now: float
@@ -616,92 +698,65 @@ class _FaultyRun:
             # reads it straight from the log.
             self.stats.frames_lost_to_crash += 1
             return
-        if self.group.acknowledge(replica, serial, epoch):
-            self._commit_pending(now)
+        self.leader.record_ack(replica, serial, epoch)
+        self._flush_committed(now)
         self._finish_failover(now)
-
-    def _commit_pending(self, now: float) -> None:
-        """Deliver every newly quorum-certified serial to the server.
-
-        Commit order is serial order; each commit pops the origin's
-        queued payload (per-origin serial order equals queue order, so
-        the front is always the right message), broadcasts the result,
-        and releases the origin's gated session acknowledgement.
-        """
-        group = self.group
-        while self.commits_done < group.committed:
-            serial = self.commits_done + 1
-            record = group.primary_log.record_at(serial)
-            if record is None:
-                raise SimulationError(
-                    f"committed serial {serial} was compacted out of the "
-                    "primary log before delivery; the commit-floor clamp "
-                    "is broken"
-                )
-            origin = record["origin"]
-            self._deliver_to_server(origin, now)
-            assigned = self.cluster.server.oracle.last_serial
-            if assigned != serial:
-                raise SimulationError(
-                    f"commit of serial {serial} was assigned {assigned}; "
-                    "commit order diverges from proposal order"
-                )
-            self.commits_done += 1
-            self.popped_from[origin] += 1
-            self._send_ack(
-                (origin, SERVER_ID), group.committed_ack(origin), now
-            )
 
     def _on_view_change(self, now: float) -> None:
         """The failure detector fired: the next view's primary takes over.
 
-        Deterministic VSR-style takeover: elect the best log among the
-        surviving quorum, rebuild the logical server from its *committed*
-        prefix (never from the dead process's memory), resume every
-        client session from log-derived cursors, and install the adopted
-        log on the surviving backups (start-view).  The adopted
-        uncommitted suffix re-certifies under the new epoch via the
-        install acks; anything only the dead primary held is gone — and
-        was never acknowledged, because acks are gated on the floor.
+        The election NetServer runs, on bare cores: the successor stands
+        for its next view, every other survivor answers its seek, and it
+        adopts the best log among them.  The shard restarts on that log,
+        and its start-view install ships to the backups, whose acks
+        re-certify the adopted uncommitted suffix under the new epoch.
+        Anything only the dead primary held is gone — and was never
+        acknowledged, because acks are gated on the commit floor.
         """
+        from repro.jupiter.replication import next_view, primary_for
+
         self.pending_lifecycle -= 1
         self.progress_time = now
-        group = self.group
-        group.view_change()
-        self._restart(group.committed_log(), "failover", now)
-        payload = group.start_view_payload()
-        for rid in group.alive_replicas():
-            if rid == group.primary:
-                continue
-            arrival = self.repl_timer.delivery_time(
-                self.latency, group.primary, rid, now
-            )
-            self._push(arrival, ("svw", rid, payload, group.epoch))
+        survivors = [rid for rid in self.roster if self.alive[rid]]
+        floor = max(core.committed for core in self.cores.values())
+        # The one idealisation: commit knowledge, a frame field on the
+        # wire, reaches every survivor before the election.
+        for rid in survivors:
+            self.cores[rid].learn_commit(floor)
+        following = next_view(self.leader.epoch, self.roster, survivors)
+        successor = self.cores[primary_for(following, self.roster)]
+        target = successor.candidacy()
+        replies = [
+            self.cores[rid].seek(target)
+            for rid in survivors
+            if rid != successor.me
+        ]
+        offers = [reply.fields for reply in replies if reply.accepted]
+        if successor.adopt(target, offers) is None:
+            raise SimulationError(f"view {target} found no quorum of offers")
+        self.leader = successor
+        self._restart(successor.log, "failover", now)
+        start = successor.start_view()
+        for rid in survivors:
+            if rid != successor.me:
+                arrival = self.repl_timer.delivery_time(
+                    self.latency, successor.me, rid, now
+                )
+                self._push(arrival, ("svw", rid, start))
+        successor.appended()  # a quorum of one commits at once
+        self._flush_committed(now)
         self._finish_failover(now)
-
-    def _on_start_view(
-        self, replica: ReplicaId, payload, epoch: int, now: float
-    ) -> None:
-        """A backup installs the new view's adopted log and acks it."""
-        group = self.group
-        serial = group.install_view(replica, payload, epoch)
-        if serial is None:
-            return
-        arrival = self.repl_timer.delivery_time(
-            self.latency, replica, group.primary, now
-        )
-        self._push(arrival, ("rack", replica, serial, epoch))
 
     def _finish_failover(self, now: float) -> None:
         """Observe failover latency once the new view is fully certified."""
         if self._failover_from is None or SERVER_ID in self.crashed:
             return
-        if self.group.failover_certified():
+        if self.leader.adoption_certified():
             latency = now - self._failover_from
             self.stats.failover_latencies.append(latency)
             self._obs.failover_latency.observe(latency)
             self._obs.trace(
-                "repl.failover", latency=latency, view=self.group.view
+                "repl.failover", latency=latency, view=self.leader.view
             )
             self._failover_from = None
 
@@ -806,18 +861,14 @@ class _FaultyRun:
 
     def _on_server_crash(self, spec, now: float) -> None:
         self.pending_lifecycle -= 1
-        if self.group is not None:
-            group = self.group
+        self.stats.server_crashes += 1
+        if self.cores is not None:
+            leader = self.leader
             target = spec.replica
-            rid = (
-                group.roster[target]
-                if isinstance(target, int)
-                else group.primary
-            )
+            rid = self.roster[target] if isinstance(target, int) else leader.me
             self._outage_replica[spec.at] = rid
-            was_primary = group.crash(rid)
-            self.stats.server_crashes += 1
-            if was_primary:
+            self.alive[rid] = False
+            if rid == leader.me:
                 # The serving endpoint is gone until the failure detector
                 # fires and the successor takes over: client frames hit
                 # the crash check, and the dead incarnation's in-flight
@@ -837,64 +888,63 @@ class _FaultyRun:
         # retransmission timers keep firing into the void — their frames
         # hit the crash check until the server is back.
         self.epochs[SERVER_ID] += 1
-        self.stats.server_crashes += 1
 
     def _on_server_restore(self, spec, now: float) -> None:
         self.pending_lifecycle -= 1
         self.progress_time = now
-        if self.group is not None:
-            # A killed replica rejoins as a *backup* via state transfer
-            # from the current primary, whatever role it held before; its
-            # durable copy immediately counts toward future quorums.
+        self.stats.server_restores += 1
+        if self.cores is not None:
+            # A killed replica rejoins as a *backup* by state transfer —
+            # the primary's start-view install — whatever role it held
+            # before; the view's own primary restarts on its disk.  Its
+            # durable copy counts toward quorums at once.
             rid = self._outage_replica.pop(spec.at)
-            self.group.restore(rid)
-            self.stats.server_restores += 1
+            self.alive[rid] = True
+            leader = self.leader
+            if rid != leader.me:
+                self.cores[rid].install(**leader.start_view())
+            log = self.cores[rid].log
+            self._obs.trace(
+                "repl.rejoin", replica=rid, at_serial=log.last_serial
+            )
             if SERVER_ID not in self.crashed:
-                newly = self.group.acknowledge(
-                    rid, self.group.logs[rid].last_serial, self.group.epoch
-                )
-                if newly:
-                    self._commit_pending(now)
+                leader.record_ack(rid, log.last_serial, leader.epoch)
+                self._flush_committed(now)
                 self._finish_failover(now)
             return
-        self._restart(self.wal, "WAL recovery", now)
-        self.stats.server_restores += 1
+        self._restart(self.shard.wal, "WAL recovery", now)
         # The recovered state is durable: compact so a later crash replays
         # from this snapshot instead of the whole history.
         self.shard.compact(self.shard.floor(now, 0.0, pins=False))
 
     def _restart(self, log, what: str, now: float) -> None:
-        """(Re)start the logical server from ``log`` as a deployment does:
+        """(Re)start the shard from ``log`` as a deployment does:
         ``ShardCore(doc, log)``, then each client's hello at its live
-        cursor (:meth:`ShardCore.resync`), which leaves exactly the
-        re-shipped suffix unacknowledged.  The sessions become the server
-        ends of the lossy channels.  Replicated, the c->s receivers
-        resume from the *adopted* log, whose uncommitted suffix is still
-        queued, while the server and the s->c numbering resume from the
-        committed prefix (never from the dead process's memory).  The
-        simulator can do what a deployment cannot: compare the rebuilt
-        state against the live one, and the re-shipped broadcasts
-        against the volatile send buffers.
+        cursor (:meth:`ShardCore.resync` under the commit floor), which
+        re-ships the committed broadcasts the client has not consumed.
+        The sessions become the server ends of the lossy channels.  An
+        adopted uncommitted suffix parks, its broadcasts rebuilt from the
+        log as NetServer's commit flush rebuilds them, and goes out when
+        it commits.  The simulator can do what a deployment cannot:
+        compare the re-shipped broadcasts against the volatile send
+        buffers, and the shard's space against the server's once nothing
+        is uncommitted.
         """
         from repro.jupiter.shard import ShardCore
 
-        # The logical serialisation authority keeps its identity across
-        # views; the roster member serving it is group.primary.
-        log.replica_id = SERVER_ID
-        shard = ShardCore("sim", log, now=now)
-        recovered = shard.server
-        if recovered.space.signature() != self.cluster.server.space.signature():
-            raise SimulationError(
-                f"{what} rebuilt a different state-space than the served "
-                "one; the log lost or reordered history"
-            )
-        self.cluster.replace_server(recovered)
+        shard = self.shard = ShardCore("sim", log, now=now)
         self.crashed.discard(SERVER_ID)
-        self.shard = shard
+        self.parked = {
+            b.serial: (b.origin, dict.fromkeys(self.clients, b))
+            for b in log.broadcasts_for(shard.server, self.commits_done)
+        }
+        self._unchecked = what
+        if not self.parked:
+            self._check_spaces()
         for client in self.clients:
             session = shard.sessions[client]
             _cursor, _state, missed = shard.resync(
-                session, len(self.released[client]), None, now
+                session, len(self.released[client]), None, now, self.commit
             )
             # The rebuilt broadcasts must reproduce the volatile send
             # buffer exactly — same payloads, same serial order — so
@@ -908,22 +958,18 @@ class _FaultyRun:
                     "the log diverges from what the server had shipped"
                 )
             self.stats.server_resynced_ops += len(missed)
-            if self.group is not None:
-                adopted = self.group.primary_log.origin_counts()
-                self.popped_from[client] = session.receiver.cumulative_ack
-                self.proposed_from[client] = adopted.get(client, 0)
-                session.receiver.fast_forward(self.proposed_from[client])
             self.receivers[(client, SERVER_ID)] = session.receiver
             self.senders[(SERVER_ID, client)] = session.sender
             # Parked out-of-order frames died with the process and the
             # clients' senders retransmit them; frame seq equals serial
-            # on every s->c channel, so everything past the client's
-            # cursor is retransmitted under the new epoch (bumped at
-            # crash time).
-            for seq in session.sender.unacked():
+            # on every s->c channel, so the re-shipped suffix goes out
+            # under the new epoch (bumped at crash time).
+            for broadcast in missed:
                 self.stats.retransmissions += 1
                 self._obs.session_retransmits.inc()
-                self._transmit((SERVER_ID, client), seq, now, attempt=1)
+                self._transmit(
+                    (SERVER_ID, client), broadcast.serial, now, attempt=1
+                )
 
     # ------------------------------------------------------------------
     # Transport

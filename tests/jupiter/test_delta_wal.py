@@ -46,24 +46,19 @@ def _observability_left_disabled():
 class Rig:
     """Two CSS clients + server, server traffic mirrored into a WAL."""
 
-    def __init__(self, snapshot_every=100, compact_ctx=False):
+    def __init__(self, snapshot_every=100):
         self.names = ["c1", "c2"]
         self.server = CssServer("server", self.names)
         self.clients = {name: CssClient(name) for name in self.names}
         self.wal = ServerWriteAheadLog(
             "server", self.names, snapshot_every=snapshot_every
         )
-        self.compact_ctx = compact_ctx
         self.steps = 0
 
     def _ship(self, origin, outgoing):
         operation = outgoing.operation
         broadcasts = self.server.receive(origin, outgoing)
-        ctx = (
-            compact_context(operation, self.server.oracle)
-            if self.compact_ctx
-            else None
-        )
+        ctx = compact_context(operation, self.server.oracle)
         self.wal.append(
             self.server.oracle.last_serial, origin, operation, ctx=ctx
         )
@@ -188,7 +183,7 @@ class TestDeltaCompaction:
         rig.assert_recovers()
 
     def test_delta_chain_with_retained_records_recovers(self):
-        rig = Rig(compact_ctx=True)
+        rig = Rig()
         for _ in range(4):
             rig.step(3)
             rig.wal.compact(rig.server, retain_after=rig.wal.last_serial - 2)
@@ -206,7 +201,7 @@ class TestDeltaCompaction:
         rig.assert_recovers()
 
     def test_forty_compactions_without_a_rebase_are_deltas(self):
-        rig = Rig(compact_ctx=True)
+        rig = Rig()
         rig.step(2)
         rig.wal.compact(rig.server)
         modes = []
@@ -234,7 +229,7 @@ class TestDeltaCompaction:
         rig.assert_recovers()
 
     def test_rebase_forces_a_full_checkpoint(self):
-        rig = Rig(compact_ctx=True)
+        rig = Rig()
         rig.step(4)
         rig.wal.compact(rig.server)
         rig.step(2)
@@ -257,7 +252,7 @@ class TestDeltaCompaction:
         # Replay (not just restore) compact-context records with extras:
         # the burst lands *after* the last compaction, so recovery must
         # decode the serial gap through the restored oracle.
-        rig = Rig(compact_ctx=True)
+        rig = Rig()
         rig.step(3)
         rig.wal.compact(rig.server)
         rig.step_concurrent()
@@ -284,7 +279,7 @@ class TestDeltaCompaction:
         assert clone.deltas == []
 
     def test_origin_counts_survive_trim_and_deltas(self):
-        rig = Rig(compact_ctx=True)
+        rig = Rig()
         rig.step(6)
         rig.rebase(5)
         rig.wal.compact(rig.server)
@@ -295,7 +290,7 @@ class TestDeltaCompaction:
         assert counts == {"c1": 5, "c2": 5}
 
     def test_running_counts_equal_the_walk_after_restore_and_cut(self):
-        rig = Rig(compact_ctx=True)
+        rig = Rig()
         for retained in (0, 2, 0):
             rig.step(5)
             rig.step_concurrent()
@@ -328,12 +323,13 @@ class TestEpochSurvivesCompaction:
             context = self.server.space.final_key
             operation = insert(OpId("c1", seq), "x", 0, context)
             self.server.receive("c1", ClientOperation(operation))
-            wal.append(seq, "c1", operation, epoch=epoch)
+            ctx = compact_context(operation, self.server.oracle)
+            wal.append(seq, "c1", operation, epoch=epoch, ctx=ctx)
 
     def refuses_a_stale_append(self, wal):
         operation = insert(OpId("c1", 4), "y", 0, context=set())
         with pytest.raises(ProtocolError, match="stale epoch 1 < 3"):
-            wal.append(4, "c1", operation, epoch=1)
+            wal.append(4, "c1", operation, epoch=1, ctx=[3, []])
 
     def test_in_memory_round_trip(self):
         restored = ServerWriteAheadLog.from_obj(self.compacted().to_obj())
@@ -359,7 +355,7 @@ class TestEpochSurvivesCompaction:
     def test_a_cut_to_nothing_falls_back_to_the_compaction(self):
         wal = self.compacted()
         operation = insert(OpId("c1", 4), "y", 0, context=set())
-        wal.append(4, "c1", operation, epoch=5)
+        wal.append(4, "c1", operation, epoch=5, ctx=[3, []])
         assert [r["serial"] for r in wal.truncate_from(4)] == [4]
         assert wal.last_epoch == 3
 
@@ -395,7 +391,7 @@ class TestDeltaDisk:
         assert recovered.space.signature() == rig.server.space.signature()
 
     def test_appended_delta_line_truncates_records(self, tmp_path):
-        rig = Rig(compact_ctx=True)
+        rig = Rig()
         rig.step(4)
         rig.wal.compact(rig.server)
         path = self.saved(tmp_path, rig)
@@ -418,7 +414,7 @@ class TestDeltaDisk:
         assert recovered.space.signature() == rig.server.space.signature()
 
     def test_torn_delta_tail_is_lossless(self, tmp_path):
-        rig = Rig(compact_ctx=True)
+        rig = Rig()
         rig.step(4)
         rig.wal.compact(rig.server)
         path = self.saved(tmp_path, rig)

@@ -9,15 +9,18 @@ from repro.errors import ProtocolError, StateSpaceError
 from repro.jupiter import make_cluster
 from repro.jupiter.cluster import Cluster
 from repro.jupiter.keys import key_of
+from repro.jupiter.ordering import ServerOrderOracle
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
     checkpoint_client,
+    compact_context,
     element_from_obj,
     element_to_obj,
     operation_from_obj,
     operation_to_obj,
     opid_from_obj,
     opid_to_obj,
+    record_operation,
     restore_checkpoint,
     restore_client,
     restore_server,
@@ -215,11 +218,16 @@ class TestJsonRoundTrips:
             restore_checkpoint(checkpoint)
 
     def test_wal_record(self):
+        oracle = ServerOrderOracle()
+        oracle.assign(OpId("c2", 1))
         op = insert(OpId("c1", 1), "x", 3, context={OpId("c2", 1)})
-        record = json.loads(json.dumps(wal_record_to_obj(5, "c1", op)))
+        ctx = compact_context(op, oracle)
+        record = json.loads(
+            json.dumps(wal_record_to_obj(5, "c1", op, ctx=ctx))
+        )
         assert record["serial"] == 5
         assert record["origin"] == "c1"
-        assert operation_from_obj(record["operation"]) == op
+        assert record_operation(record, oracle) == op
 
     def test_wal(self):
         cluster, wal = driven_wal(snapshot_every=2)
@@ -247,10 +255,12 @@ def driven_wal(ops_per_client=3, snapshot_every=100):
         for client in ("c1", "c2"):
             cluster.generate(client, OpSpec("ins", 0, next(letters)))
             message = cluster.server_receive(client)
+            operation = message.payload.operation
             wal.append(
                 cluster.server.oracle.last_serial,
                 client,
-                message.payload.operation,
+                operation,
+                ctx=compact_context(operation, cluster.server.oracle),
             )
     return cluster, wal
 
@@ -264,9 +274,9 @@ class TestWriteAheadLog:
         cluster, wal = driven_wal(ops_per_client=1)
         op = insert(OpId("c9", 1), "z", 0)
         with pytest.raises(ProtocolError):
-            wal.append(wal.last_serial + 2, "c1", op)  # skips a serial
+            wal.append(wal.last_serial + 2, "c1", op, ctx=[0, []])  # skips
         with pytest.raises(ProtocolError):
-            wal.append(wal.last_serial, "c1", op)  # reuses a serial
+            wal.append(wal.last_serial, "c1", op, ctx=[0, []])  # reuses
 
     def test_cold_recovery_replays_every_record(self):
         cluster, wal = driven_wal()

@@ -1,12 +1,11 @@
 """The replica core on its own: no sockets, no event loop, no simulator.
 
 :class:`~repro.jupiter.replication.Replica` owns every replication
-decision; :class:`~repro.net.server.NetServer` and
-:class:`~repro.jupiter.replication.ReplicatedWal` only drive it.  These
-tests pin the rules the two old transcriptions had let drift: a frame is
-validated before anything changes, the promise only ratchets, a replica
-refuses an install for a view it leads itself, and whatever makes a
-sitting primary stop leading says so.
+decision; :class:`~repro.net.server.NetServer` and the fault-injected
+simulator only drive it, with the same calls.  These tests pin its
+rules: a frame is validated before anything changes, the promise only
+ratchets, a replica refuses an install for a view it leads itself, and
+whatever makes a sitting primary stop leading says so.
 """
 
 import pytest

@@ -71,7 +71,10 @@ class TestRoundTrip:
         from repro.jupiter.persistence import operation_from_obj
 
         loaded.append(
-            wal.last_serial + 1, "c1", operation_from_obj(op["operation"])
+            wal.last_serial + 1,
+            "c1",
+            operation_from_obj(op["operation"], frozenset()),
+            ctx=op["ctx"],
         )
         assert loaded.last_serial == wal.last_serial + 1
 

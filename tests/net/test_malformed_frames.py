@@ -152,5 +152,144 @@ class TestMalformedClientFrames:
             decode_envelope(MALFORMED_CLIENT_FRAMES["binary-nesting-bomb"][0])
 
 
+async def _against_a_live_server(probe):
+    """Run ``probe(server, reader, writer)`` on a raw connection to a
+    server holding "abc", then let an honest client type "z" at 0.
+    Returns what the probe returned and what everyone else saw."""
+    unhandled = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, context: unhandled.append(context)
+    )
+    server = NetServer("127.0.0.1", 0, initial_text="abc")
+    await server.start()
+    logged = []
+    server._log = logged.append
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    seen = await probe(server, reader, writer)
+    writer.close()
+
+    honest = NetClient("c1", "127.0.0.1", server.port)
+    await honest.connect()
+    await honest.generate(OpSpec("ins", 0, "z"))
+    converged = await honest.wait_converged(1, timeout=10)
+    state = {
+        "logged": logged,
+        "unhandled": unhandled,
+        "converged": converged
+        and honest.signature() == document_signature(server.server.document),
+        "text": server.server.document.as_string(),
+    }
+    await honest.close()
+    await server.stop()
+    return seen, state
+
+
+def _registered(server):
+    return {doc: sorted(shard.sessions) for doc, shard in server.shards.items()}
+
+
+#: hello fields -> what the server's log line must say
+MALFORMED_HELLOS = {
+    "delivered-not-an-integer": (
+        {"delivered": "x"},
+        "rogue violated the protocol: frame field 'delivered'",
+    ),
+    "delivered-a-bool": (
+        {"delivered": True},
+        "rogue violated the protocol: frame field 'delivered'",
+    ),
+    "pin-not-an-integer": (
+        {"pin": "x"},
+        "rogue violated the protocol: frame field 'pin'",
+    ),
+    "pin-negative": (
+        {"pin": -7},
+        "rogue violated the protocol: frame field 'pin'",
+    ),
+    "pin-a-float": (
+        {"pin": 1.5},
+        "rogue violated the protocol: frame field 'pin'",
+    ),
+    "epoch-not-an-integer": (
+        {"epoch": "x"},
+        "rogue violated the protocol: frame field 'epoch'",
+    ),
+    "client-a-list": (
+        {"client": ["a"]},
+        "['a'] violated the protocol: invalid client ['a']",
+    ),
+    "doc-a-list": (
+        {"doc": [1]},
+        "rogue violated the protocol: invalid client 'rogue' or doc [1]",
+    ),
+}
+
+
+class TestMalformedHellos:
+    """A hello's counters and names are checked before it can open a
+    document or register a session: a bad one used to register a
+    phantom session (and escape untyped), or was read as something else
+    (``pin: 1.5`` as 1, ``client: ["a"]`` as the name ``"['a']"``)."""
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_HELLOS))
+    def test_refused_typed_before_anything_registers(self, shape):
+        fields, line = MALFORMED_HELLOS[shape]
+
+        async def probe(server, reader, writer):
+            hello = {
+                "client": "rogue",
+                "delivered": 0,
+                "codecs": ["bin", "json"],
+                **fields,
+            }
+            await write_frame(writer, encode_envelope("hello", **hello))
+            hung_up = await asyncio.wait_for(reader.read(), timeout=5)
+            return hung_up, _registered(server)
+
+        (hung_up, registered), state = _run(_against_a_live_server(probe))
+        assert hung_up == b""  # closed, and nothing said first
+        assert any(line in entry for entry in state["logged"]), state["logged"]
+        assert state["unhandled"] == []
+        assert registered == {"default": []}
+        assert state["converged"] and state["text"] == "zabc"
+
+
+#: admin frame fields -> the typed error the reply carries
+MALFORMED_ADMIN_FRAMES = {
+    "cmd-a-list": ({"cmd": ["stats"]}, "unknown admin command ['stats']"),
+    "cmd-missing": ({}, "unknown admin command None"),
+    "cmd-unknown": ({"cmd": "reboot"}, "unknown admin command 'reboot'"),
+    "doc-a-list": (
+        {"cmd": "stats", "doc": [1]},
+        "document '[1]' is not hosted here",
+    ),
+    "doc-a-dict": (
+        {"cmd": "signature", "doc": {"a": 1}},
+        "document \"{'a': 1}\" is not hosted here",
+    ),
+}
+
+
+class TestMalformedAdminFrames:
+    """An admin frame of the wrong shape is answered with a typed error,
+    and the server keeps serving."""
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_ADMIN_FRAMES))
+    def test_answered_with_a_typed_error(self, shape):
+        fields, error = MALFORMED_ADMIN_FRAMES[shape]
+
+        async def probe(server, reader, writer):
+            await write_frame(writer, encode_envelope("admin", **fields))
+            reply = await asyncio.wait_for(read_frame(reader), timeout=5)
+            return reply, _registered(server)
+
+        (reply, registered), state = _run(_against_a_live_server(probe))
+        assert reply["type"] == "admin_reply"
+        assert reply["error"] == error
+        assert registered == {"default": []}
+        assert state["unhandled"] == []
+        assert state["converged"] and state["text"] == "zabc"
+
+
 def _run(coroutine):
     return asyncio.run(coroutine)

@@ -1,11 +1,11 @@
 """Property suite: seeded interleavings over pure replica cores.
 
-The failover chaos suites drive :class:`ReplicatedWal`, whose simulated
-backbone is kind: FIFO, lossless, one view change at a time, commit
-knowledge everywhere at once.  This suite is the unkind one.  N bare
-:class:`~repro.jupiter.replication.Replica` cores exchange the
-replication frames' *meaning* through a model of what TCP and asyncio
-actually allow — stop-and-wait connections that start with an install,
+The failover chaos suites drive bare replica cores over a simulated
+backbone that is kind: FIFO, lossless, one view change at a time, commit
+knowledge at every survivor before an election.  This suite is the
+unkind one.  N bare :class:`~repro.jupiter.replication.Replica` cores
+exchange the replication frames' *meaning* through a model of what TCP
+and asyncio actually allow — stop-and-wait connections that start with an install,
 get reset, and leave zombies whose last frame still arrives after the
 re-dial's; acks and offers that are lost; replicas that crash and come
 back with their disk; failure detectors that misfire while the primary
