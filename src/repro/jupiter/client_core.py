@@ -23,7 +23,7 @@ from repro.errors import ProtocolError
 from repro.jupiter.base import GenerateResult
 from repro.jupiter.css import CssClient
 from repro.jupiter.messages import ClientOperation, ServerOperation
-from repro.jupiter.persistence import opid_from_obj, space_from_obj
+from repro.jupiter.persistence import client_from_snapshot
 from repro.jupiter.session import (
     SessionReceiver,
     SessionSender,
@@ -228,21 +228,14 @@ class ClientCore:
         with the old state; all the server acknowledged is in the
         snapshot."""
         try:
-            snap = state["snapshot"]
             op_seq = counter(state["op_seq"], "op_seq")
             delivered = counter(state["delivered"], "delivered")
-            css = CssClient(self.client_id)
-            base = int(snap.get("base", 0))
-            if base:
-                css.oracle.trim_below(base)
-            serials = sorted(snap["serials"], key=lambda item: item[1])
-            for opid_obj, serial in serials:
-                css.oracle.record(opid_from_obj(opid_obj), int(serial))
-            css.space = space_from_obj(snap["space"], css.oracle)
-        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            snapshot = state["snapshot"]
+        except (LookupError, TypeError) as exc:
             raise ProtocolError(
                 f"{self.client_id}: undecodable state transfer: {exc!r}"
             ) from exc
+        css = client_from_snapshot(self.client_id, snapshot)
         css.restore_session(pending=[], next_seq=op_seq + 1)
         self.css = css
         self.unacked.clear()
@@ -258,5 +251,5 @@ class ClientCore:
             client=self.client_id,
             delivered=delivered,
             op_seq=op_seq,
-            base=base,
+            base=css.oracle.base,
         )

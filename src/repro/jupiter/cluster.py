@@ -291,10 +291,6 @@ class Cluster:
         """Undelivered server-to-client messages for one client."""
         return len(self._to_client[client_id])
 
-    def pending_to_server(self, client_id: ReplicaId) -> int:
-        """Undelivered client-to-server messages from one client."""
-        return len(self._to_server[client_id])
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -357,7 +353,6 @@ def make_cluster(
     clients: Sequence[ReplicaId],
     initial_text: str = "",
     observe_after_receive: bool = True,
-    strict_cp1: bool = False,
 ) -> Cluster:
     """Build a ready-to-run cluster for one of the implemented protocols.
 
@@ -366,25 +361,17 @@ def make_cluster(
     ``initial_text`` (shared element identities, as the paper's worked
     examples assume).
 
-    ``strict_cp1`` applies to the CSS family only: every replica's
-    state-space verifies CP1 squares by full ordered-document comparison
-    (the pre-optimisation behaviour) instead of the cheap
-    length/fingerprint check.  ``"css-ref"`` goes further: the replicas
-    run on :class:`~repro.jupiter.reference.ReferenceStateSpace`, the
-    retained seed implementation, serving as the equivalence oracle and
-    the perf-harness baseline.
+    ``"css-ref"`` runs the CSS replicas on
+    :class:`~repro.jupiter.reference.ReferenceStateSpace`, the retained
+    seed implementation, serving as the equivalence oracle and the
+    perf-harness baseline.
     """
     initial = ListDocument.from_string(initial_text) if initial_text else None
     if protocol == "css-gc":
         # CSS with state-space garbage collection at every replica.
-        server = CssServer(
-            SERVER_ID, list(clients), initial, gc=True, strict_cp1=strict_cp1
-        )
+        server = CssServer(SERVER_ID, list(clients), initial, gc=True)
         client_map = {
-            name: CssClient(
-                name, initial, gc=True, peers=list(clients),
-                strict_cp1=strict_cp1,
-            )
+            name: CssClient(name, initial, gc=True, peers=list(clients))
             for name in clients
         }
         return Cluster(server, client_map, observe_after_receive)
@@ -407,15 +394,6 @@ def make_cluster(
             f"{sorted(registry) + ['css-gc', 'css-ref']}"
         )
     server_cls, client_cls = registry[protocol]
-    if protocol == "css":
-        server = CssServer(
-            SERVER_ID, list(clients), initial, strict_cp1=strict_cp1
-        )
-        client_map = {
-            name: CssClient(name, initial, strict_cp1=strict_cp1)
-            for name in clients
-        }
-        return Cluster(server, client_map, observe_after_receive)
     server = server_cls(SERVER_ID, list(clients), initial)
     client_map = {name: client_cls(name, initial) for name in clients}
     return Cluster(server, client_map, observe_after_receive)

@@ -92,14 +92,10 @@ class CssClient(_CssReplica, BaseClient):
         initial_document: Optional[ListDocument] = None,
         gc: bool = False,
         peers: Optional[List[ReplicaId]] = None,
-        *,
-        strict_cp1: bool = False,
     ) -> None:
         super().__init__(replica_id)
         self.oracle = ClientOrderOracle(replica_id)
-        self.space = NaryStateSpace(
-            self.oracle, initial_document, strict_cp1=strict_cp1
-        )
+        self.space = NaryStateSpace(self.oracle, initial_document)
         self._pending: List = []  # own operations awaiting their echo
         self._gc = gc
         if gc and peers is None:
@@ -202,14 +198,10 @@ class CssServer(_CssReplica, BaseServer):
         clients: List[ReplicaId],
         initial_document: Optional[ListDocument] = None,
         gc: bool = False,
-        *,
-        strict_cp1: bool = False,
     ) -> None:
         super().__init__(replica_id, clients)
         self.oracle = ServerOrderOracle()
-        self.space = NaryStateSpace(
-            self.oracle, initial_document, strict_cp1=strict_cp1
-        )
+        self.space = NaryStateSpace(self.oracle, initial_document)
         self._gc = gc
         self._known: dict = {}
         self.pruned_states = 0

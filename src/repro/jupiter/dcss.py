@@ -139,15 +139,11 @@ class DcssPeer:
         replica_id: ReplicaId,
         peers: List[ReplicaId],
         initial_document: Optional[ListDocument] = None,
-        *,
-        strict_cp1: bool = False,
     ) -> None:
         self.replica_id = replica_id
         self.peers = [p for p in peers if p != replica_id]
         self.oracle = LamportOrderOracle()
-        self.space = NaryStateSpace(
-            self.oracle, initial_document, strict_cp1=strict_cp1
-        )
+        self.space = NaryStateSpace(self.oracle, initial_document)
         self._seq = SeqGenerator(replica_id)
         self._clock = 0
         self._seen_clock: Dict[ReplicaId, int] = {p: 0 for p in self.peers}

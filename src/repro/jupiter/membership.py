@@ -10,9 +10,12 @@ facts this repository already establishes:
 * FIFO broadcasts — everything serialised after the snapshot reaches the
   newcomer in total order, exactly as it reaches the veterans.
 
-``server_admit`` extends the roster and cuts a join payload (the
-serialised space plus the serialisation order); ``client_from_join``
-builds a fully initialised :class:`~repro.jupiter.css.CssClient` from it.
+``server_admit`` extends the roster and cuts a join payload: the
+server's snapshot (:func:`~repro.jupiter.persistence.snapshot_server`)
+plus the joiner's name.  ``client_from_join`` builds a fully initialised
+:class:`~repro.jupiter.css.CssClient` from it through the one snapshot
+reader, :func:`~repro.jupiter.persistence.client_from_snapshot`, which
+state transfer and checkpoint restore use too.
 The newcomer's first generated operation has the server state at
 admission as its context, which every veteran's space contains, so no
 special-casing is needed anywhere else.
@@ -30,13 +33,7 @@ from typing import Any, Dict
 from repro.common.ids import ReplicaId
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssClient, CssServer
-from repro.jupiter.persistence import (
-    FORMAT_VERSION,
-    opid_from_obj,
-    opid_to_obj,
-    space_from_obj,
-    space_to_obj,
-)
+from repro.jupiter.persistence import client_from_snapshot, snapshot_server
 
 
 def server_admit(server: CssServer, client_id: ReplicaId) -> Dict[str, Any]:
@@ -54,25 +51,9 @@ def server_admit(server: CssServer, client_id: ReplicaId) -> Dict[str, Any]:
             "enabled (the pruning floor would need a roster re-announce)"
         )
     server.clients.append(client_id)
-    return {
-        "version": FORMAT_VERSION,
-        "client": client_id,
-        "space": space_to_obj(server.space),
-        "serials": [
-            [opid_to_obj(opid), serial]
-            for opid, serial in server.oracle._serial_by_opid.items()
-        ],
-    }
+    return {**snapshot_server(server), "client": client_id}
 
 
 def client_from_join(payload: Dict[str, Any]) -> CssClient:
     """Build a ready-to-run client from a join payload."""
-    if payload.get("version") != FORMAT_VERSION:
-        raise ProtocolError(
-            f"unsupported join payload version {payload.get('version')!r}"
-        )
-    client = CssClient(str(payload["client"]))
-    for opid_obj, serial in payload["serials"]:
-        client.oracle.record(opid_from_obj(opid_obj), int(serial))
-    client.space = space_from_obj(payload["space"], client.oracle)
-    return client
+    return client_from_snapshot(str(payload["client"]), payload)

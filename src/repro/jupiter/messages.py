@@ -1,7 +1,8 @@
 """Wire payloads exchanged between Jupiter clients and the server.
 
 Channels are FIFO in both directions (Section 4.4).  Two payload shapes
-cover all protocol variants:
+cover all protocol variants, and a replica that missed broadcasts is
+re-shipped the same :class:`ServerOperation` payloads:
 
 * :class:`ClientOperation` — a client propagates a freshly generated
   original operation to the server;
@@ -17,7 +18,7 @@ cover all protocol variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Tuple
+from typing import FrozenSet
 
 from repro.common.ids import OpId, ReplicaId
 from repro.ot.operations import Operation
@@ -54,44 +55,3 @@ class ServerOperation:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"ServerOperation(#{self.serial} {self.operation})"
-
-
-@dataclass(frozen=True)
-class ResyncRequest:
-    """A consumer asks the server for the broadcasts it is missing.
-
-    ``delivered`` is the number of server messages the consumer has on
-    record for its server-to-client channel; every message after that
-    point (up to the server's current serial) must be re-shipped.  Two
-    recovery flows use it, both part of the crash-recovery control plane
-    built on the reliable-session layer (:mod:`repro.jupiter.session`):
-
-    * a restarted *client* reports its checkpoint's consumption cursor
-      and the server re-ships from its delivery log;
-    * after a *server* restart, each client reports its live consumption
-      cursor and the recovered server answers from the replayed
-      write-ahead log
-      (:meth:`~repro.jupiter.persistence.ServerWriteAheadLog.broadcasts_for`).
-    """
-
-    client: ReplicaId
-    delivered: int
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"ResyncRequest({self.client}, delivered={self.delivered})"
-
-
-@dataclass(frozen=True)
-class ResyncResponse:
-    """The server's answer: the missed broadcasts in serial order.
-
-    For Jupiter protocols the payloads are :class:`ServerOperation`\\ s,
-    so the tuple is ordered by ``serial`` — the index the recovering
-    client replays them through (footnote 7's originals for CSS).
-    """
-
-    client: ReplicaId
-    payloads: Tuple[Any, ...]
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"ResyncResponse({self.client}, {len(self.payloads)} ops)"

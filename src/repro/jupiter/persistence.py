@@ -39,12 +39,13 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.common.ids import OpId, ReplicaId, StateKey
 from repro.document.elements import Element
 from repro.document.list_document import ListDocument
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ReproError
 from repro.jupiter.css import CssClient, CssServer
 from repro.jupiter.keys import key_of
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.nary import NaryStateSpace
 from repro.jupiter.ordering import ServerOrderOracle
+from repro.jupiter.session import counter
 from repro.jupiter.state_space import StateNode, Transition
 from repro.obs import get_obs
 from repro.ot.operations import OpKind, Operation
@@ -375,12 +376,36 @@ def snapshot_client(client: CssClient) -> Dict[str, Any]:
     }
 
 
+def client_from_snapshot(replica: ReplicaId, obj: Any) -> CssClient:
+    """Build a CSS client that starts from a snapshot.
+
+    This is the one way a client catches up from a whole state — a state
+    transfer, a late join, a checkpoint restore.  ``obj`` has the shape
+    :func:`snapshot_server` writes (a :func:`snapshot_client` is that
+    shape without ``base``, plus its session fields).  Proposition 6.6
+    makes the space a complete starting point: the oracle is seated at
+    ``base``, learns the serials, and the space is rebuilt against it.
+    Any malformed field raises :class:`ProtocolError` before a client is
+    returned.
+    """
+    try:
+        _require_version(obj, "snapshot")
+        client = CssClient(replica)
+        client.oracle.trim_below(counter(obj.get("base", 0), "base"))
+        for opid_obj, serial in sorted(obj["serials"], key=lambda i: i[1]):
+            client.oracle.record(opid_from_obj(opid_obj), int(serial))
+        client.space = space_from_obj(obj["space"], client.oracle)
+    except (
+        LookupError, TypeError, ValueError, AttributeError, ReproError
+    ) as exc:
+        raise ProtocolError(
+            f"{replica}: undecodable snapshot: {exc!r}"
+        ) from exc
+    return client
+
+
 def restore_client(obj: Dict[str, Any]) -> CssClient:
-    _require_version(obj, "snapshot")
-    client = CssClient(str(obj["replica"]))
-    for opid_obj, serial in obj["serials"]:
-        client.oracle.record(opid_from_obj(opid_obj), int(serial))
-    client.space = space_from_obj(obj["space"], client.oracle)
+    client = client_from_snapshot(str(obj["replica"]), obj)
     client.restore_session(
         pending=[opid_from_obj(o) for o in obj["pending"]],
         next_seq=int(obj["next_seq"]),
@@ -400,10 +425,9 @@ def checkpoint_client(
     (:func:`snapshot_client`) plus the durable transport metadata the
     reliable-session layer needs to resume — the client's sender-side
     sequence state (``session``), how many server messages it had
-    consumed (``delivered``, the resync cursor of
-    :class:`~repro.jupiter.messages.ResyncRequest`), and how long its
-    behaviour log was (entries after it are lost with the crash and
-    reconstructed by the resync replay).
+    consumed (``delivered``: the broadcasts past it are re-shipped after
+    a restore), and how long its behaviour log was (entries after it are
+    lost with the crash and reconstructed by that replay).
     """
     return {
         "version": FORMAT_VERSION,
@@ -533,8 +557,7 @@ def _validate_wal_delta(delta: Any) -> Dict[str, Any]:
     """Raise :class:`ProtocolError` unless ``delta`` is a delta-snapshot."""
     if not isinstance(delta, dict):
         raise ProtocolError(f"WAL delta is not an object: {delta!r}")
-    for field in ("upto", "floor", "final", "added", "removed", "touched",
-                  "serials"):
+    for field in ("upto", "floor", "final", "added", "touched", "serials"):
         if field not in delta:
             raise ProtocolError(f"WAL delta missing field {field!r}")
     for node_obj in delta["added"]:
@@ -575,17 +598,16 @@ class ServerWriteAheadLog:
 
     Compaction is **incremental** and one rule picks its mode: a *full
     checkpoint* with no diff base (the first compaction, the first after
-    a restore) or after active-window GC moved the rebase floor; a
-    *delta* — nodes added, removed or re-ordered and serials assigned
-    since the previous compaction — every other time.  The chain needs
-    no length limit: an integration whose leftmost path has k steps
-    creates k + 1 nodes and adds 2k + 1 transitions, each ending at a
-    node it created and only k + 1 starting at an older one, and no node
-    leaves the space without a rebase, which restarts the chain.  So a
-    chain's ``added`` + ``touched`` entries are at most 2x the nodes
-    created since its checkpoint, all still in the window, and the
-    recovery fold stays O(window).  (A ``prune_below`` without a rebase,
-    which the deployed server never runs, re-encodes orphans on top.)
+    a restore) or once a node left the space (active-window GC's rebase,
+    or a ``prune_below``, which the deployed server never runs); a
+    *delta* — nodes added or re-ordered and serials assigned since the
+    previous compaction — every other time.  The chain needs no length
+    limit: an integration whose leftmost path has k steps creates k + 1
+    nodes and adds 2k + 1 transitions, each ending at a node it created
+    and only k + 1 starting at an older one, and a delta never removes a
+    node.  So a chain's ``added`` + ``touched`` entries are at most 2x
+    the nodes created since its checkpoint, all still in the window, and
+    the recovery fold stays O(window).
     Neither appends nor compactions re-read the log: the per-origin
     counts are kept as records arrive and truncation cuts a prefix.
 
@@ -696,23 +718,6 @@ class ServerWriteAheadLog:
         self._since_snapshot += 1
         self._obs.wal_appends.inc()
 
-    def truncate_from(self, serial: int) -> List[Dict[str, Any]]:
-        """Discard records with serial >= ``serial``; return them.
-
-        View changes use this on a backup whose uncommitted suffix lost to
-        the adopted log: the suffix is cut, handed back to the caller (the
-        new primary re-proposes equivalent records under its epoch), and
-        the log resumes appending at ``serial``.
-        """
-        keep = self._records_below(serial)
-        cut = self.records[keep:]
-        del self.records[keep:]
-        self._next_serial = min(self._next_serial, int(serial))
-        self.last_epoch = self._tail_epoch()
-        if cut:
-            self._counts = self._walk_origin_counts()
-        return cut
-
     def _tail_epoch(self) -> int:
         """The epoch of the last serial: its record's, else the one the
         compaction that truncated it stored."""
@@ -753,10 +758,10 @@ class ServerWriteAheadLog:
         may still need their broadcast re-shipped.  Returns the number of
         records truncated.
 
-        With no diff base or a moved rebase floor it emits a **full
-        checkpoint**, O(window + document).  Otherwise it emits a
-        **delta** against the previous compaction — nodes added and
-        removed since, nodes whose ordered child-transition list grew
+        With no diff base, a moved rebase floor or a node gone from the
+        space it emits a **full checkpoint**, O(window + document).
+        Otherwise it emits a **delta** against the previous compaction —
+        nodes added since, nodes whose ordered child-transition list grew
         (transition lists are insert-only, so a changed length is exactly
         a changed list), and the serials assigned since — found by one
         pointer walk over the live node table against the shadow (the
@@ -782,9 +787,11 @@ class ServerWriteAheadLog:
                 self.records[truncated - 1].get("epoch", 0)
             )
         counts = dict(sorted(self._counts.items()))
+        delta = None
         if self._shadow is not None and base == self._shadow_base:
-            mode = "delta"
             delta = self._diff(server.space, self._shadow)
+        if delta is not None:
+            mode = "delta"
             delta.update(
                 upto=covered,
                 floor=floor,
@@ -835,12 +842,15 @@ class ServerWriteAheadLog:
             )
         return truncated
 
-    def _diff(self, space: NaryStateSpace, shadow: Shadow) -> Dict[str, Any]:
+    def _diff(
+        self, space: NaryStateSpace, shadow: Shadow
+    ) -> Optional[Dict[str, Any]]:
         """The node part of a delta; brings ``shadow`` up to ``space``.
 
         The shadow is keyed by the space's own key objects, so the
         walk over the node table is a hash probe that hits on identity
-        per unchanged node and nothing else.
+        per unchanged node and nothing else.  ``None``, with the shadow
+        untouched, when a node left the space: a delta only adds.
         """
         added: List[StateNode] = []
         touched: List[StateNode] = []
@@ -850,29 +860,12 @@ class ServerWriteAheadLog:
                 added.append(node)
             elif len(node.children) != entry[1]:
                 touched.append(node)
+        if len(shadow) + len(added) != space.node_count():
+            return None
         # Every transition into a new node leaves a grown or a new node,
         # and new nodes sit after all old ones in the table.
-        sources: Iterable[StateNode] = touched + added
-        removed: List[int] = []
-        if len(shadow) + len(added) != space.node_count():
-            # Pruned without a rebase (``prune_below``): a survivor that
-            # was encoded relative to a pruned parent is re-encoded,
-            # under its old id, from whichever node still reaches it.
-            for key in [k for k in shadow if not space.has_state(k)]:
-                removed.append(shadow.pop(key)[0])
-            gone = set(removed)
-            orphaned = [
-                node
-                for node in space.nodes()
-                if node.key in shadow and shadow[node.key][2] in gone
-            ]
-            if orphaned:
-                stale = {node.key for node in orphaned}
-                touched = [n for n in touched if n.key not in stale]
-                added = orphaned + added
-                sources = space.nodes()
         encoded, self._next_id = _encode_nodes(
-            space, shadow, sources, added, self._next_id
+            space, shadow, touched + added, added, self._next_id
         )
         patches = []
         for node in touched:
@@ -885,15 +878,16 @@ class ServerWriteAheadLog:
             "final": shadow[space.final_key][0],
             "ot_count": space.ot_count,
             "added": encoded,
-            "removed": sorted(removed),
             "touched": patches,
         }
 
     def _merged_snapshot(self) -> Optional[Dict[str, Any]]:
         """The full checkpoint with every delta folded in (obj level).
 
-        Folding is by node id; ids only grow and an id never outlives
-        its node, so the fold's insertion order stays parents-first.
+        Folding is by node id; ids only grow and a delta never removes a
+        node, so the fold's insertion order stays parents-first.  A delta
+        that removes nodes or touches one the log does not hold is
+        refused.
         """
         if self.snapshot is None:
             return None
@@ -902,9 +896,16 @@ class ServerWriteAheadLog:
         nodes = {n["id"]: n for n in self.snapshot["space"]["nodes"]}
         serials = [list(item) for item in self.snapshot["serials"]]
         for delta in self.deltas:
-            for node_id in delta["removed"]:
-                nodes.pop(node_id, None)
+            if delta.get("removed"):
+                raise ProtocolError(
+                    "WAL delta removes nodes: only a full checkpoint may"
+                )
             for patch in delta["touched"]:
+                if patch["id"] not in nodes:
+                    raise ProtocolError(
+                        f"WAL delta touches node {patch['id']!r}, "
+                        "which the log does not hold"
+                    )
                 nodes[patch["id"]] = {
                     **nodes[patch["id"]], "children": patch["children"]
                 }
@@ -984,8 +985,8 @@ class ServerWriteAheadLog:
     ) -> List[ServerOperation]:
         """Rebuild the broadcasts a consumer with cursor ``delivered`` missed.
 
-        Answers a :class:`~repro.jupiter.messages.ResyncRequest` from the
-        replayed log: one :class:`ServerOperation` per serial in
+        What a (re)connecting session or a restarted server re-ships,
+        from the replayed log: one :class:`ServerOperation` per serial in
         ``delivered + 1 .. last_serial``, with the prefix sets recomputed
         from the recovered server's oracle.
         """
@@ -1025,8 +1026,8 @@ class ServerWriteAheadLog:
 
         Each origin's sequence numbers are dense from 1, so its count is
         the highest sequence it has logged: :meth:`append_record` keeps
-        that running maximum in O(1) per record, and only a restore or a
-        cut suffix recomputes it (:meth:`_walk_origin_counts`).
+        that running maximum in O(1) per record, and only a restore
+        recomputes it (:meth:`_walk_origin_counts`).
         """
         return dict(self._counts)
 

@@ -16,22 +16,22 @@ frames — without touching protocol internals:
   resends with exponential backoff and seeded jitter (deterministic, so
   simulated runs replay exactly).
 
-Crash recovery adds a control-plane handshake: a restarted client that
-restored an older checkpoint re-requests the operations it had already
-consumed but lost (:class:`~repro.jupiter.messages.ResyncRequest` /
-``ResyncResponse``, built by :func:`resync_payloads` from the server-side
-delivery log, ordered by ``ServerOperation.serial``).
+Crash recovery resumes a channel from durable counters: a fresh
+receiver is fast-forwarded past what it had consumed
+(:meth:`SessionReceiver.fast_forward`), a sender restored to its
+checkpointed sequence state, and the broadcasts a restarted client had
+consumed but lost are re-shipped in serial order — from the server's
+log on reconnect (:meth:`~repro.jupiter.shard.ShardCore.resync`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.ids import ReplicaId
 from repro.errors import ProtocolError
-from repro.jupiter.messages import ResyncRequest, ResyncResponse
 from repro.obs import get_obs
 
 #: A directed channel, e.g. ``("c1", "s")``.
@@ -145,10 +145,6 @@ class SessionReceiver:
         """The acknowledgement to send: highest in-order frame consumed."""
         return self.expected - 1
 
-    @property
-    def released_total(self) -> int:
-        return self.expected - 1
-
     def drop_reorder_buffer(self) -> None:
         """Forget parked out-of-order frames (lost volatile state)."""
         self.buffer.clear()
@@ -224,28 +220,3 @@ class RetransmitPolicy:
         raw = min(self.base * self.factor ** (attempt - 1), self.cap)
         return raw * (1.0 + self.jitter * self._rng.random())
 
-
-def resync_payloads(
-    request: ResyncRequest, delivered_log: Sequence[Any]
-) -> ResyncResponse:
-    """Answer a restarted client's resync request from the delivery log.
-
-    ``delivered_log`` is the ordered list of payloads the client had
-    consumed before crashing (for Jupiter protocols these are
-    ``ServerOperation``s, so the order is the serial order); the client
-    restored a checkpoint that had only consumed the first
-    ``request.delivered`` of them, so everything after that index is
-    re-shipped.  Frames the client had *not* yet consumed stay with the
-    session layer: the sender still holds them unacknowledged and normal
-    retransmission delivers them after the restart.
-    """
-    if not 0 <= request.delivered <= len(delivered_log):
-        raise ProtocolError(
-            f"resync for {request.client}: checkpoint claims "
-            f"{request.delivered} delivered but the log has "
-            f"{len(delivered_log)}"
-        )
-    return ResyncResponse(
-        client=request.client,
-        payloads=tuple(delivered_log[request.delivered:]),
-    )

@@ -21,7 +21,8 @@ processed (see ``docs/ARCHITECTURE.md`` § "The hot path"):
   compares the O(1)-maintained length and content fingerprint; the full
   ordered-document comparison (and eager materialisation, i.e. the exact
   seed behaviour) is restored by constructing the space with
-  ``strict_cp1=True``, which the verifier and the equivalence tests do.
+  ``strict_cp1=True``, which :class:`~repro.jupiter.two_dim.TwoDimStateSpace`
+  does.
 """
 
 from __future__ import annotations

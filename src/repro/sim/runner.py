@@ -819,9 +819,7 @@ class _FaultyRun:
         self.stats.crashes += 1
 
     def _on_restore(self, client: ReplicaId, now: float) -> None:
-        from repro.jupiter.messages import ResyncRequest
         from repro.jupiter.persistence import restore_checkpoint
-        from repro.jupiter.session import resync_payloads
 
         self.pending_lifecycle -= 1
         self.progress_time = now
@@ -830,13 +828,12 @@ class _FaultyRun:
         self.cluster.replace_client(
             client, restored, behaviors_keep=checkpoint["behaviors_len"]
         )
-        # Control-plane resync: re-ship everything the client had consumed
-        # after the checkpoint (serial-ordered; see ResyncRequest).
-        request = ResyncRequest(client=client, delivered=checkpoint["delivered"])
-        response = resync_payloads(request, self.released[client])
-        for payload in response.payloads:
+        # Re-ship everything the client had consumed after the checkpoint,
+        # in serial order: ``delivered`` was cut from this same list.
+        missed = self.released[client][checkpoint["delivered"]:]
+        for payload in missed:
             self.cluster.resync_deliver(client, payload)
-        self.stats.resynced_ops += len(response.payloads)
+        self.stats.resynced_ops += len(missed)
         # Receiver half: the reorder buffer was volatile; unreleased frames
         # are still unacknowledged at the server and will be retransmitted.
         self.receivers[(SERVER_ID, client)].drop_reorder_buffer()

@@ -179,6 +179,23 @@ class TestEpochsAndRelease:
         assert a.css.document.as_string() == "rqp"
 
 
+def spoiled_transfer(spoil):
+    """A real whole-state transfer, one field of it spoiled."""
+    rig = Rig()
+    rig.edit("b")
+    rig.edit("b")
+    rig.shard.compact(retain_after=2)  # a's cursor, 0, is gone
+    _cursor, transfer, _missed = rig.shard.resync(
+        rig.shard.sessions["a"], 0, 0, 0.0
+    )
+    spoil(transfer)
+    return transfer
+
+
+def hostile_welcome(spoil):
+    return lambda c: c.welcome(0, 0, 0, None, 0, spoiled_transfer(spoil))
+
+
 @pytest.mark.parametrize(
     "refused",
     [
@@ -191,6 +208,10 @@ class TestEpochsAndRelease:
         lambda c: c.ack(-5, 0, None),
         lambda c: c.learn(1.5),
         lambda c: c.welcome(0, 0, 0, None, 0, {"snapshot": {}, "op_seq": 0}),
+        hostile_welcome(lambda t: t["snapshot"].pop("serials")),
+        hostile_welcome(lambda t: t["snapshot"].update(base="x")),
+        hostile_welcome(lambda t: t["snapshot"]["space"].update(final=999)),
+        hostile_welcome(lambda t: t.update(op_seq=-1)),
         lambda c: c.welcome(0, 0, 0, None, "2"),
     ],
 )

@@ -248,6 +248,26 @@ class TestDeltaCompaction:
         assert rig.wal.last_compaction_mode == "delta"
         rig.assert_recovers()
 
+    def test_a_prune_without_a_rebase_forces_a_full_checkpoint(self):
+        """A delta only adds: once ``prune_below`` took nodes out of the
+        space, the next compaction is a full checkpoint, and the diff
+        base it leaves behind resumes deltas."""
+        rig = Rig()
+        rig.step(4)
+        rig.wal.compact(rig.server)
+        rig.step(2)
+        oracle = rig.server.oracle
+        assert rig.server.space.prune_below(oracle.opids_between(0, 3)) > 0
+        rig.wal.compact(rig.server)
+        assert rig.wal.last_compaction_mode == "full"
+        assert rig.wal.deltas == [] and "base" not in rig.wal.snapshot
+        rig.assert_recovers()
+        rig.step(2)
+        rig.wal.compact(rig.server)
+        assert rig.wal.last_compaction_mode == "delta"
+        assert "removed" not in rig.wal.last_delta
+        rig.assert_recovers()
+
     def test_concurrent_extras_survive_recovery(self):
         # Replay (not just restore) compact-context records with extras:
         # the burst lands *after* the last compaction, so recovery must
@@ -289,7 +309,7 @@ class TestDeltaCompaction:
         counts = rig.wal.origin_counts()
         assert counts == {"c1": 5, "c2": 5}
 
-    def test_running_counts_equal_the_walk_after_restore_and_cut(self):
+    def test_running_counts_equal_the_walk_after_restore(self):
         rig = Rig()
         for retained in (0, 2, 0):
             rig.step(5)
@@ -301,9 +321,6 @@ class TestDeltaCompaction:
         live = rig.wal.origin_counts()
         restored = ServerWriteAheadLog.from_obj(rig.wal.to_obj())
         assert restored.origin_counts() == live == {"c1": 17, "c2": 10}
-        cut = restored.truncate_from(restored.last_serial - 1)
-        assert [r["origin"] for r in cut] == ["c2", "c1"]
-        assert restored.origin_counts() == {"c1": 16, "c2": 9}
 
 
 class TestEpochSurvivesCompaction:
@@ -351,13 +368,6 @@ class TestEpochSurvivesCompaction:
         assert wal.last_compaction_mode == "delta" and wal.records == []
         append_wal_delta(path, wal.last_delta)
         assert load_wal(path).last_epoch == 4
-
-    def test_a_cut_to_nothing_falls_back_to_the_compaction(self):
-        wal = self.compacted()
-        operation = insert(OpId("c1", 4), "y", 0, context=set())
-        wal.append(4, "c1", operation, epoch=5, ctx=[3, []])
-        assert [r["serial"] for r in wal.truncate_from(4)] == [4]
-        assert wal.last_epoch == 3
 
     def test_a_header_from_before_the_epoch_field_still_loads(self):
         obj = self.compacted().to_obj()

@@ -1,14 +1,12 @@
-"""Tests for the reliable-session layer (sequence numbers, acks, resync)."""
+"""Tests for the reliable-session layer (sequence numbers, acks, recovery)."""
 
 import pytest
 
 from repro.errors import ProtocolError
-from repro.jupiter.messages import ResyncRequest
 from repro.jupiter.session import (
     RetransmitPolicy,
     SessionReceiver,
     SessionSender,
-    resync_payloads,
 )
 
 
@@ -81,7 +79,7 @@ class TestSessionReceiver:
         # Frame 3 must be retransmitted: only then can 2, 3 release.
         assert receiver.receive(2) == 1
         assert receiver.receive(3) == 1
-        assert receiver.released_total == 3
+        assert receiver.cumulative_ack == 3
 
 
 class TestFastForward:
@@ -142,18 +140,3 @@ class TestRetransmitPolicy:
         base = RetransmitPolicy(jitter=0.0).timeout(1)
         assert all(base <= d <= base * 1.1 for d in draws)
 
-
-class TestResync:
-    def test_resync_returns_missed_suffix(self):
-        log = ["op1", "op2", "op3", "op4"]
-        response = resync_payloads(
-            ResyncRequest(client="c1", delivered=2), log
-        )
-        assert response.client == "c1"
-        assert list(response.payloads) == ["op3", "op4"]
-
-    def test_up_to_date_client_gets_nothing(self):
-        response = resync_payloads(
-            ResyncRequest(client="c1", delivered=3), ["a", "b", "c"]
-        )
-        assert response.payloads == ()

@@ -8,6 +8,7 @@ and when by state transfer, and that a shard rebuilt from its saved log
 is the live one.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -401,6 +402,56 @@ class TestWritePathAndRecovery:
                 live.sessions[name].receiver.expected
             )
             assert session.disconnected_at == rig.now  # the grace clock runs
+
+
+class TestDeltaLinesOnRecovery:
+    """What recovery makes of a delta line it did not write: a log in the
+    previous dialect (an empty ``removed`` on every delta) recovers as
+    before; a delta that removes nodes, or touches one the log does not
+    hold, is refused typed."""
+
+    def logged(self, tmp_path, rewrite):
+        """Seven ops with ``snapshot_every=3``: a full checkpoint at 3, a
+        delta line at 6, record 7 after it — each delta line passed
+        through ``rewrite``."""
+        path = str(tmp_path / "doc.wal")
+        rig = Rig(path, snapshot_every=3)
+        for value in "abcdefg":
+            rig.edit("a", value)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        deltas = [i for i, line in enumerate(lines) if '"delta"' in line]
+        assert deltas and deltas[-1] < len(lines) - 1
+        for i in deltas:
+            obj = json.loads(lines[i])
+            rewrite(obj["delta"])
+            lines[i] = json.dumps(obj, sort_keys=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        return rig, path
+
+    def test_a_log_with_empty_removed_lists_recovers_the_live_shard(
+        self, tmp_path
+    ):
+        rig, path = self.logged(tmp_path, lambda d: d.update(removed=[]))
+        rebuilt = ShardCore("doc", load_wal(path), path, now=rig.now)
+        assert (
+            rebuilt.server.space.signature()
+            == rig.core.server.space.signature()
+        )
+
+    def test_a_delta_that_removes_nodes_is_refused(self, tmp_path):
+        _rig, path = self.logged(tmp_path, lambda d: d.update(removed=[0]))
+        with pytest.raises(ProtocolError, match="removes nodes"):
+            ShardCore("doc", load_wal(path))
+
+    def test_a_delta_touching_a_node_the_log_lacks_is_refused(self, tmp_path):
+        _rig, path = self.logged(
+            tmp_path,
+            lambda d: d["touched"].append({"id": 999, "children": []}),
+        )
+        with pytest.raises(ProtocolError, match="999"):
+            ShardCore("doc", load_wal(path))
 
 
 def test_the_core_imports_no_event_loop_no_socket_and_no_net_package():

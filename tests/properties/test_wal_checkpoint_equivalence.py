@@ -263,24 +263,13 @@ def test_a_chain_encodes_at_most_twice_the_nodes_it_grew(seed, tmp_path):
 
 
 def test_the_suite_reaches_every_path(tmp_path):
-    """Across the seeds: checkpoints, deltas, deltas that remove nodes,
-    and survivors re-encoded with a key because their parent was pruned."""
-    modes, removed, orphans = set(), 0, 0
-
-    def check(driver):
-        nonlocal removed, orphans
-        delta = driver.wal.last_delta
-        if delta is not None:
-            removed += len(delta["removed"])
-            orphans += sum("key" in node for node in delta["added"])
-
+    """Across the seeds: checkpoints and deltas."""
+    modes = set()
     for seed in range(10):
         driver = Driver(seed, tmp_path / f"doc{seed}.wal")
-        driver.run(120, check)
+        driver.run(120, lambda driver: None)
         modes.update(driver.modes)
     assert modes == {"full", "delta"}
-    assert removed > 0
-    assert orphans > 0
 
 
 class TestDiskDamage:

@@ -13,9 +13,15 @@ then checks three claims about the file it left:
   dropped as a torn tail — the warning plus the counter — and what is
   left loads as the log minus that line;
 * a duplicated or reordered line never recovers a different document
-  silently: the file loads equal or raises :class:`ProtocolError`.
+  silently: the file loads equal or raises :class:`ProtocolError`;
+* a node id rewritten to one the log does not hold — a node's own, its
+  ``from`` parent, a transition target, ``final`` or a touched node, in
+  the header's checkpoint or in a delta line — is refused with
+  :class:`ProtocolError` or recovers the live server, and never escapes
+  as another exception.
 """
 
+import json
 import os
 import tempfile
 import warnings
@@ -27,6 +33,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.errors import ProtocolError
 from repro.jupiter.persistence import ServerWriteAheadLog, load_wal
+from repro.jupiter.shard import ShardCore
 from tests.properties.test_wal_checkpoint_equivalence import NAMES, Driver
 
 #: weighted: most steps append (edit at a client, serialise its oldest
@@ -127,12 +134,15 @@ def test_a_torn_appended_line_is_dropped_whole(seed, steps, pick):
         with pytest.warns(RuntimeWarning, match="torn"):
             loaded = load_wal(path)
         assert handle.wal_torn_tail_dropped.value == 1
-        expected = ServerWriteAheadLog.from_obj(rig.wal.to_obj())
+        obj = rig.wal.to_obj()
         if final.startswith('{"delta"'):
             # Lossless: the records the delta truncated are still there.
+            expected = ServerWriteAheadLog.from_obj(obj)
             assert_same_log(loaded, expected, rig.server)
         else:
-            expected.truncate_from(expected.last_serial)
+            obj["records"].pop()
+            obj["next_serial"] -= 1
+            expected = ServerWriteAheadLog.from_obj(obj)
             assert_same_log(loaded, expected, expected.recover())
 
 
@@ -168,3 +178,57 @@ def test_a_moved_line_loads_equal_or_is_refused(
         live = rig.server.document
         assert recovered.document.as_string() == live.as_string()
         assert [e.opid for e in recovered.document] == [e.opid for e in live]
+
+
+def _id_sites(space_nodes, holder, touched=()):
+    """Every node id in one checkpoint or delta: ``(kind, container,
+    index)`` triples that ``container[index] = dangling`` rewrites."""
+    for node in space_nodes:
+        yield "id", node, "id"
+        if "from" in node:
+            yield "from", node["from"], 0
+    for node in list(space_nodes) + list(touched):
+        for child in node["children"]:
+            yield "target", child, 1
+    yield "final", holder, "final"
+    for patch in touched:
+        yield "touched", patch, "id"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10_000),
+    steps=STEPS,
+    kind=st.sampled_from(["id", "from", "target", "final", "touched"]),
+    pick=PICKS,
+)
+def test_a_dangling_node_id_is_refused_or_harmless(seed, steps, kind, pick):
+    with tempfile.TemporaryDirectory() as directory:
+        rig, _rewritten = drive(directory, seed, steps)
+        objs = [json.loads(line) for line in read_lines(rig)]
+        sites, held = [], set()
+        snapshot = objs[0]["snapshot"]
+        if snapshot is not None:
+            space = snapshot["space"]
+            sites += _id_sites(space["nodes"], space)
+        for obj in objs[1:]:
+            if "delta" in obj:
+                delta = obj["delta"]
+                sites += _id_sites(delta["added"], delta, delta["touched"])
+        for _kind, container, index in sites:
+            held.add(container[index])
+        sites = [site for site in sites if site[0] == kind]
+        if not sites:
+            return
+        _kind, container, index = sites[pick % len(sites)]
+        container[index] = max(held) + 1000
+        path = write_lines(
+            directory,
+            [json.dumps(obj, sort_keys=True) for obj in objs],
+            "dangling.wal",
+        )
+        try:
+            recovered = ShardCore("doc", load_wal(path)).server
+        except ProtocolError:
+            return
+        assert recovered.space.signature() == rig.server.space.signature()
