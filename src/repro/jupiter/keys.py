@@ -23,9 +23,12 @@ when next read, never re-keyed.
 
 :class:`SerialLog` is the half the order oracles own: serial <-> id over
 the active window and, per serial, the running XOR of frozenset's own
-per-element hash shuffle, so a key's hash costs O(|extras|).  Spaces with
-no serial log (2D, dCSS, hand-built) run with ``d = 0``: plain frozensets
-behind the same face.  Only this module knows the pair's layout.
+per-element hash shuffle, so a key's hash costs O(|extras|).  A
+context's extras are the run its generator made just before it, so the
+wire counts them (``[d, n]``) and :meth:`SerialLog.key_from_run` rebuilds
+them.  Spaces with no serial log (2D, dCSS, hand-built) run with
+``d = 0``: plain frozensets behind the same face.  Only this module
+knows the pair's layout.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from collections.abc import Set
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.ids import OpId
-from repro.errors import OrderingError
+from repro.errors import OrderingError, ProtocolError
 
 _MAX = sys.maxsize
 _MASK = 2 * _MAX + 1
@@ -231,6 +234,8 @@ class SerialLog:
         # index i holds the XOR of the shuffles of every serial appended
         # up to base + i, so two entries XOR to a serial range's
         self._mixed: List[int] = [0]
+        # index i: the run of one generator's consecutive seqs ending there
+        self._runs: List[int] = []
 
     @property
     def base(self) -> int:
@@ -243,6 +248,9 @@ class SerialLog:
         return self._base + len(self._by_serial)
 
     def _append(self, opid: OpId) -> int:
+        last = self._by_serial[-1] if self._by_serial else opid
+        chained = last.seq + 1 == opid.seq and last.replica == opid.replica
+        self._runs.append(self._runs[-1] + 1 if chained else 1)
         self._by_serial.append(opid)
         self._serial_by_opid[opid] = serial = self.last_serial
         self._mixed.append(self._mixed[-1] ^ _shuffle(opid))
@@ -299,12 +307,13 @@ class SerialLog:
         for opid in self._by_serial[:drop]:
             del self._serial_by_opid[opid]
         del self._by_serial[:drop]
+        del self._runs[:drop]
         del self._mixed[: len(self._mixed) - 1 - len(self._by_serial)]
         self._base = serial
 
     # -- the keys this log can name -----------------------------------
     def key_from_pair(self, d: int, extras: Iterable[OpId]) -> StateKey:
-        """The state the wire pair ``[d, extras]`` names here."""
+        """The state the pair ``[d, extras]`` (a WAL record's) names here."""
         self._check_window(d, d)
         known, kept, xh = self._serial_by_opid, [], 0
         for opid in frozenset(extras):
@@ -315,9 +324,51 @@ class SerialLog:
         key.pair()
         return key
 
+    def key_from_run(self, d: int, n: int, opid: OpId) -> StateKey:
+        """The state the wire pair ``[d, n]`` of ``opid`` names: the serials
+        up to ``d`` and the ``n`` operations its generator made just before
+        it.  O(1) when that run fills serials ``d + 1 .. d + n``, else
+        :meth:`key_from_pair` over it; a peer's count is refused before
+        anything O(n) is built, and its run must be serialised past ``d``
+        in order."""
+        last = self.last_serial
+        if not self._base <= d <= last:
+            raise ProtocolError(
+                f"context floor {d} is outside the window {self._base}..{last}"
+            )
+        if n > last - d or n >= opid.seq:
+            raise ProtocolError(
+                f"{opid} cannot follow a run of {n} past serial {d} of {last}"
+            )
+        if not n:
+            return self.dense(d)
+        known, replica, seq = self._serial_by_opid, opid.replica, opid.seq
+        top = known.get(OpId(replica, seq - 1))
+        if top == d + n and self._runs[top - self._base - 1] >= n:
+            return self.dense(top)
+        run = [OpId(replica, each) for each in range(seq - n, seq)]
+        serials = [d] + [known.get(member, 0) for member in run]
+        if any(low >= high for low, high in zip(serials, serials[1:])):
+            raise ProtocolError(
+                f"the run before {opid} is not serialised past {d} in order"
+            )
+        return self.key_from_pair(d, run)
+
     def dense(self, d: int) -> StateKey:
         """The state ``{base + 1 .. d}``: O(1), nothing materialised."""
         return self.key_from_pair(d, ())
+
+
+def run_length(extras: FrozenSet[OpId], opid: OpId) -> int:
+    """``len(extras)``, once checked to be the run ``[d, n]`` names: the
+    operations ``opid``'s generator made just before it."""
+    low = opid.seq - len(extras)
+    for extra in extras:
+        if extra.replica != opid.replica or not low <= extra.seq < opid.seq:
+            raise ProtocolError(
+                f"context extras {sorted(extras)} are not the run before {opid}"
+            )
+    return len(extras)
 
 
 def _one_order(key: StateKey, log: SerialLog) -> bool:

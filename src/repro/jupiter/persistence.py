@@ -68,7 +68,11 @@ def opid_to_obj(opid: OpId) -> List[Any]:
 
 
 def opid_from_obj(obj: List[Any]) -> OpId:
-    return OpId(str(obj[0]), int(obj[1]))
+    """``[replica, seq]``: a string and a counter, never coerced."""
+    replica, seq = obj
+    if type(replica) is not str:
+        raise ProtocolError(f"an opid's replica must be a string: {obj!r}")
+    return OpId(replica, counter(seq, "opid seq"))
 
 
 def opids_to_obj(opids: Iterable[OpId]) -> List[List[Any]]:
@@ -103,18 +107,24 @@ def operation_to_obj(
 
 
 def operation_from_obj(
-    obj: Dict[str, Any], context: Optional[StateKey] = None
+    obj: Dict[str, Any],
+    context: Optional[StateKey] = None,
+    opid: Optional[OpId] = None,
 ) -> Operation:
-    """Decode an operation; ``context`` stands in for an elided one."""
+    """Decode an operation; ``context`` stands in for an elided one, and
+    ``opid`` for its id already decoded."""
+    position = obj["position"]
+    if position is not None and type(position) is not int:
+        raise ProtocolError(f"an operation's position must be an int: {obj!r}")
     return Operation(
         kind=OpKind(obj["kind"]),
-        opid=opid_from_obj(obj["opid"]),
+        opid=opid_from_obj(obj["opid"]) if opid is None else opid,
         element=(
             element_from_obj(obj["element"])
             if obj["element"] is not None
             else None
         ),
-        position=obj["position"],
+        position=position,
         context=(
             frozenset(opid_from_obj(o) for o in obj["context"])
             if context is None
@@ -124,7 +134,7 @@ def operation_from_obj(
 
 
 # ----------------------------------------------------------------------
-# Serial-encoded operation contexts (the active-window wire/WAL form)
+# Serial-encoded operation contexts (the active-window WAL form)
 # ----------------------------------------------------------------------
 # A context is the set of operations its generator had processed: the
 # first ``d`` serials of the total order plus a handful of the
@@ -149,7 +159,7 @@ def compact_context(operation: Operation, oracle) -> List[Any]:
 
 
 def context_from_compact(ctx_obj: List[Any], oracle) -> StateKey:
-    """Decode a serial-encoded context as a key of ``oracle``'s log."""
+    """Decode a WAL record's context as a key of ``oracle``'s log."""
     d = int(ctx_obj[0])
     if not oracle.base <= d <= oracle.last_serial:
         raise ProtocolError(

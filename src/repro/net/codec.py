@@ -5,7 +5,7 @@ Two :mod:`repro.jupiter.messages` payload types cross a socket —
 :class:`~repro.jupiter.messages.ServerOperation` (the broadcast) — each
 wrapped in a message **envelope**::
 
-    {"v": 2, "kind": "server_op", "body": {...}}
+    {"v": 3, "kind": "server_op", "body": {...}}
 
 whose body carries the operation with a *serial-encoded* context (see
 :func:`compact_client_op_obj`).  That is the only wire dialect; what a
@@ -36,19 +36,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError, TransformError
 from repro.jupiter.messages import ClientOperation, ServerOperation
-from repro.jupiter.keys import key_of
+from repro.jupiter.keys import key_of, run_length
 from repro.jupiter.persistence import (
-    context_from_compact,
     operation_from_obj,
     operation_to_obj,
-    opids_to_obj,
+    opid_from_obj,
 )
+from repro.jupiter.session import counter
 
 #: Version of the frame envelope; bumped on any incompatible change.
-#: 2: ``bin`` spells the hot frames positionally, ``v`` implied by the
-#: layout tag — bytes a version-1 reader cannot take.  The handshake is
-#: JSON, so a peer of the other version is refused at its ``hello``.
-WIRE_VERSION = 2
+#: 2: ``bin`` spells the hot frames positionally.  3: a context is
+#: ``[d, n]``, a count where 2 listed ids.  The handshake is JSON, so a
+#: peer of another version is refused at its ``hello``.
+WIRE_VERSION = 3
 
 #: Frame byte serialisations a peer offers in its ``hello`` (``codecs``
 #: field, preference order) and the server picks from in its ``welcome``
@@ -79,24 +79,25 @@ class WireError(ProtocolError):
 # ----------------------------------------------------------------------
 # An operation's context is the set of everything its generator had
 # processed: a dense serial prefix of the total order plus a handful of
-# "extras" (the generator's own operations still awaiting their echo).
-# Sessions ship it as ``ctx: [d, [extra opids]]`` — O(extras)
-# instead of O(history) — and omit the redundant ``prefix`` set (the
-# serial number determines it).  The encoding is rebase-invariant: the
-# decoder resolves the dense prefix ``(its own GC base, d]`` against its
-# serial log, so the same bytes decode correctly on replicas whose
-# active windows start at different floors.
+# "extras" — the generator's own operations still awaiting their echo,
+# which are always the ones it made just before this one.  Sessions
+# ship it as ``ctx: [d, n]``, two counters whatever the history or the
+# pending run, and omit the redundant ``prefix`` set (the serial number
+# determines it).  The encoding is rebase-invariant: the decoder
+# resolves the dense prefix ``(its own GC base, d]`` against its serial
+# log, so the same bytes decode correctly on replicas whose active
+# windows start at different floors.
 def compact_client_op_obj(message: ClientOperation, oracle) -> Dict[str, Any]:
     """Encode a client operation with a serial-encoded context.
 
     ``oracle`` is the generator's
     :class:`~repro.jupiter.ordering.ClientOrderOracle`; context members
     it cannot name a serial for are the client's own still-pending
-    operations and ride as extras.  The context is the key of the state
-    the operation was generated on, so this reads its pair: ``d`` is
-    absolute, and the same bytes come out however far the base has
-    moved since (the advertised floor never passes the operation's pin,
-    and the pin never passes ``d``).
+    operations, and only their number rides.  The context is the key of
+    the state the operation was generated on, so this reads its pair:
+    ``d`` is absolute, and the same bytes come out however far the base
+    has moved since (the advertised floor never passes the operation's
+    pin, and the pin never passes ``d``).
     """
     operation = message.operation
     d, extras = key_of(oracle, operation.context).pair()
@@ -105,7 +106,7 @@ def compact_client_op_obj(message: ClientOperation, oracle) -> Dict[str, Any]:
         "kind": "client_op",
         "body": {
             "operation": operation_to_obj(operation, with_context=False),
-            "ctx": [d, opids_to_obj(extras)],
+            "ctx": [d, run_length(extras, operation.opid)],
         },
     }
 
@@ -124,18 +125,19 @@ def compact_server_op_obj(
     """Encode a broadcast with the serial-encoded context the WAL holds.
 
     ``ctx`` is the ``[d, [extra opid objs]]`` pair the server computed
-    when it appended the record (:func:`~repro.jupiter.persistence.compact_context`).
+    when it appended the record (:func:`~repro.jupiter.persistence.compact_context`);
+    the body counts its extras, refused unless they are the op's run.
     The ``prefix`` set is omitted entirely: the recipient knows every
     serial below ``serial``, so the number *is* the prefix.
     """
+    operation = message.operation
+    extras = frozenset(opid_from_obj(extra) for extra in ctx[1])
     return ServerOpBody(
         v=WIRE_VERSION,
         kind="server_op",
         body={
-            "operation": operation_to_obj(
-                message.operation, with_context=False
-            ),
-            "ctx": [int(ctx[0]), list(ctx[1])],
+            "operation": operation_to_obj(operation, with_context=False),
+            "ctx": [int(ctx[0]), run_length(extras, operation.opid)],
             "origin": message.origin,
             "serial": int(message.serial),
         },
@@ -150,8 +152,9 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
     serial below the context floor has been witnessed (frame release
     order guarantees exactly that on both ends).  The envelope comes
     from outside the process: a wrong version, an unknown kind, a
-    non-object body or a malformed body raise :class:`WireError`;
-    unknown fields are ignored.
+    non-object body or a malformed body raise :class:`WireError`, a
+    field of the wrong type or a context this oracle cannot name
+    :class:`ProtocolError`; unknown fields are ignored.
     """
     if not isinstance(obj, dict):
         raise WireError(
@@ -168,15 +171,17 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
             f"message body must be an object, got {type(body).__name__}"
         )
     try:
-        operation = operation_from_obj(
-            body["operation"], context_from_compact(body["ctx"], oracle)
-        )
+        fields = body["operation"]
+        opid = opid_from_obj(fields["opid"])
+        d, n = (counter(value, "ctx") for value in body["ctx"])
+        context = oracle.key_from_run(d, n, opid)
+        operation = operation_from_obj(fields, context, opid)
         if kind == "client_op":
             return ClientOperation(operation=operation)
         return ServerOperation(
             operation=operation,
             origin=str(body["origin"]),
-            serial=int(body["serial"]),
+            serial=counter(body["serial"], "serial"),
             # The prefix set is implied by the serial; the FIFO
             # cross-check it feeds is vacuous here.
             prefix=frozenset(),
@@ -501,12 +506,12 @@ def _pack_message(out: bytearray, message: Any, kind: str) -> None:
     body = message["body"]
     operation = body["operation"]
     element = operation["element"]
-    d, extras = ctx = body["ctx"]
-    shape = message["v"], message["kind"], type(ctx), type(extras)
-    sizes = len(message), len(body), len(operation)
+    ctx = body["ctx"]
+    shape = message["v"], message["kind"], type(ctx)
+    sizes = len(message), len(body), len(operation), len(ctx)
     if (
-        shape != (WIRE_VERSION, kind, list, list)
-        or sizes != (3, 4 if server else 2, 4)
+        shape != (WIRE_VERSION, kind, list)
+        or sizes != (3, 4 if server else 2, 4, 2)
         or element is not None and len(element) != 2
     ):
         raise ValueError
@@ -516,9 +521,7 @@ def _pack_message(out: bytearray, message: Any, kind: str) -> None:
     if element is not None:
         _encode_binary_value(out, element["value"])
         _pack_opid(out, element["opid"])
-    _pack_counters(out, (d, len(extras)))
-    for opid in extras:
-        _pack_opid(out, opid)
+    _pack_counters(out, ctx)
     if server:
         _pack_str(out, body["origin"])
         _pack_counters(out, (body["serial"],))
@@ -648,12 +651,8 @@ def _unpack_message(raw: bytes, offset: int, kind: str) -> _Read:
         opid, offset = _unpack_opid(raw, offset)
         operation["element"] = {"value": value, "opid": opid}
     d, offset = _read_varint(raw, offset)
-    count, offset = _read_varint(raw, offset)
-    extras = []
-    for _ in range(count):
-        opid, offset = _unpack_opid(raw, offset)
-        extras.append(opid)
-    body = {"operation": operation, "ctx": [d, extras]}
+    n, offset = _read_varint(raw, offset)
+    body = {"operation": operation, "ctx": [d, n]}
     if kind == "server_op":
         body["origin"], offset = _unpack_str(raw, offset)
         body["serial"], offset = _read_varint(raw, offset)

@@ -44,11 +44,12 @@ def _oracle(*serialised):
 
 
 def _client_ins():
-    """An insert whose context mixes a serialised op and a pending own op."""
+    """An insert whose context mixes a dense prefix and an own op past a
+    gap, as the server sees it once another writer's op came between."""
     message = ClientOperation(
         operation=_insert_op(seq=2, context={OpId("c2", 3), OpId("c1", 1)})
     )
-    return message, _oracle(OpId("c2", 3))
+    return message, _oracle(OpId("c2", 3), OpId("c3", 1), OpId("c1", 1))
 
 
 def _client_del():
@@ -87,9 +88,9 @@ class TestMessageRoundTrips:
     def test_client_operation_insert(self):
         message, oracle = _client_ins()
         obj = compact_client_op_obj(message, oracle)
-        # the serialised member rides as the dense prefix, the pending
-        # own op as an extra
-        assert obj["body"]["ctx"] == [1, [["c1", 1]]]
+        # the serialised member rides as the dense prefix, the own op
+        # past the gap as a count
+        assert obj["body"]["ctx"] == [1, 1]
         assert message_from_wire(obj, oracle) == message
 
     def test_client_operation_delete(self):

@@ -40,7 +40,7 @@ def _round_trip(envelope, codec=CODEC_BINARY):
 
 
 def _server_op_message(serial=1):
-    op = insert(OpId("c2", serial), "y", 0, context={OpId("c1", 1)})
+    op = insert(OpId("c2", serial + 1), "y", 0, context={OpId("c2", serial)})
     return compact_server_op_obj(
         ServerOperation(
             operation=op,
@@ -48,7 +48,7 @@ def _server_op_message(serial=1):
             serial=serial,
             prefix=frozenset({OpId("c1", 1)}),
         ),
-        [0, [["c1", 1]]],
+        [0, [["c2", serial]]],
     )
 
 

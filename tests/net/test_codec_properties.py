@@ -56,9 +56,7 @@ def operations(max_extras):
                     "position": counters,
                 }
             ),
-            "ctx": st.tuples(
-                counters, st.lists(opids, max_size=max_extras)
-            ).map(list),
+            "ctx": st.tuples(counters, counters).map(list),
         }
     )
 

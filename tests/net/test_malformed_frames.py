@@ -34,7 +34,7 @@ from repro.net.server import NetServer
 from repro.net.transport import read_frame, write_frame
 
 
-def _client_op(position, kind="ins", element=("x", ["rogue", 1])):
+def _client_op(position, kind="ins", element=("x", ["rogue", 1]), ctx=(0, 0)):
     value, element_id = element
     return {
         "v": WIRE_VERSION,
@@ -46,7 +46,7 @@ def _client_op(position, kind="ins", element=("x", ["rogue", 1])):
                 "element": {"value": value, "opid": element_id},
                 "position": position,
             },
-            "ctx": [0, []],
+            "ctx": list(ctx),
         },
     }
 
@@ -82,6 +82,16 @@ MALFORMED_CLIENT_FRAMES = {
     "operation-past-the-end": (
         _data(_client_op(100)),
         "rogue violated the protocol: rogue: ",
+    ),
+    # Both used to be read as something else: 1.5 spent a serial and
+    # escaped serialisation untyped, "0" was taken for 0.
+    "operation-with-fractional-position": (
+        _data(_client_op(1.5)),
+        "rogue violated the protocol: an operation's position must be an int",
+    ),
+    "context-floor-not-an-integer": (
+        _data(_client_op(0, ctx=("0", 0))),
+        "rogue violated the protocol: frame field 'ctx' must be",
     ),
     # The server's document is "abc", elements init:1..3.
     "insert-reusing-an-element-id": (
