@@ -95,10 +95,23 @@ class Cluster:
             raise ScheduleError(
                 f"schedule delivers from {client_id} but its channel is empty"
             )
-        message = queue.popleft()
+        outgoing = self.server.receive(client_id, queue[0].payload)
+        return self.record_server_receive(
+            client_id, outgoing, self.server.document.as_string()
+        )
+
+    def record_server_receive(
+        self,
+        client_id: ReplicaId,
+        outgoing: Sequence[Tuple[ReplicaId, Any]],
+        document: str,
+    ) -> Message:
+        """Record a server step already taken: ``client_id``'s next queued
+        message left the server at ``document``, sending ``outgoing``.  The
+        simulator calls this alone for a shard core once a serial commits."""
+        message = self._to_server[client_id].popleft()
         self.recorder.record_receive(SERVER_ID, message)
-        outgoing = self.server.receive(client_id, message.payload)
-        self._log(SERVER_ID, "apply", None, self.server.document.as_string())
+        self._log(SERVER_ID, "apply", None, document)
         for recipient, payload in outgoing:
             reply = Message(SERVER_ID, recipient, payload)
             self.recorder.record_send(SERVER_ID, reply)
@@ -200,11 +213,9 @@ class Cluster:
     def queued_payload_from(self, client_id: ReplicaId, index: int) -> Any:
         """Peek (without delivering) one queued client-to-server payload.
 
-        The fault-injected simulator's durable server is a shard core
-        beside this cluster's server: the shard serialises a payload as
-        soon as its frame is released, and this server receives it only
-        once the serial commits — so the peek index is the number of the
-        client's ops the shard holds uncommitted.
+        A shard core serialises a payload as soon as its frame is
+        released, but its step is recorded only once the serial commits:
+        the index is the number of the client's ops still uncommitted.
         """
         queue = self._to_server[self._require_client(client_id)]
         if index >= len(queue):
@@ -356,15 +367,16 @@ def make_cluster(
 ) -> Cluster:
     """Build a ready-to-run cluster for one of the implemented protocols.
 
-    ``protocol`` is ``"css"``, ``"cscw"``, ``"classic"`` or ``"broken"``.
-    All replicas start from the same initial document built from
-    ``initial_text`` (shared element identities, as the paper's worked
-    examples assume).
-
+    ``protocol`` is a Jupiter protocol (``"css"``, ``"cscw"``,
+    ``"classic"``, ``"vector"``, ``"broken"``), a CRDT baseline
+    (``"rga"``, ``"logoot"``, ``"treedoc"``, ``"woot"``) or a CSS variant:
+    ``"css-gc"`` garbage-collects every replica's state-space, and
     ``"css-ref"`` runs the CSS replicas on
     :class:`~repro.jupiter.reference.ReferenceStateSpace`, the retained
     seed implementation, serving as the equivalence oracle and the
-    perf-harness baseline.
+    perf-harness baseline.  All replicas start from the same initial
+    document built from ``initial_text`` (shared element identities, as
+    the paper's worked examples assume).
     """
     initial = ListDocument.from_string(initial_text) if initial_text else None
     if protocol == "css-gc":

@@ -248,8 +248,9 @@ def chaos_sweep(
     exactly-once schedule is additionally replayed on a fault-free
     cluster whose per-replica behaviours must match — for a crashed
     client that is precisely the "recovery behaves like an uncrashed
-    replica" guarantee.  After a server crash the sweep also checks that
-    the recovered serialisation order is the dense sequence ``1..n``.
+    replica" guarantee — and, under CSS, whose server state-space the
+    run's server must hold.  After a server crash the sweep also checks
+    that the recovered serialisation order is the dense sequence ``1..n``.
 
     With ``replicas`` (a 2f+1 roster size) every plan instead replicates
     the write-ahead log and kills the *primary* ``primary_kills`` times
@@ -321,6 +322,12 @@ def chaos_sweep(
             replay_ok = (
                 twin.behaviors == result.cluster.behaviors
                 and twin.documents() == result.documents()
+                # Proposition 6.6, also for a server rebuilt from its log
+                and (
+                    protocol != "css"
+                    or result.cluster.server.space.signature()
+                    == twin.server.space.signature()
+                )
             )
         stats = result.fault_stats
         report.cases.append(

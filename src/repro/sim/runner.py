@@ -28,12 +28,11 @@ Two network regimes share the loop's skeleton:
   acknowledges and resyncs under the commit floor, and survives a crash
   or a failover the way a deployment restarts, rebuilt from its log
   under a new epoch (its in-flight frames and acks died with the old
-  incarnation).  Beside it the cluster's server — the paper's, which
-  never crashes — receives each op once it commits and records the
-  step; its broadcast must equal the one the shard built.  The recorded
-  :class:`Schedule` contains each protocol-level step exactly once, so
-  it replays on a fault-free cluster — which is how the chaos harness
-  checks Theorem 7.1 under faults.
+  incarnation).  Its server is the cluster's, rebound at each restart:
+  it integrates each op once, and the step is recorded when the serial
+  commits.  The recorded :class:`Schedule` contains each protocol-level
+  step exactly once, so it replays on a fault-free cluster — which is
+  how the chaos harness checks Theorem 7.1 under faults.
 """
 
 from __future__ import annotations
@@ -326,20 +325,12 @@ class _FaultyRun:
         #: a durable server's shard core, built from its log at startup
         #: as at every restart; its sessions are the server's channel ends
         self.shard = None
-        #: serial -> (origin, broadcast per client) for every op the shard
-        #: serialised that the cluster's server has not received yet
-        self.parked: Dict[int, Tuple[ReplicaId, Dict[ReplicaId, Any]]] = {}
-        #: serials the cluster's server has received (= committed ones)
+        #: serial -> (origin, broadcast) for every op the shard serialised
+        #: whose server step is not recorded yet (it has not committed)
+        self.parked: Dict[int, Tuple[ReplicaId, Any]] = {}
+        #: serials whose server step is recorded (= committed ones)
         self.commits_done = 0
-        #: what restarted the shard, until its space is checked
-        self._unchecked: Optional[str] = None
         if log is not None:
-            from repro.obs import NOOP
-
-            # The cluster's server is the paper's: it never crashes and
-            # records the schedule.  The deployed shard beside it is what
-            # the process's instruments count, once per op.
-            self.cluster.server._obs = self.cluster.server.space._obs = NOOP
             self._restart(log, "startup", 0.0)
 
     def _validate(self) -> None:
@@ -434,7 +425,7 @@ class _FaultyRun:
             if self.parked:
                 raise SimulationError(
                     f"run ended with serials {sorted(self.parked)} "
-                    "serialised but never delivered to the server"
+                    "serialised but never committed"
                 )
         if self.cores is not None:
             cores = self.cores.values()
@@ -522,13 +513,7 @@ class _FaultyRun:
             if recipient != SERVER_ID:
                 self._deliver_to_client(recipient, now)
             elif self.shard is None:
-                sent = self._deliver_to_server(sender, now)
-                for name, payloads in sent.items():
-                    outbound = self.senders[(SERVER_ID, name)]
-                    for _payload in payloads:
-                        self._transmit(
-                            (SERVER_ID, name), outbound.send(), now, attempt=1
-                        )
+                self._deliver_to_server(sender, now)
             else:
                 self._serialise(sender, now)
         # Always (re-)acknowledge cumulatively — a duplicate frame means a
@@ -540,23 +525,21 @@ class _FaultyRun:
             ack_value = self.shard.ack_for(session, self.commit)
         self._send_ack((sender, recipient), ack_value, now)
 
-    def _deliver_to_server(
-        self, client: ReplicaId, now: float
-    ) -> Dict[ReplicaId, Tuple[Any, ...]]:
-        """The cluster's server receives ``client``'s next queued op;
-        returns what it queued for each client."""
+    def _deliver_to_server(self, client: ReplicaId, now: float) -> None:
+        """No shard core: the cluster's server receives ``client``'s next
+        op, and each message it queues goes out on its channel."""
         self.progress_time = now
         before = {
             name: self.cluster.pending_to_client(name) for name in self.clients
         }
         self.cluster.server_receive(client)
         self.steps.append(ServerReceive(client))
-        sent = {}
         for name in self.clients:
-            newly = self.cluster.pending_to_client(name) - before[name]
-            queued = self.cluster.queued_payloads_to(name)
-            sent[name] = queued[len(queued) - newly:]
-        return sent
+            outbound = self.senders[(SERVER_ID, name)]
+            for _ in range(self.cluster.pending_to_client(name) - before[name]):
+                self._transmit(
+                    (SERVER_ID, name), outbound.send(), now, attempt=1
+                )
 
     # ------------------------------------------------------------------
     # A durable server, driven as NetServer drives it
@@ -590,7 +573,8 @@ class _FaultyRun:
         serial, _ctx, fanout = shard.serialise(
             shard.sessions[origin], payload, epoch, 0.0, 0.0, self.commit
         )
-        self.parked[serial] = (origin, {s.client: b for s, b in fanout})
+        # Every session's fan-out entry is the one broadcast.
+        self.parked[serial] = (origin, fanout[0][1])
         if self.cores is not None:
             leader = self.leader
             record = shard.wal.records[-1]
@@ -607,39 +591,37 @@ class _FaultyRun:
         self._flush_committed(now)
 
     def _flush_committed(self, now: float) -> None:
-        """Hand every newly committed serial to the cluster's server, in
-        order.  Its broadcast must be the one the shard built; the frames
-        go out numbered seq = serial, and a replicated shard sends the
-        origin its commit-gated acknowledgement."""
+        """Record the server step the shard took for every newly
+        committed serial, in order; the frames go out numbered seq =
+        serial, and a replicated shard sends the origin its commit-gated
+        acknowledgement."""
         commit = self.commit
         committed = self.shard.wal.last_serial if commit is None else commit
         while self.commits_done < committed:
             serial = self.commits_done = self.commits_done + 1
-            origin, built = self.parked.pop(serial)
-            sent = self._deliver_to_server(origin, now)
-            if sent != {name: (b,) for name, b in built.items()}:
-                raise SimulationError(
-                    f"serial {serial}: the server broadcast differs from "
-                    "the one the shard built"
-                )
+            origin, broadcast = self.parked.pop(serial)
+            self.progress_time = now
+            self.cluster.record_server_receive(
+                origin,
+                [(name, broadcast) for name in self.clients],
+                self._served_document(serial),
+            )
+            self.steps.append(ServerReceive(origin))
             for name in self.clients:
                 self._transmit((SERVER_ID, name), serial, now, attempt=1)
             if commit is not None:
                 session = self.shard.sessions[origin]
                 ack = self.shard.ack_for(session, commit)
                 self._send_ack((origin, SERVER_ID), ack, now)
-        if self._unchecked is not None and not self.parked:
-            self._check_spaces()
 
-    def _check_spaces(self) -> None:
-        """With nothing uncommitted the shard's space is the server's."""
-        served = self.cluster.server.space.signature()
-        if self.shard.server.space.signature() != served:
-            raise SimulationError(
-                f"{self._unchecked} rebuilt a different state-space than "
-                "the served one; the log lost or reordered history"
-            )
-        self._unchecked = None
+    def _served_document(self, serial: int) -> str:
+        """The shard server's document at ``serial``; behind an
+        uncommitted suffix, read without pinning lazy nodes."""
+        server = self.shard.server
+        if serial == server.oracle.last_serial:
+            return server.document.as_string()
+        key = server.oracle.dense(serial)
+        return next(server.space.iter_documents([key]))[1].as_string()
 
     def _deliver_to_client(self, client: ReplicaId, now: float) -> None:
         self.progress_time = now
@@ -922,22 +904,19 @@ class _FaultyRun:
         The sessions become the server ends of the lossy channels.  An
         adopted uncommitted suffix parks, its broadcasts rebuilt from the
         log as NetServer's commit flush rebuilds them, and goes out when
-        it commits.  The simulator can do what a deployment cannot:
-        compare the re-shipped broadcasts against the volatile send
-        buffers, and the shard's space against the server's once nothing
-        is uncommitted.
+        it commits.  The shard's server becomes the cluster's.  The
+        simulator can do what a deployment cannot: compare the re-shipped
+        broadcasts against the volatile send buffers.
         """
         from repro.jupiter.shard import ShardCore
 
         shard = self.shard = ShardCore("sim", log, now=now)
+        self.cluster.server = shard.server
         self.crashed.discard(SERVER_ID)
         self.parked = {
-            b.serial: (b.origin, dict.fromkeys(self.clients, b))
+            b.serial: (b.origin, b)
             for b in log.broadcasts_for(shard.server, self.commits_done)
         }
-        self._unchecked = what
-        if not self.parked:
-            self._check_spaces()
         for client in self.clients:
             session = shard.sessions[client]
             _cursor, _state, missed = shard.resync(

@@ -259,6 +259,80 @@ class TestServerCrashRecovery:
         assert twin.behaviors == result.cluster.behaviors
 
 
+class TestOneServer:
+    """A faulty run with a shard core has one server, the shard's: every
+    serialised op is integrated by it once, and a restart rebinds the
+    cluster to the rebuilt one."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(
+                seed=2,
+                default=LOSSY,
+                server_crashes=[ServerCrashSpec(at=1.0, restore_at=2.5)],
+                snapshot_every=4,
+                wal=True,
+            ),
+            FaultPlan(
+                seed=3,
+                default=LOSSY,
+                server_crashes=[ServerCrashSpec(at=1.0, restore_at=2.5)],
+                replicas=3,
+            ),
+        ],
+        ids=["wal-server-crash", "replicas-primary-kill"],
+    )
+    def test_each_op_is_integrated_once(self, monkeypatch, plan):
+        from repro.jupiter.css import CssServer
+        from repro.jupiter.persistence import ServerWriteAheadLog
+        from repro.jupiter.shard import ShardCore
+
+        shards, counts, recovering = [], {"serialise": 0, "receive": 0}, []
+        real_init = ShardCore.__init__
+        real_serialise = ShardCore.serialise
+        real_receive = CssServer.receive
+        real_recover = ServerWriteAheadLog.recover
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            shards.append(self)
+
+        def serialise(self, *args):
+            counts["serialise"] += 1
+            return real_serialise(self, *args)
+
+        def receive(self, *args):
+            if not recovering:
+                counts["receive"] += 1
+            return real_receive(self, *args)
+
+        def recover(self):
+            recovering.append(self)
+            try:
+                return real_recover(self)
+            finally:
+                recovering.pop()
+
+        monkeypatch.setattr(ShardCore, "__init__", init)
+        monkeypatch.setattr(ShardCore, "serialise", serialise)
+        monkeypatch.setattr(CssServer, "receive", receive)
+        monkeypatch.setattr(ServerWriteAheadLog, "recover", recover)
+        workload = WorkloadConfig(clients=3, operations=18, seed=5)
+        result = run_css(workload, plan)
+        assert result.converged
+        assert len(shards) >= 2  # startup, then a restart
+        assert result.cluster.server is shards[-1].server
+        assert counts["serialise"] >= workload.operations
+        assert counts["receive"] == counts["serialise"]
+        twin = replay("css", result.schedule, workload.client_names())
+        assert twin.behaviors == result.cluster.behaviors
+        assert (
+            result.cluster.server.space.signature()
+            == twin.server.space.signature()
+        )
+
+
 class TestChaosSweep:
     def test_sweep_passes_with_replay_check(self):
         report = chaos_sweep(
