@@ -27,7 +27,6 @@ processed (see ``docs/ARCHITECTURE.md`` § "The hot path"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.ids import OpId, StateKey, format_opid_set
@@ -37,22 +36,33 @@ from repro.jupiter.keys import SerialLog, key_of
 from repro.ot.operations import OpKind, Operation
 
 
-@dataclass(frozen=True, slots=True)
 class Transition:
-    """A labelled edge ``source --operation--> target``."""
+    """A labelled edge ``source --operation--> target``.
 
-    source: StateKey
-    target: StateKey
-    operation: Operation
+    The source is not stored: it is the operation's context, since an
+    operation labels an edge out of the state it is defined on (the
+    constructor refuses any other source).  An edge is two slots, built
+    by a plain ``__init__``; Algorithm 1 builds two per CP1 square.
+    Treat it as immutable.
+    """
+
+    __slots__ = ("target", "operation")
 
     def __init__(
         self, source: StateKey, target: StateKey, operation: Operation
     ) -> None:
-        # Straight into the slots: Algorithm 1 builds two edges per CP1
-        # square, and the frozen default pays object.__setattr__ thrice.
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_operation(self, operation)
+        if source is not operation.context and source != operation.context:
+            raise StateSpaceError(
+                f"transition from {format_opid_set(source)} labelled "
+                f"{operation.pretty()}: the source is not its context"
+            )
+        self.target = target
+        self.operation = operation
+
+    @property
+    def source(self) -> StateKey:
+        """The state the edge leaves: its operation's context."""
+        return self.operation.context
 
     @property
     def org_id(self) -> OpId:
@@ -64,12 +74,6 @@ class Transition:
             f"{format_opid_set(self.source)} --{self.operation}--> "
             f"{format_opid_set(self.target)}"
         )
-
-
-_set_source, _set_target, _set_operation = (
-    Transition.__dict__[name].__set__
-    for name in ("source", "target", "operation")
-)
 
 
 def _content_fingerprint(document: ListDocument) -> int:

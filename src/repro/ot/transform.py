@@ -37,7 +37,9 @@ def transform(
     ``context`` optionally supplies the result's context
     ``C(o1) ∪ {org(o2)}`` when the caller already holds it — Algorithm 1
     does (it is a state key of the CP1 square being closed), and passing
-    it spares one O(|context|) set union per transform.
+    it spares one O(|context|) set union per transform.  A ``context``
+    handed in must equal that union; it is probed only for ``o1``'s own
+    id, not compared against the union.
 
     The result's position, from ``p1`` of ``o1`` and ``p2`` of ``o2`` (a
     NOP on either side changes only the context):
@@ -93,7 +95,8 @@ def transform_pair(
 
     This is the paper's ``(o1', o2') = OT(o1, o2)`` notation, producing the
     two far edges of the commutative diagram in Figure 1c.  ``contexts``
-    optionally carries the two result contexts (see :func:`transform`).
+    optionally carries the two result contexts, ``C(o1) ∪ {org(o2)}`` then
+    ``C(o2) ∪ {org(o1)}`` (see :func:`transform`).
     """
     if contexts is None:
         return transform(o1, o2), transform(o2, o1)

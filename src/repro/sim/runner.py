@@ -37,10 +37,12 @@ Two network regimes share the loop's skeleton:
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.ids import SERVER_ID, ReplicaId
 from repro.errors import SimulationError
@@ -56,6 +58,42 @@ from repro.model.schedule import (
 )
 from repro.sim.network import FifoChannelTimer, FixedLatency, LatencyModel
 from repro.sim.workload import WorkloadConfig, WorkloadGenerator
+
+
+#: The gen-0 threshold of a faulty run (CPython's default is 700).
+_FAULTY_GEN0 = 20_000
+
+
+@contextmanager
+def _collector_scope(pause: bool) -> Iterator[None]:
+    """Pause the cyclic collector (``pause``), or else raise its gen-0
+    threshold, for the body; then restore the enabled flag and the
+    thresholds found.
+
+    A reliable run builds no reference cycle (``test_collector_scope.py``
+    pins this for every protocol), so collecting during it finds nothing.
+    On the way out a pause moves every young object to the oldest
+    generation (``freeze`` + ``unfreeze``, O(1), unless something is
+    frozen), so the next allocation does not traverse the run's
+    survivors.  That hand-off is process-wide: the caller's young
+    objects move too, and a garbage cycle among them waits for the next
+    full collection.  A faulty run's durable server makes cycles (a
+    ``ShardCore`` and its sessions), so it keeps a slower collector.
+    """
+    enabled, threshold = gc.isenabled(), gc.get_threshold()
+    if pause:
+        gc.disable()
+    else:
+        gc.set_threshold(max(threshold[0], _FAULTY_GEN0), *threshold[1:])
+    try:
+        yield
+    finally:
+        if pause and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        gc.set_threshold(*threshold)
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -130,8 +168,12 @@ class SimulationRunner:
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        if self.faults is not None:
-            return _FaultyRun(self).run()
+        with _collector_scope(pause=self.faults is None):
+            if self.faults is not None:
+                return _FaultyRun(self).run()
+            return self._run_reliable()
+
+    def _run_reliable(self) -> SimulationResult:
         clients = self.workload.client_names()
         cluster = make_cluster(
             self.protocol,

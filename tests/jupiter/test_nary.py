@@ -1,5 +1,7 @@
 """Tests for the n-ary ordered state-space and Algorithm 1."""
 
+import gc
+
 import pytest
 
 from repro.common import OpId
@@ -67,6 +69,31 @@ class TestBasics:
         assert space.node_count() - nodes == k + 1
         assert space.transition_count() - transitions == 2 * k + 1
         assert space.ot_count - ots == k
+
+    def test_a_square_retains_at_most_seven_objects(self):
+        """The object budget of one CP1 square: two transformed
+        operations, two edges, a node, its children list and its key.
+        Counted as the growth, from k = 1 to k = 8, of the GC-tracked
+        objects an integration leaves behind."""
+        retained = {}
+        for k in (1, 8):
+            space, oracle = build_space()
+            ops = [op(f"c{i + 1}", 1, "x", 0) for i in range(k + 1)]
+            for each in ops:
+                oracle.assign(each.opid)
+            for each in ops[:-1]:
+                space.integrate(each)
+            gc.collect()
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                before = len(gc.get_objects())
+                space.integrate(ops[-1])
+                retained[k] = len(gc.get_objects()) - before
+            finally:
+                if enabled:
+                    gc.enable()
+        assert (retained[8] - retained[1]) / 7 <= 7
 
 
 class TestSiblingOrder:

@@ -123,6 +123,14 @@ class TestTransitionObject:
         assert transition.org_id == OpId("c1", 7)
         assert "Ins(x, 0)" in str(transition)
 
+    def test_source_is_the_operation_context(self):
+        seen = frozenset({OpId("c2", 1)})
+        op = insert(OpId("c1", 7), "x", 0, seen)
+        transition = Transition(set(seen), seen | {op.opid}, op)
+        assert transition.source is op.context
+        with pytest.raises(StateSpaceError):
+            Transition(frozenset(), frozenset({op.opid}), op)
+
 
 class TestDocumentAt:
     def test_intermediate_documents(self):

@@ -50,6 +50,19 @@ class TestDerivation:
         assert extended.position == 3
         assert extended.opid == op.opid  # identity survives transformation
 
+    def test_derivation_against_itself_is_refused(self):
+        # With or without a context handed over, an operation never
+        # lands in its own context: a handed-in context is not compared
+        # with the union, but it is probed for the own id.
+        op = insert(OpId("c1", 1), "x", 3, context={OpId("c2", 1)})
+        other = OpId("c3", 1)
+        with pytest.raises(TransformError):
+            op.extended_by(op.opid)
+        with pytest.raises(TransformError):
+            op.moved_to(4, op.opid, op.context | {op.opid})
+        with pytest.raises(TransformError):
+            op.extended_by(other, op.context | {other, op.opid})
+
     def test_moved_to_changes_position_and_context(self):
         op = insert(OpId("c1", 1), "x", 3)
         moved = op.moved_to(4, OpId("c2", 1))
