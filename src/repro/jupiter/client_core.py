@@ -9,27 +9,25 @@ from ``repro.net``, and reads no clock; :class:`repro.net.client.NetClient`
 is its asyncio shell.  Its inputs have the shape
 :meth:`~repro.jupiter.shard.ShardCore.accept` takes: counters, checked
 before anything changes, and a broadcast body still encoded, which
-``decode(body, oracle)`` turns into the broadcast only at release — a
-compact context resolves against the base at that moment.
+``decode(body, oracle)`` turns into the broadcast (or the echo of one of
+ours) only at release — a compact context resolves against the base at
+that moment.  A body is consumed only once the CSS client has taken it:
+one it refuses leaves the receiver, the parked bodies and the oracle as
+they were, so the honest re-ship of its seq is not a duplicate.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.ids import SERVER_ID, ReplicaId
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError
 from repro.jupiter.base import GenerateResult
 from repro.jupiter.css import CssClient
-from repro.jupiter.messages import ClientOperation, ServerOperation
+from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
 from repro.jupiter.persistence import client_from_snapshot
-from repro.jupiter.session import (
-    SessionReceiver,
-    SessionSender,
-    counter,
-    release,
-)
+from repro.jupiter.session import SessionReceiver, SessionSender, counter
 from repro.model.schedule import OpSpec
 from repro.obs import get_obs
 
@@ -58,7 +56,8 @@ class ClientCore:
         #: per-seq ``delivered`` at generation: the lowest serial the
         #: op's context can reference
         self.gen_floors: Dict[int, int] = {}
-        #: out-of-order broadcast bodies, still encoded, until released
+        #: out-of-order broadcast bodies, still encoded, until released;
+        #: the receiver counts a seq only when its body is taken
         self.parked: Dict[int, Any] = {}
         #: the highest epoch and view seen; ``data`` from a lower epoch
         #: is a deposed primary's
@@ -143,9 +142,10 @@ class ClientCore:
 
     def data(
         self, seq: Any, ack: Any, epoch: Any, floor: Any, body: Any
-    ) -> List[ServerOperation]:
-        """A ``data`` frame; returns the broadcasts it released, applied
-        in order — none when it parked, repeated one, or is stale."""
+    ) -> List[Union[ServerOperation, ServerEcho]]:
+        """A ``data`` frame; returns the broadcasts and echoes it released,
+        applied in order — none when it parked, repeated one, or is
+        stale."""
         seq, ack = counter(seq, "seq"), counter(ack, "ack")
         epoch, floor = counter(epoch, "epoch"), _floor(floor)
         if epoch < self.epoch:
@@ -153,16 +153,28 @@ class ClientCore:
             # operation the view change discarded.
             self._obs.repl_stale_rejected.inc()
             return []
-        if not isinstance(body, dict):
-            raise ProtocolError("a data frame's body must be an object")
-        bodies = release(self.receiver, self.parked, seq, body) or ()
-        self.epoch = epoch
+        if not isinstance(body, dict) or seq == 0:
+            raise ProtocolError("a data frame has a seq from 1 and a body")
         applied = []
-        for released in bodies:
-            # A body of the wrong kind is refused by the CSS client itself.
-            broadcast = self.decode(released, self.css.oracle)
-            self.css.receive(broadcast)
-            applied.append(broadcast)
+        expected = self.receiver.expected
+        if seq == expected:
+            # This body, then each parked successor.  A body of the wrong
+            # kind is refused by the CSS client itself, before its seq is
+            # counted; a refused successor stays parked.
+            while body is not None:
+                broadcast = self.decode(body, self.css.oracle)
+                self.css.receive(broadcast)
+                self.receiver.receive(seq)
+                self.parked.pop(seq, None)
+                applied.append(broadcast)
+                seq += 1
+                body = self.parked.get(seq)
+        elif seq < expected or seq in self.parked:
+            self._obs.session_duplicates.inc()
+        else:
+            self.parked[seq] = body
+            self._obs.session_gap_parks.inc()
+        self.epoch = epoch
         if self._obs.enabled:
             self._obs.net_parked_frames.set(len(self.parked))
         self._trim(ack, floor)

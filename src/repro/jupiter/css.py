@@ -9,9 +9,13 @@ transitions to the final state (Algorithm 1), execute the result.
 The server serialises operations and redirects the **original** forms to
 the other clients (footnote 7), plus an echo to the generator that carries
 only ordering metadata (the serial number); the generator performs no OT
-on its echo.  Proposition 6.6 — all replicas that processed the same
-operations have the *same* state-space — is checked in the test-suite by
-comparing the structures these objects build.
+on its echo.  The echo takes one of two forms — the simulator hands the
+generator the broadcast itself, the deployed server a
+:class:`~repro.jupiter.messages.ServerEcho` ``(opid, serial)`` — and
+:meth:`CssClient.receive` takes both through one rule.  Proposition 6.6
+— all replicas that processed the same operations have the *same*
+state-space — is checked in the test-suite by comparing the structures
+these objects build.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.common.ids import OpId, ReplicaId, SeqGenerator
 from repro.document.list_document import ListDocument
 from repro.errors import DocumentError, PositionError, ProtocolError
 from repro.jupiter.base import BaseClient, BaseServer, GenerateResult, ReceiveResult
-from repro.jupiter.messages import ClientOperation, ServerOperation
+from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
 from repro.jupiter.nary import NaryStateSpace
 from repro.jupiter.ordering import ClientOrderOracle, ServerOrderOracle
 from repro.jupiter.state_space import StateNode
@@ -155,20 +159,14 @@ class CssClient(_CssReplica, BaseClient):
     # Remote processing (uniform rule, Section 6.2)
     # ------------------------------------------------------------------
     def receive(self, payload: Any) -> ReceiveResult:
+        if isinstance(payload, ServerEcho):
+            return self._echo(payload.opid, payload.serial)
         if not isinstance(payload, ServerOperation):
             raise ProtocolError(
                 f"{self.replica_id}: unexpected payload {payload!r}"
             )
-        self.oracle.record(payload.operation.opid, payload.serial)
         if payload.origin == self.replica_id:
-            # Echo of our own operation: ordering metadata only.
-            if not self._pending or self._pending[0] != payload.operation.opid:
-                raise ProtocolError(
-                    f"{self.replica_id}: echo for {payload.operation.opid} "
-                    f"does not match pending queue {self._pending}"
-                )
-            self._pending.pop(0)
-            return ReceiveResult(executed=None, returned=self.read())
+            return self._echo(payload.operation.opid, payload.serial)
         # FIFO cross-check (Section 6.2): none of our pending operations
         # can have been serialised before this one.
         for pending in self._pending:
@@ -177,11 +175,25 @@ class CssClient(_CssReplica, BaseClient):
                     f"{self.replica_id}: pending {pending} appears in the "
                     f"prefix of {payload.operation.opid}; FIFO violated"
                 )
+        self.oracle.record(payload.operation.opid, payload.serial)
         executed = self.space.integrate(payload.operation)
         if self._gc:
             self._known[payload.origin] = payload.operation.resulting_state
             self._collect_garbage(self._peers)
         return ReceiveResult(executed=executed, returned=self.read())
+
+    def _echo(self, opid: OpId, serial: int) -> ReceiveResult:
+        """The echo of our own operation: ordering metadata only.  It must
+        name the head of the pending queue, checked before the serial is
+        recorded, so a refused echo leaves this client as it was."""
+        if not self._pending or self._pending[0] != opid:
+            raise ProtocolError(
+                f"{self.replica_id}: echo for {opid} "
+                f"does not match pending queue {self._pending}"
+            )
+        self.oracle.record(opid, serial)
+        self._pending.pop(0)
+        return ReceiveResult(executed=None, returned=self.read())
 
 
 class CssServer(_CssReplica, BaseServer):

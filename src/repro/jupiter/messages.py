@@ -13,6 +13,11 @@ re-shipped the same :class:`ServerOperation` payloads:
   generating client, which treats it purely as an acknowledgement carrying
   the serialisation index — the metadata-only substitution documented in
   DESIGN.md that lets CSS clients order sibling transitions.
+
+The deployed CSS server sends the generator only what it lacks — a
+:class:`ServerEcho`, the operation's id and its serial — and a CSS
+client takes either form of its own operation through one echo rule
+(:meth:`repro.jupiter.css.CssClient.receive`).
 """
 
 from __future__ import annotations
@@ -55,3 +60,24 @@ class ServerOperation:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"ServerOperation(#{self.serial} {self.operation})"
+
+
+@dataclass(frozen=True)
+class ServerEcho:
+    """The server's answer to an operation's generator (footnote 7).
+
+    The generator already holds the operation and its context; what it
+    lacks is the operation's place in the total order, so the echo is
+    that and nothing else.
+
+    Attributes:
+        opid: the echoed operation, the head of its generator's pending
+            queue.
+        serial: its serialisation index.
+    """
+
+    opid: OpId
+    serial: int
+
+    def __str__(self) -> str:  # pragma: no cover - trivial
+        return f"ServerEcho(#{self.serial} {self.opid})"

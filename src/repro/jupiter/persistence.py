@@ -34,7 +34,9 @@ import json
 import os
 import time
 import warnings
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union,
+)
 
 from repro.common.ids import OpId, ReplicaId, StateKey
 from repro.document.elements import Element
@@ -1121,26 +1123,31 @@ def _wal_line(obj: Dict[str, Any]) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _append_wal_line(path: str, obj: Dict[str, Any]) -> None:
+def _append_wal_line(target: Union[str, TextIO], obj: Dict[str, Any]) -> None:
+    if isinstance(target, str):
+        with open(target, "a", encoding="utf-8") as handle:
+            _append_wal_line(handle, obj)
+        return
     # Flushed, not fsynced: the line survives a process kill (the
     # failure model the fleet tier tests), not a power loss.
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(_wal_line(obj))
-        handle.flush()
+    target.write(_wal_line(obj))
+    target.flush()
 
 
-def append_wal_record(path: str, record: Dict[str, Any]) -> None:
-    """Append one WAL record as one line to a file :func:`save_wal` wrote."""
-    _append_wal_line(path, record)
+def append_wal_record(target: Union[str, TextIO], record: Dict[str, Any]) -> None:
+    """Append one WAL record as one line to a file :func:`save_wal` wrote:
+    ``target`` is its path, or a handle open on it for appending."""
+    _append_wal_line(target, record)
 
 
-def append_wal_delta(path: str, delta: Dict[str, Any]) -> None:
-    """Append one delta snapshot as a ``{"delta": ...}`` line.
+def append_wal_delta(target: Union[str, TextIO], delta: Dict[str, Any]) -> None:
+    """Append one delta snapshot as a ``{"delta": ...}`` line (``target``
+    as for :func:`append_wal_record`).
 
     :func:`load_wal` folds it into the header's deltas and drops the
     records at or below its floor.
     """
-    _append_wal_line(path, {"delta": delta})
+    _append_wal_line(target, {"delta": delta})
 
 
 def save_wal(wal: ServerWriteAheadLog, path: str) -> None:

@@ -18,8 +18,9 @@ suffix past the commit gate).
 from __future__ import annotations
 
 import os
+import weakref
 from itertools import takewhile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from repro.common.ids import SERVER_ID, ReplicaId
 from repro.errors import (
@@ -123,6 +124,10 @@ class ShardCore:
         #: on-disk WAL file (``None`` = in-memory only; a replicated
         #: group's durability is the quorum)
         self.wal_path = wal_path
+        #: the file's append handle, opened by the first append after a
+        #: rewrite; released by :meth:`close` or when the shard is dropped
+        self._wal_file: Optional[TextIO] = None
+        self._release_wal_file = None
         self.frames_received = 0
         self.resync_frames_sent = 0
         self.duplicates_suppressed = 0
@@ -404,9 +409,26 @@ class ShardCore:
             del self.ctx_floors[serial]
 
     def rewrite_disk(self) -> None:
-        """Write the full WAL (header + records) — open and compaction."""
+        """Write the full WAL (header + records) — open and compaction.
+        The append handle is closed first: ``save_wal`` replaces the
+        file, and appends through the old handle would land in the
+        unlinked one."""
         if self.wal_path is not None:
+            self.close()
             save_wal(self.wal, self.wal_path)
+
+    def close(self) -> None:
+        """Release the WAL file's append handle (the next append reopens)."""
+        if self._release_wal_file is not None:
+            self._release_wal_file()
+            self._wal_file = self._release_wal_file = None
+
+    def _wal_handle(self) -> TextIO:
+        if self._wal_file is None:
+            handle = open(self.wal_path, "a", encoding="utf-8")
+            self._release_wal_file = weakref.finalize(self, handle.close)
+            self._wal_file = handle
+        return self._wal_file
 
     def write_compaction(self) -> None:
         """Persist the compaction that just ran, as cheaply as it allows.
@@ -424,14 +446,14 @@ class ShardCore:
             and self.wal.last_delta is not None
             and os.path.exists(self.wal_path)
         ):
-            append_wal_delta(self.wal_path, self.wal.last_delta)
+            append_wal_delta(self._wal_handle(), self.wal.last_delta)
         else:
             self.rewrite_disk()
 
     def append_disk(self) -> None:
-        """Append the newest record as one line; flushed before any
-        broadcast or acknowledgement leaves the process, so an
+        """Append the newest record as one line to the open file; flushed
+        before any broadcast or acknowledgement leaves the process, so an
         acknowledged operation survives a SIGKILL (``load_wal`` drops a
         torn final line, never an acked one)."""
         if self.wal_path is not None:
-            append_wal_record(self.wal_path, self.wal.records[-1])
+            append_wal_record(self._wal_handle(), self.wal.records[-1])

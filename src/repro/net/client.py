@@ -39,6 +39,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.common.ids import ReplicaId
 from repro.errors import ProtocolError
 from repro.jupiter.client_core import ClientCore
+from repro.jupiter.messages import ServerEcho
 from repro.jupiter.session import RetransmitPolicy
 from repro.model.schedule import OpSpec
 from repro.net.codec import (
@@ -346,15 +347,16 @@ class NetClient(ClientCore):
             raise ProtocolError(f"not a frame: {frame!r}")
         epoch = frame.get("epoch", self.epoch)
         if kind == "data":
-            for broadcast in self.data(
+            for released in self.data(
                 frame.get("seq"), frame.get("ack", 0), epoch,
                 frame.get("floor"), frame.get("body"),
             ):
-                sent = self._sent_at.pop(broadcast.operation.opid, None)
-                if sent is not None:  # the echo of one of ours
-                    rtt = time.perf_counter() - sent
-                    self.rtts.append(rtt)
-                    self._obs.net_rtt.observe(rtt)
+                if type(released) is ServerEcho:  # the echo of one of ours
+                    sent = self._sent_at.pop(released.opid, None)
+                    if sent is not None:
+                        rtt = time.perf_counter() - sent
+                        self.rtts.append(rtt)
+                        self._obs.net_rtt.observe(rtt)
         elif kind == "ack":
             self.ack(frame.get("ack", 0), epoch, frame.get("floor"))
         elif kind == "multi":

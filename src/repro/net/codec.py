@@ -1,18 +1,21 @@
 """Wire codec: versioned envelopes for the protocol messages.
 
-Two :mod:`repro.jupiter.messages` payload types cross a socket —
-:class:`~repro.jupiter.messages.ClientOperation` (client to server) and
-:class:`~repro.jupiter.messages.ServerOperation` (the broadcast) — each
-wrapped in a message **envelope**::
+Three :mod:`repro.jupiter.messages` payload types cross a socket —
+:class:`~repro.jupiter.messages.ClientOperation` (client to server),
+:class:`~repro.jupiter.messages.ServerOperation` (the broadcast to every
+other client) and :class:`~repro.jupiter.messages.ServerEcho` (the
+generator's ``(opid, serial)``) — each wrapped in a message
+**envelope**::
 
-    {"v": 3, "kind": "server_op", "body": {...}}
+    {"v": 4, "kind": "server_op", "body": {...}}
 
 whose body carries the operation with a *serial-encoded* context (see
-:func:`compact_client_op_obj`).  That is the only wire dialect; what a
-``hello`` negotiates is the byte serialisation of frames: ``bin`` (tagged
-values, and positional layouts for the hot ``data``/``ack``/``multi``
-shapes) or ``json``, the handshake and debug codec; an envelope decodes
-to an equal dictionary under either.  Two compatibility rules:
+:func:`compact_client_op_obj`), or only the id and serial for a
+``server_echo``.  That is the only wire dialect; what a ``hello``
+negotiates is the byte serialisation of frames: ``bin`` (tagged values,
+and positional layouts for the hot ``data``/``ack``/``multi`` shapes) or
+``json``, the handshake and debug codec; an envelope decodes to an equal
+dictionary under either.  Two compatibility rules:
 
 * the envelope ``v`` must match :data:`WIRE_VERSION` exactly — a peer
   speaking a different wire version is rejected loudly rather than
@@ -35,20 +38,23 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError, TransformError
-from repro.jupiter.messages import ClientOperation, ServerOperation
+from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
 from repro.jupiter.keys import key_of, run_length
 from repro.jupiter.persistence import (
     operation_from_obj,
     operation_to_obj,
     opid_from_obj,
+    opid_to_obj,
 )
 from repro.jupiter.session import counter
 
 #: Version of the frame envelope; bumped on any incompatible change.
 #: 2: ``bin`` spells the hot frames positionally.  3: a context is
-#: ``[d, n]``, a count where 2 listed ids.  The handshake is JSON, so a
-#: peer of another version is refused at its ``hello``.
-WIRE_VERSION = 3
+#: ``[d, n]``, a count where 2 listed ids.  4: the generator's echo is
+#: a ``server_echo`` ``(opid, serial)``, with a layout of its own.  The
+#: handshake is JSON, so a peer of another version is refused at its
+#: ``hello``.
+WIRE_VERSION = 4
 
 #: Frame byte serialisations a peer offers in its ``hello`` (``codecs``
 #: field, preference order) and the server picks from in its ``welcome``
@@ -144,6 +150,16 @@ def compact_server_op_obj(
     )
 
 
+def server_echo_obj(echo: ServerEcho) -> Dict[str, Any]:
+    """Encode the generator's echo: the operation's id and its serial,
+    all the generator lacks (it holds the operation and its context)."""
+    return {
+        "v": WIRE_VERSION,
+        "kind": "server_echo",
+        "body": {"opid": opid_to_obj(echo.opid), "serial": echo.serial},
+    }
+
+
 def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
     """Decode a message envelope, resolving its serial-encoded context.
 
@@ -163,7 +179,7 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
     if obj.get("v") != WIRE_VERSION:
         raise WireError(f"unsupported wire version {obj.get('v')!r}")
     kind = obj.get("kind")
-    if kind not in ("client_op", "server_op"):
+    if kind not in ("client_op", "server_op", "server_echo"):
         raise WireError(f"unknown message kind {kind!r}")
     body = obj.get("body")
     if not isinstance(body, dict):
@@ -171,6 +187,11 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
             f"message body must be an object, got {type(body).__name__}"
         )
     try:
+        if kind == "server_echo":
+            return ServerEcho(
+                opid=opid_from_obj(body["opid"]),
+                serial=counter(body["serial"], "serial"),
+            )
         fields = body["operation"]
         opid = opid_from_obj(fields["opid"])
         d, n = (counter(value, "ctx") for value in body["ctx"])
@@ -371,8 +392,9 @@ def negotiate_codec(offered: Any) -> Optional[str]:
 # it); ``docs/ARCHITECTURE.md`` has the byte table.  *Exact-shape rule*:
 # an envelope is written positionally only when its key sets are exactly
 # the known ones and every counter is a non-negative ``int``; anything
-# else (an unknown field, a foreign body, a multi with a cold member) is
-# written generically, so every envelope decodes to an equal dictionary.
+# else (an unknown field, a foreign body, a multi with a cold member, an
+# echo whose serial is not its frame's ``seq``) is written generically,
+# so every envelope decodes to an equal dictionary.
 _BINARY_MAGIC_BYTE = bytes([BINARY_MAGIC])
 
 _TAG_NONE = 0x00
@@ -386,14 +408,19 @@ _TAG_DICT = 0x07
 _TAG_REF = 0x08
 
 #: layout tag -> (frame type, its counters in wire order, message kind),
-#: and for the writer (frame type, carries a ``floor``) -> layout tag
+#: and for the writer (frame type, carries a ``floor``, message kind) ->
+#: layout tag.  An echo's serial is its frame's ``seq``: only the opid
+#: follows the counters.
 _LAYOUTS = {
     0x10: ("data", ("seq", "ack", "epoch", "pin"), "client_op"),
     0x11: ("data", ("seq", "ack", "epoch", "floor"), "server_op"),
     0x12: ("ack", ("ack", "epoch", "floor"), None),
+    0x14: ("data", ("seq", "ack", "epoch", "floor"), "server_echo"),
 }
 _LAYOUT_MULTI = 0x13
-_LAYOUT_TAGS = {(t, "floor" in names): tag for tag, (t, names, _) in _LAYOUTS.items()}
+_LAYOUT_TAGS = {
+    (t, "floor" in names, kind): tag for tag, (t, names, kind) in _LAYOUTS.items()
+}
 _OP_KINDS = ("ins", "del")
 _MAX_DEPTH = 32  #: containers nest this deep at most (real frames: < 10)
 
@@ -415,6 +442,8 @@ _INTERNED = (
     "fleet_register", "fleet_heartbeat", "fleet_ack",
     # state transfer
     "space", "serials", "snapshot", "next_seq", "clients", "state",
+    # wire version 4
+    "server_echo",
 )
 _INTERN_INDEX = {text: index for index, text in enumerate(_INTERNED)}
 
@@ -497,7 +526,15 @@ def _pack_opid(out: bytearray, opid: Any) -> None:
 
 
 def _pack_message(out: bytearray, message: Any, kind: str) -> None:
-    """Append a message envelope: operation, context, (broadcast) origin."""
+    """Append a message envelope: operation, context, (broadcast) origin
+    — or an echo's opid (its serial, the frame's ``seq``, is checked by
+    the caller)."""
+    if kind == "server_echo":
+        shape = message["v"], message["kind"], len(message), len(message["body"])
+        if shape != (WIRE_VERSION, kind, 3, 2):
+            raise ValueError
+        _pack_opid(out, message["body"]["opid"])
+        return
     server = kind == "server_op"
     if server and type(message) is ServerOpBody and message.packed is not None:
         out += message.packed  # an earlier recipient's frame spelled it
@@ -547,14 +584,20 @@ def _pack_hot(out: bytearray, envelope: Any, nested: bool = False) -> bool:
             if not all(_pack_hot(out, member, True) for member in frames):
                 raise ValueError
         else:
-            tag = _LAYOUT_TAGS[kind, "floor" in envelope]
-            _, counters, message_kind = _LAYOUTS[tag]
-            if len(envelope) != 2 + len(counters) + (message_kind is not None):
+            message = envelope["body"] if "body" in envelope else None
+            message_kind = None if message is None else message["kind"]
+            tag = _LAYOUT_TAGS[kind, "floor" in envelope, message_kind]
+            counters = _LAYOUTS[tag][1]
+            if len(envelope) != 2 + len(counters) + (message is not None):
                 raise ValueError
             out.append(tag)
             _pack_counters(out, [envelope[name] for name in counters])
-            if message_kind is not None:
-                _pack_message(out, envelope["body"], message_kind)
+            if message_kind == "server_echo":
+                serial = message["body"]["serial"]
+                if type(serial) is not int or serial != envelope["seq"]:
+                    raise ValueError
+            if message is not None:
+                _pack_message(out, message, message_kind)
     except (KeyError, TypeError, ValueError):
         del out[mark:]
         return False
@@ -638,8 +681,13 @@ def _unpack_opid(raw: bytes, offset: int) -> _Read:
     return [replica, seq], offset
 
 
-def _unpack_message(raw: bytes, offset: int, kind: str) -> _Read:
-    """Read what :func:`_pack_message` wrote, as the message envelope."""
+def _unpack_message(raw: bytes, offset: int, kind: str, seq: int) -> _Read:
+    """Read what :func:`_pack_message` wrote, as the message envelope; an
+    echo's serial is its frame's ``seq``."""
+    if kind == "server_echo":
+        opid, offset = _unpack_opid(raw, offset)
+        body = {"opid": opid, "serial": seq}
+        return {"v": WIRE_VERSION, "kind": kind, "body": body}, offset
     op_kind = raw[offset]
     if op_kind > 3:
         raise WireError(f"unknown operation kind byte 0x{op_kind:02x}")
@@ -677,7 +725,9 @@ def _unpack_hot(raw: bytes, offset: int, nested: bool = False) -> _Read:
     for name in counters:
         envelope[name], offset = _read_varint(raw, offset)
     if message_kind is not None:
-        envelope["body"], offset = _unpack_message(raw, offset, message_kind)
+        envelope["body"], offset = _unpack_message(
+            raw, offset, message_kind, envelope["seq"]
+        )
     return envelope, offset
 
 

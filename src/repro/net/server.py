@@ -74,7 +74,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.common.ids import SERVER_ID, ReplicaId
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssServer
-from repro.jupiter.messages import ServerOperation
+from repro.jupiter.messages import ServerEcho, ServerOperation
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
     compact_context,
@@ -92,6 +92,7 @@ from repro.net.codec import (
     message_from_wire,
     negotiate_codec,
     roster_to_obj,
+    server_echo_obj,
 )
 from repro.net.transport import (
     MAX_FRAME,
@@ -405,6 +406,8 @@ class NetServer:
             await self._asyncio_server.wait_closed()
         for channel in self._all_channels():
             self._hang_up(channel)
+        for shard in self.shards.values():
+            shard.close()
 
     def _log(self, text: str) -> None:
         self._logger.info("%s", text)
@@ -461,14 +464,20 @@ class NetServer:
     ) -> Dict[str, Any]:
         """One data frame for a broadcast.
 
-        The body is compact (context serial-encoded, prefix implied by
-        the serial); ``body`` is the one built at serialise time and
-        shared by every recipient's frame, rebuilt from the log for a
-        resync.  The frame carries the shard's GC ``floor`` so the
+        The operation's origin gets its echo, ``(opid, serial)``: live,
+        re-shipped by a resync or flushed at commit alike.  Every other
+        recipient gets the compact body (context serial-encoded, prefix
+        implied by the serial); ``body`` is the one built at serialise
+        time and shared by every reader's frame, rebuilt from the log
+        for a resync.  The frame carries the shard's GC ``floor`` so the
         client can trim its own mirror of the state space.
         """
         shard = channel.shard
-        if body is None:
+        if broadcast.origin == channel.client:
+            body = server_echo_obj(
+                ServerEcho(broadcast.operation.opid, broadcast.serial)
+            )
+        elif body is None:
             ctx = compact_context(broadcast.operation, shard.server.oracle)
             body = compact_server_op_obj(broadcast, ctx)
         return encode_envelope(
@@ -875,10 +884,15 @@ class NetServer:
         ack = counter(frame.get("ack", 0), "ack")
         if not isinstance(frame.get("body"), dict):
             raise ProtocolError("a data frame's body must be an object")
-        for body in channel.shard.accept(channel, seq, ack, frame["body"]):
+        released = channel.shard.accept(channel, seq, ack, frame["body"])
+        for body in released:
             await self._serialise(channel, body)
         self._update_connection_gauges()
-        # Always re-acknowledge: a duplicate means an earlier ack was lost.
+        if released and not self.replicated:
+            return  # the last echo carries the ack, taken after accept
+        # A frame that released nothing is acknowledged on its own: a
+        # duplicate means an earlier ack was lost.  A replicated server
+        # acknowledges only what its quorum committed.
         self._send_to(channel, self._ack_envelope(channel))
 
     async def _serialise(
@@ -911,8 +925,10 @@ class NetServer:
             self.gc_grace,
             self._commit,
         )
-        # CSS redirects one operation, one context, to everyone: one body.
-        body = compact_server_op_obj(outgoing[0][1], ctx) if outgoing else None
+        # CSS redirects one operation, one context, to every reader: one
+        # body, built only if someone but the origin receives it.
+        readers = [b for channel, b in outgoing if channel is not origin]
+        body = compact_server_op_obj(readers[0], ctx) if readers else None
         frames = [
             (channel, self._broadcast_envelope(channel, broadcast, body))
             for channel, broadcast in outgoing

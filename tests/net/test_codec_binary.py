@@ -15,7 +15,8 @@ import pytest
 
 from repro import obs
 from repro.common import OpId
-from repro.jupiter.messages import ClientOperation, ServerOperation
+from repro.errors import ProtocolError
+from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
 from repro.jupiter.ordering import ClientOrderOracle
 from repro.net.codec import (
     BINARY_MAGIC,
@@ -29,7 +30,9 @@ from repro.net.codec import (
     decode_envelope,
     encode_envelope,
     encode_frame_bytes,
+    message_from_wire,
     negotiate_codec,
+    server_echo_obj,
 )
 from repro.net.transport import BATCH_MAX, FrameSender
 from repro.ot import insert
@@ -253,7 +256,7 @@ class TestPositionalLayouts:
 
     def test_unknown_layout_tag_rejected(self):
         with pytest.raises(WireError, match="layout tag"):
-            decode_envelope(bytes([BINARY_MAGIC, 0x14, 0, 0, 0]))
+            decode_envelope(bytes([BINARY_MAGIC, 0x15, 0, 0, 0]))
 
     @pytest.mark.parametrize("name", sorted(_hot_frames()))
     def test_trailing_bytes_rejected(self, name):
@@ -293,6 +296,88 @@ class TestPositionalLayouts:
         assert decode_envelope(encode_frame_bytes(second, CODEC_JSON)) == second
         second["hint"] = 1
         assert decode_envelope(encode_frame_bytes(second, CODEC_BINARY)) == second
+
+
+def _echo_frame(seq=7, serial=None, opid=("c1", 3)):
+    return encode_envelope(
+        "data", seq=seq, ack=2, epoch=1, floor=1,
+        body=server_echo_obj(
+            ServerEcho(OpId(*opid), seq if serial is None else serial)
+        ),
+    )
+
+
+class TestServerEcho:
+    """The generator's echo: ``(opid, serial)`` in the ``data`` frame,
+    spelled positionally with the serial read off the frame's ``seq``."""
+
+    @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
+    def test_an_echo_round_trips_to_an_equal_dictionary(self, codec):
+        envelope = _echo_frame()
+        assert _round_trip(envelope, codec) == envelope
+        assert message_from_wire(
+            _round_trip(envelope, codec)["body"], ClientOrderOracle("c1")
+        ) == ServerEcho(OpId("c1", 3), 7)
+
+    def test_an_echo_is_positional_and_smaller_than_a_broadcast(self):
+        raw = encode_frame_bytes(_echo_frame(), CODEC_BINARY)
+        assert raw[1] == 0x14
+        # magic, tag, four counters, then the opid: a string and a counter
+        assert raw[6:] == b"\x02c1\x03"
+        broadcast = encode_envelope(
+            "data", seq=1, ack=2, epoch=1, floor=1, body=_server_op_message()
+        )
+        assert len(raw) < len(encode_frame_bytes(broadcast, CODEC_BINARY))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda e: e["body"]["body"].update(serial=8),
+            lambda e: e["body"]["body"].update(serial=True),
+            lambda e: e["body"]["body"].update(hint=1),
+            lambda e: e["body"].update(hint=1),
+            lambda e: e.update(hint=1),
+            lambda e: e["body"]["body"].pop("serial"),
+            lambda e: e["body"]["body"].update(opid=["c1", -1]),
+            lambda e: e["body"].update(v=WIRE_VERSION - 1),
+            lambda e: e.pop("floor"),
+        ],
+        ids=[
+            "serial-not-seq", "serial-a-bool", "body-field", "message-field",
+            "envelope-field", "no-serial", "negative-opid-seq", "old-message",
+            "no-floor",
+        ],
+    )
+    def test_an_echo_off_its_exact_shape_is_written_generically(self, change):
+        envelope = _echo_frame()
+        change(envelope)
+        raw = encode_frame_bytes(envelope, CODEC_BINARY)
+        assert raw[1] < 0x10
+        assert decode_envelope(raw) == envelope
+
+    def test_truncations_and_trailing_bytes_raise_wire_errors(self):
+        raw = encode_frame_bytes(_echo_frame(), CODEC_BINARY)
+        for cut in range(1, len(raw)):
+            with pytest.raises(WireError):
+                decode_envelope(raw[:cut])
+        with pytest.raises(WireError, match="trailing"):
+            decode_envelope(raw + b"\x00")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {},
+            {"opid": ["c1", 1]},
+            {"opid": ["c1"], "serial": 1},
+            {"opid": "c1", "serial": 1},
+            {"opid": ["c1", 1], "serial": -1},
+        ],
+        ids=["empty", "no-serial", "short-opid", "opid-a-string", "negative"],
+    )
+    def test_a_malformed_echo_body_is_refused_typed(self, body):
+        message = {"v": WIRE_VERSION, "kind": "server_echo", "body": body}
+        with pytest.raises(ProtocolError):
+            message_from_wire(message, ClientOrderOracle("c1"))
 
 
 class TestNegotiation:

@@ -10,6 +10,13 @@ while a negative ``ack`` and a boolean ``epoch`` were taken without
 complaint.  Now the client core refuses each before it changes
 anything, and the read loop treats the refusal like a dead link: one
 log line, hang up, reconnect.
+
+Three shapes carry a body the client refuses only once it reads it: an
+empty ``server_op`` body, an echo naming an op of ours that is not the
+head of the pending queue, and an echo naming another replica's op.
+Each used to count its seq (and an echo to record its serial) before
+the refusal, so the honest re-ship of that seq was dropped as a
+duplicate and the client never converged.
 """
 
 import asyncio
@@ -17,10 +24,18 @@ import logging
 
 import pytest
 
+from repro.common import OpId
+from repro.jupiter.messages import ServerEcho
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
-from repro.net.codec import encode_envelope
+from repro.net.codec import WIRE_VERSION, encode_envelope, server_echo_obj
 from repro.net.transport import read_frame, write_frame
+
+
+def _refused_body(body):
+    """A well-formed first data frame whose body the client refuses."""
+    return ("data", {"seq": 1, "ack": 0, "epoch": 0, "floor": 0, "body": body})
+
 
 #: shape -> the hostile frame's type and fields
 HOSTILE_SERVER_FRAMES = {
@@ -30,6 +45,15 @@ HOSTILE_SERVER_FRAMES = {
     "multi-member-without-a-type": ("multi", {"frames": [{"ack": 0}]}),
     "ack-negative": ("ack", {"ack": -5}),
     "epoch-a-bool": ("ack", {"ack": 0, "epoch": True}),
+    "server-op-body-empty": _refused_body(
+        {"v": WIRE_VERSION, "kind": "server_op", "body": {}}
+    ),
+    "echo-not-the-pending-head": _refused_body(
+        server_echo_obj(ServerEcho(OpId("c1", 9), 1))
+    ),
+    "echo-of-another-replicas-op": _refused_body(
+        server_echo_obj(ServerEcho(OpId("c2", 1), 1))
+    ),
 }
 
 

@@ -167,9 +167,10 @@ class TestServerSessionDiscipline:
             acks = []
             while len(acks) < 2:
                 received = await read_frame(reader)
-                # a burst may arrive coalesced into one multi frame
+                # a burst may arrive coalesced into one multi frame; the
+                # echo carries the first ack, an ack frame the re-ack
                 for member in received.get("frames", [received]):
-                    if member["type"] == "ack":
+                    if member["type"] in ("data", "ack"):
                         acks.append(member["ack"])
             suppressed = server.duplicates_suppressed
             writer.close()
@@ -177,7 +178,7 @@ class TestServerSessionDiscipline:
             return acks, suppressed, server.wal.last_serial
 
         acks, suppressed, serial = _run(scenario())
-        assert acks == [1, 1]  # the duplicate still triggers a re-ack
+        assert acks == [1, 1]  # the echo's, then the duplicate's re-ack
         assert suppressed == 1
         assert serial == 1  # serialised exactly once
 
@@ -263,10 +264,10 @@ class TestOneBodyPerOperation:
     def test_a_broadcast_is_built_and_spelled_once_for_all_recipients(
         self, monkeypatch
     ):
-        """CSS sends every client the same operation with the same
+        """CSS sends every reader the same operation with the same
         context: the server builds one ``server_op`` body per operation
-        and the binary codec spells its bytes once, whoever many
-        recipients there are."""
+        and the binary codec spells its bytes once, whoever many readers
+        there are.  The generator gets its echo instead."""
         from repro.net import codec, server as server_module
 
         built, packs = [], []
@@ -280,6 +281,8 @@ class TestOneBodyPerOperation:
         def pack(out, message, kind):
             if kind == "server_op":
                 packs.append("spliced" if message.packed else "spelled")
+            elif kind == "server_echo":
+                packs.append("echo")
             real_pack(out, message, kind)
 
         monkeypatch.setattr(codec, "_pack_message", pack)
@@ -304,4 +307,5 @@ class TestOneBodyPerOperation:
 
         assert len(_run(scenario())) == 1
         assert len(built) == 5
-        assert packs.count("spelled") == 5 and packs.count("spliced") == 15
+        assert packs.count("spelled") == 5 and packs.count("spliced") == 10
+        assert packs.count("echo") == 5
