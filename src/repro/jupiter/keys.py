@@ -313,7 +313,7 @@ class SerialLog:
 
     # -- the keys this log can name -----------------------------------
     def key_from_pair(self, d: int, extras: Iterable[OpId]) -> StateKey:
-        """The state the pair ``[d, extras]`` (a WAL record's) names here."""
+        """The state ``{base + 1 .. d} | extras`` of this log."""
         self._check_window(d, d)
         known, kept, xh = self._serial_by_opid, [], 0
         for opid in frozenset(extras):
@@ -398,3 +398,13 @@ def key_of(log: Optional[SerialLog], members: Iterable[OpId]) -> StateKey:
     if log is None:
         return StateKey(0, frozenset(members), None, 0)
     return log.key_from_pair(log._base, members)
+
+
+def run_pair(
+    log: Optional[SerialLog], members: Iterable[OpId], opid: OpId
+) -> List[int]:
+    """``[d, n]``, the one spelling of ``opid``'s context ``members``
+    under ``log``, on the wire and on disk: its key's ``d`` and its
+    extras counted by :func:`run_length`."""
+    d, extras = key_of(log, members).pair()
+    return [d, run_length(extras, opid)]

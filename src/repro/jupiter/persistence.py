@@ -35,15 +35,15 @@ import os
 import time
 import warnings
 from typing import (
-    Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union,
+    Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple,
 )
 
-from repro.common.ids import OpId, ReplicaId, StateKey
+from repro.common.ids import EMPTY_STATE, OpId, ReplicaId, StateKey
 from repro.document.elements import Element
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError, ReproError
 from repro.jupiter.css import CssClient, CssServer
-from repro.jupiter.keys import key_of
+from repro.jupiter.keys import key_of, run_length, run_pair
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.nary import NaryStateSpace
 from repro.jupiter.ordering import ServerOrderOracle
@@ -53,6 +53,11 @@ from repro.obs import get_obs
 from repro.ot.operations import OpKind, Operation
 
 FORMAT_VERSION = 2
+
+#: A WAL header's version (its snapshots keep :data:`FORMAT_VERSION`).
+#: 3: a record's ``ctx`` is ``[d, n]``; :func:`load_wal` converts a 2.
+WAL_VERSION = 3
+_LIST_FORM = 2
 
 
 def _require_version(obj: Dict[str, Any], what: str) -> None:
@@ -136,17 +141,15 @@ def operation_from_obj(
 
 
 # ----------------------------------------------------------------------
-# Serial-encoded operation contexts (the active-window WAL form)
+# Operation contexts as ``[d, n]``, on the wire and on disk
 # ----------------------------------------------------------------------
-# A context is the set of operations its generator had processed: the
-# first ``d`` serials of the total order plus a handful of the
-# generator's own then-pending operations ("extras", serialised later).
-# Encoding it as ``[d, [extra opids]]`` is O(extras) instead of
-# O(history) *and* rebase-invariant: any decoder resolves the dense
-# prefix ``(its own base, d]`` against its serial log, so the same bytes
-# decode correctly before and after active-window GC.
-def compact_context(operation: Operation, oracle) -> List[Any]:
-    """Encode ``operation.context`` as ``[d, [extra opid objs]]``.
+# A context is the first ``d`` serials of the total order plus the ``n``
+# operations its generator made just before it, still pending then: two
+# counters whatever the history, and rebase-invariant, since a decoder
+# resolves ``(its own base, d]`` against its own serial log.  A WAL
+# record holds exactly the ``ctx`` its broadcast body carries.
+def compact_context(operation: Operation, oracle) -> List[int]:
+    """Encode ``operation.context`` as ``[d, n]``.
 
     Every context member must already be serialised (true whenever the
     server appends: FIFO channels serialise a client's earlier pending
@@ -156,34 +159,22 @@ def compact_context(operation: Operation, oracle) -> List[Any]:
     ``d`` holds for this one too.  A context that is a key of ``oracle``
     (every decoded or integrated one is) is read, not walked.
     """
-    d, extras = key_of(oracle, operation.context).pair()
-    return [d, opids_to_obj(extras)]
+    return run_pair(oracle, operation.context, operation.opid)
 
 
-def context_from_compact(ctx_obj: List[Any], oracle) -> StateKey:
-    """Decode a WAL record's context as a key of ``oracle``'s log."""
-    d = int(ctx_obj[0])
-    if not oracle.base <= d <= oracle.last_serial:
-        raise ProtocolError(
-            f"compact context floor {d} is outside the decoder's window "
-            f"({oracle.base}..{oracle.last_serial}): below its GC base the "
-            "record should have been unreachable, above it unreleased"
-        )
-    return oracle.key_from_pair(d, [opid_from_obj(o) for o in ctx_obj[1]])
+def operation_from_run(fields: Any, ctx: Any, oracle) -> Operation:
+    """Decode a wire body's or a WAL record's operation, its ``[d, n]``
+    typed, against an ``oracle`` that witnessed the serials it names."""
+    opid = opid_from_obj(fields["opid"])
+    d, n = (counter(value, "ctx") for value in ctx)
+    return operation_from_obj(fields, oracle.key_from_run(d, n, opid), opid)
 
 
 def record_operation(record: Dict[str, Any], oracle=None) -> Operation:
-    """Decode a WAL record's operation, resolving its context.
-
-    A record stores its context serial-encoded (``record["ctx"]``), so
-    it decodes only against an oracle that has witnessed the serials
-    below the record's.
-    """
+    """Decode a WAL record's operation, as :func:`operation_from_run`."""
     if oracle is None:
         raise ProtocolError("a WAL record needs an order oracle to decode")
-    return operation_from_obj(
-        record["operation"], context_from_compact(record["ctx"], oracle)
-    )
+    return operation_from_run(record["operation"], record["ctx"], oracle)
 
 
 # ----------------------------------------------------------------------
@@ -521,7 +512,7 @@ def wal_record_to_obj(
     operation: Operation,
     epoch: int = 0,
     *,
-    ctx: List[Any],
+    ctx: Sequence[int],
 ) -> Dict[str, Any]:
     """One WAL entry: a serialised operation in server-serial order.
 
@@ -530,39 +521,48 @@ def wal_record_to_obj(
     uncommitted suffix under a higher epoch, so ``(epoch, serial)`` pairs
     totally order log prefixes across primaries.
 
-    ``ctx`` is the serial-encoded context (see :func:`compact_context`):
-    the record stores that O(extras) encoding, never the O(history)
-    absolute context — decode it back with :func:`record_operation`.
+    ``ctx`` is :func:`compact_context`'s; :func:`record_operation`
+    decodes the record.
     """
     return {
         "serial": int(serial),
         "origin": origin,
         "epoch": int(epoch),
         "operation": operation_to_obj(operation, with_context=False),
-        "ctx": [int(ctx[0]), list(ctx[1])],
+        "ctx": [int(ctx[0]), int(ctx[1])],
     }
 
 
+#: What decoding a malformed object raises; a validator turns it typed.
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError, ReproError)
+
+
 def _validate_wal_record(record: Any) -> Dict[str, Any]:
-    """Raise :class:`ProtocolError` unless ``record`` is a decodable entry."""
-    if not isinstance(record, dict):
-        raise ProtocolError(f"WAL record is not an object: {record!r}")
-    for field in ("serial", "origin", "operation", "ctx"):
-        if field not in record:
-            raise ProtocolError(f"WAL record missing field {field!r}")
-    ctx = record["ctx"]
-    if (
-        not isinstance(ctx, list)
-        or len(ctx) != 2
-        or not isinstance(ctx[0], int)
-        or not isinstance(ctx[1], list)
-    ):
-        raise ProtocolError(
-            f"WAL record has malformed compact context {ctx!r}"
-        )
-    # Validate everything but the (serial-encoded) context.
-    operation_from_obj({**record["operation"], "context": ctx[1]})
+    """The one check of a record from a disk line, a ``repl_append`` or a
+    shipped log: counters for ``serial``, ``epoch`` and ``ctx``'s
+    ``[d, n]``, a named ``origin``, a decodable operation — never
+    coerced; else :class:`ProtocolError`."""
+    try:
+        d, n = record["ctx"]
+        counter(record["serial"], "serial")
+        counter(record["epoch"], "epoch")
+        counter(d, "ctx")
+        counter(n, "ctx")
+        if type(record["origin"]) is not str or not record["origin"]:
+            raise ProtocolError(f"its origin is not a name: {record['origin']!r}")
+        operation_from_obj(record["operation"], EMPTY_STATE)
+    except _MALFORMED as exc:
+        raise ProtocolError(f"malformed WAL record: {exc}") from exc
     return record
+
+
+def _run_form(record: Any) -> Dict[str, Any]:
+    """A version-2 record, whose ``ctx`` listed its extras' ids, spelled
+    ``[d, n]``; refused unless the extras are the run before its op."""
+    d, extras = record["ctx"]
+    opid = opid_from_obj(record["operation"]["opid"])
+    n = run_length(frozenset(map(opid_from_obj, extras)), opid)
+    return {**record, "ctx": [d, n]}
 
 
 def _validate_wal_delta(delta: Any) -> Dict[str, Any]:
@@ -585,6 +585,27 @@ def _validate_wal_delta(delta: Any) -> Dict[str, Any]:
         if "id" not in patch or "children" not in patch:
             raise ProtocolError("WAL delta touched-node missing id/children")
     return delta
+
+
+def _validate_wal_header(header: Any, *versions: int) -> Dict[str, Any]:
+    """Raise :class:`ProtocolError` unless ``header`` is a WAL header of
+    one of ``versions``, every field typed, never coerced."""
+    try:
+        if header["version"] not in versions:
+            raise ProtocolError(f"unsupported WAL version {header['version']!r}")
+        clients, snapshot = header["clients"], header["snapshot"]
+        names = [header["replica"], header.get("initial_text", ""), *clients]
+        if type(clients) is not list or any(type(n) is not str for n in names):
+            raise TypeError(f"its names must be strings: {names!r}")
+        if snapshot is not None and type(snapshot) is not dict:
+            raise TypeError(f"its snapshot is not an object: {snapshot!r}")
+        counter(header["snapshot_every"], "snapshot_every")
+        for delta in header.get("deltas", []):
+            _validate_wal_delta(delta)
+        _post_snapshot_serial(header)
+    except _MALFORMED as exc:
+        raise ProtocolError(f"malformed WAL header: {exc}") from exc
+    return header
 
 
 class ServerWriteAheadLog:
@@ -689,29 +710,19 @@ class ServerWriteAheadLog:
         operation: Operation,
         epoch: int = 0,
         *,
-        ctx: List[Any],
+        ctx: Sequence[int],
     ) -> None:
         """Log one serialised operation (call *before* broadcasting it),
-        its context serial-encoded (see :func:`compact_context`)."""
+        its context ``[d, n]`` (see :func:`compact_context`)."""
         self.append_record(
             wal_record_to_obj(serial, origin, operation, epoch, ctx=ctx)
         )
 
     def append_record(self, record: Dict[str, Any]) -> None:
-        """Append an already-encoded record verbatim.
-
-        Replication backups use this: a compact-context record can only
-        be *decoded* with an order oracle that witnessed the serials
-        below it, which a backup does not run — but it never needs to
-        decode, only to store the bytes the primary certified.
-        """
-        serial = int(record["serial"])
-        epoch = int(record.get("epoch", 0))
-        try:
-            origin, seq = record["operation"]["opid"]
-            origin, seq = str(origin), int(seq)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"WAL record has no opid: {exc!r}") from exc
+        """Append an encoded record: :meth:`append`'s, or a shipped one
+        :meth:`~repro.jupiter.replication.Replica.append` checked."""
+        serial, epoch = record["serial"], record["epoch"]
+        origin, seq = record["operation"]["opid"]
         if serial != self._next_serial:
             raise ProtocolError(
                 f"WAL append out of order: got serial {serial}, "
@@ -1080,7 +1091,7 @@ class ServerWriteAheadLog:
     # -- codec ---------------------------------------------------------
     def to_obj(self) -> Dict[str, Any]:
         return {
-            "version": FORMAT_VERSION,
+            "version": WAL_VERSION,
             "replica": self.replica_id,
             "clients": list(self.clients),
             "snapshot_every": self.snapshot_every,
@@ -1092,25 +1103,29 @@ class ServerWriteAheadLog:
         }
 
     @classmethod
-    def from_obj(cls, obj: Dict[str, Any]) -> "ServerWriteAheadLog":
-        """Restore a log.  Headers from before the delta chain lost its
-        length limit still load: the limit they carry is ignored, and
-        with no record left their epoch reads 0."""
-        _require_version(obj, "WAL")
-        wal = cls(
-            str(obj["replica"]),
-            [str(c) for c in obj["clients"]],
-            snapshot_every=int(obj["snapshot_every"]),
-            initial_text=str(obj.get("initial_text", "")),
-        )
-        wal.snapshot = obj["snapshot"]
-        wal.deltas = [dict(d) for d in obj.get("deltas", [])]
-        wal.records = [dict(r) for r in obj["records"]]
-        wal._next_serial = int(obj["next_serial"])
-        latest = wal.deltas[-1] if wal.deltas else wal.snapshot or {}
-        wal._truncated_epoch = int(latest.get("epoch", 0))
-        wal.last_epoch = wal._tail_epoch()
-        wal._counts = wal._walk_origin_counts()
+    def from_obj(cls, obj: Any) -> "ServerWriteAheadLog":
+        """Restore a log, shipped or loaded, else :class:`ProtocolError`:
+        its header and records are checked, never coerced.  Headers from
+        before the delta chain lost its length limit still load: the limit
+        they carry is ignored, and with no record left their epoch reads 0."""
+        try:
+            _validate_wal_header(obj, WAL_VERSION)
+            wal = cls(
+                obj["replica"],
+                list(obj["clients"]),
+                snapshot_every=obj["snapshot_every"],
+                initial_text=obj.get("initial_text", ""),
+            )
+            wal.snapshot = obj["snapshot"]
+            wal.deltas = [dict(d) for d in obj.get("deltas", [])]
+            wal.records = [dict(_validate_wal_record(r)) for r in obj["records"]]
+            wal._next_serial = counter(obj["next_serial"], "next_serial")
+            latest = wal.deltas[-1] if wal.deltas else wal.snapshot or {}
+            wal._truncated_epoch = int(latest.get("epoch", 0))
+            wal.last_epoch = wal._tail_epoch()
+            wal._counts = wal._walk_origin_counts()
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ProtocolError(f"undecodable WAL: {exc!r}") from exc
         # The diff shadow is not serialised: a restored log takes a full
         # checkpoint at its next compaction and resumes deltas from there.
         return wal
@@ -1123,31 +1138,23 @@ def _wal_line(obj: Dict[str, Any]) -> str:
     return json.dumps(obj, sort_keys=True) + "\n"
 
 
-def _append_wal_line(target: Union[str, TextIO], obj: Dict[str, Any]) -> None:
-    if isinstance(target, str):
-        with open(target, "a", encoding="utf-8") as handle:
-            _append_wal_line(handle, obj)
-        return
-    # Flushed, not fsynced: the line survives a process kill (the
-    # failure model the fleet tier tests), not a power loss.
-    target.write(_wal_line(obj))
-    target.flush()
+def append_wal_record(handle: TextIO, record: Dict[str, Any]) -> None:
+    """Append one WAL record as one line through ``handle``, open for
+    appending on a file :func:`save_wal` wrote.  Flushed, not fsynced:
+    the line survives a process kill (the failure model the fleet tier
+    tests), not a power loss."""
+    handle.write(_wal_line(record))
+    handle.flush()
 
 
-def append_wal_record(target: Union[str, TextIO], record: Dict[str, Any]) -> None:
-    """Append one WAL record as one line to a file :func:`save_wal` wrote:
-    ``target`` is its path, or a handle open on it for appending."""
-    _append_wal_line(target, record)
-
-
-def append_wal_delta(target: Union[str, TextIO], delta: Dict[str, Any]) -> None:
-    """Append one delta snapshot as a ``{"delta": ...}`` line (``target``
+def append_wal_delta(handle: TextIO, delta: Dict[str, Any]) -> None:
+    """Append one delta snapshot as a ``{"delta": ...}`` line (``handle``
     as for :func:`append_wal_record`).
 
     :func:`load_wal` folds it into the header's deltas and drops the
     records at or below its floor.
     """
-    _append_wal_line(target, {"delta": delta})
+    append_wal_record(handle, {"delta": delta})
 
 
 def save_wal(wal: ServerWriteAheadLog, path: str) -> None:
@@ -1189,6 +1196,9 @@ def load_wal(path: str) -> ServerWriteAheadLog:
     never yields one): a record whose serial does not follow the
     previous record line's, a delta that repeats serials the log
     already covers.
+
+    A version-2 record's extras load counted, refused unless they are its
+    op's run; :class:`~repro.jupiter.shard.ShardCore` rewrites the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line for line in handle.read().split("\n") if line.strip()]
@@ -1198,6 +1208,8 @@ def load_wal(path: str) -> ServerWriteAheadLog:
         header = json.loads(lines[0])
     except ValueError as error:
         raise ProtocolError(f"WAL header in {path} is corrupt: {error}")
+    _validate_wal_header(header, WAL_VERSION, _LIST_FORM)
+    list_form = header["version"] == _LIST_FORM
     records: List[Dict[str, Any]] = []
     deltas: List[Dict[str, Any]] = [
         dict(d) for d in (header.get("deltas") or [])
@@ -1216,8 +1228,10 @@ def load_wal(path: str) -> ServerWriteAheadLog:
                     (int(s) for _opid, s in delta["serials"]), default=upto + 1
                 )
             else:
-                record = _validate_wal_record(obj)
-                serial = int(record["serial"])
+                record = _validate_wal_record(
+                    _run_form(obj) if list_form else obj
+                )
+                serial = record["serial"]
         except (ValueError, TypeError, LookupError, ProtocolError) as error:
             if index < len(lines) - 1:
                 raise ProtocolError(
@@ -1253,6 +1267,7 @@ def load_wal(path: str) -> ServerWriteAheadLog:
             stacklevel=2,
         )
         get_obs().wal_torn_tail_dropped.inc()
+    header["version"] = WAL_VERSION
     header["records"] = records
     header["deltas"] = deltas
     header["next_serial"] = (

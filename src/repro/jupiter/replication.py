@@ -42,7 +42,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.ids import ReplicaId
 from repro.errors import ProtocolError
-from repro.jupiter.persistence import ServerWriteAheadLog
+from repro.jupiter.persistence import ServerWriteAheadLog, _validate_wal_record
 from repro.jupiter.session import counter
 from repro.obs import get_obs
 
@@ -134,13 +134,6 @@ class Reply(NamedTuple):
     @property
     def accepted(self) -> bool:
         return self.kind != "repl_deny"
-
-
-def _decode_log(obj: Any) -> ServerWriteAheadLog:
-    try:
-        return ServerWriteAheadLog.from_obj(obj)
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
-        raise ProtocolError(f"undecodable replicated log: {exc!r}") from exc
 
 
 class Replica:
@@ -284,7 +277,7 @@ class Replica:
             raise ProtocolError(f"install of view {view} under epoch {epoch}")
         if view < self.promised or primary_for(view, self.ids) == self.me:
             return self._deny()  # stale, or a view only I can start
-        decoded = _decode_log(log)
+        decoded = ServerWriteAheadLog.from_obj(log)
         was_primary = self.is_primary
         # A view's log only grows and mine is a prefix of it, so a copy
         # no longer than mine is an old one — a dead connection's install
@@ -298,22 +291,17 @@ class Replica:
         return self._ack(was_primary)
 
     def append(self, epoch: Any, committed: Any, record: Any) -> Reply:
-        """``repl_append``: one shipped record, stored verbatim — a
-        compact-context record only decodes against an oracle that
-        witnessed the serials below it, which a backup does not run."""
+        """``repl_append``: one shipped record, checked as a disk line
+        is and stored verbatim — a record only decodes against an oracle
+        that witnessed the serials below it, which a backup does not run."""
         epoch = counter(epoch, "epoch")
         committed = counter(committed, "committed")
-        if not (
-            isinstance(record, dict) and {"origin", "operation"} <= set(record)
-        ):
-            raise ProtocolError(f"malformed replicated record {record!r}")
-        serial = counter(record.get("serial"), "serial")
-        counter(record.get("epoch", 0), "record epoch")
+        record = _validate_wal_record(record)
         if epoch != self.epoch or self.promised > epoch or self.is_primary:
             return self._deny()
-        if serial > self.log.last_serial:
+        if record["serial"] > self.log.last_serial:
             self.log.append_record(dict(record))  # dense, epoch-monotone
-            origin = str(record["origin"])
+            origin = record["origin"]
             if origin not in self.log.clients:
                 # Client registrations are not shipped separately: a
                 # backup learns each origin from its first record, so a
@@ -396,7 +384,7 @@ class Replica:
         winner = elect(logs)
         # Always a fresh copy, my own log included: a new view starts from
         # a log with no compaction state of an earlier incarnation.
-        adopted = _decode_log(
+        adopted = ServerWriteAheadLog.from_obj(
             self.log.to_obj()
             if winner == self.me
             else by_replica[winner]["log"]

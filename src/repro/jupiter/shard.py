@@ -137,11 +137,12 @@ class ShardCore:
         #: against the new base (``d >= floor``); entries leave the map
         #: when compaction truncates their records.
         self.ctx_floors: Dict[int, int] = {
-            int(record["serial"]): int(record["ctx"][0])
-            for record in wal.records
+            record["serial"]: record["ctx"][0] for record in wal.records
         }
         self.gc_runs = 0
         self.states_pruned = 0
+        # A converted or torn-tailed file gets no line appended to it.
+        self.rewrite_disk()
 
     @property
     def connected(self) -> int:

@@ -39,9 +39,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError, TransformError
 from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
-from repro.jupiter.keys import key_of, run_length
+from repro.jupiter.keys import run_pair
 from repro.jupiter.persistence import (
-    operation_from_obj,
+    operation_from_run,
     operation_to_obj,
     opid_from_obj,
     opid_to_obj,
@@ -83,16 +83,9 @@ class WireError(ProtocolError):
 # ----------------------------------------------------------------------
 # Serial-encoded message bodies (the active-window wire form)
 # ----------------------------------------------------------------------
-# An operation's context is the set of everything its generator had
-# processed: a dense serial prefix of the total order plus a handful of
-# "extras" — the generator's own operations still awaiting their echo,
-# which are always the ones it made just before this one.  Sessions
-# ship it as ``ctx: [d, n]``, two counters whatever the history or the
-# pending run, and omit the redundant ``prefix`` set (the serial number
-# determines it).  The encoding is rebase-invariant: the decoder
-# resolves the dense prefix ``(its own GC base, d]`` against its serial
-# log, so the same bytes decode correctly on replicas whose active
-# windows start at different floors.
+# A body's context is ``ctx: [d, n]``, the pair a WAL record holds (see
+# repro.jupiter.persistence), and it omits the redundant ``prefix`` set:
+# the serial number determines it.
 def compact_client_op_obj(message: ClientOperation, oracle) -> Dict[str, Any]:
     """Encode a client operation with a serial-encoded context.
 
@@ -106,13 +99,12 @@ def compact_client_op_obj(message: ClientOperation, oracle) -> Dict[str, Any]:
     pin, and the pin never passes ``d``).
     """
     operation = message.operation
-    d, extras = key_of(oracle, operation.context).pair()
     return {
         "v": WIRE_VERSION,
         "kind": "client_op",
         "body": {
             "operation": operation_to_obj(operation, with_context=False),
-            "ctx": [d, run_length(extras, operation.opid)],
+            "ctx": run_pair(oracle, operation.context, operation.opid),
         },
     }
 
@@ -126,24 +118,21 @@ class ServerOpBody(dict):
 
 
 def compact_server_op_obj(
-    message: ServerOperation, ctx: Sequence[Any]
+    message: ServerOperation, ctx: Sequence[int]
 ) -> Dict[str, Any]:
-    """Encode a broadcast with the serial-encoded context the WAL holds.
+    """Encode a broadcast with the context its WAL record holds.
 
-    ``ctx`` is the ``[d, [extra opid objs]]`` pair the server computed
-    when it appended the record (:func:`~repro.jupiter.persistence.compact_context`);
-    the body counts its extras, refused unless they are the op's run.
-    The ``prefix`` set is omitted entirely: the recipient knows every
-    serial below ``serial``, so the number *is* the prefix.
+    ``ctx`` is the ``[d, n]`` the server computed when it appended the
+    record (:func:`~repro.jupiter.persistence.compact_context`), shipped
+    as it is.  The ``prefix`` set is omitted entirely: the recipient
+    knows every serial below ``serial``, so the number *is* the prefix.
     """
-    operation = message.operation
-    extras = frozenset(opid_from_obj(extra) for extra in ctx[1])
     return ServerOpBody(
         v=WIRE_VERSION,
         kind="server_op",
         body={
-            "operation": operation_to_obj(operation, with_context=False),
-            "ctx": [int(ctx[0]), run_length(extras, operation.opid)],
+            "operation": operation_to_obj(message.operation, with_context=False),
+            "ctx": ctx,
             "origin": message.origin,
             "serial": int(message.serial),
         },
@@ -192,11 +181,7 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
                 opid=opid_from_obj(body["opid"]),
                 serial=counter(body["serial"], "serial"),
             )
-        fields = body["operation"]
-        opid = opid_from_obj(fields["opid"])
-        d, n = (counter(value, "ctx") for value in body["ctx"])
-        context = oracle.key_from_run(d, n, opid)
-        operation = operation_from_obj(fields, context, opid)
+        operation = operation_from_run(body["operation"], body["ctx"], oracle)
         if kind == "client_op":
             return ClientOperation(operation=operation)
         return ServerOperation(

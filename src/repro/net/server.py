@@ -354,6 +354,8 @@ class NetServer:
                 snapshot_every=self.snapshot_every,
                 initial_text=self.initial_text,
             )
+            if wal_path is not None:
+                os.makedirs(self.wal_dir, exist_ok=True)
         else:
             wal = load_wal(wal_path)
         shard = _DocShard(doc, wal, wal_path, time.monotonic())
@@ -363,9 +365,6 @@ class NetServer:
                 f"{wal.last_serial} from {wal_path} "
                 f"({len(shard.sessions)} known clients)"
             )
-        elif wal_path is not None:
-            os.makedirs(self.wal_dir, exist_ok=True)
-            shard.rewrite_disk()
         self.shards[doc] = shard
         return shard
 

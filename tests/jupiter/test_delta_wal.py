@@ -3,7 +3,7 @@
 The flat-throughput work replaces "rewrite the whole state-space every
 compaction" with a chain of delta snapshots hanging off a periodic full
 checkpoint, and replaces O(history) absolute contexts in WAL records
-with the ``[d, extras]`` serial encoding.  These tests drive a live CSS
+with the ``[d, n]`` serial encoding.  These tests drive a live CSS
 cluster mirrored into a :class:`ServerWriteAheadLog` and check that
 recovery from checkpoint + deltas + record suffix is byte-equivalent to
 the live server — including after active-window GC rebased the floor,
@@ -26,9 +26,7 @@ from repro.jupiter.persistence import (
     append_wal_delta,
     append_wal_record,
     compact_context,
-    context_from_compact,
     load_wal,
-    opid_to_obj,
     record_operation,
     save_wal,
     wal_record_to_obj,
@@ -121,39 +119,46 @@ class TestCompactContext:
     def test_dense_context_has_no_extras(self):
         oracle, opids = self.build_oracle()
         op = insert(OpId("c9", 1), "v", 0, context=set(opids[:3]))
-        assert compact_context(op, oracle) == [3, []]
+        assert compact_context(op, oracle) == [3, 0]
 
     def test_gap_becomes_extras(self):
+        oracle, opids = self.build_oracle()
+        # c2's third op saw serials 1-2 and its own c2.2 (serial 4)
+        op = insert(OpId("c2", 3), "v", 0, context={*opids[:2], opids[3]})
+        encoded = compact_context(op, oracle)
+        assert encoded == [2, 1]
+        assert oracle.key_from_run(*encoded, op.opid) == frozenset(
+            {*opids[:2], opids[3]}
+        )
+
+    def test_a_gap_that_is_not_the_generators_run_is_refused(self):
         oracle, opids = self.build_oracle()
         op = insert(
             OpId("c9", 1), "v", 0, context={*opids[:3], opids[4]}
         )
-        encoded = compact_context(op, oracle)
-        assert encoded == [3, [opid_to_obj(opids[4])]]
-        assert context_from_compact(encoded, oracle) == frozenset(
-            {*opids[:3], opids[4]}
-        )
+        with pytest.raises(ProtocolError, match="not the run before"):
+            compact_context(op, oracle)
 
     def test_decode_is_rebase_invariant(self):
         oracle, opids = self.build_oracle()
         op = insert(OpId("c9", 1), "v", 0, context={*opids[:4]})
         encoded = compact_context(op, oracle)
-        full = context_from_compact(encoded, oracle)
+        full = oracle.key_from_run(*encoded, op.opid)
         oracle.trim_below(2)
-        trimmed = context_from_compact(encoded, oracle)
+        trimmed = oracle.key_from_run(*encoded, op.opid)
         assert trimmed == full - frozenset(opids[:2])
 
     def test_floor_below_decoder_base_rejected(self):
         oracle, _ = self.build_oracle()
         oracle.trim_below(3)
         with pytest.raises(ProtocolError):
-            context_from_compact([2, []], oracle)
+            oracle.key_from_run(2, 0, OpId("c9", 1))
 
     def test_record_round_trip(self):
         oracle, opids = self.build_oracle()
-        op = insert(OpId("c9", 1), "v", 0, context={*opids[:3], opids[4]})
+        op = insert(OpId("c2", 3), "v", 0, context={*opids[:2], opids[3]})
         record = wal_record_to_obj(
-            6, "c9", op, ctx=compact_context(op, oracle)
+            6, "c2", op, ctx=compact_context(op, oracle)
         )
         assert "context" not in record["operation"]
         oracle.assign(op.opid)
@@ -346,7 +351,7 @@ class TestEpochSurvivesCompaction:
     def refuses_a_stale_append(self, wal):
         operation = insert(OpId("c1", 4), "y", 0, context=set())
         with pytest.raises(ProtocolError, match="stale epoch 1 < 3"):
-            wal.append(4, "c1", operation, epoch=1, ctx=[3, []])
+            wal.append(4, "c1", operation, epoch=1, ctx=[3, 0])
 
     def test_in_memory_round_trip(self):
         restored = ServerWriteAheadLog.from_obj(self.compacted().to_obj())
@@ -362,11 +367,12 @@ class TestEpochSurvivesCompaction:
         self.refuses_a_stale_append(loaded)
         # ...and through a delta line that truncated every later record
         self.write(wal, (4, 5), epoch=4)
-        for record in wal.records:
-            append_wal_record(path, record)
-        wal.compact(self.server)
-        assert wal.last_compaction_mode == "delta" and wal.records == []
-        append_wal_delta(path, wal.last_delta)
+        with open(path, "a", encoding="utf-8") as handle:
+            for record in wal.records:
+                append_wal_record(handle, record)
+            wal.compact(self.server)
+            assert wal.last_compaction_mode == "delta" and wal.records == []
+            append_wal_delta(handle, wal.last_delta)
         assert load_wal(path).last_epoch == 4
 
     def test_a_header_from_before_the_epoch_field_still_loads(self):

@@ -20,7 +20,6 @@ from repro.jupiter.css import CssClient, CssServer
 from repro.jupiter.keys import StateKey, key_of
 from repro.jupiter.nary import NaryStateSpace
 from repro.jupiter.ordering import ClientOrderOracle, ServerOrderOracle
-from repro.jupiter.persistence import context_from_compact
 from repro.model.schedule import OpSpec
 from repro.ot import insert
 
@@ -269,7 +268,7 @@ class TestLateSerialAssignmentReKeysNothing:
 
         for d, message, built in ((2, p1, middle), (3, p2, final)):
             ship("c1", message.outgoing)
-            resolved = context_from_compact([d, []], c1.oracle)
+            resolved = c1.oracle.key_from_run(d, 0, message.operation.opid)
             assert resolved.stored_ids() == 0
             assert c1.space.node(resolved).key is built
             assert built.pair() == (d, frozenset())  # settled in place

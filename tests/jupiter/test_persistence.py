@@ -274,9 +274,9 @@ class TestWriteAheadLog:
         cluster, wal = driven_wal(ops_per_client=1)
         op = insert(OpId("c9", 1), "z", 0)
         with pytest.raises(ProtocolError):
-            wal.append(wal.last_serial + 2, "c1", op, ctx=[0, []])  # skips
+            wal.append(wal.last_serial + 2, "c1", op, ctx=[0, 0])  # skips
         with pytest.raises(ProtocolError):
-            wal.append(wal.last_serial, "c1", op, ctx=[0, []])  # reuses
+            wal.append(wal.last_serial, "c1", op, ctx=[0, 0])  # reuses
 
     def test_cold_recovery_replays_every_record(self):
         cluster, wal = driven_wal()

@@ -18,12 +18,19 @@ IDS = ["s0", "s1", "s2"]
 
 
 def record(serial, epoch=0, origin="c1"):
-    """A shipped record as a backup sees it: bytes it stores, never decodes."""
+    """A shipped record as a backup sees it: checked, stored, never decoded."""
+    opid = [origin, serial]
     return {
         "serial": serial,
         "origin": origin,
         "epoch": epoch,
-        "operation": {"opid": [origin, serial]},
+        "operation": {
+            "kind": "ins",
+            "opid": opid,
+            "element": {"value": "x", "opid": opid},
+            "position": 0,
+        },
+        "ctx": [0, 0],
     }
 
 

@@ -7,12 +7,15 @@ silently.  Corruption anywhere *earlier* is lost acknowledged history
 and must refuse to load.
 """
 
+import json
+
 import pytest
 
 from repro import obs
 from repro.common import OpId
 from repro.errors import ProtocolError
-from repro.jupiter.persistence import load_wal, save_wal
+from repro.jupiter.persistence import ServerWriteAheadLog, load_wal, save_wal
+from repro.jupiter.replication import Replica
 
 from tests.jupiter.test_persistence import driven_wal
 
@@ -224,3 +227,77 @@ class TestRealCorruption:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ProtocolError):
             load_wal(str(path)).recover()
+
+
+#: A record field mistyped, which the loader once coerced or passed on.
+MISTYPED_RECORDS = {
+    "serial-float": lambda r: {**r, "serial": r["serial"] + 0.5},
+    "serial-string": lambda r: {**r, "serial": str(r["serial"])},
+    "origin-int": lambda r: {**r, "origin": 7},
+    "epoch-string": lambda r: {**r, "epoch": "0"},
+    "epoch-float": lambda r: {**r, "epoch": 0.9},
+    "ctx-d-bool": lambda r: {**r, "ctx": [True, r["ctx"][1]]},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MISTYPED_RECORDS))
+class TestRecordFieldsAreTyped:
+    """Every path into a log checks a record's fields, never coerces."""
+
+    def test_mid_log_it_is_corruption(self, tmp_path, shape):
+        _cluster, wal, path = saved_wal(tmp_path)
+        mistyped = MISTYPED_RECORDS[shape](wal.records[1])
+        damage_line(path, 2, json.dumps(mistyped))
+        with pytest.raises(ProtocolError, match="mid-log"):
+            load_wal(str(path))
+
+    def test_on_the_final_line_it_is_a_torn_tail(self, tmp_path, shape):
+        _cluster, wal, path = saved_wal(tmp_path)
+        mistyped = MISTYPED_RECORDS[shape](wal.records[-1])
+        damage_line(path, -1, json.dumps(mistyped))
+        with pytest.warns(RuntimeWarning, match="torn final WAL record"):
+            loaded = load_wal(str(path))
+        assert loaded.records == wal.records[:-1]
+
+    def test_a_shipped_record_is_refused_and_the_log_kept(self, shape):
+        _cluster, wal = driven_wal()
+        backup = Replica(
+            ["s0", "s1", "s2"], "s1", ServerWriteAheadLog("s1", [])
+        )
+        backup.append(0, 0, wal.records[0])
+        before = backup.log.to_obj()
+        with pytest.raises(ProtocolError):
+            backup.append(0, 0, MISTYPED_RECORDS[shape](wal.records[1]))
+        assert backup.log.to_obj() == before
+
+    def test_a_shipped_log_is_refused(self, shape):
+        _cluster, wal = driven_wal()
+        log = wal.to_obj()
+        log["records"][1] = MISTYPED_RECORDS[shape](log["records"][1])
+        backup = Replica(
+            ["s0", "s1", "s2"], "s1", ServerWriteAheadLog("s1", [])
+        )
+        with pytest.raises(ProtocolError):
+            backup.install(3, 3, 0, log)  # view 3 is led by s0
+        assert backup.view == 0 and backup.log.last_serial == 0
+
+
+#: A WAL header that is not one, which once escaped untyped or coerced.
+MALFORMED_HEADERS = {
+    "a-list": lambda h: [h],
+    "a-string": lambda h: "header",
+    "no-clients": lambda h: {k: v for k, v in h.items() if k != "clients"},
+    "clients-an-int": lambda h: {**h, "clients": 5},
+    "deltas-a-dict": lambda h: {**h, "deltas": {"a": 1}},
+    "snapshot-a-list": lambda h: {**h, "snapshot": [1]},
+    "snapshot_every-a-string": lambda h: {**h, "snapshot_every": "8"},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_HEADERS))
+def test_a_malformed_header_is_refused_typed(tmp_path, shape):
+    _cluster, _wal, path = saved_wal(tmp_path)
+    header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+    damage_line(path, 0, json.dumps(MALFORMED_HEADERS[shape](header)))
+    with pytest.raises(ProtocolError, match="WAL header"):
+        load_wal(str(path))

@@ -51,7 +51,7 @@ def _server_op_message(serial=1):
             serial=serial,
             prefix=frozenset({OpId("c1", 1)}),
         ),
-        [0, [["c2", serial]]],
+        [0, 1],
     )
 
 

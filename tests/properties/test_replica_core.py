@@ -113,12 +113,19 @@ class Group:
         if core is None:
             return
         self.ops += 1
+        opid = [f"c{self.ops % 3}", self.ops]
         core.log.append_record(
             {
                 "serial": core.log.last_serial + 1,
-                "origin": f"c{self.ops % 3}",
+                "origin": opid[0],
                 "epoch": core.epoch,
-                "operation": {"opid": [f"c{self.ops % 3}", self.ops]},
+                "operation": {
+                    "kind": "ins",
+                    "opid": opid,
+                    "element": {"value": "x", "opid": opid},
+                    "position": 0,
+                },
+                "ctx": [0, 0],
             }
         )
         self.counts["op"] += 1
