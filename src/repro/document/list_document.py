@@ -13,7 +13,12 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 from repro.common.ids import OpId
 from repro.document.elements import Element
-from repro.errors import DuplicateElementError, ElementNotFoundError, PositionError
+from repro.errors import (
+    DocumentError,
+    DuplicateElementError,
+    ElementNotFoundError,
+    PositionError,
+)
 
 
 class ListDocument:
@@ -159,6 +164,23 @@ class ListDocument:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
+    def to_obj(self) -> List[List[Any]]:
+        """The contents as ``[value, replica, seq]`` triples, in order:
+        the canonical form signatures hash and state transfers ship."""
+        return [[e.value, e.opid.replica, e.opid.seq] for e in self._elements]
+
+    @classmethod
+    def from_obj(cls, obj: Any) -> "ListDocument":
+        """Read :meth:`to_obj`'s triples back; a malformed triple or a
+        repeated id raises :class:`~repro.errors.DocumentError`."""
+        elements = []
+        for triple in obj if type(obj) is list else [obj]:
+            shape = [type(t) for t in triple[1:]] if type(triple) is list else []
+            if shape != [str, int] or triple[2] < 0:
+                raise DocumentError(f"malformed element {triple!r}")
+            elements.append(Element(triple[0], OpId(triple[1], triple[2])))
+        return cls(elements)
+
     @classmethod
     def from_string(cls, text: str, replica: str = "init") -> "ListDocument":
         """Build a document whose elements are the characters of ``text``.

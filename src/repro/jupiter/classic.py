@@ -14,34 +14,57 @@ under identical schedules.  Operation contexts are still tracked exactly,
 which means every buffered transformation is *checked*: a mis-aligned
 buffer raises :class:`~repro.errors.ContextMismatchError` instead of
 corrupting documents.
+
+The client is also the deployed one.  By Theorem 7.1 and Proposition
+7.4 a CSS server may send CSCW's broadcasts ``o{L}`` — the form
+Algorithm 1 executes at the server — so
+:class:`~repro.jupiter.client_core.ClientCore` runs a
+:class:`ClassicClient` against the deployed
+:class:`~repro.jupiter.css.CssServer`, and the generator's echo may be a
+:class:`~repro.jupiter.messages.ServerEcho`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.common.ids import ReplicaId
+from repro.common.ids import OpId, ReplicaId, SeqGenerator
 from repro.document.list_document import ListDocument
-from repro.errors import ProtocolError
+from repro.errors import DocumentError, ProtocolError, TransformError
 from repro.jupiter.base import BaseClient, BaseServer, GenerateResult, ReceiveResult
-from repro.jupiter.messages import ClientOperation, ServerOperation
-from repro.jupiter.ordering import ServerOrderOracle
+from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
+from repro.jupiter.ordering import ClientOrderOracle, ServerOrderOracle
 from repro.model.schedule import OpSpec
 from repro.ot.operations import Operation
 from repro.ot.sequences import transform_against_sequence
 
 
 class ClassicClient(BaseClient):
-    """Document + pending buffer; the minimal Jupiter client."""
+    """Document + pending run; the minimal Jupiter client.
+
+    A broadcast's operation is at the serials before its own: this
+    client's state less its pending run.  It is transformed against the
+    run (a CP1 square per pending op, each context-checked) and applied,
+    or refused with :class:`~repro.errors.ProtocolError` before anything
+    changes.  ``oracle`` learns each serial, so a context is a
+    :class:`~repro.jupiter.keys.StateKey` ``(d, run)``, not the history.
+    """
 
     def __init__(
         self,
         replica_id: ReplicaId,
         initial_document: Optional[ListDocument] = None,
+        *,
+        serial: int = 0,
+        next_seq: int = 1,
     ) -> None:
         super().__init__(replica_id)
+        self._seq = SeqGenerator(replica_id, start=next_seq)
         self._document = (initial_document or ListDocument()).copy()
-        self._context: frozenset = frozenset()  # ids of processed ops
+        #: the serials learned, from ``serial`` (a document handed over
+        #: whole is at a serial whose predecessors it never saw)
+        self.oracle = ClientOrderOracle(replica_id)
+        self.oracle.trim_below(serial)
         self._pending: List[Operation] = []
 
     @property
@@ -53,40 +76,68 @@ class ClassicClient(BaseClient):
         return len(self._pending)
 
     def generate(self, spec: OpSpec) -> GenerateResult:
-        operation = self._operation_from_spec(spec, self._context)
-        operation.apply(self._document)
-        self._context = self._context | {operation.opid}
-        self._pending.append(operation)
-        return GenerateResult(
-            operation=operation,
-            returned=self.read(),
-            outgoing=ClientOperation(operation),
-        )
+        operation = self.edit(spec)
+        outgoing = ClientOperation(operation)
+        return GenerateResult(operation, self.read(), outgoing)
 
     def receive(self, payload: Any) -> ReceiveResult:
+        return ReceiveResult(executed=self.take(payload), returned=self.read())
+
+    def edit(self, spec: OpSpec) -> Operation:
+        """:meth:`generate` without the read: apply one edit, on the state
+        the last pending op reached (each is kept at the document's)."""
+        pending, oracle = self._pending, self.oracle
+        state = (
+            pending[-1].resulting_state
+            if pending
+            else oracle.dense(oracle.last_serial)
+        )
+        operation = self._operation_from_spec(spec, state)
+        operation.apply(self._document)
+        pending.append(operation)
+        return operation
+
+    def take(self, payload: Any) -> Optional[Operation]:
+        """:meth:`receive` without the read: the executed form, or
+        ``None`` for the echo of our own operation."""
+        if isinstance(payload, ServerEcho):
+            return self._echo(payload.opid, payload.serial)
         if not isinstance(payload, ServerOperation):
             raise ProtocolError(
                 f"{self.replica_id}: unexpected payload {payload!r}"
             )
+        operation = payload.operation
         if payload.origin == self.replica_id:
-            # Echo/acknowledgement: the head of the pending buffer is now
-            # stable at the server; it was executed locally long ago.
-            if not self._pending or self._pending[0].opid != payload.operation.opid:
-                raise ProtocolError(
-                    f"{self.replica_id}: unexpected ack for "
-                    f"{payload.operation.opid}"
-                )
-            self._pending.pop(0)
-            return ReceiveResult(executed=None, returned=self.read())
-        # Transform the incoming operation against the pending buffer and
-        # the buffer against it (one sweep of CP1 squares).
-        executed, shifted = transform_against_sequence(
-            payload.operation, self._pending
-        )
+            return self._echo(operation.opid, payload.serial)
+        serial = self._next(payload.serial, operation.opid)
+        try:
+            if operation.context != self.oracle.dense(serial - 1):
+                raise TransformError(f"{operation} is not at {serial - 1}")
+            executed, shifted = transform_against_sequence(
+                operation, self._pending
+            )
+            executed.apply(self._document)
+        except (DocumentError, TransformError) as exc:
+            raise ProtocolError(
+                f"{self.replica_id}: broadcast #{serial} refused: {exc}"
+            ) from exc
+        self.oracle.record(operation.opid, serial)
         self._pending = shifted
-        executed.apply(self._document)
-        self._context = self._context | {executed.opid}
-        return ReceiveResult(executed=executed, returned=self.read())
+        return executed
+
+    def _next(self, serial: int, opid: OpId) -> int:
+        """``serial``, checked to be the next, for an op not yet learned."""
+        oracle = self.oracle
+        if serial != oracle.last_serial + 1 or oracle.serial_of(opid):
+            raise ProtocolError(f"{self.replica_id}: {opid} at #{serial}")
+        return serial
+
+    def _echo(self, opid: OpId, serial: int) -> None:
+        """The head of the pending run is stable at the server."""
+        if not self._pending or self._pending[0].opid != opid:
+            raise ProtocolError(f"{self.replica_id}: unexpected echo {opid}")
+        self.oracle.record(opid, self._next(serial, opid))
+        del self._pending[0]
 
 
 class ClassicServer(BaseServer):

@@ -1,19 +1,20 @@
 """The client core: what a deployed CSS client decides, once, with no I/O.
 
-A :class:`ClientCore` is the paper's CSS client — its half of
-Algorithm 1 and the server-order oracle — plus the session rules around
-it: the unacknowledged ops and the GC pin they hold, acks, floor
-rebases, whole-state adoption, the epoch filter and the in-order release
-of parked broadcasts.  It imports no ``asyncio``, no sockets and nothing
-from ``repro.net``, and reads no clock; :class:`repro.net.client.NetClient`
-is its asyncio shell.  Its inputs have the shape
-:meth:`~repro.jupiter.shard.ShardCore.accept` takes: counters, checked
-before anything changes, and a broadcast body still encoded, which
-``decode(body, oracle)`` turns into the broadcast (or the echo of one of
-ours) only at release — a compact context resolves against the base at
-that moment.  A body is consumed only once the CSS client has taken it:
-one it refuses leaves the receiver, the parked bodies and the oracle as
-they were, so the honest re-ship of its seq is not a duplicate.
+A :class:`ClientCore` is a buffer client — its document and its pending
+run (:class:`~repro.jupiter.classic.ClassicClient`), which Theorem 7.1
+lets stand in for a CSS client against the CSS server — plus the session
+rules around it: the unacknowledged ops and the GC pin they hold, acks,
+the server's floor, whole-state adoption, the epoch filter and the
+in-order release of parked broadcasts.  It imports no ``asyncio``, no
+sockets, nothing from ``repro.net`` and no state space, and reads no
+clock; :class:`repro.net.client.NetClient` is its asyncio shell.  Its
+inputs have the shape :meth:`~repro.jupiter.shard.ShardCore.accept`
+takes: counters, checked before anything changes, and a broadcast body
+still encoded, which ``decode(body, oracle)`` turns into the broadcast
+(or the echo of one of ours) only at release.  A body is consumed only
+once the client has taken it: one it refuses leaves the receiver, the
+parked bodies, the document, the pending run and the serial log as they
+were, so the honest re-ship of its seq is not a duplicate.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.ids import SERVER_ID, ReplicaId
 from repro.document.list_document import ListDocument
-from repro.errors import ProtocolError
-from repro.jupiter.base import GenerateResult
-from repro.jupiter.css import CssClient
+from repro.errors import DocumentError, ProtocolError
+from repro.jupiter.classic import ClassicClient
 from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
-from repro.jupiter.persistence import client_from_snapshot
 from repro.jupiter.session import SessionReceiver, SessionSender, counter
 from repro.model.schedule import OpSpec
 from repro.obs import get_obs
+from repro.ot.operations import Operation
 
 
 def _floor(floor: Any) -> Optional[int]:
@@ -44,14 +44,14 @@ class ClientCore:
     ) -> None:
         self.client_id = client_id
         self.decode = decode
-        self.css = CssClient(client_id)
+        self.css = ClassicClient(client_id)
         self.sender = SessionSender((client_id, SERVER_ID))
         self.receiver = SessionReceiver((SERVER_ID, client_id))
         #: unacknowledged outgoing messages, seq -> ClientOperation.
         #: Each keeps the state key it was generated on — an absolute
-        #: ``d`` plus the then-pending extras — so a (re)transmit reads
-        #: its context off the pair, exactly, however far floors have
-        #: trimmed the mirror since.
+        #: ``d`` plus the then-pending run — so a (re)transmit reads its
+        #: ``[d, n]`` off the pair, exactly, however far floors have
+        #: trimmed the serial log since.
         self.unacked: Dict[int, ClientOperation] = {}
         #: per-seq ``delivered`` at generation: the lowest serial the
         #: op's context can reference
@@ -96,14 +96,14 @@ class ClientCore:
             and not self.unacked
         )
 
-    def generate(self, spec: OpSpec) -> Tuple[int, GenerateResult]:
-        """Apply one edit locally; return its c->s seq and the result.
+    def generate(self, spec: OpSpec) -> Tuple[int, Operation]:
+        """Apply one edit locally; return its c->s seq and the operation.
         The op stays retransmittable until an ack covers its seq."""
-        result = self.css.generate(spec)
+        operation = self.css.edit(spec)
         seq = self.sender.send()
-        self.unacked[seq] = result.outgoing
+        self.unacked[seq] = ClientOperation(operation)
         self.gen_floors[seq] = self.delivered
-        return seq, result
+        return seq, operation
 
     # ------------------------------------------------------------------
     # One call per frame the server sends
@@ -130,7 +130,7 @@ class ClientCore:
         elif initial and first_contact and self.sender.next_seq == 1:
             # The canonical ``from_string`` identities make the server's
             # initial text and ours byte-identical.
-            self.css = CssClient(
+            self.css = ClassicClient(
                 self.client_id, ListDocument.from_string(initial)
             )
         self.learn(epoch, view)
@@ -159,11 +159,11 @@ class ClientCore:
         expected = self.receiver.expected
         if seq == expected:
             # This body, then each parked successor.  A body of the wrong
-            # kind is refused by the CSS client itself, before its seq is
-            # counted; a refused successor stays parked.
+            # kind is refused by the buffer client itself, before its seq
+            # is counted; a refused successor stays parked.
             while body is not None:
                 broadcast = self.decode(body, self.css.oracle)
-                self.css.receive(broadcast)
+                self.css.take(broadcast)
                 self.receiver.receive(seq)
                 self.parked.pop(seq, None)
                 applied.append(broadcast)
@@ -216,7 +216,7 @@ class ClientCore:
 
         The server never advertises a floor above this client's pin, and
         a pin never passes its op's ``d``, so every unacknowledged op's
-        state survives the rebase and every future broadcast decodes.
+        context stays nameable and every future broadcast decodes.
         Clamping to ``delivered`` keeps a floor that raced ahead of an
         in-flight resync from trimming serials not yet seen.
         """
@@ -230,26 +230,26 @@ class ClientCore:
         if floor is not None:
             floor = min(floor, self.delivered)
             if floor > self.css.oracle.base:
-                self.css.rebase_to_serial(floor)
+                self.css.oracle.trim_below(floor)
 
     def _adopt(self, state: Any) -> None:
-        """Adopt a whole-state transfer, decoded whole before anything is
-        replaced.  The sender resumes after ``op_seq`` — the ops of ours
-        the server serialised; higher seqs were never consumed, so they
-        are reused — and the receiver at ``delivered``.  Our other ops go
-        with the old state; all the server acknowledged is in the
-        snapshot."""
+        """Adopt a whole-state transfer — the server's document at serial
+        ``delivered`` — decoded whole before anything is replaced.  The
+        sender resumes after ``op_seq`` — the ops of ours the server
+        serialised; higher seqs were never consumed, so they are reused —
+        and the receiver at ``delivered``.  Our other ops go with the old
+        state; all the server acknowledged is in the document."""
         try:
             op_seq = counter(state["op_seq"], "op_seq")
             delivered = counter(state["delivered"], "delivered")
-            snapshot = state["snapshot"]
-        except (LookupError, TypeError) as exc:
+            document = ListDocument.from_obj(state["document"])
+        except (LookupError, TypeError, DocumentError) as exc:
             raise ProtocolError(
                 f"{self.client_id}: undecodable state transfer: {exc!r}"
             ) from exc
-        css = client_from_snapshot(self.client_id, snapshot)
-        css.restore_session(pending=[], next_seq=op_seq + 1)
-        self.css = css
+        self.css = ClassicClient(
+            self.client_id, document, serial=delivered, next_seq=op_seq + 1
+        )
         self.unacked.clear()
         self.parked.clear()
         self.gen_floors.clear()
@@ -263,5 +263,4 @@ class ClientCore:
             client=self.client_id,
             delivered=delivered,
             op_seq=op_seq,
-            base=css.oracle.base,
         )

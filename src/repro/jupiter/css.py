@@ -9,13 +9,11 @@ transitions to the final state (Algorithm 1), execute the result.
 The server serialises operations and redirects the **original** forms to
 the other clients (footnote 7), plus an echo to the generator that carries
 only ordering metadata (the serial number); the generator performs no OT
-on its echo.  The echo takes one of two forms — the simulator hands the
-generator the broadcast itself, the deployed server a
-:class:`~repro.jupiter.messages.ServerEcho` ``(opid, serial)`` — and
-:meth:`CssClient.receive` takes both through one rule.  Proposition 6.6
-— all replicas that processed the same operations have the *same*
-state-space — is checked in the test-suite by comparing the structures
-these objects build.
+on its echo.  Proposition 6.6 — all replicas that processed the same
+operations have the *same* state-space — is checked in the test-suite by
+comparing the structures these objects build.  A deployment sends its
+clients the form each operation executed as instead (:attr:`executed`),
+which a buffer client takes (:mod:`repro.jupiter.classic`).
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from repro.common.ids import OpId, ReplicaId, SeqGenerator
 from repro.document.list_document import ListDocument
 from repro.errors import DocumentError, PositionError, ProtocolError
 from repro.jupiter.base import BaseClient, BaseServer, GenerateResult, ReceiveResult
-from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
+from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.nary import NaryStateSpace
 from repro.jupiter.ordering import ClientOrderOracle, ServerOrderOracle
 from repro.jupiter.state_space import StateNode
@@ -159,41 +157,37 @@ class CssClient(_CssReplica, BaseClient):
     # Remote processing (uniform rule, Section 6.2)
     # ------------------------------------------------------------------
     def receive(self, payload: Any) -> ReceiveResult:
-        if isinstance(payload, ServerEcho):
-            return self._echo(payload.opid, payload.serial)
         if not isinstance(payload, ServerOperation):
             raise ProtocolError(
                 f"{self.replica_id}: unexpected payload {payload!r}"
             )
+        opid = payload.operation.opid
         if payload.origin == self.replica_id:
-            return self._echo(payload.operation.opid, payload.serial)
+            # The echo of our own operation: ordering metadata only.  It
+            # must name the head of the pending queue, checked before the
+            # serial is recorded, so a refused echo changes nothing.
+            if not self._pending or self._pending[0] != opid:
+                raise ProtocolError(
+                    f"{self.replica_id}: echo for {opid} "
+                    f"does not match pending queue {self._pending}"
+                )
+            self.oracle.record(opid, payload.serial)
+            self._pending.pop(0)
+            return ReceiveResult(executed=None, returned=self.read())
         # FIFO cross-check (Section 6.2): none of our pending operations
         # can have been serialised before this one.
         for pending in self._pending:
             if pending in payload.prefix:
                 raise ProtocolError(
                     f"{self.replica_id}: pending {pending} appears in the "
-                    f"prefix of {payload.operation.opid}; FIFO violated"
+                    f"prefix of {opid}; FIFO violated"
                 )
-        self.oracle.record(payload.operation.opid, payload.serial)
+        self.oracle.record(opid, payload.serial)
         executed = self.space.integrate(payload.operation)
         if self._gc:
             self._known[payload.origin] = payload.operation.resulting_state
             self._collect_garbage(self._peers)
         return ReceiveResult(executed=executed, returned=self.read())
-
-    def _echo(self, opid: OpId, serial: int) -> ReceiveResult:
-        """The echo of our own operation: ordering metadata only.  It must
-        name the head of the pending queue, checked before the serial is
-        recorded, so a refused echo leaves this client as it was."""
-        if not self._pending or self._pending[0] != opid:
-            raise ProtocolError(
-                f"{self.replica_id}: echo for {opid} "
-                f"does not match pending queue {self._pending}"
-            )
-        self.oracle.record(opid, serial)
-        self._pending.pop(0)
-        return ReceiveResult(executed=None, returned=self.read())
 
 
 class CssServer(_CssReplica, BaseServer):
@@ -222,6 +216,9 @@ class CssServer(_CssReplica, BaseServer):
         #: reading the space's own would hand its lazy documents over to
         #: the final state, so a checkpoint replays the window to its root
         self._final: Tuple[Any, Any] = (None, None)
+        #: the form ``o{L}`` the last operation received executed as —
+        #: what a deployment ships the readers (:meth:`executed_at`)
+        self.executed: Optional[Operation] = None
 
     def receive(
         self, sender: ReplicaId, payload: Any
@@ -247,7 +244,8 @@ class CssServer(_CssReplica, BaseServer):
         self._check_element(operation, source, final)
         serial = self.oracle.assign(operation.opid)
         prefix = self.oracle.serialized_before(serial)
-        self.space.integrate(operation).apply(final)
+        self.executed = self.space.integrate(operation)
+        self.executed.apply(final)
         self._final = (self.space.final_key, final)
         if self._gc:
             self._known[sender] = operation.resulting_state
@@ -295,3 +293,12 @@ class CssServer(_CssReplica, BaseServer):
     def base(self) -> int:
         """Serial floor of the active window (0 = untrimmed)."""
         return self.oracle.base
+
+    def executed_at(self, serial: int) -> Operation:
+        """The form ``o{L}`` serial ``serial`` executed as here: the
+        leftmost transition from the state of every serial before it
+        (Lemma 6.4), attached when it executed, never displaced — a later
+        sibling is later in the total order.  That state must be at or
+        above the base."""
+        source = self.space.node(self.oracle.dense(serial - 1))
+        return source.children[0].operation

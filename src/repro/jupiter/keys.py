@@ -356,7 +356,8 @@ class SerialLog:
 
     def dense(self, d: int) -> StateKey:
         """The state ``{base + 1 .. d}``: O(1), nothing materialised."""
-        return self.key_from_pair(d, ())
+        self._check_window(d, d)
+        return StateKey(d, _NOTHING, self, 0)
 
 
 def run_length(extras: FrozenSet[OpId], opid: OpId) -> int:

@@ -14,10 +14,10 @@ re-shipped the same :class:`ServerOperation` payloads:
   the serialisation index — the metadata-only substitution documented in
   DESIGN.md that lets CSS clients order sibling transitions.
 
-The deployed CSS server sends the generator only what it lacks — a
-:class:`ServerEcho`, the operation's id and its serial — and a CSS
-client takes either form of its own operation through one echo rule
-(:meth:`repro.jupiter.css.CssClient.receive`).
+The deployed server sends the generator only what it lacks — a
+:class:`ServerEcho`, the operation's id and its serial — and every other
+client the form the operation executed as at the server, which a buffer
+client (:class:`repro.jupiter.classic.ClassicClient`) takes.
 """
 
 from __future__ import annotations

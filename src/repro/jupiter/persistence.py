@@ -382,28 +382,19 @@ def snapshot_client(client: CssClient) -> Dict[str, Any]:
 def client_from_snapshot(replica: ReplicaId, obj: Any) -> CssClient:
     """Build a CSS client that starts from a snapshot.
 
-    This is the one way a client catches up from a whole state — a state
-    transfer, a late join, a checkpoint restore.  ``obj`` has the shape
+    This is the one way a CSS client starts from a whole state — a late
+    join, a checkpoint restore.  ``obj`` has the shape
     :func:`snapshot_server` writes (a :func:`snapshot_client` is that
     shape without ``base``, plus its session fields).  Proposition 6.6
     makes the space a complete starting point: the oracle is seated at
     ``base``, learns the serials, and the space is rebuilt against it.
-    Any malformed field raises :class:`ProtocolError` before a client is
-    returned.
     """
-    try:
-        _require_version(obj, "snapshot")
-        client = CssClient(replica)
-        client.oracle.trim_below(counter(obj.get("base", 0), "base"))
-        for opid_obj, serial in sorted(obj["serials"], key=lambda i: i[1]):
-            client.oracle.record(opid_from_obj(opid_obj), int(serial))
-        client.space = space_from_obj(obj["space"], client.oracle)
-    except (
-        LookupError, TypeError, ValueError, AttributeError, ReproError
-    ) as exc:
-        raise ProtocolError(
-            f"{replica}: undecodable snapshot: {exc!r}"
-        ) from exc
+    _require_version(obj, "snapshot")
+    client = CssClient(replica)
+    client.oracle.trim_below(counter(obj.get("base", 0), "base"))
+    for opid_obj, serial in sorted(obj["serials"], key=lambda i: i[1]):
+        client.oracle.record(opid_from_obj(opid_obj), int(serial))
+    client.space = space_from_obj(obj["space"], client.oracle)
     return client
 
 

@@ -37,10 +37,10 @@ from repro.jupiter.persistence import (
     append_wal_record,
     compact_context,
     save_wal,
-    snapshot_server,
 )
 from repro.jupiter.replication import committed_origin_ack
 from repro.jupiter.session import SessionReceiver, SessionSender, release
+from repro.ot.operations import Operation
 
 #: the quorum commit floor of a replicated group; ``None`` standalone
 Commit = Optional[int]
@@ -200,10 +200,11 @@ class ShardCore:
         now: float,
         grace: float,
         commit: Commit = None,
-    ) -> Tuple[int, List[Any], List[Tuple[Session, ServerOperation]]]:
+    ) -> Tuple[int, Operation, List[Tuple[Session, ServerOperation]]]:
         """The write path: serialise, log (write-ahead), number the fan-out.
 
-        Returns the serial, its encoded context and the broadcast for
+        Returns the serial, the form ``o{L}`` the operation executed as
+        (what the readers are sent) and the broadcast, the original, for
         each recipient session.  Synchronous: two callers can never
         interleave here, which is what keeps the s->c sequence number
         equal to the serial on every channel of the shard.
@@ -221,9 +222,8 @@ class ShardCore:
                 f"cannot be integrated: {exc}"
             ) from exc
         serial = self.server.oracle.last_serial
-        # Serial-encode the context once: it goes into the WAL record
-        # (kept O(active window) instead of O(context)) and into every
-        # broadcast body.
+        # The WAL record keeps the original, its context serial-encoded
+        # (O(active window) instead of O(context)): recovery replays it.
         ctx = compact_context(payload.operation, self.server.oracle)
         self.ctx_floors[serial] = int(ctx[0])
         self.wal.append(
@@ -243,7 +243,7 @@ class ShardCore:
                     f"s->c seq {seq} for {recipient.client} diverged from "
                     f"serial {serial}; the channel numbering invariant is broken"
                 )
-        return serial, ctx, fanout
+        return serial, self.server.executed, fanout
 
     def resync(
         self,
@@ -265,19 +265,20 @@ class ShardCore:
         session.delivered = max(session.delivered, delivered)
         session.connects += 1
         if (
-            delivered < self.record_floor
+            delivered < max(self.record_floor, self.server.base)
             or (delivered if pin is None else pin) < self.server.base
         ):
-            # The records this cursor needs were truncated, or the
-            # client's unacknowledged ops pin below the rebase floor
-            # (either way: it outlived its GC grace): resync by
-            # whole-state transfer.  The client adopts the snapshot,
+            # The records this cursor needs were truncated, the state
+            # its first re-shipped serial executed at was rebased away,
+            # or the client's unacknowledged ops pin below the rebase
+            # floor (either way: it outlived its GC grace): resync by
+            # whole-state transfer.  The client adopts the document,
             # drops its unacknowledged ops (never serialised — their
             # seqs are reused), and continues from the log head.
             session.delivered = session.pin = last
             session.sender.ack(last)
             state = {
-                "snapshot": snapshot_server(self.server),
+                "document": self.server.document.to_obj(),
                 "op_seq": self.wal.origin_counts().get(session.client, 0),
                 "delivered": last,
             }

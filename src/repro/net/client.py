@@ -1,4 +1,4 @@
-"""The deployed CSS client: a :class:`ClientCore` behind a TCP connection.
+"""The deployed client: a :class:`ClientCore` behind a TCP connection.
 
 Every rule the client follows is
 :class:`~repro.jupiter.client_core.ClientCore`'s.  :class:`NetClient` is
@@ -73,7 +73,7 @@ class ReconnectExhausted(ConnectionError):
 
 
 class NetClient(ClientCore):
-    """One deployed CSS client endpoint: the core, and its connection."""
+    """One deployed client endpoint: the core, and its connection."""
 
     def __init__(
         self,
@@ -387,8 +387,8 @@ class NetClient(ClientCore):
     # ------------------------------------------------------------------
     async def generate(self, spec: OpSpec) -> None:
         """Apply one user edit locally and ship it to the server."""
-        seq, result = super().generate(spec)
-        self._sent_at[result.operation.opid] = time.perf_counter()
+        seq, operation = super().generate(spec)
+        self._sent_at[operation.opid] = time.perf_counter()
         if self._writer is None:
             return  # offline: the message stays buffered for retransmission
         try:

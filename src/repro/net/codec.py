@@ -7,11 +7,12 @@ other client) and :class:`~repro.jupiter.messages.ServerEcho` (the
 generator's ``(opid, serial)``) — each wrapped in a message
 **envelope**::
 
-    {"v": 4, "kind": "server_op", "body": {...}}
+    {"v": 5, "kind": "server_op", "body": {...}}
 
-whose body carries the operation with a *serial-encoded* context (see
-:func:`compact_client_op_obj`), or only the id and serial for a
-``server_echo``.  That is the only wire dialect; what a ``hello``
+whose body carries a client's operation with a *serial-encoded* context
+(see :func:`compact_client_op_obj`), a broadcast's in the form the server
+executed it, or only the id and serial for a ``server_echo``.  That is
+the only wire dialect; what a ``hello``
 negotiates is the byte serialisation of frames: ``bin`` (tagged values,
 and positional layouts for the hot ``data``/``ack``/``multi`` shapes) or
 ``json``, the handshake and debug codec; an envelope decodes to an equal
@@ -47,14 +48,15 @@ from repro.jupiter.persistence import (
     opid_to_obj,
 )
 from repro.jupiter.session import counter
+from repro.ot.operations import Operation
 
 #: Version of the frame envelope; bumped on any incompatible change.
 #: 2: ``bin`` spells the hot frames positionally.  3: a context is
 #: ``[d, n]``, a count where 2 listed ids.  4: the generator's echo is
-#: a ``server_echo`` ``(opid, serial)``, with a layout of its own.  The
-#: handshake is JSON, so a peer of another version is refused at its
-#: ``hello``.
-WIRE_VERSION = 4
+#: a ``server_echo`` ``(opid, serial)``, with a layout of its own.  5: a
+#: broadcast carries its executed form ``o{L}`` and no context.  The
+#: handshake is JSON: a peer of another version is refused at its hello.
+WIRE_VERSION = 5
 
 #: Frame byte serialisations a peer offers in its ``hello`` (``codecs``
 #: field, preference order) and the server picks from in its ``welcome``
@@ -83,9 +85,9 @@ class WireError(ProtocolError):
 # ----------------------------------------------------------------------
 # Serial-encoded message bodies (the active-window wire form)
 # ----------------------------------------------------------------------
-# A body's context is ``ctx: [d, n]``, the pair a WAL record holds (see
-# repro.jupiter.persistence), and it omits the redundant ``prefix`` set:
-# the serial number determines it.
+# A client op's context is ``ctx: [d, n]``, the pair a WAL record holds
+# (see repro.jupiter.persistence).  A broadcast's, and its ``prefix`` set,
+# are the serials before its own: it carries neither.
 def compact_client_op_obj(message: ClientOperation, oracle) -> Dict[str, Any]:
     """Encode a client operation with a serial-encoded context.
 
@@ -118,21 +120,17 @@ class ServerOpBody(dict):
 
 
 def compact_server_op_obj(
-    message: ServerOperation, ctx: Sequence[int]
+    message: ServerOperation, executed: Operation
 ) -> Dict[str, Any]:
-    """Encode a broadcast with the context its WAL record holds.
-
-    ``ctx`` is the ``[d, n]`` the server computed when it appended the
-    record (:func:`~repro.jupiter.persistence.compact_context`), shipped
-    as it is.  The ``prefix`` set is omitted entirely: the recipient
-    knows every serial below ``serial``, so the number *is* the prefix.
-    """
+    """Encode a broadcast: its origin and serial, and ``executed`` — the
+    form ``o{L}`` its operation took at the server's state of every
+    serial before it, where each reader's document is once its own
+    pending run is set aside (Theorem 7.1)."""
     return ServerOpBody(
         v=WIRE_VERSION,
         kind="server_op",
         body={
-            "operation": operation_to_obj(message.operation, with_context=False),
-            "ctx": ctx,
+            "operation": operation_to_obj(executed, with_context=False),
             "origin": message.origin,
             "serial": int(message.serial),
         },
@@ -150,17 +148,17 @@ def server_echo_obj(echo: ServerEcho) -> Dict[str, Any]:
 
 
 def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
-    """Decode a message envelope, resolving its serial-encoded context.
+    """Decode a message envelope, resolving its context.
 
-    The dense prefix resolves against ``oracle`` — the *decoder's* order
-    oracle — so this must be called at integration time, after every
-    serial below the context floor has been witnessed (frame release
-    order guarantees exactly that on both ends).  The envelope comes
-    from outside the process: a wrong version, an unknown kind, a
-    non-object body or a malformed body raise :class:`WireError`, a
-    field of the wrong type or a context this oracle cannot name
-    :class:`ProtocolError`; unknown fields are ignored.
-    """
+    A client op's ``[d, n]`` and a broadcast's implied ``[serial - 1, 0]``
+    resolve against ``oracle`` — the *decoder's* order oracle — so this
+    must be called at integration time, after every serial below the
+    context floor has been witnessed (frame release order guarantees
+    exactly that on both ends).  The envelope comes from outside the
+    process: a wrong version, an unknown kind, a non-object body or a
+    malformed body raise :class:`WireError`, a field of the wrong type or
+    a context this oracle cannot name :class:`ProtocolError`; unknown
+    fields are ignored."""
     if not isinstance(obj, dict):
         raise WireError(
             f"message envelope must be an object, got {type(obj).__name__}"
@@ -181,13 +179,16 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
                 opid=opid_from_obj(body["opid"]),
                 serial=counter(body["serial"], "serial"),
             )
-        operation = operation_from_run(body["operation"], body["ctx"], oracle)
+        fields = body["operation"]
         if kind == "client_op":
-            return ClientOperation(operation=operation)
+            return ClientOperation(operation_from_run(fields, body["ctx"], oracle))
+        # A broadcast is at the serial before its own; a body that names a
+        # context anyway must name that one, which its receiver checks.
+        serial = counter(body["serial"], "serial")
         return ServerOperation(
-            operation=operation,
+            operation_from_run(fields, body.get("ctx", [serial - 1, 0]), oracle),
             origin=str(body["origin"]),
-            serial=counter(body["serial"], "serial"),
+            serial=serial,
             # The prefix set is implied by the serial; the FIFO
             # cross-check it feeds is vacuous here.
             prefix=frozenset(),
@@ -511,9 +512,9 @@ def _pack_opid(out: bytearray, opid: Any) -> None:
 
 
 def _pack_message(out: bytearray, message: Any, kind: str) -> None:
-    """Append a message envelope: operation, context, (broadcast) origin
-    — or an echo's opid (its serial, the frame's ``seq``, is checked by
-    the caller)."""
+    """Append a message envelope: operation, then a client op's context
+    or a broadcast's origin and serial — or an echo's opid (its serial,
+    the frame's ``seq``, is checked by the caller)."""
     if kind == "server_echo":
         shape = message["v"], message["kind"], len(message), len(message["body"])
         if shape != (WIRE_VERSION, kind, 3, 2):
@@ -528,12 +529,10 @@ def _pack_message(out: bytearray, message: Any, kind: str) -> None:
     body = message["body"]
     operation = body["operation"]
     element = operation["element"]
-    ctx = body["ctx"]
-    shape = message["v"], message["kind"], type(ctx)
-    sizes = len(message), len(body), len(operation), len(ctx)
+    sizes = len(message), len(body), len(operation)
     if (
-        shape != (WIRE_VERSION, kind, list)
-        or sizes != (3, 4 if server else 2, 4, 2)
+        (message["v"], message["kind"]) != (WIRE_VERSION, kind)
+        or sizes != (3, 3 if server else 2, 4)
         or element is not None and len(element) != 2
     ):
         raise ValueError
@@ -543,8 +542,12 @@ def _pack_message(out: bytearray, message: Any, kind: str) -> None:
     if element is not None:
         _encode_binary_value(out, element["value"])
         _pack_opid(out, element["opid"])
-    _pack_counters(out, ctx)
-    if server:
+    if not server:
+        ctx = body["ctx"]
+        if type(ctx) is not list or len(ctx) != 2:
+            raise ValueError
+        _pack_counters(out, ctx)
+    else:
         _pack_str(out, body["origin"])
         _pack_counters(out, (body["serial"],))
         if type(message) is ServerOpBody:
@@ -683,10 +686,12 @@ def _unpack_message(raw: bytes, offset: int, kind: str, seq: int) -> _Read:
         value, offset = _read_binary_value(raw, offset, 1)
         opid, offset = _unpack_opid(raw, offset)
         operation["element"] = {"value": value, "opid": opid}
-    d, offset = _read_varint(raw, offset)
-    n, offset = _read_varint(raw, offset)
-    body = {"operation": operation, "ctx": [d, n]}
-    if kind == "server_op":
+    body = {"operation": operation}
+    if kind == "client_op":
+        d, offset = _read_varint(raw, offset)
+        n, offset = _read_varint(raw, offset)
+        body["ctx"] = [d, n]
+    else:
         body["origin"], offset = _unpack_str(raw, offset)
         body["serial"], offset = _read_varint(raw, offset)
     return {"v": WIRE_VERSION, "kind": kind, "body": body}, offset
@@ -728,9 +733,5 @@ def document_signature(document: ListDocument) -> str:
     canonical JSON of exactly that sequence lets processes compare state
     by exchanging one short hex string.
     """
-    canon = [
-        [element.value, element.opid.replica, element.opid.seq]
-        for element in document.read()
-    ]
-    blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(document.to_obj(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

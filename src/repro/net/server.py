@@ -24,7 +24,9 @@ Connection lifecycle (the server side of the reconnect state machine in
    serial in ``delivered+1 .. last_serial`` is rebuilt from the
    write-ahead log (:meth:`ServerWriteAheadLog.broadcasts_for`) and
    re-shipped as an ordinary ``data`` frame whose channel sequence
-   number *is* the serial.
+   number *is* the serial, carrying the form the operation executed as
+   (:meth:`~repro.jupiter.css.CssServer.executed_at`), byte for byte
+   what the live frame carried.
 4. Thereafter ``data`` frames flow both ways; the WAL is appended
    *before* any broadcast frame hits a socket, so a crash can never
    lose an operation the world has seen.
@@ -75,11 +77,7 @@ from repro.common.ids import SERVER_ID, ReplicaId
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssServer
 from repro.jupiter.messages import ServerEcho, ServerOperation
-from repro.jupiter.persistence import (
-    ServerWriteAheadLog,
-    compact_context,
-    load_wal,
-)
+from repro.jupiter.persistence import ServerWriteAheadLog, load_wal
 from repro.jupiter.replication import Replica, primary_for
 from repro.jupiter.session import counter
 from repro.jupiter.shard import Session, ShardCore
@@ -465,11 +463,11 @@ class NetServer:
 
         The operation's origin gets its echo, ``(opid, serial)``: live,
         re-shipped by a resync or flushed at commit alike.  Every other
-        recipient gets the compact body (context serial-encoded, prefix
-        implied by the serial); ``body`` is the one built at serialise
-        time and shared by every reader's frame, rebuilt from the log
+        recipient gets the form ``o{L}`` the operation executed as, at
+        the serial before its own; ``body`` is the one built at serialise
+        time and shared by every reader's frame, rebuilt from the space
         for a resync.  The frame carries the shard's GC ``floor`` so the
-        client can trim its own mirror of the state space.
+        client can trim its serial log.
         """
         shard = channel.shard
         if broadcast.origin == channel.client:
@@ -477,8 +475,8 @@ class NetServer:
                 ServerEcho(broadcast.operation.opid, broadcast.serial)
             )
         elif body is None:
-            ctx = compact_context(broadcast.operation, shard.server.oracle)
-            body = compact_server_op_obj(broadcast, ctx)
+            executed = shard.server.executed_at(broadcast.serial)
+            body = compact_server_op_obj(broadcast, executed)
         return encode_envelope(
             "data",
             seq=broadcast.serial,
@@ -916,7 +914,7 @@ class NetServer:
         # A body of the wrong kind is refused by the CSS server itself.
         payload = message_from_wire(body, shard.server.oracle)
         now = time.monotonic()
-        serial, ctx, outgoing = shard.serialise(
+        serial, executed, outgoing = shard.serialise(
             origin,
             payload,
             self._replica.epoch,
@@ -924,10 +922,10 @@ class NetServer:
             self.gc_grace,
             self._commit,
         )
-        # CSS redirects one operation, one context, to every reader: one
-        # body, built only if someone but the origin receives it.
+        # Every reader gets the one executed form: one body, built only
+        # if someone but the origin receives it.
         readers = [b for channel, b in outgoing if channel is not origin]
-        body = compact_server_op_obj(readers[0], ctx) if readers else None
+        body = compact_server_op_obj(readers[0], executed) if readers else None
         frames = [
             (channel, self._broadcast_envelope(channel, broadcast, body))
             for channel, broadcast in outgoing

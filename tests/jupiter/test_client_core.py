@@ -208,11 +208,14 @@ def hostile_welcome(spoil):
         lambda c: c.ack(-5, 0, None),
         lambda c: c.learn(1.5),
         lambda c: c.welcome(0, 0, 0, None, 0, {"snapshot": {}, "op_seq": 0}),
-        hostile_welcome(lambda t: t["snapshot"].pop("serials")),
-        hostile_welcome(lambda t: t["snapshot"].update(base="x")),
-        hostile_welcome(lambda t: t["snapshot"]["space"].update(final=999)),
+        hostile_welcome(lambda t: t.pop("document")),
+        hostile_welcome(lambda t: t.update(delivered="x")),
+        hostile_welcome(lambda t: t["document"].append(t["document"][0])),
         hostile_welcome(lambda t: t.update(op_seq=-1)),
         lambda c: c.welcome(0, 0, 0, None, "2"),
+        hostile_welcome(lambda t: t["document"][0].pop()),
+        hostile_welcome(lambda t: t["document"][0].__setitem__(2, True)),
+        hostile_welcome(lambda t: t.update(document={"x": 1})),
     ],
 )
 def test_a_refused_frame_changes_nothing(refused):
@@ -230,10 +233,11 @@ def test_a_refused_frame_changes_nothing(refused):
 
 def test_the_core_is_as_pure_and_is_exported():
     """The client's rules run bare and under asyncio alike: their module
-    may know neither."""
+    may know neither.  A client keeps no state space, so it loads none."""
     probe = (
         "import sys, repro.jupiter.client_core; "
-        "bad = {'asyncio', 'socket', 'repro.net'} & set(sys.modules); "
+        "bad = {'asyncio', 'socket', 'repro.net', 'repro.jupiter.nary', "
+        "'repro.jupiter.state_space', 'repro.jupiter.css'} & set(sys.modules); "
         "assert not bad, bad; "
         "from repro.jupiter import ClientCore; "
         "assert ClientCore is repro.jupiter.client_core.ClientCore"

@@ -25,7 +25,11 @@ import pytest
 from repro.common.ids import SERVER_ID
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssClient
-from repro.jupiter.persistence import ServerWriteAheadLog, load_wal
+from repro.jupiter.persistence import (
+    ServerWriteAheadLog,
+    load_wal,
+    operation_to_obj,
+)
 from repro.jupiter.shard import ShardCore
 from repro.model.schedule import OpSpec
 from repro.net.codec import compact_server_op_obj, document_signature
@@ -45,7 +49,7 @@ class Writers:
         self.clients = {name: CssClient(name) for name in names}
         self.inbox = {name: [] for name in names}
         self.seq = {name: 0 for name in names}
-        self.bodies = []  # (broadcast, ctx) for each serialised op
+        self.bodies = []  # (broadcast, executed form) for each serialised op
         for name in names:
             session = core.register(name, NOW)
             self.inbox[name] += core.resync(session, 0, 0, NOW)[2]
@@ -54,10 +58,10 @@ class Writers:
         self.seq[name] += 1
         session = self.core.sessions[name]
         for body in self.core.accept(session, self.seq[name], 0, message):
-            _serial, ctx, fanout = self.core.serialise(
+            _serial, executed, fanout = self.core.serialise(
                 session, body, 0, NOW, GRACE
             )
-            self.bodies.append((fanout[0][1], ctx))
+            self.bodies.append((fanout[0][1], executed))
             for recipient, broadcast in fanout:
                 if recipient.client in self.inbox:
                     self.inbox[recipient.client].append(broadcast)
@@ -206,17 +210,28 @@ def test_the_file_is_rewritten_before_its_first_append(tmp_path):
         assert [type(v) for v in line["ctx"]] == [int, int]
 
 
-def test_a_broadcast_body_carries_the_ctx_its_record_holds(tmp_path):
+def test_a_broadcast_body_carries_no_ctx_and_its_record_does(tmp_path):
+    """The record keeps the original and its ``[d, n]``, for recovery to
+    replay; the body ships the form the op executed as, at the serial
+    before its own, and no context."""
     path = str(tmp_path / "default.wal")
     wal = ServerWriteAheadLog(SERVER_ID, [], snapshot_every=8)
     writers = Writers(ShardCore("default", wal, path), ["w1", "w2"])
     interleave(writers, rounds=2, burst=4)
     writers.core.close()
     loaded = load_wal(path)
-    assert any(ctx[1] for _broadcast, ctx in writers.bodies)
-    for broadcast, ctx in writers.bodies:
-        body = compact_server_op_obj(broadcast, ctx)["body"]
-        assert body["ctx"] == loaded.record_at(broadcast.serial)["ctx"]
+    server = writers.core.server
+    assert any(r["ctx"][1] for r in loaded.records)
+    moved = 0
+    for broadcast, executed in writers.bodies:
+        body = compact_server_op_obj(broadcast, executed)["body"]
+        assert "ctx" not in body
+        assert executed is server.executed_at(broadcast.serial)
+        assert body["operation"] == operation_to_obj(
+            executed, with_context=False
+        )
+        moved += executed.position != broadcast.operation.position
+    assert moved
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from repro.document.list_document import ListDocument
 from repro.errors import ProtocolError
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.ordering import ClientOrderOracle
-from repro.jupiter.persistence import compact_context
 from repro.net.codec import (
     CODEC_BINARY,
     WIRE_VERSION,
@@ -70,9 +69,7 @@ def _server_op(serial=2):
 def _encode(message, oracle):
     if isinstance(message, ClientOperation):
         return compact_client_op_obj(message, oracle)
-    return compact_server_op_obj(
-        message, compact_context(message.operation, oracle)
-    )
+    return compact_server_op_obj(message, message.operation)
 
 
 def _implied_prefix(message):

@@ -79,7 +79,10 @@ def hot_frames(max_extras=63):
     server = st.builds(
         lambda seq, ack, epoch, floor, body, origin, serial: encode_envelope(
             "data", seq=seq, ack=ack, epoch=epoch, floor=floor,
-            body=_message("server_op", dict(body, origin=origin, serial=serial)),
+            body=_message(
+                "server_op",
+                dict(operation=body["operation"], origin=origin, serial=serial),
+            ),
         ),
         counters, counters, counters, counters, operations(max_extras),
         names, counters,
