@@ -86,7 +86,11 @@ async def _drive_wire(total_ops):
         for _ in range(CHUNK):
             await client.generate(_spec(rng, len(client.css.document)))
         total += CHUNK
-        assert await client.wait_converged(total, timeout=120), total
+        assert await client.wait_converged(total, timeout=120), (
+            f"not converged on {total} ops within 120 s: the client "
+            f"delivered {client.delivered}, the server logged "
+            f"{server.wal.last_serial}"
+        )
         marks[end] = time.perf_counter() - started
     summary = {
         "evictions": client.evictions,
@@ -95,7 +99,9 @@ async def _drive_wire(total_ops):
         "server_order_entries": len(server.server.oracle.serial_items()),
         "client_order_entries": len(client.css.oracle.serial_items()),
     }
-    assert summary["evictions"] == 0
+    assert summary["evictions"] == 0, (
+        f"the client was evicted {summary['evictions']} times (bound 0)"
+    )
     await client.close()
     await server.stop()
     return marks, summary
@@ -243,12 +249,23 @@ def test_history_scaling_artifact(benchmark, tmp_path):
     )
 
     # The order oracles must track the active window, not total history.
-    assert flatness["server_order_entries"] < TOTAL_OPS / 10
-    assert flatness["client_order_entries"] < TOTAL_OPS / 10
+    for side in ("server", "client"):
+        entries = flatness[f"{side}_order_entries"]
+        assert entries < TOTAL_OPS / 10, (
+            f"the {side} order oracle holds {entries} entries "
+            f"(bound < {TOTAL_OPS / 10:.0f})"
+        )
     # Delta compactions dominate and each writes a fraction of what
     # rewriting the whole retained file would cost.
-    assert wal["delta_compactions"] >= wal["compactions"] // 2
-    assert wal["mean_delta_bytes"] < wal["mean_full_rewrite_bytes"] / 2
+    assert wal["delta_compactions"] >= wal["compactions"] // 2, (
+        f"{wal['delta_compactions']} of {wal['compactions']} compactions "
+        f"ran as deltas (bound >= {wal['compactions'] // 2})"
+    )
+    assert wal["mean_delta_bytes"] < wal["mean_full_rewrite_bytes"] / 2, (
+        f"a delta append wrote {wal['mean_delta_bytes']:.0f} B on average "
+        f"(bound < {wal['mean_full_rewrite_bytes'] / 2:.0f} B, half a full "
+        f"rewrite)"
+    )
 
     if os.environ.get("PERF_FLOOR_ENFORCE") == "1":
         with open(FLOOR_PATH) as handle:

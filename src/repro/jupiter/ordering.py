@@ -62,9 +62,9 @@ class ClientOrderOracle(SerialLog):
     above; two pending operations are never siblings (they are causally
     ordered at their common generator), so asking about them is an error.
 
-    Broadcasts release in serial order, so the log is dense; the first
-    serial a fresh mirror learns seats it there (a state-transferred
-    session starts past the server's floor).
+    Broadcasts release in serial order, so the log is dense from where
+    its owner seated it (``trim_below``): 0 for a fresh mirror, the
+    transferred serial for a state transfer.
     """
 
     def __init__(self, replica: str) -> None:
@@ -74,8 +74,6 @@ class ClientOrderOracle(SerialLog):
     def record(self, opid: OpId, serial: int) -> None:
         existing = self._serial_by_opid.get(opid)
         if existing is None:
-            if not self._by_serial:
-                self.trim_below(serial - 1)
             if serial != self.last_serial + 1:
                 raise OrderingError(
                     f"{self._replica} learned serial {serial} for {opid} "

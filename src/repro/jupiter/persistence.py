@@ -1011,24 +1011,24 @@ class ServerWriteAheadLog:
             )
         if delivered == total:
             return []
-        wanted = range(delivered + 1, total + 1)
-        records = [self.record_at(serial) for serial in wanted]
-        missing = [s for s, r in zip(wanted, records) if r is None]
-        if missing:
+        if self.record_at(delivered + 1) is None:  # records run to the head
             raise ProtocolError(
-                f"WAL compacted past a consumer: serials {missing} were "
-                "truncated but a resync cursor still needs them (the "
+                f"WAL compacted past a consumer: serial {delivered + 1} was "
+                "truncated but a resync cursor still needs it (the "
                 "retain_after low-water mark was too aggressive)"
             )
-        return [
-            ServerOperation(
-                operation=record_operation(record, server.oracle),
-                origin=record["origin"],
-                serial=serial,
-                prefix=server.oracle.serialized_before(serial),
-            )
-            for serial, record in zip(wanted, records)
-        ]
+        wanted = range(delivered + 1, total + 1)
+        return [self.broadcast_at(server, serial) for serial in wanted]
+
+    def broadcast_at(self, server: CssServer, serial: int) -> ServerOperation:
+        """The broadcast of one retained serial, rebuilt from its record."""
+        record = self.record_at(serial)
+        return ServerOperation(
+            operation=record_operation(record, server.oracle),
+            origin=record["origin"],
+            serial=serial,
+            prefix=server.oracle.serialized_before(serial),
+        )
 
     def origin_counts(self) -> Dict[ReplicaId, int]:
         """Serialised operations per origin client (snapshot + suffix).

@@ -168,9 +168,6 @@ class Replica:
         self.acked: Dict[ReplicaId, int] = {rid: 0 for rid in self.ids}
         self.view_changes = 0
         self.stale_rejected = 0
-        #: head of the log the last :meth:`adopt` took over, until
-        #: :meth:`adoption_certified` has reported the floor reaching it
-        self._adopted_head: Optional[int] = None
         self._obs = get_obs()
 
     @property
@@ -236,15 +233,6 @@ class Replica:
             self.committed = floor
             self._obs.repl_commit_floor.set(floor)
         return range(first, self.committed + 1)
-
-    def adoption_certified(self) -> bool:
-        """``True`` once per adoption: when the commit floor, under my
-        lead, has reached the head of the adopted log — failover is over."""
-        head = self._adopted_head
-        if head is None or self.committed < head or not self.is_primary:
-            return False
-        self._adopted_head = None
-        return True
 
     def start_view(self) -> Dict[str, Any]:
         """The ``repl_install`` fields: my view and my whole log."""
@@ -414,7 +402,6 @@ class Replica:
         # start-view install replaces.
         self.acked = {rid: committed for rid in self.ids}
         self.acked[self.me] = adopted_last
-        self._adopted_head = adopted_last
         self.view_changes += 1
         self._obs.view_changes.inc()
         self._obs.trace(

@@ -288,7 +288,7 @@ class ShardCore:
         if commit is not None:
             # Never re-ship an uncommitted broadcast: a client must not
             # consume an operation a view change could still lose.  The
-            # suffix arrives via the commit flush once quorum-certified.
+            # suffix is released by the server core once quorum-certified.
             missed = [b for b in missed if b.serial <= commit]
         self.resync_frames_sent += len(missed)
         return delivered, None, missed

@@ -182,11 +182,11 @@ def message_from_wire(obj: Dict[str, Any], oracle) -> Any:
         fields = body["operation"]
         if kind == "client_op":
             return ClientOperation(operation_from_run(fields, body["ctx"], oracle))
-        # A broadcast is at the serial before its own; a body that names a
-        # context anyway must name that one, which its receiver checks.
+        # A broadcast is at the serial before its own: a stray ``ctx`` is
+        # an unknown field, ignored.
         serial = counter(body["serial"], "serial")
         return ServerOperation(
-            operation_from_run(fields, body.get("ctx", [serial - 1, 0]), oracle),
+            operation_from_run(fields, [serial - 1, 0], oracle),
             origin=str(body["origin"]),
             serial=serial,
             # The prefix set is implied by the serial; the FIFO

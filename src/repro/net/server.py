@@ -38,28 +38,28 @@ buffer: nothing needs to be kept in memory per disconnected client.
 
 **Replicated deployment.**  Started with a ``roster`` (ordered
 ``(host, port)`` pairs, one per replica) the same class becomes one
-replica of a 2f+1 quorum group.  Every replication *decision* — who
-leads, which frames are stale, where the commit floor is, which log a
-view change adopts — is :class:`repro.jupiter.replication.Replica`'s,
-the pure core the simulator runs too; this module keeps the asyncio:
+replica of a 2f+1 quorum group.  Every decision — who leads, which
+frames are stale, where the commit floor is, which log a view change
+adopts (:class:`repro.jupiter.replication.Replica`), and what is parked
+until commit, released when, and rebuilt how
+(:class:`repro.jupiter.server_core.ServerCore`) — belongs to the pure
+cores the simulator runs too; this module keeps the asyncio:
 
-* the **primary** parks every broadcast frame and client acknowledgement
-  under its serial and runs one shipping task per backup (dial, full-log
-  ``repl_install``, then ``repl_append`` one ack at a time, backoff) —
-  only while the core says it leads; each ack goes to the core, and the
-  serials it answers are on ``f + 1`` disks and are flushed;
+* the **primary** sends what the core releases and runs one shipping
+  task per backup (dial, full-log ``repl_install``, then ``repl_append``
+  one ack at a time, backoff) — only while the core says it leads; each
+  ack goes to the core, and the serials it certifies are released;
 * a **backup** hands each ``repl_install`` / ``repl_append`` / ``repl_seek``
-  to the core and writes back the reply it returns (a frame the core
-  refuses as malformed closes the connection, typed, nothing changed),
-  and answers client ``hello``\\ s with a ``redirect``;
+  to the replica core and writes back the reply it returns (a frame the
+  core refuses as malformed closes the connection, typed, nothing
+  changed), and answers client ``hello``\\ s with a ``redirect``;
 * a backup that loses its feed sleeps a deterministic stagger
   (``failover_delay x views-until-my-turn``), stands for the next view
   it leads, carries ``repl_seek`` / ``repl_offer`` between the cores and,
-  if its core adopted a log, rebuilds the CSS server from it by WAL
-  replay and starts shipping;
+  if the core elected it, hangs up the old sessions and starts shipping;
 * whatever makes the core stop leading (a higher view installed or
   promised here, a ``repl_deny`` from a backup) runs one cleanup: stop
-  shipping, drop the parked frames, hang up the clients (the write path
+  shipping, drop what is parked, hang up the clients (the write path
   refuses a frame still buffered on a hung-up session), arm the failover
   watch.
 """
@@ -79,6 +79,7 @@ from repro.jupiter.css import CssServer
 from repro.jupiter.messages import ServerEcho, ServerOperation
 from repro.jupiter.persistence import ServerWriteAheadLog, load_wal
 from repro.jupiter.replication import Replica, primary_for
+from repro.jupiter.server_core import Release, ServerCore
 from repro.jupiter.session import counter
 from repro.jupiter.shard import Session, ShardCore
 from repro.net.codec import (
@@ -138,7 +139,10 @@ class _DocShard(ShardCore):
 
 def _doc_filename(doc: str) -> str:
     """Deterministic, filesystem-safe WAL filename for a document id."""
-    return urllib.parse.quote(doc, safe="") + ".wal"
+    try:
+        return urllib.parse.quote(doc, safe="") + ".wal"
+    except UnicodeEncodeError as exc:  # a lone surrogate, decoded from JSON
+        raise ProtocolError(f"document {doc!r} has no UTF-8 name") from exc
 
 
 class NetServer:
@@ -248,23 +252,17 @@ class NetServer:
         self.replica_index = replica_index
         self.failover_delay = failover_delay
         #: every replication decision — view, epoch, promise, commit
-        #: floor, log adoption — is this core's; a standalone server is
-        #: a roster of one whose write path never consults it
+        #: floor, log adoption — is the replica core's; the default
+        #: shard's write path, commit gate, election and restart are the
+        #: server core's (a standalone server: a roster of one, unasked)
         self._replica = Replica(ids, ids[replica_index], self.wal)
-        #: serial -> (origin channel, per-channel broadcast frames) parked
-        #: until commit
-        self._pending: Dict[
-            int,
-            Tuple[_ClientChannel, List[Tuple[_ClientChannel, Dict[str, Any]]]],
-        ] = {}
+        self._core = ServerCore(self.shards[self.doc_id], self._replica, self.replicated)
         self._backup_tasks: Dict[int, asyncio.Task] = {}
         #: set when the log grew; every shipping task re-reads the log
         #: head after clearing it, so one event serves them all
         self._repl_wakeup = asyncio.Event()
         self._primary_feed: Optional[asyncio.StreamWriter] = None
         self._failover_task: Optional[asyncio.Task] = None
-        #: when the feed loss that led to this replica's election was seen
-        self._failover_started = 0.0
         self._asyncio_server: Optional[asyncio.base_events.Server] = None
         self._closed = asyncio.Event()
         if self.replicated:
@@ -318,11 +316,6 @@ class NetServer:
     @property
     def channels(self) -> Dict[ReplicaId, _ClientChannel]:
         return self.shards[self.doc_id].sessions
-
-    @property
-    def _commit(self) -> Optional[int]:
-        """The core's ``commit``: the quorum floor; ``None`` standalone."""
-        return self._replica.committed if self.replicated else None
 
     @property
     def duplicates_suppressed(self) -> int:
@@ -416,7 +409,7 @@ class NetServer:
         """One GC pass over ``shard``, logged and gauged."""
         obs = self._obs
         rebased = shard.collect(
-            time.monotonic(), self.gc_grace, self.gc_threshold, self._commit
+            time.monotonic(), self.gc_grace, self.gc_threshold, self._core.commit
         )
         if rebased is not None:
             base, floor, pruned = rebased
@@ -461,39 +454,34 @@ class NetServer:
     ) -> Dict[str, Any]:
         """One data frame for a broadcast.
 
-        The operation's origin gets its echo, ``(opid, serial)``: live,
-        re-shipped by a resync or flushed at commit alike.  Every other
-        recipient gets the form ``o{L}`` the operation executed as, at
-        the serial before its own; ``body`` is the one built at serialise
-        time and shared by every reader's frame, rebuilt from the space
-        for a resync.  The frame carries the shard's GC ``floor`` so the
-        client can trim its serial log.
+        The operation's origin gets its echo, ``(opid, serial)``: released
+        or re-shipped by a resync alike.  Every other recipient gets the
+        form ``o{L}`` the operation executed as, at the serial before its
+        own; ``body`` is the one built per release and shared by every
+        reader's frame, rebuilt from the space for a resync.
         """
-        shard = channel.shard
         if broadcast.origin == channel.client:
             body = server_echo_obj(
                 ServerEcho(broadcast.operation.opid, broadcast.serial)
             )
         elif body is None:
-            executed = shard.server.executed_at(broadcast.serial)
+            executed = channel.shard.server.executed_at(broadcast.serial)
             body = compact_server_op_obj(broadcast, executed)
-        return encode_envelope(
-            "data",
-            seq=broadcast.serial,
-            ack=shard.ack_for(channel, self._commit),
-            epoch=self._replica.epoch,
-            floor=shard.server.base,
-            body=body,
-        )
+        return self._stamped("data", channel, seq=broadcast.serial, body=body)
 
-    def _ack_envelope(self, channel: _ClientChannel) -> Dict[str, Any]:
-        """The (commit-gated) acknowledgement of ``channel``'s c->s frames."""
+    def _stamped(
+        self, kind: str, channel: _ClientChannel, **fields: Any
+    ) -> Dict[str, Any]:
+        """A frame to ``channel`` carrying the (commit-gated) ack of its
+        c->s frames, the epoch and the shard's GC ``floor``, to which the
+        client trims its serial log."""
         shard = channel.shard
         return encode_envelope(
-            "ack",
-            ack=shard.ack_for(channel, self._commit),
+            kind,
+            ack=shard.ack_for(channel, self._core.commit),
             epoch=self._replica.epoch,
             floor=shard.server.base,
+            **fields,
         )
 
     def _update_connection_gauges(self) -> None:
@@ -736,23 +724,21 @@ class NetServer:
         sender = self._attach(channel, writer)
         sender.codec = codec
         cursor, state, missed = shard.resync(
-            channel, delivered, pin, now, self._commit
+            channel, delivered, pin, now, self._core.commit
         )
         if state is not None:
             self._obs.net_state_transfers.labels(doc).inc()
-        welcome = encode_envelope(
+        welcome = self._stamped(
             "welcome",
+            channel,
             server=SERVER_ID,
             doc=doc,
-            ack=shard.ack_for(channel, self._commit),
             serial=shard.wal.last_serial,
             resync=len(missed),
             initial=self.initial_text,
             view=self.view,
-            epoch=self.epoch,
             roster=roster_to_obj(self.roster) if self.replicated else [],
             codec=codec,
-            floor=shard.server.base,
         )
         if state is not None:
             welcome["state"] = state
@@ -883,28 +869,20 @@ class NetServer:
             raise ProtocolError("a data frame's body must be an object")
         released = channel.shard.accept(channel, seq, ack, frame["body"])
         for body in released:
-            await self._serialise(channel, body)
+            self._serialise(channel, body)
         self._update_connection_gauges()
         if released and not self.replicated:
             return  # the last echo carries the ack, taken after accept
         # A frame that released nothing is acknowledged on its own: a
         # duplicate means an earlier ack was lost.  A replicated server
         # acknowledges only what its quorum committed.
-        self._send_to(channel, self._ack_envelope(channel))
+        self._send_to(channel, self._stamped("ack", channel))
 
-    async def _serialise(
-        self, origin: _ClientChannel, body: Dict[str, Any]
-    ) -> None:
-        """The write path: decode, serialise, log (write-ahead), broadcast.
-
-        Replicated: the broadcast frames are *parked* under their serial
-        and the backups woken; :meth:`_flush_committed` releases them (and the
-        origin's acknowledgement) once the core says a quorum has the
-        record.
-        """
-        shard = origin.shard
-        replicated = self.replicated
-        if replicated and not self._replica.is_primary:
+    def _serialise(self, origin: _ClientChannel, body: Dict[str, Any]) -> None:
+        """The write path: decode the body just before the core writes
+        it, then send what the write released — at once standalone, at
+        commit when replicated (the backups are woken to ship it)."""
+        if self.replicated and not self._replica.is_primary:
             # Deposed with this frame already in the session's read buffer
             # (closing a writer does not empty its reader).  The served
             # state is stale and the log may be the one an install just
@@ -912,35 +890,33 @@ class NetServer:
             # and retransmits it to whoever leads.
             raise ConnectionError("this replica no longer leads")
         # A body of the wrong kind is refused by the CSS server itself.
-        payload = message_from_wire(body, shard.server.oracle)
-        now = time.monotonic()
-        serial, executed, outgoing = shard.serialise(
-            origin,
-            payload,
-            self._replica.epoch,
-            now,
-            self.gc_grace,
-            self._commit,
+        payload = message_from_wire(body, origin.shard.server.oracle)
+        self._release(
+            self._core.write(origin, payload, time.monotonic(), self.gc_grace)
         )
-        # Every reader gets the one executed form: one body, built only
-        # if someone but the origin receives it.
-        readers = [b for channel, b in outgoing if channel is not origin]
-        body = compact_server_op_obj(readers[0], executed) if readers else None
-        frames = [
-            (channel, self._broadcast_envelope(channel, broadcast, body))
-            for channel, broadcast in outgoing
-        ]
-        if replicated:
-            self._pending[serial] = (origin, frames)
+        if self.replicated:
             self._repl_wakeup.set()
-            # A quorum of one commits now; else the backups' acks will.
-            self._flush_committed(self._replica.appended())
-            return
-        # Synchronous fan-out through the per-peer bounded queues: a
-        # stalled recipient overflows *its* queue and is evicted; it can
-        # never head-of-line-block this loop or any healthy peer.
-        for channel, envelope in frames:
-            self._send_to(channel, envelope)
+
+    def _release(self, releases: List[Release]) -> None:
+        """Send what the core released, in serial order, through the
+        per-peer bounded queues: a stalled recipient overflows *its*
+        queue and is evicted, never blocking this loop or a healthy peer.
+        Every reader gets the one executed form, encoded once."""
+        for _serial, origin, fanout, executed, ack_due in releases:
+            readers = [b for channel, b in fanout if channel is not origin]
+            body = compact_server_op_obj(readers[0], executed) if readers else None
+            for channel, broadcast in fanout:
+                self._send_to(
+                    channel, self._broadcast_envelope(channel, broadcast, body)
+                )
+            if ack_due:
+                self._send_to(origin, self._stamped("ack", origin))
+        latency = self._core.failover_done(time.monotonic())
+        if latency is not None:
+            self._log(
+                f"failover complete: view {self.view} committed through "
+                f"serial {self.committed} in {latency:.3f}s"
+            )
 
     # ------------------------------------------------------------------
     # Replication: primary write path
@@ -1056,9 +1032,8 @@ class NetServer:
                 f"replica {rid}: expected repl_ack, got {frame['type']!r}"
             )
         serial = frame.get("serial")
-        self._flush_committed(
-            self._replica.record_ack(rid, serial, frame.get("epoch"))
-        )
+        newly = self._replica.record_ack(rid, serial, frame.get("epoch"))
+        self._release(self._core.certify(newly))
         return serial
 
     def _depose(self) -> None:
@@ -1066,50 +1041,12 @@ class NetServer:
         promised here, or quoted by a backup): become a plain backup."""
         self._log(f"deposed: standing down to a backup of view {self.view}")
         self._stop_replication()
-        self._pending.clear()
+        self._core.depose()
         # Hanging up makes every client walk the roster to the new primary;
         # their un-acknowledged frames are still buffered for retransmission.
         for channel in self.channels.values():
             self._hang_up(channel)
         self._arm_failover()  # the view that deposed me may never start
-
-    def _flush_committed(self, newly: range) -> None:
-        """Flush newly committed serials, in order: each one's parked
-        broadcasts and its origin's acknowledgement."""
-        adopted: Dict[int, ServerOperation] = {}
-        for serial in newly:
-            origin, frames = self._pending.pop(serial, (None, None))
-            if frames is None:
-                # No parked frames: a record adopted through a view
-                # change.  Rebuild its broadcast from the log for every
-                # connected client; duplicate suppression absorbs overlap
-                # with the welcome resync.
-                if not adopted:
-                    missed = self.wal.broadcasts_for(self.server, serial - 1)
-                    adopted = {b.serial: b for b in missed}
-                broadcast = adopted[serial]
-                origin = self.channels.get(broadcast.origin)
-                frames = [
-                    (channel, self._broadcast_envelope(channel, broadcast))
-                    for channel in self.channels.values()
-                ]
-            for channel, envelope in frames:
-                self._send_to(channel, envelope)
-            if origin is not None:
-                self._send_to(origin, self._ack_envelope(origin))
-        if self._replica.adoption_certified():
-            latency = time.monotonic() - self._failover_started
-            self._obs.failover_latency.observe(latency)
-            self._obs.trace(
-                "repl.failover_complete",
-                view=self.view,
-                serial=self.committed,
-                latency=round(latency, 6),
-            )
-            self._log(
-                f"failover complete: view {self.view} committed through "
-                f"serial {self.committed} in {latency:.3f}s"
-            )
 
     # ------------------------------------------------------------------
     # Replication: backup feed and view changes
@@ -1200,7 +1137,7 @@ class NetServer:
 
     async def _run_election(self, detected: float) -> bool:
         """Stand for the next view this replica leads: gather offers,
-        let the core adopt, rebuild the serving state, start shipping."""
+        let the core elect and restart, start shipping."""
         core = self._replica
         target = core.candidacy()
         offers = []
@@ -1217,36 +1154,32 @@ class NetServer:
                 )
                 return False
             offers.append(reply)
+        self._core.failover_from = detected
         try:
-            change = core.adopt(target, offers)
+            releases = self._core.elect(target, offers, time.monotonic())
         except ProtocolError as exc:
             self._log(f"election for view {target} failed: {exc}")
             return False
-        if change is None:
+        if releases is None:
             self._log(
                 f"election for view {target} abandoned with "
                 f"{len(offers) + 1} of {core.quorum} required offers"
             )
             return False
-        # Rebuild the serving state from the adopted log — the path a
-        # standalone restart takes, so seq == serial survives the view change.
+        # The core rebuilt the serving state from the adopted log — the
+        # path a standalone restart takes, so seq == serial survives the
+        # view change; the old shard's connections go.
         for channel in self.channels.values():
             self._hang_up(channel)
-        self.shards[self.doc_id] = _DocShard(
-            self.doc_id, core.log, now=time.monotonic()
-        )
-        self._pending = {}
+        self.shards[self.doc_id] = self._core.shard
         self._primary_feed = None
         self._update_connection_gauges()
         self._log(
-            f"view {target}: this replica is now the primary (adopted "
-            f"{change.adopted_from}'s log through serial "
-            f"{change.adopted_last}, re-proposed {len(change.reproposed)}, "
-            f"committed {core.committed})"
+            f"view {target}: this replica is now the primary (log through "
+            f"serial {core.log.last_serial}, committed {core.committed})"
         )
-        self._failover_started = detected
         self._start_replication()
-        self._flush_committed(core.appended())  # a quorum of one commits now
+        self._release(releases)
         return True
 
     async def _seek_offer(
@@ -1289,12 +1222,12 @@ class NetServer:
             # A document placed here whose clients have not said hello
             # yet (a fleet re-placement) is recovered from its WAL file;
             # a query never creates a document.
-            wal_path = self._wal_path(doc)
-            if wal_path is not None and os.path.exists(wal_path):
-                try:
+            try:
+                wal_path = self._wal_path(doc)
+                if wal_path is not None and os.path.exists(wal_path):
                     shard = self._open_shard(doc)
-                except ProtocolError as exc:
-                    error = f"cannot open document {doc!r}: {exc}"
+            except ProtocolError as exc:
+                error = f"cannot open document {doc!r}: {exc}"
         replication = {
             "replicated": self.replicated,
             "replica": self.replica_id,

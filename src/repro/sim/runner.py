@@ -23,8 +23,8 @@ Two network regimes share the loop's skeleton:
   :mod:`repro.jupiter.persistence` checkpoints plus a serial-indexed
   resync.  A durable *server* — write-ahead logged, or quorum-replicated
   over bare :class:`~repro.jupiter.replication.Replica` cores — is the
-  deployed :class:`~repro.jupiter.shard.ShardCore`, driven with the
-  calls :class:`~repro.net.server.NetServer` makes: it serialises, logs,
+  deployed :class:`~repro.jupiter.server_core.ServerCore`, driven as
+  :class:`~repro.net.server.NetServer` drives it: it serialises, logs,
   acknowledges and resyncs under the commit floor, and survives a crash
   or a failover the way a deployment restarts, rebuilt from its log
   under a new epoch (its in-flight frames and acks died with the old
@@ -274,6 +274,7 @@ class _FaultyRun:
     _EPS = 1e-9
 
     def __init__(self, runner: SimulationRunner) -> None:
+        from repro.jupiter.replication import Replica
         from repro.jupiter.session import (
             RetransmitPolicy,
             SessionReceiver,
@@ -327,10 +328,12 @@ class _FaultyRun:
         #: a durable server's replica cores by roster id (``None`` unless
         #: quorum-replicated); a dead one keeps its disk — its core
         self.cores: Optional[Dict[ReplicaId, Any]] = None
-        log = None
+        #: a durable server's core: its shard, built from its log at
+        #: startup as at every restart (the sessions are the server's
+        #: channel ends), and the replica of the current view's primary
+        #: (a WAL server's is a roster of one)
+        self.server_core: Optional[Any] = None
         if self.plan.replicas:
-            from repro.jupiter.replication import Replica
-
             # The logical server SERVER_ID is served by whichever roster
             # member leads the current view; every log is built under
             # SERVER_ID, as NetServer builds its shard's.
@@ -342,18 +345,12 @@ class _FaultyRun:
                 for rid in self.roster
             }
             self.alive = dict.fromkeys(self.roster, True)
-            #: the core of the current view's primary; view 0's leads first
-            self.leader = self.cores[self.roster[0]]
-            self._obs.repl_commit_quorum.set(self.leader.quorum)
+            self._obs.repl_commit_quorum.set(self.cores[self.roster[0]].quorum)
             #: replication traffic is FIFO per replica pair: replicas talk
             #: TCP in a deployment, so the lossy-channel adversary applies
             #: to the client-server edges only, not the replica backbone.
             self.repl_timer = FifoChannelTimer()
-            self._failover_from: Optional[float] = None
             self._outage_replica: Dict[float, ReplicaId] = {}
-            log = self.leader.log
-        elif self.plan.wal_enabled:
-            log = self._empty_log()
         self.applies_since: Dict[ReplicaId, int] = {}
         self.deferred_gens: Dict[ReplicaId, int] = {
             name: 0 for name in self.clients
@@ -364,16 +361,19 @@ class _FaultyRun:
         self.ack_timer = FifoChannelTimer()
         self.pending_gens = 0
         self.pending_lifecycle = 0
-        #: a durable server's shard core, built from its log at startup
-        #: as at every restart; its sessions are the server's channel ends
-        self.shard = None
-        #: serial -> (origin, broadcast) for every op the shard serialised
-        #: whose server step is not recorded yet (it has not committed)
-        self.parked: Dict[int, Tuple[ReplicaId, Any]] = {}
-        #: serials whose server step is recorded (= committed ones)
-        self.commits_done = 0
-        if log is not None:
-            self._restart(log, "startup", 0.0)
+        if self.cores is not None or self.plan.wal_enabled:
+            from repro.jupiter.server_core import ServerCore
+            from repro.jupiter.shard import ShardCore
+
+            replica = (  # view 0's primary leads first
+                self.cores[self.roster[0]]
+                if self.cores is not None
+                else Replica([SERVER_ID], SERVER_ID, self._empty_log())
+            )
+            self.server_core = ServerCore(
+                ShardCore("sim", replica.log), replica, self.cores is not None
+            )
+            self._restart("startup", 0.0)
 
     def _validate(self) -> None:
         if self.plan.crashes and self.runner.protocol != "css":
@@ -435,11 +435,9 @@ class _FaultyRun:
             elif kind == "srestore":
                 self._on_server_restore(event[1], now)
             elif kind == "repl":
-                self._on_repl(*event[1:], now)
+                self._on_repl(event[1], event[2], event[3], now)
             elif kind == "rack":
                 self._on_repl_ack(event[1], event[2], event[3], now)
-            elif kind == "svw":
-                self._on_start_view(event[1], event[2], now)
             elif kind == "sview":
                 self._on_view_change(now)
             else:  # pragma: no cover - defensive
@@ -459,14 +457,14 @@ class _FaultyRun:
                 self.cluster.read(replica)
                 self.steps.append(Read(replica))
 
-        if self.shard is not None:
-            log = self.shard.wal
+        if self.server_core is not None:
+            log, commit = self.server_core.shard.wal, self.server_core.commit
             self.stats.wal_appends = log.appends
             self.stats.wal_compactions = log.compactions
             self.stats.wal_records_truncated = log.records_truncated
-            if self.parked:
+            if commit is not None and log.last_serial > commit:
                 raise SimulationError(
-                    f"run ended with serials {sorted(self.parked)} "
+                    f"run ended with serials {commit + 1}..{log.last_serial} "
                     "serialised but never committed"
                 )
         if self.cores is not None:
@@ -554,7 +552,7 @@ class _FaultyRun:
         for _ in range(released):
             if recipient != SERVER_ID:
                 self._deliver_to_client(recipient, now)
-            elif self.shard is None:
+            elif self.server_core is None:
                 self._deliver_to_server(sender, now)
             else:
                 self._serialise(sender, now)
@@ -562,9 +560,9 @@ class _FaultyRun:
         # previous ack was probably lost.  A replicated shard gates it on
         # the quorum commit floor.
         ack_value = receiver.cumulative_ack
-        if self.shard is not None and recipient == SERVER_ID:
-            session = self.shard.sessions[sender]
-            ack_value = self.shard.ack_for(session, self.commit)
+        core = self.server_core
+        if core is not None and recipient == SERVER_ID:
+            ack_value = core.shard.ack_for(core.shard.sessions[sender], core.commit)
         self._send_ack((sender, recipient), ack_value, now)
 
     def _deliver_to_server(self, client: ReplicaId, now: float) -> None:
@@ -586,12 +584,6 @@ class _FaultyRun:
     # ------------------------------------------------------------------
     # A durable server, driven as NetServer drives it
     # ------------------------------------------------------------------
-    @property
-    def commit(self) -> Optional[int]:
-        """The shard calls' ``commit``: the quorum floor, ``None`` for a
-        WAL server (which commits each op as it logs it)."""
-        return None if self.cores is None else self.leader.committed
-
     def _empty_log(self):
         from repro.jupiter.persistence import ServerWriteAheadLog
 
@@ -603,63 +595,52 @@ class _FaultyRun:
         )
 
     def _serialise(self, origin: ReplicaId, now: float) -> None:
-        """The write path: the shard serialises and logs the origin's next
-        op (its payload peeked behind the ones still parked), the
-        broadcast parks under its serial, and a replicated primary ships
-        the record to every alive backup.  The sessions stay connected,
-        so no clock or grace applies."""
-        shard = self.shard
-        waiting = sum(1 for who, _ in self.parked.values() if who == origin)
-        payload = self.cluster.queued_payload_from(origin, waiting)
-        epoch = 0 if self.cores is None else self.leader.epoch
-        serial, _ctx, fanout = shard.serialise(
-            shard.sessions[origin], payload, epoch, 0.0, 0.0, self.commit
-        )
-        # Every session's fan-out entry is the one broadcast.
-        self.parked[serial] = (origin, fanout[0][1])
-        if self.cores is not None:
-            leader = self.leader
-            record = shard.wal.records[-1]
-            for rid in self.roster:
-                if rid == leader.me or not self.alive[rid]:
-                    continue
-                arrival = self.repl_timer.delivery_time(
-                    self.latency, leader.me, rid, now
-                )
-                self._push(
-                    arrival, ("repl", rid, record, epoch, leader.committed)
-                )
-            leader.appended()  # a quorum of one commits at once
-        self._flush_committed(now)
+        """The write path: the core serialises and logs the origin's next
+        op (its payload peeked behind the ones logged but not committed),
+        and a replicated primary ships the record to every alive backup.
+        The sessions stay connected, so no clock or grace applies."""
+        from repro.jupiter.replication import committed_origin_ack
 
-    def _flush_committed(self, now: float) -> None:
-        """Record the server step the shard took for every newly
-        committed serial, in order; the frames go out numbered seq =
-        serial, and a replicated shard sends the origin its commit-gated
-        acknowledgement."""
-        commit = self.commit
-        committed = self.shard.wal.last_serial if commit is None else commit
-        while self.commits_done < committed:
-            serial = self.commits_done = self.commits_done + 1
-            origin, broadcast = self.parked.pop(serial)
+        core = self.server_core
+        shard, commit = core.shard, core.commit
+        waiting = 0 if commit is None else shard.wal.origin_counts().get(
+            origin, 0
+        ) - committed_origin_ack(shard.wal, commit, origin)
+        payload = self.cluster.queued_payload_from(origin, waiting)
+        releases = core.write(shard.sessions[origin], payload, 0.0, 0.0)
+        if self.cores is not None:
+            leader = core.replica
+            head = {"epoch": leader.epoch, "committed": leader.committed}
+            self._ship("append", {**head, "record": shard.wal.records[-1]}, now)
+        self._release(releases, now)
+
+    def _release(self, releases, now: float) -> None:
+        """Record the server step the shard took for every serial the core
+        released, in order; the frames go out numbered seq = serial, and
+        an origin owed a commit-gated acknowledgement is sent it.  Then
+        observe the failover latency, once the new view is certified."""
+        core = self.server_core
+        for serial, origin, fanout, _executed, ack_due in releases:
             self.progress_time = now
             self.cluster.record_server_receive(
-                origin,
-                [(name, broadcast) for name in self.clients],
+                origin.client,
+                [(session.client, broadcast) for session, broadcast in fanout],
                 self._served_document(serial),
             )
-            self.steps.append(ServerReceive(origin))
-            for name in self.clients:
-                self._transmit((SERVER_ID, name), serial, now, attempt=1)
-            if commit is not None:
-                session = self.shard.sessions[origin]
-                ack = self.shard.ack_for(session, commit)
-                self._send_ack((origin, SERVER_ID), ack, now)
+            self.steps.append(ServerReceive(origin.client))
+            for session, _broadcast in fanout:
+                self._transmit((SERVER_ID, session.client), serial, now, attempt=1)
+            if ack_due:
+                ack = core.shard.ack_for(origin, core.commit)
+                self._send_ack((origin.client, SERVER_ID), ack, now)
+        latency = core.failover_done(now)
+        if latency is not None:
+            self.stats.failover_latencies.append(latency)
 
     def _served_document(self, serial: int) -> str:
         """The shard server's document at ``serial``; behind an
         uncommitted suffix, read without pinning lazy nodes."""
-        server = self.shard.server
+        server = self.server_core.shard.server
         if serial == server.oracle.last_serial:
             return server.document.as_string()
         key = server.oracle.dense(serial)
@@ -682,36 +663,27 @@ class _FaultyRun:
     # ------------------------------------------------------------------
     # Replication: the backups' feed and view changes, on bare cores
     # ------------------------------------------------------------------
-    def _on_repl(
-        self,
-        replica: ReplicaId,
-        record,
-        epoch: int,
-        committed: int,
-        now: float,
-    ) -> None:
-        """``repl_append`` reaches a backup; it acks a durable append."""
+    def _ship(self, call: str, fields, now: float) -> None:
+        """The primary sends ``repl_<call>`` to every alive backup."""
+        me = self.server_core.replica.me
+        for rid in self.roster:
+            if rid != me and self.alive[rid]:
+                arrival = self.repl_timer.delivery_time(self.latency, me, rid, now)
+                self._push(arrival, ("repl", rid, call, fields))
+
+    def _on_repl(self, replica: ReplicaId, call: str, fields, now: float) -> None:
+        """A ``repl_append`` (``call``) or ``repl_install`` reaches a
+        backup, whose core answers it; a durable append or install is
+        acknowledged (a stale epoch is owed no ack)."""
         if not self.alive[replica]:
             return
-        reply = self.cores[replica].append(epoch, committed, record)
-        self._repl_ack(replica, reply, now)
-
-    def _on_start_view(self, replica: ReplicaId, start, now: float) -> None:
-        """``repl_install`` reaches a backup: it adopts the view's log."""
-        if not self.alive[replica]:
-            return
-        self._repl_ack(replica, self.cores[replica].install(**start), now)
-
-    def _repl_ack(self, replica: ReplicaId, reply, now: float) -> None:
-        if not reply.accepted:
-            return  # a stale epoch: no ack is due
-        arrival = self.repl_timer.delivery_time(
-            self.latency, replica, self.leader.me, now
-        )
-        self._push(
-            arrival,
-            ("rack", replica, reply.fields["serial"], reply.fields["epoch"]),
-        )
+        reply = getattr(self.cores[replica], call)(**fields)
+        if reply.accepted:
+            arrival = self.repl_timer.delivery_time(
+                self.latency, replica, self.server_core.replica.me, now
+            )
+            ack = ("rack", replica, reply.fields["serial"], reply.fields["epoch"])
+            self._push(arrival, ack)
 
     def _on_repl_ack(
         self, replica: ReplicaId, serial: int, epoch: int, now: float
@@ -722,32 +694,33 @@ class _FaultyRun:
             # reads it straight from the log.
             self.stats.frames_lost_to_crash += 1
             return
-        self.leader.record_ack(replica, serial, epoch)
-        self._flush_committed(now)
-        self._finish_failover(now)
+        core = self.server_core
+        self._release(core.certify(core.replica.record_ack(replica, serial, epoch)), now)
 
     def _on_view_change(self, now: float) -> None:
         """The failure detector fired: the next view's primary takes over.
 
         The election NetServer runs, on bare cores: the successor stands
-        for its next view, every other survivor answers its seek, and it
-        adopts the best log among them.  The shard restarts on that log,
-        and its start-view install ships to the backups, whose acks
-        re-certify the adopted uncommitted suffix under the new epoch.
-        Anything only the dead primary held is gone — and was never
-        acknowledged, because acks are gated on the commit floor.
+        for its next view and every other survivor answers its seek.  The
+        logical server moves to the successor, whose core elects — adopts
+        the best log and restarts the shard on it — and its start-view
+        install ships to the backups, whose acks re-certify the adopted
+        uncommitted suffix under the new epoch.  Anything only the dead
+        primary held is gone — and was never acknowledged, because acks
+        are gated on the commit floor.
         """
         from repro.jupiter.replication import next_view, primary_for
 
         self.pending_lifecycle -= 1
         self.progress_time = now
         survivors = [rid for rid in self.roster if self.alive[rid]]
-        floor = max(core.committed for core in self.cores.values())
+        floor = max(replica.committed for replica in self.cores.values())
         # The one idealisation: commit knowledge, a frame field on the
         # wire, reaches every survivor before the election.
         for rid in survivors:
             self.cores[rid].learn_commit(floor)
-        following = next_view(self.leader.epoch, self.roster, survivors)
+        core = self.server_core
+        following = next_view(core.replica.epoch, self.roster, survivors)
         successor = self.cores[primary_for(following, self.roster)]
         target = successor.candidacy()
         replies = [
@@ -756,33 +729,13 @@ class _FaultyRun:
             if rid != successor.me
         ]
         offers = [reply.fields for reply in replies if reply.accepted]
-        if successor.adopt(target, offers) is None:
+        core.replica = successor  # the logical server moves with the view
+        releases = core.elect(target, offers, now)
+        if releases is None:
             raise SimulationError(f"view {target} found no quorum of offers")
-        self.leader = successor
-        self._restart(successor.log, "failover", now)
-        start = successor.start_view()
-        for rid in survivors:
-            if rid != successor.me:
-                arrival = self.repl_timer.delivery_time(
-                    self.latency, successor.me, rid, now
-                )
-                self._push(arrival, ("svw", rid, start))
-        successor.appended()  # a quorum of one commits at once
-        self._flush_committed(now)
-        self._finish_failover(now)
-
-    def _finish_failover(self, now: float) -> None:
-        """Observe failover latency once the new view is fully certified."""
-        if self._failover_from is None or SERVER_ID in self.crashed:
-            return
-        if self.leader.adoption_certified():
-            latency = now - self._failover_from
-            self.stats.failover_latencies.append(latency)
-            self._obs.failover_latency.observe(latency)
-            self._obs.trace(
-                "repl.failover", latency=latency, view=self.leader.view
-            )
-            self._failover_from = None
+        self._restart("failover", now)
+        self._ship("install", successor.start_view(), now)
+        self._release(releases, now)
 
     def _on_ack(
         self,
@@ -801,10 +754,10 @@ class _FaultyRun:
             self.stats.frames_lost_to_crash += 1
             return
         self.senders[(sender, recipient)].ack(cumulative)
-        if sender == SERVER_ID and self.shard is not None:
+        if sender == SERVER_ID and self.server_core is not None:
             # A client's cumulative ack is its consumption cursor: the
             # floor the shard compacts at.
-            session = self.shard.sessions[recipient]
+            session = self.server_core.shard.sessions[recipient]
             session.delivered = max(session.delivered, cumulative)
 
     def _on_rto(
@@ -884,7 +837,8 @@ class _FaultyRun:
         self.pending_lifecycle -= 1
         self.stats.server_crashes += 1
         if self.cores is not None:
-            leader = self.leader
+            core = self.server_core
+            leader = core.replica
             target = spec.replica
             rid = self.roster[target] if isinstance(target, int) else leader.me
             self._outage_replica[spec.at] = rid
@@ -896,8 +850,8 @@ class _FaultyRun:
                 # frames/acks/timers die with the epoch bump.
                 self.crashed.add(SERVER_ID)
                 self.epochs[SERVER_ID] += 1
-                if self._failover_from is None:
-                    self._failover_from = now
+                if core.failover_from is None:
+                    core.failover_from = now
                 self._push(now + self.plan.failover_delay, ("sview",))
                 self.pending_lifecycle += 1
             return
@@ -921,7 +875,7 @@ class _FaultyRun:
             # durable copy counts toward quorums at once.
             rid = self._outage_replica.pop(spec.at)
             self.alive[rid] = True
-            leader = self.leader
+            leader = self.server_core.replica
             if rid != leader.me:
                 self.cores[rid].install(**leader.start_view())
             log = self.cores[rid].log
@@ -929,40 +883,35 @@ class _FaultyRun:
                 "repl.rejoin", replica=rid, at_serial=log.last_serial
             )
             if SERVER_ID not in self.crashed:
-                leader.record_ack(rid, log.last_serial, leader.epoch)
-                self._flush_committed(now)
-                self._finish_failover(now)
+                newly = leader.record_ack(rid, log.last_serial, leader.epoch)
+                self._release(self.server_core.certify(newly), now)
             return
-        self._restart(self.shard.wal, "WAL recovery", now)
+        core = self.server_core
+        core.restart(core.shard.wal, now)  # a WAL server released each op at once
+        self._restart("WAL recovery", now)
         # The recovered state is durable: compact so a later crash replays
         # from this snapshot instead of the whole history.
-        self.shard.compact(self.shard.floor(now, 0.0, pins=False))
+        core.shard.compact(core.shard.floor(now, 0.0, pins=False))
 
-    def _restart(self, log, what: str, now: float) -> None:
-        """(Re)start the shard from ``log`` as a deployment does:
-        ``ShardCore(doc, log)``, then each client's hello at its live
+    def _restart(self, what: str, now: float) -> None:
+        """The core (re)built its shard from a log, as a deployment does
+        (``ShardCore(doc, log)``); now each client says hello at its live
         cursor (:meth:`ShardCore.resync` under the commit floor), which
-        re-ships the committed broadcasts the client has not consumed.
-        The sessions become the server ends of the lossy channels.  An
-        adopted uncommitted suffix parks, its broadcasts rebuilt from the
-        log as NetServer's commit flush rebuilds them, and goes out when
-        it commits.  The shard's server becomes the cluster's.  The
+        re-ships the committed broadcasts the client has not consumed,
+        and the sessions become the server ends of the lossy channels.
+        An adopted uncommitted suffix is the core's to release when it
+        commits.  The shard's server becomes the cluster's.  The
         simulator can do what a deployment cannot: compare the re-shipped
         broadcasts against the volatile send buffers.
         """
-        from repro.jupiter.shard import ShardCore
-
-        shard = self.shard = ShardCore("sim", log, now=now)
+        core = self.server_core
+        shard = core.shard
         self.cluster.server = shard.server
         self.crashed.discard(SERVER_ID)
-        self.parked = {
-            b.serial: (b.origin, b)
-            for b in log.broadcasts_for(shard.server, self.commits_done)
-        }
         for client in self.clients:
             session = shard.sessions[client]
             _cursor, _state, missed = shard.resync(
-                session, len(self.released[client]), None, now, self.commit
+                session, len(self.released[client]), None, now, core.commit
             )
             # The rebuilt broadcasts must reproduce the volatile send
             # buffer exactly — same payloads, same serial order — so

@@ -45,7 +45,7 @@ class TestClientOracle:
 
     def test_serialized_before_pending(self):
         oracle = ClientOrderOracle("c1")
-        oracle.record(OpId("c2", 1), 5)
+        oracle.record(OpId("c2", 1), 1)
         pending = OpId("c1", 1)
         assert oracle.before(OpId("c2", 1), pending)
         assert not oracle.before(pending, OpId("c2", 1))

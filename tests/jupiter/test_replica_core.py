@@ -330,14 +330,6 @@ class TestElection:
             candidate.adopt(target, offers(target, knows))
         assert state(candidate) == before
 
-    def test_the_commit_reaching_the_adopted_head_is_said_once(self):
-        leader, cores = elected("s1", records=3)
-        assert not leader.adoption_certified()
-        ack = cores["s2"].install(**leader.start_view()).fields
-        assert list(leader.record_ack("s2", ack["serial"], ack["epoch"])) == [1, 2, 3]
-        assert leader.adoption_certified()
-        assert not leader.adoption_certified()
-
 
 class TestThePromiseOnlyRatchets:
     """``_run_election`` never promised its own candidacy and ended with

@@ -15,10 +15,16 @@ died applying it.
 """
 
 import asyncio
+import os
 import struct
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.common.ids import SERVER_ID
+from repro.jupiter.persistence import ServerWriteAheadLog, save_wal
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
 from repro.net.codec import (
@@ -299,6 +305,92 @@ class TestMalformedAdminFrames:
         assert registered == {"default": []}
         assert state["unhandled"] == []
         assert state["converged"] and state["text"] == "zabc"
+
+
+#: JSON strings include lone surrogates (a ``\\ud800`` escape decodes),
+#: and a document name becomes a file name
+TEXT = st.text(
+    st.sampled_from("\ud800\udfff/%.\x00\u00e9")
+    | st.characters(blacklist_categories=()),
+    max_size=12,
+)
+#: any JSON value an admin frame's ``cmd`` or ``doc`` may carry
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+#: ``shutdown`` is left out: it stops the server, by design
+COMMANDS = st.sampled_from(["signature", "stats", "metrics"]) | JSON_VALUES.filter(
+    lambda cmd: cmd != "shutdown"
+)
+#: the hosted document, one placed here with a WAL file, one with none
+DOCS = st.sampled_from(["default", "placed", "absent"]) | JSON_VALUES
+
+
+class TestAdminFuzz:
+    """Any ``cmd`` and ``doc``: each admin frame is answered by exactly
+    one ``admin_reply`` or hung up on typed, the server then still serves
+    a client, and it opens a shard for no document without a WAL file."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.lists(st.tuples(COMMANDS, DOCS), min_size=1, max_size=5))
+    @example([("stats", "\ud800"), ("signature", "placed")])
+    def test_one_typed_answer_per_frame_and_the_server_serves_on(self, frames):
+        with tempfile.TemporaryDirectory() as wal_dir:
+            placed = ServerWriteAheadLog(SERVER_ID, [], initial_text="pq")
+            save_wal(placed, os.path.join(wal_dir, "placed.wal"))
+            answers, state = _run(_admin_frames(wal_dir, frames))
+        for first, rest in answers:
+            assert first is None or first["type"] == "admin_reply", first
+            assert rest == b""  # nothing after the one answer
+        # A hang-up is a frame the codec refused, and the log says so.
+        hung_up = sum(first is None for first, _rest in answers)
+        assert hung_up == len(state["rejected"]), state["rejected"]
+        assert state["unhandled"] == []
+        assert state["converged"]
+        assert state["shards"] <= {"default", "placed"}
+        assert state["files"] == ["default.wal", "placed.wal"]
+
+
+async def _admin_frames(wal_dir, frames):
+    """Send each ``(cmd, doc)`` admin frame on its own connection to a
+    fleet-style server (``wal_dir``), then let an honest client type."""
+    unhandled = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, context: unhandled.append(context)
+    )
+    server = NetServer("127.0.0.1", 0, initial_text="abc", wal_dir=wal_dir)
+    await server.start()
+    logged = []
+    server._log = logged.append
+    answers = []
+    for cmd, doc in frames:
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        await write_frame(writer, encode_envelope("admin", cmd=cmd, doc=doc))
+        first = await asyncio.wait_for(read_frame(reader), timeout=5)
+        rest = await asyncio.wait_for(reader.read(), timeout=5)
+        writer.close()
+        answers.append((first, rest))
+    honest = NetClient("c1", "127.0.0.1", server.port)
+    await honest.connect()
+    await honest.generate(OpSpec("ins", 0, "z"))
+    state = {
+        "rejected": [line for line in logged if "rejecting connection" in line],
+        "unhandled": unhandled,
+        "converged": await honest.wait_converged(1, timeout=10)
+        and honest.signature() == document_signature(server.server.document),
+        "shards": set(server.shards),
+        "files": sorted(os.listdir(wal_dir)),
+    }
+    await honest.close()
+    await server.stop()
+    return answers, state
 
 
 def _run(coroutine):

@@ -226,7 +226,6 @@ BAD_BROADCASTS = {
     "deletes-a-different-element": lambda body, op: op.update(
         kind="del", position=0, element={"value": "b", "opid": ["init", 2]}
     ),
-    "context-not-serial-minus-one": lambda body, op: body.update(ctx=[1, 0]),
     "serial-not-the-next": lambda body, op: body.update(serial=4),
 }
 
@@ -247,6 +246,19 @@ def test_a_bad_broadcast_is_refused_and_the_honest_re_ship_applies(shape):
     assert {document_signature(c.css.document) for c in story.cores.values()} == {
         signature
     }
+
+
+def test_a_broadcast_naming_another_context_decodes_at_serial_minus_one():
+    """A broadcast is at the serial before its own: a ``ctx`` it names
+    anyway is an unknown field, ignored, and the body applies as the
+    honest one does."""
+    stray, honest = Story(), Story()
+    body = stray.spoiled(lambda body, op: body.update(ctx=[1, 0]))
+    oracle = stray.a.css.oracle
+    assert message_from_wire(body, oracle).operation.context == oracle.dense(2)
+    assert [b.serial for b in stray.a.data(3, 0, 0, 0, body)] == [3, 4]
+    honest.a.data(3, 0, 0, 0, honest.bodies[3])
+    assert core_state(stray.a) == core_state(honest.a)
 
 
 def test_every_truncation_and_byte_flip_of_a_broadcast_frame_is_typed():
