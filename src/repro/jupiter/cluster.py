@@ -78,7 +78,7 @@ class Cluster:
     # ------------------------------------------------------------------
     # Step execution
     # ------------------------------------------------------------------
-    def generate(self, client_id: ReplicaId, spec) -> None:
+    def generate(self, client_id: ReplicaId, spec) -> Message:
         client = self._client(client_id)
         result = client.generate(spec)
         self.recorder.record_do(client_id, result.operation, result.returned)
@@ -88,6 +88,7 @@ class Cluster:
         message = Message(client_id, SERVER_ID, result.outgoing)
         self.recorder.record_send(client_id, message)
         self._to_server[client_id].append(message)
+        return message
 
     def server_receive(self, client_id: ReplicaId) -> Message:
         queue = self._to_server[self._require_client(client_id)]
@@ -209,21 +210,6 @@ class Cluster:
         self.clients[client_id] = client
         if behaviors_keep is not None:
             del self.behaviors[client_id][behaviors_keep:]
-
-    def queued_payload_from(self, client_id: ReplicaId, index: int) -> Any:
-        """Peek (without delivering) one queued client-to-server payload.
-
-        A shard core serialises a payload as soon as its frame is
-        released, but its step is recorded only once the serial commits:
-        the index is the number of the client's ops still uncommitted.
-        """
-        queue = self._to_server[self._require_client(client_id)]
-        if index >= len(queue):
-            raise ScheduleError(
-                f"peek at {client_id}[{index}] but only {len(queue)} "
-                "messages are queued"
-            )
-        return queue[index].payload
 
     def queued_payloads_to(self, client_id: ReplicaId) -> Tuple[Any, ...]:
         """Payloads queued on one server-to-client channel, send order.

@@ -175,22 +175,30 @@ class ShardCore:
     # ------------------------------------------------------------------
     # The receive and write paths
     # ------------------------------------------------------------------
-    def accept(self, session: Session, seq: int, ack: int, body: Any) -> List[Any]:
-        """Take one data frame; return the bodies now releasable, in order.
+    def accept(
+        self, session: Session, seq: int, ack: Optional[int], body: Any
+    ) -> List[Any]:
+        """Take one data frame (``ack=None``: it carries no ack, as the
+        simulator's do); return the bodies now releasable, in order.
 
         Bodies park *encoded*: a compact context resolves against the
         oracle's base at decode time, and GC may advance the base before
         release — the caller decodes right before :meth:`serialise`.
         """
         self.frames_received += 1
-        ack = min(ack, session.sender.next_seq - 1)
-        session.sender.ack(ack)
-        session.delivered = max(session.delivered, ack)
+        if ack is not None:
+            self.take_ack(session, ack)
         bodies = release(session.receiver, session.parked, seq, body)
         if bodies is None:
             self.duplicates_suppressed += 1
             return []
         return bodies
+
+    def take_ack(self, session: Session, ack: int) -> None:
+        """The client's cumulative s->c ack: its cursor, the compaction floor."""
+        ack = min(ack, session.sender.next_seq - 1)
+        session.sender.ack(ack)
+        session.delivered = max(session.delivered, ack)
 
     def serialise(
         self,

@@ -1,67 +1,29 @@
-"""The deployed CSS server: a real TCP listener around ``CssServer``.
+"""The deployed CSS server: a real TCP listener around the server core.
 
-One :class:`NetServer` hosts exactly the objects the simulator hosts —
-a :class:`~repro.jupiter.css.CssServer`, a
-:class:`~repro.jupiter.persistence.ServerWriteAheadLog`, and one
-:class:`~repro.jupiter.session.SessionSender` /
-:class:`~repro.jupiter.session.SessionReceiver` pair per client channel —
-but drives them from asyncio connections instead of simulated events.
-
-Connection lifecycle (the server side of the reconnect state machine in
-``docs/ARCHITECTURE.md``):
-
-1. A client's first frame is ``hello {client, delivered, codecs, pin}``,
-   where ``delivered`` is its consumption cursor (how many broadcasts it
-   has consumed, i.e. its receiver's cumulative ack), ``codecs`` the
-   frame serialisations it offers (a hello without one is answered with
-   a typed ``error`` and a hang-up) and ``pin`` its GC floor.
-2. The server registers the client (late joiners are welcome: they
-   simply resync from serial 0), answers ``welcome {ack, serial,
-   resync}`` — ``ack`` being the server's cumulative ack of the
-   client-to-server channel, which lets the client drop acknowledged
-   pending frames and retransmit only the rest —
-3. and then **resyncs from durable state**: every broadcast with a
-   serial in ``delivered+1 .. last_serial`` is rebuilt from the
-   write-ahead log (:meth:`ServerWriteAheadLog.broadcasts_for`) and
-   re-shipped as an ordinary ``data`` frame whose channel sequence
-   number *is* the serial, carrying the form the operation executed as
-   (:meth:`~repro.jupiter.css.CssServer.executed_at`), byte for byte
-   what the live frame carried.
-4. Thereafter ``data`` frames flow both ways; the WAL is appended
-   *before* any broadcast frame hits a socket, so a crash can never
-   lose an operation the world has seen.
-
-Because every broadcast goes to every client exactly once in serial
-order, the server→client channel sequence number always equals the
-broadcast serial — which is what makes the WAL a perfect retransmission
-buffer: nothing needs to be kept in memory per disconnected client.
-
-**Replicated deployment.**  Started with a ``roster`` (ordered
-``(host, port)`` pairs, one per replica) the same class becomes one
-replica of a 2f+1 quorum group.  Every decision — who leads, which
-frames are stale, where the commit floor is, which log a view change
-adopts (:class:`repro.jupiter.replication.Replica`), and what is parked
-until commit, released when, and rebuilt how
-(:class:`repro.jupiter.server_core.ServerCore`) — belongs to the pure
-cores the simulator runs too; this module keeps the asyncio:
+One :class:`NetServer` drives the same
+:class:`~repro.jupiter.server_core.ServerCore` the simulator drives, from
+asyncio connections instead of simulated events.  The core decides a
+session's hello, welcome, frames and acknowledgements (the connection
+lifecycle is in its docstring), the write path, the commit gate and,
+with its :class:`~repro.jupiter.replication.Replica`, every replication
+decision; this module keeps the asyncio:
 
 * the **primary** sends what the core releases and runs one shipping
   task per backup (dial, full-log ``repl_install``, then ``repl_append``
   one ack at a time, backoff) — only while the core says it leads; each
   ack goes to the core, and the serials it certifies are released;
 * a **backup** hands each ``repl_install`` / ``repl_append`` / ``repl_seek``
-  to the replica core and writes back the reply it returns (a frame the
-  core refuses as malformed closes the connection, typed, nothing
-  changed), and answers client ``hello``\\ s with a ``redirect``;
+  to the core and writes back the reply it returns (a frame the core
+  refuses as malformed closes the connection, typed, nothing changed),
+  and answers client ``hello``\\ s with the ``redirect`` the core decides;
 * a backup that loses its feed sleeps a deterministic stagger
   (``failover_delay x views-until-my-turn``), stands for the next view
   it leads, carries ``repl_seek`` / ``repl_offer`` between the cores and,
   if the core elected it, hangs up the old sessions and starts shipping;
 * whatever makes the core stop leading (a higher view installed or
   promised here, a ``repl_deny`` from a backup) runs one cleanup: stop
-  shipping, drop what is parked, hang up the clients (the write path
-  refuses a frame still buffered on a hung-up session), arm the failover
-  watch.
+  shipping, drop what is parked, hang up the clients (the core refuses a
+  frame still buffered on a hung-up session), arm the failover watch.
 """
 
 from __future__ import annotations
@@ -70,17 +32,22 @@ import asyncio
 import logging
 import os
 import time
-import urllib.parse
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.ids import SERVER_ID, ReplicaId
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssServer
 from repro.jupiter.messages import ServerEcho, ServerOperation
-from repro.jupiter.persistence import ServerWriteAheadLog, load_wal
-from repro.jupiter.replication import Replica, primary_for
-from repro.jupiter.server_core import Release, ServerCore
-from repro.jupiter.session import counter
+from repro.jupiter.persistence import ServerWriteAheadLog
+from repro.jupiter.replication import Replica
+from repro.jupiter.server_core import (
+    Answer,
+    Redirect,
+    Release,
+    ServerCore,
+    open_shard,
+    wal_file,
+)
 from repro.jupiter.shard import Session, ShardCore
 from repro.net.codec import (
     DEFAULT_DOC,
@@ -137,35 +104,16 @@ class _DocShard(ShardCore):
     session_type = _ClientChannel
 
 
-def _doc_filename(doc: str) -> str:
-    """Deterministic, filesystem-safe WAL filename for a document id."""
-    try:
-        return urllib.parse.quote(doc, safe="") + ".wal"
-    except UnicodeEncodeError as exc:  # a lone surrogate, decoded from JSON
-        raise ProtocolError(f"document {doc!r} has no UTF-8 name") from exc
-
-
 class NetServer:
     """Serve CSS documents over TCP — one or many behind one listener.
 
     This class is the asyncio shell: listener, admission, codec
-    negotiation, per-peer queues and eviction, the replication transport
-    and the admin plane.  What a document *decides* — registration,
-    serialise, floors, GC, resync, recovery — is
-    :class:`~repro.jupiter.shard.ShardCore`; frames become core calls
-    here and their results become sends.
-
-    **Multi-document hosting (the fleet tier's worker role).**  Every
-    hosted document is a :class:`_DocShard` with its own ``CssServer``,
-    write-ahead log, and per-client session pairs; a ``hello`` naming a
-    ``doc`` is routed to (and lazily opens) that shard, a doc-less hello
-    lands on the default ``doc_id``.  Serialization orders are fully
-    independent across shards; admission control and the overload
-    accounting are shared, because sockets and memory are.  With a
-    ``wal_dir``, each shard's WAL lives in ``<wal_dir>/<doc>.wal`` —
-    appended (and flushed) *before* any broadcast or ack leaves the
-    process, rewritten on compaction — so a re-placed document's next
-    owner recovers exactly the state the old owner acknowledged.
+    negotiation, per-peer queues and eviction, the idle timer, the
+    replication transport and the admin plane.  What a server *decides*
+    is its :class:`~repro.jupiter.server_core.ServerCore`: frames become
+    core calls here and their results become sends.  Hosting many
+    documents (the fleet tier's worker role) shares admission and the
+    overload accounting across them, because sockets and memory are.
     """
 
     def __init__(
@@ -191,8 +139,6 @@ class NetServer:
     ) -> None:
         self.host = host
         self.port = port
-        self.initial_text = initial_text
-        self.snapshot_every = snapshot_every
         # -- steady-state knobs -----------------------------------------
         #: seconds between active-window GC sweeps (acked-prefix pruning)
         self.gc_interval = gc_interval
@@ -222,24 +168,14 @@ class NetServer:
         self.evictions = 0
         self.shed_connections = 0
         self.oversize_rejected = 0
-        # -- document shards -------------------------------------------
+        # -- documents and replication ---------------------------------
         #: the default document — what a doc-less ``hello`` lands on
         self.doc_id = str(doc_id)
-        #: per-document WAL directory (one ``<doc>.wal`` file each);
-        #: placement may move a document between fleet workers, but its
-        #: log stays put — the next owner recovers from the same file
-        self.wal_dir = wal_dir
         if wal_dir is not None and roster:
             raise ProtocolError(
                 "wal_dir persistence is for standalone (fleet) workers; "
                 "a replicated group's durability is the quorum"
             )
-        self._obs = get_obs()
-        self._logger = LOGGER
-        self.started_at = time.monotonic()
-        self.shards: Dict[str, _DocShard] = {}
-        self._open_shard(self.doc_id)
-        # -- replication state (inert in the standalone deployment) ----
         self.roster: Optional[List[Tuple[str, int]]] = (
             [(str(h), int(p)) for h, p in roster] if roster else None
         )
@@ -251,12 +187,22 @@ class NetServer:
             )
         self.replica_index = replica_index
         self.failover_delay = failover_delay
+        self._obs = get_obs()
+        self._logger = LOGGER
+        self.started_at = time.monotonic()
+        shard = open_shard(
+            _DocShard, self.doc_id, wal_file(wal_dir, self.doc_id),
+            self.started_at, snapshot_every, initial_text,
+        )
         #: every replication decision — view, epoch, promise, commit
-        #: floor, log adoption — is the replica core's; the default
-        #: shard's write path, commit gate, election and restart are the
-        #: server core's (a standalone server: a roster of one, unasked)
-        self._replica = Replica(ids, ids[replica_index], self.wal)
-        self._core = ServerCore(self.shards[self.doc_id], self._replica, self.replicated)
+        #: floor, log adoption — is the replica core's; the documents,
+        #: sessions, write path, commit gate, election and restart are
+        #: the server core's (a standalone server: a roster of one, unasked)
+        self._replica = Replica(ids, ids[replica_index], shard.wal)
+        self._core = ServerCore(
+            shard, self._replica, self.replicated, wal_dir=wal_dir,
+            snapshot_every=snapshot_every, initial_text=initial_text,
+        )
         self._backup_tasks: Dict[int, asyncio.Task] = {}
         #: set when the log grew; every shipping task re-reads the log
         #: head after clearing it, so one event serves them all
@@ -303,61 +249,29 @@ class NetServer:
     # ------------------------------------------------------------------
     # Document shards
     # ------------------------------------------------------------------
-    # Read-only views onto the default shard, the one document a
-    # replicated group serves and a single-document embedder reads.
+    # Read-only views onto the core's documents, and onto the default
+    # shard, the one a replicated group serves and a single-document
+    # embedder reads.
+    @property
+    def shards(self) -> Dict[str, _DocShard]:
+        return self._core.shards
+
     @property
     def server(self) -> CssServer:
-        return self.shards[self.doc_id].server
+        return self._core.shard.server
 
     @property
     def wal(self) -> ServerWriteAheadLog:
-        return self.shards[self.doc_id].wal
+        return self._core.shard.wal
 
     @property
     def channels(self) -> Dict[ReplicaId, _ClientChannel]:
-        return self.shards[self.doc_id].sessions
+        return self._core.shard.sessions
 
     @property
     def duplicates_suppressed(self) -> int:
         """Server-wide: the shards' own traffic counters, summed."""
         return sum(s.duplicates_suppressed for s in self.shards.values())
-
-    def _wal_path(self, doc: str) -> Optional[str]:
-        """Where ``doc``'s WAL file lives (``None`` without a ``wal_dir``)."""
-        if self.wal_dir is None:
-            return None
-        return os.path.join(self.wal_dir, _doc_filename(doc))
-
-    def _open_shard(self, doc: str) -> _DocShard:
-        """Return the shard for ``doc``, opening it lazily — from its
-        ``<wal_dir>/<doc>.wal`` when there is one (:class:`ShardCore`
-        replays it and rebuilds a channel for every logged origin)."""
-        shard = self.shards.get(doc)
-        if shard is not None:
-            return shard
-        wal_path = self._wal_path(doc)
-        fresh = wal_path is None or not os.path.exists(wal_path)
-        if fresh:
-            # A new document is the recovery of an empty log.
-            wal = ServerWriteAheadLog(
-                SERVER_ID,
-                [],
-                snapshot_every=self.snapshot_every,
-                initial_text=self.initial_text,
-            )
-            if wal_path is not None:
-                os.makedirs(self.wal_dir, exist_ok=True)
-        else:
-            wal = load_wal(wal_path)
-        shard = _DocShard(doc, wal, wal_path, time.monotonic())
-        if not fresh:
-            self._log(
-                f"document {doc!r}: recovered through serial "
-                f"{wal.last_serial} from {wal_path} "
-                f"({len(shard.sessions)} known clients)"
-            )
-        self.shards[doc] = shard
-        return shard
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -472,17 +386,8 @@ class NetServer:
     def _stamped(
         self, kind: str, channel: _ClientChannel, **fields: Any
     ) -> Dict[str, Any]:
-        """A frame to ``channel`` carrying the (commit-gated) ack of its
-        c->s frames, the epoch and the shard's GC ``floor``, to which the
-        client trims its serial log."""
-        shard = channel.shard
-        return encode_envelope(
-            kind,
-            ack=shard.ack_for(channel, self._core.commit),
-            epoch=self._replica.epoch,
-            floor=shard.server.base,
-            **fields,
-        )
+        """A frame to ``channel`` carrying the core's stamp."""
+        return encode_envelope(kind, **self._core.stamp(channel), **fields)
 
     def _update_connection_gauges(self) -> None:
         obs = self._obs
@@ -656,53 +561,41 @@ class NetServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        # A doc-less hello (every pre-fleet client) lands on the default
-        # document; fleet clients name their document explicitly.
-        name, doc = hello.get("client"), hello.get("doc") or self.doc_id
-        try:  # before any shard is opened or session registered
-            named = isinstance(name, str) and isinstance(doc, str)
-            if not named or name in ("", SERVER_ID):
-                raise ProtocolError(f"invalid client {name!r} or doc {doc!r}")
-            delivered = counter(hello.get("delivered", 0), "delivered")
-            pin = counter(hello["pin"], "pin") if "pin" in hello else None
-            epoch = counter(hello.get("epoch", 0), "epoch")
+        name = hello.get("client")
+        try:  # before any session is registered
+            accepted = self._core.hello(hello, time.monotonic())
         except ProtocolError as exc:
             self._log(f"{name} violated the protocol: {exc}")
             writer.close()
             return
-        if self.replicated and (not self.is_primary or epoch > self.epoch):
-            # A backup (or a primary the client knows to be deposed)
-            # points the client at the primary of its view and hangs up.
-            await self._send_redirect(writer, name)
-            return
-        try:
-            if self.replicated and doc != self.doc_id:
-                # The quorum replicates exactly one document; other docs
-                # belong to the fleet tier's standalone workers.
-                raise ProtocolError(f"only {self.doc_id!r} is replicated")
-            shard = self._open_shard(doc)
-        except ProtocolError as exc:
-            self._log(f"{name}: cannot open document {doc!r}: {exc}")
+        if isinstance(accepted, Redirect):
+            # Point the client at its view's primary; with none to name, just
+            # hang up: it walks the roster until an install says who leads.
+            view, epoch, index = accepted
+            if index is not None:
+                host, port = self.roster[index]
+                roster = roster_to_obj(self.roster)
+                await self._turn_away(writer, encode_envelope(
+                    "redirect", view=view, epoch=epoch, primary=index,
+                    host=host, port=port, roster=roster,
+                ))
+                self._obs.trace("net.redirect", client=name, view=view, primary=index)
             writer.close()
             return
+        shard, doc = accepted.shard, accepted.shard.doc
         # Admission control: shed excess load *before* registering the
         # client.  A reconnect superseding the same client's live socket
         # is never shed — it replaces a connection, it does not add one.
         existing = shard.sessions.get(name)
         supersedes = existing is not None and existing.writer is not None
         if not supersedes and self._live_connections() >= self.max_connections:
-            await self._shed(
-                writer,
-                name,
-                f"at the {self.max_connections}-connection limit",
-            )
-            return
-        if self._queued_frames() > self.max_queued_frames:
-            await self._shed(
-                writer,
-                name,
-                f"outbound backlog above {self.max_queued_frames} frames",
-            )
+            reason = f"at the {self.max_connections}-connection limit"
+        elif self._queued_frames() > self.max_queued_frames:
+            reason = f"outbound backlog above {self.max_queued_frames} frames"
+        else:
+            reason = None
+        if reason is not None:
+            await self._shed(writer, name, reason)
             return
         # The session speaks the one wire dialect (compact contexts, GC
         # pins, floor rebasing, multi batching); the hello negotiates
@@ -710,48 +603,23 @@ class NetServer:
         codec = negotiate_codec(hello.get("codecs"))
         if codec is None:
             self._log(f"{name}: rejecting hello — no codec offer")
+            reason = "hello must offer a codecs list"
             await self._turn_away(
-                writer,
-                encode_envelope(
-                    "error",
-                    reason="hello must offer a codecs list",
-                    epoch=self.epoch,
-                ),
+                writer, encode_envelope("error", reason=reason, epoch=self.epoch)
             )
             return
-        now = time.monotonic()
-        channel = shard.register(name, now)
+        welcome = self._core.welcome(accepted, time.monotonic())
+        channel, cursor, state, missed, fields = welcome
         sender = self._attach(channel, writer)
         sender.codec = codec
-        cursor, state, missed = shard.resync(
-            channel, delivered, pin, now, self._core.commit
-        )
+        roster = roster_to_obj(self.roster) if self.replicated else []
+        reply = encode_envelope("welcome", **fields, roster=roster, codec=codec)
         if state is not None:
-            self._obs.net_state_transfers.labels(doc).inc()
-        welcome = self._stamped(
-            "welcome",
-            channel,
-            server=SERVER_ID,
-            doc=doc,
-            serial=shard.wal.last_serial,
-            resync=len(missed),
-            initial=self.initial_text,
-            view=self.view,
-            roster=roster_to_obj(self.roster) if self.replicated else [],
-            codec=codec,
-        )
-        if state is not None:
-            welcome["state"] = state
-        await sender.send_wait(welcome)
+            reply["state"] = state
+        await sender.send_wait(reply)
         self._obs.trace(
-            "net.connect",
-            client=name,
-            doc=doc,
-            connect=channel.connects,
-            cursor=cursor,
-            resync=len(missed),
-            codec=codec,
-            transfer=state is not None,
+            "net.connect", client=name, doc=doc, connect=channel.connects,
+            cursor=cursor, resync=len(missed), codec=codec, transfer=state is not None,
         )
         self._update_connection_gauges()
         # Resync from durable state: re-ship everything after the cursor.
@@ -800,20 +668,15 @@ class NetServer:
                         f"{name}: rejecting oversized frame "
                         f"({exc.length} > {MAX_FRAME} bytes)"
                     )
-                    self._send_to(
-                        channel,
-                        encode_envelope(
-                            "error",
-                            reason="frame too large",
-                            length=exc.length,
-                            limit=MAX_FRAME,
-                            epoch=self.epoch,
-                        ),
+                    error = encode_envelope(
+                        "error", reason="frame too large", length=exc.length,
+                        limit=MAX_FRAME, epoch=self.epoch,
                     )
+                    self._send_to(channel, error)
                     continue
                 if frame is None or frame["type"] == "bye":
                     break
-                await self._handle_frame(channel, frame)
+                self._serialise(channel, frame)
         except (WireError, ConnectionError, asyncio.IncompleteReadError) as exc:
             self._log(f"{name} dropped: {exc}")
         except ProtocolError as exc:
@@ -840,62 +703,23 @@ class NetServer:
             self._obs.trace("net.disconnect", client=name)
             self._update_connection_gauges()
 
-    async def _handle_frame(
-        self, channel: _ClientChannel, frame: Dict[str, Any]
-    ) -> None:
-        if not isinstance(frame, dict) or not isinstance(frame.get("type"), str):
-            raise ProtocolError(f"not a frame: {frame!r}")
-        kind = frame["type"]
-        if kind == "multi":
-            # The peer coalesced a burst; the members are ordinary
-            # frames and are handled in order.
-            members = frame.get("frames")
-            if not isinstance(members, list):
-                raise ProtocolError("a multi carries a list of frames")
-            for member in members:
-                await self._handle_frame(channel, member)
-            return
-        if "pin" in frame:
-            channel.report_pin(counter(frame["pin"], "pin"))
-        if kind == "ping":
-            self._send_to(channel, encode_envelope("pong", t=frame.get("t")))
-            return
-        if kind != "data":
-            self._log(f"{channel.client}: ignoring frame type {kind!r}")
-            return
-        seq = counter(frame.get("seq"), "seq")
-        ack = counter(frame.get("ack", 0), "ack")
-        if not isinstance(frame.get("body"), dict):
-            raise ProtocolError("a data frame's body must be an object")
-        released = channel.shard.accept(channel, seq, ack, frame["body"])
-        for body in released:
-            self._serialise(channel, body)
+    def _serialise(self, channel: _ClientChannel, frame: Dict[str, Any]) -> None:
+        """The write path: one client frame through the core (the wire
+        decode handed in); what it makes due leaves, the backups woken."""
+        now = time.monotonic()
+        dues = self._core.receive(channel, frame, message_from_wire, now, self.gc_grace)
+        for due in dues:
+            if not isinstance(due, Answer):
+                self._release(due)
+                if self.replicated:
+                    self._repl_wakeup.set()
+            elif due.kind == "ack":
+                self._send_to(channel, self._stamped("ack", channel))
+            elif due.kind == "pong":
+                self._send_to(channel, encode_envelope("pong", t=due.value))
+            else:
+                self._log(f"{channel.client}: ignoring frame type {due.value!r}")
         self._update_connection_gauges()
-        if released and not self.replicated:
-            return  # the last echo carries the ack, taken after accept
-        # A frame that released nothing is acknowledged on its own: a
-        # duplicate means an earlier ack was lost.  A replicated server
-        # acknowledges only what its quorum committed.
-        self._send_to(channel, self._stamped("ack", channel))
-
-    def _serialise(self, origin: _ClientChannel, body: Dict[str, Any]) -> None:
-        """The write path: decode the body just before the core writes
-        it, then send what the write released — at once standalone, at
-        commit when replicated (the backups are woken to ship it)."""
-        if self.replicated and not self._replica.is_primary:
-            # Deposed with this frame already in the session's read buffer
-            # (closing a writer does not empty its reader).  The served
-            # state is stale and the log may be the one an install just
-            # handed over: write nothing.  The client still holds the op
-            # and retransmits it to whoever leads.
-            raise ConnectionError("this replica no longer leads")
-        # A body of the wrong kind is refused by the CSS server itself.
-        payload = message_from_wire(body, origin.shard.server.oracle)
-        self._release(
-            self._core.write(origin, payload, time.monotonic(), self.gc_grace)
-        )
-        if self.replicated:
-            self._repl_wakeup.set()
 
     def _release(self, releases: List[Release]) -> None:
         """Send what the core released, in serial order, through the
@@ -921,36 +745,6 @@ class NetServer:
     # ------------------------------------------------------------------
     # Replication: primary write path
     # ------------------------------------------------------------------
-    async def _send_redirect(
-        self, writer: asyncio.StreamWriter, client: str
-    ) -> None:
-        core = self._replica
-        index = core.ids.index(primary_for(core.view, core.ids))
-        if index == self.replica_index:
-            # The highest view I know is my own, yet I will not serve:
-            # deposed by a promise to a view nobody has started, or the
-            # client has seen a newer epoch.  There is no primary to name.
-            # Hang up — the client walks the roster as it does past a
-            # dead primary, until an install tells me who leads.
-            writer.close()
-            return
-        host, port = self.roster[index]
-        await self._turn_away(
-            writer,
-            encode_envelope(
-                "redirect",
-                view=core.view,
-                epoch=core.epoch,
-                primary=index,
-                host=host,
-                port=port,
-                roster=roster_to_obj(self.roster),
-            ),
-        )
-        self._obs.trace(
-            "net.redirect", client=client, view=core.view, primary=index
-        )
-
     def _start_replication(self) -> None:
         """Spawn one shipping task per backup (primary only)."""
         for index in range(len(self.roster)):
@@ -1072,13 +866,10 @@ class NetServer:
                 raise ProtocolError("this server is standalone")
             while frame is not None and frame.get("type") in _REPL_CALLS:
                 call, fields = _REPL_CALLS[frame["type"]]
-                reply = getattr(core, call)(*map(frame.get, fields))
+                reply = self._core.follow(call, map(frame.get, fields))
                 if reply.deposed:
                     self._depose()
                 if reply.kind == "repl_ack":
-                    # A backup keeps only the log current; its CSS server
-                    # and sessions are rebuilt from it on promotion.
-                    self.shards[self.doc_id].wal = core.log
                     self._primary_feed = writer
                     if call == "install":
                         self._log(
@@ -1155,6 +946,7 @@ class NetServer:
                 return False
             offers.append(reply)
         self._core.failover_from = detected
+        stale = list(self.channels.values())
         try:
             releases = self._core.elect(target, offers, time.monotonic())
         except ProtocolError as exc:
@@ -1169,9 +961,8 @@ class NetServer:
         # The core rebuilt the serving state from the adopted log — the
         # path a standalone restart takes, so seq == serial survives the
         # view change; the old shard's connections go.
-        for channel in self.channels.values():
+        for channel in stale:
             self._hang_up(channel)
-        self.shards[self.doc_id] = self._core.shard
         self._primary_feed = None
         self._update_connection_gauges()
         self._log(
@@ -1223,9 +1014,9 @@ class NetServer:
             # yet (a fleet re-placement) is recovered from its WAL file;
             # a query never creates a document.
             try:
-                wal_path = self._wal_path(doc)
+                wal_path = wal_file(self._core.wal_dir, doc)
                 if wal_path is not None and os.path.exists(wal_path):
-                    shard = self._open_shard(doc)
+                    shard = self._core.open(doc, time.monotonic())
             except ProtocolError as exc:
                 error = f"cannot open document {doc!r}: {exc}"
         replication = {

@@ -23,14 +23,11 @@ Two network regimes share the loop's skeleton:
   :mod:`repro.jupiter.persistence` checkpoints plus a serial-indexed
   resync.  A durable *server* — write-ahead logged, or quorum-replicated
   over bare :class:`~repro.jupiter.replication.Replica` cores — is the
-  deployed :class:`~repro.jupiter.server_core.ServerCore`, driven as
-  :class:`~repro.net.server.NetServer` drives it: it serialises, logs,
-  acknowledges and resyncs under the commit floor, and survives a crash
-  or a failover the way a deployment restarts, rebuilt from its log
-  under a new epoch (its in-flight frames and acks died with the old
-  incarnation).  Its server is the cluster's, rebound at each restart:
-  it integrates each op once, and the step is recorded when the serial
-  commits.  The recorded :class:`Schedule` contains each protocol-level
+  deployed :class:`~repro.jupiter.server_core.ServerCore`, driven with
+  the calls :class:`~repro.net.server.NetServer` makes, and restarted
+  from its log under a new epoch.  Its server is the cluster's, rebound
+  at each restart: it integrates each op once, and the step is recorded
+  when the serial commits.  The recorded :class:`Schedule` contains each protocol-level
   step exactly once, so it replays on a fault-free cluster — which is
   how the chaos harness checks Theorem 7.1 under faults.
 """
@@ -262,12 +259,13 @@ class SimulationRunner:
 class _FaultyRun:
     """One fault-injected run: lossy frames + reliable sessions + crashes.
 
-    Physical *frames* reference protocol messages by per-channel sequence
-    number; the cluster's FIFO queues double as the sender-side message
-    buffers (a frame's payload is popped exactly when the session layer
-    releases its sequence number, which happens strictly in order).  The
-    recorded schedule therefore contains each protocol step exactly once,
-    in an order a fault-free cluster can replay.
+    A client's *frame* carries its payload, which the client keeps until
+    an ack covers its seq; a server's names its payload by sequence
+    number, and the cluster's FIFO queues double as the server's send
+    buffers (popped exactly when the session layer releases the seq,
+    strictly in order).  The recorded schedule therefore contains each
+    protocol step exactly once, in an order a fault-free cluster can
+    replay.
     """
 
     #: epsilon used when deferring a retransmission behind an in-flight ack.
@@ -310,6 +308,9 @@ class _FaultyRun:
         channels += [(SERVER_ID, name) for name in self.clients]
         self.senders = {ch: SessionSender(ch) for ch in channels}
         self.receivers = {ch: SessionReceiver(ch) for ch in channels}
+        #: each client's unacknowledged payloads by seq (a client frame
+        #: carries its payload), trimmed by acks, kept in its checkpoint
+        self.outbox: Dict[ReplicaId, Dict[int, Any]] = {n: {} for n in self.clients}
         #: payloads consumed per server-to-client channel, in release
         #: (= serial) order — the log crash resync re-ships from.
         self.released: Dict[ReplicaId, List[Any]] = {
@@ -421,7 +422,7 @@ class _FaultyRun:
             if kind == "gen":
                 self._on_generate(event[1], generator, now)
             elif kind == "frame":
-                self._on_frame(event[1], event[2], event[3], event[4], now)
+                self._on_frame(*event[1:], now)
             elif kind == "ack":
                 self._on_ack(event[1], event[2], event[3], event[4], now)
             elif kind == "rto":
@@ -515,10 +516,11 @@ class _FaultyRun:
         self.progress_time = now
         length = len(self.cluster.clients[client].document)
         spec = generator.next_spec(client, length)
-        self.cluster.generate(client, spec)
+        message = self.cluster.generate(client, spec)
         self.generated_at[self.cluster.behaviors[client][-1].opid] = now
         self.steps.append(Generate(client, spec))
         seq = self.senders[(client, SERVER_ID)].send()
+        self.outbox[client][seq] = message.payload
         self._transmit((client, SERVER_ID), seq, now, attempt=1)
         if client in self.checkpoints:
             # Write-ahead persistence: a generated operation survives any
@@ -531,6 +533,7 @@ class _FaultyRun:
         recipient: ReplicaId,
         seq: int,
         sent_epoch: int,
+        body: Any,
         now: float,
     ) -> None:
         if sender == SERVER_ID and sent_epoch != self.epochs[SERVER_ID]:
@@ -544,26 +547,33 @@ class _FaultyRun:
             self.stats.frames_lost_to_crash += 1
             return
         receiver = self.receivers[(sender, recipient)]
-        duplicates = receiver.duplicates
-        buffered = receiver.buffered
-        released = receiver.receive(seq)
+        duplicates, buffered = receiver.duplicates, receiver.buffered
+        core = self.server_core
+        if recipient == SERVER_ID and core is not None:
+            # The write path: the session parks or releases the payload, the
+            # core writes each one released, a replicated primary ships the
+            # record.  The sessions stay connected: no clock or grace applies.
+            session = core.shard.sessions[sender]
+            for payload in core.shard.accept(session, seq, None, body):
+                releases = core.write(session, payload, 0.0, 0.0)
+                if self.cores is not None:
+                    leader, record = core.replica, core.shard.wal.records[-1]
+                    head = {"epoch": leader.epoch, "committed": leader.committed}
+                    self._ship("append", {**head, "record": record}, now)
+                self._release(releases, now)
+            ack = core.stamp(session)["ack"]  # gated on the commit floor
+        else:
+            for _ in range(receiver.receive(seq)):
+                if recipient != SERVER_ID:
+                    self._deliver_to_client(recipient, now)
+                else:
+                    self._deliver_to_server(sender, now)
+            ack = receiver.cumulative_ack
         self.stats.duplicates_suppressed += receiver.duplicates - duplicates
         self.stats.out_of_order_buffered += receiver.buffered - buffered
-        for _ in range(released):
-            if recipient != SERVER_ID:
-                self._deliver_to_client(recipient, now)
-            elif self.server_core is None:
-                self._deliver_to_server(sender, now)
-            else:
-                self._serialise(sender, now)
         # Always (re-)acknowledge cumulatively — a duplicate frame means a
-        # previous ack was probably lost.  A replicated shard gates it on
-        # the quorum commit floor.
-        ack_value = receiver.cumulative_ack
-        core = self.server_core
-        if core is not None and recipient == SERVER_ID:
-            ack_value = core.shard.ack_for(core.shard.sessions[sender], core.commit)
-        self._send_ack((sender, recipient), ack_value, now)
+        # previous ack was probably lost.
+        self._send_ack((sender, recipient), ack, now)
 
     def _deliver_to_server(self, client: ReplicaId, now: float) -> None:
         """No shard core: the cluster's server receives ``client``'s next
@@ -594,26 +604,6 @@ class _FaultyRun:
             initial_text=self.runner.initial_text,
         )
 
-    def _serialise(self, origin: ReplicaId, now: float) -> None:
-        """The write path: the core serialises and logs the origin's next
-        op (its payload peeked behind the ones logged but not committed),
-        and a replicated primary ships the record to every alive backup.
-        The sessions stay connected, so no clock or grace applies."""
-        from repro.jupiter.replication import committed_origin_ack
-
-        core = self.server_core
-        shard, commit = core.shard, core.commit
-        waiting = 0 if commit is None else shard.wal.origin_counts().get(
-            origin, 0
-        ) - committed_origin_ack(shard.wal, commit, origin)
-        payload = self.cluster.queued_payload_from(origin, waiting)
-        releases = core.write(shard.sessions[origin], payload, 0.0, 0.0)
-        if self.cores is not None:
-            leader = core.replica
-            head = {"epoch": leader.epoch, "committed": leader.committed}
-            self._ship("append", {**head, "record": shard.wal.records[-1]}, now)
-        self._release(releases, now)
-
     def _release(self, releases, now: float) -> None:
         """Record the server step the shard took for every serial the core
         released, in order; the frames go out numbered seq = serial, and
@@ -631,7 +621,7 @@ class _FaultyRun:
             for session, _broadcast in fanout:
                 self._transmit((SERVER_ID, session.client), serial, now, attempt=1)
             if ack_due:
-                ack = core.shard.ack_for(origin, core.commit)
+                ack = core.stamp(origin)["ack"]
                 self._send_ack((origin.client, SERVER_ID), ack, now)
         latency = core.failover_done(now)
         if latency is not None:
@@ -753,12 +743,16 @@ class _FaultyRun:
         if sender in self.crashed:
             self.stats.frames_lost_to_crash += 1
             return
+        if sender != SERVER_ID:
+            outbox = self.outbox[sender]
+            for seq in [s for s in outbox if s <= cumulative]:
+                del outbox[seq]
+        elif self.server_core is not None:
+            # The server's half of a client's ack, taken as a data frame's.
+            shard = self.server_core.shard
+            shard.take_ack(shard.sessions[recipient], cumulative)
+            return
         self.senders[(sender, recipient)].ack(cumulative)
-        if sender == SERVER_ID and self.server_core is not None:
-            # A client's cumulative ack is its consumption cursor: the
-            # floor the shard compacts at.
-            session = self.server_core.shard.sessions[recipient]
-            session.delivered = max(session.delivered, cumulative)
 
     def _on_rto(
         self,
@@ -818,6 +812,7 @@ class _FaultyRun:
         # rearm retransmission for everything unacknowledged.
         sender = self.senders[(client, SERVER_ID)]
         sender.restore(checkpoint["session"])
+        self.outbox[client] = dict(checkpoint["outbox"])
         self.epochs[client] += 1
         for seq in sender.unacked():
             self.stats.retransmissions += 1
@@ -894,25 +889,23 @@ class _FaultyRun:
         core.shard.compact(core.shard.floor(now, 0.0, pins=False))
 
     def _restart(self, what: str, now: float) -> None:
-        """The core (re)built its shard from a log, as a deployment does
-        (``ShardCore(doc, log)``); now each client says hello at its live
-        cursor (:meth:`ShardCore.resync` under the commit floor), which
-        re-ships the committed broadcasts the client has not consumed,
+        """The core (re)built its shard from a log, as a deployment does;
+        now each client says hello at its live cursor and the core
+        welcomes it, re-shipping the committed broadcasts it has not
+        consumed (an adopted uncommitted suffix is released at commit),
         and the sessions become the server ends of the lossy channels.
-        An adopted uncommitted suffix is the core's to release when it
-        commits.  The shard's server becomes the cluster's.  The
-        simulator can do what a deployment cannot: compare the re-shipped
-        broadcasts against the volatile send buffers.
+        The simulator can do what a deployment cannot: compare the
+        re-shipped broadcasts against the volatile send buffers.
         """
+        from repro.jupiter.server_core import Hello
+
         core = self.server_core
         shard = core.shard
         self.cluster.server = shard.server
         self.crashed.discard(SERVER_ID)
         for client in self.clients:
-            session = shard.sessions[client]
-            _cursor, _state, missed = shard.resync(
-                session, len(self.released[client]), None, now, core.commit
-            )
+            hello = Hello(client, shard, len(self.released[client]), None)
+            session, _cursor, _state, missed, _ = core.welcome(hello, now)
             # The rebuilt broadcasts must reproduce the volatile send
             # buffer exactly — same payloads, same serial order — so
             # delivery resumes from the original (identity-carrying)
@@ -955,9 +948,10 @@ class _FaultyRun:
         self.stats.frames_dropped += decision.dropped
         self.stats.frames_duplicated += decision.duplicated
         epoch = self.epochs.get(sender, 0)
+        body = self.outbox[sender][seq] if recipient == SERVER_ID else None
         for extra in decision.extra_delays:
             arrival = now + self.latency.delay(sender, recipient, now) + extra
-            self._push(arrival, ("frame", sender, recipient, seq, epoch))
+            self._push(arrival, ("frame", sender, recipient, seq, epoch, body))
         deadline = now + self.policy.timeout(attempt)
         self._push(deadline, ("rto", sender, recipient, seq, attempt, epoch))
 
@@ -998,6 +992,7 @@ class _FaultyRun:
             behaviors_len=len(self.cluster.behaviors[client]),
             delivered=len(self.released[client]),
         )
+        self.checkpoints[client]["outbox"] = dict(self.outbox[client])
         self.applies_since[client] = 0
         self.stats.checkpoints += 1
 

@@ -12,11 +12,14 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.common.ids import SERVER_ID
+from repro.errors import ProtocolError
 from repro.jupiter.css import CssClient
 from repro.jupiter.persistence import ServerWriteAheadLog
 from repro.jupiter.replication import Replica
-from repro.jupiter.server_core import ServerCore
+from repro.jupiter.server_core import Answer, Hello, Redirect, ServerCore
 from repro.jupiter.shard import ShardCore
 from repro.model import OpSpec
 
@@ -183,6 +186,178 @@ class TestAReconnectPastTheNewPrimarysCommitFloor:
         assert (release.serial, release.origin.client) == (4, "c2")
         assert release.executed == core.shard.server.executed_at(4)
         assert core.failover_done(12.0) == 2.0
+
+
+def registered(core):
+    return {doc: sorted(shard.sessions) for doc, shard in core.shards.items()}
+
+
+class TestTheHello:
+    """A hello is checked and routed before anything registers."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"delivered": "x"},
+            {"delivered": True},
+            {"pin": -7},
+            {"pin": 1.5},
+            {"epoch": "x"},
+            {"client": ["a"]},
+            {"client": ""},
+            {"client": SERVER_ID},
+            {"doc": [1]},
+        ],
+    )
+    def test_a_malformed_one_is_refused_with_nothing_registered(self, fields):
+        core = Group(replicated=False).core
+        with pytest.raises(ProtocolError):
+            core.hello({"client": "c3", "delivered": 0, **fields}, 0.0)
+        assert registered(core) == {"doc": list(CLIENTS)}
+
+    def test_a_backup_redirects_to_its_views_primary(self):
+        backup = Group().serve("s1")
+        assert backup.hello({"client": "c3"}, 0.0) == Redirect(0, 0, 0)
+        assert registered(backup) == {"doc": list(CLIENTS)}
+
+    def test_a_newer_epoch_is_redirected_with_no_primary_to_name(self):
+        core = Group().core
+        assert core.hello({"client": "c1", "epoch": 1}, 0.0) == Redirect(0, 0, None)
+
+    def test_a_replicated_core_serves_one_document(self):
+        core = Group().core
+        with pytest.raises(ProtocolError, match="only 'doc' is replicated"):
+            core.hello({"client": "c1", "doc": "other"}, 0.0)
+        assert set(core.shards) == {"doc"}
+
+    def test_a_standalone_core_opens_another_document_lazily(self):
+        core = Group(replicated=False).core
+        hello = core.hello({"client": "c3", "doc": "other", "pin": 0}, 0.0)
+        assert hello == Hello("c3", core.shards["other"], 0, 0)
+        assert registered(core) == {"doc": list(CLIENTS), "other": []}
+        core.welcome(hello, 0.0)
+        assert registered(core)["other"] == ["c3"]
+
+
+class TestTheWelcome:
+    """How a (re)connecting client catches up: records, or the state."""
+
+    def written(self, count):
+        group = Group(replicated=False)
+        for index in range(count):
+            group.write(CLIENTS[index % 2])
+        return group.core
+
+    def welcome(self, core, delivered, pin=None):
+        return core.welcome(Hello("c1", core.shard, delivered, pin), 1.0)
+
+    def test_a_cursor_within_the_records_is_resynced_from_them(self):
+        core = self.written(4)
+        welcome = self.welcome(core, 2)
+        assert welcome.state is None
+        assert [b.serial for b in welcome.missed] == [3, 4]
+        assert (welcome.fields["resync"], welcome.fields["serial"]) == (2, 4)
+        assert welcome.fields["ack"] == 2  # c1 wrote serials 1 and 3
+
+    def test_a_cursor_below_the_record_floor_gets_the_state(self):
+        core = self.written(4)
+        core.shard.compact(3)
+        assert core.shard.record_floor == 3
+        welcome = self.welcome(core, 2)
+        assert welcome.missed == [] and welcome.fields["resync"] == 0
+        assert welcome.state["delivered"] == welcome.cursor == 4
+
+    def test_a_pin_below_the_base_gets_the_state(self):
+        core = self.written(4)
+        for session in core.shard.sessions.values():
+            session.report_pin(4)
+        assert core.shard.collect(0.0, 0.0, 1) == (0, 4, 4)
+        assert self.welcome(core, 4, pin=4).state is None
+        welcome = self.welcome(core, 4, pin=2)
+        assert welcome.state is not None and welcome.missed == []
+
+
+def data(seq, ack=0):
+    return {"type": "data", "seq": seq, "ack": ack, "body": {"seq": seq}}
+
+
+class TestTheFrame:
+    """One client frame: what it writes and what else it is owed."""
+
+    def frames(self, group, name="c1", count=2):
+        """``name``'s next ``count`` ops and a decode for their bodies."""
+        payloads = {}
+        for seq in range(1, count + 1):
+            edit = group.editors[name].generate(OpSpec("ins", 0, "x"))
+            payloads[seq] = edit.outgoing
+        return group.core.shard.sessions[name], lambda body, _: payloads[body["seq"]]
+
+    def test_a_released_standalone_frame_owes_no_ack_and_its_duplicate_does(self):
+        group = Group(replicated=False)
+        session, decode = self.frames(group)
+        (written,) = group.core.receive(session, data(1), decode, 0.0, 0.0)
+        assert [r.serial for r in written] == [1]
+        again = list(group.core.receive(session, data(1), decode, 0.0, 0.0))
+        assert again == [Answer("ack")]
+        assert group.core.shard.duplicates_suppressed == 1
+
+    def test_a_parked_frame_owes_an_ack_and_is_written_once_released(self):
+        group = Group(replicated=False)
+        session, decode = self.frames(group)
+        assert list(group.core.receive(session, data(2), decode, 0.0, 0.0)) == [
+            Answer("ack")
+        ]
+        assert session.parked and group.core.shard.wal.last_serial == 0
+        written = list(group.core.receive(session, data(1), decode, 0.0, 0.0))
+        assert [[r.serial for r in w] for w in written] == [[1], [2]]
+        assert not session.parked
+
+    def test_a_replicated_frame_always_owes_the_commit_gated_ack(self):
+        group = Group()
+        session, decode = self.frames(group, count=1)
+        due = list(group.core.receive(session, data(1), decode, 0.0, 0.0))
+        assert due == [[], Answer("ack")]  # parked until a backup acks
+        assert group.core.stamp(session)["ack"] == 0
+
+    def test_a_multi_is_its_members_in_order(self):
+        group = Group(replicated=False)
+        session, decode = self.frames(group)
+        multi = {
+            "type": "multi",
+            "frames": [data(1), {"type": "ping", "t": 7, "pin": 1}, {"type": "bye"}],
+        }
+        due = list(group.core.receive(session, multi, decode, 0.0, 0.0))
+        assert [r.serial for r in due[0]] == [1]
+        assert due[1:] == [Answer("pong", 7), Answer("ignored", "bye")]
+        assert session.pin == 1
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "multi", "frames": [1]},
+            {"type": "multi", "frames": {}},
+            {"type": "data", "seq": "x", "ack": 0, "body": {}},
+            {"type": "data", "seq": 1, "ack": -1, "body": {}},
+            {"type": "data", "seq": 1, "ack": 0, "body": []},
+            {"type": "ping", "pin": "x"},
+        ],
+    )
+    def test_a_malformed_frame_is_refused_typed_with_nothing_written(self, frame):
+        group = Group(replicated=False)
+        session, decode = self.frames(group)
+        with pytest.raises(ProtocolError):
+            list(group.core.receive(session, frame, decode, 0.0, 0.0))
+        assert group.core.shard.wal.last_serial == 0
+
+    def test_a_deposed_core_writes_nothing(self):
+        group = Group()
+        session, decode = self.frames(group, count=1)
+        assert group.core.replica.seek(1).deposed
+        group.core.depose()
+        with pytest.raises(ConnectionError):
+            list(group.core.receive(session, data(1), decode, 0.0, 0.0))
+        shard = group.core.shard
+        assert shard.wal.last_serial == shard.server.oracle.last_serial == 0
 
 
 def test_the_server_core_imports_no_event_loop_no_socket_and_no_net_package():

@@ -508,7 +508,7 @@ class TestGcDurability:
             scratch.write_text('{"version": 2, "snapsh', encoding="utf-8")
 
             second = await _started_server(wal_dir=str(tmp_path))
-            shard = second._open_shard(DEFAULT_DOC)
+            shard = second.shards[DEFAULT_DOC]
             results = (
                 shard.wal.last_serial,
                 document_signature(shard.server.document) == signature,

@@ -168,15 +168,16 @@ class TestMalformedClientFrames:
             decode_envelope(MALFORMED_CLIENT_FRAMES["binary-nesting-bomb"][0])
 
 
-async def _against_a_live_server(probe):
+async def _against_a_live_server(probe, **options):
     """Run ``probe(server, reader, writer)`` on a raw connection to a
-    server holding "abc", then let an honest client type "z" at 0.
-    Returns what the probe returned and what everyone else saw."""
+    server holding "abc" (built with ``options``), then let an honest
+    client type "z" at 0.  Returns what the probe returned and what
+    everyone else saw."""
     unhandled = []
     asyncio.get_running_loop().set_exception_handler(
         lambda _loop, context: unhandled.append(context)
     )
-    server = NetServer("127.0.0.1", 0, initial_text="abc")
+    server = NetServer("127.0.0.1", 0, initial_text="abc", **options)
     await server.start()
     logged = []
     server._log = logged.append
@@ -267,6 +268,32 @@ class TestMalformedHellos:
         assert any(line in entry for entry in state["logged"]), state["logged"]
         assert state["unhandled"] == []
         assert registered == {"default": []}
+        assert state["converged"] and state["text"] == "zabc"
+
+
+class TestADocumentNoFileCanBeNamedAfter:
+    """A hello naming a document whose WAL file name is longer than a
+    file system takes (300 characters) on a ``wal_dir`` server used to
+    raise ``OSError`` out of the session task, unhandled, and the client
+    read EOF with no reason logged.  The core refuses the name typed,
+    before anything is opened or registered."""
+
+    def test_refused_typed_and_no_file_appears(self, tmp_path):
+        async def probe(server, reader, writer):
+            hello = {"client": "rogue", "doc": "d" * 300, "codecs": ["bin"]}
+            await write_frame(writer, encode_envelope("hello", **hello))
+            hung_up = await asyncio.wait_for(reader.read(), timeout=5)
+            return hung_up, _registered(server), sorted(os.listdir(tmp_path))
+
+        seen, state = _run(_against_a_live_server(probe, wal_dir=str(tmp_path)))
+        hung_up, registered, files = seen
+        assert hung_up == b""  # closed, and nothing said first
+        line = "rogue violated the protocol: document 'ddd"
+        assert any(line in entry for entry in state["logged"]), state["logged"]
+        assert state["unhandled"] == []
+        assert registered == {"default": []}
+        assert files == ["default.wal"]
+        assert sorted(os.listdir(tmp_path)) == ["default.wal"]
         assert state["converged"] and state["text"] == "zabc"
 
 

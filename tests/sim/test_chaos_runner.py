@@ -333,6 +333,50 @@ class TestOneServer:
         )
 
 
+class TestTheBodyPath:
+    """A client frame carries its payload: the server's session parks or
+    releases it, as a deployed one does, and the client keeps it until an
+    ack covers its seq.  At quiescence nothing is left in either place."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(
+                seed=3,
+                default=LOSSY,
+                server_crashes=[ServerCrashSpec(at=1.0, restore_at=2.5)],
+                crashes=[CrashSpec("c1", at=0.4, restore_at=0.9)],
+                replicas=3,
+            ),
+            FaultPlan(
+                seed=2,
+                default=LOSSY,
+                server_crashes=[ServerCrashSpec(at=1.0, restore_at=2.5)],
+                crashes=[CrashSpec("c2", at=0.5, restore_at=0.95)],
+                snapshot_every=4,
+                wal=True,
+            ),
+        ],
+        ids=["replicas-primary-kill", "wal-server-crash"],
+    )
+    def test_outboxes_and_parked_payloads_are_empty_at_quiescence(self, plan):
+        from repro.sim.runner import _FaultyRun
+
+        workload = WorkloadConfig(clients=3, operations=18, seed=5)
+        run = _FaultyRun(
+            SimulationRunner(
+                "css", workload, UniformLatency(0.01, 0.3, seed=4), faults=plan
+            )
+        )
+        result = run.run()
+        assert result.converged
+        stats = result.fault_stats
+        assert stats.out_of_order_buffered > 0 and stats.restores == 1
+        assert run.outbox == {name: {} for name in workload.client_names()}
+        sessions = run.server_core.shard.sessions.values()
+        assert [session.parked for session in sessions] == [{}, {}, {}]
+
+
 class TestChaosSweep:
     def test_sweep_passes_with_replay_check(self):
         report = chaos_sweep(
