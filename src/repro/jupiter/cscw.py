@@ -90,9 +90,6 @@ class CscwServer(BaseServer):
     def document(self) -> ListDocument:
         return self._document
 
-    def space_for(self, client: ReplicaId) -> TwoDimStateSpace:
-        return self.spaces[client]
-
     def receive(
         self, sender: ReplicaId, payload: Any
     ) -> List[Tuple[ReplicaId, Any]]:

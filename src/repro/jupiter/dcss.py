@@ -82,9 +82,6 @@ class LamportOrderOracle:
             )
         self._timestamps[opid] = timestamp
 
-    def timestamp_of(self, opid: OpId) -> Timestamp:
-        return self._timestamps[opid]
-
     def sort_key(self, timestamp: Timestamp) -> Tuple[int, object]:
         clock, site = timestamp
         return (clock, priority_of(site))

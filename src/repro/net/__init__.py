@@ -35,7 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "transport": (
             "MAX_FRAME OUTBOUND_QUEUE WRITE_TIMEOUT FrameSender "
-            "FrameTooLarge drain_payload read_frame write_frame"
+            "FrameTooLarge read_frame write_frame"
         ),
         "chaosproxy": "ChaosProxy run_chaosproxy",
         "client": "NetClient ReconnectExhausted",

@@ -430,9 +430,6 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Crash bookkeeping
     # ------------------------------------------------------------------
-    def crashes_for(self, client: ReplicaId) -> List[CrashSpec]:
-        return [crash for crash in self.crashes if crash.client == client]
-
     def crashed_clients(self) -> List[ReplicaId]:
         return sorted({crash.client for crash in self.crashes})
 

@@ -146,11 +146,24 @@ class World:
 
 
 class Link:
-    """One fake connection: its reader answers the hello written on it."""
+    """One fake connection: its first read answers the hello written on
+    it, and it has nothing more to say."""
 
-    def __init__(self, answer):
+    def __init__(self, answer, log):
         self.answer = answer
+        self.log = log
         self.hello = None
+
+    async def read(self):
+        answer, self.answer = self.answer, None
+        if answer is None:
+            return None
+        frame = _plain(answer(self.hello))
+        self.log.append(["read", frame])
+        return frame
+
+    def start(self, on_frame, on_end, on_oversized=None):
+        pass
 
     def close(self):
         pass
@@ -165,10 +178,9 @@ def run_story():
         "c1", "127.0.0.1", 1, heartbeat_interval=None
     )
 
-    async def open_connection(host, port):
+    async def dial(host, port, doc=""):
         log.append(["dial", host, port])
-        link = Link(answers.pop(0))
-        return link, link
+        return Link(answers.pop(0), log)
 
     async def write_frame(writer, envelope, **kwargs):
         envelope = _plain(envelope)
@@ -176,14 +188,6 @@ def run_story():
             writer.hello = envelope
         envelope.pop("t", None)  # a ping's clock reading
         log.append(["write", kwargs.get("codec", "json"), envelope])
-
-    async def read_frame(reader, **kwargs):
-        answer, reader.answer = reader.answer, None
-        if answer is None:
-            return None  # the fake link has nothing more to say
-        frame = _plain(answer(reader.hello))
-        log.append(["read", frame])
-        return frame
 
     def feed(frame):
         frame = _plain(frame)
@@ -299,22 +303,13 @@ def run_story():
         state("redirected")
         await client.drop()
 
-    saved = (
-        client_module.asyncio.open_connection,
-        client_module.write_frame,
-        client_module.read_frame,
-    )
-    client_module.asyncio.open_connection = open_connection
+    saved = (client_module.dial, client_module.write_frame)
+    client_module.dial = dial
     client_module.write_frame = write_frame
-    client_module.read_frame = read_frame
     try:
         asyncio.run(story())
     finally:
-        (
-            client_module.asyncio.open_connection,
-            client_module.write_frame,
-            client_module.read_frame,
-        ) = saved
+        client_module.dial, client_module.write_frame = saved
     return log
 
 

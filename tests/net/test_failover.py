@@ -376,26 +376,27 @@ class TestDeposedByInstall:
         assert len(state["signatures"]) == 1
 
     def test_a_frame_buffered_behind_the_hang_up_is_not_served(self):
-        """Hanging up closes the writer; the read buffer outlives it.
+        """Hanging up closes the connection; bytes can still land behind it.
 
-        A client op that reached the old primary's ``StreamReader`` just
+        A client op that reached the old primary's read buffer just
         before a ``repl_install`` deposed it used to be read back after
         the hang-up and serialised — by the stale served state, onto the
         log the install had just handed over, under the new epoch — so
         the real primary's ship of that serial looked like a duplicate
-        and one quorum copy diverged."""
+        and one quorum copy diverged.  The frame here lands on the
+        session's connection right behind the hang-up."""
 
         async def scenario():
             servers, roster = await _started_roster(failover_delay=5.0)
             s0, s1, _s2 = servers
-            readers = {}
+            links = {}
             serve, depose = s0._handle_session, s0._depose
 
-            async def remember_the_reader(hello, reader, writer):
-                readers[hello["client"]] = reader
-                await serve(hello, reader, writer)
+            async def remember_the_link(hello, link):
+                links[hello["client"]] = link
+                await serve(hello, link)
 
-            s0._handle_session = remember_the_reader
+            s0._handle_session = remember_the_link
             c1 = NetClient("c1", *roster[0], roster=roster)
             await c1.connect()
             for index in range(3):
@@ -410,8 +411,8 @@ class TestDeposedByInstall:
             body = encode_frame_bytes(c1._data_envelope(4), c1.codec)
 
             def depose_with_a_frame_in_the_buffer():
-                readers["c1"].feed_data(struct.pack(">I", len(body)) + body)
                 depose()
+                links["c1"].data_received(struct.pack(">I", len(body)) + body)
 
             # ... lands as view 1's install (s1 leads it) deposes s0.
             s0._depose = depose_with_a_frame_in_the_buffer
