@@ -52,6 +52,7 @@ absorbed), so programmatic callers never need a try/except.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional, Tuple
 
@@ -474,7 +475,6 @@ def cmd_serve(args) -> int:
 
 def cmd_connect(args) -> int:
     import asyncio
-    import json as json_module
 
     from repro.net.loadgen import percentile, run_worker
 
@@ -493,7 +493,7 @@ def cmd_connect(args) -> int:
         )
     )
     if args.json:
-        print(json_module.dumps(report, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
         print(f"client:     {report['client']}")
         print(f"ops:        {report['ops']}")
@@ -510,13 +510,11 @@ def cmd_connect(args) -> int:
 
 def _load_scenario(args):
     """Resolve a scenario from --file (JSON) or --name (the library)."""
-    import json as json_module
-
     from repro.scenarios import Scenario, get_scenario
 
     if getattr(args, "file", None):
         with open(args.file, encoding="utf-8") as handle:
-            return Scenario.from_obj(json_module.load(handle))
+            return Scenario.from_obj(json.load(handle))
     if not getattr(args, "name", None):
         print("error: pass --name (library scenario) or --file", flush=True)
         raise SystemExit(2)
@@ -541,8 +539,6 @@ def _execute_scenario(scenario, mode: str, args):
 
 
 def cmd_scenario_list(args) -> int:
-    import json as json_module
-
     from repro.scenarios import LIBRARY, compile_scenario
 
     rows = []
@@ -560,7 +556,7 @@ def cmd_scenario_list(args) -> int:
             }
         )
     if args.json:
-        print(json_module.dumps(rows, indent=2, sort_keys=True))
+        print(json.dumps(rows, indent=2, sort_keys=True))
         return 0
     print(f"{'name':<18} {'clients':>7} {'ops':>5} {'span':>7}  description")
     for row in rows:
@@ -573,8 +569,6 @@ def cmd_scenario_list(args) -> int:
 
 
 def cmd_scenario_run(args) -> int:
-    import json as json_module
-
     from repro.scenarios import render_timeline
 
     scenario = _load_scenario(args)
@@ -583,12 +577,12 @@ def cmd_scenario_run(args) -> int:
     if args.out:
         payload = {"runs": [run.to_obj() for run in runs]}
         with open(args.out, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
+            json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"run record written: {args.out}")
     if args.json:
         print(
-            json_module.dumps(
+            json.dumps(
                 [run.to_obj() for run in runs], sort_keys=True
             )
         )
@@ -600,13 +594,11 @@ def cmd_scenario_run(args) -> int:
 
 
 def cmd_scenario_render(args) -> int:
-    import json as json_module
-
     from repro.scenarios import ScenarioRun, render_html, render_timeline
 
     if args.run:
         with open(args.run, encoding="utf-8") as handle:
-            payload = json_module.load(handle)
+            payload = json.load(handle)
         objs = (
             payload["runs"]
             if isinstance(payload, dict) and "runs" in payload
@@ -765,9 +757,7 @@ def cmd_metrics(args) -> int:
         )
         exposition = render_snapshot(snapshot) if snapshot.get("metrics") else ""
     if args.json:
-        import json as json_module
-
-        print(json_module.dumps(snapshot, sort_keys=True))
+        print(json.dumps(snapshot, sort_keys=True))
     else:
         sys.stdout.write(exposition)
     if not enabled:
@@ -782,15 +772,13 @@ def cmd_metrics(args) -> int:
 
 def cmd_chaosproxy(args) -> int:
     """Run a seeded TCP chaos proxy in front of a serve instance."""
-    import json as json_module
-
     from repro.errors import SimulationError
     from repro.net.chaosproxy import run_chaosproxy
     from repro.sim.faults import NetChaosPlan
 
     try:
         if args.plan_json:
-            plan = NetChaosPlan.from_obj(json_module.loads(args.plan_json))
+            plan = NetChaosPlan.from_obj(json.loads(args.plan_json))
         else:
             plan = _chaos_plan(args)
     except (ValueError, TypeError, SimulationError) as exc:
@@ -846,8 +834,6 @@ def cmd_fleet_loadgen(args) -> int:
         )
     )
     if args.json:
-        import json as json_module
-
         # The raw per-client reports and merged snapshot are bulky;
         # --json is for scripted assertions, which want the verdict.
         slim = {
@@ -855,7 +841,7 @@ def cmd_fleet_loadgen(args) -> int:
             for key, value in report.items()
             if key not in ("clients", "fleet_metrics")
         }
-        print(json_module.dumps(slim, sort_keys=True))
+        print(json.dumps(slim, sort_keys=True))
         return 0 if report["ok"] else 1
     print(
         f"fleet:         {report['workers']} workers x {report['docs']} "

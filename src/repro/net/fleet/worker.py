@@ -21,11 +21,11 @@ from __future__ import annotations
 import asyncio
 import logging
 import random
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 from repro.net.codec import WireError, encode_envelope
 from repro.net.server import NetServer
-from repro.net.transport import read_frame, run_listener, write_frame
+from repro.net.transport import FrameProtocol, dial, run_listener, write_frame
 from repro.obs import get_obs
 
 LOGGER = logging.getLogger("repro.net.fleet.worker")
@@ -98,6 +98,16 @@ class FleetWorker:
     # ------------------------------------------------------------------
     # Lease keeping
     # ------------------------------------------------------------------
+    async def _call(
+        self, link: FrameProtocol, kind: str, **fields: Any
+    ) -> Dict[str, Any]:
+        """One lease frame to the router, and its ``fleet_ack``."""
+        await write_frame(link, encode_envelope(kind, worker=self.worker_id, **fields))
+        ack = await link.read()
+        if ack is None or ack.get("type") != "fleet_ack":
+            raise WireError(f"expected fleet_ack, got {ack!r}")
+        return ack
+
     async def _lease_loop(self) -> None:
         """Register, then heartbeat forever; reconnect on any failure.
 
@@ -108,23 +118,12 @@ class FleetWorker:
         """
         backoff = 0
         while not self._closed.is_set():
-            writer = None
+            link = None
             try:
-                reader, writer = await asyncio.open_connection(
-                    self.router_host, self.router_port
+                link = await dial(self.router_host, self.router_port)
+                ack = await self._call(
+                    link, "fleet_register", host=self.server.host, port=self.server.port
                 )
-                await write_frame(
-                    writer,
-                    encode_envelope(
-                        "fleet_register",
-                        worker=self.worker_id,
-                        host=self.server.host,
-                        port=self.server.port,
-                    ),
-                )
-                ack = await read_frame(reader)
-                if ack is None or ack.get("type") != "fleet_ack":
-                    raise WireError(f"expected fleet_ack, got {ack!r}")
                 self.registrations += 1
                 backoff = 0
                 interval = float(ack.get("interval", 0.3))
@@ -138,17 +137,9 @@ class FleetWorker:
                     await asyncio.sleep(
                         interval * (0.8 + 0.2 * self._rng.random())
                     )
-                    await write_frame(
-                        writer,
-                        encode_envelope(
-                            "fleet_heartbeat",
-                            worker=self.worker_id,
-                            docs=sorted(self.server.shards),
-                        ),
+                    ack = await self._call(
+                        link, "fleet_heartbeat", docs=sorted(self.server.shards)
                     )
-                    ack = await read_frame(reader)
-                    if ack is None or ack.get("type") != "fleet_ack":
-                        raise WireError(f"expected fleet_ack, got {ack!r}")
                     self.heartbeats_sent += 1
                     if not ack.get("registered", True):
                         # Our lease lapsed (a long GC pause, a router
@@ -159,7 +150,7 @@ class FleetWorker:
                         break
             except asyncio.CancelledError:
                 return
-            except (OSError, ConnectionError, WireError, EOFError) as exc:
+            except (OSError, ConnectionError, WireError) as exc:
                 backoff += 1
                 if backoff == 1:
                     self._log(
@@ -170,8 +161,8 @@ class FleetWorker:
                     * (0.8 + 0.2 * self._rng.random())
                 )
             finally:
-                if writer is not None:
-                    writer.close()
+                if link is not None:
+                    link.close()
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,7 @@ from repro.common.stats import percentile_or_zero as percentile
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
 from repro.net.codec import encode_envelope, parse_roster
-from repro.net.transport import read_frame, write_frame
+from repro.net.transport import call
 from repro.obs import get_obs, merge_snapshots, snapshot_value
 from repro.sim.faults import NetChaosPlan
 
@@ -75,37 +75,6 @@ _CODEC_OFFERS = {
 # ----------------------------------------------------------------------
 # Admin plane helpers
 # ----------------------------------------------------------------------
-async def _admin_async(
-    host: str,
-    port: int,
-    command: str,
-    timeout: float = 5.0,
-    **fields: Any,
-) -> Dict[str, Any]:
-    try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout=timeout
-        )
-    except asyncio.TimeoutError as exc:
-        raise ConnectionError(
-            f"admin {command!r}: no connection within {timeout:.1f}s"
-        ) from exc
-    try:
-        await write_frame(
-            writer, encode_envelope("admin", cmd=command, **fields)
-        )
-        reply = await asyncio.wait_for(read_frame(reader), timeout=timeout)
-    except asyncio.TimeoutError as exc:
-        raise ConnectionError(
-            f"admin {command!r}: no reply within {timeout:.1f}s"
-        ) from exc
-    finally:
-        writer.close()
-    if reply is None or reply.get("type") != "admin_reply":
-        raise ConnectionError(f"admin {command!r}: bad reply {reply!r}")
-    return reply
-
-
 def admin(
     host: str, port: int, command: str, timeout: float = 5.0, **fields: Any
 ) -> Dict[str, Any]:
@@ -114,9 +83,16 @@ def admin(
     Extra keyword ``fields`` ride in the admin envelope — a multi-doc
     worker's signature/stats commands accept ``doc=...``.
     """
-    return asyncio.run(
-        _admin_async(host, port, command, timeout=timeout, **fields)
-    )
+    request = encode_envelope("admin", cmd=command, **fields)
+    try:
+        reply = asyncio.run(call(host, port, request, timeout))
+    except asyncio.TimeoutError as exc:
+        raise ConnectionError(
+            f"admin {command!r}: no answer within {timeout:.1f}s"
+        ) from exc
+    if reply is None or reply.get("type") != "admin_reply":
+        raise ConnectionError(f"admin {command!r}: bad reply {reply!r}")
+    return reply
 
 
 # ----------------------------------------------------------------------
