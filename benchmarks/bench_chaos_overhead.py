@@ -11,8 +11,8 @@ unaffected at every drop rate.
 
 Each drop rate runs twice — with the server write-ahead log off and on
 (``FaultPlan(wal=...)``) — so the table also shows what durability
-costs: the WAL appends one record per serialised operation and compacts
-periodically, but consumes no randomness, so the simulated schedule
+costs: the WAL appends one record per serialised operation, but
+consumes no randomness, so the simulated schedule
 (and every transport counter) must be byte-identical in both columns.
 The WAL's cost is wall-clock only.
 """
@@ -72,7 +72,6 @@ def test_chaos_overhead_artifact(benchmark):
                     off.duration,
                     off_wall,
                     on_wall,
-                    on.fault_stats.wal_compactions,
                 )
             )
         return rows
@@ -81,16 +80,15 @@ def test_chaos_overhead_artifact(benchmark):
     print_banner("Session-layer overhead vs drop rate (css, 30 operations)")
     print(
         f"{'drop':>5} {'frames':>7} {'retrans':>8} {'dedup':>6} "
-        f"{'delivered':>10} {'duration':>9} {'wal-off':>9} {'wal-on':>9} "
-        f"{'compact':>8}"
+        f"{'delivered':>10} {'duration':>9} {'wal-off':>9} {'wal-on':>9}"
     )
     for row in rows:
         (drop, frames, retrans, dedup, delivered, duration,
-         off_wall, on_wall, compactions) = row
+         off_wall, on_wall) = row
         print(
             f"{drop:>5.1f} {frames:>7} {retrans:>8} {dedup:>6} "
             f"{delivered:>10} {duration:>8.2f}s {off_wall * 1e3:>8.1f}ms "
-            f"{on_wall * 1e3:>8.1f}ms {compactions:>8}"
+            f"{on_wall * 1e3:>8.1f}ms"
         )
     write_json(
         "chaos_overhead",
@@ -104,7 +102,6 @@ def test_chaos_overhead_artifact(benchmark):
                 "simulated_duration": row[5],
                 "wall_seconds_wal_off": row[6],
                 "wall_seconds_wal_on": row[7],
-                "wal_compactions": row[8],
             }
             for row in rows
         ],

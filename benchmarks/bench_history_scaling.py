@@ -2,9 +2,9 @@
 
 The active-window work makes the deployed path O(active window) instead
 of O(total history): acked-prefix GC rebases the server's state-space
-and trims both order oracles, the WAL compacts incrementally with delta
-snapshots, and sessions ship serial-encoded compact contexts over a
-binary codec.  This bench measures the three claims end to end:
+and trims both order oracles, the WAL checkpoints as the document at
+the GC base plus the records past it, and sessions ship serial-encoded
+compact contexts over a binary codec.  This bench measures the three claims end to end:
 
 1. **Flatness** — one real TCP client drives 10,000 operations through
    a live ``NetServer`` (GC on, defaults); throughput over the window
@@ -14,11 +14,10 @@ binary codec.  This bench measures the three claims end to end:
 2. **Wire bytes per op** — the same seeded op stream framed under the
    JSON and the binary codec; reported as bytes/op.  The binary framing
    must stay at or below 0.6x the JSON bytes for the same envelopes.
-3. **WAL bytes per compaction** — with the GC floor pinned (an
-   in-grace away session) a delta-snapshot compaction
-   appends one diff line where a full checkpoint would rewrite the
-   whole retained file; both costs are sized at the same history
-   depths.
+3. **WAL bytes per checkpoint** — each GC pass rewrites the file as
+   the document at the base plus the records past it; the bytes per
+   rewrite are reported, and each must hold only the records of the
+   trailing window.
 
 ``PERF_FLOOR_ENFORCE=1`` (the perf-smoke CI job) enforces the flatness
 ratio and the binary byte ratio against ``perf_floor.json``.
@@ -158,25 +157,20 @@ def _measure_wire_bytes(operations=300):
 
 
 def _measure_wal_bytes(wal_path, operations=600):
-    """Bytes written per compaction: delta line vs full rewrite.
+    """Bytes written per checkpoint rewrite.
 
-    This is the scenario incremental compaction exists for: the GC
-    floor is pinned (an in-grace away session), so the snapshot keeps
-    covering more history on every compaction.  A delta compaction
-    appends one ``{"delta": ...}`` line — O(changes since the last
-    one) — where a full checkpoint rewrites the whole file,
-    O(everything retained), exactly as ``ShardCore.write_compaction``
-    does on disk.  At every delta point the
-    counterfactual full rewrite is also sized (``save_wal`` of the same
-    state) so the two costs are compared at identical history depths.
+    Every 32 ops a GC pass rebases the server (and its one client) to
+    8 serials behind the head and checkpoints the log, rewriting the
+    file as ``ShardCore.write_compaction`` does on disk: the document at
+    the base plus the records past it.  The rewrite costs the document,
+    not the history: each one holds 8 records however many came before.
     """
     names = ["c1"]
     server = CssServer("server", names)
     client = CssClient("c1")
-    wal = ServerWriteAheadLog("server", names, snapshot_every=10_000)
+    wal = ServerWriteAheadLog("server", names)
     rng = random.Random(SEED)
-    deltas = []
-    full_rewrites = []
+    rewrites, retained = [], []
     for step in range(1, operations + 1):
         result = client.generate(_spec(rng, len(client.document)))
         message = result.outgoing
@@ -188,19 +182,20 @@ def _measure_wal_bytes(wal_path, operations=600):
         for _, broadcast in broadcasts:
             client.receive(broadcast)
         if step % 32 == 0:
-            wal.compact(server, retain_after=server.oracle.last_serial - 8)
+            floor = server.oracle.last_serial - 8
+            server.rebase_to_serial(floor)
+            client.rebase_to_serial(floor)
+            wal.compact(server)
             save_wal(wal, wal_path)
-            full_rewrites.append(os.path.getsize(wal_path))
-            if wal.last_compaction_mode == "delta":
-                line = json.dumps({"delta": wal.last_delta}, sort_keys=True)
-                deltas.append(len(line) + 1)
+            rewrites.append(os.path.getsize(wal_path))
+            retained.append(len(wal.records))
     return {
         "operations": operations,
-        "compactions": len(full_rewrites),
-        "delta_compactions": len(deltas),
-        "mean_delta_bytes": sum(deltas) / len(deltas),
-        "mean_full_rewrite_bytes": sum(full_rewrites) / len(full_rewrites),
-        "last_full_rewrite_bytes": full_rewrites[-1],
+        "checkpoints": len(rewrites),
+        "max_records_per_checkpoint": max(retained),
+        "mean_checkpoint_bytes": sum(rewrites) / len(rewrites),
+        "last_checkpoint_bytes": rewrites[-1],
+        "document_length": len(server.document),
     }
 
 
@@ -230,10 +225,10 @@ def test_history_scaling_artifact(benchmark, tmp_path):
         f"(binary/json {wire['binary_ratio']:.2f})"
     )
     print(
-        f"wal compaction:  delta append {wal['mean_delta_bytes']:.0f} B "
-        f"vs full rewrite {wal['mean_full_rewrite_bytes']:.0f} B mean "
-        f"({wal['delta_compactions']}/{wal['compactions']} compactions "
-        f"ran as deltas)"
+        f"wal checkpoint:  {wal['mean_checkpoint_bytes']:.0f} B per rewrite "
+        f"mean, {wal['last_checkpoint_bytes']:.0f} B last "
+        f"({wal['checkpoints']} checkpoints, a document of "
+        f"{wal['document_length']} elements)"
     )
 
     write_json(
@@ -255,16 +250,10 @@ def test_history_scaling_artifact(benchmark, tmp_path):
             f"the {side} order oracle holds {entries} entries "
             f"(bound < {TOTAL_OPS / 10:.0f})"
         )
-    # Delta compactions dominate and each writes a fraction of what
-    # rewriting the whole retained file would cost.
-    assert wal["delta_compactions"] >= wal["compactions"] // 2, (
-        f"{wal['delta_compactions']} of {wal['compactions']} compactions "
-        f"ran as deltas (bound >= {wal['compactions'] // 2})"
-    )
-    assert wal["mean_delta_bytes"] < wal["mean_full_rewrite_bytes"] / 2, (
-        f"a delta append wrote {wal['mean_delta_bytes']:.0f} B on average "
-        f"(bound < {wal['mean_full_rewrite_bytes'] / 2:.0f} B, half a full "
-        f"rewrite)"
+    # A checkpoint keeps the records past the GC base, never history.
+    assert wal["max_records_per_checkpoint"] == 8, (
+        f"a checkpoint kept {wal['max_records_per_checkpoint']} records "
+        "past an 8-serial window"
     )
 
     if os.environ.get("PERF_FLOOR_ENFORCE") == "1":

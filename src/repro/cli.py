@@ -466,7 +466,7 @@ def cmd_serve(args) -> int:
         doc_id=args.doc if args.doc is not None else DEFAULT_DOC,
         **_named(
             args, "host", "port", "announce", "initial_text",
-            "snapshot_every", "wal_dir", "gc_grace", "failover_delay",
+            "wal_dir", "gc_grace", "failover_delay",
             "max_connections", "max_queued_frames", "outbound_queue",
             "retry_after",
         ),
@@ -648,7 +648,7 @@ def cmd_loadgen(args) -> int:
         **_named(
             args, "clients", "ops", "seed", "host", "port", "timeout",
             "insert_ratio", "op_interval", "reconnect_clients",
-            "snapshot_every", "initial_text", "quiet", "replicas",
+            "initial_text", "quiet", "replicas",
             "kill_primary", "failover_delay", "kill_after", "codec",
         ),
     )
@@ -817,7 +817,7 @@ def cmd_fleet_worker(args) -> int:
         *args.router,
         **_named(
             args, "host", "port", "announce", "wal_dir", "initial_text",
-            "snapshot_every", "heartbeat_seed",
+            "heartbeat_seed",
         ),
     )
 
@@ -962,7 +962,6 @@ def _add_document_arguments(parser, wal_dir_help=None) -> None:
     parser.add_argument(
         "--initial", dest="initial_text", default="", help="initial document"
     )
-    parser.add_argument("--snapshot-every", type=int, default=64)
     if wal_dir_help is not None:
         parser.add_argument("--wal-dir", default=None, help=wal_dir_help)
 

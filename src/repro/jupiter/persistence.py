@@ -19,13 +19,14 @@ replica).
 The second half of the module is the **server durability subsystem**
 (:class:`ServerWriteAheadLog`): the serialisation authority appends every
 operation it serialises — with its assigned serial and origin — to a
-write-ahead log *before* broadcasting it, periodically compacts the log
-into a checkpoint plus a chain of deltas, and recovers after a crash by
-restoring the latest snapshot and replaying the log suffix through a real
-:class:`~repro.jupiter.css.CssServer`.  Recovery re-checks the paper's
-ordering invariants as it goes: every replayed operation must receive
-exactly the serial the log recorded (dense 1..n, no serial skipped or
-reused), and the rebuilt state-space must match the logged history.
+write-ahead log *before* broadcasting it, checkpoints it after each GC
+rebase as the document at the GC base plus the records past it, and
+recovers after a crash by replaying those records from that document
+through a real :class:`~repro.jupiter.css.CssServer` (Proposition 6.6:
+the same operations build the same state space).  Recovery re-checks the
+paper's ordering invariants as it goes: every replayed operation must
+receive exactly the serial the log recorded (dense 1..n, no serial
+skipped or reused).
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ import json
 import os
 import time
 import warnings
-from typing import (
-    Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from repro.common.ids import EMPTY_STATE, OpId, ReplicaId, StateKey
 from repro.document.elements import Element
@@ -54,10 +53,9 @@ from repro.ot.operations import OpKind, Operation
 
 FORMAT_VERSION = 2
 
-#: A WAL header's version (its snapshots keep :data:`FORMAT_VERSION`).
-#: 3: a record's ``ctx`` is ``[d, n]``; :func:`load_wal` converts a 2.
-WAL_VERSION = 3
-_LIST_FORM = 2
+#: A WAL header's version.  4: the document at the GC base and the
+#: records past it; :func:`load_wal` converts a 2 or a 3.
+WAL_VERSION = 4
 
 
 def _require_version(obj: Dict[str, Any], what: str) -> None:
@@ -182,109 +180,50 @@ def record_operation(record: Dict[str, Any], oracle=None) -> Operation:
 # ----------------------------------------------------------------------
 # In the n-ary ordered state-space a transition's context *is* its
 # source state (Definition 4.6) and a state's list is a function of its
-# key, so neither is stored.  Nodes are written parents-first under a
-# small integer id; only a node with no retained incoming transition
-# (the root, or a survivor of ``prune_below``) carries its key and
-# document.  Every other node is ``{"id", "from": [parent id, opid]}``:
-# its key is the parent's plus that opid, its document the parent's with
-# that transition's operation applied.  A transition is
+# key, so neither is stored.  Nodes are written parents-first under their
+# position in the space's table; only a node with no retained incoming
+# transition (the root, or a survivor of ``prune_below``) carries its key
+# and document.  Every other node is ``{"id", "from": [parent id,
+# opid]}``: its key is the parent's plus that opid, its document the
+# parent's with that transition's operation applied.  A transition is
 # ``[operation without context, target id]``.
-#
-# The encoder's bookkeeping — the *shadow* — maps each encoded node's
-# key to ``(id, child count, parent id)``.  A lone snapshot
-# throws it away; the write-ahead log keeps it, which is what lets a
-# delta compaction find and encode only the nodes that changed.
-Shadow = Dict[StateKey, Tuple[int, int, Optional[int]]]
-
-
-def _children_to_obj(node: StateNode, shadow: Shadow) -> List[List[Any]]:
-    return [
-        [
-            operation_to_obj(t.operation, with_context=False),
-            shadow[t.target][0],
-        ]
-        for t in node.children
-    ]
-
-
-def _encode_nodes(
-    space: NaryStateSpace,
-    shadow: Shadow,
-    sources: Iterable[StateNode],
-    fresh: Sequence[StateNode],
-    next_id: int,
-) -> Tuple[List[Dict[str, Any]], int]:
-    """Enter ``fresh`` nodes into ``shadow``; return their encodings and
-    the next unused id.
-
-    Each node is encoded relative to the first transition into it found
-    in ``sources`` (walked in order, sibling order within a node), so
-    ``sources`` must hold every retained node with a transition into a
-    fresh one; both sequences are in the space's table order.  A node
-    the shadow already knows keeps its id, the others take ``next_id``
-    onwards.  Costs the fresh nodes and the edges of ``sources`` —
-    nothing proportional to key size or document length, except for
-    nodes no source reaches.
-    """
-    wanted = {node.key for node in fresh}
-    origin: Dict[StateKey, Transition] = {}
-    for source in sources:
-        for edge in source.children:
-            if edge.target in wanted and edge.target not in origin:
-                origin[edge.target] = edge
-    for node in fresh:
-        known = shadow.get(node.key)
-        edge = origin.get(node.key)
-        if known is None:
-            node_id, next_id = next_id, next_id + 1
-        else:
-            node_id = known[0]
-        shadow[node.key] = (
-            node_id,
-            len(node.children),
-            None if edge is None else shadow[edge.source][0],
-        )
-    documents = dict(
-        space.iter_documents(
-            [node.key for node in fresh if node.key not in origin]
-        )
-    )
-    encoded = []
-    for node in fresh:
-        node_id, _degree, parent_id = shadow[node.key]
-        obj: Dict[str, Any] = {"id": node_id}
-        if parent_id is None:
-            obj["key"] = opids_to_obj(node.key)
-            obj["document"] = [
-                element_to_obj(e) for e in documents[node.key]
-            ]
-        else:
-            obj["from"] = [parent_id, opid_to_obj(origin[node.key].org_id)]
-        obj["children"] = _children_to_obj(node, shadow)
-        encoded.append(obj)
-    return encoded, next_id
-
-
-def _space_to_obj(space: NaryStateSpace) -> Tuple[Dict[str, Any], Shadow]:
-    """:func:`space_to_obj` plus the shadow the encoding was built on."""
-    shadow: Shadow = {}
-    nodes = list(space.nodes())
-    obj = {
-        "version": FORMAT_VERSION,
-        "nodes": _encode_nodes(space, shadow, nodes, nodes, 0)[0],
-        "final": shadow[space.final_key][0],
-        "ot_count": space.ot_count,
-    }
-    return obj, shadow
-
-
 def space_to_obj(space: NaryStateSpace) -> Dict[str, Any]:
     """Serialise a state-space in O(nodes + transitions + root document).
 
     Ids are positions in the space's table order, so the same space —
     or one restored from this object — serialises to identical bytes.
+    A node is encoded relative to the first transition into it, walking
+    the table in order and each node's children in sibling order.
     """
-    return _space_to_obj(space)[0]
+    nodes = list(space.nodes())
+    ids = {node.key: index for index, node in enumerate(nodes)}
+    origin: Dict[StateKey, Transition] = {}
+    for node in nodes:
+        for edge in node.children:
+            origin.setdefault(edge.target, edge)
+    documents = dict(
+        space.iter_documents([n.key for n in nodes if n.key not in origin])
+    )
+    encoded = []
+    for node in nodes:
+        obj: Dict[str, Any] = {"id": ids[node.key]}
+        edge = origin.get(node.key)
+        if edge is None:
+            obj["key"] = opids_to_obj(node.key)
+            obj["document"] = [element_to_obj(e) for e in documents[node.key]]
+        else:
+            obj["from"] = [ids[edge.source], opid_to_obj(edge.org_id)]
+        obj["children"] = [
+            [operation_to_obj(t.operation, with_context=False), ids[t.target]]
+            for t in node.children
+        ]
+        encoded.append(obj)
+    return {
+        "version": FORMAT_VERSION,
+        "nodes": encoded,
+        "final": ids[space.final_key],
+        "ot_count": space.ot_count,
+    }
 
 
 def space_from_obj(obj: Dict[str, Any], oracle) -> NaryStateSpace:
@@ -453,18 +392,12 @@ def snapshot_server(server: CssServer) -> Dict[str, Any]:
     and the keys are already relative to it — so checkpoints stay
     O(active window).
     """
-    return _server_snapshot(server, space_to_obj(server.space))
-
-
-def _server_snapshot(
-    server: CssServer, space_obj: Dict[str, Any]
-) -> Dict[str, Any]:
     base = server.oracle.base
     snapshot = {
         "version": FORMAT_VERSION,
         "replica": server.replica_id,
         "clients": list(server.clients),
-        "space": space_obj,
+        "space": space_to_obj(server.space),
         "serials": [
             [opid_to_obj(opid), serial]
             for opid, serial in server.oracle.serial_items(after=base)
@@ -547,53 +480,21 @@ def _validate_wal_record(record: Any) -> Dict[str, Any]:
     return record
 
 
-def _run_form(record: Any) -> Dict[str, Any]:
-    """A version-2 record, whose ``ctx`` listed its extras' ids, spelled
-    ``[d, n]``; refused unless the extras are the run before its op."""
-    d, extras = record["ctx"]
-    opid = opid_from_obj(record["operation"]["opid"])
-    n = run_length(frozenset(map(opid_from_obj, extras)), opid)
-    return {**record, "ctx": [d, n]}
-
-
-def _validate_wal_delta(delta: Any) -> Dict[str, Any]:
-    """Raise :class:`ProtocolError` unless ``delta`` is a delta-snapshot."""
-    if not isinstance(delta, dict):
-        raise ProtocolError(f"WAL delta is not an object: {delta!r}")
-    for field in ("upto", "floor", "final", "added", "touched", "serials"):
-        if field not in delta:
-            raise ProtocolError(f"WAL delta missing field {field!r}")
-    for node_obj in delta["added"]:
-        if (
-            "id" not in node_obj
-            or "children" not in node_obj
-            or not ("from" in node_obj or "key" in node_obj)
-        ):
-            raise ProtocolError(
-                "WAL delta added-node missing id/children/from-or-key"
-            )
-    for patch in delta["touched"]:
-        if "id" not in patch or "children" not in patch:
-            raise ProtocolError("WAL delta touched-node missing id/children")
-    return delta
-
-
-def _validate_wal_header(header: Any, *versions: int) -> Dict[str, Any]:
-    """Raise :class:`ProtocolError` unless ``header`` is a WAL header of
-    one of ``versions``, every field typed, never coerced."""
+def _validate_wal_header(header: Any) -> Dict[str, Any]:
+    """Raise :class:`ProtocolError` unless ``header`` is a version-4 WAL
+    header, every field typed, never coerced."""
     try:
-        if header["version"] not in versions:
+        if header["version"] != WAL_VERSION:
             raise ProtocolError(f"unsupported WAL version {header['version']!r}")
-        clients, snapshot = header["clients"], header["snapshot"]
-        names = [header["replica"], header.get("initial_text", ""), *clients]
+        clients, counts = header["clients"], header["origin_counts"]
+        names = [header["replica"], *clients, *counts]
         if type(clients) is not list or any(type(n) is not str for n in names):
             raise TypeError(f"its names must be strings: {names!r}")
-        if snapshot is not None and type(snapshot) is not dict:
-            raise TypeError(f"its snapshot is not an object: {snapshot!r}")
-        counter(header["snapshot_every"], "snapshot_every")
-        for delta in header.get("deltas", []):
-            _validate_wal_delta(delta)
-        _post_snapshot_serial(header)
+        for name in ("base", "epoch", "ot_count"):
+            counter(header[name], name)
+        for count in counts.values():
+            counter(count, "origin count")
+        ListDocument.from_obj(header["document"])
     except _MALFORMED as exc:
         raise ProtocolError(f"malformed WAL header: {exc}") from exc
     return header
@@ -605,94 +506,65 @@ class ServerWriteAheadLog:
     The server appends each operation it serialises — original form,
     origin client, assigned serial — *before* broadcasting it, so a crash
     can never lose serialised history: everything the server has told the
-    world is on the log.  Periodically the log is *compacted*: a
-    snapshot of the server replaces the record prefix it covers, except
-    that records a lagging consumer still needs are retained (the
-    ``retain_after`` low-water mark — the classic "keep the suffix beyond
-    the minimum acknowledged cursor" rule), because the broadcast
-    re-shipment of recovery (:meth:`broadcasts_for`) rebuilds
-    ``ServerOperation`` payloads from records, not from the snapshot.
+    world is on the log.
 
-    Recovery (:meth:`recover`) restores the latest snapshot and replays
-    the record suffix through a real :class:`CssServer` receive path,
-    verifying that every replayed operation is assigned exactly the
-    serial the log recorded — the dense 1..n sequence every proof in the
-    paper leans on resumes precisely where the log left off, with no
-    serial skipped or reused.
+    A checkpoint is the document at the GC base plus the records past
+    it.  Proposition 6.6 says replicas that processed the same operations
+    have the same n-ary state space, so the log need not store the
+    server's window: :meth:`recover` seats a :class:`CssServer` at
+    ``base`` on that document and replays the records through the real
+    :meth:`CssServer.receive` path, verifying that every replayed
+    operation is assigned exactly the serial the log recorded — the
+    dense 1..n sequence every proof in the paper leans on resumes
+    precisely where the log left off, with no serial skipped or reused.
+    :meth:`compact` runs after a GC rebase only: it takes the server's
+    root document and drops the records at or below the new base.  No
+    record at or below the base is ever re-shipped — a client whose
+    cursor fell below it is resynced by whole-state transfer.
 
-    Compaction is **incremental** and one rule picks its mode: a *full
-    checkpoint* with no diff base (the first compaction, the first after
-    a restore) or once a node left the space (active-window GC's rebase,
-    or a ``prune_below``, which the deployed server never runs); a
-    *delta* — nodes added or re-ordered and serials assigned since the
-    previous compaction — every other time.  The chain needs no length
-    limit: an integration whose leftmost path has k steps creates k + 1
-    nodes and adds 2k + 1 transitions, each ending at a node it created
-    and only k + 1 starting at an older one, and a delta never removes a
-    node.  So a chain's ``added`` + ``touched`` entries are at most 2x
-    the nodes created since its checkpoint, all still in the window, and
-    the recovery fold stays O(window).
     Neither appends nor compactions re-read the log: the per-origin
     counts are kept as records arrive and truncation cuts a prefix.
-
-    The whole structure is JSON-able (:meth:`to_obj` / :meth:`from_obj`);
-    in a deployment each :meth:`append` would be an fsync'd disk write.
+    The whole structure is JSON-able (:meth:`to_obj` / :meth:`from_obj`).
     """
+
+    #: what the disk layer rewrites after :meth:`compact`: the whole file
+    last_compaction_mode = "full"
 
     def __init__(
         self,
         replica_id: ReplicaId,
         clients: Sequence[ReplicaId],
-        snapshot_every: int = 8,
         initial_text: str = "",
     ) -> None:
-        if snapshot_every < 1:
-            raise ProtocolError("snapshot_every must be >= 1")
         self.replica_id = replica_id
         self.clients = list(clients)
-        self.snapshot_every = snapshot_every
-        self.initial_text = initial_text
-        #: latest full checkpoint (``None`` until the first compaction)
-        self.snapshot: Optional[Dict[str, Any]] = None
-        #: delta snapshots taken since ``snapshot``, oldest first
-        self.deltas: List[Dict[str, Any]] = []
-        #: records after the truncation point, ascending contiguous serials
+        #: the GC base, and the document at the state of serials 1..base
+        #: as ``[value, replica, seq]`` triples
+        self.base = 0
+        self.document = ListDocument.from_string(initial_text).to_obj()
+        #: transforms counted before the first record past the base
+        self.ot_count = 0
+        #: records past the base, ascending contiguous serials
         self.records: List[Dict[str, Any]] = []
         self.appends = 0
         self.compactions = 0
         self.records_truncated = 0
-        #: what the last :meth:`compact` emitted: ``"full"`` or ``"delta"``
-        #: (``None`` before any compaction) — the disk layer appends the
-        #: delta as one line instead of rewriting the file when "delta"
-        self.last_compaction_mode: Optional[str] = None
-        self.last_delta: Optional[Dict[str, Any]] = None
         #: epoch of the highest record witnessed (0 before any append)
         self.last_epoch = 0
         #: epoch of the highest truncated record, which ``last_epoch``
         #: falls back to with no record left; every compaction stores it
         self._truncated_epoch = 0
-        #: what :meth:`origin_counts` answers, kept by :meth:`append_record`
+        #: what :meth:`origin_counts` answers, kept by :meth:`append_record`,
+        #: and the counts at the base, which a checkpoint stores
         self._counts: Dict[ReplicaId, int] = {}
-        self._next_serial = 1
-        self._since_snapshot = 0
-        #: state-space nodes serialised by compactions, by mode — equals
-        #: the nodes that changed for a delta, the whole window for a full
-        self.snapshot_nodes = {"full": 0, "delta": 0}
-        # Diff base for the next delta: the encoder's shadow (the node's
-        # key -> id, child count, parent id) as of the previous
-        # compaction.  ``None`` (fresh or restored log) forces the next
-        # compaction to be a full checkpoint.
-        self._shadow: Optional[Shadow] = None
-        self._next_id = 0
-        self._shadow_upto = 0
-        self._shadow_base = 0
+        self._base_counts: Dict[ReplicaId, int] = {}
         self._obs = get_obs()
 
     # -- write path ----------------------------------------------------
     @property
     def last_serial(self) -> int:
-        """The highest serial the log has witnessed (0 when empty)."""
-        return self._next_serial - 1
+        """The highest serial the log has witnessed (its base when empty)."""
+        return self.base + len(self.records)
 
     def append(
         self,
@@ -714,10 +586,10 @@ class ServerWriteAheadLog:
         :meth:`~repro.jupiter.replication.Replica.append` checked."""
         serial, epoch = record["serial"], record["epoch"]
         origin, seq = record["operation"]["opid"]
-        if serial != self._next_serial:
+        if serial != self.last_serial + 1:
             raise ProtocolError(
                 f"WAL append out of order: got serial {serial}, "
-                f"expected {self._next_serial}"
+                f"expected {self.last_serial + 1}"
             )
         if epoch < self.last_epoch:
             raise ProtocolError(
@@ -727,270 +599,94 @@ class ServerWriteAheadLog:
         self.last_epoch = epoch
         if seq > self._counts.get(origin, 0):
             self._counts[origin] = seq
-        self._next_serial += 1
         self.appends += 1
-        self._since_snapshot += 1
         self._obs.wal_appends.inc()
 
-    def _tail_epoch(self) -> int:
-        """The epoch of the last serial: its record's, else the one the
-        compaction that truncated it stored."""
-        if self.records:
-            return int(self.records[-1].get("epoch", 0))
-        return self._truncated_epoch
-
-    def _records_below(self, serial: int) -> int:
-        """How many retained records have a serial below ``serial`` —
-        a prefix, since records are contiguous."""
-        if not self.records:
-            return 0
-        first = int(self.records[0]["serial"])
-        return max(0, min(len(self.records), int(serial) - first))
-
     def record_at(self, serial: int) -> Optional[Dict[str, Any]]:
-        """The retained record with ``serial``, or ``None`` if truncated.
+        """The record with ``serial``, or ``None`` at or below the base.
 
         Records are contiguous, so this is an index, not a search.
         """
-        if self.records:
-            index = serial - int(self.records[0]["serial"])
-            if 0 <= index < len(self.records):
-                return self.records[index]
+        index = serial - self.base - 1
+        if 0 <= index < len(self.records):
+            return self.records[index]
         return None
 
-    def should_compact(self) -> bool:
-        return self._since_snapshot >= self.snapshot_every
+    def compact(self, server: CssServer) -> int:
+        """Checkpoint at ``server``'s GC base: keep the document there,
+        drop the records at or below it; returns how many were dropped.
 
-    def compact(
-        self, server: CssServer, retain_after: Optional[int] = None
-    ) -> int:
-        """Snapshot ``server`` and truncate the record prefix it covers.
-
-        ``retain_after`` is the low-water mark: records with a serial
-        above it are kept even though the snapshot covers them, because a
-        consumer (a client session cursor or a client-crash checkpoint)
-        may still need their broadcast re-shipped.  Returns the number of
-        records truncated.
-
-        With no diff base, a moved rebase floor or a node gone from the
-        space it emits a **full checkpoint**, O(window + document).
-        Otherwise it emits a **delta** against the previous compaction —
-        nodes added since, nodes whose ordered child-transition list grew
-        (transition lists are insert-only, so a changed length is exactly
-        a changed list), and the serials assigned since — found by one
-        pointer walk over the live node table against the shadow (the
-        one O(window) term) and encoded in O(changed nodes), with ids
-        continuing from the checkpoint's.  Either stores the per-origin
-        counts (a GC-trimmed snapshot keeps what recovery re-seeds
-        sessions with) and the epoch of the highest truncated record.
-        ``last_compaction_mode`` tells the disk layer which mode ran.
+        O(document + records): the root of a rebased space is
+        materialised.  ``ot_count`` keeps the live count minus what the
+        retained records cost to integrate — an integration of k
+        transforms adds k + 1 nodes, so the nodes past the root are the
+        integrated records plus their transforms.
         """
         obs = self._obs
         started = time.perf_counter() if obs.enabled else 0.0
-        base = server.oracle.base
-        # What the snapshot/delta covers is the *server's* state, which
-        # in replicated mode can trail the log (proposed-but-uncommitted
-        # records are on the log, not in the served state yet).
-        covered = server.oracle.last_serial
-        floor = self.last_serial
-        if retain_after is not None:
-            floor = min(floor, int(retain_after))
-        truncated = self._records_below(floor + 1)
+        oracle, space = server.oracle, server.space
+        truncated = min(len(self.records), oracle.base - self.base)
+        for record in self.records[:truncated]:
+            origin, seq = record["operation"]["opid"]
+            self._base_counts[origin] = max(self._base_counts.get(origin, 0), seq)
         if truncated:
-            self._truncated_epoch = int(
-                self.records[truncated - 1].get("epoch", 0)
-            )
-        counts = dict(sorted(self._counts.items()))
-        delta = None
-        if self._shadow is not None and base == self._shadow_base:
-            delta = self._diff(server.space, self._shadow)
-        if delta is not None:
-            mode = "delta"
-            delta.update(
-                upto=covered,
-                floor=floor,
-                base=base,
-                serials=[
-                    [opid_to_obj(opid), serial]
-                    for opid, serial in server.oracle.serial_items(
-                        after=self._shadow_upto
-                    )
-                ],
-                origin_counts=counts,
-                clients=list(server.clients),
-                epoch=self._truncated_epoch,
-            )
-            self.deltas.append(delta)
-            self.last_delta = delta
-            serialised = len(delta["added"]) + len(delta["touched"])
-        else:
-            mode = "full"
-            space_obj, self._shadow = _space_to_obj(server.space)
-            self._next_id = len(self._shadow)
-            self.snapshot = _server_snapshot(server, space_obj)
-            self.snapshot["origin_counts"] = counts
-            self.snapshot["epoch"] = self._truncated_epoch
-            self.deltas = []
-            self.last_delta = None
-            serialised = len(self._shadow)
-        self.last_compaction_mode = mode
-        self.snapshot_nodes[mode] += serialised
-        self._shadow_upto = covered
-        self._shadow_base = base
+            self._truncated_epoch = int(self.records[truncated - 1]["epoch"])
+        self.base = oracle.base
+        root = oracle.dense(oracle.base)
+        self.document = next(space.iter_documents([root]))[1].to_obj()
+        integrated = oracle.last_serial - oracle.base
+        self.ot_count = space.ot_count - (space.node_count() - 1 - integrated)
         del self.records[:truncated]
         self.records_truncated += truncated
         self.compactions += 1
-        self._since_snapshot = 0
         if obs.enabled:
             obs.wal_compactions.inc()
             obs.wal_records_truncated.inc(truncated)
-            obs.wal_snapshot_nodes.labels(mode).inc(serialised)
             obs.wal_compaction_duration.observe(time.perf_counter() - started)
             obs.trace(
                 "wal.compact",
                 serial=self.last_serial,
                 truncated=truncated,
                 retained=len(self.records),
-                mode=mode,
-                nodes=serialised,
             )
         return truncated
 
-    def _diff(
-        self, space: NaryStateSpace, shadow: Shadow
-    ) -> Optional[Dict[str, Any]]:
-        """The node part of a delta; brings ``shadow`` up to ``space``.
-
-        The shadow is keyed by the space's own key objects, so the
-        walk over the node table is a hash probe that hits on identity
-        per unchanged node and nothing else.  ``None``, with the shadow
-        untouched, when a node left the space: a delta only adds.
-        """
-        added: List[StateNode] = []
-        touched: List[StateNode] = []
-        for node in space.nodes():
-            entry = shadow.get(node.key)
-            if entry is None:
-                added.append(node)
-            elif len(node.children) != entry[1]:
-                touched.append(node)
-        if len(shadow) + len(added) != space.node_count():
-            return None
-        # Every transition into a new node leaves a grown or a new node,
-        # and new nodes sit after all old ones in the table.
-        encoded, self._next_id = _encode_nodes(
-            space, shadow, touched + added, added, self._next_id
-        )
-        patches = []
-        for node in touched:
-            node_id, _degree, parent_id = shadow[node.key]
-            shadow[node.key] = (node_id, len(node.children), parent_id)
-            patches.append(
-                {"id": node_id, "children": _children_to_obj(node, shadow)}
-            )
-        return {
-            "final": shadow[space.final_key][0],
-            "ot_count": space.ot_count,
-            "added": encoded,
-            "touched": patches,
-        }
-
-    def _merged_snapshot(self) -> Optional[Dict[str, Any]]:
-        """The full checkpoint with every delta folded in (obj level).
-
-        Folding is by node id; ids only grow and a delta never removes a
-        node, so the fold's insertion order stays parents-first.  A delta
-        that removes nodes or touches one the log does not hold is
-        refused.
-        """
-        if self.snapshot is None:
-            return None
-        if not self.deltas:
-            return self.snapshot
-        nodes = {n["id"]: n for n in self.snapshot["space"]["nodes"]}
-        serials = [list(item) for item in self.snapshot["serials"]]
-        for delta in self.deltas:
-            if delta.get("removed"):
-                raise ProtocolError(
-                    "WAL delta removes nodes: only a full checkpoint may"
-                )
-            for patch in delta["touched"]:
-                if patch["id"] not in nodes:
-                    raise ProtocolError(
-                        f"WAL delta touches node {patch['id']!r}, "
-                        "which the log does not hold"
-                    )
-                nodes[patch["id"]] = {
-                    **nodes[patch["id"]], "children": patch["children"]
-                }
-            for node_obj in delta["added"]:
-                nodes[node_obj["id"]] = node_obj
-            serials.extend(list(item) for item in delta["serials"])
-        last = self.deltas[-1]
-        merged = {
-            "version": FORMAT_VERSION,
-            "replica": self.snapshot["replica"],
-            "clients": list(last.get("clients", self.snapshot["clients"])),
-            "space": {
-                "version": FORMAT_VERSION,
-                "final": last["final"],
-                "ot_count": int(last.get("ot_count", 0)),
-                "nodes": list(nodes.values()),
-            },
-            "serials": serials,
-        }
-        merged_base = int(last.get("base", self.snapshot.get("base", 0)))
-        if merged_base:
-            merged["base"] = merged_base
-        return merged
-
     # -- recovery ------------------------------------------------------
     def recover(self) -> CssServer:
-        """Rebuild the server: latest snapshot + replay of the log suffix.
+        """Rebuild the server: the document at the base, then a replay
+        of the records past it.
 
-        The suffix replays through the real :meth:`CssServer.receive`
+        The records replay through the real :meth:`CssServer.receive`
         path, so recovery exercises serialisation, integration and
         broadcast construction exactly as live traffic does.  Every
         replayed operation must be assigned the serial the log recorded.
         """
         obs = self._obs
         started = time.perf_counter() if obs.enabled else 0.0
-        snapshot = self._merged_snapshot()
-        if snapshot is not None:
-            server = restore_server(snapshot)
-        else:
-            initial = (
-                ListDocument.from_string(self.initial_text)
-                if self.initial_text
-                else None
-            )
-            server = CssServer(self.replica_id, list(self.clients), initial)
+        server = CssServer(self.replica_id, list(self.clients))
+        server.oracle = ServerOrderOracle(start=self.base)
+        server.space = NaryStateSpace(
+            server.oracle, ListDocument.from_obj(self.document)
+        )
+        server.space.ot_count = self.ot_count
         for record in self.records:
-            serial = int(record["serial"])
-            if serial <= server.oracle.last_serial:
-                continue  # snapshot already covers this retained record
             operation = record_operation(record, server.oracle)
             server.receive(record["origin"], ClientOperation(operation))
             assigned = server.oracle.serial_of(operation.opid)
-            if assigned != serial:
+            if assigned != record["serial"]:
                 raise ProtocolError(
                     f"WAL replay assigned serial {assigned} to "
-                    f"{operation.opid} but the log recorded {serial}; "
-                    "the recovered order diverges from the logged one"
+                    f"{operation.opid} but the log recorded "
+                    f"{record['serial']}; the recovered order diverges "
+                    "from the logged one"
                 )
-        if server.oracle.last_serial != self.last_serial:
-            raise ProtocolError(
-                f"WAL recovery stopped at serial "
-                f"{server.oracle.last_serial} but the log reaches "
-                f"{self.last_serial}"
-            )
         if obs.enabled:
             obs.wal_recovery_duration.observe(time.perf_counter() - started)
             obs.trace(
                 "wal.recover",
                 serial=self.last_serial,
                 replayed=len(self.records),
-                from_snapshot=self.snapshot is not None,
+                base=self.base,
             )
         return server
 
@@ -1005,23 +701,17 @@ class ServerWriteAheadLog:
         from the recovered server's oracle.
         """
         total = self.last_serial
-        if not 0 <= delivered <= total:
+        if not self.base <= delivered <= total:
             raise ProtocolError(
-                f"resync cursor {delivered} outside the log's 0..{total}"
-            )
-        if delivered == total:
-            return []
-        if self.record_at(delivered + 1) is None:  # records run to the head
-            raise ProtocolError(
-                f"WAL compacted past a consumer: serial {delivered + 1} was "
-                "truncated but a resync cursor still needs it (the "
-                "retain_after low-water mark was too aggressive)"
+                f"resync cursor {delivered} outside the log's "
+                f"{self.base}..{total}: below the base only a whole-state "
+                "transfer resyncs it"
             )
         wanted = range(delivered + 1, total + 1)
         return [self.broadcast_at(server, serial) for serial in wanted]
 
     def broadcast_at(self, server: CssServer, serial: int) -> ServerOperation:
-        """The broadcast of one retained serial, rebuilt from its record."""
+        """The broadcast of one serial past the base, rebuilt from its record."""
         record = self.record_at(serial)
         return ServerOperation(
             operation=record_operation(record, server.oracle),
@@ -1031,53 +721,18 @@ class ServerWriteAheadLog:
         )
 
     def origin_counts(self) -> Dict[ReplicaId, int]:
-        """Serialised operations per origin client (snapshot + suffix).
+        """Serialised operations per origin client.
 
         This is exactly the per-channel consumption count the server's
         session receivers held before the crash: origin ``c`` had
         ``origin_counts()[c]`` frames consumed from its channel, so the
-        recovered receiver resumes expecting frame ``count + 1``.
-
-        Each origin's sequence numbers are dense from 1, so its count is
-        the highest sequence it has logged: :meth:`append_record` keeps
-        that running maximum in O(1) per record, and only a restore
-        recomputes it (:meth:`_walk_origin_counts`).
+        recovered receiver resumes expecting frame ``count + 1``.  Each
+        origin's sequence numbers are dense from 1, so its count is the
+        highest sequence it has logged: the checkpoint stores the counts
+        at its base, the records add theirs, and :meth:`append_record`
+        keeps the running maximum.
         """
         return dict(self._counts)
-
-    def _walk_origin_counts(self) -> Dict[ReplicaId, int]:
-        """:meth:`origin_counts` from what the log stores.
-
-        A *max-of-sequence-numbers* merge over the stored counts of
-        earlier compactions (which may cover serials a GC-trimmed
-        snapshot no longer lists), the snapshot and delta serial logs,
-        and the record suffix.  Overlap between sources is harmless
-        under max.
-        """
-        counts: Dict[ReplicaId, int] = {}
-
-        def bump(origin: ReplicaId, seq: int) -> None:
-            if seq > counts.get(origin, 0):
-                counts[origin] = seq
-
-        if self.snapshot is not None:
-            for origin, count in self.snapshot.get(
-                "origin_counts", {}
-            ).items():
-                bump(str(origin), int(count))
-            for opid_obj, _serial in self.snapshot["serials"]:
-                opid = opid_from_obj(opid_obj)
-                bump(opid.replica, opid.seq)
-        for delta in self.deltas:
-            for origin, count in delta.get("origin_counts", {}).items():
-                bump(str(origin), int(count))
-            for opid_obj, _serial in delta["serials"]:
-                opid = opid_from_obj(opid_obj)
-                bump(opid.replica, opid.seq)
-        for record in self.records:
-            opid = opid_from_obj(record["operation"]["opid"])
-            bump(opid.replica, opid.seq)
-        return counts
 
     # -- codec ---------------------------------------------------------
     def to_obj(self) -> Dict[str, Any]:
@@ -1085,40 +740,39 @@ class ServerWriteAheadLog:
             "version": WAL_VERSION,
             "replica": self.replica_id,
             "clients": list(self.clients),
-            "snapshot_every": self.snapshot_every,
-            "initial_text": self.initial_text,
-            "snapshot": self.snapshot,
-            "deltas": [dict(d) for d in self.deltas],
+            "base": self.base,
+            "document": self.document,
+            "origin_counts": dict(sorted(self._base_counts.items())),
+            "epoch": self._truncated_epoch,
+            "ot_count": self.ot_count,
             "records": [dict(r) for r in self.records],
-            "next_serial": self._next_serial,
         }
 
     @classmethod
     def from_obj(cls, obj: Any) -> "ServerWriteAheadLog":
         """Restore a log, shipped or loaded, else :class:`ProtocolError`:
-        its header and records are checked, never coerced.  Headers from
-        before the delta chain lost its length limit still load: the limit
-        they carry is ignored, and with no record left their epoch reads 0."""
+        its header and records are checked, never coerced, and the
+        records must run densely from ``base + 1``."""
+        _validate_wal_header(obj)
+        wal = cls(obj["replica"], list(obj["clients"]))
+        wal.base, wal.document = obj["base"], obj["document"]
+        wal.ot_count, wal._truncated_epoch = obj["ot_count"], obj["epoch"]
+        wal._base_counts = dict(obj["origin_counts"])
+        wal._counts = counts = dict(obj["origin_counts"])
         try:
-            _validate_wal_header(obj, WAL_VERSION)
-            wal = cls(
-                obj["replica"],
-                list(obj["clients"]),
-                snapshot_every=obj["snapshot_every"],
-                initial_text=obj.get("initial_text", ""),
-            )
-            wal.snapshot = obj["snapshot"]
-            wal.deltas = [dict(d) for d in obj.get("deltas", [])]
-            wal.records = [dict(_validate_wal_record(r)) for r in obj["records"]]
-            wal._next_serial = counter(obj["next_serial"], "next_serial")
-            latest = wal.deltas[-1] if wal.deltas else wal.snapshot or {}
-            wal._truncated_epoch = int(latest.get("epoch", 0))
-            wal.last_epoch = wal._tail_epoch()
-            wal._counts = wal._walk_origin_counts()
-        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            records = [dict(_validate_wal_record(r)) for r in obj["records"]]
+        except (LookupError, TypeError) as exc:
             raise ProtocolError(f"undecodable WAL: {exc!r}") from exc
-        # The diff shadow is not serialised: a restored log takes a full
-        # checkpoint at its next compaction and resumes deltas from there.
+        for serial, record in enumerate(records, start=wal.base + 1):
+            if record["serial"] != serial:
+                raise ProtocolError(
+                    f"WAL record serial {record['serial']} is out of "
+                    f"sequence: serial {serial} belongs there"
+                )
+            origin, seq = record["operation"]["opid"]
+            counts[origin] = max(counts.get(origin, 0), seq)
+        wal.records = records
+        wal.last_epoch = records[-1]["epoch"] if records else wal._truncated_epoch
         return wal
 
 
@@ -1138,25 +792,13 @@ def append_wal_record(handle: TextIO, record: Dict[str, Any]) -> None:
     handle.flush()
 
 
-def append_wal_delta(handle: TextIO, delta: Dict[str, Any]) -> None:
-    """Append one delta snapshot as a ``{"delta": ...}`` line (``handle``
-    as for :func:`append_wal_record`).
-
-    :func:`load_wal` folds it into the header's deltas and drops the
-    records at or below its floor.
-    """
-    append_wal_record(handle, {"delta": delta})
-
-
 def save_wal(wal: ServerWriteAheadLog, path: str) -> None:
     """Persist a WAL as JSON-lines: one header line, one line per record.
 
     The record-per-line layout mirrors how an appending log hits disk: a
     crash mid-append leaves at most one truncated final line, which
-    :func:`load_wal` detects and drops (the torn tail).  Delta snapshots
-    accumulated in memory ride in the header here (this is the full
-    rewrite a *full* checkpoint triggers); between rewrites
-    :func:`append_wal_delta` adds each new delta as its own line.
+    :func:`load_wal` detects and drops (the torn tail).  A compaction
+    rewrites the file: header (base document) plus the records past it.
     """
     header = wal.to_obj()
     records = header.pop("records")
@@ -1171,25 +813,45 @@ def save_wal(wal: ServerWriteAheadLog, path: str) -> None:
     os.replace(scratch, path)
 
 
+def _read_lines(path: str, lines: List[str], parse) -> List[Any]:
+    """``parse`` each line after the header.  A line that fails is a torn
+    tail on the final line — dropped with a warning and a count — and
+    corruption anywhere before it."""
+    parsed = []
+    for index, line in enumerate(lines[1:], start=1):
+        try:
+            parsed.append(parse(json.loads(line)))
+        except (ValueError, TypeError, LookupError, ProtocolError) as error:
+            if index < len(lines) - 1:
+                raise ProtocolError(
+                    f"WAL record {index} in {path} is corrupt mid-log "
+                    f"(not a torn tail): {error}"
+                )
+            warnings.warn(
+                f"dropping torn final WAL record in {path}: {error}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            get_obs().wal_torn_tail_dropped.inc()
+    return parsed
+
+
 def load_wal(path: str) -> ServerWriteAheadLog:
     """Load a WAL saved by :func:`save_wal`, tolerating a torn tail.
 
     A crash mid-append can leave the *final* line truncated or garbled.
     A torn record was never acknowledged to anyone (the append had not
-    completed, so the op was neither broadcast nor quorum certified) and
-    a torn delta line loses no history at all (the records it would have
-    truncated are still on the earlier lines), so either is safe to
-    drop: recovery logs a warning, bumps the ``wal_torn_tail_dropped``
-    counter, and resumes from the previous line.  Corruption anywhere
-    *before* the final line is not a torn tail — it means lost
-    acknowledged history — and raises :class:`ProtocolError`.  So does
-    a well-formed line out of sequence, wherever it sits (a torn write
-    never yields one): a record whose serial does not follow the
-    previous record line's, a delta that repeats serials the log
-    already covers.
+    completed, so the op was neither broadcast nor quorum certified), so
+    it is safe to drop: recovery logs a warning, bumps the
+    ``wal_torn_tail_dropped`` counter, and resumes from the previous
+    line.  Corruption anywhere *before* the final line is not a torn
+    tail — it means lost acknowledged history — and raises
+    :class:`ProtocolError`.  So does a well-formed record out of
+    sequence, wherever it sits (a torn write never yields one).
 
-    A version-2 record's extras load counted, refused unless they are its
-    op's run; :class:`~repro.jupiter.shard.ShardCore` rewrites the file.
+    A version-2 or -3 file is converted (:func:`_converted`);
+    :class:`~repro.jupiter.shard.ShardCore` rewrites it before its first
+    append.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line for line in handle.read().split("\n") if line.strip()]
@@ -1199,78 +861,71 @@ def load_wal(path: str) -> ServerWriteAheadLog:
         header = json.loads(lines[0])
     except ValueError as error:
         raise ProtocolError(f"WAL header in {path} is corrupt: {error}")
-    _validate_wal_header(header, WAL_VERSION, _LIST_FORM)
-    list_form = header["version"] == _LIST_FORM
-    records: List[Dict[str, Any]] = []
-    deltas: List[Dict[str, Any]] = [
-        dict(d) for d in (header.get("deltas") or [])
-    ]
-    covered = _post_snapshot_serial(header) - 1
-    previous: Optional[int] = None
-    torn: Optional[str] = None
-    for index, line in enumerate(lines[1:], start=1):
-        try:
-            obj = json.loads(line)
-            delta = None
-            if isinstance(obj, dict) and "delta" in obj:
-                delta = _validate_wal_delta(obj["delta"])
-                upto, floor = int(delta["upto"]), int(delta["floor"])
-                first = min(
-                    (int(s) for _opid, s in delta["serials"]), default=upto + 1
-                )
-            else:
-                record = _validate_wal_record(
-                    _run_form(obj) if list_form else obj
-                )
-                serial = record["serial"]
-        except (ValueError, TypeError, LookupError, ProtocolError) as error:
-            if index < len(lines) - 1:
-                raise ProtocolError(
-                    f"WAL record {index} in {path} is corrupt mid-log "
-                    f"(not a torn tail): {error}"
-                )
-            torn = str(error)
-            break
-        if delta is not None:
-            # A delta's serials are the ones assigned since the previous
-            # compaction, so they start past what the log covers; with
-            # none, ``upto`` itself must not move back.
-            if first <= covered:
-                raise ProtocolError(
-                    f"WAL delta {index} in {path} is out of sequence: it "
-                    f"repeats serials up to {covered} the log already covers"
-                )
-            covered = upto
-            deltas.append(delta)
-            records = [r for r in records if int(r["serial"]) > floor]
-        else:
-            if previous is not None and serial != previous + 1:
-                raise ProtocolError(
-                    f"WAL record {index} in {path} is out of sequence: "
-                    f"serial {serial} after {previous}"
-                )
-            previous = serial
-            records.append(record)
-    if torn is not None:
-        warnings.warn(
-            f"dropping torn final WAL record in {path}: {torn}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        get_obs().wal_torn_tail_dropped.inc()
-    header["version"] = WAL_VERSION
-    header["records"] = records
-    header["deltas"] = deltas
-    header["next_serial"] = (
-        int(records[-1]["serial"]) + 1
-        if records
-        else _post_snapshot_serial(header)
-    )
-    return ServerWriteAheadLog.from_obj(header)
+    if isinstance(header, dict) and header.get("version") in _OLD_VERSIONS:
+        return _converted(path, header, lines)
+    _validate_wal_header(header)
+    records = _read_lines(path, lines, _validate_wal_record)
+    return ServerWriteAheadLog.from_obj({**header, "records": records})
+
+
+# ----------------------------------------------------------------------
+# Versions 2 and 3: a space-graph checkpoint plus delta lines, converted
+# ----------------------------------------------------------------------
+#: 2: a record's ``ctx`` listed its extras' ids; 3: ``[d, n]``
+_OLD_VERSIONS = (2, 3)
+
+
+def _run_form(record: Any) -> Dict[str, Any]:
+    """A version-2 record, whose ``ctx`` listed its extras' ids, spelled
+    ``[d, n]``; refused unless the extras are the run before its op."""
+    d, extras = record["ctx"]
+    opid = opid_from_obj(record["operation"]["opid"])
+    n = run_length(frozenset(map(opid_from_obj, extras)), opid)
+    return {**record, "ctx": [d, n]}
+
+
+def _validate_old_delta(delta: Any) -> Dict[str, Any]:
+    """Raise :class:`ProtocolError` unless ``delta`` is a delta-snapshot."""
+    if not isinstance(delta, dict):
+        raise ProtocolError(f"WAL delta is not an object: {delta!r}")
+    for field in ("upto", "floor", "final", "added", "touched", "serials"):
+        if field not in delta:
+            raise ProtocolError(f"WAL delta missing field {field!r}")
+    for node_obj in delta["added"]:
+        if (
+            "id" not in node_obj
+            or "children" not in node_obj
+            or not ("from" in node_obj or "key" in node_obj)
+        ):
+            raise ProtocolError(
+                "WAL delta added-node missing id/children/from-or-key"
+            )
+    for patch in delta["touched"]:
+        if "id" not in patch or "children" not in patch:
+            raise ProtocolError("WAL delta touched-node missing id/children")
+    return delta
+
+
+def _validate_old_header(header: Dict[str, Any]) -> None:
+    """Raise :class:`ProtocolError` unless ``header`` is a version-2 or
+    -3 header, every field typed, never coerced."""
+    try:
+        clients, snapshot = header["clients"], header["snapshot"]
+        names = [header["replica"], header.get("initial_text", ""), *clients]
+        if type(clients) is not list or any(type(n) is not str for n in names):
+            raise TypeError(f"its names must be strings: {names!r}")
+        if snapshot is not None and type(snapshot) is not dict:
+            raise TypeError(f"its snapshot is not an object: {snapshot!r}")
+        counter(header["snapshot_every"], "snapshot_every")
+        for delta in header.get("deltas", []):
+            _validate_old_delta(delta)
+        _post_snapshot_serial(header)
+    except _MALFORMED as exc:
+        raise ProtocolError(f"malformed WAL header: {exc}") from exc
 
 
 def _post_snapshot_serial(header: Dict[str, Any]) -> int:
-    """First serial after the header's compaction state (1 if none)."""
+    """First serial after an old header's compaction state (1 if none)."""
     deltas = header.get("deltas") or []
     if deltas:
         return int(deltas[-1]["upto"]) + 1
@@ -1280,3 +935,133 @@ def _post_snapshot_serial(header: Dict[str, Any]) -> int:
     serials = [int(serial) for _opid, serial in snapshot["serials"]]
     base = int(snapshot.get("base", 0))
     return max(serials, default=base) + 1
+
+
+def _merged_snapshot(
+    snapshot: Optional[Dict[str, Any]], deltas: List[Dict[str, Any]]
+) -> Optional[Dict[str, Any]]:
+    """The full checkpoint with every delta folded in (obj level).
+
+    Folding is by node id; ids only grow and a delta never removes a
+    node, so the fold's insertion order stays parents-first.  A delta
+    that removes nodes or touches one the log does not hold is refused.
+    """
+    if snapshot is None or not deltas:
+        return snapshot
+    nodes = {n["id"]: n for n in snapshot["space"]["nodes"]}
+    serials = [list(item) for item in snapshot["serials"]]
+    for delta in deltas:
+        if delta.get("removed"):
+            raise ProtocolError(
+                "WAL delta removes nodes: only a full checkpoint may"
+            )
+        for patch in delta["touched"]:
+            if patch["id"] not in nodes:
+                raise ProtocolError(
+                    f"WAL delta touches node {patch['id']!r}, "
+                    "which the log does not hold"
+                )
+            nodes[patch["id"]] = {
+                **nodes[patch["id"]], "children": patch["children"]
+            }
+        for node_obj in delta["added"]:
+            nodes[node_obj["id"]] = node_obj
+        serials.extend(list(item) for item in delta["serials"])
+    last = deltas[-1]
+    merged = {
+        "version": FORMAT_VERSION,
+        "replica": snapshot["replica"],
+        "clients": list(last.get("clients", snapshot["clients"])),
+        "space": {
+            "version": FORMAT_VERSION,
+            "final": last["final"],
+            "ot_count": int(last.get("ot_count", 0)),
+            "nodes": list(nodes.values()),
+        },
+        "serials": serials,
+    }
+    merged_base = int(last.get("base", snapshot.get("base", 0)))
+    if merged_base:
+        merged["base"] = merged_base
+    return merged
+
+
+def _converted(
+    path: str, header: Dict[str, Any], lines: List[str]
+) -> ServerWriteAheadLog:
+    """A version-2 or -3 file as a version-4 log, off the live path.
+
+    The old fold — header checkpoint, delta lines, record suffix —
+    recovers the old server; the log it yields sits at that server's last
+    serial with no records.  Each client then resumes once by whole-state
+    transfer, and no acknowledged operation is lost: every record on the
+    file is in the document.  The old rules hold: a torn final line is
+    dropped, a damaged line before it refuses the file, and so does a
+    record out of sequence or a delta repeating serials the log covers.
+    """
+    _validate_old_header(header)
+    list_form = header["version"] == 2
+
+    def parse(obj: Any) -> Tuple[str, Dict[str, Any], int]:
+        if isinstance(obj, dict) and "delta" in obj:
+            delta = _validate_old_delta(obj["delta"])
+            upto, floor = int(delta["upto"]), int(delta["floor"])
+            first = min((int(s) for _o, s in delta["serials"]), default=upto + 1)
+            return "delta", {**delta, "upto": upto, "floor": floor}, first
+        record = _validate_wal_record(_run_form(obj) if list_form else obj)
+        return "record", record, record["serial"]
+
+    deltas = [dict(d) for d in header.get("deltas") or []]
+    records: List[Dict[str, Any]] = []
+    covered = _post_snapshot_serial(header) - 1
+    for index, (kind, obj, first) in enumerate(_read_lines(path, lines, parse), 1):
+        if kind == "delta":
+            if first <= covered:
+                raise ProtocolError(
+                    f"WAL delta {index} in {path} is out of sequence: it "
+                    f"repeats serials up to {covered} the log already covers"
+                )
+            covered = obj["upto"]
+            deltas.append(obj)
+            records = [r for r in records if r["serial"] > obj["floor"]]
+        elif records and obj["serial"] != records[-1]["serial"] + 1:
+            raise ProtocolError(
+                f"WAL record {index} in {path} is out of sequence: "
+                f"serial {obj['serial']} after {records[-1]['serial']}"
+            )
+        else:
+            records.append(obj)
+    try:
+        merged = _merged_snapshot(header["snapshot"], deltas)
+        if merged is not None:
+            server = restore_server(merged)
+        else:
+            initial = ListDocument.from_string(header.get("initial_text", ""))
+            server = CssServer(header["replica"], list(header["clients"]), initial)
+        for record in records:
+            if record["serial"] > server.oracle.last_serial:
+                operation = record_operation(record, server.oracle)
+                server.receive(record["origin"], ClientOperation(operation))
+    except _MALFORMED as exc:
+        raise ProtocolError(f"undecodable WAL {path}: {exc!r}") from exc
+    last = records[-1]["serial"] if records else covered
+    if server.oracle.last_serial != last:
+        raise ProtocolError(
+            f"WAL recovery stopped at serial {server.oracle.last_serial} "
+            f"but the log reaches {last}"
+        )
+    latest = deltas[-1] if deltas else header["snapshot"] or {}
+    counts = dict(latest.get("origin_counts", {}))
+    for opid, _serial in server.oracle.serial_items(after=server.oracle.base):
+        counts[opid.replica] = max(counts.get(opid.replica, 0), opid.seq)
+    return ServerWriteAheadLog.from_obj({
+        "version": WAL_VERSION,
+        "replica": header["replica"],
+        "clients": list(dict.fromkeys([*header["clients"], *server.clients])),
+        "base": last,
+        "document": server.document.to_obj(),
+        "origin_counts": counts,
+        "epoch": records[-1]["epoch"] if records else latest.get("epoch", 0),
+        "ot_count": server.space.ot_count,
+        "records": [],
+    })

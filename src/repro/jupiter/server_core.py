@@ -124,14 +124,14 @@ def wal_file(wal_dir: Optional[str], doc: str) -> Optional[str]:
 
 def open_shard(
     shard_type: Type[ShardCore], doc: str, path: Optional[str], now: float,
-    snapshot_every: int, initial_text: str,
+    initial_text: str,
 ) -> ShardCore:
     """``doc``'s shard, recovered from its WAL file when there is one; a
     new document is the recovery of an empty log."""
     if path is None or not os.path.exists(path):
         if path is not None:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-        log = ServerWriteAheadLog(SERVER_ID, [], snapshot_every, initial_text)
+        log = ServerWriteAheadLog(SERVER_ID, [], initial_text)
         return shard_type(doc, log, path, now)
     shard = shard_type(doc, load_wal(path), path, now)
     LOGGER.info(
@@ -146,14 +146,14 @@ class ServerCore:
 
     def __init__(
         self, shard: ShardCore, replica: Replica, replicated: bool, *,
-        wal_dir: Optional[str] = None, snapshot_every: int = 64, initial_text: str = "",
+        wal_dir: Optional[str] = None, initial_text: str = "",
     ) -> None:
         #: the default document — what a doc-less hello lands on, and the
         #: one a replicated group serves — and every document opened
         self.doc_id = shard.doc
         self.shards: Dict[str, ShardCore] = {shard.doc: shard}
         self.wal_dir = wal_dir
-        self.snapshot_every, self.initial_text = snapshot_every, initial_text
+        self.initial_text = initial_text
         #: the simulator's logical server moves to the successor's
         #: replica before an election; a process keeps its own
         self.replica = replica
@@ -179,7 +179,7 @@ class ServerCore:
         if doc not in self.shards:
             self.shards[doc] = open_shard(
                 type(self.shard), doc, wal_file(self.wal_dir, doc), now,
-                self.snapshot_every, self.initial_text,
+                self.initial_text,
             )
         return self.shards[doc]
 
@@ -230,7 +230,7 @@ class ServerCore:
 
     def receive(
         self, session: Session, frame: Any,
-        decode: Callable[[Any, Any], ClientOperation], now: float, grace: float,
+        decode: Callable[[Any, Any], ClientOperation],
     ) -> Iterator[Union[List[Release], Answer]]:
         """One client frame: yields each write's releases, then any
         :class:`Answer` owed; a violation raises typed only after all
@@ -244,7 +244,7 @@ class ServerCore:
             if not isinstance(members, list):
                 raise ProtocolError("a multi carries a list of frames")
             for member in members:
-                yield from self.receive(session, member, decode, now, grace)
+                yield from self.receive(session, member, decode)
             return
         if "pin" in frame:
             session.report_pin(counter(frame["pin"], "pin"))
@@ -263,17 +263,15 @@ class ServerCore:
                 # Deposed with this frame already read (a hang-up closes the
                 # writer, not the read buffer): stale, so write nothing.
                 raise ConnectionError("this replica no longer leads")
-            yield self.write(session, decode(body, shard.server.oracle), now, grace)
+            yield self.write(session, decode(body, shard.server.oracle))
         if not released or self.replicated:
             # A duplicate means an earlier ack was lost; a standalone echo
             # carries the ack, a quorum acks only what it committed.
             yield Answer("ack")
 
-    def write(
-        self, session: Session, payload: ClientOperation, now: float, grace: float
-    ) -> List[Release]:
+    def write(self, session: Session, payload: ClientOperation) -> List[Release]:
         serial, executed, fanout = session.shard.serialise(
-            session, payload, self.replica.epoch, now, grace, self.commit
+            session, payload, self.replica.epoch
         )
         if not self.replicated:
             return [Release(serial, session, fanout, executed, False)]

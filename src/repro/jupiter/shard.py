@@ -17,7 +17,6 @@ suffix past the commit gate).
 
 from __future__ import annotations
 
-import os
 import weakref
 from itertools import takewhile
 from typing import Any, Dict, List, Optional, TextIO, Tuple
@@ -33,7 +32,6 @@ from repro.jupiter.css import CssServer
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
-    append_wal_delta,
     append_wal_record,
     compact_context,
     save_wal,
@@ -90,8 +88,8 @@ class ShardCore:
 
     A shard is always built from its log — restart, fleet re-placement
     and promotion alike, a new document being an empty log's recovery:
-    the CSS server replays snapshot + suffix and every logged client
-    gets a session positioned on it (:meth:`_open`).
+    the CSS server replays the records past the base document and every
+    logged client gets a session positioned on it (:meth:`_open`).
     """
 
     #: what registration and recovery build; the asyncio shell's has a
@@ -201,13 +199,7 @@ class ShardCore:
         session.delivered = max(session.delivered, ack)
 
     def serialise(
-        self,
-        session: Session,
-        payload: ClientOperation,
-        epoch: int,
-        now: float,
-        grace: float,
-        commit: Commit = None,
+        self, session: Session, payload: ClientOperation, epoch: int
     ) -> Tuple[int, Operation, List[Tuple[Session, ServerOperation]]]:
         """The write path: serialise, log (write-ahead), number the fan-out.
 
@@ -241,8 +233,6 @@ class ShardCore:
         # fleet worker can never have acked an operation its WAL file
         # does not hold.
         self.append_disk()
-        if self.wal.should_compact():
-            self.compact(self.floor(now, grace, commit, pins=False))
         fanout = [(self.sessions[name], broadcast) for name, broadcast in outgoing]
         for recipient, _broadcast in fanout:
             seq = recipient.sender.send()
@@ -272,14 +262,11 @@ class ShardCore:
         session.disconnected_at = None
         session.delivered = max(session.delivered, delivered)
         session.connects += 1
-        if (
-            delivered < max(self.record_floor, self.server.base)
-            or (delivered if pin is None else pin) < self.server.base
-        ):
-            # The records this cursor needs were truncated, the state
-            # its first re-shipped serial executed at was rebased away,
-            # or the client's unacknowledged ops pin below the rebase
-            # floor (either way: it outlived its GC grace): resync by
+        if min(delivered, delivered if pin is None else pin) < self.server.base:
+            # The records this cursor needs were checkpointed away with
+            # the state its first re-shipped serial executed at, or the
+            # client's unacknowledged ops pin below the rebase floor
+            # (either way: it outlived its GC grace): resync by
             # whole-state transfer.  The client adopts the document,
             # drops its unacknowledged ops (never serialised — their
             # seqs are reused), and continues from the log head.
@@ -317,23 +304,17 @@ class ShardCore:
     # ------------------------------------------------------------------
     # Floors and garbage collection
     # ------------------------------------------------------------------
-    def floor(
-        self, now: float, grace: float, commit: Commit = None, *, pins: bool
-    ) -> int:
-        """Minimum per-session floor across the roster, grace applied.
+    def floor(self, now: float, grace: float, commit: Commit = None) -> int:
+        """Minimum reported GC pin across the roster, grace applied.
 
-        With ``pins=False`` the per-session value is its consumption
-        cursor (the WAL retain floor: records above it can resync the
-        client).  With ``pins=True`` it is the session's reported GC
-        pin — the client's own claim that nothing it will ever send
-        again references a context below it.  The pin already folds in
-        the client's delivered cursor *and* the generation floors of
-        its unacked ops, and it rides every data frame, ping, and
-        hello, so it is complete on its own; the server-side
-        ``delivered`` (which only advances on piggybacked data-frame
-        acks and goes stale the moment a client stops editing) must
-        NOT be min'd in, or an idle roster wedges the rebase floor at
-        its last burst.
+        A pin is the client's own claim that nothing it will ever send
+        again references a context below it.  It folds in the client's
+        delivered cursor *and* the generation floors of its unacked ops,
+        and it rides every data frame, ping, and hello, so it is
+        complete on its own; the server-side ``delivered`` (which only
+        advances on piggybacked data-frame acks and goes stale the
+        moment a client stops editing) must NOT be min'd in, or an idle
+        roster wedges the rebase floor at its last burst.
 
         Disconnected sessions hold their floor only for ``grace``
         seconds; past it they stop counting, and a returning client is
@@ -342,7 +323,7 @@ class ShardCore:
         it (see the module docstring).
         """
         counted = [
-            session.pin if pins else session.delivered
+            session.pin
             for session in self.sessions.values()
             if commit is not None
             or session.disconnected_at is None
@@ -378,14 +359,12 @@ class ShardCore:
         """One GC pass: rebase + checkpoint once the floor is
         ``threshold`` serials past the base (hysteresis against thrash).
         Returns ``(old base, new base, states pruned)`` or ``None``."""
-        floor = self.decodable_floor(self.floor(now, grace, commit, pins=True))
+        floor = self.decodable_floor(self.floor(now, grace, commit))
         base = self.server.base
         if floor - base < threshold:
             return None
         pruned = self.server.rebase_to_serial(floor)
-        # A rebase invalidates the delta chain (the snapshot's key
-        # floor moved), so this compaction writes a full checkpoint.
-        self.compact(floor)
+        self.compact()
         self.gc_runs += 1
         self.states_pruned += pruned
         return base, floor, pruned
@@ -393,28 +372,12 @@ class ShardCore:
     # ------------------------------------------------------------------
     # The log and its disk file
     # ------------------------------------------------------------------
-    @property
-    def record_floor(self) -> int:
-        """Serial the retained records resync from.
-
-        Records cover ``record_floor + 1 .. last_serial``; a client
-        whose cursor fell below it cannot be resynced from the log and
-        needs a whole-state transfer.
-        """
-        if self.wal.records:
-            return int(self.wal.records[0]["serial"]) - 1
-        return self.wal.last_serial
-
-    def compact(self, retain_after: int) -> None:
-        """Checkpoint the log, persist that, forget truncated records."""
-        self.wal.compact(self.server, retain_after=retain_after)
+    def compact(self) -> None:
+        """Checkpoint the log at the server's base, persist that, forget
+        the floors of the records it dropped (a prefix of the map)."""
+        self.wal.compact(self.server)
         self.write_compaction()
-        self.prune_ctx_floors()
-
-    def prune_ctx_floors(self) -> None:
-        """Drop floor entries whose records a compaction truncated: the
-        map is in serial order, so they are a prefix of it."""
-        low = self.record_floor + 1
+        low = self.wal.base + 1
         for serial in list(takewhile(lambda s: s < low, self.ctx_floors)):
             del self.ctx_floors[serial]
 
@@ -441,24 +404,10 @@ class ShardCore:
         return self._wal_file
 
     def write_compaction(self) -> None:
-        """Persist the compaction that just ran, as cheaply as it allows.
-
-        A delta compaction appends one ``{"delta": ...}`` line — the
-        incremental path that keeps steady-state disk writes
-        O(changes-since-last-checkpoint).  A full checkpoint (or an
-        in-memory-only shard) rewrites the file wholesale; ``load_wal``
-        replays header + deltas + records either way.
-        """
-        if self.wal_path is None:
-            return
-        if (
-            self.wal.last_compaction_mode == "delta"
-            and self.wal.last_delta is not None
-            and os.path.exists(self.wal_path)
-        ):
-            append_wal_delta(self._wal_handle(), self.wal.last_delta)
-        else:
-            self.rewrite_disk()
+        """Persist the compaction that just ran: rewrite the file as the
+        base document plus the records past it.  Its own name, because
+        the op-cost ledger times the disk side of a checkpoint by it."""
+        self.rewrite_disk()
 
     def append_disk(self) -> None:
         """Append the newest record as one line to the open file; flushed

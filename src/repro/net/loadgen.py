@@ -627,7 +627,6 @@ def run_loadgen(
     insert_ratio: float = 0.7,
     op_interval: float = 0.02,
     reconnect_clients: Optional[int] = None,
-    snapshot_every: int = 64,
     initial_text: str = "",
     quiet: bool = False,
     replicas: int = 1,
@@ -700,7 +699,6 @@ def run_loadgen(
                 "--quiet",
                 host=host,
                 port=replica_port,
-                snapshot_every=snapshot_every,
                 initial=initial_text or None,
                 replica_of=roster_text or None,
                 failover_delay=failover_delay if roster_text else None,

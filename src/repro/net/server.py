@@ -126,7 +126,6 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         initial_text: str = "",
-        snapshot_every: int = 64,
         roster: Optional[Sequence[Tuple[str, int]]] = None,
         replica_index: int = 0,
         failover_delay: float = 0.5,
@@ -197,7 +196,7 @@ class NetServer:
         self.started_at = time.monotonic()
         shard = open_shard(
             _DocShard, self.doc_id, wal_file(wal_dir, self.doc_id),
-            self.started_at, snapshot_every, initial_text,
+            self.started_at, initial_text,
         )
         #: every replication decision — view, epoch, promise, commit
         #: floor, log adoption — is the replica core's; the documents,
@@ -206,7 +205,7 @@ class NetServer:
         self._replica = Replica(ids, ids[replica_index], shard.wal)
         self._core = ServerCore(
             shard, self._replica, self.replicated, wal_dir=wal_dir,
-            snapshot_every=snapshot_every, initial_text=initial_text,
+            initial_text=initial_text,
         )
         self._backup_tasks: Dict[int, asyncio.Task] = {}
         #: set when the log grew; every shipping task re-reads the log
@@ -678,8 +677,7 @@ class NetServer:
     def _serialise(self, channel: _ClientChannel, frame: Dict[str, Any]) -> None:
         """The write path: one client frame through the core (the wire
         decode handed in); what it makes due leaves, the backups woken."""
-        now = time.monotonic()
-        dues = self._core.receive(channel, frame, message_from_wire, now, self.gc_grace)
+        dues = self._core.receive(channel, frame, message_from_wire)
         for due in dues:
             if not isinstance(due, Answer):
                 self._release(due)
@@ -1021,9 +1019,7 @@ class NetServer:
                     "base": shard.server.base,
                     "runs": shard.gc_runs,
                     "states_pruned": shard.states_pruned,
-                    "record_floor": shard.record_floor,
                     "space_nodes": shard.server.space.node_count(),
-                    "snapshot_nodes": dict(shard.wal.snapshot_nodes),
                 },
                 frames_received=sum(
                     s.frames_received for s in self.shards.values()

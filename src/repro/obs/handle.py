@@ -92,12 +92,6 @@ CANONICAL_COUNTERS: Tuple[Tuple[str, str, str], ...] = (
         "Write-ahead log compactions performed",
     ),
     (
-        "wal_snapshot_nodes",
-        "repro_wal_snapshot_nodes_total",
-        "State-space nodes serialised by WAL compaction, by mode "
-        "(full checkpoint or delta)",
-    ),
-    (
         "wal_records_truncated",
         "repro_wal_records_truncated_total",
         "Write-ahead log records truncated by compaction",
@@ -334,12 +328,8 @@ DOC_LABELLED = frozenset(
 )
 
 
-#: Canonical instruments split by some other label (never by ``doc``).
-OTHER_LABELS = {"wal_snapshot_nodes": ("mode",)}
-
-
 def _labelnames(attr: str) -> Tuple[str, ...]:
-    return ("doc",) if attr in DOC_LABELLED else OTHER_LABELS.get(attr, ())
+    return ("doc",) if attr in DOC_LABELLED else ()
 
 
 class Obs:

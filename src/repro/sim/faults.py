@@ -513,8 +513,6 @@ class FaultStats:
     server_restores: int = 0
     server_resynced_ops: int = 0
     wal_appends: int = 0
-    wal_compactions: int = 0
-    wal_records_truncated: int = 0
     view_changes: int = 0
     repl_stale_rejected: int = 0
     #: simulated seconds from each primary crash to the commit floor
@@ -536,7 +534,6 @@ class FaultStats:
             f"server-crashes={self.server_crashes} "
             f"server-resynced={self.server_resynced_ops} "
             f"wal-appends={self.wal_appends} "
-            f"wal-compactions={self.wal_compactions} "
             f"view-changes={self.view_changes}"
         )
 

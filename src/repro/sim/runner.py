@@ -461,8 +461,6 @@ class _FaultyRun:
         if self.server_core is not None:
             log, commit = self.server_core.shard.wal, self.server_core.commit
             self.stats.wal_appends = log.appends
-            self.stats.wal_compactions = log.compactions
-            self.stats.wal_records_truncated = log.records_truncated
             if commit is not None and log.last_serial > commit:
                 raise SimulationError(
                     f"run ended with serials {commit + 1}..{log.last_serial} "
@@ -555,7 +553,7 @@ class _FaultyRun:
             # record.  The sessions stay connected: no clock or grace applies.
             session = core.shard.sessions[sender]
             for payload in core.shard.accept(session, seq, None, body):
-                releases = core.write(session, payload, 0.0, 0.0)
+                releases = core.write(session, payload)
                 if self.cores is not None:
                     leader, record = core.replica, core.shard.wal.records[-1]
                     head = {"epoch": leader.epoch, "committed": leader.committed}
@@ -598,10 +596,7 @@ class _FaultyRun:
         from repro.jupiter.persistence import ServerWriteAheadLog
 
         return ServerWriteAheadLog(
-            SERVER_ID,
-            self.clients,
-            snapshot_every=self.plan.snapshot_every,
-            initial_text=self.runner.initial_text,
+            SERVER_ID, self.clients, initial_text=self.runner.initial_text
         )
 
     def _release(self, releases, now: float) -> None:
@@ -884,9 +879,6 @@ class _FaultyRun:
         core = self.server_core
         core.restart(core.shard.wal, now)  # a WAL server released each op at once
         self._restart("WAL recovery", now)
-        # The recovered state is durable: compact so a later crash replays
-        # from this snapshot instead of the whole history.
-        core.shard.compact(core.shard.floor(now, 0.0, pins=False))
 
     def _restart(self, what: str, now: float) -> None:
         """The core (re)built its shard from a log, as a deployment does;

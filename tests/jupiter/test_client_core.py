@@ -26,14 +26,12 @@ from repro.net.codec import (
     message_from_wire,
 )
 
-GRACE = 15.0
-
 
 class Rig:
     """A shard core, two client cores, and the broadcasts in between."""
 
     def __init__(self):
-        wal = ServerWriteAheadLog(SERVER_ID, [], snapshot_every=1000)
+        wal = ServerWriteAheadLog(SERVER_ID, [])
         self.shard = ShardCore("doc", wal)
         self.cores = {n: ClientCore(n, message_from_wire) for n in "ab"}
         #: serial -> the encoded broadcast every client receives
@@ -50,7 +48,7 @@ class Rig:
             for released in self.shard.accept(session, seq, 0, body):
                 payload = message_from_wire(released, self.shard.server.oracle)
                 serial, ctx, fanout = self.shard.serialise(
-                    session, payload, 0, 0.0, GRACE
+                    session, payload, 0
                 )
                 self.bodies[serial] = compact_server_op_obj(fanout[0][1], ctx)
         return seq
@@ -130,7 +128,7 @@ class TestFloors:
         rig.edit("a", "q", reach_server=False)  # never serialised
         for value in "rstuv":
             rig.edit("b", value)
-        rig.shard.compact(retain_after=3)  # a's cursor, 0, is gone
+        rebase(rig.shard)  # a's cursor, 0, is below the base
         session = rig.shard.sessions["a"]
         _cursor, transfer, missed = rig.shard.resync(session, 0, 0, 0.0)
         assert transfer is not None and missed == []
@@ -147,6 +145,13 @@ class TestFloors:
         )
         rig.edit("a", "w")  # seq 2 is reused, and serialises at 7
         assert rig.shard.wal.last_serial == 7
+
+
+def rebase(shard):
+    """A GC pass at the log head, checkpointing the log there."""
+    for session in shard.sessions.values():
+        session.report_pin(shard.wal.last_serial)
+    assert shard.collect(0.0, 0.0, threshold=1)[1] == shard.wal.base > 0
 
 
 class TestEpochsAndRelease:
@@ -184,7 +189,7 @@ def spoiled_transfer(spoil):
     rig = Rig()
     rig.edit("b")
     rig.edit("b")
-    rig.shard.compact(retain_after=2)  # a's cursor, 0, is gone
+    rebase(rig.shard)  # a's cursor, 0, is below the base
     _cursor, transfer, _missed = rig.shard.resync(
         rig.shard.sessions["a"], 0, 0, 0.0
     )

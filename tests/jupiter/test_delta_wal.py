@@ -1,13 +1,13 @@
-"""Incremental WAL compaction and serial-encoded record contexts.
+"""Serial-encoded record contexts, and checkpoints of the log that holds them.
 
-The flat-throughput work replaces "rewrite the whole state-space every
-compaction" with a chain of delta snapshots hanging off a periodic full
-checkpoint, and replaces O(history) absolute contexts in WAL records
-with the ``[d, n]`` serial encoding.  These tests drive a live CSS
-cluster mirrored into a :class:`ServerWriteAheadLog` and check that
-recovery from checkpoint + deltas + record suffix is byte-equivalent to
-the live server — including after active-window GC rebased the floor,
-and including a torn final delta line on disk.
+WAL records carry the ``[d, n]`` serial encoding of their contexts
+instead of O(history) absolute ones.  These tests drive a live CSS
+cluster mirrored into a :class:`ServerWriteAheadLog` and check that a
+checkpoint — the document at the GC base plus the records past it —
+recovers the live server, including after active-window GC rebased the
+floor.  The delta lines of the previous format live only in the
+converter; ``TestDeltaDisk`` checks what it makes of them, on the
+version-3 fixture (``tests/jupiter/wal_v3_three_writers.wal``).
 """
 
 import json
@@ -17,22 +17,23 @@ import pytest
 from repro import obs
 from repro.common import OpId
 from repro.errors import ProtocolError
-from repro.jupiter import persistence
 from repro.jupiter.css import CssClient, CssServer
+from repro.net.codec import document_signature
 from repro.jupiter.messages import ClientOperation
 from repro.jupiter.ordering import ServerOrderOracle
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
-    append_wal_delta,
     append_wal_record,
     compact_context,
     load_wal,
     record_operation,
     save_wal,
+    snapshot_server,
     wal_record_to_obj,
 )
 from repro.model.schedule import OpSpec
 from repro.ot import insert
+from tests.jupiter import test_wal_v3_conversion as v3
 
 
 @pytest.fixture(autouse=True)
@@ -44,12 +45,12 @@ def _observability_left_disabled():
 class Rig:
     """Two CSS clients + server, server traffic mirrored into a WAL."""
 
-    def __init__(self, snapshot_every=100):
+    def __init__(self):
         self.names = ["c1", "c2"]
         self.server = CssServer("server", self.names)
         self.clients = {name: CssClient(name) for name in self.names}
         self.wal = ServerWriteAheadLog(
-            "server", self.names, snapshot_every=snapshot_every
+            "server", self.names
         )
         self.steps = 0
 
@@ -175,153 +176,40 @@ class TestCompactContext:
 
 
 class TestDeltaCompaction:
-    def test_second_compaction_is_a_delta(self):
-        rig = Rig()
-        rig.step(4)
-        rig.wal.compact(rig.server)
-        assert rig.wal.last_compaction_mode == "full"
-        rig.step(3)
-        rig.wal.compact(rig.server)
-        assert rig.wal.last_compaction_mode == "delta"
-        assert len(rig.wal.deltas) == 1
-        assert rig.wal.last_delta["upto"] == 7
-        rig.assert_recovers()
-
-    def test_delta_chain_with_retained_records_recovers(self):
-        rig = Rig()
-        for _ in range(4):
-            rig.step(3)
-            rig.wal.compact(rig.server, retain_after=rig.wal.last_serial - 2)
-        assert rig.wal.last_compaction_mode == "delta"
-        assert len(rig.wal.records) == 2
-        recovered = rig.assert_recovers()
-        assert recovered.space.signature() == rig.server.space.signature()
-
     def test_the_first_compaction_is_full(self):
-        rig = Rig()
-        rig.step(2)
-        rig.wal.compact(rig.server)
-        assert rig.wal.last_compaction_mode == "full"
-        assert rig.wal.deltas == []
-        rig.assert_recovers()
-
-    def test_forty_compactions_without_a_rebase_are_deltas(self):
-        rig = Rig()
-        rig.step(2)
-        rig.wal.compact(rig.server)
-        modes = []
-        for _ in range(40):
-            rig.step(2)
-            rig.wal.compact(rig.server)
-            modes.append(rig.wal.last_compaction_mode)
-        assert modes == ["delta"] * 40
-        assert len(rig.wal.deltas) == 40
-        rig.assert_recovers()
-
-    def test_a_restored_log_checkpoints_full_then_deltas(self):
-        rig = Rig()
-        rig.step(2)
-        rig.wal.compact(rig.server)
-        rig.step(2)
-        rig.wal.compact(rig.server)
-        rig.wal = ServerWriteAheadLog.from_obj(rig.wal.to_obj())
-        modes = []
-        for _ in range(3):
-            rig.step(2)
-            rig.wal.compact(rig.server)
-            modes.append(rig.wal.last_compaction_mode)
-        assert modes == ["full", "delta", "delta"]
-        rig.assert_recovers()
-
-    def test_rebase_forces_a_full_checkpoint(self):
+        """Every compaction rewrites the whole log: the base document
+        plus the records past it."""
         rig = Rig()
         rig.step(4)
-        rig.wal.compact(rig.server)
-        rig.step(2)
-        rig.wal.compact(rig.server)
-        assert rig.wal.last_compaction_mode == "delta"
-        rig.step(2)
-        rig.rebase(6)
-        rig.step(2)
-        rig.wal.compact(rig.server)
+        rig.rebase(2)
+        assert rig.wal.compact(rig.server) == 2
         assert rig.wal.last_compaction_mode == "full"
-        assert rig.wal.snapshot["base"] == 6
-        recovered = rig.assert_recovers()
-        assert recovered.oracle.base == 6
-        rig.step(2)
-        rig.wal.compact(rig.server)
-        assert rig.wal.last_compaction_mode == "delta"
-        rig.assert_recovers()
-
-    def test_a_prune_without_a_rebase_forces_a_full_checkpoint(self):
-        """A delta only adds: once ``prune_below`` took nodes out of the
-        space, the next compaction is a full checkpoint, and the diff
-        base it leaves behind resumes deltas."""
-        rig = Rig()
-        rig.step(4)
-        rig.wal.compact(rig.server)
-        rig.step(2)
-        oracle = rig.server.oracle
-        assert rig.server.space.prune_below(oracle.opids_between(0, 3)) > 0
-        rig.wal.compact(rig.server)
-        assert rig.wal.last_compaction_mode == "full"
-        assert rig.wal.deltas == [] and "base" not in rig.wal.snapshot
-        rig.assert_recovers()
-        rig.step(2)
-        rig.wal.compact(rig.server)
-        assert rig.wal.last_compaction_mode == "delta"
-        assert "removed" not in rig.wal.last_delta
-        rig.assert_recovers()
+        assert [r["serial"] for r in rig.wal.records] == [3, 4]
+        assert rig.assert_recovers().oracle.base == 2
 
     def test_concurrent_extras_survive_recovery(self):
-        # Replay (not just restore) compact-context records with extras:
-        # the burst lands *after* the last compaction, so recovery must
-        # decode the serial gap through the restored oracle.
+        # Replay compact-context records with extras: the burst lands
+        # after the checkpoint, so recovery must decode the serial gap
+        # through the oracle it seated at the base.
         rig = Rig()
         rig.step(3)
+        rig.rebase(3)
         rig.wal.compact(rig.server)
         rig.step_concurrent()
         rig.assert_recovers()
         rig.step(2)
+        rig.rebase(7)
         rig.wal.compact(rig.server)
-        assert rig.wal.last_compaction_mode == "delta"
         rig.step_concurrent()
-        rig.assert_recovers()
-
-    def test_obj_round_trip_restarts_the_chain_full(self):
-        rig = Rig()
-        rig.step(4)
-        rig.wal.compact(rig.server)
-        rig.step(2)
-        rig.wal.compact(rig.server)
-        clone = ServerWriteAheadLog.from_obj(rig.wal.to_obj())
-        assert clone.deltas == rig.wal.deltas
-        recovered = clone.recover()
-        assert recovered.space.signature() == rig.server.space.signature()
-        rig_server = rig.server
-        clone.compact(rig_server)
-        assert clone.last_compaction_mode == "full"
-        assert clone.deltas == []
-
-    def test_origin_counts_survive_trim_and_deltas(self):
-        rig = Rig()
-        rig.step(6)
-        rig.rebase(5)
-        rig.wal.compact(rig.server)
-        rig.step(4)
-        rig.wal.compact(rig.server)
-        assert rig.wal.last_compaction_mode == "delta"
-        counts = rig.wal.origin_counts()
-        assert counts == {"c1": 5, "c2": 5}
+        assert rig.assert_recovers().oracle.base == 7
 
     def test_running_counts_equal_the_walk_after_restore(self):
         rig = Rig()
-        for retained in (0, 2, 0):
+        for _ in range(3):
             rig.step(5)
             rig.step_concurrent()
-            rig.wal.compact(
-                rig.server, retain_after=rig.wal.last_serial - retained
-            )
+            rig.rebase(rig.wal.last_serial - 2)
+            rig.wal.compact(rig.server)
         rig.step(3)
         live = rig.wal.origin_counts()
         restored = ServerWriteAheadLog.from_obj(rig.wal.to_obj())
@@ -333,9 +221,10 @@ class TestEpochSurvivesCompaction:
     of its last serial — restored in memory, from disk, and after a cut."""
 
     def compacted(self):
-        wal = ServerWriteAheadLog("s", ["c1"], snapshot_every=1)
+        wal = ServerWriteAheadLog("s", ["c1"])
         self.server = CssServer("s", ["c1"])
         self.write(wal, (1, 2, 3), epoch=3)
+        self.server.rebase_to_serial(3)
         wal.compact(self.server)
         assert wal.records == [] and wal.last_epoch == 3
         return wal
@@ -365,21 +254,30 @@ class TestEpochSurvivesCompaction:
         loaded = load_wal(path)
         assert loaded.last_epoch == 3
         self.refuses_a_stale_append(loaded)
-        # ...and through a delta line that truncated every later record
+        # ...and through a checkpoint that truncated every later record
         self.write(wal, (4, 5), epoch=4)
         with open(path, "a", encoding="utf-8") as handle:
             for record in wal.records:
                 append_wal_record(handle, record)
-            wal.compact(self.server)
-            assert wal.last_compaction_mode == "delta" and wal.records == []
-            append_wal_delta(handle, wal.last_delta)
         assert load_wal(path).last_epoch == 4
+        self.server.rebase_to_serial(5)
+        wal.compact(self.server)
+        save_wal(wal, path)
+        assert wal.records == [] and load_wal(path).last_epoch == 4
 
-    def test_a_header_from_before_the_epoch_field_still_loads(self):
-        obj = self.compacted().to_obj()
-        del obj["snapshot"]["epoch"]
-        obj["checkpoint_every"] = 16
-        restored = ServerWriteAheadLog.from_obj(obj)
+    def test_a_header_from_before_the_epoch_field_still_loads(self, tmp_path):
+        """A version-3 header whose snapshot carries no epoch converts."""
+        self.server = CssServer("s", ["c1"])
+        self.write(ServerWriteAheadLog("s", ["c1"]), (1, 2, 3), epoch=3)
+        snapshot = snapshot_server(self.server)
+        header = {
+            "version": 3, "replica": "s", "clients": ["c1"],
+            "checkpoint_every": 16, "snapshot_every": 16,
+            "snapshot": snapshot, "deltas": [], "next_serial": 4,
+        }
+        path = tmp_path / "s.wal"
+        path.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        restored = load_wal(str(path))
         assert restored.last_epoch == 0  # such a header never recorded it
         assert restored.last_serial == 3
         assert restored.origin_counts() == {"c1": 3}
@@ -387,163 +285,67 @@ class TestEpochSurvivesCompaction:
 
 
 class TestDeltaDisk:
-    def saved(self, tmp_path, rig):
+    """The converter's rules for the delta lines of a version-3 file."""
+
+    def fixture_lines(self):
+        with open(v3.FIXTURE, encoding="utf-8") as handle:
+            return handle.read().splitlines()
+
+    def loaded(self, tmp_path, lines):
         path = tmp_path / "server.wal"
-        save_wal(rig.wal, str(path))
-        return path
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return load_wal(str(path))
+
+    def last_delta(self, lines):
+        return max(i for i, line in enumerate(lines) if '"delta"' in line)
 
     def test_header_deltas_round_trip(self, tmp_path):
-        rig = Rig()
-        rig.step(4)
-        rig.wal.compact(rig.server)
-        rig.step(3)
-        rig.wal.compact(rig.server)
-        rig.step(2)
-        path = self.saved(tmp_path, rig)
-        loaded = load_wal(str(path))
-        assert loaded.deltas == rig.wal.deltas
-        assert loaded.last_serial == rig.wal.last_serial
-        recovered = loaded.recover()
-        assert recovered.space.signature() == rig.server.space.signature()
+        """Delta lines folded into the header convert as they did apart."""
+        lines = self.fixture_lines()
+        header = json.loads(lines[0])
+        cut = self.last_delta(lines)
+        header["deltas"] = [
+            json.loads(line)["delta"] for line in lines[1:cut + 1]
+            if '"delta"' in line
+        ]
+        floor = header["deltas"][-1]["floor"]
+        kept = [
+            line for line in lines[1:cut + 1]
+            if '"delta"' not in line and json.loads(line)["serial"] > floor
+        ]
+        folded = [json.dumps(header), *kept, *lines[cut + 1:]]
+        apart = self.loaded(tmp_path, lines)
+        assert self.loaded(tmp_path, folded).to_obj() == apart.to_obj()
+        assert apart.last_serial == v3.expected()["records"]
 
     def test_appended_delta_line_truncates_records(self, tmp_path):
-        rig = Rig()
-        rig.step(4)
-        rig.wal.compact(rig.server)
-        path = self.saved(tmp_path, rig)
-        # The disk layer appends records as lines, then a delta line,
-        # then more records — a full rewrite only on full checkpoints.
-        with open(path, "a", encoding="utf-8") as handle:
-            rig.step(3)
-            for record in rig.wal.records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-            rig.wal.compact(rig.server)
-            assert rig.wal.last_compaction_mode == "delta"
-            handle.write(
-                json.dumps({"delta": rig.wal.last_delta}, sort_keys=True)
-                + "\n"
-            )
-        loaded = load_wal(str(path))
-        assert loaded.records == []
-        assert loaded.last_serial == 7
-        recovered = loaded.recover()
-        assert recovered.space.signature() == rig.server.space.signature()
+        """A delta line drops the records at or below its floor, so the
+        converter replays only the ones past it."""
+        lines = self.fixture_lines()
+        cut = self.last_delta(lines)
+        wal = self.loaded(tmp_path, lines[:cut + 1])
+        assert wal.last_serial == json.loads(lines[cut])["delta"]["upto"]
+        assert wal.records == []
+        # The records between the last delta and the file's end replay on top.
+        full = self.loaded(tmp_path, lines).recover()
+        assert document_signature(full.document) == v3.expected()["signature"]
 
     def test_torn_delta_tail_is_lossless(self, tmp_path):
-        rig = Rig()
-        rig.step(4)
-        rig.wal.compact(rig.server)
-        path = self.saved(tmp_path, rig)
-        with open(path, "a", encoding="utf-8") as handle:
-            rig.step(3)
-            for record in rig.wal.records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-            rig.wal.compact(rig.server)
-            line = json.dumps({"delta": rig.wal.last_delta}, sort_keys=True)
-            handle.write(line[: len(line) // 2])  # crash mid-write
+        lines = self.fixture_lines()
+        cut = self.last_delta(lines)
+        whole = self.loaded(tmp_path, lines[:cut]).to_obj()
         handle = obs.enable(reset=True)
         with pytest.warns(RuntimeWarning, match="torn"):
-            loaded = load_wal(str(path))
+            torn = self.loaded(
+                tmp_path, lines[:cut] + [lines[cut][: len(lines[cut]) // 2]]
+            )
         assert handle.wal_torn_tail_dropped.value == 1
         # The delta is gone but every record it covered is still there.
-        assert loaded.deltas == []
-        assert loaded.last_serial == 7
-        recovered = loaded.recover()
-        assert recovered.space.signature() == rig.server.space.signature()
+        assert torn.to_obj() == whole
 
     def test_torn_delta_in_the_middle_refuses_to_load(self, tmp_path):
-        rig = Rig()
-        rig.step(4)
-        rig.wal.compact(rig.server)
-        path = self.saved(tmp_path, rig)
-        with open(path, "a", encoding="utf-8") as handle:
-            rig.step(2)
-            record_lines = [
-                json.dumps(r, sort_keys=True) for r in rig.wal.records
-            ]
-            rig.wal.compact(rig.server)
-            line = json.dumps({"delta": rig.wal.last_delta}, sort_keys=True)
-            handle.write(line[: len(line) // 2] + "\n")
-            handle.write(record_lines[0] + "\n")
+        lines = self.fixture_lines()
+        cut = self.last_delta(lines)
+        lines[cut] = lines[cut][: len(lines[cut]) // 2]
         with pytest.raises(ProtocolError, match="mid-log"):
-            load_wal(str(path))
-
-
-class TestCompactionCostsWhatChanged:
-    """A count guard, no timing: a delta compaction serialises the nodes
-    that changed since the previous one, whatever the window holds."""
-
-    @staticmethod
-    def edit(server, writer, wal):
-        outgoing = writer.generate(OpSpec("ins", 0, "x")).outgoing
-        for _target, broadcast in server.receive("w1", outgoing):
-            writer.receive(broadcast)
-        wal.append(
-            server.oracle.last_serial,
-            "w1",
-            outgoing.operation,
-            ctx=compact_context(outgoing.operation, server.oracle),
-        )
-
-    def grow(self, window, snapshot_every=64):
-        """One writer, no GC: the window is every node ever created.
-
-        Returns, per delta compaction, the nodes it serialised (read off
-        ``repro_wal_snapshot_nodes_total{mode="delta"}``, the instrument
-        production scrapes) and the bytes of its on-disk line.
-        """
-        handle = obs.enable(reset=True)
-        server = CssServer("server", ["w1"])
-        writer = CssClient("w1")
-        wal = ServerWriteAheadLog(
-            "server", ["w1"], snapshot_every=snapshot_every
-        )
-        counter = handle.wal_snapshot_nodes.labels("delta")
-        deltas = []
-        for _ in range(window):
-            self.edit(server, writer, wal)
-            if wal.should_compact():
-                before = counter.value
-                wal.compact(server)
-                if wal.last_compaction_mode == "delta":
-                    line = json.dumps({"delta": wal.last_delta}, sort_keys=True)
-                    deltas.append((counter.value - before, len(line)))
-        assert server.space.node_count() == window + 1
-        assert wal.snapshot_nodes["delta"] == counter.value
-        # One full checkpoint, the first compaction: 64 ops, 65 nodes.
-        assert wal.snapshot_nodes["full"] == 65 == (
-            handle.wal_snapshot_nodes.labels("full").value
-        )
-        return deltas
-
-    def test_delta_serialises_changed_nodes_at_every_window_size(self):
-        line_bytes = {}
-        for window in (128, 256, 512):
-            deltas = self.grow(window)
-            assert len(deltas) == window // 64 - 1
-            # 64 new nodes, plus the one old node that grew a child.
-            assert [count for count, _ in deltas] == [65] * len(deltas)
-            line_bytes[window] = deltas[-1][1]
-        # Ids, serials and keys are not in a line per unchanged node: the
-        # last line at 512 nodes is the size of the last one at 128, give
-        # or take a digit per number.
-        assert line_bytes[512] <= 1.05 * line_bytes[128]
-
-    def test_a_delta_reads_no_serial_of_the_window_back(self, monkeypatch):
-        """The per-origin counts are kept by the appends: a delta at a
-        2,000-node window decodes no stored opid."""
-        server, writer = CssServer("server", ["w1"]), CssClient("w1")
-        wal = ServerWriteAheadLog("server", ["w1"], snapshot_every=64)
-        for _ in range(2048):
-            self.edit(server, writer, wal)
-            if wal.should_compact():
-                wal.compact(server)
-        for _ in range(64):
-            self.edit(server, writer, wal)
-        decoded = []
-        monkeypatch.setattr(persistence, "opid_from_obj", decoded.append)
-        wal.compact(server)
-        assert wal.last_compaction_mode == "delta"
-        assert server.space.node_count() > 2000
-        assert decoded == []
-        assert wal.origin_counts() == {"w1": 2112}
+            self.loaded(tmp_path, lines)

@@ -230,7 +230,7 @@ class TestJsonRoundTrips:
         assert record_operation(record, oracle) == op
 
     def test_wal(self):
-        cluster, wal = driven_wal(snapshot_every=2)
+        cluster, wal = driven_wal()
         wal.compact(cluster.server)
         decoded = ServerWriteAheadLog.from_obj(
             json.loads(json.dumps(wal.to_obj()))
@@ -242,13 +242,13 @@ class TestJsonRoundTrips:
         )
 
 
-def driven_wal(ops_per_client=3, snapshot_every=100):
+def driven_wal(ops_per_client=3):
     """A CSS cluster whose server traffic is mirrored into a WAL, the way
     the fault-injected runner does it: append after each serialisation,
     before the broadcast would hit the wire."""
     cluster = make_cluster("css", ["c1", "c2"])
     wal = ServerWriteAheadLog(
-        cluster.server.replica_id, ["c1", "c2"], snapshot_every=snapshot_every
+        cluster.server.replica_id, ["c1", "c2"]
     )
     letters = iter("abcdefghijkl")
     for _ in range(ops_per_client):
@@ -266,10 +266,6 @@ def driven_wal(ops_per_client=3, snapshot_every=100):
 
 
 class TestWriteAheadLog:
-    def test_snapshot_every_validated(self):
-        with pytest.raises(ProtocolError):
-            ServerWriteAheadLog("s", ["c1"], snapshot_every=0)
-
     def test_append_enforces_dense_serial_order(self):
         cluster, wal = driven_wal(ops_per_client=1)
         op = insert(OpId("c9", 1), "z", 0)
@@ -292,14 +288,9 @@ class TestWriteAheadLog:
         recovered = wal.recover()
         assert recovered.oracle.assign(OpId("c9", 1)) == wal.last_serial + 1
 
-    def test_should_compact_counts_appends(self):
-        cluster, wal = driven_wal(ops_per_client=2, snapshot_every=3)
-        assert wal.should_compact()  # 4 appends >= 3
-        wal.compact(cluster.server)
-        assert not wal.should_compact()
-
     def test_compaction_truncates_and_recovery_still_matches(self):
-        cluster, wal = driven_wal(snapshot_every=2)
+        cluster, wal = driven_wal()
+        cluster.server.rebase_to_serial(6)
         truncated = wal.compact(cluster.server)
         assert truncated == 6
         assert wal.records == []
@@ -308,36 +299,28 @@ class TestWriteAheadLog:
         assert recovered.space.signature() == cluster.server.space.signature()
         assert recovered.oracle.last_serial == wal.last_serial
 
-    def test_retain_after_keeps_the_suffix_a_consumer_needs(self):
-        cluster, wal = driven_wal()
-        wal.compact(cluster.server, retain_after=2)
-        assert [r["serial"] for r in wal.records] == [3, 4, 5, 6]
-        # Retained records replay as no-ops (the snapshot covers them)...
-        recovered = wal.recover()
-        assert recovered.space.signature() == cluster.server.space.signature()
-        # ...but still answer a consumer whose cursor is at 2.
-        payloads = wal.broadcasts_for(recovered, delivered=2)
-        assert [p.serial for p in payloads] == [3, 4, 5, 6]
-        assert tuple(payloads) == cluster.queued_payloads_to("c1")[2:]
-
     def test_record_at_indexes_the_retained_suffix(self):
         cluster, wal = driven_wal()
         assert wal.record_at(0) is None
         assert wal.record_at(wal.last_serial + 1) is None
-        wal.compact(cluster.server, retain_after=2)
-        assert wal.record_at(2) is None  # truncated
+        cluster.server.rebase_to_serial(2)
+        wal.compact(cluster.server)
+        assert wal.record_at(2) is None  # at the base
         for serial in (3, 4, 5, 6):
             assert wal.record_at(serial)["serial"] == serial
         assert wal.record_at(7) is None
+        cluster.server.rebase_to_serial(6)
         wal.compact(cluster.server)
-        assert wal.record_at(6) is None  # nothing retained at all
+        assert wal.record_at(6) is None  # nothing past the base
 
     def test_compacting_past_a_consumer_is_detected(self):
         cluster, wal = driven_wal()
-        wal.compact(cluster.server, retain_after=4)
+        cluster.server.rebase_to_serial(6)
+        wal.compact(cluster.server)
         recovered = wal.recover()
+        assert wal.broadcasts_for(recovered, delivered=6) == []
         with pytest.raises(ProtocolError):
-            wal.broadcasts_for(recovered, delivered=2)  # needs 3 and 4
+            wal.broadcasts_for(recovered, delivered=4)  # needs 5 and 6
 
     def test_broadcasts_rebuild_the_send_buffer_exactly(self):
         cluster, wal = driven_wal()
@@ -358,9 +341,11 @@ class TestWriteAheadLog:
         cluster, wal = driven_wal()
         before = wal.origin_counts()
         assert before == {"c1": 3, "c2": 3}
-        # Retained records overlapping the snapshot must not double count.
-        wal.compact(cluster.server, retain_after=3)
+        # The checkpoint keeps the counts of the records it drops.
+        cluster.server.rebase_to_serial(3)
+        wal.compact(cluster.server)
         assert wal.origin_counts() == before
+        assert ServerWriteAheadLog.from_obj(wal.to_obj()).origin_counts() == before
 
     def test_reordered_log_is_detected_on_recovery(self):
         _cluster, wal = driven_wal()

@@ -35,7 +35,7 @@ def record(serial, epoch=0, origin="c1"):
 
 
 def replica(me, records=0):
-    core = Replica(IDS, me, ServerWriteAheadLog(me, [], snapshot_every=1000))
+    core = Replica(IDS, me, ServerWriteAheadLog(me, []))
     for serial in range(1, records + 1):
         core.log.append_record(record(serial))
     return core
@@ -208,7 +208,7 @@ class TestValidateBeforeMutate:
         [
             lambda log: {**log, "version": 1},
             lambda log: {k: v for k, v in log.items() if k != "records"},
-            lambda log: {**log, "next_serial": "three"},
+            lambda log: {**log, "base": "three"},
             lambda log: None,
             lambda log: "a log",
         ],

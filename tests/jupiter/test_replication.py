@@ -71,13 +71,14 @@ class TestElectionRules:
 
 
 def empty_log(clients=("c1", "c2")):
-    return ServerWriteAheadLog(SERVER_ID, list(clients), snapshot_every=100)
+    return ServerWriteAheadLog(SERVER_ID, list(clients))
 
 
-def driven_replicated(ops_per_client=3, clients=("c1", "c2")):
+def driven_replicated(ops_per_client=3, clients=("c1", "c2"), heard=False):
     """Three bare cores, and the primary's shard on its log: each client
     op is released by its session and serialised into s0's log, which
-    counts its own append.  Nothing is shipped to the backups: each test
+    counts its own append (``heard``: and every editor takes each
+    broadcast at once).  Nothing is shipped to the backups: each test
     decides what the network delivered."""
     cores = {rid: Replica(ROSTER, rid, empty_log(clients)) for rid in ROSTER}
     primary = cores["s0"]
@@ -90,9 +91,9 @@ def driven_replicated(ops_per_client=3, clients=("c1", "c2")):
             payload = editors[name].generate(spec).outgoing
             session = shard.sessions[name]
             for body in shard.accept(session, seq, 0, payload):
-                shard.serialise(
-                    session, body, primary.epoch, 0.0, 0.0, primary.committed
-                )
+                fanout = shard.serialise(session, body, primary.epoch)[2]
+                for recipient, broadcast in fanout if heard else ():
+                    editors[recipient.client].receive(broadcast)
             primary.appended()
     return cores, shard
 
@@ -364,28 +365,29 @@ class TestViewChange:
 
 
 class TestCompactionClampedToTheCommitFloor:
-    """``broadcasts_for`` across a compaction boundary.  An unclamped
-    compaction can truncate records a lagging consumer still needs; the
-    quorum commit floor in :meth:`ShardCore.floor` prevents it."""
+    """``broadcasts_for`` across a checkpoint boundary.  A GC pass the
+    commit floor did not clamp could checkpoint past records a lagging
+    consumer still needs; the quorum commit floor in
+    :meth:`ShardCore.floor` prevents it."""
 
     @staticmethod
-    def compact_at(shard, cursor, commit):
-        """Compact where the shard's floor says, every client's cursor
-        at ``cursor``."""
+    def compact_at(shard, pin, commit):
+        """A GC pass where the shard's floor says, every client's pin at
+        ``pin``."""
         for session in shard.sessions.values():
-            session.delivered = cursor
-        shard.compact(shard.floor(0.0, 0.0, commit, pins=False))
+            session.report_pin(pin)
+        shard.collect(0.0, 0.0, 1, commit)
 
     def test_compaction_never_crosses_the_commit_floor(self):
-        cores, shard = driven_replicated(ops_per_client=3)
+        cores, shard = driven_replicated(ops_per_client=3, heard=True)
         replicate(cores, shard.wal.records[:2], backups=("s1", "s2"))
         assert cores["s0"].committed == 2
-        # The client-cursor low-water mark says 6 is safe; the floor says 2.
+        # The clients' pins say 6 is safe; the commit floor says 2.
         self.compact_at(shard, 6, cores["s0"].committed)
         assert serials(shard.wal.records) == [3, 4, 5, 6]
 
     def test_lagging_consumer_reads_across_the_boundary(self):
-        cores, shard = driven_replicated(ops_per_client=3)
+        cores, shard = driven_replicated(ops_per_client=3, heard=True)
         replicate(cores, shard.wal.records[:2], backups=("s1", "s2"))
         self.compact_at(shard, 6, cores["s0"].committed)
         recovered = shard.wal.recover()
@@ -393,9 +395,9 @@ class TestCompactionClampedToTheCommitFloor:
         assert [p.serial for p in payloads] == [3, 4, 5, 6]
 
     def test_unclamped_compaction_would_strand_the_consumer(self):
-        cores, shard = driven_replicated(ops_per_client=3)
+        cores, shard = driven_replicated(ops_per_client=3, heard=True)
         replicate(cores, shard.wal.records, backups=("s1", "s2"))
-        # A standalone floor (no commit) follows the cursors: 1..4 go ...
+        # A standalone floor (no commit) follows the pins: 1..4 go ...
         self.compact_at(shard, 4, None)
         recovered = shard.wal.recover()
         with pytest.raises(ProtocolError):
@@ -404,7 +406,7 @@ class TestCompactionClampedToTheCommitFloor:
             shard.wal.broadcasts_for(recovered, delivered=2)
 
     def test_uncommitted_suffix_survives_to_be_reproposed(self):
-        cores, shard = driven_replicated(ops_per_client=3)
+        cores, shard = driven_replicated(ops_per_client=3, heard=True)
         replicate(cores, shard.wal.records[:2], backups=("s1", "s2"))
         replicate(cores, shard.wal.records[2:], backups=("s1",), ack=False)
         self.compact_at(shard, 6, cores["s0"].committed)

@@ -28,7 +28,7 @@ CLIENTS = ("c1", "c2")
 
 
 def empty_log():
-    return ServerWriteAheadLog(SERVER_ID, list(CLIENTS), snapshot_every=1000)
+    return ServerWriteAheadLog(SERVER_ID, list(CLIENTS))
 
 
 class Group:
@@ -51,7 +51,7 @@ class Group:
         self.seq[name] += 1
         session = self.core.shard.sessions[name]
         (body,) = self.core.shard.accept(session, self.seq[name], 0, payload)
-        return self.deliver(self.core.write(session, body, 0.0, 0.0))
+        return self.deliver(self.core.write(session, body))
 
     def ship(self, rid):
         """The primary's newest record reaches ``rid``, whose ack the
@@ -175,7 +175,7 @@ class TestAReconnectPastTheNewPrimarysCommitFloor:
 
     def test_gc_stops_at_the_commit_floor(self):
         _group, core = self.elected()
-        assert core.shard.floor(11.0, 0.0, core.commit, pins=True) == 3
+        assert core.shard.floor(11.0, 0.0, core.commit) == 3
         assert core.shard.collect(11.0, 0.0, 1, core.commit) == (0, 3, 3)
         assert core.shard.wal.record_at(4) is not None
 
@@ -261,8 +261,10 @@ class TestTheWelcome:
 
     def test_a_cursor_below_the_record_floor_gets_the_state(self):
         core = self.written(4)
-        core.shard.compact(3)
-        assert core.shard.record_floor == 3
+        for session in core.shard.sessions.values():
+            session.report_pin(3)
+        core.shard.collect(0.0, 0.0, 1)
+        assert core.shard.wal.base == 3  # records run from 4
         welcome = self.welcome(core, 2)
         assert welcome.missed == [] and welcome.fields["resync"] == 0
         assert welcome.state["delivered"] == welcome.cursor == 4
@@ -295,27 +297,27 @@ class TestTheFrame:
     def test_a_released_standalone_frame_owes_no_ack_and_its_duplicate_does(self):
         group = Group(replicated=False)
         session, decode = self.frames(group)
-        (written,) = group.core.receive(session, data(1), decode, 0.0, 0.0)
+        (written,) = group.core.receive(session, data(1), decode)
         assert [r.serial for r in written] == [1]
-        again = list(group.core.receive(session, data(1), decode, 0.0, 0.0))
+        again = list(group.core.receive(session, data(1), decode))
         assert again == [Answer("ack")]
         assert group.core.shard.duplicates_suppressed == 1
 
     def test_a_parked_frame_owes_an_ack_and_is_written_once_released(self):
         group = Group(replicated=False)
         session, decode = self.frames(group)
-        assert list(group.core.receive(session, data(2), decode, 0.0, 0.0)) == [
+        assert list(group.core.receive(session, data(2), decode)) == [
             Answer("ack")
         ]
         assert session.parked and group.core.shard.wal.last_serial == 0
-        written = list(group.core.receive(session, data(1), decode, 0.0, 0.0))
+        written = list(group.core.receive(session, data(1), decode))
         assert [[r.serial for r in w] for w in written] == [[1], [2]]
         assert not session.parked
 
     def test_a_replicated_frame_always_owes_the_commit_gated_ack(self):
         group = Group()
         session, decode = self.frames(group, count=1)
-        due = list(group.core.receive(session, data(1), decode, 0.0, 0.0))
+        due = list(group.core.receive(session, data(1), decode))
         assert due == [[], Answer("ack")]  # parked until a backup acks
         assert group.core.stamp(session)["ack"] == 0
 
@@ -326,7 +328,7 @@ class TestTheFrame:
             "type": "multi",
             "frames": [data(1), {"type": "ping", "t": 7, "pin": 1}, {"type": "bye"}],
         }
-        due = list(group.core.receive(session, multi, decode, 0.0, 0.0))
+        due = list(group.core.receive(session, multi, decode))
         assert [r.serial for r in due[0]] == [1]
         assert due[1:] == [Answer("pong", 7), Answer("ignored", "bye")]
         assert session.pin == 1
@@ -346,7 +348,7 @@ class TestTheFrame:
         group = Group(replicated=False)
         session, decode = self.frames(group)
         with pytest.raises(ProtocolError):
-            list(group.core.receive(session, frame, decode, 0.0, 0.0))
+            list(group.core.receive(session, frame, decode))
         assert group.core.shard.wal.last_serial == 0
 
     def test_a_deposed_core_writes_nothing(self):
@@ -355,7 +357,7 @@ class TestTheFrame:
         assert group.core.replica.seek(1).deposed
         group.core.depose()
         with pytest.raises(ConnectionError):
-            list(group.core.receive(session, data(1), decode, 0.0, 0.0))
+            list(group.core.receive(session, data(1), decode))
         shard = group.core.shard
         assert shard.wal.last_serial == shard.server.oracle.last_serial == 0
 

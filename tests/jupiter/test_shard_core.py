@@ -23,7 +23,9 @@ from repro.jupiter.persistence import ServerWriteAheadLog, load_wal
 from repro.jupiter.shard import ShardCore
 from repro.document import ListDocument
 from repro.model.schedule import OpSpec
+from repro.net.codec import document_signature
 from repro.ot import Operation, OpKind, delete, insert
+from tests.jupiter import test_wal_v3_conversion as v3
 
 GRACE = 15.0
 
@@ -31,9 +33,9 @@ GRACE = 15.0
 class Rig:
     """A core, two editors, and the hand that carries frames between them."""
 
-    def __init__(self, wal_path=None, snapshot_every=1000, initial_text=""):
+    def __init__(self, wal_path=None, initial_text=""):
         wal = ServerWriteAheadLog(
-            SERVER_ID, [], snapshot_every=snapshot_every,
+            SERVER_ID, [],
             initial_text=initial_text,
         )
         self.core = ShardCore("doc", wal, wal_path)
@@ -60,7 +62,7 @@ class Rig:
         session = self.session(name)
         for body in self.core.accept(session, self.seq[name], 0, outgoing):
             _serial, _ctx, fanout = self.core.serialise(
-                session, body, 0, self.now, GRACE
+                session, body, 0
             )
             for recipient, broadcast in fanout:
                 self.inbox[recipient.client].append(broadcast)
@@ -97,8 +99,7 @@ class TestFloors:
             # every frame and kept moving
             rig.session(name).delivered = 1
             rig.session(name).report_pin(5)
-        assert rig.core.floor(rig.now, GRACE, pins=True) == 5
-        assert rig.core.floor(rig.now, GRACE, pins=False) == 1
+        assert rig.core.floor(rig.now, GRACE) == 5
 
     def test_the_pin_only_ratchets_up(self):
         rig = Rig()
@@ -112,18 +113,15 @@ class TestFloors:
         rig.session("a").report_pin(6)
         rig.session("b").report_pin(2)
         rig.session("b").disconnected_at = rig.now
-        for pins in (True, False):
-            rig.session("a").delivered = 6
-            rig.session("b").delivered = 2
-            assert rig.core.floor(rig.now + GRACE, GRACE, pins=pins) == 2
-            assert rig.core.floor(rig.now + GRACE + 0.001, GRACE, pins=pins) == 6
+        assert rig.core.floor(rig.now + GRACE, GRACE) == 2
+        assert rig.core.floor(rig.now + GRACE + 0.001, GRACE) == 6
 
     def test_nobody_counted_means_the_log_head(self):
         rig = Rig()
         rig.typed(3)
         for name in ("a", "b"):
             rig.session(name).disconnected_at = rig.now
-        assert rig.core.floor(rig.now + GRACE + 1, GRACE, pins=True) == 3
+        assert rig.core.floor(rig.now + GRACE + 1, GRACE) == 3
 
     def test_commit_clamps_both_floors_and_disables_grace(self):
         rig = Rig()
@@ -132,15 +130,13 @@ class TestFloors:
             rig.session(name).delivered = 6
             rig.session(name).report_pin(6)
         long_after = rig.now + 100 * GRACE
-        for pins in (True, False):
-            assert rig.core.floor(rig.now, GRACE, commit=4, pins=pins) == 4
+        assert rig.core.floor(rig.now, GRACE, commit=4) == 4
         # an uncommitted suffix must never ride a state transfer, so a
         # replicated group never drops a laggard from the floor
         rig.session("b").disconnected_at = rig.now
         rig.session("b").pin = rig.session("b").delivered = 1
-        for pins in (True, False):
-            assert rig.core.floor(long_after, GRACE, pins=pins) == 6
-            assert rig.core.floor(long_after, GRACE, commit=4, pins=pins) == 1
+        assert rig.core.floor(long_after, GRACE) == 6
+        assert rig.core.floor(long_after, GRACE, commit=4) == 1
 
     def test_commit_clamps_the_acknowledgement(self):
         rig = Rig()
@@ -186,7 +182,7 @@ class TestFixpointAndCollect:
         assert (base, floor) == (0, 2)
         assert rig.core.server.base == 2
         assert rig.core.gc_runs == 1
-        assert rig.core.record_floor == 2  # the WAL compacted behind it
+        assert rig.core.wal.base == 2  # the WAL checkpointed at it
         assert sorted(rig.core.ctx_floors) == [3, 4, 5]
 
 
@@ -194,8 +190,10 @@ class TestResync:
     def compacted(self):
         rig = Rig()
         rig.typed(6)
-        rig.core.compact(retain_after=3)
-        assert rig.core.record_floor == 3
+        for name in ("a", "b"):
+            rig.session(name).report_pin(3)
+        rig.collect(threshold=1)
+        assert rig.core.wal.base == rig.core.server.base == 3
         return rig
 
     def test_records_at_the_record_floor(self):
@@ -281,7 +279,7 @@ class TestWritePathAndRecovery:
         stray.generate(OpSpec("ins", 0, "p"))
         forged = stray.generate(OpSpec("ins", 0, "q")).outgoing  # ctx {b:1}
         with pytest.raises(ProtocolError, match="b: .*cannot be integrated"):
-            rig.core.serialise(rig.session("b"), forged, 0, rig.now, GRACE)
+            rig.core.serialise(rig.session("b"), forged, 0)
         assert rig.core.server.oracle.last_serial == 3
         assert rig.core.wal.last_serial == 3
         rig.typed(1)  # the shard carries on
@@ -304,7 +302,7 @@ class TestWritePathAndRecovery:
         with pytest.raises(PositionError):
             rig.core.server.receive("b", forged)
         with pytest.raises(ProtocolError, match="b: .*out of range"):
-            rig.core.serialise(rig.session("b"), forged, 0, rig.now, GRACE)
+            rig.core.serialise(rig.session("b"), forged, 0)
         assert rig.core.server.oracle.last_serial == 3
         assert rig.core.wal.last_serial == 3
         rig.typed(1)  # the shard carries on
@@ -351,7 +349,7 @@ class TestWritePathAndRecovery:
         last, text = server.oracle.last_serial, server.document.as_string()
         with pytest.raises(ProtocolError, match="b: .*cannot be integrated"):
             rig.core.serialise(
-                rig.session("b"), ClientOperation(forged), 0, rig.now, GRACE
+                rig.session("b"), ClientOperation(forged), 0
             )
         assert server.oracle.last_serial == rig.core.wal.last_serial == last
         assert server.document.as_string() == text
@@ -369,7 +367,7 @@ class TestWritePathAndRecovery:
         first = next(e for e in server.document if e.opid == OpId("a", 1))
         honest = delete(OpId("b", 1), first, 0, server.oracle.dense(1))
         rig.core.serialise(
-            rig.session("b"), ClientOperation(honest), 0, rig.now, GRACE
+            rig.session("b"), ClientOperation(honest), 0
         )
         assert server.oracle.last_serial == 4
         assert [e.opid for e in server.document] == [
@@ -378,7 +376,7 @@ class TestWritePathAndRecovery:
 
     def test_a_shard_rebuilt_from_its_saved_log_is_the_live_one(self, tmp_path):
         path = str(tmp_path / "doc.wal")
-        rig = Rig(path, snapshot_every=4)
+        rig = Rig(path)
         for round_ in range(5):
             rig.edit("a")
             rig.edit("b", "y")
@@ -390,7 +388,7 @@ class TestWritePathAndRecovery:
                     rig.session(name).report_pin(7)
                 assert rig.collect(threshold=4)
         live = rig.core
-        assert live.wal.compactions >= 3
+        assert live.wal.compactions == 1  # one checkpoint per rebase
         rebuilt = ShardCore("doc", load_wal(path), path, now=rig.now)
         assert rebuilt.server.space.signature() == live.server.space.signature()
         assert rebuilt.server.base == live.server.base > 0
@@ -405,19 +403,16 @@ class TestWritePathAndRecovery:
 
 
 class TestDeltaLinesOnRecovery:
-    """What recovery makes of a delta line it did not write: a log in the
-    previous dialect (an empty ``removed`` on every delta) recovers as
-    before; a delta that removes nodes, or touches one the log does not
-    hold, is refused typed."""
+    """What the version-3 converter makes of a delta line it did not
+    write: a log in the previous dialect (an empty ``removed`` on every
+    delta) recovers as before; a delta that removes nodes, or touches one
+    the log does not hold, is refused typed."""
 
     def logged(self, tmp_path, rewrite):
-        """Seven ops with ``snapshot_every=3``: a full checkpoint at 3, a
-        delta line at 6, record 7 after it — each delta line passed
-        through ``rewrite``."""
-        path = str(tmp_path / "doc.wal")
-        rig = Rig(path, snapshot_every=3)
-        for value in "abcdefg":
-            rig.edit("a", value)
+        """The version-3 fixture — a checkpoint past a GC rebase, delta
+        lines, a record suffix — each delta line passed through
+        ``rewrite``."""
+        path = v3.copied(tmp_path, "doc.wal")
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         deltas = [i for i, line in enumerate(lines) if '"delta"' in line]
@@ -428,25 +423,24 @@ class TestDeltaLinesOnRecovery:
             lines[i] = json.dumps(obj, sort_keys=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
-        return rig, path
+        return path
 
     def test_a_log_with_empty_removed_lists_recovers_the_live_shard(
         self, tmp_path
     ):
-        rig, path = self.logged(tmp_path, lambda d: d.update(removed=[]))
-        rebuilt = ShardCore("doc", load_wal(path), path, now=rig.now)
-        assert (
-            rebuilt.server.space.signature()
-            == rig.core.server.space.signature()
-        )
+        path = self.logged(tmp_path, lambda d: d.update(removed=[]))
+        rebuilt = ShardCore("doc", load_wal(path), path)
+        assert rebuilt.server.oracle.last_serial == v3.expected()["records"]
+        signature = document_signature(rebuilt.server.document)
+        assert signature == v3.expected()["signature"]
 
     def test_a_delta_that_removes_nodes_is_refused(self, tmp_path):
-        _rig, path = self.logged(tmp_path, lambda d: d.update(removed=[0]))
+        path = self.logged(tmp_path, lambda d: d.update(removed=[0]))
         with pytest.raises(ProtocolError, match="removes nodes"):
             ShardCore("doc", load_wal(path))
 
     def test_a_delta_touching_a_node_the_log_lacks_is_refused(self, tmp_path):
-        _rig, path = self.logged(
+        path = self.logged(
             tmp_path,
             lambda d: d["touched"].append({"id": 999, "children": []}),
         )

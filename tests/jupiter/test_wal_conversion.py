@@ -1,12 +1,15 @@
 """A WAL file written before contexts were ``[d, n]`` still serves.
 
 Version 2 of the WAL header stored each record's context as
-``[d, [extra opids]]``; version 3 stores ``[d, n]``, the spelling the
-wire uses.  ``wal_v2_two_writers.wal`` was written by the last version-2
-build: two writers whose ops interleave at the server (so most contexts
-carry extras), a full checkpoint in the header and delta lines after
-it.  ``wal_v2_two_writers.json`` records how many records it holds and
-the document signature every replica converged on.
+``[d, [extra opids]]``; later versions store ``[d, n]``, the spelling
+the wire uses.  ``wal_v2_two_writers.wal`` was written by the last
+version-2 build: two writers whose ops interleave at the server (so most
+contexts carry extras), a full checkpoint in the header and delta lines
+after it.  ``wal_v2_two_writers.json`` records how many records it
+holds and the document signature every replica converged on.  The
+converter that reads it is the version-3 one
+(``tests/jupiter/test_wal_v3_conversion.py``): the log it yields sits
+at the file's last serial, and a reader resyncs by whole state.
 
 Regenerate both only on purpose, with a version-2 build first on the
 path (this file's top-level imports exist in both)::
@@ -25,19 +28,21 @@ import pytest
 from repro.common.ids import SERVER_ID
 from repro.errors import ProtocolError
 from repro.jupiter.css import CssClient
+from repro.document.list_document import ListDocument
 from repro.jupiter.persistence import (
     ServerWriteAheadLog,
+    _run_form,
     load_wal,
     operation_to_obj,
 )
 from repro.jupiter.shard import ShardCore
 from repro.model.schedule import OpSpec
 from repro.net.codec import compact_server_op_obj, document_signature
+from tests.jupiter.test_wal_v3_conversion import first_append
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "wal_v2_two_writers.wal")
 EXPECTED = os.path.join(HERE, "wal_v2_two_writers.json")
-GRACE = 15.0
 NOW = 100.0
 
 
@@ -59,7 +64,7 @@ class Writers:
         session = self.core.sessions[name]
         for body in self.core.accept(session, self.seq[name], 0, message):
             _serial, executed, fanout = self.core.serialise(
-                session, body, 0, NOW, GRACE
+                session, body, 0
             )
             self.bodies.append((fanout[0][1], executed))
             for recipient, broadcast in fanout:
@@ -149,11 +154,16 @@ def test_the_fixture_is_what_it_claims():
 
 
 def test_a_version_2_file_loads_spelled_d_n(tmp_path):
+    """The converter reads each record's extras as the run ``[d, n]``
+    before the old fold replays it; the log it yields is the document
+    at the last serial."""
+    records = [line for line in lines(FIXTURE)[1:] if "delta" not in line]
+    for record in records:
+        assert [type(v) for v in _run_form(record)["ctx"]] == [int, int]
+    assert any(_run_form(r)["ctx"][1] for r in records)
     wal = load_wal(copied(tmp_path))
-    assert wal.last_serial == expected()["records"]
-    for record in wal.records:
-        assert [type(v) for v in record["ctx"]] == [int, int]
-    assert any(r["ctx"][1] for r in wal.records)
+    assert wal.base == wal.last_serial == expected()["records"]
+    assert wal.records == []
     recovered = wal.recover().document
     assert document_signature(recovered) == expected()["signature"]
 
@@ -186,22 +196,22 @@ def test_extras_that_are_not_the_run_on_the_final_line_are_torn(tmp_path):
 
 
 def test_a_fresh_reader_resyncs_to_the_recorded_signature(tmp_path):
-    reader = Writers(ShardCore("default", load_wal(copied(tmp_path))), ["r"])
-    assert len(reader.inbox["r"]) == expected()["records"]
-    reader.deliver()
-    signature = document_signature(reader.clients["r"].document)
-    assert signature == expected()["signature"]
+    """A converted log sits at its last serial: a reader resyncs by
+    whole-state transfer."""
+    core = ShardCore("default", load_wal(copied(tmp_path)))
+    session = core.register("r", NOW)
+    cursor, state, missed = core.resync(session, 0, 0, NOW)
+    assert missed == [] and cursor == expected()["records"]
+    document = ListDocument.from_obj(state["document"])
+    assert document_signature(document) == expected()["signature"]
 
 
 def test_the_file_is_rewritten_before_its_first_append(tmp_path):
     path = copied(tmp_path)
     core = ShardCore("default", load_wal(path), path)
     header, *rest = lines(path)
-    assert header["version"] == 3 and not any("delta" in x for x in rest)
-    writer = Writers(core, ["w3"])
-    writer.deliver()
-    edit = writer.clients["w3"].generate(OpSpec("ins", 0, "q"))
-    writer.send("w3", edit.outgoing)
+    assert header["version"] == 4 and rest == []
+    first_append(core, "w3")
     core.close()
     reloaded = load_wal(path)
     assert reloaded.last_serial == expected()["records"] + 1
@@ -215,7 +225,7 @@ def test_a_broadcast_body_carries_no_ctx_and_its_record_does(tmp_path):
     replay; the body ships the form the op executed as, at the serial
     before its own, and no context."""
     path = str(tmp_path / "default.wal")
-    wal = ServerWriteAheadLog(SERVER_ID, [], snapshot_every=8)
+    wal = ServerWriteAheadLog(SERVER_ID, [])
     writers = Writers(ShardCore("default", wal, path), ["w1", "w2"])
     interleave(writers, rounds=2, burst=4)
     writers.core.close()

@@ -17,6 +17,7 @@ from repro.errors import ProtocolError
 from repro.jupiter.persistence import ServerWriteAheadLog, load_wal, save_wal
 from repro.jupiter.replication import Replica
 
+from tests.jupiter import test_wal_v3_conversion as v3
 from tests.jupiter.test_persistence import driven_wal
 
 
@@ -57,15 +58,17 @@ class TestRoundTrip:
         assert recovered.space.signature() == cluster.server.space.signature()
 
     def test_compacted_wal_round_trips(self, tmp_path):
-        cluster, wal = driven_wal(snapshot_every=2)
-        wal.compact(cluster.server, retain_after=3)
+        cluster, wal = driven_wal()
+        cluster.server.rebase_to_serial(6)
+        wal.compact(cluster.server)
         path = tmp_path / "server.wal"
         save_wal(wal, str(path))
         loaded = load_wal(str(path))
-        assert loaded.records == wal.records
-        assert loaded.last_serial == wal.last_serial
+        assert loaded.to_obj() == wal.to_obj()
+        assert (loaded.base, loaded.last_serial) == (6, wal.last_serial)
         recovered = loaded.recover()
         assert recovered.space.signature() == cluster.server.space.signature()
+        assert recovered.document == cluster.server.document
 
     def test_loaded_wal_resumes_appends(self, tmp_path):
         _cluster, wal, path = saved_wal(tmp_path)
@@ -186,8 +189,9 @@ class TestTornTail:
     def test_torn_only_record_falls_back_to_the_snapshot_serial(
         self, tmp_path
     ):
-        cluster, wal = driven_wal(snapshot_every=2)
-        wal.compact(cluster.server)  # snapshot covers everything
+        cluster, wal = driven_wal()
+        cluster.server.rebase_to_serial(wal.last_serial)
+        wal.compact(cluster.server)  # the base document covers everything
         path = tmp_path / "server.wal"
         save_wal(wal, str(path))
         assert len(path.read_text().splitlines()) == 1  # header only
@@ -288,15 +292,24 @@ MALFORMED_HEADERS = {
     "a-string": lambda h: "header",
     "no-clients": lambda h: {k: v for k, v in h.items() if k != "clients"},
     "clients-an-int": lambda h: {**h, "clients": 5},
+    "base-a-string": lambda h: {**h, "base": "3"},
+    "document-a-dict": lambda h: {**h, "document": {"a": 1}},
+    "origin-count-a-float": lambda h: {**h, "origin_counts": {"c1": 1.0}},
+    # a version-3 header's own fields, which the converter reads
     "deltas-a-dict": lambda h: {**h, "deltas": {"a": 1}},
     "snapshot-a-list": lambda h: {**h, "snapshot": [1]},
     "snapshot_every-a-string": lambda h: {**h, "snapshot_every": "8"},
 }
+OLD_HEADER_FIELDS = ("deltas", "snapshot")
 
 
 @pytest.mark.parametrize("shape", sorted(MALFORMED_HEADERS))
 def test_a_malformed_header_is_refused_typed(tmp_path, shape):
-    _cluster, _wal, path = saved_wal(tmp_path)
+    if shape.startswith(OLD_HEADER_FIELDS):
+        path = tmp_path / "v3.wal"
+        v3.copied(tmp_path, path.name)
+    else:
+        _cluster, _wal, path = saved_wal(tmp_path)
     header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
     damage_line(path, 0, json.dumps(MALFORMED_HEADERS[shape](header)))
     with pytest.raises(ProtocolError, match="WAL header"):

@@ -225,12 +225,22 @@ class TestProxyStall:
 
 class TestProxyPartition:
     def test_one_way_partition_discards_bytes(self):
+        """The window is long enough for the first write to land inside
+        it on a loaded machine; the second is sent only once the proxy
+        counted the first as discarded and its own clock left the
+        window, so neither depends on how fast the bytes travel."""
+        window = 1.5
+
+        async def until(predicate):
+            while not predicate():
+                await asyncio.sleep(0.01)
+
         async def scenario():
             server, port = await _echo_server()
             proxy = await _started_proxy(
                 port,
                 NetChaosPlan(
-                    partition="c2s", partition_at=0.0, partition_for=0.3
+                    partition="c2s", partition_at=0.0, partition_for=window
                 ),
             )
             reader, writer = await asyncio.open_connection(
@@ -240,7 +250,10 @@ class TestProxyPartition:
             # the proxy, which read and discarded them.
             writer.write(b"lost")
             await writer.drain()
-            await asyncio.sleep(0.4)
+            await asyncio.wait_for(
+                until(lambda: proxy.partitioned_bytes >= 4), timeout=10
+            )
+            await until(lambda: proxy._elapsed() >= window)
             writer.write(b"kept")
             await writer.drain()
             echoed = await asyncio.wait_for(

@@ -49,7 +49,7 @@ class World:
 
     def __init__(self):
         wal = ServerWriteAheadLog(
-            SERVER_ID, [], snapshot_every=1000, initial_text=INITIAL
+            SERVER_ID, [], initial_text=INITIAL
         )
         self.core = ShardCore("doc", wal)
         self.peer = CssClient("c2", ListDocument.from_string(INITIAL))
@@ -64,7 +64,7 @@ class World:
         for released in self.core.accept(session, seq, ack, body):
             payload = message_from_wire(released, self.core.server.oracle)
             serial, ctx, fanout = self.core.serialise(
-                session, payload, 0, self.now, GRACE
+                session, payload, 0
             )
             self.bodies[serial] = _plain(
                 compact_server_op_obj(fanout[0][1], ctx)

@@ -45,7 +45,7 @@ class Rig:
     def __init__(self, seed=0):
         self.rng = random.Random(seed)
         self.shard = ShardCore(
-            "doc", ServerWriteAheadLog(SERVER_ID, [], snapshot_every=10_000)
+            "doc", ServerWriteAheadLog(SERVER_ID, [])
         )
         self.cores = {n: ClientCore(n, message_from_wire) for n in NAMES}
         for name in NAMES:
@@ -68,7 +68,7 @@ class Rig:
         for released in self.shard.accept(session, seq, 0, body):
             payload = message_from_wire(released, self.shard.server.oracle)
             serial, ctx, fanout = self.shard.serialise(
-                session, payload, 0, 0.0, 0.0
+                session, payload, 0
             )
             self.bodies[serial] = compact_server_op_obj(fanout[0][1], ctx)
             for recipient, _ in fanout:
@@ -172,7 +172,7 @@ class TestHostileRunCounts:
             payload = message_from_wire(
                 hostile_op((replica, seq), d, n), oracle
             )
-            shard.serialise(session, payload, 0, 0.0, 0.0)
+            shard.serialise(session, payload, 0)
         except ProtocolError:
             assert (oracle.last_serial, shard.server.document.as_string()) == before
             return
@@ -224,7 +224,7 @@ class TestHostileRunCounts:
         def send(seq, d, n):
             op = hostile_op(("h", seq), d, n)
             payload = message_from_wire(op, shard.server.oracle)
-            serial, ctx, fanout = shard.serialise(session, payload, 0, 0, 0)
+            serial, ctx, fanout = shard.serialise(session, payload, 0)
             return compact_server_op_obj(fanout[0][1], ctx)
 
         send(2, 0, 0)

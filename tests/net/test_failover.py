@@ -162,15 +162,16 @@ class TestPrimaryKill:
         """The client-registration regression: ops that are unacked at
         kill time must survive into the new view.
 
-        ``snapshot_every`` is huge, so no compaction-triggered reinstall
-        ever ships the primary's client list — the backups must learn
+        No compaction-triggered reinstall ships the primary's client list
+        (a checkpoint runs only at a GC rebase, and the backups keep
+        up with the records past it) — the backups must learn
         each origin from the replicated records themselves, or the
         promoted primary builds no session channels and the retransmits
         park forever as an unfillable gap."""
 
         async def scenario():
             servers, roster = await _started_roster(
-                failover_delay=0.3, snapshot_every=100_000
+                failover_delay=0.3
             )
             c1 = NetClient("c1", *roster[0], roster=roster)
             c2 = NetClient("c2", *roster[0], roster=roster)

@@ -53,7 +53,7 @@ async def _eventually(predicate, timeout=10.0, interval=0.02) -> bool:
 
 # Aggressive GC so short tests cross the threshold quickly.
 _FAST_GC = dict(
-    snapshot_every=4, gc_interval=0.02, gc_threshold=4, gc_grace=0.25
+    gc_interval=0.02, gc_threshold=4, gc_grace=0.25
 )
 
 
@@ -189,13 +189,13 @@ class TestActiveWindowGc:
                     server.server.document
                 ),
                 server.shards[DEFAULT_DOC].gc_runs,
-                server.shards[DEFAULT_DOC].record_floor,
+                server.shards[DEFAULT_DOC].wal.base,
             )
             await client.close()
             await server.stop()
             return results
 
-        base, nodes, client_base, same, gc_runs, record_floor = _run(
+        base, nodes, client_base, same, gc_runs, wal_base = _run(
             scenario()
         )
         assert base >= 30
@@ -205,12 +205,12 @@ class TestActiveWindowGc:
         assert client_base > 0  # the floor reached the client too
         assert same
         assert gc_runs >= 1
-        assert record_floor >= base  # WAL compacted behind the rebase
+        assert wal_base == base  # the WAL checkpointed at the rebase
 
     def test_disconnected_client_within_grace_pins_history(self):
         async def scenario():
             server = await _started_server(
-                snapshot_every=4, gc_interval=0.02, gc_threshold=4,
+                gc_interval=0.02, gc_threshold=4,
                 gc_grace=30.0,
             )
             active = NetClient("c1", "127.0.0.1", server.port)
@@ -299,7 +299,7 @@ def test_offline_edit_survives_a_gc_sweep_while_away():
 
     async def scenario():
         server = await _started_server(
-            gc_interval=0.05, gc_threshold=4, snapshot_every=4
+            gc_interval=0.05, gc_threshold=4
         )
         client = NetClient("c1", "127.0.0.1", server.port)
         await client.connect()
@@ -342,7 +342,7 @@ class TestUnmatchedContextIsAViolation:
     def test_forged_context_is_logged_and_serialises_nothing(self, ctx):
         async def scenario():
             server = await _started_server(
-                gc_interval=0.02, gc_threshold=4, snapshot_every=4
+                gc_interval=0.02, gc_threshold=4
             )
             logged = []
             server._log = logged.append
@@ -413,7 +413,6 @@ class TestMultiWriterGc:
 
         async def scenario():
             server = await _started_server(
-                snapshot_every=16,
                 gc_interval=0.02,
                 gc_threshold=16,
                 gc_grace=0.25,
@@ -569,13 +568,11 @@ class TestGcObservability:
             gc_stats = stats["gc"]
             assert gc_stats["base"] > 0
             assert gc_stats["runs"] >= 1
-            assert gc_stats["record_floor"] >= gc_stats["base"]
             assert gc_stats["space_nodes"] <= 16
-            # One instrument, two views: the admin block and the scrape.
-            for mode in ("full", "delta"):
-                assert gc_stats["snapshot_nodes"][mode] == snapshot_value(
-                    snapshot, "repro_wal_snapshot_nodes_total", [mode]
-                )
-            assert gc_stats["snapshot_nodes"]["full"] > 0
+            # One checkpoint per rebase, in the admin block and the scrape.
+            compactions = stats["wal"]["compactions"]
+            assert compactions == gc_stats["runs"] == snapshot_value(
+                snapshot, "repro_wal_compactions_total", []
+            )
         finally:
             obs.disable()

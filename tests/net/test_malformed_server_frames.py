@@ -165,7 +165,7 @@ class Story:
 
     def __init__(self, parked=(4,)):
         wal = ServerWriteAheadLog(
-            SERVER_ID, [], snapshot_every=1000, initial_text=INITIAL
+            SERVER_ID, [], initial_text=INITIAL
         )
         self.shard = ShardCore("doc", wal)
         self.cores = {
@@ -191,7 +191,7 @@ class Story:
         for released in self.shard.accept(session, seq, 0, body):
             payload = message_from_wire(released, self.shard.server.oracle)
             serial, executed, fanout = self.shard.serialise(
-                session, payload, 0, 0.0, 15.0
+                session, payload, 0
             )
             self.bodies[serial] = compact_server_op_obj(fanout[0][1], executed)
         core.data(serial, seq, 0, 0, self.bodies[serial])

@@ -172,7 +172,7 @@ def test_a_server_restarted_from_its_wal_file_re_ships_the_live_bodies(
 def test_the_primary_a_failover_promoted_re_ships_the_live_bodies():
     async def scenario():
         servers, roster = await _started_roster(
-            failover_delay=0.3, snapshot_every=100_000, gc_threshold=10**9
+            failover_delay=0.3, gc_threshold=10**9
         )
         writers = [NetClient(n, *roster[0], roster=roster) for n in ("w1", "w2")]
         reader = Recorder("r", *roster[0], roster=roster)

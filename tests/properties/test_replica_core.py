@@ -45,7 +45,7 @@ class Group:
         self.quorum = quorum_size(replicas)
         self.cores = {
             rid: Replica(
-                self.ids, rid, ServerWriteAheadLog(rid, [], snapshot_every=10**6)
+                self.ids, rid, ServerWriteAheadLog(rid, [])
             )
             for rid in self.ids
         }

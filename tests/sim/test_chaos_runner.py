@@ -171,7 +171,6 @@ class TestServerCrashRecovery:
         assert stats.server_restores == 1
         # Every serialised operation was logged before broadcast.
         assert stats.wal_appends == workload.operations
-        assert stats.wal_compactions > 0
         # Exactly-once delivery survived the outage.
         assert result.messages_delivered == (
             workload.operations * workload.clients

@@ -234,10 +234,8 @@ class TestFaultStats:
     def test_summary_reports_durability_counters(self):
         stats = FaultStats(
             server_crashes=1, server_resynced_ops=4, wal_appends=12,
-            wal_compactions=3,
         )
         summary = stats.summary()
         assert "server-crashes=1" in summary
         assert "server-resynced=4" in summary
         assert "wal-appends=12" in summary
-        assert "wal-compactions=3" in summary
