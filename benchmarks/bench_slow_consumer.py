@@ -66,7 +66,6 @@ async def _drive(with_stalled_peer: bool):
             stalled_writer,
             encode_envelope(
                 "hello", client="stall", delivered=0, epoch=0,
-                codecs=["json"],
             ),
         )
         # Never read again: not the welcome, not a single broadcast.

@@ -488,7 +488,7 @@ def cmd_connect(args) -> int:
                 args, "host", "port", "client_id", "ops", "seed",
                 "insert_ratio", "reconnect_after", "op_interval", "timeout",
                 "roster", "max_reconnect_attempts", "doc",
-                "max_connect_attempts", "duration", "codec",
+                "max_connect_attempts", "duration",
             ),
         )
     )
@@ -649,7 +649,7 @@ def cmd_loadgen(args) -> int:
             args, "clients", "ops", "seed", "host", "port", "timeout",
             "insert_ratio", "op_interval", "reconnect_clients",
             "initial_text", "quiet", "replicas",
-            "kill_primary", "failover_delay", "kill_after", "codec",
+            "kill_primary", "failover_delay", "kill_after",
         ),
     )
     server_desc = (
@@ -966,17 +966,6 @@ def _add_document_arguments(parser, wal_dir_help=None) -> None:
         parser.add_argument("--wal-dir", default=None, help=wal_dir_help)
 
 
-def _add_codec_argument(parser) -> None:
-    parser.add_argument(
-        "--codec",
-        choices=("bin", "json"),
-        default="bin",
-        help="frame codec a client offers: bin negotiates the binary codec "
-        "(JSON fallback), json keeps the same envelopes readable on "
-        "the wire for debugging",
-    )
-
-
 def _add_failover_delay_argument(parser) -> None:
     parser.add_argument(
         "--failover-delay",
@@ -1284,7 +1273,6 @@ def build_parser() -> argparse.ArgumentParser:
         "it when the target is a fleet router that may redirect to a "
         "dead worker until its lease expires",
     )
-    _add_codec_argument(connect)
     connect.add_argument(
         "--ops", type=int, default=0, help="seeded edits to generate"
     )
@@ -1348,7 +1336,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1 when clients > 1)",
     )
     _add_document_arguments(loadgen)
-    _add_codec_argument(loadgen)
     loadgen.add_argument(
         "--replicas",
         type=int,

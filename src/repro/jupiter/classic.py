@@ -32,6 +32,7 @@ from repro.common.ids import OpId, ReplicaId, SeqGenerator
 from repro.document.list_document import ListDocument
 from repro.errors import DocumentError, ProtocolError, TransformError
 from repro.jupiter.base import BaseClient, BaseServer, GenerateResult, ReceiveResult
+from repro.jupiter.keys import key_of
 from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
 from repro.jupiter.ordering import ClientOrderOracle, ServerOrderOracle
 from repro.model.schedule import OpSpec
@@ -74,6 +75,17 @@ class ClassicClient(BaseClient):
     @property
     def pending_count(self) -> int:
         return len(self._pending)
+
+    @property
+    def run_floor(self) -> int:
+        """``d`` of the state the next edit is generated on: the last
+        serial or, while ops await their echo, the serial prefix the
+        pending run's contexts hold.  Reading it settles the run's key
+        on serials learned since (an echoed head's); once a floor
+        passes the key's ``d``, it no longer can."""
+        if not self._pending:
+            return self.oracle.last_serial
+        return key_of(self.oracle, self._pending[-1].context).pair()[0]
 
     def generate(self, spec: OpSpec) -> GenerateResult:
         operation = self.edit(spec)

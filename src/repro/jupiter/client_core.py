@@ -53,8 +53,8 @@ class ClientCore:
         #: ``[d, n]`` off the pair, exactly, however far floors have
         #: trimmed the serial log since.
         self.unacked: Dict[int, ClientOperation] = {}
-        #: per-seq ``delivered`` at generation: the lowest serial the
-        #: op's context can reference
+        #: per-seq ``d`` of the op's context: the lowest serial it can
+        #: reference, on every (re)transmission
         self.gen_floors: Dict[int, int] = {}
         #: out-of-order broadcast bodies, still encoded, until released;
         #: the receiver counts a seq only when its body is taken
@@ -81,12 +81,12 @@ class ClientCore:
 
     @property
     def pin(self) -> int:
-        """The GC floor the server must hold for this client: the lowest
-        generation floor of an unacknowledged op, clamped to the cursor
-        so a resync always works from records."""
-        if self.gen_floors:
-            return min(min(self.gen_floors.values()), self.delivered)
-        return self.delivered
+        """The GC floor the server must hold for this client: no higher
+        than the ``d`` of any context it has sent or may still send —
+        each unacknowledged op's, and the run the next op is generated
+        on, which an acked op stays in until its echo — and clamped to
+        the cursor so a resync always works from records."""
+        return min(self.delivered, self.css.run_floor, *self.gen_floors.values())
 
     def converged(self, total_operations: int) -> bool:
         """All broadcasts consumed and nothing of ours still pending."""
@@ -102,7 +102,7 @@ class ClientCore:
         operation = self.css.edit(spec)
         seq = self.sender.send()
         self.unacked[seq] = ClientOperation(operation)
-        self.gen_floors[seq] = self.delivered
+        self.gen_floors[seq] = self.css.run_floor
         return seq, operation
 
     # ------------------------------------------------------------------

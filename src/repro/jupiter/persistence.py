@@ -66,7 +66,7 @@ def _require_version(obj: Dict[str, Any], what: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Primitive codecs
+# Primitive encodings
 # ----------------------------------------------------------------------
 def opid_to_obj(opid: OpId) -> List[Any]:
     return [opid.replica, opid.seq]

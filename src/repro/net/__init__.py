@@ -5,7 +5,7 @@ queues; this package is the first *deployed* code path.  It hosts a
 :class:`~repro.jupiter.css.CssServer` behind a real TCP listener and
 runs :class:`~repro.jupiter.css.CssClient`\\ s as independent OS
 processes, moving protocol messages as length-prefixed, version-enveloped
-frames (binary or JSON, negotiated per session).  The stack is reused,
+frames (positional or JSON, by each frame's shape).  The stack is reused,
 not forked:
 
 * :mod:`repro.jupiter.messages` dataclasses are the payload schema

@@ -2,10 +2,10 @@
 
 Every rule the client follows is
 :class:`~repro.jupiter.client_core.ClientCore`'s.  :class:`NetClient` is
-its asyncio shell: it dials with ``hello {client, delivered, codecs,
-pin}``, turns the ``welcome`` and then every frame into one core call,
-writes what the core leaves to send (the retransmit suffix, each new
-op), and keeps what needs a socket or a clock: the roster walk, the
+its asyncio shell: it dials with ``hello {client, delivered, epoch,
+doc, pin}``, turns the ``welcome`` and then every frame into one core
+call, writes what the core leaves to send (the retransmit suffix, each
+new op), and keeps what needs a socket or a clock: the roster walk, the
 heartbeat, round-trip samples and :meth:`NetClient.wait_converged`.  A
 frame the core refuses is treated like a dead link: one log line, hang
 up, reconnect.
@@ -43,8 +43,6 @@ from repro.jupiter.messages import ServerEcho
 from repro.jupiter.session import RetransmitPolicy
 from repro.model.schedule import OpSpec
 from repro.net.codec import (
-    CODEC_JSON,
-    SUPPORTED_CODECS,
     compact_client_op_obj,
     document_signature,
     encode_envelope,
@@ -91,7 +89,6 @@ class NetClient(ClientCore):
         max_reconnect_attempts: Optional[int] = None,
         heartbeat_interval: Optional[float] = HEARTBEAT_INTERVAL,
         doc: str = "",
-        codecs: Optional[List[str]] = None,
     ) -> None:
         super().__init__(client_id, message_from_wire)
         self.host = host
@@ -100,15 +97,6 @@ class NetClient(ClientCore):
         #: default (the pre-fleet behaviour).  A fleet router reads the
         #: field from the hello to pick the owning worker.
         self.doc = doc
-        #: codec preference list offered in the hello; the server picks
-        #: the first it supports.  A server refuses a hello with no offer.
-        self.codecs: Tuple[str, ...] = (
-            tuple(codecs) if codecs is not None else tuple(SUPPORTED_CODECS)
-        )
-        if not self.codecs:
-            raise ValueError(f"{client_id}: the codec offer must not be empty")
-        #: the codec the current connection negotiated
-        self.codec = CODEC_JSON
         self.backoff = RetransmitPolicy(seed=reconnect_seed)
         self.max_connect_attempts = max_connect_attempts
         self.max_reconnect_attempts = max_reconnect_attempts
@@ -206,7 +194,6 @@ class NetClient(ClientCore):
                     delivered=self.delivered,
                     epoch=self.epoch,
                     doc=self.doc,
-                    codecs=list(self.codecs),
                     pin=self.pin,
                 )
                 await write_frame(link, hello, doc=self.doc)
@@ -268,7 +255,6 @@ class NetClient(ClientCore):
             raise ProtocolError(
                 f"{self.client_id}: expected welcome, got {welcome!r}"
             )
-        self.codec = str(welcome.get("codec") or CODEC_JSON)
         if welcome.get("roster"):
             self.roster = roster_from_obj(welcome["roster"])
         retransmit = self.welcome(
@@ -406,9 +392,7 @@ class NetClient(ClientCore):
             )
 
     async def _send(self, envelope: Dict[str, Any]) -> None:
-        await write_frame(
-            self._writer, envelope, doc=self.doc, codec=self.codec
-        )
+        await write_frame(self._writer, envelope, doc=self.doc)
 
     # ------------------------------------------------------------------
     # Convergence

@@ -7,16 +7,17 @@ other client) and :class:`~repro.jupiter.messages.ServerEcho` (the
 generator's ``(opid, serial)``) — each wrapped in a message
 **envelope**::
 
-    {"v": 5, "kind": "server_op", "body": {...}}
+    {"v": 6, "kind": "server_op", "body": {...}}
 
 whose body carries a client's operation with a *serial-encoded* context
 (see :func:`compact_client_op_obj`), a broadcast's in the form the server
 executed it, or only the id and serial for a ``server_echo``.  That is
-the only wire dialect; what a ``hello``
-negotiates is the byte serialisation of frames: ``bin`` (tagged values,
-and positional layouts for the hot ``data``/``ack``/``multi`` shapes) or
-``json``, the handshake and debug codec; an envelope decodes to an equal
-dictionary under either.  Two compatibility rules:
+the only wire dialect, and a frame's shape alone picks its bytes: the
+hot ``data``/``ack``/``multi`` shapes are written positionally, every
+other frame as compact UTF-8 JSON (see :func:`encode_frame_bytes`).  A
+reader tells the two apart by the first byte, nothing is negotiated, and
+an envelope decodes to an equal dictionary either way.  Two
+compatibility rules:
 
 * the envelope ``v`` must match :data:`WIRE_VERSION` exactly — a peer
   speaking a different wire version is rejected loudly rather than
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.document.list_document import ListDocument
@@ -54,23 +54,15 @@ from repro.ot.operations import Operation
 #: 2: ``bin`` spells the hot frames positionally.  3: a context is
 #: ``[d, n]``, a count where 2 listed ids.  4: the generator's echo is
 #: a ``server_echo`` ``(opid, serial)``, with a layout of its own.  5: a
-#: broadcast carries its executed form ``o{L}`` and no context.  The
+#: broadcast carries its executed form ``o{L}`` and no context.  6: a
+#: positional element value is a ``str`` with no tag byte, every cold
+#: frame is JSON, and the hello/welcome negotiate no codec.  The
 #: handshake is JSON: a peer of another version is refused at its hello.
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
-#: Frame byte serialisations a peer offers in its ``hello`` (``codecs``
-#: field, preference order) and the server picks from in its ``welcome``
-#: (``codec`` field).  JSON is the mandatory fallback: the handshake
-#: itself is always JSON, so every peer speaks it.
-CODEC_JSON = "json"
-CODEC_BINARY = "bin"
-SUPPORTED_CODECS = (CODEC_BINARY, CODEC_JSON)
-
-#: First byte of every binary-codec frame.  JSON frames start with
-#: ``{`` (0x7B) or whitespace, never 0xB2, so the decoder sniffs the
-#: serialisation per frame — which is what makes the handshake safe:
-#: hello/welcome are always JSON, and the first binary frame after a
-#: ``welcome`` needs no synchronisation point.
+#: First byte of every positional frame.  JSON frames start with ``{``
+#: (0x7B) or whitespace, never 0xB2, so the decoder tells the spellings
+#: apart per frame, with no handshake and no synchronisation point.
 BINARY_MAGIC = 0xB2
 
 #: Document served when a ``hello`` carries no ``doc`` field.  The field
@@ -113,8 +105,8 @@ def compact_client_op_obj(message: ClientOperation, oracle) -> Dict[str, Any]:
 
 class ServerOpBody(dict):
     """A ``server_op`` message envelope, built once per operation and put
-    in every recipient's frame: the ``bin`` codec spells it for the first
-    and splices ``packed`` into the rest.  Read-only once framed."""
+    in every recipient's frame: the positional writer spells it for the
+    first and splices ``packed`` into the rest.  Read-only once framed."""
 
     packed: Optional[bytes] = None
 
@@ -301,28 +293,27 @@ def encode_envelope(frame_type: str, **fields: Any) -> Dict[str, Any]:
 
 
 def decode_envelope(raw: bytes) -> Dict[str, Any]:
-    """Parse and version-check one frame body, sniffing the codec.
+    """Parse and version-check one frame body.
 
-    A body starting with :data:`BINARY_MAGIC` is a binary-codec frame;
+    A body starting with :data:`BINARY_MAGIC` is a positional frame;
     anything else is UTF-8 JSON.  Returns the decoded dictionary;
     callers dispatch on ``frame["type"]`` and read only the fields they
-    know (unknown fields are tolerated by both codecs — a frame carrying
-    one is written generically, self-describing, so a decoder carries
-    unfamiliar keys through just like ``json.loads`` does).
+    know (an envelope with a field no layout has is written as JSON, so
+    unfamiliar keys come through just as ``json.loads`` reads them).
     """
     if raw[:1] == _BINARY_MAGIC_BYTE:
         try:
-            read = _unpack_hot if raw[1] > _TAG_REF else _read_binary_value
-            obj, end = read(raw, 1)
-        except (IndexError, struct.error):
+            obj, end = _unpack_hot(raw, 1)
+        except IndexError:
             raise WireError("binary frame truncated") from None
         if end != len(raw):
             raise WireError(f"binary frame has {len(raw) - end} trailing bytes")
-    else:
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise WireError(f"frame is not valid UTF-8 JSON: {exc}") from exc
+        return obj  # its layout implied the version and the type
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    # ValueError: bad UTF-8, bad JSON, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
+        raise WireError(f"frame is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise WireError(f"frame must be a JSON object, got {type(obj).__name__}")
     if obj.get("v") != WIRE_VERSION:
@@ -332,66 +323,32 @@ def decode_envelope(raw: bytes) -> Dict[str, Any]:
     return obj
 
 
-def encode_frame_bytes(
-    envelope: Dict[str, Any], codec: str = CODEC_JSON
-) -> bytes:
-    """Serialise one envelope dictionary under ``codec``."""
-    if codec == CODEC_BINARY:
-        out = bytearray(_BINARY_MAGIC_BYTE)
-        if not _pack_hot(out, envelope):
-            _encode_binary_value(out, envelope)
+def encode_frame_bytes(envelope: Dict[str, Any]) -> bytes:
+    """Serialise one envelope: positionally when it is exactly a hot
+    shape, as compact JSON otherwise."""
+    out = bytearray(_BINARY_MAGIC_BYTE)
+    if _pack_hot(out, envelope):
         return bytes(out)
-    if codec == CODEC_JSON:
+    try:
         return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-    raise WireError(f"unknown wire codec {codec!r}")
-
-
-def negotiate_codec(offered: Any) -> Optional[str]:
-    """Server-side codec pick from a hello's ``codecs`` offer.
-
-    The first supported entry wins; an offer naming only codecs this
-    server has never heard of lands on JSON, which every peer speaks.
-    ``None`` when there is no offer at all (field missing, empty, or not
-    a list) — the hello is not a session this server can serve.
-    """
-    if not isinstance(offered, (list, tuple)) or not offered:
-        return None
-    for name in offered:
-        if name in SUPPORTED_CODECS:
-            return str(name)
-    return CODEC_JSON
+    except (TypeError, ValueError) as exc:
+        raise WireError(f"frame cannot be written as JSON: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
-# Binary frame serialisation (negotiated codec "bin")
+# Positional frames: the hot shapes
 # ----------------------------------------------------------------------
-# After the magic byte, a frame's second byte says how the rest is
-# spelled.  A *value tag* (0x00-0x08) opens the generic encoding: a
-# self-describing tagged serialisation of the same envelope dictionaries
-# the JSON codec carries — nothing schema-specific, so the unknown-fields
-# rule holds byte-for-byte — with varint integers, length-prefixed
-# strings and a static intern table that turns every well-known key and
-# type name into a 2-byte reference (APPEND-ONLY: an index, once shipped,
-# means that string forever).  Every cold frame travels that way.  A
-# *layout tag* (>= 0x10) opens a hot shape spelled positionally — fields
-# in a fixed order, no keys, no per-value tags, no ``v`` (the tag implies
-# it); ``docs/ARCHITECTURE.md`` has the byte table.  *Exact-shape rule*:
-# an envelope is written positionally only when its key sets are exactly
-# the known ones and every counter is a non-negative ``int``; anything
-# else (an unknown field, a foreign body, a multi with a cold member, an
-# echo whose serial is not its frame's ``seq``) is written generically,
-# so every envelope decodes to an equal dictionary.
+# After the magic byte, a *layout tag* says which hot shape follows,
+# spelled positionally: fields in a fixed order, no keys, no ``v`` (the
+# tag implies it), varint counters and length-prefixed UTF-8 strings;
+# ``docs/ARCHITECTURE.md`` has the byte table.  *Exact-shape rule*: an
+# envelope is written positionally only when its key sets are exactly
+# the known ones, every counter is a non-negative ``int`` below 2**70
+# and an element's value is a ``str``; anything else (an unknown field,
+# a foreign body, a multi with a cold member, an echo whose serial is
+# not its frame's ``seq``) is JSON, so every envelope decodes to an
+# equal dictionary.
 _BINARY_MAGIC_BYTE = bytes([BINARY_MAGIC])
-
-_TAG_NONE = 0x00
-_TAG_FALSE = 0x01
-_TAG_TRUE = 0x02
-_TAG_INT = 0x03
-_TAG_FLOAT = 0x04
-_TAG_STR = 0x05
-_TAG_LIST = 0x06
-_TAG_DICT = 0x07
-_TAG_REF = 0x08
 
 #: layout tag -> (frame type, its counters in wire order, message kind),
 #: and for the writer (frame type, carries a ``floor``, message kind) ->
@@ -408,88 +365,12 @@ _LAYOUT_TAGS = {
     (t, "floor" in names, kind): tag for tag, (t, names, kind) in _LAYOUTS.items()
 }
 _OP_KINDS = ("ins", "del")
-_MAX_DEPTH = 32  #: containers nest this deep at most (real frames: < 10)
-
-_INTERNED = (
-    # envelope / session
-    "v", "type", "hello", "welcome", "data", "ack", "ping", "pong", "bye",
-    "admin", "error", "multi", "redirect", "evicted", "retry_after",
-    "client", "doc", "seq", "serial", "origin", "epoch", "message",
-    "frames", "codec", "codecs", "features", "batch", "floor", "pin",
-    "reason", "resync", "delivered", "payloads", "command",
-    # message envelopes
-    "kind", "body", "client_op", "server_op", "resync_request",
-    "resync_response", "operation", "prefix", "position", "context",
-    "element", "value", "opid", "replica", "ins", "del", "ctx", "base",
-    # replication / fleet control plane
-    "view", "primary", "host", "port", "roster", "committed", "record",
-    "log", "lease", "interval", "worker", "docs", "repl_install",
-    "repl_append", "repl_ack", "repl_deny", "repl_seek", "repl_offer",
-    "fleet_register", "fleet_heartbeat", "fleet_ack",
-    # state transfer
-    "space", "serials", "snapshot", "next_seq", "clients", "state",
-    # wire version 4
-    "server_echo",
-)
-_INTERN_INDEX = {text: index for index, text in enumerate(_INTERNED)}
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    if value >> 70:  # ten bytes: what the reader takes, the writer emits
-        raise WireError(f"integer {value} does not fit a binary varint")
-    while value > 0x7F:
-        out.append(value & 0x7F | 0x80)
-        value >>= 7
-    out.append(value)
-
-
-def _encode_binary_value(out: bytearray, value: Any) -> None:
-    if value is None:
-        out.append(_TAG_NONE)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif value is False:
-        out.append(_TAG_FALSE)
-    elif isinstance(value, int):
-        out.append(_TAG_INT)
-        zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
-        _write_varint(out, zigzag)
-    elif isinstance(value, float):
-        out.append(_TAG_FLOAT)
-        out.extend(struct.pack(">d", value))
-    elif isinstance(value, str):
-        index = _INTERN_INDEX.get(value)
-        if index is not None:
-            out.append(_TAG_REF)
-            _write_varint(out, index)
-        else:
-            out.append(_TAG_STR)
-            _pack_str(out, value)
-    elif isinstance(value, (list, tuple)):
-        out.append(_TAG_LIST)
-        _write_varint(out, len(value))
-        for item in value:
-            _encode_binary_value(out, item)
-    elif isinstance(value, dict):
-        out.append(_TAG_DICT)
-        _write_varint(out, len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise WireError(
-                    f"binary codec requires string keys, got {key!r}"
-                )
-            _encode_binary_value(out, key)
-            _encode_binary_value(out, item)
-    else:
-        raise WireError(
-            f"binary codec cannot encode {type(value).__name__}"
-        )
 
 
 def _pack_counters(out: bytearray, values: Sequence[Any]) -> None:
     for value in values:
         if type(value) is not int or value < 0 or value >> 70:
-            raise ValueError  # no counter; past 70 bits the generic writer's
+            raise ValueError  # no counter, or past what the reader takes
         while value > 0x7F:
             out.append(value & 0x7F | 0x80)
             value >>= 7
@@ -500,7 +381,7 @@ def _pack_str(out: bytearray, text: Any) -> None:
     if not isinstance(text, str):
         raise ValueError
     encoded = text.encode("utf-8")
-    _write_varint(out, len(encoded))
+    _pack_counters(out, (len(encoded),))
     out += encoded
 
 
@@ -540,7 +421,7 @@ def _pack_message(out: bytearray, message: Any, kind: str) -> None:
     _pack_opid(out, operation["opid"])
     _pack_counters(out, (operation["position"],))
     if element is not None:
-        _encode_binary_value(out, element["value"])
+        _pack_str(out, element["value"])
         _pack_opid(out, element["opid"])
     if not server:
         ctx = body["ctx"]
@@ -568,7 +449,7 @@ def _pack_hot(out: bytearray, envelope: Any, nested: bool = False) -> bool:
             if nested or len(envelope) != 3 or type(frames) is not list:
                 raise ValueError
             out.append(_LAYOUT_MULTI)
-            _write_varint(out, len(frames))
+            _pack_counters(out, (len(frames),))
             if not all(_pack_hot(out, member, True) for member in frames):
                 raise ValueError
         else:
@@ -622,47 +503,6 @@ def _unpack_str(raw: bytes, offset: int) -> _Read:
         raise WireError(f"binary string is not UTF-8: {exc}") from exc
 
 
-def _read_binary_value(raw: bytes, offset: int, depth: int = 0) -> _Read:
-    tag = raw[offset]
-    offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag == _TAG_INT:
-        zigzag, offset = _read_varint(raw, offset)
-        return (zigzag >> 1) if not zigzag & 1 else -((zigzag + 1) >> 1), offset
-    if tag == _TAG_FLOAT:
-        return struct.unpack_from(">d", raw, offset)[0], offset + 8
-    if tag == _TAG_STR:
-        return _unpack_str(raw, offset)
-    if tag == _TAG_REF:
-        index, offset = _read_varint(raw, offset)
-        if index >= len(_INTERNED):
-            raise WireError(f"binary intern reference {index} out of range")
-        return _INTERNED[index], offset
-    if tag not in (_TAG_LIST, _TAG_DICT):
-        raise WireError(f"unknown binary value tag 0x{tag:02x}")
-    if depth >= _MAX_DEPTH:
-        raise WireError(f"binary frame nests deeper than {_MAX_DEPTH}")
-    count, offset = _read_varint(raw, offset)
-    if tag == _TAG_LIST:
-        items = []
-        for _ in range(count):
-            item, offset = _read_binary_value(raw, offset, depth + 1)
-            items.append(item)
-        return items, offset
-    result: Dict[str, Any] = {}
-    for _ in range(count):
-        key, offset = _read_binary_value(raw, offset, depth + 1)
-        if not isinstance(key, str):
-            raise WireError(f"binary dictionary key is not a string: {key!r}")
-        result[key], offset = _read_binary_value(raw, offset, depth + 1)
-    return result, offset
-
-
 def _unpack_opid(raw: bytes, offset: int) -> _Read:
     replica, offset = _unpack_str(raw, offset)
     seq, offset = _read_varint(raw, offset)
@@ -683,7 +523,7 @@ def _unpack_message(raw: bytes, offset: int, kind: str, seq: int) -> _Read:
     operation["opid"], offset = _unpack_opid(raw, offset + 1)
     operation["position"], offset = _read_varint(raw, offset)
     if not op_kind & 2:
-        value, offset = _read_binary_value(raw, offset, 1)
+        value, offset = _unpack_str(raw, offset)
         opid, offset = _unpack_opid(raw, offset)
         operation["element"] = {"value": value, "opid": opid}
     body = {"operation": operation}

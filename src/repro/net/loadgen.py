@@ -63,14 +63,6 @@ from repro.sim.faults import NetChaosPlan
 
 _ALPHABET = string.ascii_lowercase
 
-# ``--codec`` values mapped to the codec offer in the client hello:
-# "bin" negotiates the binary framing (JSON fallback), "json" keeps the
-# same envelopes over JSON.
-_CODEC_OFFERS = {
-    "bin": ("bin", "json"),
-    "json": ("json",),
-}
-
 
 # ----------------------------------------------------------------------
 # Admin plane helpers
@@ -193,7 +185,6 @@ async def run_worker(
     doc: str = "",
     max_connect_attempts: int = 8,
     duration: Optional[float] = None,
-    codec: str = "bin",
 ) -> Dict[str, Any]:
     """Drive one client: ``ops`` seeded edits, then wait for convergence.
 
@@ -216,10 +207,6 @@ async def run_worker(
     generated.
     """
     rng = random.Random(seed)
-    try:
-        offered = _CODEC_OFFERS[codec]
-    except KeyError:
-        raise ValueError(f"unknown codec {codec!r}") from None
     client = NetClient(
         client_id,
         host,
@@ -229,7 +216,6 @@ async def run_worker(
         roster=parse_roster(roster) if roster else None,
         max_reconnect_attempts=max_reconnect_attempts,
         doc=doc,
-        codecs=offered,
     )
     tally = _WorkerTally(client, connect_timeout)
     deadline = None if duration is None else tally.started + duration
@@ -635,7 +621,6 @@ def run_loadgen(
     kill_after: Optional[float] = None,
     chaos: Optional[NetChaosPlan] = None,
     primary_deadline: Optional[float] = None,
-    codec: str = "bin",
 ) -> Dict[str, Any]:
     """Run the full multi-process deployment and report convergence.
 
@@ -732,7 +717,6 @@ def run_loadgen(
                 insert_ratio=insert_ratio,
                 op_interval=op_interval,
                 timeout=timeout,
-                codec=codec,
                 roster=roster_text or None,
                 reconnect_after=(
                     max(1, shares[index] // 2)

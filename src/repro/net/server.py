@@ -56,7 +56,6 @@ from repro.net.codec import (
     document_signature,
     encode_envelope,
     message_from_wire,
-    negotiate_codec,
     roster_to_obj,
     server_echo_obj,
 )
@@ -112,11 +111,11 @@ class _DocShard(ShardCore):
 class NetServer:
     """Serve CSS documents over TCP — one or many behind one listener.
 
-    This class is the asyncio shell: listener, admission, codec
-    negotiation, per-peer queues and eviction, the idle timer, the
-    replication transport and the admin plane.  What a server *decides*
-    is its :class:`~repro.jupiter.server_core.ServerCore`: frames become
-    core calls here and their results become sends.  Hosting many
+    This class is the asyncio shell: listener, admission, per-peer
+    queues and eviction, the idle timer, the replication transport and
+    the admin plane.  What a server *decides* is its
+    :class:`~repro.jupiter.server_core.ServerCore`: frames become core
+    calls here and their results become sends.  Hosting many
     documents (the fleet tier's worker role) shares admission and the
     overload accounting across them, because sockets and memory are.
     """
@@ -572,30 +571,18 @@ class NetServer:
                 "retry_after", seconds=self.retry_after, reason=reason
             ))
             return
-        # The session speaks the one wire dialect (compact contexts, GC
-        # pins, floor rebasing, multi batching); the hello negotiates
-        # only the byte codec, and one without an offer is not a session.
-        codec = negotiate_codec(hello.get("codecs"))
-        if codec is None:
-            self._log(f"{name}: rejecting hello — no codec offer")
-            reason = "hello must offer a codecs list"
-            await self._turn_away(
-                link, encode_envelope("error", reason=reason, epoch=self.epoch)
-            )
-            return
         welcome = self._core.welcome(accepted, time.monotonic())
         channel, cursor, state, missed, fields = welcome
         link.doc = doc
         sender = self._attach(channel, link)
-        sender.codec = codec
         roster = roster_to_obj(self.roster) if self.replicated else []
-        reply = encode_envelope("welcome", **fields, roster=roster, codec=codec)
+        reply = encode_envelope("welcome", **fields, roster=roster)
         if state is not None:
             reply["state"] = state
         await sender.send_wait(reply)
         self._obs.trace(
             "net.connect", client=name, doc=doc, connect=channel.connects,
-            cursor=cursor, resync=len(missed), codec=codec, transfer=state is not None,
+            cursor=cursor, resync=len(missed), transfer=state is not None,
         )
         self._update_connection_gauges()
         # Resync from durable state: re-ship everything after the cursor.

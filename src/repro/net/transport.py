@@ -1,8 +1,9 @@
 """Framed transport: length-prefixed envelope frames over TCP.
 
 A frame on the wire is a 4-byte big-endian length followed by that many
-bytes of one serialised envelope — binary or UTF-8 JSON, sniffed per
-frame (see :func:`repro.net.codec.decode_envelope`).  Every connection
+bytes of one serialised envelope — positional for a hot shape, UTF-8
+JSON otherwise, told apart by the first byte (see
+:func:`repro.net.codec.encode_frame_bytes`).  Every connection
 the runtime opens or accepts is a :class:`FrameProtocol`: it frames the
 bytes where they land, serves the first frames through an awaitable
 read, then hands each frame to its session's handler from the callback
@@ -30,7 +31,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.errors import ProtocolError
 from repro.net.codec import (
-    CODEC_JSON,
     WIRE_VERSION,
     WireError,
     decode_envelope,
@@ -107,9 +107,9 @@ def _decoded(body: bytes, doc: str) -> Dict[str, Any]:
     return decode_envelope(body)
 
 
-def _framed(envelope: Dict[str, Any], codec: str, doc: str) -> bytes:
+def _framed(envelope: Dict[str, Any], doc: str) -> bytes:
     """One envelope as its bytes on the wire, counted under ``doc``."""
-    body = encode_frame_bytes(envelope, codec)
+    body = encode_frame_bytes(envelope)
     if len(body) > MAX_FRAME:
         raise FrameTooLarge(len(body))
     obs = get_obs()
@@ -162,13 +162,11 @@ async def write_frame(
     envelope: Dict[str, Any],
     timeout: Optional[float] = None,
     doc: str = "",
-    codec: str = CODEC_JSON,
 ) -> None:
     """Send one envelope on a :class:`FrameProtocol` (or a
     ``StreamWriter``) and drain it, under the write deadline ``timeout``
-    (``None``: wait forever).  ``doc`` labels the frame counter;
-    ``codec`` is the session's (the receiver sniffs it per frame)."""
-    writer.write(_framed(envelope, codec, doc))
+    (``None``: wait forever).  ``doc`` labels the frame counter."""
+    writer.write(_framed(envelope, doc))
     await _drained(writer, timeout, envelope.get("type", "?"))
 
 
@@ -446,8 +444,7 @@ class FrameSender:
     full queue refuses (the owner evicts); a write error or overrun
     records ``failure``, aborts the transport and calls ``on_failure``
     exactly once, from the flush.  Nothing queued is precious: the WAL
-    re-ships it on reconnect.  ``codec`` is set by the owner after the
-    handshake.
+    re-ships it on reconnect.
     """
 
     def __init__(
@@ -468,7 +465,6 @@ class FrameSender:
         self.on_failure = on_failure
         #: the document the peer's session serves (labels the counters)
         self.doc = doc
-        self.codec = CODEC_JSON
         self.failure: Optional[str] = None
         self.closed = False
         self.frames_sent = self.frames_dropped = 0
@@ -576,7 +572,7 @@ class FrameSender:
         if len(batched) > 1:
             envelope = {"v": WIRE_VERSION, "type": "multi", "frames": batched}
         try:
-            data = _framed(envelope, self.codec, self.doc)
+            data = _framed(envelope, self.doc)
         except FrameTooLarge:
             if len(batched) == 1:
                 raise

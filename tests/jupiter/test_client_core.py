@@ -28,12 +28,13 @@ from repro.net.codec import (
 
 
 class Rig:
-    """A shard core, two client cores, and the broadcasts in between."""
+    """A shard core, client cores (two by default), and the broadcasts in
+    between."""
 
-    def __init__(self):
+    def __init__(self, names="ab"):
         wal = ServerWriteAheadLog(SERVER_ID, [])
         self.shard = ShardCore("doc", wal)
-        self.cores = {n: ClientCore(n, message_from_wire) for n in "ab"}
+        self.cores = {n: ClientCore(n, message_from_wire) for n in names}
         #: serial -> the encoded broadcast every client receives
         self.bodies = {}
         for name in self.cores:
@@ -92,6 +93,39 @@ class TestPinAndAck:
         assert a.gen_floors == {2: 3} and a.pin == 3
         rig.data("a", 4, ack=2)
         assert not a.unacked and a.pin == a.delivered == 4
+
+    def test_an_acked_op_awaiting_its_echo_still_holds_the_pin(self):
+        """An ack can precede the echo (a welcome's ack precedes the
+        echoes its resync re-ships): the next op is still generated on
+        the run of the acked one, so a GC pass at the pin must leave that
+        run's ``d`` in the window."""
+        rig = Rig(["c1", "c2", "c3"])
+        rig.edit("c3", "p")  # serial 1
+        rig.edit("c3", "q")  # serial 2, generated on the run of serial 1
+        for name in rig.cores:
+            rig.data(name, 1)  # c3's is the echo of its own serial 1
+        for _ in range(2):
+            for name, core in rig.cores.items():
+                rig.shard.sessions[name].report_pin(core.pin)
+            rig.shard.collect(0.0, 0.0, threshold=0)
+            floor = rig.shard.server.base
+            for name, core in rig.cores.items():
+                ack = rig.shard.ack_for(rig.shard.sessions[name])
+                core.ack(ack, 0, floor)  # serial 2's echo is still in flight
+        c3 = rig.cores["c3"]
+        assert not c3.unacked and c3.css.pending_count == 1
+        rig.edit("c3", "r")  # refused as "context floor 0 is outside the window"
+        assert rig.shard.wal.last_serial == 3
+        rig.data("c3", 2)
+        rig.data("c3", 3)
+        for name in ("c1", "c2"):
+            for serial in (2, 3):
+                rig.data(name, serial)
+        signatures = {
+            document_signature(core.css.document)
+            for core in rig.cores.values()
+        }
+        assert signatures == {document_signature(rig.shard.server.document)}
 
     def test_the_ack_is_clamped_to_the_last_seq_sent(self):
         core = ClientCore("a", message_from_wire)

@@ -129,7 +129,6 @@ class World:
             view=view,
             epoch=epoch,
             roster=list(roster),
-            codec="json",
             floor=self.core.server.base,
         )
         if state is not None:
@@ -187,7 +186,7 @@ def run_story():
         if envelope["type"] == "hello":
             writer.hello = envelope
         envelope.pop("t", None)  # a ping's clock reading
-        log.append(["write", kwargs.get("codec", "json"), envelope])
+        log.append(["write", envelope])
 
     def feed(frame):
         frame = _plain(frame)
@@ -212,7 +211,7 @@ def run_story():
         )
 
     def last_write():
-        return next(e[2] for e in reversed(log) if e[0] == "write")
+        return next(e[1] for e in reversed(log) if e[0] == "write")
 
     async def generate(spec, online=True):
         await client.generate(spec)

@@ -11,7 +11,6 @@ from repro.errors import ProtocolError
 from repro.jupiter.messages import ClientOperation, ServerOperation
 from repro.jupiter.ordering import ClientOrderOracle
 from repro.net.codec import (
-    CODEC_BINARY,
     WIRE_VERSION,
     WireError,
     compact_client_op_obj,
@@ -204,7 +203,7 @@ class TestMessageEnvelope:
     def test_unencodable_payload_rejected(self):
         frame = encode_envelope("data", seq=1, body=object())
         with pytest.raises(WireError):
-            encode_frame_bytes(frame, CODEC_BINARY)
+            encode_frame_bytes(frame)
 
     def test_wire_error_is_a_protocol_error(self):
         assert issubclass(WireError, ProtocolError)

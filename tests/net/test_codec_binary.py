@@ -1,13 +1,14 @@
-"""Tests for the binary wire codec, negotiation, and frame batching.
+"""Tests for the frame spellings and frame batching.
 
-The binary codec is a drop-in alternative *serialisation* of the same
-envelope objects — not a wire-version bump.  Every test here asserts
-the round trip through ``encode_frame_bytes``/``decode_envelope``
-reproduces the envelope dict exactly, so the two codecs are
-interchangeable frame by frame.
+A frame's shape picks its bytes: the hot ``data``/``ack``/``multi``
+shapes are positional, every other frame is compact JSON, and nothing
+is negotiated.  Every test here asserts the round trip through
+``encode_frame_bytes``/``decode_envelope`` reproduces the envelope dict
+exactly, and a reader takes either spelling of any frame.
 """
 
 import asyncio
+import copy
 import json
 import struct
 
@@ -20,9 +21,6 @@ from repro.jupiter.messages import ClientOperation, ServerEcho, ServerOperation
 from repro.jupiter.ordering import ClientOrderOracle
 from repro.net.codec import (
     BINARY_MAGIC,
-    CODEC_BINARY,
-    CODEC_JSON,
-    SUPPORTED_CODECS,
     WIRE_VERSION,
     WireError,
     compact_client_op_obj,
@@ -31,15 +29,23 @@ from repro.net.codec import (
     encode_envelope,
     encode_frame_bytes,
     message_from_wire,
-    negotiate_codec,
     server_echo_obj,
 )
 from repro.net.transport import BATCH_MAX, FrameSender
 from repro.ot import insert
 
 
-def _round_trip(envelope, codec=CODEC_BINARY):
-    return decode_envelope(encode_frame_bytes(envelope, codec))
+def _json(envelope):
+    """The JSON spelling of any frame, hot shapes included."""
+    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+
+
+#: the two spellings a reader takes: the writer's pick, and plain JSON
+SPELLINGS = {"bin": encode_frame_bytes, "json": _json}
+
+
+def _round_trip(envelope, spell=encode_frame_bytes):
+    return decode_envelope(spell(envelope))
 
 
 def _server_op_message(serial=1):
@@ -58,11 +64,10 @@ def _server_op_message(serial=1):
 # Representative envelopes of every frame type that crosses the wire.
 _ENVELOPES = {
     "hello": encode_envelope(
-        "hello", client="c1", doc="default", delivered=0,
-        codecs=["bin", "json"], pin=0,
+        "hello", client="c1", doc="default", delivered=0, pin=0,
     ),
     "welcome": encode_envelope(
-        "welcome", client="c1", doc="default", codec="bin",
+        "welcome", client="c1", doc="default",
         snapshot={"text": "abc", "serial": 3},
     ),
     "data": encode_envelope("data", seq=4, ack=2, message=_server_op_message()),
@@ -110,7 +115,9 @@ class TestBinaryRoundTrip:
 
     @pytest.mark.parametrize("name", sorted(_ENVELOPES))
     def test_json_codec_unchanged(self, name):
-        raw = encode_frame_bytes(_ENVELOPES[name], CODEC_JSON)
+        """None of these is a hot shape: each is written as JSON."""
+        raw = encode_frame_bytes(_ENVELOPES[name])
+        assert raw == _json(_ENVELOPES[name])
         assert json.loads(raw) == _ENVELOPES[name]
         assert decode_envelope(raw) == _ENVELOPES[name]
 
@@ -133,81 +140,100 @@ class TestBinaryRoundTrip:
         ids=["generic", "generic-negative", "positional"],
     )
     def test_the_writer_refuses_an_int_its_reader_would(self, envelope):
-        """The reader stops a varint at ten bytes; the writer used to
-        emit an eleventh and leave the refusal to the other end."""
-        with pytest.raises(WireError):
-            encode_frame_bytes(envelope, CODEC_BINARY)
-        envelope["ack"] = 2**69 - 1 if envelope["ack"] > 0 else -(2**69)
-        assert _round_trip(envelope) == envelope
+        """The positional reader stops a varint at ten bytes, so the
+        positional writer refuses an int past it: the frame is JSON."""
+        raw = encode_frame_bytes(envelope)
+        assert raw == _json(envelope)
+        assert decode_envelope(raw) == envelope
+        envelope["ack"] = 2**70 - 1 if envelope["ack"] > 0 else -(2**69)
+        raw = encode_frame_bytes(envelope)
+        assert (raw[0] == BINARY_MAGIC) == ("floor" in envelope)
+        assert decode_envelope(raw) == envelope
 
     def test_binary_is_self_identifying(self):
-        raw = encode_frame_bytes(_ENVELOPES["data"], CODEC_BINARY)
+        raw = encode_frame_bytes(_hot_frames()["server-data"])
         assert raw[0] == BINARY_MAGIC
         # JSON objects start with '{' — the magic byte can never collide.
         assert json.dumps({}).encode()[0] != BINARY_MAGIC
+        assert encode_frame_bytes(_ENVELOPES["ping"])[:1] == b"{"
 
     def test_binary_data_frame_is_much_smaller_than_json(self):
-        envelope = _ENVELOPES["data"]
-        binary = encode_frame_bytes(envelope, CODEC_BINARY)
-        text = encode_frame_bytes(envelope, CODEC_JSON)
-        assert len(binary) <= 0.6 * len(text)
+        envelope = _hot_frames()["server-data"]
+        binary = encode_frame_bytes(envelope)
+        assert len(binary) <= 0.6 * len(_json(envelope))
 
     def test_unknown_codec_rejected(self):
-        with pytest.raises(WireError):
-            encode_frame_bytes(_ENVELOPES["ping"], "gzip")
+        """There is no codec argument: every codec name is unknown."""
+        for codec in ("gzip", "json", "bin"):
+            with pytest.raises(TypeError):
+                encode_frame_bytes(_ENVELOPES["ping"], codec)
+            with pytest.raises(TypeError):
+                decode_envelope(_json(_ENVELOPES["ping"]), codec)
 
 
 class TestUnknownFieldTolerance:
-    """Forward compatibility: both codecs carry fields they don't know."""
+    """Forward compatibility: a reader carries fields it doesn't know."""
 
-    @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
-    def test_extra_envelope_field_survives(self, codec):
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    def test_extra_envelope_field_survives(self, spelling):
         envelope = dict(_ENVELOPES["ack"])
         envelope["future_field"] = {"deep": [1, "two", None]}
-        assert _round_trip(envelope, codec) == envelope
+        assert _round_trip(envelope, SPELLINGS[spelling]) == envelope
 
-    @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
-    def test_extra_body_field_survives(self, codec):
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    def test_extra_body_field_survives(self, spelling):
         envelope = encode_envelope("data", seq=1, message=_server_op_message())
         envelope["message"]["body"]["shard_hint"] = 7
-        assert _round_trip(envelope, codec) == envelope
+        assert _round_trip(envelope, SPELLINGS[spelling]) == envelope
 
 
 class TestBinaryDecodeErrors:
     def test_truncated_varint(self):
-        with pytest.raises(WireError):
-            decode_envelope(bytes([BINARY_MAGIC, 0x03, 0x80]))
+        # an ack's first counter, its continuation bit set, then nothing
+        with pytest.raises(WireError, match="truncated"):
+            decode_envelope(bytes([BINARY_MAGIC, 0x12, 0x80]))
 
     def test_truncated_string(self):
-        # STR tag, declared length 10, only 2 bytes follow.
-        with pytest.raises(WireError):
-            decode_envelope(bytes([BINARY_MAGIC, 0x05, 10]) + b"ab")
+        # a broadcast whose opid replica declares 10 bytes; 2 follow
+        head = bytes([BINARY_MAGIC, 0x11, 1, 0, 0, 0, 0, 10])
+        with pytest.raises(WireError, match="inside a string"):
+            decode_envelope(head + b"ab")
 
     def test_truncated_empty_frame(self):
         with pytest.raises(WireError):
             decode_envelope(bytes([BINARY_MAGIC]))
 
     def test_unknown_tag(self):
-        with pytest.raises(WireError):
-            decode_envelope(bytes([BINARY_MAGIC, 0x7F]))
+        """0x00-0x08 included: up to wire version 5 those value tags
+        opened a generic tagged frame; no frame is spelled that way now."""
+        for tag in [0x7F, *range(0x09)]:
+            with pytest.raises(WireError, match=f"layout tag 0x{tag:02x}"):
+                decode_envelope(bytes([BINARY_MAGIC, tag, 0x01, 0x02]))
 
     def test_trailing_garbage(self):
-        raw = encode_frame_bytes(_ENVELOPES["ping"], CODEC_BINARY)
-        with pytest.raises(WireError):
-            decode_envelope(raw + b"\x00")
+        for envelope in (_ENVELOPES["ping"], _hot_frames()["ack"]):
+            with pytest.raises(WireError):
+                decode_envelope(encode_frame_bytes(envelope) + b"\x00")
 
     def test_top_level_must_be_a_dict(self):
-        with pytest.raises(WireError):
-            decode_envelope(bytes([BINARY_MAGIC, 0x02]))  # bare `true`
+        for raw in (b"true", b"[1]", b'"v"'):
+            with pytest.raises(WireError, match="must be a JSON object"):
+                decode_envelope(raw)
 
     def test_non_string_dict_key_rejected_on_encode(self):
+        """A key JSON cannot write is refused typed (an ``int`` key is
+        written as its string, as ``json.dumps`` does)."""
         with pytest.raises(WireError):
-            encode_frame_bytes({"v": 1, "type": "data", "m": {1: "x"}},
-                               CODEC_BINARY)
+            encode_frame_bytes({"v": 1, "type": "data", "m": {(1,): "x"}})
+
+    def test_an_integer_past_the_digit_limit_is_a_wire_error(self):
+        raw = b'{"v":%d,"type":"ping","t":%s}' % (WIRE_VERSION, b"9" * 5000)
+        with pytest.raises(WireError, match="UTF-8 JSON"):
+            decode_envelope(raw)
 
 
 def _hot_frames():
-    """The four shapes the binary codec writes positionally."""
+    """The four shapes written positionally."""
     client = encode_envelope(
         "data", seq=3, ack=2, epoch=1, body=_ENVELOPES["client_op"]["message"],
         pin=2,
@@ -225,34 +251,56 @@ def _hot_frames():
 
 
 class TestPositionalLayouts:
-    """One ``bin`` codec: the hot shapes are spelled positionally inside
-    it, and everything about the dictionary model still holds."""
+    """The hot shapes are spelled positionally, and everything about the
+    dictionary model still holds; off its exact shape a frame takes the
+    generic spelling, JSON."""
 
     @pytest.mark.parametrize("name", sorted(_hot_frames()))
     def test_a_hot_frame_is_positional_and_round_trips(self, name):
         envelope = _hot_frames()[name]
-        raw = encode_frame_bytes(envelope, CODEC_BINARY)
+        raw = encode_frame_bytes(envelope)
         assert raw[0] == BINARY_MAGIC and raw[1] >= 0x10
         assert decode_envelope(raw) == envelope
-        assert 3 * len(raw) <= len(encode_frame_bytes(envelope, CODEC_JSON))
+        assert 3 * len(raw) <= len(_json(envelope))
+        assert decode_envelope(_json(envelope)) == envelope
 
     @pytest.mark.parametrize("name", sorted(_hot_frames()))
     def test_an_unknown_field_sends_it_down_the_generic_path(self, name):
         envelope = _hot_frames()[name]
         envelope["future_field"] = [1, "two"]
-        raw = encode_frame_bytes(envelope, CODEC_BINARY)
-        assert raw[1] < 0x10
+        raw = encode_frame_bytes(envelope)
+        assert raw == _json(envelope)
         assert decode_envelope(raw) == envelope
 
     def test_a_counter_that_is_not_a_natural_number_is_generic(self):
         for bad in (-1, True, 1.0, "1", None):
             envelope = _hot_frames()["ack"]
             envelope["floor"] = bad
-            raw = encode_frame_bytes(envelope, CODEC_BINARY)
-            assert raw[1] < 0x10
+            raw = encode_frame_bytes(envelope)
+            assert raw == _json(envelope)
             decoded = decode_envelope(raw)
             assert decoded == envelope
             assert type(decoded["floor"]) is type(bad)
+
+    @pytest.mark.parametrize(
+        "value", [7, None, ["x"], {"v": 1}, 1.5, True],
+        ids=["int", "none", "list", "dict", "float", "bool"],
+    )
+    @pytest.mark.parametrize("name", ["client-data", "server-data", "multi"])
+    def test_an_element_value_that_is_not_a_str_is_json(self, name, value):
+        envelope = copy.deepcopy(_hot_frames()[name])
+        body = envelope["frames"][0] if name == "multi" else envelope
+        body["body"]["body"]["operation"]["element"]["value"] = value
+        raw = encode_frame_bytes(envelope)
+        assert raw == _json(envelope)
+        assert decode_envelope(raw) == envelope
+
+    def test_an_element_value_is_written_without_a_tag(self):
+        envelope = _hot_frames()["client-data"]
+        raw = encode_frame_bytes(envelope)
+        # magic, tag, four counters, kind byte, opid (c1, 1), position 0,
+        # then the value: its length and its bytes, nothing before them
+        assert raw[6:14] == b"\x00\x02c1\x01\x00" + b"\x01x"
 
     def test_unknown_layout_tag_rejected(self):
         with pytest.raises(WireError, match="layout tag"):
@@ -260,14 +308,12 @@ class TestPositionalLayouts:
 
     @pytest.mark.parametrize("name", sorted(_hot_frames()))
     def test_trailing_bytes_rejected(self, name):
-        raw = encode_frame_bytes(_hot_frames()[name], CODEC_BINARY)
+        raw = encode_frame_bytes(_hot_frames()[name])
         with pytest.raises(WireError, match="trailing"):
             decode_envelope(raw + b"\x00")
 
     def test_bad_kind_byte_and_bad_utf8_rejected(self):
-        raw = bytearray(
-            encode_frame_bytes(_hot_frames()["client-data"], CODEC_BINARY)
-        )
+        raw = bytearray(encode_frame_bytes(_hot_frames()["client-data"]))
         kind_at = 2 + 4  # magic, tag, four one-byte counters
         assert raw[kind_at] == 0 and raw[kind_at + 1 : kind_at + 4] == b"\x02c1"
         with pytest.raises(WireError, match="kind byte"):
@@ -277,25 +323,25 @@ class TestPositionalLayouts:
             decode_envelope(bytes(raw))
 
     def test_an_old_version_hello_is_refused(self):
-        hello = dict(_ENVELOPES["hello"], v=WIRE_VERSION - 1)
-        for codec in SUPPORTED_CODECS:
-            with pytest.raises(WireError, match="wire version"):
-                decode_envelope(encode_frame_bytes(hello, codec))
+        hello = dict(_ENVELOPES["hello"], v=WIRE_VERSION - 1, codecs=["bin"])
+        with pytest.raises(WireError, match="wire version 5"):
+            decode_envelope(encode_frame_bytes(hello))
 
     def test_a_shared_body_is_spelled_once(self):
         body = _server_op_message()
         first = encode_envelope("data", seq=4, ack=0, epoch=0, floor=0, body=body)
         assert body.packed is None
-        raw = encode_frame_bytes(first, CODEC_BINARY)
+        raw = encode_frame_bytes(first)
         assert body.packed is not None and raw.endswith(body.packed)
         second = encode_envelope("data", seq=4, ack=3, epoch=0, floor=2, body=body)
-        spliced = encode_frame_bytes(second, CODEC_BINARY)
+        spliced = encode_frame_bytes(second)
         assert spliced.endswith(body.packed)
         assert decode_envelope(spliced) == second
-        # The JSON codec and the generic path read it as the dict it is.
-        assert decode_envelope(encode_frame_bytes(second, CODEC_JSON)) == second
+        # JSON reads it as the dict it is, spliced or not.
+        assert decode_envelope(_json(second)) == second
         second["hint"] = 1
-        assert decode_envelope(encode_frame_bytes(second, CODEC_BINARY)) == second
+        assert encode_frame_bytes(second) == _json(second)
+        assert decode_envelope(encode_frame_bytes(second)) == second
 
 
 def _echo_frame(seq=7, serial=None, opid=("c1", 3)):
@@ -311,23 +357,24 @@ class TestServerEcho:
     """The generator's echo: ``(opid, serial)`` in the ``data`` frame,
     spelled positionally with the serial read off the frame's ``seq``."""
 
-    @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
-    def test_an_echo_round_trips_to_an_equal_dictionary(self, codec):
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    def test_an_echo_round_trips_to_an_equal_dictionary(self, spelling):
         envelope = _echo_frame()
-        assert _round_trip(envelope, codec) == envelope
+        decoded = _round_trip(envelope, SPELLINGS[spelling])
+        assert decoded == envelope
         assert message_from_wire(
-            _round_trip(envelope, codec)["body"], ClientOrderOracle("c1")
+            decoded["body"], ClientOrderOracle("c1")
         ) == ServerEcho(OpId("c1", 3), 7)
 
     def test_an_echo_is_positional_and_smaller_than_a_broadcast(self):
-        raw = encode_frame_bytes(_echo_frame(), CODEC_BINARY)
+        raw = encode_frame_bytes(_echo_frame())
         assert raw[1] == 0x14
         # magic, tag, four counters, then the opid: a string and a counter
         assert raw[6:] == b"\x02c1\x03"
         broadcast = encode_envelope(
             "data", seq=1, ack=2, epoch=1, floor=1, body=_server_op_message()
         )
-        assert len(raw) < len(encode_frame_bytes(broadcast, CODEC_BINARY))
+        assert len(raw) < len(encode_frame_bytes(broadcast))
 
     @pytest.mark.parametrize(
         "change",
@@ -351,12 +398,12 @@ class TestServerEcho:
     def test_an_echo_off_its_exact_shape_is_written_generically(self, change):
         envelope = _echo_frame()
         change(envelope)
-        raw = encode_frame_bytes(envelope, CODEC_BINARY)
-        assert raw[1] < 0x10
+        raw = encode_frame_bytes(envelope)
+        assert raw == _json(envelope)
         assert decode_envelope(raw) == envelope
 
     def test_truncations_and_trailing_bytes_raise_wire_errors(self):
-        raw = encode_frame_bytes(_echo_frame(), CODEC_BINARY)
+        raw = encode_frame_bytes(_echo_frame())
         for cut in range(1, len(raw)):
             with pytest.raises(WireError):
                 decode_envelope(raw[:cut])
@@ -378,26 +425,6 @@ class TestServerEcho:
         message = {"v": WIRE_VERSION, "kind": "server_echo", "body": body}
         with pytest.raises(ProtocolError):
             message_from_wire(message, ClientOrderOracle("c1"))
-
-
-class TestNegotiation:
-    def test_prefers_clients_first_supported(self):
-        assert negotiate_codec(["bin", "json"]) == CODEC_BINARY
-        assert negotiate_codec(["json", "bin"]) == CODEC_JSON
-
-    def test_no_offer_is_no_session(self):
-        for offered in (None, [], (), 7, "bin", {"bin": 1}):
-            assert negotiate_codec(offered) is None
-
-    def test_unknown_offers_fall_back_to_json(self):
-        assert negotiate_codec(["zstd", "cbor"]) == CODEC_JSON
-
-    def test_unknown_offer_skipped_not_fatal(self):
-        assert negotiate_codec(["zstd", "bin"]) == CODEC_BINARY
-
-    def test_supported_codecs_lists_binary_first(self):
-        assert SUPPORTED_CODECS[0] == CODEC_BINARY
-        assert CODEC_JSON in SUPPORTED_CODECS
 
 
 class _FakeTransport:
@@ -439,13 +466,16 @@ def _frames_from(data: bytes):
 
 
 class TestSenderBatching:
-    def _drain(self, *, codec=CODEC_JSON, count=5, burst=True):
+    def _drain(self, *, hot=False, count=5, burst=True):
         async def scenario():
             writer = _FakeWriter()
             sender = FrameSender(writer, doc="d")
-            sender.codec = codec
             for index in range(count):
-                assert sender.try_send(encode_envelope("ack", ack=index))
+                # a hot ack carries its epoch and floor; a bare one is JSON
+                fields = {"epoch": 0, "floor": 0} if hot else {}
+                assert sender.try_send(
+                    encode_envelope("ack", ack=index, **fields)
+                )
                 if not burst:
                     # let the writer task flush before the next enqueue
                     while sender.depth:
@@ -485,13 +515,14 @@ class TestSenderBatching:
         assert len(frames[0]["frames"]) == BATCH_MAX
 
     def test_batched_binary_frames_decode(self):
-        sender, data = self._drain(codec=CODEC_BINARY)
+        sender, data = self._drain(hot=True)
         assert data[4] == BINARY_MAGIC
         frames = _frames_from(data)
         assert [f["ack"] for f in frames[0]["frames"]] == [0, 1, 2, 3, 4]
 
     def test_multi_envelope_carries_wire_version(self):
         _, data = self._drain()
+        assert data[4:5] == b"{"
         assert _frames_from(data)[0]["v"] == WIRE_VERSION
 
     def test_a_buffer_that_never_drains_still_meets_the_write_deadline(self):

@@ -1,24 +1,26 @@
 """Property tests for the frame codec — the bytes that cross the trust
 boundary (ROADMAP 3a, codec half).
 
-Three claims: a hot frame round-trips exactly under both codecs and its
-positional spelling is never longer than its generic one; whatever
-follows the binary magic byte decodes to a dictionary or raises
-:class:`WireError`, nothing else; and so does every truncation and every
-single-byte mutation of a valid hot frame.  The generator's echo makes
-the same claims, and one off its exact shape — a serial that is not its
-frame's ``seq``, a field it does not know — is written generically.
+A frame has two possible spellings: positional, for exactly a hot shape,
+and compact JSON for everything else.  Three claims: a hot frame
+round-trips exactly under both and its positional spelling is never
+longer than its JSON one, while a frame off the exact shape (an element
+value that is not a ``str``, a serial that is not its frame's ``seq``, a
+field no layout has) is written as JSON and decodes equal; whatever
+follows the positional magic byte decodes to a dictionary or raises
+:class:`WireError`, nothing else; and every truncation of a frame of
+either spelling raises :class:`WireError`, while every single-byte
+replacement decodes to a dictionary or raises it.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import codec
 from repro.net.codec import (
     BINARY_MAGIC,
-    CODEC_BINARY,
-    CODEC_JSON,
     WIRE_VERSION,
     WireError,
     decode_envelope,
@@ -43,19 +45,23 @@ json_values = st.recursive(
     ),
     max_leaves=8,
 )
-elements = st.one_of(
-    st.none(), st.fixed_dictionaries({"value": json_values, "opid": opids})
-)
+not_a_str = json_values.filter(lambda value: not isinstance(value, str))
 
 
-def operations(max_extras):
+def _json(envelope):
+    """The JSON spelling of any frame, hot shapes included."""
+    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+
+
+def operations(values):
+    element = st.fixed_dictionaries({"value": values, "opid": opids})
     return st.fixed_dictionaries(
         {
             "operation": st.fixed_dictionaries(
                 {
                     "kind": st.sampled_from(["ins", "del"]),
                     "opid": opids,
-                    "element": elements,
+                    "element": st.one_of(st.none(), element),
                     "position": counters,
                 }
             ),
@@ -68,13 +74,15 @@ def _message(kind, body):
     return {"v": WIRE_VERSION, "kind": kind, "body": body}
 
 
-def hot_frames(max_extras=63):
+def hot_frames(values=st.text(max_size=8)):
+    """Frames of exactly a hot shape, their element values drawn from
+    ``values`` (a ``str`` keeps the frame positional)."""
     client = st.builds(
         lambda seq, ack, epoch, pin, body: encode_envelope(
             "data", seq=seq, ack=ack, epoch=epoch,
             body=_message("client_op", body), pin=pin,
         ),
-        counters, counters, counters, counters, operations(max_extras),
+        counters, counters, counters, counters, operations(values),
     )
     server = st.builds(
         lambda seq, ack, epoch, floor, body, origin, serial: encode_envelope(
@@ -84,7 +92,7 @@ def hot_frames(max_extras=63):
                 dict(operation=body["operation"], origin=origin, serial=serial),
             ),
         ),
-        counters, counters, counters, counters, operations(max_extras),
+        counters, counters, counters, counters, operations(values),
         names, counters,
     )
     ack = st.builds(
@@ -100,10 +108,26 @@ def hot_frames(max_extras=63):
     return st.one_of(single, multi)
 
 
-def _generic_bytes(envelope):
-    out = bytearray([BINARY_MAGIC])
-    codec._encode_binary_value(out, envelope)
-    return bytes(out)
+#: frames no layout has: any other type, any fields
+cold_frames = st.builds(
+    lambda kind, fields: encode_envelope(kind, **fields),
+    st.sampled_from(["welcome", "ping", "pong", "error", "evicted", "hello"]),
+    st.dictionaries(
+        st.text(max_size=8).filter(lambda key: key not in ("v", "type")),
+        json_values,
+        max_size=4,
+    ),
+)
+
+
+def _elements(envelope):
+    frames = envelope.get("frames", [envelope])
+    return [
+        frame["body"]["body"]["operation"]["element"]
+        for frame in frames
+        if "body" in frame
+        and frame["body"]["body"]["operation"]["element"] is not None
+    ]
 
 
 def _dict_or_wire_error(raw):
@@ -114,21 +138,47 @@ def _dict_or_wire_error(raw):
     assert isinstance(decoded, dict)
 
 
+def _every_truncation_and_single_byte_mutation(raw):
+    for cut in range(len(raw)):
+        with pytest.raises(WireError):
+            decode_envelope(raw[:cut])
+    for at in range(len(raw)):
+        for byte in range(256):
+            if byte != raw[at]:
+                _dict_or_wire_error(raw[:at] + bytes([byte]) + raw[at + 1 :])
+
+
 class TestHotFramesRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(hot_frames())
-    def test_exactly_under_both_codecs_and_never_longer_than_generic(
+    def test_exactly_under_both_codecs_and_never_longer_than_json(
         self, envelope
     ):
-        positional = encode_frame_bytes(envelope, CODEC_BINARY)
-        assert positional[1] >= 0x10
+        positional = encode_frame_bytes(envelope)
+        assert positional[0] == BINARY_MAGIC and positional[1] >= 0x10
         assert decode_envelope(positional) == envelope
-        generic = _generic_bytes(envelope)
-        assert generic[1] < 0x10
-        assert decode_envelope(generic) == envelope
-        assert len(positional) <= len(generic)
-        textual = encode_frame_bytes(envelope, CODEC_JSON)
+        textual = _json(envelope)
         assert decode_envelope(textual) == envelope
+        assert len(positional) <= len(textual)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hot_frames(values=not_a_str))
+    def test_an_element_value_that_is_not_a_str_makes_the_frame_json(
+        self, envelope
+    ):
+        raw = encode_frame_bytes(envelope)
+        if _elements(envelope):
+            assert raw == _json(envelope)
+        else:
+            assert raw[0] == BINARY_MAGIC  # no element: still exactly hot
+        assert decode_envelope(raw) == envelope
+
+    @settings(max_examples=100, deadline=None)
+    @given(cold_frames)
+    def test_every_other_frame_is_json_and_decodes_equal(self, envelope):
+        raw = encode_frame_bytes(envelope)
+        assert raw == _json(envelope)
+        assert decode_envelope(raw) == envelope
 
 
 class TestHostileBytes:
@@ -142,20 +192,28 @@ class TestHostileBytes:
     def test_so_is_anything_after_a_layout_tag(self, tag, tail):
         _dict_or_wire_error(bytes([BINARY_MAGIC, tag]) + tail)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_so_is_any_non_magic_byte_string(self, raw):
+        if raw[:1] != bytes([BINARY_MAGIC]):
+            _dict_or_wire_error(raw)
+
     @settings(max_examples=10, deadline=None)
-    @given(hot_frames(max_extras=2))
+    @given(hot_frames())
     def test_every_truncation_and_single_byte_mutation_of_a_hot_frame(
         self, envelope
     ):
-        raw = encode_frame_bytes(envelope, CODEC_BINARY)
-        for cut in range(1, len(raw)):
-            _dict_or_wire_error(raw[:cut])
-        for at in range(1, len(raw)):
-            for byte in range(256):
-                if byte != raw[at]:
-                    _dict_or_wire_error(
-                        raw[:at] + bytes([byte]) + raw[at + 1 :]
-                    )
+        """Both spellings of it: the positional one a writer sends, and
+        the JSON one a reader must take as well."""
+        _every_truncation_and_single_byte_mutation(encode_frame_bytes(envelope))
+        _every_truncation_and_single_byte_mutation(_json(envelope))
+
+    @settings(max_examples=5, deadline=None)
+    @given(cold_frames)
+    def test_every_truncation_and_single_byte_mutation_of_a_json_frame(
+        self, envelope
+    ):
+        _every_truncation_and_single_byte_mutation(encode_frame_bytes(envelope))
 
 
 def echo_frames():
@@ -174,17 +232,15 @@ class TestServerEcho:
     @given(st.one_of(echo_frames(), st.lists(echo_frames(), max_size=3).map(
         lambda frames: encode_envelope("multi", frames=frames)
     )))
-    def test_exactly_under_both_codecs_and_never_longer_than_generic(
+    def test_exactly_under_both_codecs_and_never_longer_than_json(
         self, envelope
     ):
-        positional = encode_frame_bytes(envelope, CODEC_BINARY)
+        positional = encode_frame_bytes(envelope)
         assert positional[1] >= 0x10
         assert decode_envelope(positional) == envelope
-        generic = _generic_bytes(envelope)
-        assert decode_envelope(generic) == envelope
-        assert len(positional) <= len(generic)
-        textual = encode_frame_bytes(envelope, CODEC_JSON)
+        textual = _json(envelope)
         assert decode_envelope(textual) == envelope
+        assert len(positional) <= len(textual)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -204,10 +260,9 @@ class TestServerEcho:
         elif key in body:
             key += "_"
         body[key] = value
-        raw = encode_frame_bytes(envelope, CODEC_BINARY)
-        assert raw[1] < 0x10
+        raw = encode_frame_bytes(envelope)
+        assert raw == _json(envelope)
         assert decode_envelope(raw) == envelope
-        assert decode_envelope(encode_frame_bytes(envelope, CODEC_JSON)) == envelope
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=64))
@@ -221,16 +276,16 @@ class TestServerEcho:
     def test_every_truncation_and_trailing_byte_is_a_wire_error(
         self, envelope
     ):
-        raw = encode_frame_bytes(envelope, CODEC_BINARY)
-        for cut in range(1, len(raw)):
+        for raw in (encode_frame_bytes(envelope), _json(envelope)):
+            for cut in range(len(raw)):
+                with pytest.raises(WireError):
+                    decode_envelope(raw[:cut])
             with pytest.raises(WireError):
-                decode_envelope(raw[:cut])
-        with pytest.raises(WireError, match="trailing"):
-            decode_envelope(raw + b"\x00")
+                decode_envelope(raw + b"\x00")
 
-    def test_a_version_3_hello_is_refused_under_both_codecs(self):
+    @pytest.mark.parametrize("version", [3, 5])
+    def test_an_older_version_hello_is_refused(self, version):
         hello = encode_envelope("hello", client="c1", codecs=["bin"], pin=0)
-        hello["v"] = 3
-        for codec_name in (CODEC_BINARY, CODEC_JSON):
-            with pytest.raises(WireError, match="wire version 3"):
-                decode_envelope(encode_frame_bytes(hello, codec_name))
+        hello["v"] = version
+        with pytest.raises(WireError, match=f"wire version {version}"):
+            decode_envelope(encode_frame_bytes(hello))

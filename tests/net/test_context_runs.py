@@ -27,7 +27,6 @@ from repro.jupiter.persistence import ServerWriteAheadLog
 from repro.jupiter.shard import ShardCore
 from repro.model.schedule import OpSpec
 from repro.net.codec import (
-    CODEC_BINARY,
     WIRE_VERSION,
     compact_client_op_obj,
     compact_server_op_obj,
@@ -282,6 +281,6 @@ def test_a_client_frame_does_not_grow_with_its_pending_run():
             "data", seq=seq, ack=0, epoch=0, pin=0,
             body=compact_client_op_obj(core.unacked[seq], core.css.oracle),
         )
-        sizes.append(len(encode_frame_bytes(envelope, CODEC_BINARY)))
+        sizes.append(len(encode_frame_bytes(envelope)))
     assert core.css.pending_count == 64
     assert sizes[-1] <= sizes[0] + 1, sizes

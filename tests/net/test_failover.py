@@ -409,7 +409,7 @@ class TestDeposedByInstall:
             writer, c1._writer = c1._writer, None
             await c1.generate(OpSpec("ins", 3, "b"))
             c1._writer = writer
-            body = encode_frame_bytes(c1._data_envelope(4), c1.codec)
+            body = encode_frame_bytes(c1._data_envelope(4))
 
             def depose_with_a_frame_in_the_buffer():
                 depose()
@@ -504,7 +504,7 @@ class TestDeposedByPromise:
 
             reader, writer = await asyncio.open_connection(*roster[0])
             await write_frame(
-                writer, encode_envelope("hello", client="c9", codecs=["json"])
+                writer, encode_envelope("hello", client="c9")
             )
             answer = await asyncio.wait_for(read_frame(reader), timeout=5)
             writer.close()

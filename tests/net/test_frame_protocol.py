@@ -33,7 +33,6 @@ from repro.jupiter.messages import ServerEcho
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
 from repro.net.codec import (
-    CODEC_BINARY,
     WireError,
     encode_envelope,
     encode_frame_bytes,
@@ -114,8 +113,8 @@ def small_cap(monkeypatch):
     monkeypatch.setattr("repro.net.transport.MAX_FRAME", CAP)
 
 
-def _frame(envelope, codec="json"):
-    body = encode_frame_bytes(envelope, codec)
+def _frame(envelope):
+    body = encode_frame_bytes(envelope)
     return struct.pack(">I", len(body)) + body
 
 
@@ -141,15 +140,15 @@ def _session_bytes():
         "data", seq=3, ack=1, epoch=0, floor=0,
         body=server_echo_obj(ServerEcho(OpId("c1", 1), 3)),
     )
-    welcome = encode_envelope("welcome", ack=0, resync=1, codec="bin", epoch=0)
+    welcome = encode_envelope("welcome", ack=0, resync=1, epoch=0)
     resync = encode_envelope(
         "data", seq=2, ack=0, epoch=0, floor=0, body=broadcast_body
     )
     return b"".join(
         [
             _frame(encode_envelope("multi", frames=[welcome, resync])),
-            _frame(encode_envelope("ack", ack=1, epoch=0, floor=0), CODEC_BINARY),
-            _frame(echo, CODEC_BINARY),
+            _frame(encode_envelope("ack", ack=1, epoch=0, floor=0)),
+            _frame(echo),
             _frame(encode_envelope("data", seq=4, ack=1, body=broadcast_body)),
             struct.pack(">I", CAP + 100) + b"j" * (CAP + 100),
             _frame(encode_envelope("ping", t=1.5)),
@@ -294,7 +293,7 @@ def test_a_refused_frame_closes_one_session_with_one_log_line(caplog):
         server = NetServer("127.0.0.1", 0, initial_text="abc")
         await server.start()
         reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-        hello = encode_envelope("hello", client="rogue", delivered=0, codecs=["json"])
+        hello = encode_envelope("hello", client="rogue", delivered=0)
         await write_frame(writer, hello)
         assert (await read_frame(reader))["type"] == "welcome"
         refused = encode_envelope("data", seq="x", ack=0, body={})

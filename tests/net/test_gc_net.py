@@ -9,8 +9,8 @@ localhost sockets and assert the three user-visible consequences:
 1. the server's live structures shrink while documents stay correct,
 2. sessions inside the grace window resync losslessly from the WAL,
    sessions beyond it come back via a state transfer, and
-3. every session speaks the one compact dialect whatever byte codec it
-   negotiated; a hello with no codec offer is refused with a typed error.
+3. a hello is served whatever ``codecs`` offer an older client put in
+   it: nothing is negotiated.
 """
 
 import asyncio
@@ -57,84 +57,17 @@ _FAST_GC = dict(
 )
 
 
-class TestMixedCodecRoster:
-    def test_bin_and_json_clients_converge_across_a_gc_rebase(self):
-        async def scenario():
-            server = await _started_server(**_FAST_GC)
-            binary = NetClient(
-                "c1", "127.0.0.1", server.port, heartbeat_interval=0.05
-            )
-            text = NetClient(
-                "c2", "127.0.0.1", server.port,
-                codecs=["json"], heartbeat_interval=0.05,
-            )
-            await binary.connect()
-            await text.connect()
-            total = 0
-            for _round in range(3):
-                for index in range(6):
-                    await binary.generate(OpSpec("ins", index, "a"))
-                    await text.generate(OpSpec("ins", 0, "b"))
-                total += 12
-                assert await binary.wait_converged(total, timeout=10)
-                assert await text.wait_converged(total, timeout=10)
-                # both heartbeats report the new pins; the sweep rebases
-                assert await _eventually(
-                    lambda: server.server.base >= total - 6
-                )
-            results = (
-                binary.codec,
-                text.codec,
-                server.server.base,
-                binary.css.oracle.base,
-                text.css.oracle.base,
-                binary.signature()
-                == text.signature()
-                == document_signature(server.server.document),
-            )
-            await binary.close()
-            await text.close()
-            await server.stop()
-            return results
-
-        bin_codec, json_codec, base, bin_base, json_base, same = _run(
-            scenario()
-        )
-        assert (bin_codec, json_codec) == ("bin", "json")
-        assert base >= 30
-        # both mirrors followed the floor, whatever bytes carried it
-        assert bin_base > 0 and json_base > 0
-        assert same
-
-    def test_json_only_offer_negotiates_json_but_stays_v2(self):
-        async def scenario():
-            server = await _started_server()
-            client = NetClient(
-                "c1", "127.0.0.1", server.port, codecs=["json"]
-            )
-            await client.connect()
-            await client.generate(OpSpec("ins", 0, "x"))
-            assert await client.wait_converged(1, timeout=10)
-            # the codec is only bytes: the JSON session reports GC pins
-            # like any other
-            await client.ping()
-            pinned = await _eventually(
-                lambda: server.channels["c1"].pin == 1
-            )
-            results = (client.codec, pinned)
-            await client.close()
-            await server.stop()
-            return results
-
-        codec, pinned = _run(scenario())
-        assert codec == "json"
-        assert pinned
-
+class TestLegacyCodecOffer:
     @pytest.mark.parametrize(
-        "offer", [{}, {"codecs": []}, {"codecs": 7}],
-        ids=["bare", "empty", "not-a-list"],
+        "offer",
+        [{}, {"codecs": []}, {"codecs": 7}, {"codecs": ["json"]},
+         {"codecs": ["bin", "json"]}],
+        ids=["bare", "empty", "not-a-list", "json-only", "bin-json"],
     )
-    def test_hello_without_a_codec_offer_is_refused(self, offer):
+    def test_a_hello_is_served_whatever_codec_offer_it_carries(self, offer):
+        """An older client's hello offered a ``codecs`` list; the field
+        is ignored like any unknown one, and the session is served."""
+
         async def scenario():
             server = await _started_server()
             bystander = NetClient("c1", "127.0.0.1", server.port)
@@ -143,28 +76,24 @@ class TestMixedCodecRoster:
                 "127.0.0.1", server.port
             )
             await write_frame(
-                writer, encode_envelope("hello", client="raw", **offer)
+                writer,
+                encode_envelope("hello", client="raw", delivered=0, **offer),
             )
-            reply = await read_frame(reader)
-            closed = await read_frame(reader)
-            writer.close()
-            # the server and the other session carry on
+            welcome = await read_frame(reader)
             await bystander.generate(OpSpec("ins", 0, "x"))
             assert await bystander.wait_converged(1, timeout=10)
+            broadcast = await asyncio.wait_for(read_frame(reader), timeout=10)
             registered = "raw" in server.channels
+            writer.close()
             await bystander.close()
             await server.stop()
-            return reply, closed, registered
+            return welcome, broadcast, registered
 
-        reply, closed, registered = _run(scenario())
-        assert reply["type"] == "error"
-        assert "codecs" in reply["reason"]
-        assert closed is None  # hung up, and never a welcome
-        assert not registered
-
-    def test_client_refuses_to_offer_nothing(self):
-        with pytest.raises(ValueError):
-            NetClient("c1", "127.0.0.1", 1, codecs=[])
+        welcome, broadcast, registered = _run(scenario())
+        assert welcome["type"] == "welcome" and "codec" not in welcome
+        assert broadcast["type"] == "data"
+        assert broadcast["body"]["body"]["origin"] == "c1"
+        assert registered
 
 
 class TestActiveWindowGc:
@@ -361,7 +290,7 @@ class TestUnmatchedContextIsAViolation:
             await write_frame(
                 writer,
                 encode_envelope(
-                    "hello", client="rogue", delivered=12, codecs=["json"]
+                    "hello", client="rogue", delivered=12
                 ),
             )
             assert (await read_frame(reader))["type"] == "welcome"

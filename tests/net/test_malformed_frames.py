@@ -77,9 +77,16 @@ MALFORMED_CLIENT_FRAMES = {
         encode_frame_bytes(encode_envelope("data", ack=0, body={})),
         "rogue violated the protocol: frame field 'seq'",
     ),
-    "binary-nesting-bomb": (
+    # Up to wire version 5 a value tag opened a generic tagged frame (0x06
+    # a list); no frame is spelled that way now.
+    "old-value-tag-nesting-bomb": (
         bytes([BINARY_MAGIC]) + b"\x06\x01" * 3000 + b"\x00",
-        "rogue dropped: binary frame nests deeper",
+        "rogue dropped: unknown binary layout tag 0x06",
+    ),
+    "json-nesting-bomb": (
+        b'{"v":%d,"type":"data","x":%s%s}'
+        % (WIRE_VERSION, b"[" * 100_000, b"]" * 100_000),
+        "rogue dropped: frame is not valid UTF-8 JSON",
     ),
     "operation-with-negative-position": (
         _data(_client_op(-5)),
@@ -130,9 +137,7 @@ class TestMalformedClientFrames:
             )
             await write_frame(
                 writer,
-                encode_envelope(
-                    "hello", client="rogue", delivered=0, codecs=["bin", "json"]
-                ),
+                encode_envelope("hello", client="rogue", delivered=0),
             )
             assert (await read_frame(reader))["type"] == "welcome"
             writer.write(struct.pack(">I", len(raw)) + raw)
@@ -164,8 +169,9 @@ class TestMalformedClientFrames:
         assert state["text"] == "zabc"
 
     def test_the_nesting_bomb_is_a_wire_error_for_every_caller(self):
-        with pytest.raises(WireError):
-            decode_envelope(MALFORMED_CLIENT_FRAMES["binary-nesting-bomb"][0])
+        for shape in ("old-value-tag-nesting-bomb", "json-nesting-bomb"):
+            with pytest.raises(WireError):
+                decode_envelope(MALFORMED_CLIENT_FRAMES[shape][0])
 
 
 async def _against_a_live_server(probe, **options):
@@ -256,7 +262,6 @@ class TestMalformedHellos:
             hello = {
                 "client": "rogue",
                 "delivered": 0,
-                "codecs": ["bin", "json"],
                 **fields,
             }
             await write_frame(writer, encode_envelope("hello", **hello))
@@ -280,7 +285,7 @@ class TestADocumentNoFileCanBeNamedAfter:
 
     def test_refused_typed_and_no_file_appears(self, tmp_path):
         async def probe(server, reader, writer):
-            hello = {"client": "rogue", "doc": "d" * 300, "codecs": ["bin"]}
+            hello = {"client": "rogue", "doc": "d" * 300}
             await write_frame(writer, encode_envelope("hello", **hello))
             hung_up = await asyncio.wait_for(reader.read(), timeout=5)
             return hung_up, _registered(server), sorted(os.listdir(tmp_path))

@@ -35,7 +35,6 @@ from repro.jupiter.shard import ShardCore
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
 from repro.net.codec import (
-    CODEC_BINARY,
     WIRE_VERSION,
     WireError,
     compact_client_op_obj,
@@ -95,7 +94,7 @@ def test_the_link_drops_typed_and_an_honest_reconnect_converges(
             await write_frame(
                 writer,
                 encode_envelope(
-                    "welcome", ack=0, resync=0, codec="json", epoch=0,
+                    "welcome", ack=0, resync=0, epoch=0,
                     view=0, roster=[], floor=0,
                 ),
             )
@@ -272,7 +271,7 @@ def test_every_truncation_and_byte_flip_of_a_broadcast_frame_is_typed():
     frame = encode_envelope(
         "data", seq=3, ack=0, epoch=0, floor=0, body=story.bodies[3]
     )
-    raw = encode_frame_bytes(frame, CODEC_BINARY)
+    raw = encode_frame_bytes(frame)
     assert raw[1] == 0x11
     variants = [raw[:cut] for cut in range(1, len(raw))]
     variants += [

@@ -155,9 +155,7 @@ class TestServerSessionDiscipline:
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             await write_frame(
                 writer,
-                encode_envelope(
-                    "hello", client="c1", delivered=0, codecs=["json"]
-                ),
+                encode_envelope("hello", client="c1", delivered=0),
             )
             welcome = await read_frame(reader)
             assert welcome["type"] == "welcome"
@@ -266,7 +264,7 @@ class TestOneBodyPerOperation:
     ):
         """CSS sends every reader the same operation with the same
         context: the server builds one ``server_op`` body per operation
-        and the binary codec spells its bytes once, whoever many readers
+        and the positional writer spells its bytes once, whoever many readers
         there are.  The generator gets its echo instead."""
         from repro.net import codec, server as server_module
 

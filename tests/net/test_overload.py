@@ -263,7 +263,6 @@ async def _handshake(port, client="raw", delivered=0):
             client=client,
             delivered=delivered,
             epoch=0,
-            codecs=["json"],
         ),
     )
     # the welcome may arrive coalesced with the first resync frames
@@ -327,7 +326,6 @@ class TestAdmissionControl:
                 writer2,
                 encode_envelope(
                     "hello", client="c2", delivered=0, epoch=0,
-                    codecs=["json"],
                 ),
             )
             answer = await asyncio.wait_for(read_frame(reader2), timeout=10)
@@ -428,7 +426,6 @@ class TestSlowConsumerEviction:
                 slow_writer,
                 encode_envelope(
                     "hello", client="slow", delivered=0, epoch=0,
-                    codecs=["json"],
                 ),
             )
             # Do not read the welcome either; TCP buffers it invisibly,

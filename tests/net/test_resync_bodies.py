@@ -16,7 +16,6 @@ import asyncio
 from repro.model.schedule import OpSpec
 from repro.net.client import NetClient
 from repro.net.codec import (
-    CODEC_BINARY,
     document_signature,
     encode_envelope,
     encode_frame_bytes,
@@ -49,8 +48,7 @@ class Recorder(NetClient):
 def spelled(serial, body):
     """A body's bytes, in a data frame whose counters are fixed."""
     return encode_frame_bytes(
-        encode_envelope("data", seq=serial, ack=0, epoch=0, floor=0, body=body),
-        CODEC_BINARY,
+        encode_envelope("data", seq=serial, ack=0, epoch=0, floor=0, body=body)
     )
 
 
@@ -84,7 +82,7 @@ async def hello(host, port, cursor, name="late"):
         writer,
         encode_envelope(
             "hello", client=name, delivered=cursor, epoch=0, doc="",
-            codecs=["bin"], pin=cursor,
+            pin=cursor,
         ),
     )
     welcome, bodies = None, {}

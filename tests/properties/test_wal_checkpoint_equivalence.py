@@ -108,15 +108,8 @@ class Driver:
     def rebase(self):
         """The deployed GC pass with ops still in flight: every core
         reports its own pin, ``collect`` lowers the least to a decodable
-        floor, rebases and checkpoints, and an ack carries the floor back.
-
-        Broadcasts are delivered first, as a FIFO channel would before
-        that ack: a client's pin drops an op's floor at its ack, while
-        ops it generates after are still based on the op's run until
-        its echo arrives."""
-        for name in NAMES:
-            while self.downlink[name]:
-                self.deliver(name)
+        floor, rebases and checkpoints, and an ack carries the floor back
+        — ahead of any broadcast still in flight."""
         pins = {name: core.pin for name, core in self.clients.items()}
         for name, pin in pins.items():
             self.shard.sessions[name].report_pin(pin)

@@ -108,7 +108,7 @@ def test_the_surface_is_what_it_was():
     golden_path = os.path.join(os.path.dirname(__file__), "cli_surface.json")
     with open(golden_path, encoding="utf-8") as handle:
         golden = _by_flag(json.load(handle))
-    assert len(golden) == 190
+    assert len(golden) == 188
     assert len({verb for verb, _flag in golden}) == 22
     for flag, changed in PERMITTED.items():
         golden[flag] = {**golden[flag], **changed}
